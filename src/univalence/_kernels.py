@@ -1,53 +1,13 @@
-"""Hot numeric kernels: numba-jitted loops with pure-numpy fallbacks.
+"""Hot numeric kernels, vectorized with numpy.
 
-Every kernel exists twice: ``*_njit`` (compiled with ``numba.njit``) and
-``*_numpy`` (vectorized numpy). The module-level aliases without suffix point
-at the active implementation. Selection happens once at import time:
-set ``UNIVALENCE_DISABLE_NUMBA=1`` to force the numpy path (the numpy path is
-also used automatically when numba is not importable).
-
-All kernels are pure functions of their arguments; both paths agree to a few
-ulps but are not guaranteed bit-identical to each other.
+``laurent_derivs`` evaluates the derivative stack of a Laurent-family function
+and ``winding_sum`` accumulates the phase of a closed polyline around a point.
+Both are pure functions of their arguments.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_DISABLE = os.environ.get("UNIVALENCE_DISABLE_NUMBA", "").strip().lower() in (
-    "1",
-    "true",
-    "yes",
-    "on",
-)
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-USE_NUMBA = HAVE_NUMBA and not _DISABLE
-
-# Criterion codes shared with the criteria module.
-CRIT_THEOREM1 = 0
-CRIT_ALPHA_ZERO = 1
-CRIT_MIAZGA_WESOLOWSKI = 2
-CRIT_EPSTEIN = 3
-CRIT_BECKER = 4
-CRIT_NEHARI = 5
 
 
 # ---------------------------------------------------------------------------
@@ -56,41 +16,7 @@ CRIT_NEHARI = 5
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
-def laurent_derivs_njit(points, b, b0, tail):
-    n = points.shape[0]
-    out = np.empty((5, n), dtype=np.complex128)
-    for i in range(n):
-        z = points[i]
-        x = 1.0 / z
-        d0 = b * z + b0
-        d1 = b + 0j
-        d2 = 0j
-        d3 = 0j
-        d4 = 0j
-        p = x
-        for k in range(tail.shape[0]):
-            kk = k + 1.0
-            t = tail[k] * p
-            d0 += t
-            t *= x
-            d1 -= kk * t
-            t *= x
-            d2 += kk * (kk + 1.0) * t
-            t *= x
-            d3 -= kk * (kk + 1.0) * (kk + 2.0) * t
-            t *= x
-            d4 += kk * (kk + 1.0) * (kk + 2.0) * (kk + 3.0) * t
-            p *= x
-        out[0, i] = d0
-        out[1, i] = d1
-        out[2, i] = d2
-        out[3, i] = d3
-        out[4, i] = d4
-    return out
-
-
-def laurent_derivs_numpy(points, b, b0, tail):
+def laurent_derivs(points, b, b0, tail):
     x = 1.0 / points
     d0 = b * points + b0
     d1 = np.full_like(points, b)
@@ -115,178 +41,11 @@ def laurent_derivs_numpy(points, b, b0, tail):
 
 
 # ---------------------------------------------------------------------------
-# Fused criterion evaluation for Laurent-family (f, g, h).
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _laurent_point(z, b, b0, tail):
-    x = 1.0 / z
-    d0 = b * z + b0
-    d1 = b + 0j
-    d2 = 0j
-    d3 = 0j
-    p = x
-    for k in range(tail.shape[0]):
-        kk = k + 1.0
-        t = tail[k] * p
-        d0 += t
-        t *= x
-        d1 -= kk * t
-        t *= x
-        d2 += kk * (kk + 1.0) * t
-        t *= x
-        d3 -= kk * (kk + 1.0) * (kk + 2.0) * t
-        p *= x
-    return d0, d1, d2, d3
-
-
-@njit(cache=True)
-def criterion_lhs_njit(
-    points, fb, fb0, ftail, gb, gb0, gtail, hb, hb0, htail, alpha, squared, code
-):
-    n = points.shape[0]
-    out = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        z = points[i]
-        aa = z.real * z.real + z.imag * z.imag
-        _, f1, f2, f3 = _laurent_point(z, fb, fb0, ftail)
-        _, g1, g2, g3 = _laurent_point(z, gb, gb0, gtail)
-        h0, h1, _, _ = _laurent_point(z, hb, hb0, htail)
-        pf = f2 / f1
-        pg = g2 / g1
-        sf = f3 / f1 - 1.5 * pf * pf
-        sg = g3 / g1 - 1.5 * pg * pg
-        if code == CRIT_BECKER:
-            out[i] = (aa - 1.0) * abs(z * pf)
-        elif code == CRIT_NEHARI:
-            out[i] = 0.5 * (aa - 1.0) * (aa - 1.0) * abs(sf)
-        else:
-            ratio = (1.0 - h0) / h0
-            hh = z * h1 / h0
-            phase = z / z.conjugate()
-            if code == CRIT_ALPHA_ZERO:
-                t = ratio * aa - (aa - 1.0) * (hh + z * pf)
-            elif code == CRIT_MIAZGA_WESOLOWSKI:
-                t = (
-                    ratio * aa
-                    - (aa - 1.0) * (hh + z * pg)
-                    + 0.5 * (aa - 1.0) * (aa - 1.0) * phase * h0 * (sf - sg)
-                )
-            elif code == CRIT_EPSTEIN:
-                t = 0.5 * (aa - 1.0) * (aa - 1.0) * phase * (sf - sg) - (
-                    aa - 1.0
-                ) * (z * pg)
-            else:
-                diff = pf - pg
-                if squared:
-                    diff = diff * diff
-                t = (
-                    ratio * aa
-                    - (aa - 1.0)
-                    * (hh + (1.0 - 2.0 * alpha) * z * pf + 2.0 * alpha * z * pg)
-                    + alpha
-                    * (aa - 1.0)
-                    * (aa - 1.0)
-                    * phase
-                    * h0
-                    * ((alpha - 0.5) * diff + sf - sg)
-                )
-            out[i] = abs(t)
-    return out
-
-
-def assemble_lhs_numpy(points, h0, h1, pf, sf, pg, sg, alpha, squared, code):
-    """Criterion modulus from precomputed pieces (vectorized; shared by the
-    numpy fallback and by the general jet-evaluation path). Singular inputs
-    yield non-finite entries for the caller to diagnose."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _assemble_lhs(points, h0, h1, pf, sf, pg, sg, alpha, squared, code)
-
-
-def _assemble_lhs(points, h0, h1, pf, sf, pg, sg, alpha, squared, code):
-    z = points
-    aa = z.real * z.real + z.imag * z.imag
-    if code == CRIT_BECKER:
-        return (aa - 1.0) * np.abs(z * pf)
-    if code == CRIT_NEHARI:
-        return 0.5 * (aa - 1.0) ** 2 * np.abs(sf)
-    ratio = (1.0 - h0) / h0
-    hh = z * h1 / h0
-    phase = z / np.conj(z)
-    if code == CRIT_ALPHA_ZERO:
-        t = ratio * aa - (aa - 1.0) * (hh + z * pf)
-    elif code == CRIT_MIAZGA_WESOLOWSKI:
-        t = (
-            ratio * aa
-            - (aa - 1.0) * (hh + z * pg)
-            + 0.5 * (aa - 1.0) ** 2 * phase * h0 * (sf - sg)
-        )
-    elif code == CRIT_EPSTEIN:
-        t = 0.5 * (aa - 1.0) ** 2 * phase * (sf - sg) - (aa - 1.0) * (z * pg)
-    else:
-        diff = pf - pg
-        if squared:
-            diff = diff * diff
-        t = (
-            ratio * aa
-            - (aa - 1.0) * (hh + (1.0 - 2.0 * alpha) * z * pf + 2.0 * alpha * z * pg)
-            + alpha * (aa - 1.0) ** 2 * phase * h0 * ((alpha - 0.5) * diff + sf - sg)
-        )
-    return np.abs(t)
-
-
-def criterion_lhs_numpy(
-    points, fb, fb0, ftail, gb, gb0, gtail, hb, hb0, htail, alpha, squared, code
-):
-    fd = laurent_derivs_numpy(points, fb, fb0, ftail)
-    gd = laurent_derivs_numpy(points, gb, gb0, gtail)
-    hd = laurent_derivs_numpy(points, hb, hb0, htail)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pf = fd[2] / fd[1]
-        pg = gd[2] / gd[1]
-        sf = fd[3] / fd[1] - 1.5 * pf * pf
-        sg = gd[3] / gd[1] - 1.5 * pg * pg
-        return _assemble_lhs(
-            points, hd[0], hd[1], pf, sf, pg, sg, alpha, squared, code
-        )
-
-
-# ---------------------------------------------------------------------------
 # Winding number support: accumulated phase and minimum segment distance.
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
-def winding_sum_njit(xs, ys, px, py):
-    total = 0.0
-    min_dist = np.inf
-    for k in range(xs.shape[0] - 1):
-        ax = xs[k] - px
-        ay = ys[k] - py
-        bx = xs[k + 1] - px
-        by = ys[k + 1] - py
-        total += np.arctan2(ax * by - ay * bx, ax * bx + ay * by)
-        ex = bx - ax
-        ey = by - ay
-        ee = ex * ex + ey * ey
-        if ee > 0.0:
-            t = -(ax * ex + ay * ey) / ee
-            if t < 0.0:
-                t = 0.0
-            elif t > 1.0:
-                t = 1.0
-        else:
-            t = 0.0
-        dx = ax + t * ex
-        dy = ay + t * ey
-        d = np.sqrt(dx * dx + dy * dy)
-        if d < min_dist:
-            min_dist = d
-    return total, min_dist
-
-
-def winding_sum_numpy(xs, ys, px, py):
+def winding_sum(xs, ys, px, py):
     ax = xs[:-1] - px
     ay = ys[:-1] - py
     bx = xs[1:] - px
@@ -301,38 +60,3 @@ def winding_sum_numpy(xs, ys, px, py):
     dy = ay + t * ey
     min_dist = float(np.sqrt(np.min(dx * dx + dy * dy)))
     return total, min_dist
-
-
-if USE_NUMBA:
-    laurent_derivs = laurent_derivs_njit
-    criterion_lhs = criterion_lhs_njit
-    winding_sum = winding_sum_njit
-else:
-    laurent_derivs = laurent_derivs_numpy
-    criterion_lhs = criterion_lhs_numpy
-    winding_sum = winding_sum_numpy
-
-
-def warmup():
-    """Trigger JIT compilation of the active kernels (no-op on the numpy path)."""
-    pts = np.array([2.0 + 0.5j, 3.0 - 1.0j])
-    tail = np.array([0.5 + 0j])
-    laurent_derivs(pts, 1.0 + 0j, 0j, tail)
-    for code in range(6):
-        criterion_lhs(
-            pts,
-            1.0 + 0j,
-            0j,
-            tail,
-            1.0 + 0j,
-            0j,
-            tail[:0],
-            0j,
-            1.0 + 0j,
-            tail[:0],
-            0.5 + 0j,
-            True,
-            code,
-        )
-    th = np.linspace(0.0, 2.0 * np.pi, 9)
-    winding_sum(np.cos(th), np.sin(th), 0.0, 0.0)

@@ -67,7 +67,7 @@ class MeromorphicFn:
 
     def lower_coeffs(self):
         """(b, b0, tail-array) when the function is Laurent-representable,
-        else None. Used to route evaluation through the fused kernels."""
+        else None. Used to route evaluation through the Laurent kernel."""
         if self.kind == "moebius":
             return None
         return (

@@ -11,6 +11,7 @@ between runs. Exit codes: 0 pass/true, 1 fail/collision, 2 inconclusive,
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 import time
@@ -22,19 +23,17 @@ from .catalog import (
     parse_complex,
 )
 from .criteria import CRITERIA, CriterionParams
-from .errors import UnivalenceError, UsageError
-from .loewner import ChainSpec, audit_pommerenke
+from .errors import EvaluationFailure, UnivalenceError, UsageError
+from .loewner import DEFAULT_T_SAMPLES, ChainSpec, audit_pommerenke
 from .oracle import injectivity_scan
 from .region import SamplingPlan, estimate_sup, issue_verdict
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 REPORT_NOTE = (
     "sample-based scan: a pass verdict asserts the criterion held on the "
     "evaluated samples only (univalence then follows by sufficiency); a fail "
     "implies nothing about univalence"
 )
-
-DEFAULT_T_SAMPLES = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)
 
 
 @dataclass(frozen=True)
@@ -60,7 +59,28 @@ class RunConfig:
     both_variants: bool = False
     collision_tolerance: "float | None" = None
     separation_floor: "float | None" = None
-    seed: "int | None" = None  # reserved: all runs are deterministic
+
+    def __post_init__(self):
+        # Non-finite numbers would turn every comparison false (a NaN tol
+        # passes any sup) and could not be written as strict JSON.
+        numbers = [("tol", self.tol), ("alpha", self.alpha)]
+        numbers += [("alphas", a) for a in self.alphas]
+        numbers += [("t_samples", t) for t in self.t_samples]
+        for name in ("collision_tolerance", "separation_floor"):
+            if getattr(self, name) is not None:
+                numbers.append((name, getattr(self, name)))
+        for name, value in numbers:
+            try:
+                finite = cmath.isfinite(value)
+            except TypeError:
+                finite = False
+            if not finite:
+                raise UsageError(f"{name} must be finite, got {value!r}")
+        if not self.t_samples or any(t < 0 for t in self.t_samples):
+            raise UsageError(
+                f"t_samples must be nonnegative times, at least one, got "
+                f"{list(self.t_samples)}"
+            )
 
     def plan(self) -> SamplingPlan:
         return SamplingPlan(
@@ -95,7 +115,6 @@ class RunConfig:
             "both_variants": self.both_variants,
             "collision_tolerance": self.collision_tolerance,
             "separation_floor": self.separation_floor,
-            "seed": self.seed,
         }
 
     @classmethod
@@ -121,7 +140,6 @@ class RunConfig:
             both_variants=d.get("both_variants", False),
             collision_tolerance=d.get("collision_tolerance"),
             separation_floor=d.get("separation_floor"),
-            seed=d.get("seed"),
         )
 
 
@@ -260,7 +278,10 @@ def run(
         "result": result,
         "timing_ms": (time.perf_counter() - started) * 1e3,
     }
-    text = json.dumps(report_dict, indent=2) + "\n"
+    try:
+        text = json.dumps(report_dict, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise EvaluationFailure(f"report holds a non-finite number: {exc}") from exc
     if json_path:
         with open(json_path, "w") as fh:
             fh.write(text)
@@ -306,9 +327,6 @@ def _build_parser() -> _Parser:
         )
         p.add_argument("--workers", type=int, default=1)
         p.add_argument(
-            "--seed", type=int, default=None, help="reserved; runs are deterministic"
-        )
-        p.add_argument(
             "--config",
             metavar="PATH",
             help="load a resolved config block (flags still override)",
@@ -339,10 +357,12 @@ def _config_from_args(args) -> RunConfig:
     if args.config:
         # A saved config block fully defines the run; other scientific flags
         # are ignored so a report's config reproduces the report verbatim.
-        with open(args.config) as fh:
-            loaded = json.load(fh)
-        block = loaded.get("config", loaded)
-        cfg = RunConfig.from_dict(block)
+        try:
+            with open(args.config) as fh:
+                loaded = json.load(fh)
+            cfg = RunConfig.from_dict(loaded.get("config", loaded))
+        except (OSError, ValueError, AttributeError, KeyError, TypeError) as exc:
+            raise UsageError(f"no config block in {args.config}: {exc!r}") from exc
         if cfg.command != args.command:
             raise UsageError(
                 f"--config holds command {cfg.command!r}, invoked as {args.command!r}"
@@ -368,7 +388,6 @@ def _config_from_args(args) -> RunConfig:
         both_variants=getattr(args, "both_variants", False),
         collision_tolerance=getattr(args, "collision_tol", None),
         separation_floor=getattr(args, "separation_floor", None),
-        seed=args.seed,
     )
 
 

@@ -32,14 +32,6 @@ _BINOM = ((1,), (1, 1), (1, 2, 1), (1, 3, 3, 1), (1, 4, 6, 4, 1))
 # ---------------------------------------------------------------------------
 
 
-def stack_add(a, b):
-    return a + b
-
-
-def stack_sub(a, b):
-    return a - b
-
-
 def stack_mul(a, b):
     out = [a[0] * b[0]]
     for i in range(1, len(a)):
@@ -84,11 +76,6 @@ def stack_log(a, value=None):
 
 def stack_pow(a, exponent):
     return stack_exp(exponent * stack_log(a))
-
-
-def stack_shift(a):
-    """Stack of the derivative function: drops the value, lowers order by 1."""
-    return a[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +178,9 @@ def jet_combine(kind: str, a: ComplexJet, b=None) -> ComplexJet:
         if kind in ("add", "sub", "mul", "div"):
             sb = _as_jet(b).as_stack()
             if kind == "add":
-                out = stack_add(sa, sb)
+                out = sa + sb
             elif kind == "sub":
-                out = stack_sub(sa, sb)
+                out = sa - sb
             elif kind == "mul":
                 out = stack_mul(sa, sb)
             else:

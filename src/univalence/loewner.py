@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import HFunction, MeromorphicFn, constant_one, power_branch_stack
+from .criteria import pieces
 from .errors import (
     ContourThroughSingularity,
     CriticalPoint,
@@ -91,38 +92,35 @@ def chain_eval(spec: ChainSpec, z: complex, t: float) -> complex:
 
 
 def chain_w_values(spec: ChainSpec, z, t: float) -> np.ndarray:
-    """Driving function w(z,t) from its closed form, at each z for fixed t."""
+    """Driving function w(z,t) from its closed form, at each z for fixed t;
+    built from the criterion pieces at e^t/z."""
     z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
     _check_domain(z, t)
     et = np.exp(t)
     e2t = et * et
     em2t = np.exp(-2.0 * t)
     w = et / z
-    fd = spec.f.derivs(w, order=3)
-    gd = spec.g.derivs(w, order=3)
-    hd = spec.h.derivs(w, order=1)
-    if np.any(fd[1] == 0) or np.any(gd[1] == 0):
-        bad = w[(fd[1] == 0) | (gd[1] == 0)][0]
+    pc = pieces(spec.f, spec.g, spec.h, w)
+    if np.any(pc.f1 == 0) or np.any(pc.g1 == 0):
+        bad = w[(pc.f1 == 0) | (pc.g1 == 0)][0]
         raise CriticalPoint(f"f' or g' vanishes at {bad}")
-    if np.any(hd[0] == 0):
-        raise HVanishes(f"h vanishes at {w[hd[0] == 0][0]}")
-    pf = fd[2] / fd[1]
-    pg = gd[2] / gd[1]
-    sf = fd[3] / fd[1] - 1.5 * pf * pf
-    sg = gd[3] / gd[1] - 1.5 * pg * pg
-    diff = pf - pg
+    if np.any(pc.h0 == 0):
+        raise HVanishes(f"h vanishes at {w[pc.h0 == 0][0]}")
+    diff = pc.pf - pc.pg
     if spec.squared_variant:
         diff = diff * diff
     alpha = spec.alpha
     return (
-        e2t * (1.0 - hd[0]) / hd[0]
-        + (1.0 - e2t) * w * (hd[1] / hd[0] + (1.0 - 2.0 * alpha) * pf + 2.0 * alpha * pg)
+        e2t * (1.0 - pc.h0) / pc.h0
+        + (1.0 - e2t)
+        * w
+        * (pc.h1 / pc.h0 + (1.0 - 2.0 * alpha) * pc.pf + 2.0 * alpha * pc.pg)
         + alpha
         * e2t
         * (em2t - 1.0) ** 2
         * (e2t / (z * z))
-        * hd[0]
-        * ((sf - sg) + (alpha - 0.5) * diff)
+        * pc.h0
+        * ((pc.sf - pc.sg) + (alpha - 0.5) * diff)
     )
 
 
@@ -212,14 +210,16 @@ class AuditReport:
         return tuple((t, res) for t, _, res, _ in self.a1_records)
 
     def to_json_dict(self) -> dict:
+        """Report form; a non-finite extreme (no w sample evaluated, say)
+        is written as null so the report stays strict JSON."""
         return {
-            "max_abs_w": self.max_abs_w,
+            "max_abs_w": _finite_or_none(self.max_abs_w),
             "witness_w": {
                 "re": self.witness_w[0].real,
                 "im": self.witness_w[0].imag,
                 "t": self.witness_w[1],
             },
-            "min_re_p": self.min_re_p,
+            "min_re_p": _finite_or_none(self.min_re_p),
             "witness_p": {
                 "re": self.witness_p[0].real,
                 "im": self.witness_p[0].imag,
@@ -239,11 +239,15 @@ class AuditReport:
                 {"t": t, "s": s, "probe": {"re": z.real, "im": z.imag}}
                 for t, s, z in self.subordination_failures
             ],
-            "boundedness_proxy": self.boundedness_proxy,
-            "dt_proxy": self.dt_proxy,
+            "boundedness_proxy": _finite_or_none(self.boundedness_proxy),
+            "dt_proxy": _finite_or_none(self.dt_proxy),
             "errors": list(self.errors),
             "pass": self.passed,
         }
+
+
+def _finite_or_none(value: float):
+    return value if np.isfinite(value) else None
 
 
 def default_z_samples() -> np.ndarray:

@@ -1,13 +1,15 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from univalence import _kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # Compile the jitted kernels once so timed tests measure math, not JIT.
-    _kernels.warmup()
+# Subprocess tests run `python -m univalence.cli`; point them at this
+# checkout's package so the suite needs no install.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
+)
 
 
 @pytest.fixture()

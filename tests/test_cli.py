@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from univalence.cli import RunConfig, main, run
 
 
@@ -86,6 +88,40 @@ class TestExitCodes:
         assert main(["check", "--criterion", "wat"]) == 3
         assert main(["check", "--f", "joukowski"]) == 3
         assert main(["frobnicate"]) == 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "--f", "joukowski:0.9", "--criterion", "becker", "--tol", "nan"),
+            ("check", "--tol", "inf"),
+            ("check", "--alpha", "nan"),
+            ("check", "--alpha", "0.5,inf"),
+            ("sweep", "--alphas", "0.25", "nan"),
+            ("chain", "--t-samples", "-1"),
+            ("chain", "--t-samples", "0", "nan"),
+            ("chain", "--t-samples", "inf"),
+            ("oracle", "--f", "joukowski:1.2", "--collision-tol", "nan"),
+            ("oracle", "--separation-floor", "inf"),
+        ],
+    )
+    def test_nonfinite_or_negative_time_inputs_exit_3(self, argv):
+        out = cli(*argv)
+        assert out.returncode == 3
+        assert "Traceback" not in out.stderr
+        assert out.stdout == ""
+
+    def test_config_block_inputs_are_checked(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"command": "check", "tol": NaN}')
+        assert main(["check", "--config", str(path)]) == 3
+        path.write_text('{"command": "chain", "t_samples": [0.0, -0.5]}')
+        assert main(["chain", "--config", str(path)]) == 3
+        path.write_text('{"command": "chain", "t_samples": []}')
+        assert main(["chain", "--config", str(path)]) == 3
+        for text in ("not json", "[]", '{"f": "identity"}'):
+            path.write_text(text)
+            assert main(["chain", "--config", str(path)]) == 3
+        assert main(["chain", "--config", str(tmp_path / "missing.json")]) == 3
 
     def test_catalog_lists_specs(self):
         code, report, _ = run_quiet(RunConfig(command="catalog"))
@@ -229,9 +265,22 @@ class TestOutputs:
         assert len(first) == 3
         float(first[0]), float(first[1]), float(first[2])
 
+    def test_chain_report_is_strict_json(self):
+        # h = 1 - 1/z^2 vanishes at w = 1, so the t = 0 w grid yields no value
+        out = cli("chain", "--h", "hinvsq:-1", "--t-samples", "0")
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        report = json.loads(out.stdout, parse_constant=reject)
+        assert out.returncode == 1
+        assert report["result"]["max_abs_w"] is None
+        assert report["result"]["errors"]
+
     def test_schema_fields(self):
         _, report, _ = run_quiet(RunConfig(command="check", f="identity"))
-        assert report["schema"] == 1
+        assert report["schema"] == 2
+        assert "seed" not in report["config"]
         assert set(report["result"]) == {
             "sup",
             "argmax",

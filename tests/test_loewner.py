@@ -91,22 +91,37 @@ class TestChainW:
 
     def test_boundary_bridge(self):
         # |w(z,t)| on |z| = 1 equals the criterion LHS at zeta = e^t / z.
+        moebius_f = uv.moebius_of(uv.joukowski(0.3), 1, 0, 0.1, 1)
+        laurent_g = uv.laurent(1, 0, [0.1 - 0.05j, 0.03j])
         cases = [
-            (jouk_spec(0.4), 0.5),
-            (ChainSpec(f=uv.joukowski(0.5), g=uv.identity(), h=uv.constant_one(), alpha=0.5), 0.5),
-            (
-                ChainSpec(
-                    f=uv.joukowski(0.5),
-                    g=uv.joukowski(1.2),
-                    h=uv.inverse_square(0.25),
-                    alpha=0.3,
-                ),
-                0.3,
+            jouk_spec(0.4),
+            ChainSpec(f=uv.joukowski(0.5), g=uv.identity(), h=uv.constant_one(), alpha=0.5),
+            ChainSpec(
+                f=uv.joukowski(0.5),
+                g=uv.joukowski(1.2),
+                h=uv.inverse_square(0.25),
+                alpha=0.3,
             ),
+        ] + [
+            # non-Laurent f: its pieces come through the Moebius quotient stack
+            ChainSpec(
+                f=moebius_f,
+                g=laurent_g,
+                h=uv.inverse_square(0.2 + 0.1j),
+                alpha=0.4 + 0.1j,
+                squared_variant=squared,
+            )
+            for squared in (True, False)
         ]
         zs = circle_points(1.0, 64)
-        for spec, alpha in cases:
-            p = uv.CriterionParams(f=spec.f, g=spec.g, h=spec.h, alpha=alpha)
+        for spec in cases:
+            p = uv.CriterionParams(
+                f=spec.f,
+                g=spec.g,
+                h=spec.h,
+                alpha=spec.alpha,
+                squared_variant=spec.squared_variant,
+            )
             for t in (0.25, LN2, 1.0):
                 wv = np.abs(chain_w_values(spec, zs, t))
                 lhs = uv.evaluate_lhs(p, np.exp(t) / zs)
