@@ -12,32 +12,36 @@ import numpy as np
 
 # ---------------------------------------------------------------------------
 # Laurent-family derivative evaluation: f(z) = b z + b0 + sum tail[k] z^-(k+1)
-# Returns the stack (f, f', f'', f''', f'''') evaluated at each point.
+# Returns the stack (f, f', ..., f^(order)) evaluated at each point.
 # ---------------------------------------------------------------------------
 
 
-def laurent_derivs(points, b, b0, tail):
-    x = 1.0 / points
-    d0 = b * points + b0
-    d1 = np.full_like(points, b)
-    d2 = np.zeros_like(points)
-    d3 = np.zeros_like(points)
-    d4 = np.zeros_like(points)
-    p = x.copy()
+def laurent_derivs(points, b, b0, tail, order=4):
+    # Row r of term k is (-1)^r kk (kk+1) ... (kk+r-1) tail[k] z^-(k+1+r); each
+    # row sees the same operation sequence at every order, so a lower-order
+    # stack is bitwise the leading rows of a higher-order one.
+    out = np.empty((order + 1,) + points.shape, dtype=np.complex128)
+    np.multiply(b, points, out=out[0])
+    out[0] += b0
+    if order >= 1:
+        out[1] = b
+        out[2:] = 0.0
+    x = p = 1.0 / points if tail.shape[0] else None
     for k in range(tail.shape[0]):
+        if k:
+            p = p * x
         kk = k + 1.0
         t = tail[k] * p
-        d0 = d0 + t
-        t = t * x
-        d1 = d1 - kk * t
-        t = t * x
-        d2 = d2 + kk * (kk + 1.0) * t
-        t = t * x
-        d3 = d3 - kk * (kk + 1.0) * (kk + 2.0) * t
-        t = t * x
-        d4 = d4 + kk * (kk + 1.0) * (kk + 2.0) * (kk + 3.0) * t
-        p = p * x
-    return np.stack((d0, d1, d2, d3, d4))
+        out[0] += t
+        coeff = 1.0
+        for r in range(1, order + 1):
+            t = t * x
+            coeff = coeff * (kk + (r - 1.0))
+            if r % 2:
+                out[r] -= coeff * t
+            else:
+                out[r] += coeff * t
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -84,7 +84,7 @@ class MeromorphicFn:
         low = self.lower_coeffs()
         if low is not None:
             b, b0, tail = low
-            return _kernels.laurent_derivs(points, b, b0, tail)[: order + 1]
+            return _kernels.laurent_derivs(points, b, b0, tail, order)
         inner_stack = self.inner.derivs(points, order)
         a, bb, c, d = self.abcd
         num = a * inner_stack
@@ -98,7 +98,7 @@ class MeromorphicFn:
         return self.derivs(points, order=0)[0]
 
     def jet(self, zeta: complex) -> ComplexJet:
-        stack = self.derivs(np.array([zeta], dtype=np.complex128))[:4, 0]
+        stack = self.derivs(np.array([zeta], dtype=np.complex128), order=3)[:, 0]
         if not np.all(np.isfinite(stack)):
             if self.kind == "moebius":
                 raise PoleAtPoint(f"{self.describe()} has a pole at {zeta}")
@@ -168,13 +168,13 @@ class HFunction:
     def derivs(self, points: np.ndarray, order: int = 4) -> np.ndarray:
         points = np.asarray(points, dtype=np.complex128)
         b, b0, tail = self.lower_coeffs()
-        return _kernels.laurent_derivs(points, b, b0, tail)[: order + 1]
+        return _kernels.laurent_derivs(points, b, b0, tail, order)
 
     def values(self, points: np.ndarray) -> np.ndarray:
         return self.derivs(points, order=0)[0]
 
     def jet(self, zeta: complex) -> ComplexJet:
-        stack = self.derivs(np.array([zeta], dtype=np.complex128))[:4, 0]
+        stack = self.derivs(np.array([zeta], dtype=np.complex128), order=3)[:, 0]
         return ComplexJet.from_stack(stack)
 
     def describe(self) -> str:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import sys
 import time
@@ -76,6 +77,11 @@ class RunConfig:
                 finite = False
             if not finite:
                 raise UsageError(f"{name} must be finite, got {value!r}")
+        # A negative tolerance or floor admits no pair and would pass vacuously.
+        for name in ("collision_tolerance", "separation_floor"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise UsageError(f"{name} must be nonnegative, got {value!r}")
         if not self.t_samples or any(t < 0 for t in self.t_samples):
             raise UsageError(
                 f"t_samples must be nonnegative times, at least one, got "
@@ -294,6 +300,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
     parser = _Parser(prog="univalence", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -322,7 +329,7 @@ def _build_parser() -> _Parser:
             "--t-samples",
             nargs="+",
             type=float,
-            default=list(DEFAULT_T_SAMPLES),
+            default=DEFAULT_T_SAMPLES,
             help="chain times for audits",
         )
         p.add_argument("--workers", type=int, default=1)

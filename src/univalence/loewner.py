@@ -284,6 +284,14 @@ def audit_pommerenke(
         try:
             wv = chain_w_values(spec, z, t)
             abs_w = np.abs(wv)
+            finite = np.isfinite(abs_w)
+            if not finite.all():
+                # A NaN would win argmax and lose every comparison, hiding
+                # the slice maximum; record it and rank the finite samples.
+                errors.append(
+                    f"w grid at t={t}: non-finite w at z = {complex(z[~finite][0])}"
+                )
+                abs_w = np.where(finite, abs_w, -np.inf)
             k = int(np.argmax(abs_w))
             if float(abs_w[k]) > max_abs_w:
                 max_abs_w = float(abs_w[k])

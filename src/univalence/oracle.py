@@ -14,6 +14,7 @@ import numpy as np
 from . import _kernels
 from .errors import (
     EvaluationFailure,
+    InvalidSpec,
     OpenContour,
     PointTooCloseToContour,
     StencilLeavesDomain,
@@ -62,12 +63,20 @@ class CollisionReport:
 
 
 def _median_neighbor_spacing(grid: np.ndarray, plan: SamplingPlan) -> float:
-    """Median distance between grid-adjacent samples (angular and radial)."""
+    """Median distance between grid-adjacent samples (angular and radial).
+
+    The median is np.median's arithmetic on np.partition; np.median itself
+    imports numpy.ma, about 2 MB of resident memory for one number."""
     mesh = grid.reshape(plan.radial_count, plan.angular_count)
     gaps = [np.abs(mesh - np.roll(mesh, 1, axis=1)).ravel()]
     if plan.radial_count > 1:
         gaps.append(np.abs(mesh[1:] - mesh[:-1]).ravel())
-    return float(np.median(np.concatenate(gaps)))
+    gaps = np.concatenate(gaps)
+    half = gaps.size // 2
+    if gaps.size % 2:
+        return float(np.partition(gaps, half)[half])
+    gaps = np.partition(gaps, (half - 1, half))
+    return float((gaps[half - 1] + gaps[half]) / 2.0)
 
 
 def _pair_key(z1: complex, z2: complex):
@@ -124,7 +133,16 @@ def collision_pairs(
     pairwise: bool = False,
 ) -> tuple:
     """Near-coincident image pairs among precomputed samples. Pairs are
-    canonically ordered, so the result is independent of grid order."""
+    canonically ordered, so the result is independent of grid order.
+
+    A tolerance of 0 asks for exact coincidence; a negative or non-finite
+    tolerance or floor raises InvalidSpec (a NaN would pass every pair)."""
+    for name, value in (
+        ("collision_tolerance", collision_tolerance),
+        ("separation_floor", separation_floor),
+    ):
+        if not (np.isfinite(value) and value >= 0):
+            raise InvalidSpec(f"{name} must be finite and nonnegative, got {value!r}")
     n = points.shape[0]
     found = {}
 
@@ -151,20 +169,85 @@ def collision_pairs(
             for j in range(i + 1, n):
                 consider(i, j)
     else:
-        width = max(collision_tolerance, 1e-300)
-        cols = np.floor(values.real / width).astype(np.int64)
-        rows = np.floor(values.imag / width).astype(np.int64)
-        buckets = {}
-        for i in range(n):
-            buckets.setdefault((cols[i], rows[i]), []).append(i)
-        for i in range(n):
-            for dx in (-1, 0, 1):
-                for dy in (-1, 0, 1):
-                    for j in buckets.get((cols[i] + dx, rows[i] + dy), ()):
-                        if j > i:
-                            consider(i, j)
+        # The vector np.abs can differ from the scalar abs in the last ulp,
+        # so it only prefilters (with slack) and consider() decides and
+        # records, keeping the reported distances those of the scalar path.
+        img_limit = collision_tolerance * (1.0 + 1e-12)
+        dom_limit = separation_floor * (1.0 - 1e-12)
+        for i, j in _cell_candidates(values, collision_tolerance):
+            keep = (np.abs(values[i] - values[j]) <= img_limit) & (
+                np.abs(points[i] - points[j]) >= dom_limit
+            )
+            lo = np.minimum(i[keep], j[keep]).tolist()
+            hi = np.maximum(i[keep], j[keep]).tolist()
+            for a, b in zip(lo, hi):
+                consider(a, b)
 
     return tuple(found[k] for k in sorted(found))
+
+
+def _cell_candidates(values: np.ndarray, tolerance: float, block: int = 1 << 20):
+    """Yield index arrays (i, j) covering every unordered pair of samples
+    whose images lie in the same or adjacent square cells, in blocks of at
+    most ``block`` pairs; each such pair appears exactly once.
+
+    Cells are at least ``tolerance`` wide (with a margin for rounding in the
+    cell quotient), so every pair within tolerance is a candidate. They are
+    also at least 2^-30 of the largest image coordinate wide, which keeps
+    cell indices below 2^31 and the int64 cell keys exact at any tolerance.
+    """
+    n = values.shape[0]
+    if n < 2:
+        return
+    scale = max(float(np.max(np.abs(values.real))), float(np.max(np.abs(values.imag))))
+    width = (1.0 + 2.0**-16) * max(tolerance, scale * 2.0**-30, np.finfo(float).tiny)
+    cx = np.floor(values.real / width).astype(np.int64)
+    cx -= cx.min()
+    cy = np.floor(values.imag / width).astype(np.int64)
+    cy -= cy.min()
+    stride = int(cy.max()) + 2  # a spare row, so cy - 1 never aliases a column
+    cx *= stride
+    cx += cy
+    del cy
+    order = np.argsort(cx, kind="stable")
+    keys = cx[order]
+    del cx
+
+    # Candidate ranges in sorted order: later members of the own cell, then
+    # the four forward neighbours (cx, cy+1), (cx+1, cy-1), (cx+1, cy),
+    # (cx+1, cy+1); the other four see each pair from the opposite side.
+    # The queries are sorted, which keeps searchsorted cache friendly. Only
+    # nonempty ranges are kept, and the per-sample arrays are dropped before
+    # the first yield, so memory is O(n) plus one block.
+    pos = np.arange(n)
+    owners, starts, counts = [], [], []
+    for offset in (0, 1, stride - 1, stride, stride + 1):
+        query = keys + offset
+        lo = pos + 1 if offset == 0 else np.searchsorted(keys, query, "left")
+        hi = np.searchsorted(keys, query, "right")
+        hi -= lo
+        live = hi > 0
+        owners.append(pos[live])
+        starts.append(lo[live])
+        counts.append(hi[live])
+    del keys, query, lo, hi, live
+    owners = np.concatenate(owners)
+    starts = np.concatenate(starts)
+    counts = np.concatenate(counts)
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+
+    # Number the candidate pairs 0..total-1 range after range and expand
+    # them block by block; a range straddling a block edge is cut.
+    for first in range(0, total, block):
+        last = min(first + block, total)
+        r0 = int(np.searchsorted(ends, first, "right"))
+        r1 = int(np.searchsorted(ends, last - 1, "right")) + 1
+        range_start = ends[r0:r1] - counts[r0:r1]
+        take = np.minimum(ends[r0:r1], last) - np.maximum(range_start, first)
+        i = np.repeat(owners[r0:r1], take)
+        j = np.repeat(starts[r0:r1] - range_start, take) + np.arange(first, last)
+        yield order[i], order[j]
 
 
 def winding_number(contour_samples, point: complex) -> int:

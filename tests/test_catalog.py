@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import univalence as uv
+from univalence import _kernels
 from univalence.catalog import parse_complex, power_branch_stack
 from univalence.errors import InvalidSpec, OutsideDomain
 
@@ -201,3 +202,24 @@ class TestPowerBranch:
             rep = uv.validate_h_admissible(uv.inverse_square(c), plan)
             if rep.passed:
                 assert rep.max_ratio <= 1.0 + 1e-9
+
+
+class TestDerivativeOrders:
+    """A lower-order stack is bitwise the leading rows of the order-4 one."""
+
+    @pytest.mark.parametrize("tail", [(), (0.3 - 0.1j, 0.05j, -0.02, 0.01 + 0.01j)])
+    def test_laurent_kernel(self, rng, tail):
+        pts = exterior_points(rng, 200)
+        tail = np.asarray(tail, dtype=np.complex128)
+        full = _kernels.laurent_derivs(pts, 1.5 - 0.5j, 0.2j, tail)
+        assert full.shape == (5, 200)
+        for k in range(5):
+            stack = _kernels.laurent_derivs(pts, 1.5 - 0.5j, 0.2j, tail, order=k)
+            assert stack.tobytes() == full[: k + 1].tobytes()
+
+    def test_moebius_composition(self, rng):
+        f = uv.moebius_of(uv.laurent(1, 0.1, [0.3, 0.05j]), 2, 1j, 0.5, 30)
+        pts = exterior_points(rng, 200)
+        full = f.derivs(pts)
+        for k in range(5):
+            assert f.derivs(pts, order=k).tobytes() == full[: k + 1].tobytes()

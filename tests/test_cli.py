@@ -102,6 +102,9 @@ class TestExitCodes:
             ("chain", "--t-samples", "inf"),
             ("oracle", "--f", "joukowski:1.2", "--collision-tol", "nan"),
             ("oracle", "--separation-floor", "inf"),
+            ("oracle", "--f", "joukowski:1.2", "--radial", "8", "--angular", "16",
+             "--collision-tol", "-1"),
+            ("oracle", "--separation-floor", "-0.5"),
         ],
     )
     def test_nonfinite_or_negative_time_inputs_exit_3(self, argv):
@@ -276,6 +279,13 @@ class TestOutputs:
         assert out.returncode == 1
         assert report["result"]["max_abs_w"] is None
         assert report["result"]["errors"]
+
+    def test_chain_overflowing_time_names_w_grid(self):
+        # e^800 overflows, so every w sample of that slice is NaN
+        out = cli("chain", "--t-samples", "800")
+        errors = json.loads(out.stdout)["result"]["errors"]
+        assert out.returncode == 1
+        assert any(e.startswith("w grid at t=800.0: non-finite w") for e in errors)
 
     def test_schema_fields(self):
         _, report, _ = run_quiet(RunConfig(command="check", f="identity"))

@@ -255,3 +255,24 @@ class TestAudit:
         }
         assert d["pass"] is True
         assert all({"t", "re", "im", "residual", "doubling_ok"} <= set(r) for r in d["a1"])
+
+    def test_nan_does_not_hide_slice_maximum(self, monkeypatch):
+        from univalence import loewner
+
+        exact = loewner.chain_w_values
+
+        def with_nan(spec, z, t):
+            w = exact(spec, z, t)
+            if t == 0.5:
+                w = w.copy()
+                w[0] = np.nan
+                w[1] = 1.5
+            return w
+
+        monkeypatch.setattr(loewner, "chain_w_values", with_nan)
+        z = loewner.default_z_samples()
+        rep = audit_pommerenke(trivial_spec(), t_samples=(0.0, 0.5))
+        assert rep.max_abs_w == 1.5
+        assert rep.witness_w == (complex(z[1]), 0.5)
+        assert f"w grid at t=0.5: non-finite w at z = {complex(z[0])}" in rep.errors
+        assert not rep.passed

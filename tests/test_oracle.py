@@ -1,14 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import univalence as uv
 from univalence.errors import (
     EvaluationFailure,
+    InvalidSpec,
     OpenContour,
     PointTooCloseToContour,
     StencilLeavesDomain,
 )
-from univalence.oracle import collision_pairs, fd_derivatives, injectivity_scan, winding_number
+from univalence.oracle import (
+    _cell_candidates,
+    collision_pairs,
+    fd_derivatives,
+    injectivity_scan,
+    winding_number,
+)
 
 
 def unit_circle(nodes=128, turns=1):
@@ -103,6 +112,56 @@ class TestInjectivityScan:
         rev = collision_pairs(pts[::-1], vals[::-1], 1e-9, 0.05)
         assert fwd == rev
 
+    def test_zero_tolerance_means_exact_coincidence(self):
+        plan = uv.SamplingPlan(r_min=1.01, r_max=1.4, radial_count=16, angular_count=32)
+        f = uv.joukowski(1.2)
+        fast = injectivity_scan(f, plan, collision_tolerance=0.0)
+        assert fast == injectivity_scan(f, plan, collision_tolerance=0.0, pairwise=True)
+        # rounded images coincide exactly in many pairs
+        pts = uv.sample_exterior(plan)
+        vals = np.round(f.values(pts), 1)
+        fast = collision_pairs(pts, vals, 0.0, 0.05)
+        assert fast == collision_pairs(pts, vals, 0.0, 0.05, pairwise=True)
+        assert fast and all(c.image_distance == 0.0 for c in fast)
+        # a zero-width cell no longer collapses the grid into one bucket
+        big = uv.SamplingPlan(r_min=1.01, r_max=1.4, radial_count=64, angular_count=128)
+        assert injectivity_scan(f, big, collision_tolerance=0.0).grid_size == 64 * 128
+
+    @pytest.mark.parametrize(
+        "tol, floor",
+        [(-1.0, 0.05), (np.nan, 0.05), (np.inf, 0.05), (1e-9, -0.5), (1e-9, np.nan)],
+    )
+    def test_bad_tolerances_raise(self, tol, floor):
+        with pytest.raises(InvalidSpec):
+            injectivity_scan(
+                uv.joukowski(1.2),
+                collision_plan(),
+                collision_tolerance=tol,
+                separation_floor=floor,
+            )
+        pts = uv.sample_exterior(collision_plan())
+        with pytest.raises(InvalidSpec):
+            collision_pairs(pts, uv.joukowski(1.2).values(pts), tol, floor)
+
+    def test_cell_candidates_blocks_cover_each_pair_once(self, rng):
+        n = 200
+        values = np.round(2.0 * (rng.normal(size=n) + 1j * rng.normal(size=n)), 1)
+        (whole,) = _cell_candidates(values, 0.5)
+        pairs = {(min(a, b), max(a, b)) for a, b in zip(*whole)}
+        assert len(pairs) == len(whole[0])
+        close = {
+            (a, b)
+            for a in range(n)
+            for b in range(a + 1, n)
+            if abs(values[a] - values[b]) <= 0.5
+        }
+        assert close <= pairs
+        for block in (1, 7, 1000):
+            parts = list(_cell_candidates(values, 0.5, block))
+            assert all(len(i) <= block for i, _ in parts)
+            assert np.array_equal(np.concatenate([i for i, _ in parts]), whole[0])
+            assert np.array_equal(np.concatenate([j for _, j in parts]), whole[1])
+
     def test_evaluation_failure_carries_point(self):
         # moebius pole inside the scanned region
         f = uv.moebius_of(uv.identity(), 1, 0, 1, -2)  # pole at z = 2
@@ -119,6 +178,33 @@ class TestInjectivityScan:
         d = rep.to_json_dict()
         assert {"collisions", "grid_size", "collision_tolerance", "separation_floor"} <= set(d)
         assert {"z1", "z2", "image_distance", "domain_distance"} <= set(d["collisions"][0])
+
+
+coefficients = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+sigma_maps = st.one_of(
+    coefficients.map(uv.joukowski),
+    st.builds(
+        uv.laurent,
+        st.complex_numbers(min_magnitude=0.5, max_magnitude=2.0),
+        coefficients,
+        st.lists(coefficients, max_size=4),
+    ),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    f=sigma_maps,
+    tol=st.sampled_from([0.0, 1e-9, 1e-3, 1e-1, 10.0]),
+    floor=st.sampled_from([0.0, 0.05, 0.3]),
+)
+def test_cell_search_matches_pairwise(f, tol, floor):
+    plan = uv.SamplingPlan(r_min=1.02, r_max=1.5, radial_count=12, angular_count=24)
+    fast = injectivity_scan(f, plan, collision_tolerance=tol, separation_floor=floor)
+    slow = injectivity_scan(
+        f, plan, collision_tolerance=tol, separation_floor=floor, pairwise=True
+    )
+    assert fast == slow
 
 
 class TestFdDerivatives:
