@@ -1,5 +1,6 @@
 """Catalog of meromorphic functions on the exterior disk and admissible
-h-functions, plus the branch-tracked power v = (g'/f')^alpha.
+h-functions, plus the power v = (g'/f')^alpha continued from infinity along
+rays, its sheet chosen in closed form from the zeros and poles of f' and g'.
 
 Functions are specified structurally (identity, Joukowski-type, Laurent
 polynomial, Moebius composition) so every derivative through order four has a
@@ -17,7 +18,6 @@ import numpy as np
 
 from . import _kernels
 from .errors import (
-    BranchTrackingFailure,
     CriticalPoint,
     EvaluationFailure,
     InvalidSpec,
@@ -25,12 +25,10 @@ from .errors import (
     OutsideDomain,
     PoleAtPoint,
 )
-from .jet import ComplexJet, stack_div, stack_exp, stack_log
+from .jet import CUT_DISTANCE, ComplexJet, stack_div, stack_exp, stack_log
 from .sampling import SamplingPlan, circle_points
 
 RAY_START_RADIUS = 1e6
-_RAY_STEPS = 48
-_RAY_STEPS_MAX = 3072
 
 
 # ---------------------------------------------------------------------------
@@ -87,11 +85,11 @@ class MeromorphicFn:
             return _kernels.laurent_derivs(points, b, b0, tail, order)
         inner_stack = self.inner.derivs(points, order)
         a, bb, c, d = self.abcd
-        num = a * inner_stack
-        num[0] = num[0] + bb
-        den = c * inner_stack
-        den[0] = den[0] + d
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            num = a * inner_stack
+            num[0] = num[0] + bb
+            den = c * inner_stack
+            den[0] = den[0] + d
             return stack_div(num, den)
 
     def values(self, points: np.ndarray) -> np.ndarray:
@@ -228,9 +226,15 @@ def _parse_coeff(text: str) -> complex:
     # Laurent coefficients use python literals ('1.5', '1+0.5j') since commas
     # separate list entries in the mini-language.
     try:
-        return complex(text.strip().replace(" ", ""))
+        return _finite(complex(text.strip().replace(" ", "")))
     except ValueError as exc:
         raise InvalidSpec(f"cannot parse coefficient {text!r}") from exc
+
+
+def _finite(value: complex) -> complex:
+    if not np.isfinite(value):
+        raise InvalidSpec(f"spec coefficients must be finite, got {value}")
+    return value
 
 
 def parse_function_spec(spec: str) -> MeromorphicFn:
@@ -238,7 +242,7 @@ def parse_function_spec(spec: str) -> MeromorphicFn:
     if spec == "identity":
         return identity()
     if spec.startswith("joukowski:"):
-        return joukowski(parse_complex(spec[len("joukowski:") :]))
+        return joukowski(_finite(parse_complex(spec[len("joukowski:") :])))
     if spec.startswith("laurent:"):
         body = spec[len("laurent:") :]
         parts = body.split(";")
@@ -268,7 +272,7 @@ def parse_h_spec(spec: str) -> HFunction:
     if spec == "hconst":
         return constant_one()
     if spec.startswith("hinvsq:"):
-        return inverse_square(parse_complex(spec[len("hinvsq:") :]))
+        return inverse_square(_finite(parse_complex(spec[len("hinvsq:") :])))
     raise InvalidSpec(f"unknown h spec {spec!r}")
 
 
@@ -369,37 +373,47 @@ def validate_h_admissible(
 
 
 # ---------------------------------------------------------------------------
-# Branch-tracked power v = (g'/f')^alpha, normalized to 1 at infinity
+# The power v = (g'/f')^alpha, normalized to 1 at infinity
 # ---------------------------------------------------------------------------
 
 
-def _tracked_log_values(f, g, points) -> np.ndarray:
-    """Continued log(g'/f') along rays from the start radius through each
-    point, with the branch pinned near 0 at infinity."""
-    moduli = np.abs(points)
-    factor = RAY_START_RADIUS / moduli
-    steps = _RAY_STEPS
-    while True:
-        tau = np.linspace(0.0, 1.0, steps + 1)
-        path = points[None, :] * np.power(factor[None, :], 1.0 - tau[:, None])
-        flat = path.ravel()
-        fd1 = f.derivs(flat, order=1)[1].reshape(path.shape)
-        gd1 = g.derivs(flat, order=1)[1].reshape(path.shape)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = gd1 / fd1
-        finite = np.isfinite(ratio).all()
-        if not finite or np.any(ratio == 0):
-            raise BranchTrackingFailure(
-                "g'/f' crossed zero or a pole along a continuation ray"
-            )
-        increments = np.log(ratio[1:] / ratio[:-1])
-        if np.max(np.abs(increments.imag)) <= 0.5 * np.pi:
-            return np.log(ratio[0]) + increments.sum(axis=0)
-        if steps >= _RAY_STEPS_MAX:
-            raise BranchTrackingFailure(
-                f"branch winding too fast even with {steps} ray steps"
-            )
-        steps *= 2
+def _derivative_roots(fn):
+    """Zeros of fn' and poles of fn, each pole listed twice (it is a double
+    pole of fn'). Nested Moebius maps fold into one matrix."""
+    m, name = np.eye(2, dtype=np.complex128), fn.describe()
+    while fn.kind == "moebius":
+        m = m @ np.reshape(fn.abcd, (2, 2))
+        fn = fn.inner
+    b, b0, tail = fn.lower_coeffs()
+    # In w = 1/z, fn' = b (1 - sum k t_k / b w^(k+1)) and c fn + d = (c b +
+    # (c b0 + d) w + c sum t_k w^(k+1)) / w. Read from the constant term up,
+    # these coefficients are polynomials in z with the roots 1/w.
+    c, d = m[1]
+    try:
+        zeros = np.roots(np.r_[1.0, 0.0, -np.arange(1, tail.size + 1) * tail / b])
+        poles = np.roots(np.r_[c * b, c * b0 + d, c * tail]) if c else zeros[:0]
+    except np.linalg.LinAlgError as exc:  # coefficients out of double range
+        raise EvaluationFailure(f"no roots of {name} in double range") from exc
+    return zeros, np.repeat(poles, 2)
+
+
+def _sheet_index(f, g, points, ratio) -> np.ndarray:
+    """k such that Log ratio + 2 pi i k continues log(g'/f') along the ray
+    from radius RAY_START_RADIUS to each point. Each zero or pole r of g'/f'
+    adds the turn of 1 - r/z, exact unless r lies on the ray."""
+    anchor = points * (RAY_START_RADIUS / np.abs(points))
+    (gz, gp), (fz, fp) = _derivative_roots(g), _derivative_roots(f)
+    at = np.r_[gz, fp, fz, gp][:, None]
+    sign = np.repeat([1.0, -1.0], [gz.size + fp.size, fz.size + gp.size])[:, None]
+    q = 1.0 - at / points
+    hit = np.argwhere((q.real <= 0) & (np.abs(q.imag) < CUT_DISTANCE))
+    if hit.size:
+        i, j = hit[0]
+        raise CriticalPoint(f"g'/f' zero or pole at {at[i, 0]} on the ray to {points[j]}")
+    turn = (sign * (np.angle(q) - np.angle(1.0 - at / anchor))).sum(axis=0)
+    anchor_ratio = g.derivs(anchor, order=1)[1] / f.derivs(anchor, order=1)[1]
+    turn += np.angle(anchor_ratio) - np.angle(ratio)
+    return np.rint(turn / (2.0 * np.pi))
 
 
 def power_branch_stack(f, g, alpha: complex, points: np.ndarray) -> np.ndarray:
@@ -412,13 +426,15 @@ def power_branch_stack(f, g, alpha: complex, points: np.ndarray) -> np.ndarray:
         return out
     fd = f.derivs(points, order=4)
     gd = g.derivs(points, order=4)
-    if np.any(fd[1] == 0) or np.any(gd[1] == 0):
-        bad = points[(fd[1] == 0) | (gd[1] == 0)][0]
-        raise CriticalPoint(f"f' or g' vanishes at {bad}")
-    ratio_stack = stack_div(gd[1:], fd[1:])
-    log_values = _tracked_log_values(f, g, points)
-    log_stack = stack_log(ratio_stack, value=log_values)
-    return stack_exp(alpha * log_stack)
+    bad = (fd[1] == 0) | (gd[1] == 0) | ~(np.isfinite(fd[1]) & np.isfinite(gd[1]))
+    if bad.any():
+        raise CriticalPoint(f"g'/f' zero or pole at {points[bad][0]}")
+    # A ratio out of double range comes back non-finite for the caller.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio_stack = stack_div(gd[1:], fd[1:])
+        log_stack = stack_log(ratio_stack)
+        log_stack[0] += 2j * np.pi * _sheet_index(f, g, points, ratio_stack[0])
+        return stack_exp(alpha * log_stack)
 
 
 def power_branch(f, g, alpha: complex, zeta: complex) -> ComplexJet:

@@ -75,7 +75,7 @@ def pieces(f, g, h, points: np.ndarray) -> Pieces:
     fd = f.derivs(points, order=3)
     gd = g.derivs(points, order=3)
     hd = h.derivs(points, order=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         pf = fd[2] / fd[1]
         pg = gd[2] / gd[1]
         sf = fd[3] / fd[1] - 1.5 * pf * pf
@@ -89,7 +89,7 @@ def _assemble_lhs(
     """Criterion LHS modulus at each point from its pieces. Singular pieces
     yield non-finite entries for the caller to diagnose."""
     z = points
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         aa = z.real * z.real + z.imag * z.imag
         if criterion == "becker":
             return (aa - 1.0) * np.abs(z * pc.pf)

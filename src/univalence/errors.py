@@ -45,10 +45,6 @@ class NonFiniteJet(UnivalenceError):
     """A jet component overflowed or became non-finite."""
 
 
-class BranchTrackingFailure(UnivalenceError):
-    """Ray continuation of log(g'/f') failed (ratio crossed zero or wound too fast)."""
-
-
 class HVanishes(UnivalenceError):
     """h(z) = 0 at an evaluation point."""
 

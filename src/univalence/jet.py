@@ -62,10 +62,9 @@ def stack_exp(a):
     return np.stack(g)
 
 
-def stack_log(a, value=None):
-    """Jet of log(a). ``value`` overrides the principal log of ``a[0]`` when a
-    continued branch is wanted; derivatives are branch-independent."""
-    g = [np.log(a[0]) if value is None else value]
+def stack_log(a):
+    """Jet of the principal log(a); derivatives are branch-independent."""
+    g = [np.log(a[0])]
     for n in range(1, len(a)):
         s = a[n]
         for j in range(n - 1):

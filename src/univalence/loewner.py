@@ -75,15 +75,16 @@ def chain_values(spec: ChainSpec, z, t: float) -> np.ndarray:
     vstack = power_branch_stack(spec.f, spec.g, spec.alpha, w)
     fstack = spec.f.derivs(w, order=1)
     hvals = spec.h.values(w)
-    u0 = fstack[0] * vstack[0]
-    u1 = fstack[1] * vstack[0] + fstack[0] * vstack[1]
     coef = (emt - et) / z
-    num = u0 + coef * hvals * u1
-    den = vstack[0] + coef * hvals * vstack[1]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        u0 = fstack[0] * vstack[0]
+        u1 = fstack[1] * vstack[0] + fstack[0] * vstack[1]
+        num = u0 + coef * hvals * u1
+        quotient = (vstack[0] + coef * hvals * vstack[1]) / num
     bad = (num == 0) | ~np.isfinite(num)
     if np.any(bad):
         raise DenominatorVanishes(f"chain quotient singular at z = {z[bad][0]}, t = {t}")
-    return den / num
+    return quotient
 
 
 def chain_eval(spec: ChainSpec, z: complex, t: float) -> complex:
@@ -106,22 +107,24 @@ def chain_w_values(spec: ChainSpec, z, t: float) -> np.ndarray:
         raise CriticalPoint(f"f' or g' vanishes at {bad}")
     if np.any(pc.h0 == 0):
         raise HVanishes(f"h vanishes at {w[pc.h0 == 0][0]}")
-    diff = pc.pf - pc.pg
-    if spec.squared_variant:
-        diff = diff * diff
     alpha = spec.alpha
-    return (
-        e2t * (1.0 - pc.h0) / pc.h0
-        + (1.0 - e2t)
-        * w
-        * (pc.h1 / pc.h0 + (1.0 - 2.0 * alpha) * pc.pf + 2.0 * alpha * pc.pg)
-        + alpha
-        * e2t
-        * (em2t - 1.0) ** 2
-        * (e2t / (z * z))
-        * pc.h0
-        * ((pc.sf - pc.sg) + (alpha - 0.5) * diff)
-    )
+    # Pieces out of double range give non-finite w, which the audit records.
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = pc.pf - pc.pg
+        if spec.squared_variant:
+            diff = diff * diff
+        return (
+            e2t * (1.0 - pc.h0) / pc.h0
+            + (1.0 - e2t)
+            * w
+            * (pc.h1 / pc.h0 + (1.0 - 2.0 * alpha) * pc.pf + 2.0 * alpha * pc.pg)
+            + alpha
+            * e2t
+            * (em2t - 1.0) ** 2
+            * (e2t / (z * z))
+            * pc.h0
+            * ((pc.sf - pc.sg) + (alpha - 0.5) * diff)
+        )
 
 
 def chain_w(spec: ChainSpec, z: complex, t: float) -> complex:
@@ -151,11 +154,13 @@ def extract_a1(
         vals = chain_values(spec, zs, t)
     except DenominatorVanishes as exc:
         raise ContourThroughSingularity(str(exc)) from exc
-    if not np.all(np.isfinite(vals)):
+    with np.errstate(over="ignore", invalid="ignore"):
+        a1 = np.mean(vals / zs)
+    if not np.isfinite(a1):
         raise ContourThroughSingularity(
             f"chain not finite on contour radius {circle_radius} at t = {t}"
         )
-    return complex(np.mean(vals / zs))
+    return complex(a1)
 
 
 def subordination_check(
@@ -182,6 +187,8 @@ def subordination_check(
         probes = chain_values(spec, probes_z, t)
     except DenominatorVanishes as exc:
         raise ContourThroughSingularity(str(exc)) from exc
+    if not (np.isfinite(contour).all() and np.isfinite(probes).all()):
+        raise ContourThroughSingularity(f"chain not finite at t = {t} or s = {s}")
     closed = np.concatenate([contour, contour[:1]])
     failures = []
     for z0, image in zip(probes_z, probes):
@@ -310,9 +317,10 @@ def audit_pommerenke(
             cv = chain_values(spec, z, t)
             boundedness = max(boundedness, float(np.max(np.abs(cv))) / np.exp(t))
             cv2 = chain_values(spec, z, t + DT_PROXY_STEP)
-            quot = np.abs(cv2 - cv) / DT_PROXY_STEP
+            with np.errstate(over="ignore", invalid="ignore"):
+                quot = np.abs(cv2 - cv) / DT_PROXY_STEP
             dt_proxy = max(dt_proxy, float(np.max(quot)))
-        except DenominatorVanishes as exc:
+        except (DenominatorVanishes, CriticalPoint) as exc:
             errors.append(f"chain grid at t={t}: {exc}")
 
         try:
@@ -321,7 +329,7 @@ def audit_pommerenke(
             doubling_ok = abs(a1 - a1_double) < A1_DOUBLING_TOL * max(1.0, abs(a1))
             residual = abs(a1 - np.exp(t)) / np.exp(t)
             a1_records.append((float(t), a1, float(residual), bool(doubling_ok)))
-        except ContourThroughSingularity as exc:
+        except (ContourThroughSingularity, CriticalPoint) as exc:
             errors.append(f"a1 at t={t}: {exc}")
 
     subordination_failures = []
@@ -329,7 +337,7 @@ def audit_pommerenke(
         try:
             _, failures = subordination_check(spec, t_lo, t_hi)
             subordination_failures.extend(failures)
-        except ContourThroughSingularity as exc:
+        except (ContourThroughSingularity, CriticalPoint) as exc:
             errors.append(f"subordination ({t_lo}, {t_hi}): {exc}")
 
     passed = (

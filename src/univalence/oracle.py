@@ -108,7 +108,10 @@ def injectivity_scan(
         raise EvaluationFailure(f"{f.describe()} not evaluable at grid point {bad}")
 
     if collision_tolerance is None:
-        img_spacing = _median_neighbor_spacing(values, plan)
+        # Images beyond double range give an infinite spacing, which
+        # collision_pairs rejects as a tolerance.
+        with np.errstate(over="ignore", invalid="ignore"):
+            img_spacing = _median_neighbor_spacing(values, plan)
         collision_tolerance = TOLERANCE_SCALE * img_spacing
     if separation_floor is None:
         dom_spacing = _median_neighbor_spacing(points, plan)
@@ -136,13 +139,16 @@ def collision_pairs(
     canonically ordered, so the result is independent of grid order.
 
     A tolerance of 0 asks for exact coincidence; a negative or non-finite
-    tolerance or floor raises InvalidSpec (a NaN would pass every pair)."""
+    tolerance or floor raises InvalidSpec (a NaN would pass every pair), and
+    so does a non-finite point or value (a NaN image is near nothing)."""
     for name, value in (
         ("collision_tolerance", collision_tolerance),
         ("separation_floor", separation_floor),
     ):
         if not (np.isfinite(value) and value >= 0):
             raise InvalidSpec(f"{name} must be finite and nonnegative, got {value!r}")
+    if not (np.isfinite(points).all() and np.isfinite(values).all()):
+        raise InvalidSpec("collision search needs finite points and values")
     n = points.shape[0]
     found = {}
 
@@ -261,12 +267,15 @@ def winding_number(contour_samples, point: complex) -> int:
             f"contour endpoints differ by {abs(contour[0] - contour[-1])}"
         )
     point = complex(point)
-    total, min_dist = _kernels.winding_sum(
-        np.ascontiguousarray(contour.real),
-        np.ascontiguousarray(contour.imag),
-        point.real,
-        point.imag,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        total, min_dist = _kernels.winding_sum(
+            np.ascontiguousarray(contour.real),
+            np.ascontiguousarray(contour.imag),
+            point.real,
+            point.imag,
+        )
+    if not np.isfinite(total):
+        raise PointTooCloseToContour(f"phase sum around {point} overflowed")
     if min_dist <= 1e-9:
         raise PointTooCloseToContour(
             f"point {point} within {min_dist} of the contour"

@@ -3,8 +3,8 @@ import pytest
 
 import univalence as uv
 from univalence import _kernels
-from univalence.catalog import parse_complex, power_branch_stack
-from univalence.errors import InvalidSpec, OutsideDomain
+from univalence.catalog import _derivative_roots, parse_complex, power_branch_stack
+from univalence.errors import CriticalPoint, InvalidSpec, OutsideDomain
 
 from conftest import exterior_points
 
@@ -66,6 +66,16 @@ class TestMiniLanguage:
         h = uv.parse_h_spec("hinvsq:0.25")
         assert h.jet(2.0).value == 1.0625
         assert h.jet(2.0).d1 == -0.0625
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["joukowski:nan", "joukowski:0.5,inf", "laurent:1;0;1e400", "laurent:nan;0",
+         "moebius:1,0,inf,1:identity", "hinvsq:nan"],
+    )
+    def test_nonfinite_coefficients_rejected(self, spec):
+        parse = uv.parse_h_spec if spec.startswith("h") else uv.parse_function_spec
+        with pytest.raises(InvalidSpec, match="must be finite"):
+            parse(spec)
 
     def test_complex_flag_syntax(self):
         assert parse_complex("0.5") == 0.5
@@ -202,6 +212,39 @@ class TestPowerBranch:
             rep = uv.validate_h_admissible(uv.inverse_square(c), plan)
             if rep.passed:
                 assert rep.max_ratio <= 1.0 + 1e-9
+
+
+class TestSheetChoice:
+    """The sheet of log(g'/f') comes from the roots of f' and g' in 1/z."""
+
+    def test_derivative_roots_fold_nested_moebius(self):
+        inner = uv.laurent(1.5 - 0.5j, 0.2j, [0.3 - 0.1j, 0.05j, -0.02])
+        fn = uv.moebius_of(uv.moebius_of(inner, 2, 1j, 0.5, 3), 1, 0.3, 0.2j, 1)
+        zeros, poles = _derivative_roots(fn)
+        assert zeros.size == 4 and poles.size == 8
+        assert np.array_equal(poles[::2], poles[1::2])
+        # fn' vanishes with the inner map's derivative; fn blows up at a pole
+        assert np.max(np.abs(inner.derivs(zeros, order=1)[1])) < 1e-12
+        assert np.min(np.abs(fn.values(poles * (1.0 + 1e-9)))) > 1e6
+        assert _derivative_roots(uv.moebius_of(inner, 2, 1, 0, 1))[1].size == 0
+
+    def test_pole_on_ray_raises(self):
+        # f has a pole at z ~ -9.97, on the ray from infinity to -2; stepping
+        # along the ray used to pass over it and return a value
+        f = uv.moebius_of(uv.joukowski(0.3), 1, 0, 0.1, 1)
+        g = uv.laurent(1, 0, [0.1 - 0.05j, 0.03j])
+        with pytest.raises(CriticalPoint, match=r"-9\.96.* on the ray to \(-2"):
+            uv.power_branch(f, g, 0.5, -2)
+        assert np.isfinite(uv.power_branch(f, g, 0.5, -2 + 0.1j).value)
+
+    def test_root_off_the_ray_keeps_a_finite_branch(self):
+        # g' = 1 - 1.5/z^2 vanishes at z = sqrt(1.5); rays near it still work
+        f, g = uv.identity(), uv.joukowski(1.5)
+        zs = 1.1 * np.exp(1j * np.array([0.05, -0.05, 1.0, np.pi - 0.05]))
+        v = power_branch_stack(f, g, 0.5, zs)
+        assert np.all(np.isfinite(v))
+        with pytest.raises(CriticalPoint):
+            power_branch_stack(f, g, 0.5, np.array([1.1 + 0j]))
 
 
 class TestDerivativeOrders:

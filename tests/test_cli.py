@@ -5,6 +5,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from univalence.cli import RunConfig, main, run
 
@@ -83,6 +85,40 @@ class TestExitCodes:
         )
         assert code == 1
         assert abs(report["result"]["max_abs_w"] - 1.0588235294117647) < 1e-6
+
+    def test_chain_records_root_on_ray(self):
+        # f' = 1 - 1.5/z^2 vanishes at z = sqrt(1.5), on the ray to the t = 0
+        # sample 1/0.9: that slice is recorded, the audit goes on and fails
+        code, report, _ = run_quiet(
+            RunConfig(command="chain", f="joukowski:1.5", g="identity")
+        )
+        result = report["result"]
+        assert code == 1 and result["pass"] is False
+        assert result["errors"] == [
+            "chain grid at t=0.0: g'/f' zero or pole at (1.2247448713915894+0j) "
+            "on the ray to (1.1111111111111112+0j)"
+        ]
+        assert len(result["a1"]) == 6
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("chain", "--f", "moebius:1e-300+1e-300j,0.5-1j,0,3e-3:moebius:0.713-1.11e-308j,"
+             "2.2e-308j,2.2e-308j,3:identity", "--g", "moebius:2.2e-308j,3,3,-0.399j:joukowski:1e-160"),
+            ("chain", "--f", "moebius:1e-160,1e-300,1e-300,-1.29-1.19e-07j:laurent:2.22e-16-0.702j;"
+             "0.716+2.88j;1e-300+1e-300j", "--g", "joukowski:-0.774", "--alpha", "-1"),
+            ("oracle", "--f", "moebius:0.5-1j,3,2.2e-308j,-2.23e-309:identity"),
+            ("check", "--f", "laurent:-2.23e-309;-1.72j"),
+            ("check", "--g", "moebius:0,1,1e-300,0:joukowski:1"),
+        ],
+    )
+    def test_values_beyond_double_range_exit_cleanly(self, argv):
+        # values near 1e308 overflow; they end in a verdict or a typed error
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main([*argv, "--radial", "2", "--angular", "4", "--refine", "0"])
+        assert code in (0, 1, 2, 3)
+        assert code != 3 or out.getvalue() == ""
 
     def test_usage_errors_exit_3(self):
         assert main(["check", "--criterion", "wat"]) == 3
@@ -300,3 +336,73 @@ class TestOutputs:
             "margin",
         }
         assert set(report["result"]["argmax"]) == {"re", "im"}
+
+
+# Inputs for the fuzz test: well-formed specs and numbers, with at most one
+# argument replaced by a malformed, non-finite or degenerate one.
+_reals = st.one_of(
+    st.sampled_from(["0", "1", "-1", "0.5", "1.5", "-2", "1e-3"]),
+    st.floats(-3.0, 3.0).map(lambda x: f"{x:.3g}"),
+)
+_pairs = st.one_of(_reals, st.builds("{},{}".format, _reals, _reals))
+_coeffs = st.one_of(
+    st.complex_numbers(max_magnitude=3.0).map(lambda c: f"{c.real:.3g}{c.imag:+.3g}j"),
+    st.sampled_from(["1e-300", "-2.23e-309", "2.2e-308j", "1e-160", "1e300", "-1e250"]),
+)
+_functions = st.recursive(
+    st.one_of(
+        st.just("identity"),
+        st.builds("joukowski:{}".format, _pairs),
+        st.builds(
+            "laurent:{};{};{}".format,
+            _coeffs,
+            _coeffs,
+            st.lists(_coeffs, max_size=3).map(",".join),
+        ),
+    ),
+    lambda inner: st.builds(
+        "moebius:{},{},{},{}:{}".format, _coeffs, _coeffs, _coeffs, _coeffs, inner
+    ),
+    max_leaves=3,
+)
+_bad = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "", "x", "1,2,3", "-1"]),
+    st.sampled_from(["joukowski:nan", "laurent:1;0;inf", "laurent:0;1", "hinvsq:nan"]),
+    st.sampled_from(["moebius:1,2,2,4:identity", "moebius:1,0,1,-2:identity"]),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def _cli_argv(draw):
+    args = {
+        "--f": draw(_functions),
+        "--g": draw(_functions),
+        "--h": draw(st.just("hconst") | st.builds("hinvsq:{}".format, _pairs)),
+        "--alpha": draw(_pairs),
+        "--tol": draw(st.sampled_from(["0", "1e-9", "0.1", "2"])),
+    }
+    times = st.floats(0.0, 3.0).map("{:.3g}".format)
+    times = draw(st.lists(times, min_size=1, max_size=3))
+    corrupt = draw(st.sampled_from([None, "--f", "--g", "--h", "--alpha", "--tol", "t"]))
+    if corrupt == "t":
+        times[0] = draw(_bad)
+    elif corrupt:
+        args[corrupt] = draw(_bad)
+    argv = [draw(st.sampled_from(["check", "sweep", "chain", "oracle"]))]
+    for flag, value in args.items():
+        argv += [flag, value]
+    argv += ["--radial", "2", "--angular", "4", "--refine", "0"]
+    return argv + ["--t-samples", *times]
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_cli_argv())
+def test_cli_fuzz_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 3:
+        assert out.getvalue() == ""

@@ -143,6 +143,15 @@ class TestInjectivityScan:
         with pytest.raises(InvalidSpec):
             collision_pairs(pts, uv.joukowski(1.2).values(pts), tol, floor)
 
+    @pytest.mark.parametrize("pairwise", [False, True])
+    def test_nonfinite_samples_raise(self, pairwise):
+        points = np.arange(2.0, 6.0).astype(np.complex128)
+        values = np.array([1.0, np.nan, 1.0, 2.0], dtype=np.complex128)
+        with pytest.raises(InvalidSpec):
+            collision_pairs(points, values, 1e-3, 0.0, pairwise)
+        with pytest.raises(InvalidSpec):
+            collision_pairs(values, points, 1e-3, 0.0, pairwise)
+
     def test_cell_candidates_blocks_cover_each_pair_once(self, rng):
         n = 200
         values = np.round(2.0 * (rng.normal(size=n) + 1j * rng.normal(size=n)), 1)
