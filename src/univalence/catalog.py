@@ -418,12 +418,19 @@ def _sheet_index(f, g, points, ratio) -> np.ndarray:
 
 def power_branch_stack(f, g, alpha: complex, points: np.ndarray) -> np.ndarray:
     """Order-3 jet stack of v at each point (value, v', v'', v''')."""
+    return power_branch_stacks(f, g, alpha, points)[0]
+
+
+def power_branch_stacks(f, g, alpha: complex, points: np.ndarray):
+    """The stack of ``power_branch_stack`` and a stack of f through at least
+    f' at the same points: the one v was built from, whose leading rows are
+    bitwise those of a lower-order ``f.derivs``."""
     points = np.asarray(points, dtype=np.complex128)
     alpha = complex(alpha)
     if alpha == 0 or f == g:
         out = np.zeros((4, points.shape[0]), dtype=np.complex128)
         out[0] = 1.0
-        return out
+        return out, f.derivs(points, order=1)
     fd = f.derivs(points, order=4)
     gd = g.derivs(points, order=4)
     bad = (fd[1] == 0) | (gd[1] == 0) | ~(np.isfinite(fd[1]) & np.isfinite(gd[1]))
@@ -434,7 +441,7 @@ def power_branch_stack(f, g, alpha: complex, points: np.ndarray) -> np.ndarray:
         ratio_stack = stack_div(gd[1:], fd[1:])
         log_stack = stack_log(ratio_stack)
         log_stack[0] += 2j * np.pi * _sheet_index(f, g, points, ratio_stack[0])
-        return stack_exp(alpha * log_stack)
+        return stack_exp(alpha * log_stack), fd
 
 
 def power_branch(f, g, alpha: complex, zeta: complex) -> ComplexJet:

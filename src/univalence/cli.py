@@ -416,6 +416,10 @@ def main(argv=None) -> int:
     except UnivalenceError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        # A plan too large for memory is a bad input, not a failed verdict.
+        print(f"error: MemoryError: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .catalog import HFunction, MeromorphicFn, constant_one, power_branch_stack
+from .catalog import HFunction, MeromorphicFn, constant_one, power_branch_stacks
 from .criteria import pieces
 from .errors import (
     ContourThroughSingularity,
@@ -72,8 +72,7 @@ def chain_values(spec: ChainSpec, z, t: float) -> np.ndarray:
     et = np.exp(t)
     emt = np.exp(-t)
     w = et / z
-    vstack = power_branch_stack(spec.f, spec.g, spec.alpha, w)
-    fstack = spec.f.derivs(w, order=1)
+    vstack, fstack = power_branch_stacks(spec.f, spec.g, spec.alpha, w)
     hvals = spec.h.values(w)
     coef = (emt - et) / z
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -315,11 +314,21 @@ def audit_pommerenke(
 
         try:
             cv = chain_values(spec, z, t)
-            boundedness = max(boundedness, float(np.max(np.abs(cv))) / np.exp(t))
+            # max(x, nan) keeps x, so non-finite entries are recorded and
+            # only the finite ones are folded into the proxies.
+            finite = np.isfinite(cv)
+            top = float(np.max(np.abs(cv[finite]), initial=0.0))
+            boundedness = max(boundedness, top / np.exp(t))
             cv2 = chain_values(spec, z, t + DT_PROXY_STEP)
             with np.errstate(over="ignore", invalid="ignore"):
                 quot = np.abs(cv2 - cv) / DT_PROXY_STEP
-            dt_proxy = max(dt_proxy, float(np.max(quot)))
+            finite = np.isfinite(quot)
+            if not finite.all():
+                errors.append(
+                    f"chain grid at t={t}: non-finite chain value at z = "
+                    f"{complex(z[~finite][0])}"
+                )
+            dt_proxy = max(dt_proxy, float(np.max(quot[finite], initial=0.0)))
         except (DenominatorVanishes, CriticalPoint) as exc:
             errors.append(f"chain grid at t={t}: {exc}")
 

@@ -2,9 +2,10 @@
 
 The scan is deterministic: a fixed geometric-radius grid, argmax-local
 refinement, and a Richardson tail extrapolation from the two outermost
-circles guard the "for all zeta" quantifier at desk scale. Point evaluations
-may be chunked across workers; aggregation order is fixed so reports are
-identical for any worker count.
+circles guard the "for all zeta" quantifier at desk scale. The criterion is
+evaluated in fixed blocks of points, and with ``--workers N`` the N threads
+share those same blocks; singular points are diagnosed once over the whole
+set, so values, reports and errors do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import CriterionParams, evaluate_lhs
+from .criteria import CriterionParams, _lhs, evaluate_lhs
 from .errors import CriticalPoint, CriticalPointInRegion
 from .sampling import SamplingPlan, circle_points, sample_exterior
 
@@ -52,13 +53,11 @@ class Verdict:
 
 
 def _evaluate(params, points, workers, grid_sink):
-    if workers <= 1 or points.shape[0] < 2 * workers:
+    if workers <= 1:
         values = evaluate_lhs(params, points)
     else:
-        chunks = np.array_split(points, workers)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda c: evaluate_lhs(params, c), chunks))
-        values = np.concatenate(parts)
+            values = _lhs(params, points, params.criterion, pool.map)
     if grid_sink is not None:
         grid_sink.append((points, values))
     return values

@@ -149,6 +149,44 @@ class TestExitCodes:
         assert "Traceback" not in out.stderr
         assert out.stdout == ""
 
+    @pytest.mark.parametrize("workers", ["1", "2", "4"])
+    def test_error_does_not_depend_on_workers(self, workers, capsys):
+        # f' vanishes at sqrt(c) = 12.759... and h at 1.001 = r_min, in
+        # different halves of the grid; the whole grid is diagnosed at once
+        code = main(["check", "--f", "joukowski:162.80245464184108",
+                     "--h", "hinvsq:-1.0020009999999997", "--workers", workers])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == (
+            "error: CriticalPointInRegion: f' vanishes at (12.759406516050857+0j)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "--radial", "1000000", "--angular", "1000000"),
+            ("check", "--radial", "4", "--angular", "4", "--refine-factor", "10000000"),
+            ("sweep", "--radial", "1000000", "--angular", "1000000"),
+            ("oracle", "--radial", "1000000", "--angular", "1000000"),
+        ],
+    )
+    def test_plan_too_large_for_memory_exits_3(self, argv):
+        resource = pytest.importorskip("resource")
+
+        def cap_address_space():
+            # 3 GiB: every plan here fails to allocate instead of swapping
+            resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+        out = subprocess.run(
+            [sys.executable, "-m", "univalence.cli", *argv, "--f", "joukowski:0.5"],
+            capture_output=True, text=True, preexec_fn=cap_address_space,
+        )
+        assert out.returncode == 3
+        assert out.stdout == ""
+        assert out.stderr.startswith("error: MemoryError: ")
+        assert "Traceback" not in out.stderr
+
     def test_config_block_inputs_are_checked(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text('{"command": "check", "tol": NaN}')

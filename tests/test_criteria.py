@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 
 import univalence as uv
-from univalence.criteria import CriterionParams, corollary_lhs, evaluate_lhs, theorem1_lhs
+from univalence.criteria import (
+    _BLOCK,
+    CRITERIA,
+    CriterionParams,
+    _assemble_lhs,
+    corollary_lhs,
+    evaluate_lhs,
+    pieces,
+    theorem1_lhs,
+)
 from univalence.errors import CriticalPoint, HVanishes, InvalidSpec, OutsideDomain
 
 from conftest import exterior_points
@@ -155,6 +164,33 @@ class TestStructure:
         vec = evaluate_lhs(p, pts)
         for z, v in zip(pts, vec):
             assert theorem1_lhs(p, z) == v
+
+
+class TestBlocks:
+    # Laurent f, and Moebius f over a Laurent inner map with c = 0 (constant
+    # denominator) and with c != 0 (a true quotient, pole near -9.97)
+    F_CASES = {
+        "laurent": uv.laurent(1, 0.1, [0.3 - 0.1j, 0.05j]),
+        "moebius_c0": uv.moebius_of(uv.joukowski(0.3), 2, 0.5j, 0, 1),
+        "moebius_c": uv.moebius_of(uv.joukowski(0.3), 1, 0, 0.1, 1),
+    }
+
+    @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 17])
+    @pytest.mark.parametrize("f", sorted(F_CASES))
+    @pytest.mark.parametrize("criterion", CRITERIA)
+    def test_blocks_match_single_pass(self, rng, criterion, f, n):
+        p = params(
+            self.F_CASES[f],
+            g=uv.laurent(1, 0, [0.2, 0.1j]),
+            h=uv.inverse_square(0.2 + 0.1j),
+            alpha=0.3 + 0.1j,
+            criterion=criterion,
+        )
+        pts = exterior_points(rng, n)
+        pc = pieces(p.f, p.g, p.h, pts)
+        ref = _assemble_lhs(criterion, pts, pc, p.alpha, p.squared_variant)
+        assert np.isfinite(ref).all()
+        assert evaluate_lhs(p, pts).tobytes() == ref.tobytes()
 
 
 class TestAnalyticProperties:

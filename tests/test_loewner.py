@@ -256,6 +256,21 @@ class TestAudit:
         assert d["pass"] is True
         assert all({"t", "re", "im", "residual", "doubling_ok"} <= set(r) for r in d["a1"])
 
+    def test_nonfinite_chain_values_are_recorded(self):
+        # den/num overflows: every chain value is inf, every dt quotient NaN
+        spec = ChainSpec(
+            f=uv.make_sigma_function(
+                "moebius:1e-160,1e-300,1e-300,-1.29-1.19e-07j:"
+                "laurent:2.22e-16-0.702j;0.716+2.88j;1e-300+1e-300j"
+            ),
+            g=uv.joukowski(-0.774),
+            alpha=-1.0,
+        )
+        rep = audit_pommerenke(spec, t_samples=(0.0, 1.0))
+        for t in (0.0, 1.0):
+            assert f"chain grid at t={t}: non-finite chain value at z = (0.5+0j)" in rep.errors
+        assert not rep.passed
+
     def test_nan_does_not_hide_slice_maximum(self, monkeypatch):
         from univalence import loewner
 

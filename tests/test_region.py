@@ -84,6 +84,23 @@ class TestEstimateSup:
         plan = uv.SamplingPlan(radial_count=16, angular_count=32)
         assert estimate_sup(p, plan, workers=1) == estimate_sup(p, plan, workers=4)
 
+    def test_worker_counts_agree_across_blocks(self):
+        # 96 x 256 = 24576 base points: three evaluation blocks
+        p = CriterionParams(
+            f=uv.joukowski(0.45),
+            g=uv.laurent(1, 0, [0.2, 0.1j]),
+            h=uv.inverse_square(0.2),
+            alpha=0.3 + 0.1j,
+        )
+        plan = uv.SamplingPlan(radial_count=96, angular_count=256)
+        reports, grids = [], []
+        for workers in (1, 2, 4):
+            sink = []
+            reports.append(estimate_sup(p, plan, workers=workers, grid_sink=sink))
+            grids.append([values.tobytes() for _, values in sink])
+        assert reports[0] == reports[1] == reports[2]
+        assert grids[0] == grids[1] == grids[2]
+
     def test_monotone_refinement_and_sample_count(self):
         p = becker(0.5)
         plan = uv.SamplingPlan(radial_count=16, angular_count=32, refine_depth=3)
