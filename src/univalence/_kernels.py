@@ -1,8 +1,8 @@
 """Hot numeric kernels, vectorized with numpy.
 
 ``laurent_derivs`` evaluates the derivative stack of a Laurent-family function
-and ``winding_sum`` accumulates the phase of a closed polyline around a point.
-Both are pure functions of their arguments.
+and ``winding_sum`` accumulates the phase of a closed polyline around each of
+a vector of points. Both are pure functions of their arguments.
 """
 
 from __future__ import annotations
@@ -50,11 +50,15 @@ def laurent_derivs(points, b, b0, tail, order=4):
 
 
 def winding_sum(xs, ys, px, py):
+    # One row per probe point (px, py may be scalars or arrays): the phase
+    # sum and the distance to the nearest segment, reduced along the row.
+    px = np.asarray(px, dtype=np.float64)[..., None]
+    py = np.asarray(py, dtype=np.float64)[..., None]
     ax = xs[:-1] - px
     ay = ys[:-1] - py
     bx = xs[1:] - px
     by = ys[1:] - py
-    total = float(np.sum(np.arctan2(ax * by - ay * bx, ax * bx + ay * by)))
+    total = np.sum(np.arctan2(ax * by - ay * bx, ax * bx + ay * by), axis=-1)
     ex = bx - ax
     ey = by - ay
     ee = ex * ex + ey * ey
@@ -62,5 +66,5 @@ def winding_sum(xs, ys, px, py):
     t = np.clip(t, 0.0, 1.0)
     dx = ax + t * ex
     dy = ay + t * ey
-    min_dist = float(np.sqrt(np.min(dx * dx + dy * dy)))
+    min_dist = np.sqrt(np.min(dx * dx + dy * dy, axis=-1))
     return total, min_dist

@@ -397,23 +397,27 @@ def _derivative_roots(fn):
     return zeros, np.repeat(poles, 2)
 
 
-def _sheet_index(f, g, points, ratio) -> np.ndarray:
+def _sheet_index(f, g, points, ratio):
     """k such that Log ratio + 2 pi i k continues log(g'/f') along the ray
-    from radius RAY_START_RADIUS to each point. Each zero or pole r of g'/f'
-    adds the turn of 1 - r/z, exact unless r lies on the ray."""
+    from radius RAY_START_RADIUS to each point, the zeros and poles r of
+    g'/f', and the mask of the rays (columns) that pass through each r
+    (rows), where k is undefined. Off its ray each r adds the turn of
+    1 - r/z exactly."""
     anchor = points * (RAY_START_RADIUS / np.abs(points))
     (gz, gp), (fz, fp) = _derivative_roots(g), _derivative_roots(f)
-    at = np.r_[gz, fp, fz, gp][:, None]
-    sign = np.repeat([1.0, -1.0], [gz.size + fp.size, fz.size + gp.size])[:, None]
-    q = 1.0 - at / points
-    hit = np.argwhere((q.real <= 0) & (np.abs(q.imag) < CUT_DISTANCE))
-    if hit.size:
-        i, j = hit[0]
-        raise CriticalPoint(f"g'/f' zero or pole at {at[i, 0]} on the ray to {points[j]}")
-    turn = (sign * (np.angle(q) - np.angle(1.0 - at / anchor))).sum(axis=0)
+    at = np.r_[gz, fp, fz, gp]
+    sign = np.repeat([1.0, -1.0], [gz.size + fp.size, fz.size + gp.size])
+    # One root at a time keeps the temporaries one row long; the sum runs
+    # from 0.0 in root order, as a sum over a root axis would.
+    on_ray = np.empty(at.shape + points.shape, dtype=bool)
+    turn = np.zeros(points.shape)
+    for i, r in enumerate(at):
+        q = 1.0 - r / points
+        on_ray[i] = (q.real <= 0) & (np.abs(q.imag) < CUT_DISTANCE)
+        turn += sign[i] * (np.angle(q) - np.angle(1.0 - r / anchor))
     anchor_ratio = g.derivs(anchor, order=1)[1] / f.derivs(anchor, order=1)[1]
     turn += np.angle(anchor_ratio) - np.angle(ratio)
-    return np.rint(turn / (2.0 * np.pi))
+    return np.rint(turn / (2.0 * np.pi)), at, on_ray
 
 
 def power_branch_stack(f, g, alpha: complex, points: np.ndarray) -> np.ndarray:
@@ -426,22 +430,54 @@ def power_branch_stacks(f, g, alpha: complex, points: np.ndarray):
     f' at the same points: the one v was built from, whose leading rows are
     bitwise those of a lower-order ``f.derivs``."""
     points = np.asarray(points, dtype=np.complex128)
+    vstack, fstack, (error,) = power_branch_slices(f, g, alpha, points, [points.shape[0]])
+    if error is not None:
+        raise error
+    return vstack, fstack
+
+
+def power_branch_slices(f, g, alpha: complex, points: np.ndarray, ends, order: int = 3):
+    """The stacks of ``power_branch_stacks`` over the consecutive slices
+    ``points[ends[k-1]:ends[k]]`` from one pass over all of them, and per
+    slice the error ``power_branch_stacks`` raises for that slice alone (a
+    CriticalPoint or EvaluationFailure), or None. The roots of f' and g' are
+    solved once; the stacks of a failed slice mean nothing. The v stack runs
+    through v^(order) and the f stack through f^(order+1) (f' when v = 1);
+    each row is bitwise the same at every order."""
+    points = np.asarray(points, dtype=np.complex128)
     alpha = complex(alpha)
+    bounds = list(zip([0, *ends[:-1]], ends))
+    errors = [None] * len(bounds)
     if alpha == 0 or f == g:
-        out = np.zeros((4, points.shape[0]), dtype=np.complex128)
+        out = np.zeros((order + 1, points.shape[0]), dtype=np.complex128)
         out[0] = 1.0
-        return out, f.derivs(points, order=1)
-    fd = f.derivs(points, order=4)
-    gd = g.derivs(points, order=4)
+        return out, f.derivs(points, order=1), errors
+    fd = f.derivs(points, order=order + 1)
+    gd = g.derivs(points, order=order + 1)
     bad = (fd[1] == 0) | (gd[1] == 0) | ~(np.isfinite(fd[1]) & np.isfinite(gd[1]))
-    if bad.any():
-        raise CriticalPoint(f"g'/f' zero or pole at {points[bad][0]}")
-    # A ratio out of double range comes back non-finite for the caller.
+    for k, (a, b) in enumerate(bounds):
+        if bad[a:b].any():
+            errors[k] = CriticalPoint(f"g'/f' zero or pole at {points[a:b][bad[a:b]][0]}")
+    # A ratio out of double range comes back non-finite for the caller. The
+    # sheet comes before the stacks, so their temporaries never coexist.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ratio_stack = stack_div(gd[1:], fd[1:])
-        log_stack = stack_log(ratio_stack)
-        log_stack[0] += 2j * np.pi * _sheet_index(f, g, points, ratio_stack[0])
-        return stack_exp(alpha * log_stack), fd
+        sheet = 0.0
+        if None in errors:
+            try:
+                sheet, at, on_ray = _sheet_index(f, g, points, gd[1] / fd[1])
+            except EvaluationFailure as exc:
+                errors = [error or exc for error in errors]
+            else:
+                for k, (a, b) in enumerate(bounds):
+                    hit = np.argwhere(on_ray[:, a:b])
+                    if errors[k] is None and hit.size:
+                        i, j = hit[0]
+                        errors[k] = CriticalPoint(
+                            f"g'/f' zero or pole at {at[i]} on the ray to {points[a + j]}"
+                        )
+        log_stack = stack_log(stack_div(gd[1:], fd[1:]))
+        log_stack[0] += 2j * np.pi * sheet
+        return stack_exp(alpha * log_stack), fd, errors
 
 
 def power_branch(f, g, alpha: complex, zeta: complex) -> ComplexJet:

@@ -14,6 +14,7 @@ import argparse
 import cmath
 import functools
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -295,7 +296,19 @@ def run(
     return code, report_dict
 
 
+# An unsigned real as float() reads it.
+_UNSIGNED = r"(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?"
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A value such as -0.5,0.1 (a complex re,im) or -1e-3 is an argument,
+        # not an option; argparse's own matcher knows only the -1 and -.5 forms.
+        self._negative_number_matcher = re.compile(
+            rf"^-{_UNSIGNED}(,[-+]?{_UNSIGNED})?$"
+        )
+
     def error(self, message):
         raise UsageError(message)
 

@@ -6,7 +6,13 @@ v = (g'/f')^alpha; the driving function w(z,t) is evaluated from its reduced
 closed form (whose modulus on |z| = 1 equals the criterion LHS at
 zeta = e^t/z), and p = (1+w)/(1-w) realizes the positive-real-part condition.
 The audit checks |w| < 1, Re p > 0, the first-coefficient law a1(t) = e^t,
-subordination between consecutive chain times, and boundedness proxies.
+subordination between consecutive chain times, and boundedness proxies. It
+evaluates every chain sample it needs (the z grid at each t and at
+t + DT_PROXY_STEP, both a1 contours, the subordination probes) in one pass:
+one power branch of v with one root solve per function, one h evaluation and
+one quotient over all points, and one winding sum per subordination pair.
+A failure is recorded against its own t slice or (t, s) pair, with the
+message that slice would raise alone, and the audit goes on.
 """
 
 from __future__ import annotations
@@ -15,16 +21,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .catalog import HFunction, MeromorphicFn, constant_one, power_branch_stacks
+from .catalog import HFunction, MeromorphicFn, constant_one, power_branch_slices
 from .criteria import pieces
 from .errors import (
     ContourThroughSingularity,
     CriticalPoint,
     DenominatorVanishes,
     HVanishes,
+    OpenContour,
     OutsideDomain,
+    PointTooCloseToContour,
     WEqualsOne,
 )
+from .oracle import winding_numbers
 from .sampling import circle_points
 
 DEFAULT_T_SAMPLES = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)
@@ -65,25 +74,55 @@ def _check_domain(z: np.ndarray, t: float):
         raise OutsideDomain(f"chain domain is 0 < |z| <= 1, got z = {bad}")
 
 
-def chain_values(spec: ChainSpec, z, t: float) -> np.ndarray:
-    """Chain value at each z for fixed t (vector core of chain_eval)."""
-    z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    _check_domain(z, t)
+def _chain_slices(spec: ChainSpec, slices) -> list:
+    """Chain values over a sequence of (z, t) slices from one pass over all
+    of their points: one power branch, one h and one quotient evaluation.
+    Returns, per slice, its values or the error ``chain_values`` raises for
+    that slice alone (CriticalPoint, DenominatorVanishes, EvaluationFailure)."""
+    zs = []
+    for z, t in slices:
+        z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
+        _check_domain(z, t)
+        zs.append(z)
+    sizes = [z.size for z in zs]
+    ends = np.cumsum(sizes)
+    z = np.concatenate(zs)
+    t = np.repeat(np.array([t for _, t in slices], dtype=np.float64), sizes)
     et = np.exp(t)
-    emt = np.exp(-t)
     w = et / z
-    vstack, fstack = power_branch_stacks(spec.f, spec.g, spec.alpha, w)
+    # The quotient reads v, v', f and f' only.
+    vstack, fstack, errors = power_branch_slices(
+        spec.f, spec.g, spec.alpha, w, ends, order=1
+    )
     hvals = spec.h.values(w)
-    coef = (emt - et) / z
+    coef = (np.exp(-t) - et) / z
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         u0 = fstack[0] * vstack[0]
         u1 = fstack[1] * vstack[0] + fstack[0] * vstack[1]
         num = u0 + coef * hvals * u1
         quotient = (vstack[0] + coef * hvals * vstack[1]) / num
-    bad = (num == 0) | ~np.isfinite(num)
-    if np.any(bad):
-        raise DenominatorVanishes(f"chain quotient singular at z = {z[bad][0]}, t = {t}")
-    return quotient
+    singular = (num == 0) | ~np.isfinite(num)
+    out = []
+    for z, (_, t), end, size, error in zip(zs, slices, ends, sizes, errors):
+        bad = singular[end - size : end]
+        if error is None and bad.any():
+            error = DenominatorVanishes(
+                f"chain quotient singular at z = {z[bad][0]}, t = {t}"
+            )
+        out.append(quotient[end - size : end] if error is None else error)
+    return out
+
+
+def _ok(result) -> np.ndarray:
+    """The values of a ``_chain_slices`` result; raises its error."""
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def chain_values(spec: ChainSpec, z, t: float) -> np.ndarray:
+    """Chain value at each z for fixed t (vector core of chain_eval)."""
+    return _ok(_chain_slices(spec, [(z, t)])[0])
 
 
 def chain_eval(spec: ChainSpec, z: complex, t: float) -> complex:
@@ -149,8 +188,13 @@ def extract_a1(
     if not 0.0 < circle_radius < 1.0:
         raise ValueError("circle_radius must lie in (0, 1)")
     zs = circle_points(circle_radius, node_count)
+    return _a1(zs, t, circle_radius, _chain_slices(spec, [(zs, t)])[0])
+
+
+def _a1(zs, t, circle_radius, chain) -> complex:
+    """a1 from the chain values (a ``_chain_slices`` result) on the contour."""
     try:
-        vals = chain_values(spec, zs, t)
+        vals = _ok(chain)
     except DenominatorVanishes as exc:
         raise ContourThroughSingularity(str(exc)) from exc
     with np.errstate(over="ignore", invalid="ignore"):
@@ -167,7 +211,7 @@ def subordination_check(
     t: float,
     s: float,
     r: float = 0.5,
-    boundary_nodes: int = 256,
+    boundary_nodes: int = A1_NODE_COUNT,
     probe_nodes: int = 16,
 ):
     """Verify chain(., t) maps into the image of chain(., s) by winding number:
@@ -175,24 +219,26 @@ def subordination_check(
 
     Returns (ok, failures) with failures a list of (t, s, probe point).
     """
-    from .oracle import winding_number
-
     if not 0.0 < r < 1.0:
         raise ValueError("contour radius must lie in (0, 1)")
     ring = circle_points(r, boundary_nodes)
+    probes_z = circle_points(0.9 * r, probe_nodes)
+    contour, probes = _chain_slices(spec, [(ring, s), (probes_z, t)])
+    return _subordination(t, s, probes_z, contour, probes)
+
+
+def _subordination(t, s, probes_z, contour, probes):
+    """``subordination_check`` from the chain values (``_chain_slices``
+    results) on the s-contour and at the probes."""
     try:
-        contour = chain_values(spec, ring, s)
-        probes_z = circle_points(0.9 * r, probe_nodes)
-        probes = chain_values(spec, probes_z, t)
+        contour = _ok(contour)
+        probes = _ok(probes)
     except DenominatorVanishes as exc:
         raise ContourThroughSingularity(str(exc)) from exc
     if not (np.isfinite(contour).all() and np.isfinite(probes).all()):
         raise ContourThroughSingularity(f"chain not finite at t = {t} or s = {s}")
-    closed = np.concatenate([contour, contour[:1]])
-    failures = []
-    for z0, image in zip(probes_z, probes):
-        if winding_number(closed, image) != 1:
-            failures.append((t, s, complex(z0)))
+    turns = winding_numbers(np.concatenate([contour, contour[:1]]), probes)
+    failures = [(t, s, complex(z0)) for z0, n in zip(probes_z, turns) if n != 1]
     return (not failures), failures
 
 
@@ -269,7 +315,11 @@ def audit_pommerenke(
 ) -> AuditReport:
     """Fill an AuditReport over the (z, t) grid; per-sample failures are
     recorded rather than aborting the audit. Aggregation is t-major, then
-    z index, so reports are reproducible."""
+    z index, so reports are reproducible.
+
+    Every chain sample comes from one ``_chain_slices`` pass, and each slice
+    is read as if it had been evaluated alone. With ``subordination_check``'s
+    default geometry the s-contour of a pair is the a1 contour at s."""
     z = (
         default_z_samples()
         if z_samples is None
@@ -281,12 +331,24 @@ def audit_pommerenke(
     witness_w = (complex(z[0]), ts[0])
     min_re_p = np.inf
     witness_p = (complex(z[0]), ts[0])
-    boundedness = 0.0
-    dt_proxy = 0.0
+    # A proxy that no finite chain sample fed stays -inf and reads null.
+    boundedness = -np.inf
+    dt_proxy = -np.inf
     errors = []
     a1_records = []
 
+    radius = 0.5
+    contour = circle_points(radius, A1_NODE_COUNT)
+    doubled = circle_points(radius, 2 * A1_NODE_COUNT)
+    probes_z = circle_points(0.9 * radius, 16)
+    slices = []
     for t in ts:
+        slices += [(z, t), (z, t + DT_PROXY_STEP), (contour, t), (doubled, t)]
+    slices += [(probes_z, t) for t in ts[:-1]]
+    chain = _chain_slices(spec, slices)
+
+    for i, t in enumerate(ts):
+        grid, stepped, on_contour, on_doubled = chain[4 * i : 4 * i + 4]
         try:
             wv = chain_w_values(spec, z, t)
             abs_w = np.abs(wv)
@@ -313,13 +375,14 @@ def audit_pommerenke(
             errors.append(f"w grid at t={t}: {exc}")
 
         try:
-            cv = chain_values(spec, z, t)
+            cv = _ok(grid)
             # max(x, nan) keeps x, so non-finite entries are recorded and
             # only the finite ones are folded into the proxies.
             finite = np.isfinite(cv)
-            top = float(np.max(np.abs(cv[finite]), initial=0.0))
-            boundedness = max(boundedness, top / np.exp(t))
-            cv2 = chain_values(spec, z, t + DT_PROXY_STEP)
+            if finite.any():
+                top = float(np.max(np.abs(cv[finite])))
+                boundedness = max(boundedness, top / np.exp(t))
+            cv2 = _ok(stepped)
             with np.errstate(over="ignore", invalid="ignore"):
                 quot = np.abs(cv2 - cv) / DT_PROXY_STEP
             finite = np.isfinite(quot)
@@ -328,13 +391,14 @@ def audit_pommerenke(
                     f"chain grid at t={t}: non-finite chain value at z = "
                     f"{complex(z[~finite][0])}"
                 )
-            dt_proxy = max(dt_proxy, float(np.max(quot[finite], initial=0.0)))
+            if finite.any():
+                dt_proxy = max(dt_proxy, float(np.max(quot[finite])))
         except (DenominatorVanishes, CriticalPoint) as exc:
             errors.append(f"chain grid at t={t}: {exc}")
 
         try:
-            a1 = extract_a1(spec, t)
-            a1_double = extract_a1(spec, t, node_count=2 * A1_NODE_COUNT)
+            a1 = _a1(contour, t, radius, on_contour)
+            a1_double = _a1(doubled, t, radius, on_doubled)
             doubling_ok = abs(a1 - a1_double) < A1_DOUBLING_TOL * max(1.0, abs(a1))
             residual = abs(a1 - np.exp(t)) / np.exp(t)
             a1_records.append((float(t), a1, float(residual), bool(doubling_ok)))
@@ -342,11 +406,18 @@ def audit_pommerenke(
             errors.append(f"a1 at t={t}: {exc}")
 
     subordination_failures = []
-    for t_lo, t_hi in zip(ts[:-1], ts[1:]):
+    for i, (t_lo, t_hi) in enumerate(zip(ts[:-1], ts[1:])):
         try:
-            _, failures = subordination_check(spec, t_lo, t_hi)
+            _, failures = _subordination(
+                t_lo, t_hi, probes_z, chain[4 * i + 6], chain[4 * len(ts) + i]
+            )
             subordination_failures.extend(failures)
-        except (ContourThroughSingularity, CriticalPoint) as exc:
+        except (
+            ContourThroughSingularity,
+            CriticalPoint,
+            OpenContour,
+            PointTooCloseToContour,
+        ) as exc:
             errors.append(f"subordination ({t_lo}, {t_hi}): {exc}")
 
     passed = (

@@ -259,6 +259,13 @@ def _cell_candidates(values: np.ndarray, tolerance: float, block: int = 1 << 20)
 def winding_number(contour_samples, point: complex) -> int:
     """Winding number of a closed discrete contour around a point, from
     accumulated phase increments."""
+    return int(winding_numbers(contour_samples, [point])[0])
+
+
+def winding_numbers(contour_samples, points) -> np.ndarray:
+    """Winding numbers of a closed discrete contour around each point, from
+    one phase sum per point; the first point without one (in order) raises
+    as ``winding_number`` does for it alone."""
     contour = np.asarray(contour_samples, dtype=np.complex128)
     if contour.shape[0] < 3:
         raise OpenContour("contour needs at least 3 samples")
@@ -266,27 +273,31 @@ def winding_number(contour_samples, point: complex) -> int:
         raise OpenContour(
             f"contour endpoints differ by {abs(contour[0] - contour[-1])}"
         )
-    point = complex(point)
+    points = np.asarray(points, dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
         total, min_dist = _kernels.winding_sum(
             np.ascontiguousarray(contour.real),
             np.ascontiguousarray(contour.imag),
-            point.real,
-            point.imag,
+            points.real,
+            points.imag,
         )
-    if not np.isfinite(total):
-        raise PointTooCloseToContour(f"phase sum around {point} overflowed")
-    if min_dist <= 1e-9:
+        turns = total / (2.0 * np.pi)
+        nearest = np.rint(turns)
+        overflowed = ~np.isfinite(total)
+        bad = overflowed | (min_dist <= 1e-9) | (np.abs(turns - nearest) >= 0.1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        point = complex(points[k])
+        if overflowed[k]:
+            raise PointTooCloseToContour(f"phase sum around {point} overflowed")
+        if min_dist[k] <= 1e-9:
+            raise PointTooCloseToContour(
+                f"point {point} within {float(min_dist[k])} of the contour"
+            )
         raise PointTooCloseToContour(
-            f"point {point} within {min_dist} of the contour"
+            f"phase sum {float(turns[k])} turns is not near an integer"
         )
-    turns = total / (2.0 * np.pi)
-    nearest = round(turns)
-    if abs(turns - nearest) >= 0.1:
-        raise PointTooCloseToContour(
-            f"phase sum {turns} turns is not near an integer"
-        )
-    return int(nearest)
+    return nearest.astype(int)
 
 
 def fd_derivatives(f, zeta: complex, step: float = 1e-3) -> ComplexJet:

@@ -120,6 +120,37 @@ class TestExitCodes:
         assert code in (0, 1, 2, 3)
         assert code != 3 or out.getvalue() == ""
 
+    def test_chain_records_subordination_contour_hit(self):
+        # a probe lands on the s-contour: recorded per pair, exit 1, not 3
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["chain", "--t-samples", "0.10536051565782628", "0"])
+        assert code == 1
+        assert json.loads(out.getvalue())["result"]["errors"] == [
+            "subordination (0.10536051565782628, 0.0): point (0.5+0j) within 0.0 "
+            "of the contour"
+        ]
+
+    @pytest.mark.parametrize(
+        "argv, alphas",
+        [
+            (("check", "--alpha", "-0.5,0.1"), [(-0.5, 0.1)]),
+            (("check", "--alpha", "-.5,-1e-1"), [(-0.5, -0.1)]),
+            (
+                ("sweep", "--alphas", "-0.5,0.1", "0.2", "-1e-3"),
+                [(-0.5, 0.1), (0.2, 0.0), (-1e-3, 0.0)],
+            ),
+        ],
+    )
+    def test_negative_complex_flag_values(self, argv, alphas):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([*argv, "--f", "joukowski:0.4", "--radial", "4", "--angular", "8"])
+        assert code in (0, 1, 2)
+        config = json.loads(out.getvalue())["config"]
+        got = config["alphas"] or [config["alpha"]]
+        assert [(a["re"], a["im"]) for a in got] == alphas
+
     def test_usage_errors_exit_3(self):
         assert main(["check", "--criterion", "wat"]) == 3
         assert main(["check", "--f", "joukowski"]) == 3

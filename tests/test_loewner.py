@@ -1,9 +1,14 @@
+import json
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import univalence as uv
 from univalence.errors import OutsideDomain, WEqualsOne
 from univalence.loewner import (
+    DEFAULT_T_SAMPLES,
     ChainSpec,
     audit_pommerenke,
     chain_eval,
@@ -291,3 +296,84 @@ class TestAudit:
         assert rep.witness_w == (complex(z[1]), 0.5)
         assert f"w grid at t=0.5: non-finite w at z = {complex(z[0])}" in rep.errors
         assert not rep.passed
+
+    def test_proxies_without_finite_samples_are_null(self):
+        # the overflow chain above: no finite sample feeds either proxy
+        spec = ChainSpec(
+            f=uv.make_sigma_function(
+                "moebius:1e-160,1e-300,1e-300,-1.29-1.19e-07j:"
+                "laurent:2.22e-16-0.702j;0.716+2.88j;1e-300+1e-300j"
+            ),
+            g=uv.joukowski(-0.774),
+            alpha=-1.0,
+        )
+        d = audit_pommerenke(spec, t_samples=(0.0, 1.0)).to_json_dict()
+        assert d["boundedness_proxy"] is None and d["dt_proxy"] is None
+        assert d["pass"] is False
+
+    def test_subordination_contour_failure_is_recorded(self):
+        # the probes at 0.45 e^t land on the ring at 0.5 e^s when e^(t-s) =
+        # 10/9: that pair is recorded and the audit goes on
+        t = 0.10536051565782628
+        rep = audit_pommerenke(trivial_spec(), t_samples=(t, 0.0))
+        assert rep.errors == (
+            f"subordination ({t}, 0.0): point (0.5+0j) within 0.0 of the contour",
+        )
+        assert not rep.subordination_failures
+        assert len(rep.a1_records) == 2
+        assert not rep.passed
+
+    def test_one_evaluation_pass_per_audit(self, monkeypatch):
+        # one root solve per function and a fixed number of kernel calls:
+        # three per t for the w grid, five for the single chain pass (f, g
+        # and h stacks, and f', g' at the ray anchors), one winding call per
+        # subordination pair
+        from univalence import _kernels, catalog
+
+        roots, kernel = Counter(), Counter()
+        solve, derivs, winding = (
+            catalog._derivative_roots, _kernels.laurent_derivs, _kernels.winding_sum
+        )
+
+        def counted_roots(fn):
+            roots[fn] += 1
+            return solve(fn)
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                kernel[name] += 1
+                return fn(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(catalog, "_derivative_roots", counted_roots)
+        monkeypatch.setattr(_kernels, "laurent_derivs", counted("derivs", derivs))
+        monkeypatch.setattr(_kernels, "winding_sum", counted("winding", winding))
+        f, g = uv.laurent(1, 0, [0.1, 0.02]), uv.joukowski(0.2)
+        rep = audit_pommerenke(
+            ChainSpec(f=f, g=g, h=uv.inverse_square(0.1), alpha=0.4 + 0.1j)
+        )
+        assert rep.passed
+        n = len(DEFAULT_T_SAMPLES)
+        assert roots == Counter({f: 1, g: 1})
+        assert kernel["derivs"] <= 3 * n + 5
+        assert kernel["winding"] == n - 1
+
+
+GOLDEN = json.loads((Path(__file__).parent / "golden_chain_reports.json").read_text())
+# Fields the golden reports recorded before a deliberate fix: a proxy that no
+# finite chain sample fed now reads null instead of 0.0.
+MENDED = {"overflow_chain": {"boundedness_proxy": None, "dt_proxy": None}}
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[c["name"] for c in GOLDEN])
+def test_audit_reproduces_golden_report(case):
+    spec = ChainSpec(
+        f=uv.make_sigma_function(case["f"]),
+        g=uv.make_sigma_function(case["g"]),
+        h=uv.make_h_function(case["h"]),
+        alpha=complex(*case["alpha"]),
+    )
+    got = audit_pommerenke(spec, t_samples=case["t_samples"]).to_json_dict()
+    want = {**case["report"], **MENDED.get(case["name"], {})}
+    assert json.dumps(got, allow_nan=False) == json.dumps(want)

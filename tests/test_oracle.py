@@ -17,6 +17,7 @@ from univalence.oracle import (
     fd_derivatives,
     injectivity_scan,
     winding_number,
+    winding_numbers,
 )
 
 
@@ -55,6 +56,20 @@ class TestWindingNumber:
     def test_point_on_contour_rejected(self):
         with pytest.raises(PointTooCloseToContour):
             winding_number(unit_circle(), 1.0)
+
+    def test_vector_matches_scalar(self, rng):
+        contour = unit_circle(64) * (1.0 + 0.3 * np.cos(np.linspace(0, 6 * np.pi, 65)))
+        points = rng.normal(size=40) + 1j * rng.normal(size=40)
+        points = points[np.abs(np.abs(points) - 1.0) > 0.35]
+        assert winding_numbers(contour, points).tolist() == [
+            winding_number(contour, p) for p in points
+        ]
+
+    def test_vector_raises_for_first_bad_point(self):
+        # 1.0 lies on the contour, 0.0 inside; the first point without a
+        # winding number names the error, as the scalar call would
+        with pytest.raises(PointTooCloseToContour, match=r"point \(1\+0j\) within"):
+            winding_numbers(unit_circle(), [0.0, 1.0, 1j])
 
 
 class TestInjectivityScan:
