@@ -19,29 +19,31 @@ import numpy as np
 def laurent_derivs(points, b, b0, tail, order=4):
     # Row r of term k is (-1)^r kk (kk+1) ... (kk+r-1) tail[k] z^-(k+1+r); each
     # row sees the same operation sequence at every order, so a lower-order
-    # stack is bitwise the leading rows of a higher-order one.
-    out = np.empty((order + 1,) + points.shape, dtype=np.complex128)
-    np.multiply(b, points, out=out[0])
-    out[0] += b0
-    if order >= 1:
-        out[1] = b
-        out[2:] = 0.0
-    x = p = 1.0 / points if tail.shape[0] else None
-    for k in range(tail.shape[0]):
-        if k:
-            p = p * x
-        kk = k + 1.0
-        t = tail[k] * p
-        out[0] += t
-        coeff = 1.0
-        for r in range(1, order + 1):
-            t = t * x
-            coeff = coeff * (kk + (r - 1.0))
-            if r % 2:
-                out[r] -= coeff * t
-            else:
-                out[r] += coeff * t
-    return out
+    # stack is bitwise the leading rows of a higher-order one. Entries past
+    # double range come out non-finite, for the caller to diagnose.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out = np.empty((order + 1,) + points.shape, dtype=np.complex128)
+        np.multiply(b, points, out=out[0])
+        out[0] += b0
+        if order >= 1:
+            out[1] = b
+            out[2:] = 0.0
+        x = p = 1.0 / points if tail.shape[0] else None
+        for k in range(tail.shape[0]):
+            if k:
+                p = p * x
+            kk = k + 1.0
+            t = tail[k] * p
+            out[0] += t
+            coeff = 1.0
+            for r in range(1, order + 1):
+                t = t * x
+                coeff = coeff * (kk + (r - 1.0))
+                if r % 2:
+                    out[r] -= coeff * t
+                else:
+                    out[r] += coeff * t
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -181,13 +181,21 @@ def _sup_result(report, verdict) -> dict:
     }
 
 
+def _write_file(path: str, flag: str, text: str) -> None:
+    # An unwritable path is a bad input: exit 3, not a verdict's exit 1.
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {flag} {path}: {exc.strerror or exc}") from exc
+
+
 def _write_grid_csv(path: str, segments) -> None:
     lines = ["re,im,lhs"]
     for points, values in segments:
         for z, v in zip(points, values):
             lines.append(f"{float(z.real)!r},{float(z.imag)!r},{float(v)!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_file(path, "--grid-csv", "\n".join(lines) + "\n")
 
 
 CATALOG_LISTING = {
@@ -290,8 +298,7 @@ def run(
     except ValueError as exc:
         raise EvaluationFailure(f"report holds a non-finite number: {exc}") from exc
     if json_path:
-        with open(json_path, "w") as fh:
-            fh.write(text)
+        _write_file(json_path, "--json", text)
     sys.stdout.write(text)
     return code, report_dict
 

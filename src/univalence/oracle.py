@@ -65,18 +65,23 @@ class CollisionReport:
 def _median_neighbor_spacing(grid: np.ndarray, plan: SamplingPlan) -> float:
     """Median distance between grid-adjacent samples (angular and radial).
 
-    The median is np.median's arithmetic on np.partition; np.median itself
-    imports numpy.ma, about 2 MB of resident memory for one number."""
+    The median is np.median's arithmetic on one np.partition at the middle
+    index: for an even count, the lower middle value is the largest of the
+    lower half. np.median itself imports numpy.ma, about 2 MB of resident
+    memory for one number."""
     mesh = grid.reshape(plan.radial_count, plan.angular_count)
-    gaps = [np.abs(mesh - np.roll(mesh, 1, axis=1)).ravel()]
-    if plan.radial_count > 1:
-        gaps.append(np.abs(mesh[1:] - mesh[:-1]).ravel())
-    gaps = np.concatenate(gaps)
-    half = gaps.size // 2
-    if gaps.size % 2:
-        return float(np.partition(gaps, half)[half])
-    gaps = np.partition(gaps, (half - 1, half))
-    return float((gaps[half - 1] + gaps[half]) / 2.0)
+    # A gap or median beyond double range reads as inf; a tolerance or floor
+    # derived from it is then rejected by collision_pairs.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gaps = [np.abs(mesh - np.roll(mesh, 1, axis=1)).ravel()]
+        if plan.radial_count > 1:
+            gaps.append(np.abs(mesh[1:] - mesh[:-1]).ravel())
+        gaps = np.concatenate(gaps)
+        half = gaps.size // 2
+        gaps = np.partition(gaps, half)
+        if gaps.size % 2:
+            return float(gaps[half])
+        return float((gaps[:half].max() + gaps[half]) / 2.0)
 
 
 def _pair_key(z1: complex, z2: complex):
@@ -108,10 +113,7 @@ def injectivity_scan(
         raise EvaluationFailure(f"{f.describe()} not evaluable at grid point {bad}")
 
     if collision_tolerance is None:
-        # Images beyond double range give an infinite spacing, which
-        # collision_pairs rejects as a tolerance.
-        with np.errstate(over="ignore", invalid="ignore"):
-            img_spacing = _median_neighbor_spacing(values, plan)
+        img_spacing = _median_neighbor_spacing(values, plan)
         collision_tolerance = TOLERANCE_SCALE * img_spacing
     if separation_floor is None:
         dom_spacing = _median_neighbor_spacing(points, plan)
@@ -170,24 +172,28 @@ def collision_pairs(
             ),
         )
 
-    if pairwise:
-        for i in range(n):
-            for j in range(i + 1, n):
-                consider(i, j)
-    else:
-        # The vector np.abs can differ from the scalar abs in the last ulp,
-        # so it only prefilters (with slack) and consider() decides and
-        # records, keeping the reported distances those of the scalar path.
-        img_limit = collision_tolerance * (1.0 + 1e-12)
-        dom_limit = separation_floor * (1.0 - 1e-12)
-        for i, j in _cell_candidates(values, collision_tolerance):
-            keep = (np.abs(values[i] - values[j]) <= img_limit) & (
-                np.abs(points[i] - points[j]) >= dom_limit
-            )
-            lo = np.minimum(i[keep], j[keep]).tolist()
-            hi = np.maximum(i[keep], j[keep]).tolist()
-            for a, b in zip(lo, hi):
-                consider(a, b)
+    # A difference beyond double range reads inf, in both paths: never within
+    # tolerance, always separated.
+    with np.errstate(over="ignore"):
+        if pairwise:
+            for i in range(n):
+                for j in range(i + 1, n):
+                    consider(i, j)
+        else:
+            # The vector np.abs can differ from the scalar abs in the last
+            # ulp, so it only prefilters (with slack) and consider() decides
+            # and records, keeping the reported distances those of the
+            # scalar path.
+            img_limit = collision_tolerance * (1.0 + 1e-12)
+            dom_limit = separation_floor * (1.0 - 1e-12)
+            for i, j in _cell_candidates(values, collision_tolerance):
+                keep = (np.abs(values[i] - values[j]) <= img_limit) & (
+                    np.abs(points[i] - points[j]) >= dom_limit
+                )
+                lo = np.minimum(i[keep], j[keep]).tolist()
+                hi = np.maximum(i[keep], j[keep]).tolist()
+                for a, b in zip(lo, hi):
+                    consider(a, b)
 
     return tuple(found[k] for k in sorted(found))
 
@@ -201,6 +207,12 @@ def _cell_candidates(values: np.ndarray, tolerance: float, block: int = 1 << 20)
     cell quotient), so every pair within tolerance is a candidate. They are
     also at least 2^-30 of the largest image coordinate wide, which keeps
     cell indices below 2^31 and the int64 cell keys exact at any tolerance.
+
+    Each sample sees its own cell and the four forward neighbours (cx, cy+1)
+    and (cx+1, cy-1..cy+1); the other four see each pair from the opposite
+    side. With cell key ``cx*stride + cy`` and a spare row in every column,
+    these five cells are two intervals of sorted keys, [key, key+1] and
+    [key+stride-1, key+stride+1], found by three searchsorted passes.
     """
     n = values.shape[0]
     if n < 2:
@@ -211,7 +223,7 @@ def _cell_candidates(values: np.ndarray, tolerance: float, block: int = 1 << 20)
     cx -= cx.min()
     cy = np.floor(values.imag / width).astype(np.int64)
     cy -= cy.min()
-    stride = int(cy.max()) + 2  # a spare row, so cy - 1 never aliases a column
+    stride = int(cy.max()) + 2  # a spare row: cy +- 1 past a column edge is empty
     cx *= stride
     cx += cy
     del cy
@@ -219,24 +231,25 @@ def _cell_candidates(values: np.ndarray, tolerance: float, block: int = 1 << 20)
     keys = cx[order]
     del cx
 
-    # Candidate ranges in sorted order: later members of the own cell, then
-    # the four forward neighbours (cx, cy+1), (cx+1, cy-1), (cx+1, cy),
-    # (cx+1, cy+1); the other four see each pair from the opposite side.
-    # The queries are sorted, which keeps searchsorted cache friendly. Only
-    # nonempty ranges are kept, and the per-sample arrays are dropped before
-    # the first yield, so memory is O(n) plus one block.
+    # Candidate ranges in sorted order: the samples after this one up to the
+    # last of cell (cx, cy+1), i.e. later members of its own cell and all of
+    # (cx, cy+1), then the three cells (cx+1, cy-1..cy+1). No other cell's
+    # key lies inside either key interval: at a column's edges, cy-1 and
+    # cy+1 fall into the spare row. The queries are sorted, which keeps
+    # searchsorted cache friendly. Only nonempty ranges are kept, and the
+    # per-sample arrays are dropped before the first yield, so memory is
+    # O(n) plus one block.
     pos = np.arange(n)
     owners, starts, counts = [], [], []
-    for offset in (0, 1, stride - 1, stride, stride + 1):
-        query = keys + offset
-        lo = pos + 1 if offset == 0 else np.searchsorted(keys, query, "left")
-        hi = np.searchsorted(keys, query, "right")
+    for lo_key, hi_key in ((None, 1), (stride - 1, stride + 1)):
+        lo = pos + 1 if lo_key is None else np.searchsorted(keys, keys + lo_key, "left")
+        hi = np.searchsorted(keys, keys + hi_key, "right")
         hi -= lo
         live = hi > 0
         owners.append(pos[live])
         starts.append(lo[live])
         counts.append(hi[live])
-    del keys, query, lo, hi, live
+    del keys, lo, hi, live
     owners = np.concatenate(owners)
     starts = np.concatenate(starts)
     counts = np.concatenate(counts)

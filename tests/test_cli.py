@@ -110,6 +110,8 @@ class TestExitCodes:
             ("oracle", "--f", "moebius:0.5-1j,3,2.2e-308j,-2.23e-309:identity"),
             ("check", "--f", "laurent:-2.23e-309;-1.72j"),
             ("check", "--g", "moebius:0,1,1e-300,0:joukowski:1"),
+            ("check", "--f", "laurent:1e300;0;1", "--rmax", "1e10"),
+            ("oracle", "--rmax", "1.7e308"),
         ],
     )
     def test_values_beyond_double_range_exit_cleanly(self, argv):
@@ -373,6 +375,24 @@ class TestOutputs:
         assert len(first) == 3
         float(first[0]), float(first[1]), float(first[2])
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("oracle", "--f", "identity"), "--json"),
+            (("check", "--f", "joukowski:0.4"), "--grid-csv"),
+        ],
+    )
+    @pytest.mark.parametrize("target", ["missing/out", "."])
+    def test_unwritable_output_path_exits_3(self, tmp_path, argv, flag, target):
+        # a missing directory or a directory: a bad input, not a verdict
+        path = tmp_path / target
+        out = cli(*argv, "--radial", "2", "--angular", "4", flag, str(path))
+        assert out.returncode == 3
+        assert out.stdout == ""
+        assert out.stderr == f"usage error: cannot write {flag} {path}: " + (
+            "No such file or directory\n" if target != "." else "Is a directory\n"
+        )
+
     def test_chain_report_is_strict_json(self):
         # h = 1 - 1/z^2 vanishes at w = 1, so the t = 0 w grid yields no value
         out = cli("chain", "--h", "hinvsq:-1", "--t-samples", "0")
@@ -465,9 +485,7 @@ def _cli_argv(draw):
     return argv + ["--t-samples", *times]
 
 
-@settings(max_examples=150, deadline=None)
-@given(argv=_cli_argv())
-def test_cli_fuzz_exits_cleanly(argv):
+def _assert_exits_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -475,3 +493,39 @@ def test_cli_fuzz_exits_cleanly(argv):
     assert "Traceback" not in err.getvalue()
     if code == 3:
         assert out.getvalue() == ""
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_cli_argv())
+def test_cli_fuzz_exits_cleanly(argv):
+    _assert_exits_cleanly(argv)
+
+
+# Plan flags for the fuzz: radii from just above 1 to the edge of double
+# range, where grid spacings, images and the 2 r_max tail circle overflow.
+_radii = st.one_of(
+    st.sampled_from(["1.0000000000000002", "1.001", "2", "1e154", "1e300", "1.7e308"]),
+    st.floats(1.0, 1.7e308, exclude_min=True).map(repr),
+)
+
+
+@st.composite
+def _plan_argv(draw):
+    argv = draw(_cli_argv().filter(lambda a: a[0] != "chain"))
+    radii = sorted([draw(_radii), draw(_radii)], key=float)
+    if draw(st.integers(0, 7)) == 0:
+        radii.reverse()  # now and then a plan with r_min > r_max
+    # later flags override the fixed plan of _cli_argv
+    return argv + [
+        "--rmin", radii[0],
+        "--rmax", radii[1],
+        "--radial", str(draw(st.integers(1, 4))),
+        "--angular", str(draw(st.integers(1, 4))),
+        "--refine", str(draw(st.integers(0, 2))),
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_plan_argv())
+def test_cli_fuzz_plan_flags_exit_cleanly(argv):
+    _assert_exits_cleanly(argv)

@@ -13,6 +13,7 @@ from univalence.errors import (
 )
 from univalence.oracle import (
     _cell_candidates,
+    _median_neighbor_spacing,
     collision_pairs,
     fd_derivatives,
     injectivity_scan,
@@ -167,6 +168,17 @@ class TestInjectivityScan:
         with pytest.raises(InvalidSpec):
             collision_pairs(values, points, 1e-3, 0.0, pairwise)
 
+    @pytest.mark.parametrize("pairwise", [False, True])
+    def test_differences_beyond_double_range_read_inf(self, pairwise):
+        # images 1.8e308 apart, in adjacent cells of width 1e308
+        points = np.array([2.0, 5.0], dtype=np.complex128)
+        values = np.array([0.9e308, -0.9e308], dtype=np.complex128)
+        assert collision_pairs(points, values, 1e308, 0.5, pairwise) == ()
+        # coinciding images of preimages 3.4e308 apart
+        far = np.array([1.7e308, -1.7e308], dtype=np.complex128)
+        (hit,) = collision_pairs(far, np.zeros(2, dtype=np.complex128), 1e-9, 0.5, pairwise)
+        assert hit.image_distance == 0.0 and hit.domain_distance == np.inf
+
     def test_cell_candidates_blocks_cover_each_pair_once(self, rng):
         n = 200
         values = np.round(2.0 * (rng.normal(size=n) + 1j * rng.normal(size=n)), 1)
@@ -185,6 +197,59 @@ class TestInjectivityScan:
             assert all(len(i) <= block for i, _ in parts)
             assert np.array_equal(np.concatenate([i for i, _ in parts]), whole[0])
             assert np.array_equal(np.concatenate([j for _, j in parts]), whole[1])
+
+    def test_cell_candidates_across_cell_edges(self):
+        # A square lattice of step tol/1.5 straddles the (about tol wide)
+        # cell edges, so every forward neighbour (cx, cy+1) and
+        # (cx+1, cy-1..cy+1) holds pairs within tol, in the lowest and
+        # highest rows too, where cy-1 and cy+1 fall into the spare row.
+        tol = 1.0
+        step = tol / 1.5
+        re, im = np.meshgrid(0.3 + step * np.arange(13), -0.2 + step * np.arange(9))
+        values = (re + 1j * im).ravel()
+        n = values.size
+        close = {
+            (a, b)
+            for a in range(n)
+            for b in range(a + 1, n)
+            if abs(values[a] - values[b]) <= tol
+        }
+        width = (1.0 + 2.0**-16) * tol
+        cells = [(np.floor(v.real / width), np.floor(v.imag / width)) for v in values]
+        offsets = set()
+        for a, b in close:
+            d = (cells[b][0] - cells[a][0], cells[b][1] - cells[a][1])
+            offsets.add(max(d, (-d[0], -d[1])))
+        assert offsets == {(0, 0), (0, 1), (1, -1), (1, 0), (1, 1)}
+        for block in (1 << 20, 1, 7):
+            seen = [
+                (min(a, b), max(a, b))
+                for i, j in _cell_candidates(values, tol, block)
+                for a, b in zip(i.tolist(), j.tolist())
+            ]
+            assert len(seen) == len(set(seen))
+            assert close <= set(seen)
+            # only same or adjacent cells: no candidate from an aliased key
+            gaps = np.array([values[a] - values[b] for a, b in seen])
+            assert np.abs(gaps.real).max() < 2.001 * tol
+            assert np.abs(gaps.imag).max() < 2.001 * tol
+        points = 10.0 + np.arange(n, dtype=np.complex128)
+        fast = collision_pairs(points, values, tol, 0.5)
+        assert fast == collision_pairs(points, values, tol, 0.5, pairwise=True)
+        assert len(fast) == len(close)
+
+    @pytest.mark.parametrize("radial", [1, 3])
+    @pytest.mark.parametrize("angular", [5, 6])  # odd and even gap counts
+    def test_median_neighbor_spacing_is_the_median(self, rng, radial, angular):
+        plan = uv.SamplingPlan(radial_count=radial, angular_count=angular)
+        for scale in (1e-3, 1.0, 1e6):
+            grid = scale * np.array([1.0, 1j]) @ rng.normal(size=(2, radial * angular))
+            mesh = grid.reshape(radial, angular)
+            gaps = [np.abs(mesh - mesh[:, np.arange(angular) - 1]).ravel()]
+            gaps.append(np.abs(np.diff(mesh, axis=0)).ravel())
+            gaps = np.concatenate(gaps)
+            assert gaps.size % 2 == angular % 2
+            assert _median_neighbor_spacing(grid, plan) == np.median(gaps)
 
     def test_evaluation_failure_carries_point(self):
         # moebius pole inside the scanned region
