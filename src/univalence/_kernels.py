@@ -16,11 +16,13 @@ import numpy as np
 # ---------------------------------------------------------------------------
 
 
-def laurent_derivs(points, b, b0, tail, order=4):
+def laurent_derivs(points, b, b0, tail, order=4, inv=None):
     # Row r of term k is (-1)^r kk (kk+1) ... (kk+r-1) tail[k] z^-(k+1+r); each
     # row sees the same operation sequence at every order, so a lower-order
     # stack is bitwise the leading rows of a higher-order one. Entries past
-    # double range come out non-finite, for the caller to diagnose.
+    # double range come out non-finite, for the caller to diagnose. ``inv``,
+    # when given, is 1.0 / points from a caller that evaluates several
+    # functions at the same points.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         out = np.empty((order + 1,) + points.shape, dtype=np.complex128)
         np.multiply(b, points, out=out[0])
@@ -28,7 +30,7 @@ def laurent_derivs(points, b, b0, tail, order=4):
         if order >= 1:
             out[1] = b
             out[2:] = 0.0
-        x = p = 1.0 / points if tail.shape[0] else None
+        x = p = (1.0 / points if inv is None else inv) if tail.shape[0] else None
         for k in range(tail.shape[0]):
             if k:
                 p = p * x

@@ -74,20 +74,26 @@ class MeromorphicFn:
             np.asarray(self.tail, dtype=np.complex128),
         )
 
-    def derivs(self, points: np.ndarray, order: int = 4) -> np.ndarray:
-        """Stack of value and derivatives through ``order`` at each point.
+    def derivs(self, points: np.ndarray, order: int = 4, inv=None) -> np.ndarray:
+        """Stack of value and derivatives through ``order`` at each point
+        (``inv``, if given, is 1.0 / points, shared with other functions).
 
         Pole hits surface as non-finite entries; scalar wrappers raise."""
         points = np.asarray(points, dtype=np.complex128)
         low = self.lower_coeffs()
         if low is not None:
             b, b0, tail = low
-            return _kernels.laurent_derivs(points, b, b0, tail, order)
-        inner_stack = self.inner.derivs(points, order)
+            return _kernels.laurent_derivs(points, b, b0, tail, order, inv)
+        inner_stack = self.inner.derivs(points, order, inv)
         a, bb, c, d = self.abcd
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             num = a * inner_stack
             num[0] = num[0] + bb
+            if not c:
+                # The constant denominator d: the quotient recurrence of
+                # stack_div reduces to this division (up to the sign of a
+                # zero), and an overflowing value row stays in its row.
+                return num / d
             den = c * inner_stack
             den[0] = den[0] + d
             return stack_div(num, den)
@@ -163,10 +169,10 @@ class HFunction:
             tail.extend([0j, complex(h2k)])
         return 0j, 1.0 + 0j, np.asarray(tail, dtype=np.complex128)
 
-    def derivs(self, points: np.ndarray, order: int = 4) -> np.ndarray:
+    def derivs(self, points: np.ndarray, order: int = 4, inv=None) -> np.ndarray:
         points = np.asarray(points, dtype=np.complex128)
         b, b0, tail = self.lower_coeffs()
-        return _kernels.laurent_derivs(points, b, b0, tail, order)
+        return _kernels.laurent_derivs(points, b, b0, tail, order, inv)
 
     def values(self, points: np.ndarray) -> np.ndarray:
         return self.derivs(points, order=0)[0]

@@ -60,31 +60,52 @@ class CriterionParams:
 
 
 class Pieces(NamedTuple):
-    """Building blocks of every criterion at a set of points."""
+    """Building blocks of every criterion at a set of points; a piece the
+    criterion does not read is None."""
 
     f1: np.ndarray  # f'
-    g1: np.ndarray  # g'
-    h0: np.ndarray  # h
-    h1: np.ndarray  # h'
+    g1: "np.ndarray | None"  # g'
+    h0: "np.ndarray | None"  # h
+    h1: "np.ndarray | None"  # h'
     pf: np.ndarray  # f''/f'
-    sf: np.ndarray  # Schwarzian of f
-    pg: np.ndarray  # g''/g'
-    sg: np.ndarray  # Schwarzian of g
+    sf: "np.ndarray | None"  # Schwarzian of f
+    pg: "np.ndarray | None"  # g''/g'
+    sg: "np.ndarray | None"  # Schwarzian of g
 
 
-def pieces(f, g, h, points: np.ndarray) -> Pieces:
-    """Criterion pieces of (f, g, h) at each point; shared by the criterion
+# Derivative order of the f, g and h stacks each criterion reads (None: not
+# read). Order 3 brings the Schwarzian, order 2 only f''/f' (or g''/g').
+_ORDERS = {
+    "theorem1": (3, 3, 1),
+    "alpha_zero": (2, None, 1),
+    "miazga_wesolowski": (3, 3, 1),
+    "epstein": (3, 3, None),
+    "becker": (2, None, None),
+    "nehari": (3, None, None),
+}
+
+
+def pieces(f, g, h, points: np.ndarray, criterion: str = "theorem1") -> Pieces:
+    """Criterion pieces of (f, g, h) at each point that ``criterion``
+    reads, the others None (theorem1 reads all); shared by the criterion
     scan and the Loewner driving function. Critical points and poles yield
     non-finite entries for the caller to diagnose."""
-    fd = f.derivs(points, order=3)
-    gd = g.derivs(points, order=3)
-    hd = h.derivs(points, order=1)
+    f_order, g_order, h_order = _ORDERS[criterion]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        pf = fd[2] / fd[1]
-        pg = gd[2] / gd[1]
-        sf = fd[3] / fd[1] - 1.5 * pf * pf
-        sg = gd[3] / gd[1] - 1.5 * pg * pg
-    return Pieces(fd[1], gd[1], hd[0], hd[1], pf, sf, pg, sg)
+        inv = 1.0 / points
+        f1, pf, sf = _stack_pieces(f.derivs(points, f_order, inv))
+        g1 = pg = sg = h0 = h1 = None
+        if g_order:
+            g1, pg, sg = _stack_pieces(g.derivs(points, g_order, inv))
+        if h_order:
+            h0, h1 = h.derivs(points, h_order, inv)
+    return Pieces(f1, g1, h0, h1, pf, sf, pg, sg)
+
+
+def _stack_pieces(d):
+    """(fn', fn''/fn', Schwarzian or None) from a stack of order 2 or 3."""
+    p = d[2] / d[1]
+    return d[1], p, (d[3] / d[1] - 1.5 * p * p if d.shape[0] > 3 else None)
 
 
 def _assemble_lhs(
@@ -99,20 +120,22 @@ def _assemble_lhs(
             return (aa - 1.0) * np.abs(z * pc.pf)
         if criterion == "nehari":
             return 0.5 * (aa - 1.0) ** 2 * np.abs(pc.sf)
+        if criterion == "epstein":
+            phase = z / np.conj(z)
+            return np.abs(
+                0.5 * (aa - 1.0) ** 2 * phase * (pc.sf - pc.sg)
+                - (aa - 1.0) * (z * pc.pg)
+            )
         ratio = (1.0 - pc.h0) / pc.h0
         hh = z * pc.h1 / pc.h0
-        phase = z / np.conj(z)
         if criterion == "alpha_zero":
-            t = ratio * aa - (aa - 1.0) * (hh + z * pc.pf)
-        elif criterion == "miazga_wesolowski":
+            return np.abs(ratio * aa - (aa - 1.0) * (hh + z * pc.pf))
+        phase = z / np.conj(z)
+        if criterion == "miazga_wesolowski":
             t = (
                 ratio * aa
                 - (aa - 1.0) * (hh + z * pc.pg)
                 + 0.5 * (aa - 1.0) ** 2 * phase * pc.h0 * (pc.sf - pc.sg)
-            )
-        elif criterion == "epstein":
-            t = 0.5 * (aa - 1.0) ** 2 * phase * (pc.sf - pc.sg) - (aa - 1.0) * (
-                z * pc.pg
             )
         else:
             diff = pc.pf - pc.pg
@@ -161,7 +184,7 @@ def _lhs(params: CriterionParams, points: np.ndarray, criterion: str, map_blocks
 
     def fill(lo):
         z = points[lo : lo + _BLOCK]
-        pc = pieces(params.f, params.g, params.h, z)
+        pc = pieces(params.f, params.g, params.h, z, criterion)
         out[lo : lo + _BLOCK] = _assemble_lhs(
             criterion, z, pc, params.alpha, params.squared_variant
         )

@@ -14,6 +14,7 @@ import numpy as np
 from . import _kernels
 from .errors import (
     EvaluationFailure,
+    InvalidPlan,
     InvalidSpec,
     OpenContour,
     PointTooCloseToContour,
@@ -70,8 +71,8 @@ def _median_neighbor_spacing(grid: np.ndarray, plan: SamplingPlan) -> float:
     lower half. np.median itself imports numpy.ma, about 2 MB of resident
     memory for one number."""
     mesh = grid.reshape(plan.radial_count, plan.angular_count)
-    # A gap or median beyond double range reads as inf; a tolerance or floor
-    # derived from it is then rejected by collision_pairs.
+    # A gap or median beyond double range reads as inf; a default tolerance
+    # or floor derived from it is then rejected as a plan error.
     with np.errstate(over="ignore", invalid="ignore"):
         gaps = [np.abs(mesh - np.roll(mesh, 1, axis=1)).ravel()]
         if plan.radial_count > 1:
@@ -82,6 +83,19 @@ def _median_neighbor_spacing(grid: np.ndarray, plan: SamplingPlan) -> float:
         if gaps.size % 2:
             return float(gaps[half])
         return float((gaps[:half].max() + gaps[half]) / 2.0)
+
+
+def _derived(name, scale, grid_name, grid, plan) -> float:
+    """``scale`` times the median spacing of ``grid``; a plan whose spacing
+    is beyond double range raises InvalidPlan."""
+    spacing = _median_neighbor_spacing(grid, plan)
+    value = scale * spacing
+    if not np.isfinite(value):
+        raise InvalidPlan(
+            f"median {grid_name} grid spacing {spacing!r} at r_max = "
+            f"{plan.r_max!r} puts the default {name} beyond double range"
+        )
+    return value
 
 
 def _pair_key(z1: complex, z2: complex):
@@ -113,11 +127,13 @@ def injectivity_scan(
         raise EvaluationFailure(f"{f.describe()} not evaluable at grid point {bad}")
 
     if collision_tolerance is None:
-        img_spacing = _median_neighbor_spacing(values, plan)
-        collision_tolerance = TOLERANCE_SCALE * img_spacing
+        collision_tolerance = _derived(
+            "collision_tolerance", TOLERANCE_SCALE, "image", values, plan
+        )
     if separation_floor is None:
-        dom_spacing = _median_neighbor_spacing(points, plan)
-        separation_floor = SEPARATION_SPACINGS * dom_spacing
+        separation_floor = _derived(
+            "separation_floor", SEPARATION_SPACINGS, "domain", points, plan
+        )
 
     collisions = collision_pairs(
         points, values, collision_tolerance, separation_floor, pairwise

@@ -114,7 +114,10 @@ def estimate_sup(
         dlog /= plan.refine_factor
         dang /= plan.refine_factor
 
-    converged = improvement <= CONVERGENCE_REL * max(sup, 1e-300)
+    # With no refinement round there is no evidence that the sup has settled.
+    converged = plan.refine_depth > 0 and improvement <= CONVERGENCE_REL * max(
+        sup, 1e-300
+    )
 
     # Tail guard: the sup may be approached only at infinity. Richardson
     # extrapolation in 1/r^2 from the outermost circle and its double.

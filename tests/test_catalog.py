@@ -4,7 +4,9 @@ import pytest
 import univalence as uv
 from univalence import _kernels
 from univalence.catalog import _derivative_roots, parse_complex, power_branch_stack
+from univalence.criteria import CriterionParams, evaluate_lhs
 from univalence.errors import CriticalPoint, InvalidSpec, OutsideDomain
+from univalence.jet import stack_div
 
 from conftest import exterior_points
 
@@ -266,3 +268,72 @@ class TestDerivativeOrders:
         full = f.derivs(pts)
         for k in range(5):
             assert f.derivs(pts, order=k).tobytes() == full[: k + 1].tobytes()
+
+
+class TestConstantDenominatorMoebius:
+    """A Moebius map with c = 0 divides by d; the quotient recurrence over
+    the denominator c * inner + d, whose derivative rows are zero, gives the
+    same stack, bitwise but for the sign of a zero component (the recurrence
+    subtracts signed zero products, and -0.0 - -0.0 is +0.0)."""
+
+    INNERS = {
+        "identity": uv.identity(),
+        "joukowski": uv.joukowski(0.3 - 0.2j),
+        "laurent": uv.laurent(-1.5 + 0.5j, 0.2j, [0.3 - 0.1j, 0.05j, -0.02]),
+        "moebius_c0": uv.moebius_of(uv.joukowski(0.4), 1.1, 0.2 + 0.1j, 0, 1),
+        "moebius_c": uv.moebius_of(uv.joukowski(0.2), 1, 0, 1, 0.3),
+    }
+
+    @staticmethod
+    def points(rng):
+        # random points, the real axis both ways and |z| -> 1+
+        r = 1.0 + np.r_[np.exp(rng.uniform(np.log(1e-15), np.log(10.0), 300)), 2e-16]
+        return np.r_[
+            r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, r.size)), r, -r, 1j * r
+        ].astype(np.complex128)
+
+    @staticmethod
+    def quotient(fn, pts, order):
+        inner = fn.inner.derivs(pts, order)
+        a, b, c, d = fn.abcd
+        num, den = a * inner, c * inner
+        num[0] += b
+        den[0] += d
+        return stack_div(num, den)
+
+    @pytest.mark.parametrize("inner", sorted(INNERS))
+    @pytest.mark.parametrize(
+        "abd", [(1, 0, 1), (1.1, 0.2 + 0.1j, 1), (-2.5, 1j, -1), (-0.9, 0.5, 1j)]
+    )
+    def test_equal_to_quotient(self, rng, inner, abd):
+        a, b, d = abd
+        fn = uv.moebius_of(self.INNERS[inner], a, b, 0, d)
+        pts = self.points(rng)
+        for order in range(5):
+            got, want = fn.derivs(pts, order), self.quotient(fn, pts, order)
+            assert np.isfinite(got).all()
+            # adding 0.0 turns -0.0 into +0.0 and leaves every other bit
+            assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+        if d == 1:  # the maps the benchmark scans
+            assert got.tobytes() == want.tobytes()
+
+    def test_shared_reciprocal_is_bitwise_neutral(self, rng):
+        pts = self.points(rng)
+        inv = 1.0 / pts
+        for fn in [*self.INNERS.values(), uv.inverse_square(0.2 - 0.1j)]:
+            for order in range(5):
+                assert fn.derivs(pts, order, inv).tobytes() == fn.derivs(pts, order).tobytes()
+
+    def test_overflowing_value_keeps_finite_derivatives(self):
+        # f = 1e300 z + 1/z overflows at |z| = 1e10 but f' and f'' do not;
+        # the quotient recurrence spread the inf of row 0 to every row
+        inner = uv.laurent(1e300, 0, [1])
+        fn = uv.moebius_of(inner, 1, 0, 0, 1)
+        pts = np.array([1e10, 1e10j, 2.0], dtype=np.complex128)
+        stack = fn.derivs(pts, 3)
+        assert not np.isfinite(stack[0, :2]).any() and np.isfinite(stack[1:]).all()
+        assert stack[1:].tobytes() == inner.derivs(pts, 3)[1:].tobytes()
+        p = CriterionParams(f=fn, criterion="becker")
+        assert evaluate_lhs(p, pts).tobytes() == evaluate_lhs(
+            CriterionParams(f=inner, criterion="becker"), pts
+        ).tobytes()

@@ -1,8 +1,10 @@
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,25 @@ def cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "univalence.cli", *args], capture_output=True, text=True
     )
+
+
+GOLDEN_CHECKS = json.loads(
+    (Path(__file__).parent / "golden_check_reports.json").read_text()
+)
+
+
+@pytest.mark.parametrize("case", GOLDEN_CHECKS, ids=[c["name"] for c in GOLDEN_CHECKS])
+def test_check_reproduces_golden_report(case, tmp_path):
+    # Every criterion on a Laurent f and on Moebius f with c = 0, c != 0 and
+    # nested; the report (without timing_ms) and the grid CSV were recorded
+    # before the criterion pieces were computed on demand, and must not move.
+    path = tmp_path / "grid.csv"
+    code, report, _ = run_quiet(
+        RunConfig.from_dict(case["report"]["config"]), grid_csv=str(path)
+    )
+    assert code == case["exit_code"]
+    assert json.dumps(strip_timing(report)) == json.dumps(case["report"])
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == case["grid_csv_sha256"]
 
 
 class TestExitCodes:
@@ -121,6 +142,22 @@ class TestExitCodes:
             code = main([*argv, "--radial", "2", "--angular", "4", "--refine", "0"])
         assert code in (0, 1, 2, 3)
         assert code != 3 or out.getvalue() == ""
+
+    def test_refine_zero_is_inconclusive(self, capsys):
+        argv = ["check", "--f", "joukowski:0.4", "--criterion", "becker"]
+        code = main([*argv, "--refine", "0", "--radial", "2", "--angular", "3"])
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert code == 2
+        assert result["verdict"] == "inconclusive" and result["converged"] is False
+
+    def test_oracle_beyond_double_range_names_the_plan(self, capsys):
+        code = main(["oracle", "--rmax", "1.7e308", "--radial", "2", "--angular", "4"])
+        out = capsys.readouterr()
+        assert code == 3 and out.out == ""
+        assert out.err == (
+            "error: InvalidPlan: median image grid spacing inf at r_max = 1.7e+308 "
+            "puts the default collision_tolerance beyond double range\n"
+        )
 
     def test_chain_records_subordination_contour_hit(self):
         # a probe lands on the s-contour: recorded per pair, exit 1, not 3

@@ -6,13 +6,22 @@ from univalence.criteria import (
     _BLOCK,
     CRITERIA,
     CriterionParams,
+    Pieces,
     _assemble_lhs,
     corollary_lhs,
     evaluate_lhs,
     pieces,
     theorem1_lhs,
 )
-from univalence.errors import CriticalPoint, HVanishes, InvalidSpec, OutsideDomain
+from univalence.errors import (
+    CriticalPoint,
+    CriticalPointInRegion,
+    HVanishes,
+    InvalidSpec,
+    OutsideDomain,
+)
+from univalence.region import estimate_sup
+from univalence.sampling import SamplingPlan
 
 from conftest import exterior_points
 
@@ -191,6 +200,45 @@ class TestBlocks:
         ref = _assemble_lhs(criterion, pts, pc, p.alpha, p.squared_variant)
         assert np.isfinite(ref).all()
         assert evaluate_lhs(p, pts).tobytes() == ref.tobytes()
+
+
+class TestPiecesOnDemand:
+    # Pieces left None: those a criterion neither reads nor builds on the
+    # way to one it reads (f''/f' comes with S_f, f' with any f stack).
+    NEVER = {
+        "alpha_zero": {"g1", "pg", "sf", "sg"},
+        "epstein": {"h0", "h1"},
+        "becker": {"g1", "h0", "h1", "sf", "pg", "sg"},
+        "nehari": {"g1", "h0", "h1", "pg", "sg"},
+    }
+
+    @pytest.mark.parametrize("f", sorted(TestBlocks.F_CASES))
+    @pytest.mark.parametrize("criterion", CRITERIA)
+    def test_read_pieces_match_full_call(self, rng, criterion, f):
+        fn, g = TestBlocks.F_CASES[f], uv.moebius_of(uv.joukowski(0.2), 1.1, 0.3, 0, 1)
+        h = uv.inverse_square(0.2 + 0.1j)
+        pts = exterior_points(rng, 300)
+        full = pieces(fn, g, h, pts)
+        got = pieces(fn, g, h, pts, criterion)
+        for name in Pieces._fields:
+            value = getattr(got, name)
+            if name in self.NEVER.get(criterion, ()):
+                assert value is None, name
+            else:
+                assert value.tobytes() == getattr(full, name).tobytes(), name
+
+    @pytest.mark.parametrize("criterion", ["becker", "alpha_zero", "nehari"])
+    @pytest.mark.parametrize("moebius", [False, True])
+    def test_critical_point_of_f_is_diagnosed(self, criterion, moebius):
+        # joukowski(4) has f' = 0 at z = 2, a grid point of this plan
+        f = uv.joukowski(4.0)
+        if moebius:
+            f = uv.moebius_of(f, 2, 1j, 0, 1)
+        plan = SamplingPlan(r_min=2.0, r_max=4.0, radial_count=3, angular_count=8)
+        with pytest.raises(CriticalPointInRegion) as exc:
+            estimate_sup(params(f, criterion=criterion), plan)
+        assert str(exc.value) == "f' vanishes at (2+0j)"
+        assert exc.value.point == 2
 
 
 class TestAnalyticProperties:

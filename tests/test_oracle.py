@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import univalence as uv
 from univalence.errors import (
     EvaluationFailure,
+    InvalidPlan,
     InvalidSpec,
     OpenContour,
     PointTooCloseToContour,
@@ -158,6 +159,18 @@ class TestInjectivityScan:
         pts = uv.sample_exterior(collision_plan())
         with pytest.raises(InvalidSpec):
             collision_pairs(pts, uv.joukowski(1.2).values(pts), tol, floor)
+
+    def test_default_tolerances_beyond_double_range_name_the_plan(self):
+        # grid gaps of about 1.7e308 * sqrt(2) read inf
+        plan = uv.SamplingPlan(r_max=1.7e308, radial_count=2, angular_count=4)
+        with pytest.raises(InvalidPlan, match=r"^median image grid spacing inf at r_max = "
+                           r"1\.7e\+308 puts the default collision_tolerance beyond"):
+            injectivity_scan(uv.identity(), plan)
+        with pytest.raises(InvalidPlan, match=r"^median domain grid spacing inf at r_max = "
+                           r"1\.7e\+308 puts the default separation_floor beyond"):
+            injectivity_scan(uv.identity(), plan, collision_tolerance=1e-9)
+        # with both given, nothing is derived and the scan runs
+        assert injectivity_scan(uv.identity(), plan, 1e-9, 0.5).collisions == ()
 
     @pytest.mark.parametrize("pairwise", [False, True])
     def test_nonfinite_samples_raise(self, pairwise):

@@ -114,6 +114,15 @@ class TestEstimateSup:
             sups.append(running)
         assert all(b >= a for a, b in zip(sups, sups[1:]))
 
+    def test_no_refinement_is_not_convergence(self):
+        # with refine_depth 0 nothing shows that the sup has settled
+        plan = uv.SamplingPlan(radial_count=2, angular_count=3, refine_depth=0)
+        rep = estimate_sup(becker(0.4), plan)
+        assert rep.sup_estimate < 1.0 and not rep.refinement_converged
+        assert issue_verdict(rep).outcome == "inconclusive"
+        deeper = estimate_sup(becker(0.4), uv.SamplingPlan(radial_count=2, angular_count=3))
+        assert deeper.refinement_converged
+
     def test_sup_covers_tail_estimate(self):
         rep = estimate_sup(becker(0.3), uv.SamplingPlan())
         assert rep.sup_estimate >= rep.tail_estimate
