@@ -104,8 +104,14 @@ class MeromorphicFn:
     def jet(self, zeta: complex) -> ComplexJet:
         stack = self.derivs(np.array([zeta], dtype=np.complex128), order=3)[:, 0]
         if not np.all(np.isfinite(stack)):
-            if self.kind == "moebius":
-                raise PoleAtPoint(f"{self.describe()} has a pole at {zeta}")
+            # A pole needs some denominator c inner + d of the nesting to
+            # vanish at zeta; any other non-finite entry is an overflow.
+            fn = self
+            while fn.kind == "moebius":
+                _, _, c, d = fn.abcd
+                if c and c * complex(fn.inner.values([zeta])[0]) + d == 0:
+                    raise PoleAtPoint(f"{self.describe()} has a pole at {zeta}")
+                fn = fn.inner
             raise NonFiniteJet(f"{self.describe()} overflowed at {zeta}")
         return ComplexJet.from_stack(stack)
 

@@ -17,7 +17,7 @@ import json
 import re
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .catalog import (
     make_h_function,
@@ -38,9 +38,17 @@ REPORT_NOTE = (
 )
 
 
+# The SamplingPlan fields, which a config block nests under "plan".
+_PLAN_FIELDS = {field.name for field in fields(SamplingPlan)}
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run description; the config block of every report."""
+    """Fully resolved run description; the config block of every report.
+
+    Each field declares one run setting once: its default, the type that
+    flags and config blocks alike are checked against, and its config key.
+    """
 
     command: str
     f: str = "identity"
@@ -49,114 +57,93 @@ class RunConfig:
     alpha: complex = 0.5 + 0j
     criterion: str = "theorem1"
     squared_variant: bool = True
-    r_min: float = 1.0 + 1e-3
-    r_max: float = 50.0
-    radial_count: int = 64
-    angular_count: int = 128
-    refine_depth: int = 2
-    refine_factor: int = 4
+    r_min: float = SamplingPlan.r_min
+    r_max: float = SamplingPlan.r_max
+    radial_count: int = SamplingPlan.radial_count
+    angular_count: int = SamplingPlan.angular_count
+    refine_depth: int = SamplingPlan.refine_depth
+    refine_factor: int = SamplingPlan.refine_factor
     tol: float = 1e-9
-    t_samples: tuple = DEFAULT_T_SAMPLES
-    alphas: tuple = ()
+    t_samples: tuple[float, ...] = DEFAULT_T_SAMPLES
+    alphas: tuple[complex, ...] = ()
     both_variants: bool = False
-    collision_tolerance: "float | None" = None
-    separation_floor: "float | None" = None
+    collision_tolerance: float | None = None
+    separation_floor: float | None = None
 
     def __post_init__(self):
-        # Non-finite numbers would turn every comparison false (a NaN tol
-        # passes any sup) and could not be written as strict JSON.
-        numbers = [("tol", self.tol), ("alpha", self.alpha)]
-        numbers += [("alphas", a) for a in self.alphas]
-        numbers += [("t_samples", t) for t in self.t_samples]
-        for name in ("collision_tolerance", "separation_floor"):
-            if getattr(self, name) is not None:
-                numbers.append((name, getattr(self, name)))
-        for name, value in numbers:
-            try:
-                finite = cmath.isfinite(value)
-            except TypeError:
-                finite = False
-            if not finite:
-                raise UsageError(f"{name} must be finite, got {value!r}")
-        # A negative tolerance or floor admits no pair and would pass vacuously.
-        for name in ("collision_tolerance", "separation_floor"):
+        for name, kind in _FIELDS:
             value = getattr(self, name)
-            if value is not None and value < 0:
-                raise UsageError(f"{name} must be nonnegative, got {value!r}")
-        if not self.t_samples or any(t < 0 for t in self.t_samples):
-            raise UsageError(
-                f"t_samples must be nonnegative times, at least one, got "
-                f"{list(self.t_samples)}"
-            )
+            if not _is(kind, value):
+                raise UsageError(f"{name} must be {kind}, got {value!r}")
+            for item in value if isinstance(value, tuple) else (value,):
+                # Non-finite numbers would turn every comparison false (a NaN
+                # tol passes any sup) and could not be written as strict JSON.
+                if isinstance(item, (float, complex)) and not cmath.isfinite(item):
+                    raise UsageError(f"{name} must be finite, got {item!r}")
+                if name in _NONNEGATIVE and item is not None and item < 0:
+                    raise UsageError(f"{name} must be nonnegative, got {item!r}")
+        if not self.t_samples:
+            raise UsageError("t_samples must hold at least one time")
 
     def plan(self) -> SamplingPlan:
-        return SamplingPlan(
-            r_min=self.r_min,
-            r_max=self.r_max,
-            radial_count=self.radial_count,
-            angular_count=self.angular_count,
-            refine_depth=self.refine_depth,
-            refine_factor=self.refine_factor,
-        )
+        return SamplingPlan(**{name: getattr(self, name) for name in _PLAN_FIELDS})
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "f": self.f,
-            "g": self.g,
-            "h": self.h,
-            "alpha": _c2d(self.alpha),
-            "criterion": self.criterion,
-            "squared_variant": self.squared_variant,
-            "plan": {
-                "r_min": self.r_min,
-                "r_max": self.r_max,
-                "radial_count": self.radial_count,
-                "angular_count": self.angular_count,
-                "refine_depth": self.refine_depth,
-                "refine_factor": self.refine_factor,
-            },
-            "tol": self.tol,
-            "t_samples": list(self.t_samples),
-            "alphas": [_c2d(a) for a in self.alphas],
-            "both_variants": self.both_variants,
-            "collision_tolerance": self.collision_tolerance,
-            "separation_floor": self.separation_floor,
-        }
+        out = {}
+        for name, kind in _FIELDS:
+            block = out.setdefault("plan", {}) if name in _PLAN_FIELDS else out
+            block[name] = _to_json(kind, getattr(self, name))
+        return out
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        plan = d.get("plan", {})
-        return cls(
-            command=d["command"],
-            f=d.get("f", "identity"),
-            g=d.get("g", "identity"),
-            h=d.get("h", "hconst"),
-            alpha=_d2c(d.get("alpha", {"re": 0.5, "im": 0.0})),
-            criterion=d.get("criterion", "theorem1"),
-            squared_variant=d.get("squared_variant", True),
-            r_min=plan.get("r_min", 1.0 + 1e-3),
-            r_max=plan.get("r_max", 50.0),
-            radial_count=plan.get("radial_count", 64),
-            angular_count=plan.get("angular_count", 128),
-            refine_depth=plan.get("refine_depth", 2),
-            refine_factor=plan.get("refine_factor", 4),
-            tol=d.get("tol", 1e-9),
-            t_samples=tuple(d.get("t_samples", DEFAULT_T_SAMPLES)),
-            alphas=tuple(_d2c(a) for a in d.get("alphas", [])),
-            both_variants=d.get("both_variants", False),
-            collision_tolerance=d.get("collision_tolerance"),
-            separation_floor=d.get("separation_floor"),
-        )
+        given = {}
+        for name, kind in _FIELDS:
+            block = d.get("plan", {}) if name in _PLAN_FIELDS else d
+            if name in block:
+                given[name] = _from_json(kind, block[name])
+        return cls(**given)
+
+
+# (name, annotation) of each run setting.
+_FIELDS = tuple((field.name, field.type) for field in fields(RunConfig))
+
+
+# The types RunConfig annotations name; a bool counts as no number.
+_TYPES = dict(
+    str=str, bool=bool, int=int, float=(int, float), complex=(int, float, complex)
+)
+# A negative tolerance or floor admits no pair and would pass vacuously; a
+# chain starts at t = 0.
+_NONNEGATIVE = {"t_samples", "collision_tolerance", "separation_floor"}
+
+
+def _is(kind: str, value) -> bool:
+    """Whether ``value`` is of the annotated ``kind``: a name in _TYPES,
+    ``tuple[T, ...]`` or ``T | None``."""
+    if kind.endswith(" | None"):
+        return value is None or _is(kind[: -len(" | None")], value)
+    if kind.startswith("tuple["):
+        return isinstance(value, tuple) and all(_is(kind[6:-6], v) for v in value)
+    types = _TYPES[kind]
+    return isinstance(value, types) and isinstance(value, bool) == (types is bool)
+
+
+def _to_json(kind: str, value):
+    if kind.startswith("tuple["):
+        return [_to_json(kind[6:-6], v) for v in value]
+    return _c2d(value) if kind == "complex" else value
+
+
+def _from_json(kind: str, value):
+    if kind.startswith("tuple["):
+        return tuple(_from_json(kind[6:-6], v) for v in value)
+    return complex(value["re"], value["im"]) if kind == "complex" else value
 
 
 def _c2d(value: complex) -> dict:
     value = complex(value)
     return {"re": value.real, "im": value.imag}
-
-
-def _d2c(d: dict) -> complex:
-    return complex(d["re"], d["im"])
 
 
 def _params(config: RunConfig, alpha=None, squared=None) -> CriterionParams:
@@ -324,49 +311,44 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="univalence", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--f", default="identity", help="function spec for f")
-        p.add_argument("--g", default="identity", help="function spec for g")
-        p.add_argument("--h", default="hconst", help="h-function spec")
-        p.add_argument("--alpha", default="0.5", help="complex parameter: re[,im]")
-        p.add_argument("--criterion", default="theorem1", choices=CRITERIA)
+    for name in ("check", "sweep", "chain", "oracle", "catalog"):
+        # A run-setting flag stores into the RunConfig field named by its
+        # dest; an absent flag sets nothing, so the field default applies.
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        p.add_argument("--f", help="function spec for f")
+        p.add_argument("--g", help="function spec for g")
+        p.add_argument("--h", help="h-function spec")
+        p.add_argument("--alpha", type=parse_complex, help="complex parameter: re[,im]")
+        p.add_argument("--criterion", choices=CRITERIA)
         p.add_argument(
             "--unsquared",
-            action="store_true",
+            dest="squared_variant",
+            action="store_false",
             help="use the unsquared variant of the (f''/f' - g''/g') factor",
         )
-        p.add_argument("--rmin", type=float, default=1.0 + 1e-3)
-        p.add_argument("--rmax", type=float, default=50.0)
-        p.add_argument("--radial", type=int, default=64)
-        p.add_argument("--angular", type=int, default=128)
-        p.add_argument("--refine", type=int, default=2, help="refinement depth")
-        p.add_argument("--refine-factor", type=int, default=4)
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--json", metavar="PATH", help="also write the report here")
-        p.add_argument("--grid-csv", metavar="PATH", help="dump evaluated grid")
+        p.add_argument("--rmin", dest="r_min", type=float)
+        p.add_argument("--rmax", dest="r_max", type=float)
+        p.add_argument("--radial", dest="radial_count", type=int)
+        p.add_argument("--angular", dest="angular_count", type=int)
+        p.add_argument("--refine", dest="refine_depth", type=int, help="refinement depth")
+        p.add_argument("--refine-factor", type=int)
+        p.add_argument("--tol", type=float)
+        p.add_argument("--t-samples", nargs="+", type=float, help="chain times for audits")
         p.add_argument(
-            "--t-samples",
-            nargs="+",
-            type=float,
-            default=DEFAULT_T_SAMPLES,
-            help="chain times for audits",
+            "--json", dest="json_path", metavar="PATH", help="also write the report here"
         )
-        p.add_argument("--workers", type=int, default=1)
         p.add_argument(
-            "--config",
-            metavar="PATH",
-            help="load a resolved config block (flags still override)",
+            "--config", metavar="PATH", help="a config block in place of run-setting flags"
         )
-
-    for name in ("check", "sweep", "chain", "oracle", "catalog"):
-        p = sub.add_parser(name)
-        add_common(p)
+        if name == "check":
+            p.add_argument("--grid-csv", metavar="PATH", help="dump evaluated grid")
+        if name in ("check", "sweep"):
+            p.add_argument("--workers", type=int, help="threads of the criterion scan")
         if name == "sweep":
             p.add_argument(
                 "--alphas",
                 nargs="+",
-                default=None,
+                type=parse_complex,
                 help="alpha values (re[,im] each), one report row per value",
             )
             p.add_argument(
@@ -375,60 +357,47 @@ def _build_parser() -> _Parser:
                 help="scan squared and unsquared variants",
             )
         if name == "oracle":
-            p.add_argument("--collision-tol", type=float, default=None)
-            p.add_argument("--separation-floor", type=float, default=None)
+            p.add_argument("--collision-tol", dest="collision_tolerance", type=float)
+            p.add_argument("--separation-floor", type=float)
+    # The flag of each dest, to name it in messages.
+    actions = [a for p in sub.choices.values() for a in p._actions]
+    parser.flags = {a.dest: a.option_strings[0] for a in actions}
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    if args.config:
-        # A saved config block fully defines the run; other scientific flags
-        # are ignored so a report's config reproduces the report verbatim.
-        try:
-            with open(args.config) as fh:
-                loaded = json.load(fh)
-            cfg = RunConfig.from_dict(loaded.get("config", loaded))
-        except (OSError, ValueError, AttributeError, KeyError, TypeError) as exc:
-            raise UsageError(f"no config block in {args.config}: {exc!r}") from exc
-        if cfg.command != args.command:
-            raise UsageError(
-                f"--config holds command {cfg.command!r}, invoked as {args.command!r}"
-            )
-        return cfg
-    return RunConfig(
-        command=args.command,
-        f=args.f,
-        g=args.g,
-        h=args.h,
-        alpha=parse_complex(args.alpha),
-        criterion=args.criterion,
-        squared_variant=not args.unsquared,
-        r_min=args.rmin,
-        r_max=args.rmax,
-        radial_count=args.radial,
-        angular_count=args.angular,
-        refine_depth=args.refine,
-        refine_factor=args.refine_factor,
-        tol=args.tol,
-        t_samples=tuple(args.t_samples),
-        alphas=tuple(parse_complex(a) for a in (getattr(args, "alphas", None) or ())),
-        both_variants=getattr(args, "both_variants", False),
-        collision_tolerance=getattr(args, "collision_tol", None),
-        separation_floor=getattr(args, "separation_floor", None),
-    )
+def _config_from_args(given: dict) -> RunConfig:
+    """The run settings of the parsed flags ``given`` (only the flags actually
+    given are in it) over the field defaults, or else a --config block."""
+    command = given.pop("command")
+    path = given.pop("config", None)
+    if path is None:
+        # nargs="+" flags parse into lists; the fields hold tuples.
+        given = {k: tuple(v) if isinstance(v, list) else v for k, v in given.items()}
+        return RunConfig(command=command, **given)
+    if given:
+        # A saved config block fully defines the run, so that a report's
+        # config reproduces the report verbatim.
+        flags = ", ".join(_build_parser().flags[dest] for dest in given)
+        raise UsageError(f"--config fixes every run setting; drop {flags}")
+    try:
+        with open(path) as fh:
+            loaded = json.load(fh)
+        cfg = RunConfig.from_dict(loaded.get("config", loaded))
+    except (OSError, ValueError, AttributeError, KeyError, TypeError) as exc:
+        raise UsageError(f"no config block in {path}: {exc!r}") from exc
+    if cfg.command != command:
+        raise UsageError(f"--config holds command {cfg.command!r}, invoked as {command!r}")
+    return cfg
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        config = _config_from_args(args)
-        code, _ = run(
-            config,
-            workers=max(1, args.workers),
-            json_path=args.json,
-            grid_csv=args.grid_csv,
-        )
+        given = vars(_build_parser().parse_args(argv))
+        # Outputs and threads never change a report's bytes: every flag but
+        # --json, --grid-csv and --workers is a run setting.
+        dests = given.keys() & {"json_path", "grid_csv", "workers"}
+        runtime = {dest: given.pop(dest) for dest in dests}
+        code, _ = run(_config_from_args(given), **runtime)
         return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -52,17 +52,6 @@ class Verdict:
     tol: float
 
 
-def _evaluate(params, points, workers, grid_sink):
-    if workers <= 1:
-        values = evaluate_lhs(params, points)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = _lhs(params, points, params.criterion, pool.map)
-    if grid_sink is not None:
-        grid_sink.append((points, values))
-    return values
-
-
 def estimate_sup(
     params: CriterionParams,
     plan: SamplingPlan,
@@ -74,16 +63,26 @@ def estimate_sup(
     ``grid_sink``, when given, receives (points, values) arrays in evaluation
     order (base grid, refinement rounds, then the two tail circles).
     """
-    try:
-        base_points = sample_exterior(plan)
-        values = _evaluate(params, base_points, workers, grid_sink)
-    except CriticalPoint as exc:
-        raise CriticalPointInRegion(str(exc), getattr(exc, "point", None)) from exc
+    evaluated = 0
 
-    idx = int(np.argmax(values))
-    sup = float(values[idx])
-    argmax = complex(base_points[idx])
-    evaluated = base_points.shape[0]
+    def scan(points):
+        """Evaluate, sink and count ``points``; return their max and argmax."""
+        nonlocal evaluated
+        try:
+            if workers <= 1:
+                values = evaluate_lhs(params, points)
+            else:
+                with ThreadPoolExecutor(max_workers=workers) as pool:
+                    values = _lhs(params, points, params.criterion, pool.map)
+        except CriticalPoint as exc:
+            raise CriticalPointInRegion(str(exc), getattr(exc, "point", None)) from exc
+        if grid_sink is not None:
+            grid_sink.append((points, values))
+        evaluated += points.shape[0]
+        i = int(np.argmax(values))
+        return float(values[i]), complex(points[i])
+
+    sup, argmax = scan(sample_exterior(plan))
 
     if plan.radial_count > 1:
         dlog = np.log(plan.r_max / plan.r_min) / (plan.radial_count - 1)
@@ -101,15 +100,9 @@ def estimate_sup(
         logs = np.clip(np.linspace(c_log - dlog, c_log + dlog, side), log_lo, log_hi)
         angs = np.linspace(c_ang - dang, c_ang + dang, side)
         local = (np.exp(logs)[:, None] * np.exp(1j * angs)[None, :]).ravel()
-        try:
-            local_vals = _evaluate(params, local, workers, grid_sink)
-        except CriticalPoint as exc:
-            raise CriticalPointInRegion(str(exc), getattr(exc, "point", None)) from exc
-        evaluated += local.shape[0]
-        j = int(np.argmax(local_vals))
-        if float(local_vals[j]) > sup:
-            sup = float(local_vals[j])
-            argmax = complex(local[j])
+        local_sup, local_argmax = scan(local)
+        if local_sup > sup:
+            sup, argmax = local_sup, local_argmax
         improvement = sup - prev
         dlog /= plan.refine_factor
         dang /= plan.refine_factor
@@ -121,20 +114,11 @@ def estimate_sup(
 
     # Tail guard: the sup may be approached only at infinity. Richardson
     # extrapolation in 1/r^2 from the outermost circle and its double.
-    tails = []
-    tail_argmax = argmax
-    for k, radius in enumerate((plan.r_max, 2.0 * plan.r_max)):
-        circ = circle_points(radius, plan.angular_count)
-        try:
-            circ_vals = _evaluate(params, circ, workers, grid_sink)
-        except CriticalPoint as exc:
-            raise CriticalPointInRegion(str(exc), getattr(exc, "point", None)) from exc
-        evaluated += circ.shape[0]
-        m = int(np.argmax(circ_vals))
-        tails.append(float(circ_vals[m]))
-        if k == 1:
-            tail_argmax = complex(circ[m])
-    tail = max(0.0, (4.0 * tails[1] - tails[0]) / 3.0)
+    (near, _), (far, tail_argmax) = [
+        scan(circle_points(radius, plan.angular_count))
+        for radius in (plan.r_max, 2.0 * plan.r_max)
+    ]
+    tail = max(0.0, (4.0 * far - near) / 3.0)
 
     if tail > sup:
         sup = tail

@@ -5,7 +5,13 @@ import univalence as uv
 from univalence import _kernels
 from univalence.catalog import _derivative_roots, parse_complex, power_branch_stack
 from univalence.criteria import CriterionParams, evaluate_lhs
-from univalence.errors import CriticalPoint, InvalidSpec, OutsideDomain
+from univalence.errors import (
+    CriticalPoint,
+    InvalidSpec,
+    NonFiniteJet,
+    OutsideDomain,
+    PoleAtPoint,
+)
 from univalence.jet import stack_div
 
 from conftest import exterior_points
@@ -337,3 +343,17 @@ class TestConstantDenominatorMoebius:
         assert evaluate_lhs(p, pts).tobytes() == evaluate_lhs(
             CriterionParams(f=inner, criterion="becker"), pts
         ).tobytes()
+
+    def test_jet_overflow_is_no_pole(self):
+        # c = 0: the denominator is the constant d, so a non-finite jet is
+        # the inner map's overflow, not a pole
+        fn = uv.moebius_of(uv.laurent(1e300, 0, [1]), 1, 0, 0, 1)
+        with pytest.raises(NonFiniteJet, match="overflowed at 10000000000.0"):
+            fn.jet(1e10)
+
+    @pytest.mark.parametrize(
+        "spec", ["moebius:1,0,1,-2:identity", "moebius:0,1,1,1:moebius:1,0,1,-2:identity"]
+    )
+    def test_jet_at_vanishing_denominator_is_pole(self, spec):
+        with pytest.raises(PoleAtPoint, match="has a pole at 2.0"):
+            uv.make_sigma_function(spec).jet(2.0)

@@ -265,6 +265,19 @@ class TestExitCodes:
         assert main(["chain", "--config", str(path)]) == 3
         path.write_text('{"command": "chain", "t_samples": []}')
         assert main(["chain", "--config", str(path)]) == 3
+        # mistyped values name their field instead of ending in a traceback
+        # (exit 1, read as a fail) or running as if well typed
+        for block, field in [
+            ('"plan": {"r_min": "a"}', "r_min"),
+            ('"plan": {"radial_count": 2.5}', "radial_count"),
+            ('"f": 5', "f"),
+            ('"squared_variant": "no"', "squared_variant"),
+        ]:
+            path.write_text('{"command": "check", %s}' % block)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                assert main(["check", "--config", str(path)]) == 3
+            assert err.getvalue().startswith(f"usage error: {field} must be ")
         for text in ("not json", "[]", '{"f": "identity"}'):
             path.write_text(text)
             assert main(["chain", "--config", str(path)]) == 3
@@ -339,6 +352,30 @@ class TestDeterminism:
         a = json.loads(out1.stdout)
         b = json.loads(out2.stdout)
         assert strip_timing(a) == strip_timing(b)
+
+    def test_config_with_run_setting_flag_is_usage_error(self, tmp_path, capsys):
+        # the block fixes the run: a flag beside it would be silently ignored
+        path = tmp_path / "config.json"
+        path.write_text('{"command": "check", "criterion": "becker", "plan": '
+                        '{"radial_count": 4, "angular_count": 8}}')
+        argv = ["check", "--config", str(path)]
+        assert main([*argv, "--criterion", "nehari", "--radial", "16"]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (
+            "usage error: --config fixes every run setting; drop --criterion, --radial\n"
+        )
+        assert main([*argv, "--unsquared"]) == 3
+        assert "drop --unsquared" in capsys.readouterr().err
+        # outputs and threads do not change the report, so they may join it
+        csv = tmp_path / "grid.csv"
+        code = main([*argv, "--json", str(tmp_path / "r.json"), "--grid-csv", str(csv),
+                     "--workers", "2"])
+        assert code in (0, 1, 2)
+        report = json.loads(capsys.readouterr().out)
+        assert report["config"]["criterion"] == "becker"
+        assert report["config"]["plan"]["radial_count"] == 4
+        assert csv.exists()
 
     def test_config_command_mismatch_is_usage_error(self, tmp_path):
         report_path = tmp_path / "report.json"
@@ -429,6 +466,26 @@ class TestOutputs:
         assert out.stderr == f"usage error: cannot write {flag} {path}: " + (
             "No such file or directory\n" if target != "." else "Is a directory\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("oracle", "--grid-csv", "g.csv"),
+            ("sweep", "--grid-csv", "g.csv"),
+            ("chain", "--grid-csv", "g.csv"),
+            ("chain", "--workers", "2"),
+            ("oracle", "--workers", "2"),
+            ("catalog", "--workers", "2"),
+        ],
+    )
+    def test_runtime_flags_only_where_read(self, tmp_path, monkeypatch, capsys, argv):
+        # --grid-csv is written by check alone and --workers read by check and
+        # sweep alone; elsewhere they would be silent no-ops
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--radial", "2", "--angular", "4"]) == 3
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("usage error: unrecognized arguments")
+        assert not (tmp_path / "g.csv").exists()
 
     def test_chain_report_is_strict_json(self):
         # h = 1 - 1/z^2 vanishes at w = 1, so the t = 0 w grid yields no value
