@@ -1,8 +1,12 @@
 """Hot numeric kernels, vectorized with numpy.
 
-``laurent_derivs`` evaluates the derivative stack of a Laurent-family function
-and ``winding_sum`` accumulates the phase of a closed polyline around each of
-a vector of points. Both are pure functions of their arguments.
+``laurent_derivs`` evaluates the rows a caller asks for of the derivative
+stack of a Laurent-family function: from the value or from the first
+derivative up to a given order. It skips terms whose coefficient is zero and
+lets each row's first term write the row, so no pass adds zeros; the rows are
+bitwise those of the full stack. ``winding_sum`` accumulates the phase of a
+closed polyline around each of a vector of points. Both are pure functions
+of their arguments.
 """
 
 from __future__ import annotations
@@ -12,40 +16,65 @@ import numpy as np
 
 # ---------------------------------------------------------------------------
 # Laurent-family derivative evaluation: f(z) = b z + b0 + sum tail[k] z^-(k+1)
-# Returns the stack (f, f', ..., f^(order)) evaluated at each point.
+# Returns the rows first..order of the stack (f, f', ..., f^(order)) at each
+# point.
 # ---------------------------------------------------------------------------
 
 
-def laurent_derivs(points, b, b0, tail, order=4, inv=None):
+def laurent_derivs(points, b, b0, tail, order=4, inv=None, first=0):
     # Row r of term k is (-1)^r kk (kk+1) ... (kk+r-1) tail[k] z^-(k+1+r); each
-    # row sees the same operation sequence at every order, so a lower-order
-    # stack is bitwise the leading rows of a higher-order one. Entries past
-    # double range come out non-finite, for the caller to diagnose. ``inv``,
-    # when given, is 1.0 / points from a caller that evaluates several
-    # functions at the same points.
+    # row sees the same operation sequence at every order and every ``first``
+    # (0 or 1), so a stack is bitwise the matching rows of any larger one.
+    # Entries past double range come out non-finite, for the caller to
+    # diagnose. ``inv``, when given, is 1.0 / points from a caller that
+    # evaluates several functions at the same points.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        out = np.empty((order + 1,) + points.shape, dtype=np.complex128)
-        np.multiply(b, points, out=out[0])
-        out[0] += b0
-        if order >= 1:
-            out[1] = b
-            out[2:] = 0.0
+        out = np.empty((order + 1 - first,) + points.shape, dtype=np.complex128)
+        if first == 0:
+            np.multiply(b, points, out=out[0])
+            out[0] += b0
         x = p = (1.0 / points if inv is None else inv) if tail.shape[0] else None
-        for k in range(tail.shape[0]):
+        terms = [k for k in range(tail.shape[0]) if tail[k] != 0]
+        if len(terms) < tail.shape[0] and not _zero_terms_vanish(b, b0, x):
+            terms = range(tail.shape[0])
+        for k in range(terms[-1] + 1 if terms else 0):
             if k:
                 p = p * x
+            if k not in terms:
+                continue
             kk = k + 1.0
             t = tail[k] * p
-            out[0] += t
+            if first == 0:
+                out[0] += t
             coeff = 1.0
             for r in range(1, order + 1):
                 t = t * x
                 coeff = coeff * (kk + (r - 1.0))
-                if r % 2:
-                    out[r] -= coeff * t
+                row = out[r - first]
+                if k != terms[0]:
+                    if r % 2:
+                        row -= coeff * t
+                    else:
+                        row += coeff * t
+                elif r % 2:
+                    # The first term writes the row: b - term and 0.0 -/+ term
+                    # are what -=/+= onto b and onto a zero fill compute, while
+                    # a negation would give -0 where 0.0 - term gives +0.
+                    np.subtract(b if r == 1 else 0.0, coeff * t, out=row)
                 else:
-                    out[r] += coeff * t
+                    np.add(0.0, coeff * t, out=row)
+        if not terms and order >= 1:
+            out[1 - first] = b
+            out[2 - first :] = 0.0
         return out
+
+
+def _zero_terms_vanish(b, b0, x):
+    """Whether skipping the terms with a zero coefficient leaves every row's
+    bits: such a term adds +-0 to each row where 1/z is finite, which changes
+    only a row holding -0, and only a -0 part of b or b0 puts one there."""
+    parts = (b.real, b.imag, b0.real, b0.imag)
+    return not any(v == 0 and np.signbit(v) for v in parts) and np.isfinite(x).all()
 
 
 # ---------------------------------------------------------------------------

@@ -74,29 +74,35 @@ class MeromorphicFn:
             np.asarray(self.tail, dtype=np.complex128),
         )
 
-    def derivs(self, points: np.ndarray, order: int = 4, inv=None) -> np.ndarray:
-        """Stack of value and derivatives through ``order`` at each point
-        (``inv``, if given, is 1.0 / points, shared with other functions).
+    def derivs(
+        self, points: np.ndarray, order: int = 4, inv=None, first: int = 0
+    ) -> np.ndarray:
+        """Rows ``first`` (0, or 1 to leave out the value) through ``order``
+        of the stack of value and derivatives at each point (``inv``, if
+        given, is 1.0 / points, shared with other functions).
 
         Pole hits surface as non-finite entries; scalar wrappers raise."""
         points = np.asarray(points, dtype=np.complex128)
         low = self.lower_coeffs()
         if low is not None:
             b, b0, tail = low
-            return _kernels.laurent_derivs(points, b, b0, tail, order, inv)
-        inner_stack = self.inner.derivs(points, order, inv)
+            return _kernels.laurent_derivs(points, b, b0, tail, order, inv, first)
         a, bb, c, d = self.abcd
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            num = a * inner_stack
-            num[0] = num[0] + bb
             if not c:
                 # The constant denominator d: the quotient recurrence of
                 # stack_div reduces to this division (up to the sign of a
                 # zero), and an overflowing value row stays in its row.
+                num = a * self.inner.derivs(points, order, inv, first)
+                if first == 0:
+                    num[0] = num[0] + bb
                 return num / d
+            inner_stack = self.inner.derivs(points, order, inv)
+            num = a * inner_stack
+            num[0] = num[0] + bb
             den = c * inner_stack
             den[0] = den[0] + d
-            return stack_div(num, den)
+            return stack_div(num, den)[first:]
 
     def values(self, points: np.ndarray) -> np.ndarray:
         return self.derivs(points, order=0)[0]
@@ -427,7 +433,7 @@ def _sheet_index(f, g, points, ratio):
         q = 1.0 - r / points
         on_ray[i] = (q.real <= 0) & (np.abs(q.imag) < CUT_DISTANCE)
         turn += sign[i] * (np.angle(q) - np.angle(1.0 - r / anchor))
-    anchor_ratio = g.derivs(anchor, order=1)[1] / f.derivs(anchor, order=1)[1]
+    anchor_ratio = g.derivs(anchor, 1, first=1)[0] / f.derivs(anchor, 1, first=1)[0]
     turn += np.angle(anchor_ratio) - np.angle(ratio)
     return np.rint(turn / (2.0 * np.pi)), at, on_ray
 
@@ -465,8 +471,8 @@ def power_branch_slices(f, g, alpha: complex, points: np.ndarray, ends, order: i
         out[0] = 1.0
         return out, f.derivs(points, order=1), errors
     fd = f.derivs(points, order=order + 1)
-    gd = g.derivs(points, order=order + 1)
-    bad = (fd[1] == 0) | (gd[1] == 0) | ~(np.isfinite(fd[1]) & np.isfinite(gd[1]))
+    gd = g.derivs(points, order=order + 1, first=1)  # g' through g^(order+1)
+    bad = (fd[1] == 0) | (gd[0] == 0) | ~(np.isfinite(fd[1]) & np.isfinite(gd[0]))
     for k, (a, b) in enumerate(bounds):
         if bad[a:b].any():
             errors[k] = CriticalPoint(f"g'/f' zero or pole at {points[a:b][bad[a:b]][0]}")
@@ -476,7 +482,7 @@ def power_branch_slices(f, g, alpha: complex, points: np.ndarray, ends, order: i
         sheet = 0.0
         if None in errors:
             try:
-                sheet, at, on_ray = _sheet_index(f, g, points, gd[1] / fd[1])
+                sheet, at, on_ray = _sheet_index(f, g, points, gd[0] / fd[1])
             except EvaluationFailure as exc:
                 errors = [error or exc for error in errors]
             else:
@@ -487,7 +493,7 @@ def power_branch_slices(f, g, alpha: complex, points: np.ndarray, ends, order: i
                         errors[k] = CriticalPoint(
                             f"g'/f' zero or pole at {at[i]} on the ray to {points[a + j]}"
                         )
-        log_stack = stack_log(stack_div(gd[1:], fd[1:]))
+        log_stack = stack_log(stack_div(gd, fd[1:]))
         log_stack[0] += 2j * np.pi * sheet
         return stack_exp(alpha * log_stack), fd, errors
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import functools
 import json
 import re
@@ -101,7 +102,7 @@ class RunConfig:
         for name, kind in _FIELDS:
             block = d.get("plan", {}) if name in _PLAN_FIELDS else d
             if name in block:
-                given[name] = _from_json(kind, block[name])
+                given[name] = _from_json(name, kind, block[name])
         return cls(**given)
 
 
@@ -135,10 +136,19 @@ def _to_json(kind: str, value):
     return _c2d(value) if kind == "complex" else value
 
 
-def _from_json(kind: str, value):
+def _from_json(name: str, kind: str, value):
     if kind.startswith("tuple["):
-        return tuple(_from_json(kind[6:-6], v) for v in value)
-    return complex(value["re"], value["im"]) if kind == "complex" else value
+        return tuple(_from_json(name, kind[6:-6], v) for v in value)
+    if kind != "complex":
+        return value
+    # A complex is {"re": x, "im": y}; a bool is no number, and an int past
+    # double range no finite one.
+    if isinstance(value, dict) and all(_is("float", value.get(k)) for k in ("re", "im")):
+        with contextlib.suppress(OverflowError):
+            z = complex(value["re"], value["im"])
+            if cmath.isfinite(z):
+                return z
+    raise UsageError(f"{name} must be {{re, im}} of finite real numbers, got {value!r}")
 
 
 def _c2d(value: complex) -> dict:
@@ -315,6 +325,11 @@ def _build_parser() -> _Parser:
         # A run-setting flag stores into the RunConfig field named by its
         # dest; an absent flag sets nothing, so the field default applies.
         p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        p.add_argument(
+            "--json", dest="json_path", metavar="PATH", help="also write the report here"
+        )
+        if name == "catalog":
+            continue  # the listing reads no run setting
         p.add_argument("--f", help="function spec for f")
         p.add_argument("--g", help="function spec for g")
         p.add_argument("--h", help="h-function spec")
@@ -334,9 +349,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--refine-factor", type=int)
         p.add_argument("--tol", type=float)
         p.add_argument("--t-samples", nargs="+", type=float, help="chain times for audits")
-        p.add_argument(
-            "--json", dest="json_path", metavar="PATH", help="also write the report here"
-        )
         p.add_argument(
             "--config", metavar="PATH", help="a config block in place of run-setting flags"
         )

@@ -93,49 +93,49 @@ def pieces(f, g, h, points: np.ndarray, criterion: str = "theorem1") -> Pieces:
     f_order, g_order, h_order = _ORDERS[criterion]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         inv = 1.0 / points
-        f1, pf, sf = _stack_pieces(f.derivs(points, f_order, inv))
+        # No formula reads f or g itself: their stacks start at the derivative.
+        f1, pf, sf = _stack_pieces(f.derivs(points, f_order, inv, first=1))
         g1 = pg = sg = h0 = h1 = None
         if g_order:
-            g1, pg, sg = _stack_pieces(g.derivs(points, g_order, inv))
+            g1, pg, sg = _stack_pieces(g.derivs(points, g_order, inv, first=1))
         if h_order:
             h0, h1 = h.derivs(points, h_order, inv)
     return Pieces(f1, g1, h0, h1, pf, sf, pg, sg)
 
 
 def _stack_pieces(d):
-    """(fn', fn''/fn', Schwarzian or None) from a stack of order 2 or 3."""
-    p = d[2] / d[1]
-    return d[1], p, (d[3] / d[1] - 1.5 * p * p if d.shape[0] > 3 else None)
+    """(fn', fn''/fn', Schwarzian or None) from the derivative rows of a
+    stack of order 2 or 3."""
+    p = d[1] / d[0]
+    return d[0], p, (d[2] / d[0] - 1.5 * p * p if d.shape[0] > 2 else None)
 
 
 def _assemble_lhs(
-    criterion: str, points: np.ndarray, pc: Pieces, alpha: complex, squared: bool
+    criterion: str, points: np.ndarray, pc: Pieces, alpha: complex, squared: bool, aa
 ) -> np.ndarray:
-    """Criterion LHS modulus at each point from its pieces. Singular pieces
-    yield non-finite entries for the caller to diagnose."""
+    """Criterion LHS modulus at each point from its pieces and ``aa =
+    _abs2(points)``. Singular pieces yield non-finite entries for the caller
+    to diagnose."""
     z = points
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        aa = z.real * z.real + z.imag * z.imag
+        am1 = aa - 1.0
         if criterion == "becker":
-            return (aa - 1.0) * np.abs(z * pc.pf)
+            return am1 * np.abs(z * pc.pf)
         if criterion == "nehari":
-            return 0.5 * (aa - 1.0) ** 2 * np.abs(pc.sf)
+            return 0.5 * am1**2 * np.abs(pc.sf)
         if criterion == "epstein":
             phase = z / np.conj(z)
-            return np.abs(
-                0.5 * (aa - 1.0) ** 2 * phase * (pc.sf - pc.sg)
-                - (aa - 1.0) * (z * pc.pg)
-            )
+            return np.abs(0.5 * am1**2 * phase * (pc.sf - pc.sg) - am1 * (z * pc.pg))
         ratio = (1.0 - pc.h0) / pc.h0
         hh = z * pc.h1 / pc.h0
         if criterion == "alpha_zero":
-            return np.abs(ratio * aa - (aa - 1.0) * (hh + z * pc.pf))
+            return np.abs(ratio * aa - am1 * (hh + z * pc.pf))
         phase = z / np.conj(z)
         if criterion == "miazga_wesolowski":
             t = (
                 ratio * aa
-                - (aa - 1.0) * (hh + z * pc.pg)
-                + 0.5 * (aa - 1.0) ** 2 * phase * pc.h0 * (pc.sf - pc.sg)
+                - am1 * (hh + z * pc.pg)
+                + 0.5 * am1**2 * phase * pc.h0 * (pc.sf - pc.sg)
             )
         else:
             diff = pc.pf - pc.pg
@@ -143,15 +143,19 @@ def _assemble_lhs(
                 diff = diff * diff
             t = (
                 ratio * aa
-                - (aa - 1.0)
-                * (hh + (1.0 - 2.0 * alpha) * z * pc.pf + 2.0 * alpha * z * pc.pg)
-                + alpha
-                * (aa - 1.0) ** 2
-                * phase
-                * pc.h0
-                * ((alpha - 0.5) * diff + pc.sf - pc.sg)
+                - am1 * (hh + (1.0 - 2.0 * alpha) * z * pc.pf + 2.0 * alpha * z * pc.pg)
+                + alpha * am1**2 * phase * pc.h0 * ((alpha - 0.5) * diff + pc.sf - pc.sg)
             )
         return np.abs(t)
+
+
+def _abs2(z: np.ndarray) -> np.ndarray:
+    """z.real * z.real + z.imag * z.imag, bitwise, squaring the contiguous
+    float view of ``z`` in one pass."""
+    sq = np.ascontiguousarray(z).view(np.float64)
+    with np.errstate(over="ignore"):
+        sq = sq * sq
+        return sq[..., 0::2] + sq[..., 1::2]
 
 
 def _diagnose(pc: Pieces, points: np.ndarray):
@@ -177,16 +181,21 @@ def _lhs(params: CriterionParams, points: np.ndarray, criterion: str, map_blocks
     blocks on a pool); the singular points of the whole set are diagnosed
     once, so the error does not depend on how the blocks were run."""
     points = np.asarray(points, dtype=np.complex128)
-    if np.any(np.abs(points) <= 1.0):
-        bad = points[np.abs(points) <= 1.0][0]
-        raise OutsideDomain(f"criterion point {bad} not in the exterior disk")
     out = np.empty(points.shape)
 
     def fill(lo):
         z = points[lo : lo + _BLOCK]
+        aa = _abs2(z)
+        # aa is within a few ulps of np.abs(z) ** 2, so only a point with aa
+        # near 1 can be in the closed disk; np.abs decides for those. The
+        # blocks' results are read in order, so the first such point raises.
+        if np.any(aa <= 1.0 + 1e-14):
+            inside = np.abs(z) <= 1.0
+            if np.any(inside):
+                raise OutsideDomain(f"criterion point {z[inside][0]} not in the exterior disk")
         pc = pieces(params.f, params.g, params.h, z, criterion)
         out[lo : lo + _BLOCK] = _assemble_lhs(
-            criterion, z, pc, params.alpha, params.squared_variant
+            criterion, z, pc, params.alpha, params.squared_variant, aa
         )
 
     list(map_blocks(fill, range(0, points.shape[0], _BLOCK)))

@@ -272,6 +272,12 @@ class TestExitCodes:
             ('"plan": {"radial_count": 2.5}', "radial_count"),
             ('"f": 5', "f"),
             ('"squared_variant": "no"', "squared_variant"),
+            # a complex takes finite real parts: no bool, string or overflow
+            ('"alpha": {"re": true, "im": 0}', "alpha"),
+            ('"alpha": {"re": 1, "im": "x"}', "alpha"),
+            ('"alpha": {"re": 1}', "alpha"),
+            ('"alphas": [{"re": 1, "im": 0}, {"re": 1e999, "im": 0}]', "alphas"),
+            ('"alphas": [{"re": 1, "im": %d}]' % 10**400, "alphas"),
         ]:
             path.write_text('{"command": "check", %s}' % block)
             err = io.StringIO()
@@ -288,6 +294,29 @@ class TestExitCodes:
         assert code == 0
         specs = [f["spec"] for f in report["result"]["functions"]]
         assert "identity" in specs
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--f", "nonsense"),
+            ("--radial", "5"),
+            ("--criterion", "becker"),
+            ("--unsquared",),
+            ("--config", "config.json"),
+        ],
+    )
+    def test_catalog_takes_no_run_setting(self, tmp_path, monkeypatch, capsys, argv):
+        # the listing reads no run setting, so a flag would only be echoed
+        # into the report's config block
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "config.json").write_text('{"command": "catalog"}')
+        assert main(["catalog", *argv]) == 3
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("usage error: unrecognized arguments")
+        assert main(["catalog", "--json", "listing.json"]) == 0
+        assert json.loads((tmp_path / "listing.json").read_text())["config"] == (
+            RunConfig(command="catalog").to_dict()
+        )
 
     def test_console_entrypoint(self):
         out = cli("check", "--f", "joukowski:0.4", "--criterion", "becker")

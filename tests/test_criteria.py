@@ -1,3 +1,8 @@
+import re
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,7 +12,9 @@ from univalence.criteria import (
     CRITERIA,
     CriterionParams,
     Pieces,
+    _abs2,
     _assemble_lhs,
+    _lhs,
     corollary_lhs,
     evaluate_lhs,
     pieces,
@@ -197,9 +204,65 @@ class TestBlocks:
         )
         pts = exterior_points(rng, n)
         pc = pieces(p.f, p.g, p.h, pts)
-        ref = _assemble_lhs(criterion, pts, pc, p.alpha, p.squared_variant)
+        ref = _assemble_lhs(criterion, pts, pc, p.alpha, p.squared_variant, _abs2(pts))
         assert np.isfinite(ref).all()
         assert evaluate_lhs(p, pts).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_first_point_in_closed_disk_is_named(self, rng, workers):
+        # each block tests its own points: those a rounding step outside the
+        # unit circle pass, and the first one on or inside it is named
+        # however the blocks were run
+        p = params(uv.joukowski(0.3), criterion="becker")
+        pts = exterior_points(rng, 3 * _BLOCK)
+        pts[3], pts[4] = 1.0 + 2.0**-52, -1j * (1.0 + 2.0**-52)
+        assert np.isfinite(evaluate_lhs(p, pts)).all()
+        pts[_BLOCK + 7], pts[2 * _BLOCK + 1] = 1j, 0.5
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            with pytest.raises(OutsideDomain) as exc:
+                _lhs(p, pts, "becker", pool.map)
+        assert str(exc.value) == "criterion point 1j not in the exterior disk"
+
+
+class TestRowRequests:
+    """Each block asks the kernel for the stack rows of the README table
+    and for no others: a refactor that builds a dead row fails here."""
+
+    @staticmethod
+    def readme_table():
+        # {criterion: {"f": (first, order), ...}} from "f rows 1–3, ..." cells
+        text = (Path(__file__).parents[1] / "README.md").read_text()
+        table = {}
+        for name, cell in re.findall(r"^\| `(\w+)` \|.*\| ([^|]*rows[^|]*) \|$", text, re.M):
+            rows = re.findall(r"([fgh]) rows (\d)–(\d)", cell)
+            table[name] = {fn: (int(lo), int(hi)) for fn, lo, hi in rows}
+        return table
+
+    def test_requests_match_readme_table(self, rng, monkeypatch):
+        from univalence import _kernels
+
+        table = self.readme_table()
+        assert sorted(table) == sorted(CRITERIA)
+        # the leading coefficient b tells the three stacks apart
+        f, g = uv.laurent(1.5, 0.1, [0.3, 0.05j]), uv.joukowski(0.2)
+        which = {1.5: "f", 1.0: "g", 0.0: "h"}
+        calls = []
+        kernel = _kernels.laurent_derivs
+
+        def recorded(points, b, b0, tail, order=4, inv=None, first=0):
+            calls.append((which[b], first, order))
+            return kernel(points, b, b0, tail, order, inv, first)
+
+        monkeypatch.setattr(_kernels, "laurent_derivs", recorded)
+        pts = exterior_points(rng, 2 * _BLOCK + 5)
+        for criterion in CRITERIA:
+            calls.clear()
+            p = params(f, g=g, h=uv.inverse_square(0.1), criterion=criterion)
+            evaluate_lhs(p, pts)
+            want = Counter({(fn, *rows): 3 for fn, rows in table[criterion].items()})
+            assert Counter(calls) == want, criterion
+            assert all(first == 1 for fn, first, _ in calls if fn != "h"), criterion
+        assert table["becker"] == {"f": (1, 2)}
 
 
 class TestPiecesOnDemand:
