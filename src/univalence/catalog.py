@@ -440,28 +440,21 @@ def _sheet_index(f, g, points, ratio):
 
 def power_branch_stack(f, g, alpha: complex, points: np.ndarray) -> np.ndarray:
     """Order-3 jet stack of v at each point (value, v', v'', v''')."""
-    return power_branch_stacks(f, g, alpha, points)[0]
-
-
-def power_branch_stacks(f, g, alpha: complex, points: np.ndarray):
-    """The stack of ``power_branch_stack`` and a stack of f through at least
-    f' at the same points: the one v was built from, whose leading rows are
-    bitwise those of a lower-order ``f.derivs``."""
     points = np.asarray(points, dtype=np.complex128)
-    vstack, fstack, (error,) = power_branch_slices(f, g, alpha, points, [points.shape[0]])
+    vstack, _, (error,) = power_branch_slices(f, g, alpha, points, [points.shape[0]])
     if error is not None:
         raise error
-    return vstack, fstack
+    return vstack
 
 
 def power_branch_slices(f, g, alpha: complex, points: np.ndarray, ends, order: int = 3):
-    """The stacks of ``power_branch_stacks`` over the consecutive slices
-    ``points[ends[k-1]:ends[k]]`` from one pass over all of them, and per
-    slice the error ``power_branch_stacks`` raises for that slice alone (a
-    CriticalPoint or EvaluationFailure), or None. The roots of f' and g' are
-    solved once; the stacks of a failed slice mean nothing. The v stack runs
-    through v^(order) and the f stack through f^(order+1) (f' when v = 1);
-    each row is bitwise the same at every order."""
+    """The stack of ``power_branch_stack`` and the f stack it was built from
+    over the consecutive slices ``points[ends[k-1]:ends[k]]``, from one pass
+    over all of them, and per slice the error ``power_branch_stack`` raises
+    for that slice alone (a CriticalPoint or EvaluationFailure), or None. The
+    roots of f' and g' are solved once; the stacks of a failed slice mean
+    nothing. The v stack runs through v^(order) and the f stack through
+    f^(order+1) (f' when v = 1); each row is bitwise the same at every order."""
     points = np.asarray(points, dtype=np.complex128)
     alpha = complex(alpha)
     bounds = list(zip([0, *ends[:-1]], ends))

@@ -2,8 +2,9 @@
 injectivity oracle runs, and the built-in catalog listing.
 
 Every run emits one JSON report on stdout (and optionally to --json); grids
-go to separate CSV files. Reports are deterministic for a fixed config and
-worker count never affects their bytes; only the trailing timing field varies
+go to separate CSV files. Each command takes, and its report's config block
+records, only the run settings it reads (``SETTINGS``). Reports are
+deterministic for a fixed config; only the trailing timing field varies
 between runs. Exit codes: 0 pass/true, 1 fail/collision, 2 inconclusive,
 3 usage or evaluation error.
 """
@@ -15,6 +16,7 @@ import cmath
 import contextlib
 import functools
 import json
+import os
 import re
 import sys
 import time
@@ -31,7 +33,7 @@ from .loewner import DEFAULT_T_SAMPLES, ChainSpec, audit_pommerenke
 from .oracle import injectivity_scan
 from .region import SamplingPlan, estimate_sup, issue_verdict
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 REPORT_NOTE = (
     "sample-based scan: a pass verdict asserts the criterion held on the "
     "evaluated samples only (univalence then follows by sufficiency); a fail "
@@ -40,7 +42,7 @@ REPORT_NOTE = (
 
 
 # The SamplingPlan fields, which a config block nests under "plan".
-_PLAN_FIELDS = {field.name for field in fields(SamplingPlan)}
+_PLAN_FIELDS = tuple(field.name for field in fields(SamplingPlan))
 
 
 @dataclass(frozen=True)
@@ -72,7 +74,7 @@ class RunConfig:
     separation_floor: float | None = None
 
     def __post_init__(self):
-        for name, kind in _FIELDS:
+        for name, kind in _KINDS.items():
             value = getattr(self, name)
             if not _is(kind, value):
                 raise UsageError(f"{name} must be {kind}, got {value!r}")
@@ -85,29 +87,55 @@ class RunConfig:
                     raise UsageError(f"{name} must be nonnegative, got {item!r}")
         if not self.t_samples:
             raise UsageError("t_samples must hold at least one time")
+        # The audit probes each time's contour inside the next one's.
+        if any(b < a for a, b in zip(self.t_samples, self.t_samples[1:])):
+            raise UsageError(f"t_samples must not decrease, got {list(self.t_samples)}")
+        if self.command not in SETTINGS:
+            raise UsageError(f"unknown command {self.command!r}")
 
     def plan(self) -> SamplingPlan:
-        return SamplingPlan(**{name: getattr(self, name) for name in _PLAN_FIELDS})
+        """Plan settings the command does not read keep the SamplingPlan defaults."""
+        read = (name for name in SETTINGS[self.command] if name in _PLAN_FIELDS)
+        return SamplingPlan(**{name: getattr(self, name) for name in read})
 
     def to_dict(self) -> dict:
         out = {}
-        for name, kind in _FIELDS:
+        for name in ("command", *SETTINGS[self.command]):
             block = out.setdefault("plan", {}) if name in _PLAN_FIELDS else out
-            block[name] = _to_json(kind, getattr(self, name))
+            block[name] = _to_json(_KINDS[name], getattr(self, name))
         return out
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        given = {}
-        for name, kind in _FIELDS:
-            block = d.get("plan", {}) if name in _PLAN_FIELDS else d
-            if name in block:
-                given[name] = _from_json(name, kind, block[name])
-        return cls(**given)
+        command = d.get("command")
+        if command not in SETTINGS:
+            raise UsageError(f"unknown command {command!r}")
+        read = SETTINGS[command]
+        given = {k: v for k, v in d.items() if k not in ("command", "plan")}
+        plan = d.get("plan", {})
+        # Each key must be a setting the command reads, where to_dict puts it.
+        unread = [k for k in given if k not in read or k in _PLAN_FIELDS]
+        unread += [k for k in plan if k not in read or k not in _PLAN_FIELDS]
+        if unread:
+            raise UsageError(f"{command} does not read {', '.join(unread)}")
+        given.update(plan)
+        return cls(command, **{k: _from_json(k, _KINDS[k], v) for k, v in given.items()})
 
 
-# (name, annotation) of each run setting.
-_FIELDS = tuple((field.name, field.type) for field in fields(RunConfig))
+# The RunConfig fields each command reads. Its parser registers, its config
+# block records and --config accepts these alone.
+_SCAN = ("f", "g", "h", "alpha", "criterion", "squared_variant", *_PLAN_FIELDS, "tol")
+SETTINGS = {
+    "check": _SCAN,
+    "sweep": (*_SCAN, "alphas", "both_variants"),
+    "chain": ("f", "g", "h", "alpha", "squared_variant", "t_samples"),
+    "oracle": ("f", "r_min", "r_max", "radial_count", "angular_count",
+               "collision_tolerance", "separation_floor"),
+    "catalog": (),
+}
+
+# The annotation of each field.
+_KINDS = {field.name: field.type for field in fields(RunConfig)}
 
 
 # The types RunConfig annotations name; a bool counts as no number.
@@ -215,18 +243,13 @@ CATALOG_LISTING = {
 }
 
 
-def run(
-    config: RunConfig,
-    workers: int = 1,
-    json_path: "str | None" = None,
-    grid_csv: "str | None" = None,
-):
+def run(config: RunConfig, json_path: "str | None" = None, grid_csv: "str | None" = None):
     """Execute one command; returns (exit_code, report_dict)."""
     started = time.perf_counter()
     result: dict
     if config.command == "check":
         sink = [] if grid_csv else None
-        report = estimate_sup(_params(config), config.plan(), workers, sink)
+        report = estimate_sup(_params(config), config.plan(), sink)
         verdict = issue_verdict(report, config.tol)
         result = _sup_result(report, verdict)
         if grid_csv:
@@ -240,9 +263,7 @@ def run(
         for alpha in alphas:
             for squared in variants:
                 report = estimate_sup(
-                    _params(config, alpha=alpha, squared=squared),
-                    config.plan(),
-                    workers,
+                    _params(config, alpha=alpha, squared=squared), config.plan()
                 )
                 verdict = issue_verdict(report, config.tol)
                 row = {"alpha": _c2d(alpha), "squared_variant": squared}
@@ -277,11 +298,9 @@ def run(
         result = scan.to_json_dict()
         result["pass"] = not scan.collisions
         code = 0 if not scan.collisions else 1
-    elif config.command == "catalog":
+    else:  # catalog
         result = CATALOG_LISTING
         code = 0
-    else:
-        raise UsageError(f"unknown command {config.command!r}")
 
     report_dict = {
         "schema": SCHEMA_VERSION,
@@ -297,6 +316,7 @@ def run(
     if json_path:
         _write_file(json_path, "--json", text)
     sys.stdout.write(text)
+    sys.stdout.flush()
     return code, report_dict
 
 
@@ -317,63 +337,53 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# The flag of each run setting and its add_argument keywords. A flag stores
+# into the RunConfig field of the same name; an absent flag sets nothing, so
+# the field default applies.
+_FLAGS = {
+    "f": ("--f", dict(help="function spec for f")),
+    "g": ("--g", dict(help="function spec for g")),
+    "h": ("--h", dict(help="h-function spec")),
+    "alpha": ("--alpha", dict(type=parse_complex, help="complex parameter: re[,im]")),
+    "criterion": ("--criterion", dict(choices=CRITERIA)),
+    "squared_variant": (
+        "--unsquared", dict(action="store_false", help="unsquared (f''/f' - g''/g') factor")
+    ),
+    "r_min": ("--rmin", dict(type=float)),
+    "r_max": ("--rmax", dict(type=float)),
+    "radial_count": ("--radial", dict(type=int)),
+    "angular_count": ("--angular", dict(type=int)),
+    "refine_depth": ("--refine", dict(type=int, help="refinement depth")),
+    "refine_factor": ("--refine-factor", dict(type=int)),
+    "tol": ("--tol", dict(type=float)),
+    "t_samples": ("--t-samples", dict(nargs="+", type=float, help="chain times")),
+    "alphas": (
+        "--alphas", dict(nargs="+", type=parse_complex, metavar="RE[,IM]", help="one row each")
+    ),
+    "both_variants": ("--both-variants", dict(action="store_true", help="scan both variants")),
+    "collision_tolerance": ("--collision-tol", dict(type=float)),
+    "separation_floor": ("--separation-floor", dict(type=float)),
+}
+
+
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
     parser = _Parser(prog="univalence", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("check", "sweep", "chain", "oracle", "catalog"):
-        # A run-setting flag stores into the RunConfig field named by its
-        # dest; an absent flag sets nothing, so the field default applies.
+    for name, settings in SETTINGS.items():
         p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
         p.add_argument(
             "--json", dest="json_path", metavar="PATH", help="also write the report here"
         )
-        if name == "catalog":
-            continue  # the listing reads no run setting
-        p.add_argument("--f", help="function spec for f")
-        p.add_argument("--g", help="function spec for g")
-        p.add_argument("--h", help="h-function spec")
-        p.add_argument("--alpha", type=parse_complex, help="complex parameter: re[,im]")
-        p.add_argument("--criterion", choices=CRITERIA)
-        p.add_argument(
-            "--unsquared",
-            dest="squared_variant",
-            action="store_false",
-            help="use the unsquared variant of the (f''/f' - g''/g') factor",
-        )
-        p.add_argument("--rmin", dest="r_min", type=float)
-        p.add_argument("--rmax", dest="r_max", type=float)
-        p.add_argument("--radial", dest="radial_count", type=int)
-        p.add_argument("--angular", dest="angular_count", type=int)
-        p.add_argument("--refine", dest="refine_depth", type=int, help="refinement depth")
-        p.add_argument("--refine-factor", type=int)
-        p.add_argument("--tol", type=float)
-        p.add_argument("--t-samples", nargs="+", type=float, help="chain times for audits")
-        p.add_argument(
-            "--config", metavar="PATH", help="a config block in place of run-setting flags"
-        )
+        for dest in settings:
+            flag, kwargs = _FLAGS[dest]
+            p.add_argument(flag, dest=dest, **kwargs)
+        if settings:
+            p.add_argument(
+                "--config", metavar="PATH", help="a config block in place of run-setting flags"
+            )
         if name == "check":
             p.add_argument("--grid-csv", metavar="PATH", help="dump evaluated grid")
-        if name in ("check", "sweep"):
-            p.add_argument("--workers", type=int, help="threads of the criterion scan")
-        if name == "sweep":
-            p.add_argument(
-                "--alphas",
-                nargs="+",
-                type=parse_complex,
-                help="alpha values (re[,im] each), one report row per value",
-            )
-            p.add_argument(
-                "--both-variants",
-                action="store_true",
-                help="scan squared and unsquared variants",
-            )
-        if name == "oracle":
-            p.add_argument("--collision-tol", dest="collision_tolerance", type=float)
-            p.add_argument("--separation-floor", type=float)
-    # The flag of each dest, to name it in messages.
-    actions = [a for p in sub.choices.values() for a in p._actions]
-    parser.flags = {a.dest: a.option_strings[0] for a in actions}
     return parser
 
 
@@ -389,7 +399,7 @@ def _config_from_args(given: dict) -> RunConfig:
     if given:
         # A saved config block fully defines the run, so that a report's
         # config reproduces the report verbatim.
-        flags = ", ".join(_build_parser().flags[dest] for dest in given)
+        flags = ", ".join(_FLAGS[dest][0] for dest in given)
         raise UsageError(f"--config fixes every run setting; drop {flags}")
     try:
         with open(path) as fh:
@@ -405,12 +415,16 @@ def _config_from_args(given: dict) -> RunConfig:
 def main(argv=None) -> int:
     try:
         given = vars(_build_parser().parse_args(argv))
-        # Outputs and threads never change a report's bytes: every flag but
-        # --json, --grid-csv and --workers is a run setting.
-        dests = given.keys() & {"json_path", "grid_csv", "workers"}
-        runtime = {dest: given.pop(dest) for dest in dests}
-        code, _ = run(_config_from_args(given), **runtime)
+        # --json and --grid-csv change no report byte; every other flag is a run setting.
+        outputs = {dest: given.pop(dest) for dest in given.keys() & {"json_path", "grid_csv"}}
+        code, _ = run(_config_from_args(given), **outputs)
         return code
+    except BrokenPipeError:
+        # A reader that closed stdout is no verdict. Point stdout at devnull
+        # so the interpreter's final flush does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: BrokenPipeError: stdout closed", file=sys.stderr)
+        return 3
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 3

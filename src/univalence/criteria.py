@@ -176,10 +176,10 @@ def _diagnose(pc: Pieces, points: np.ndarray):
     raise EvaluationFailure(f"criterion not evaluable at {witness}")
 
 
-def _lhs(params: CriterionParams, points: np.ndarray, criterion: str, map_blocks=map):
-    """LHS at ``points``, evaluated block by block (``map_blocks`` may run the
-    blocks on a pool); the singular points of the whole set are diagnosed
-    once, so the error does not depend on how the blocks were run."""
+def _lhs(params: CriterionParams, points: np.ndarray, criterion: str):
+    """LHS at ``points``, evaluated block by block, each block's temporaries
+    freed before the next block's are made; the singular points of the whole
+    set are diagnosed once, after every block."""
     points = np.asarray(points, dtype=np.complex128)
     out = np.empty(points.shape)
 
@@ -188,7 +188,7 @@ def _lhs(params: CriterionParams, points: np.ndarray, criterion: str, map_blocks
         aa = _abs2(z)
         # aa is within a few ulps of np.abs(z) ** 2, so only a point with aa
         # near 1 can be in the closed disk; np.abs decides for those. The
-        # blocks' results are read in order, so the first such point raises.
+        # blocks run in order, so the first such point raises.
         if np.any(aa <= 1.0 + 1e-14):
             inside = np.abs(z) <= 1.0
             if np.any(inside):
@@ -198,7 +198,8 @@ def _lhs(params: CriterionParams, points: np.ndarray, criterion: str, map_blocks
             criterion, z, pc, params.alpha, params.squared_variant, aa
         )
 
-    list(map_blocks(fill, range(0, points.shape[0], _BLOCK)))
+    for lo in range(0, points.shape[0], _BLOCK):
+        fill(lo)
     bad = ~np.isfinite(out)
     if np.any(bad):
         _diagnose(pieces(params.f, params.g, params.h, points[bad]), points[bad])

@@ -3,19 +3,17 @@
 The scan is deterministic: a fixed geometric-radius grid, argmax-local
 refinement, and a Richardson tail extrapolation from the two outermost
 circles guard the "for all zeta" quantifier at desk scale. The criterion is
-evaluated in fixed blocks of points, and with ``--workers N`` the N threads
-share those same blocks; singular points are diagnosed once over the whole
-set, so values, reports and errors do not depend on the worker count.
+evaluated in fixed blocks of points, in order; singular points are diagnosed
+once over the whole set of each scan step.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import CriterionParams, _lhs, evaluate_lhs
+from .criteria import CriterionParams, evaluate_lhs
 from .errors import CriticalPoint, CriticalPointInRegion
 from .sampling import SamplingPlan, circle_points, sample_exterior
 
@@ -53,10 +51,7 @@ class Verdict:
 
 
 def estimate_sup(
-    params: CriterionParams,
-    plan: SamplingPlan,
-    workers: int = 1,
-    grid_sink: "list | None" = None,
+    params: CriterionParams, plan: SamplingPlan, grid_sink: "list | None" = None
 ) -> SupReport:
     """Scan the plan grid, refine around the argmax, extrapolate the tail.
 
@@ -69,11 +64,7 @@ def estimate_sup(
         """Evaluate, sink and count ``points``; return their max and argmax."""
         nonlocal evaluated
         try:
-            if workers <= 1:
-                values = evaluate_lhs(params, points)
-            else:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    values = _lhs(params, points, params.criterion, pool.map)
+            values = evaluate_lhs(params, points)
         except CriticalPoint as exc:
             raise CriticalPointInRegion(str(exc), getattr(exc, "point", None)) from exc
         if grid_sink is not None:

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from univalence.cli import RunConfig, main, run
+from univalence.cli import _FLAGS, SETTINGS, RunConfig, _build_parser, main, run
 
 
 def run_quiet(config, **kwargs):
@@ -159,16 +160,23 @@ class TestExitCodes:
             "puts the default collision_tolerance beyond double range\n"
         )
 
-    def test_chain_records_subordination_contour_hit(self):
-        # a probe lands on the s-contour: recorded per pair, exit 1, not 3
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = main(["chain", "--t-samples", "0.10536051565782628", "0"])
-        assert code == 1
-        assert json.loads(out.getvalue())["result"]["errors"] == [
-            "subordination (0.10536051565782628, 0.0): point (0.5+0j) within 0.0 "
-            "of the contour"
-        ]
+    @pytest.mark.parametrize("config", [False, True])
+    def test_decreasing_chain_times_are_usage_error(self, tmp_path, capsys, config):
+        # the audit probes each time's contour inside the next time's, so
+        # 1 0.5 0 would read as 32 subordination failures (exit 1)
+        argv = ["chain", "--f", "joukowski:0.3", "--g", "joukowski:0.2"]
+        if config:
+            path = tmp_path / "config.json"
+            path.write_text('{"command": "chain", "t_samples": [1.0, 0.5, 0.0]}')
+            argv = ["chain", "--config", str(path)]
+        else:
+            argv += ["--t-samples", "1", "0.5", "0"]
+        assert main(argv) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "usage error: t_samples must not decrease, got [1.0, 0.5, 0.0]\n"
+        # equal neighbours are allowed
+        assert main(["chain", "--t-samples", "0", "1", "1"]) == 0
 
     @pytest.mark.parametrize(
         "argv, alphas",
@@ -187,7 +195,7 @@ class TestExitCodes:
             code = main([*argv, "--f", "joukowski:0.4", "--radial", "4", "--angular", "8"])
         assert code in (0, 1, 2)
         config = json.loads(out.getvalue())["config"]
-        got = config["alphas"] or [config["alpha"]]
+        got = config.get("alphas") or [config["alpha"]]
         assert [(a["re"], a["im"]) for a in got] == alphas
 
     def test_usage_errors_exit_3(self):
@@ -219,12 +227,11 @@ class TestExitCodes:
         assert "Traceback" not in out.stderr
         assert out.stdout == ""
 
-    @pytest.mark.parametrize("workers", ["1", "2", "4"])
-    def test_error_does_not_depend_on_workers(self, workers, capsys):
+    def test_whole_grid_is_diagnosed_at_once(self, capsys):
         # f' vanishes at sqrt(c) = 12.759... and h at 1.001 = r_min, in
-        # different halves of the grid; the whole grid is diagnosed at once
+        # different blocks of the grid; the whole grid is diagnosed at once
         code = main(["check", "--f", "joukowski:162.80245464184108",
-                     "--h", "hinvsq:-1.0020009999999997", "--workers", workers])
+                     "--h", "hinvsq:-1.0020009999999997"])
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
@@ -267,22 +274,22 @@ class TestExitCodes:
         assert main(["chain", "--config", str(path)]) == 3
         # mistyped values name their field instead of ending in a traceback
         # (exit 1, read as a fail) or running as if well typed
-        for block, field in [
-            ('"plan": {"r_min": "a"}', "r_min"),
-            ('"plan": {"radial_count": 2.5}', "radial_count"),
-            ('"f": 5', "f"),
-            ('"squared_variant": "no"', "squared_variant"),
+        for command, block, field in [
+            ("check", '"plan": {"r_min": "a"}', "r_min"),
+            ("check", '"plan": {"radial_count": 2.5}', "radial_count"),
+            ("check", '"f": 5', "f"),
+            ("check", '"squared_variant": "no"', "squared_variant"),
             # a complex takes finite real parts: no bool, string or overflow
-            ('"alpha": {"re": true, "im": 0}', "alpha"),
-            ('"alpha": {"re": 1, "im": "x"}', "alpha"),
-            ('"alpha": {"re": 1}', "alpha"),
-            ('"alphas": [{"re": 1, "im": 0}, {"re": 1e999, "im": 0}]', "alphas"),
-            ('"alphas": [{"re": 1, "im": %d}]' % 10**400, "alphas"),
+            ("check", '"alpha": {"re": true, "im": 0}', "alpha"),
+            ("check", '"alpha": {"re": 1, "im": "x"}', "alpha"),
+            ("check", '"alpha": {"re": 1}', "alpha"),
+            ("sweep", '"alphas": [{"re": 1, "im": 0}, {"re": 1e999, "im": 0}]', "alphas"),
+            ("sweep", '"alphas": [{"re": 1, "im": %d}]' % 10**400, "alphas"),
         ]:
-            path.write_text('{"command": "check", %s}' % block)
+            path.write_text('{"command": "%s", %s}' % (command, block))
             err = io.StringIO()
             with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                assert main(["check", "--config", str(path)]) == 3
+                assert main([command, "--config", str(path)]) == 3
             assert err.getvalue().startswith(f"usage error: {field} must be ")
         for text in ("not json", "[]", '{"f": "identity"}'):
             path.write_text(text)
@@ -318,6 +325,59 @@ class TestExitCodes:
             RunConfig(command="catalog").to_dict()
         )
 
+    @pytest.mark.parametrize("command", sorted(SETTINGS))
+    def test_flags_config_block_and_table_agree(self, command):
+        # the parser registers, and the config block records, exactly the
+        # settings of the command's row; plan settings nest under "plan"
+        parser = _build_parser()._subparsers._group_actions[0].choices[command]
+        outputs = {"help", "json_path", "config", "grid_csv"}
+        flags = {a.dest for a in parser._actions} - outputs
+        block = RunConfig(command=command).to_dict()
+        assert block.pop("command") == command
+        keys = set(block) - {"plan"} | set(block.get("plan", {}))
+        assert flags == keys == set(SETTINGS[command])
+        assert len(keys) == {"check": 13, "sweep": 15, "chain": 6, "oracle": 7,
+                             "catalog": 0}[command]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("chain", "--rmax", "3"),
+            ("chain", "--criterion", "becker"),
+            ("oracle", "--alpha", "0.3"),
+            ("oracle", "--refine", "0"),
+            ("check", "--t-samples", "1"),
+            ("sweep", "--t-samples", "1"),
+            ("check", "--workers", "2"),
+        ],
+    )
+    def test_unread_settings_are_usage_errors(self, capsys, argv):
+        # a flag the command does not read would only be echoed into the
+        # report's config block
+        assert main(list(argv)) == 3
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("usage error: unrecognized arguments")
+
+    @pytest.mark.parametrize(
+        "block, named",
+        [
+            ('{"command": "check", "alphas": [{"re": 1, "im": 0}]}', "alphas"),
+            ('{"command": "check", "both_variants": true, "tol": 0.1}', "both_variants"),
+            ('{"command": "chain", "plan": {"r_max": 3.0}}', "r_max"),
+            ('{"command": "oracle", "plan": {"refine_depth": 0}}', "refine_depth"),
+            # a plan setting outside "plan" is not where the block keeps it
+            ('{"command": "check", "r_min": 2.0}', "r_min"),
+        ],
+    )
+    def test_unread_config_keys_are_usage_errors(self, tmp_path, capsys, block, named):
+        path = tmp_path / "config.json"
+        path.write_text(block)
+        command = json.loads(block)["command"]
+        assert main([command, "--config", str(path)]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"usage error: {command} does not read {named}\n"
+
     def test_console_entrypoint(self):
         out = cli("check", "--f", "joukowski:0.4", "--criterion", "becker")
         assert out.returncode == 0
@@ -341,14 +401,6 @@ class TestDeterminism:
         _, r1, text1 = run_quiet(cfg)
         _, r2, text2 = run_quiet(cfg)
         assert json.dumps(strip_timing(r1)) == json.dumps(strip_timing(r2))
-
-    def test_worker_counts_byte_identical(self):
-        cfg = RunConfig(
-            command="check", f="joukowski:0.45", g="laurent:1;0;0.2", alpha=0.3 + 0.1j
-        )
-        _, r1, _ = run_quiet(cfg, workers=1)
-        _, r4, _ = run_quiet(cfg, workers=4)
-        assert json.dumps(strip_timing(r1)) == json.dumps(strip_timing(r4))
 
     def test_config_round_trip(self, tmp_path):
         cfg = RunConfig(
@@ -396,10 +448,9 @@ class TestDeterminism:
         )
         assert main([*argv, "--unsquared"]) == 3
         assert "drop --unsquared" in capsys.readouterr().err
-        # outputs and threads do not change the report, so they may join it
+        # outputs do not change the report, so they may join it
         csv = tmp_path / "grid.csv"
-        code = main([*argv, "--json", str(tmp_path / "r.json"), "--grid-csv", str(csv),
-                     "--workers", "2"])
+        code = main([*argv, "--json", str(tmp_path / "r.json"), "--grid-csv", str(csv)])
         assert code in (0, 1, 2)
         report = json.loads(capsys.readouterr().out)
         assert report["config"]["criterion"] == "becker"
@@ -499,22 +550,40 @@ class TestOutputs:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("oracle", "--grid-csv", "g.csv"),
-            ("sweep", "--grid-csv", "g.csv"),
+            ("oracle", "--grid-csv", "g.csv", "--radial", "2", "--angular", "4"),
+            ("sweep", "--grid-csv", "g.csv", "--radial", "2", "--angular", "4"),
             ("chain", "--grid-csv", "g.csv"),
-            ("chain", "--workers", "2"),
-            ("oracle", "--workers", "2"),
-            ("catalog", "--workers", "2"),
         ],
     )
     def test_runtime_flags_only_where_read(self, tmp_path, monkeypatch, capsys, argv):
-        # --grid-csv is written by check alone and --workers read by check and
-        # sweep alone; elsewhere they would be silent no-ops
+        # --grid-csv is written by check alone; elsewhere it would be a
+        # silent no-op
         monkeypatch.chdir(tmp_path)
-        assert main([*argv, "--radial", "2", "--angular", "4"]) == 3
+        assert main(list(argv)) == 3
         out = capsys.readouterr()
         assert out.out == "" and out.err.startswith("usage error: unrecognized arguments")
         assert not (tmp_path / "g.csv").exists()
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_closed_stdout_is_no_verdict(self, unbuffered):
+        # a reader gone before the report is written (say `| head -c 0`):
+        # one error line and exit 3, never a traceback read as a fail, with
+        # a buffered stdout as with an unbuffered one
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            out = subprocess.run(
+                [sys.executable, "-m", "univalence.cli", "check", "--f", "joukowski:0.3",
+                 "--radial", "8", "--angular", "16"],
+                stdout=write, stderr=subprocess.PIPE, text=True, env=env,
+            )
+        finally:
+            os.close(write)
+        assert out.returncode == 3
+        assert out.stderr == "error: BrokenPipeError: stdout closed\n"
 
     def test_chain_report_is_strict_json(self):
         # h = 1 - 1/z^2 vanishes at w = 1, so the t = 0 w grid yields no value
@@ -537,7 +606,7 @@ class TestOutputs:
 
     def test_schema_fields(self):
         _, report, _ = run_quiet(RunConfig(command="check", f="identity"))
-        assert report["schema"] == 2
+        assert report["schema"] == 3
         assert "seed" not in report["config"]
         assert set(report["result"]) == {
             "sup",
@@ -548,6 +617,17 @@ class TestOutputs:
             "margin",
         }
         assert set(report["result"]["argmax"]) == {"re", "im"}
+
+
+def test_import_leaves_out_thread_pool_modules():
+    # the scan runs its blocks serially; a thread pool's import costs the
+    # startup of every call
+    code = "import sys, univalence.cli; print(*sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    loaded = set(out.stdout.split())
+    assert "univalence.cli" in loaded
+    assert not {"concurrent.futures", "logging"} & loaded
 
 
 # Inputs for the fuzz test: well-formed specs and numbers, with at most one
@@ -585,27 +665,33 @@ _bad = st.one_of(
 )
 
 
+def _flags(command, values):
+    """argv of the settings in ``values`` (field: list of strings) that
+    ``command`` reads."""
+    read = SETTINGS[command]
+    return [x for name, v in values.items() if name in read for x in (_FLAGS[name][0], *v)]
+
+
 @st.composite
 def _cli_argv(draw):
-    args = {
-        "--f": draw(_functions),
-        "--g": draw(_functions),
-        "--h": draw(st.just("hconst") | st.builds("hinvsq:{}".format, _pairs)),
-        "--alpha": draw(_pairs),
-        "--tol": draw(st.sampled_from(["0", "1e-9", "0.1", "2"])),
-    }
+    command = draw(st.sampled_from(["check", "sweep", "chain", "oracle"]))
     times = st.floats(0.0, 3.0).map("{:.3g}".format)
-    times = draw(st.lists(times, min_size=1, max_size=3))
-    corrupt = draw(st.sampled_from([None, "--f", "--g", "--h", "--alpha", "--tol", "t"]))
-    if corrupt == "t":
-        times[0] = draw(_bad)
-    elif corrupt:
-        args[corrupt] = draw(_bad)
-    argv = [draw(st.sampled_from(["check", "sweep", "chain", "oracle"]))]
-    for flag, value in args.items():
-        argv += [flag, value]
-    argv += ["--radial", "2", "--angular", "4", "--refine", "0"]
-    return argv + ["--t-samples", *times]
+    values = {
+        "f": [draw(_functions)],
+        "g": [draw(_functions)],
+        "h": [draw(st.just("hconst") | st.builds("hinvsq:{}".format, _pairs))],
+        "alpha": [draw(_pairs)],
+        "tol": [draw(st.sampled_from(["0", "1e-9", "0.1", "2"]))],
+        "t_samples": sorted(draw(st.lists(times, min_size=1, max_size=3)), key=float),
+        "radial_count": ["2"],
+        "angular_count": ["4"],
+        "refine_depth": ["0"],
+    }
+    corruptible = ["f", "g", "h", "alpha", "tol", "t_samples"]
+    corrupt = draw(st.sampled_from([None, *(n for n in corruptible if n in SETTINGS[command])]))
+    if corrupt:
+        values[corrupt][0] = draw(_bad)
+    return [command, *_flags(command, values)]
 
 
 def _assert_exits_cleanly(argv):
@@ -639,13 +725,13 @@ def _plan_argv(draw):
     if draw(st.integers(0, 7)) == 0:
         radii.reverse()  # now and then a plan with r_min > r_max
     # later flags override the fixed plan of _cli_argv
-    return argv + [
-        "--rmin", radii[0],
-        "--rmax", radii[1],
-        "--radial", str(draw(st.integers(1, 4))),
-        "--angular", str(draw(st.integers(1, 4))),
-        "--refine", str(draw(st.integers(0, 2))),
-    ]
+    return argv + _flags(argv[0], {
+        "r_min": [radii[0]],
+        "r_max": [radii[1]],
+        "radial_count": [str(draw(st.integers(1, 4)))],
+        "angular_count": [str(draw(st.integers(1, 4)))],
+        "refine_depth": [str(draw(st.integers(0, 2)))],
+    })
 
 
 @settings(max_examples=150, deadline=None)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import univalence as uv
-from univalence.criteria import CriterionParams
+from univalence.criteria import CriterionParams, _abs2, _assemble_lhs, pieces
 from univalence.errors import InvalidPlan
 from univalence.region import SupReport, estimate_sup, issue_verdict, sample_exterior
 
@@ -79,13 +79,9 @@ class TestEstimateSup:
         plan = uv.SamplingPlan(radial_count=16, angular_count=32)
         assert estimate_sup(p, plan) == estimate_sup(p, plan)
 
-    def test_worker_count_does_not_change_report(self):
-        p = becker(0.35)
-        plan = uv.SamplingPlan(radial_count=16, angular_count=32)
-        assert estimate_sup(p, plan, workers=1) == estimate_sup(p, plan, workers=4)
-
-    def test_worker_counts_agree_across_blocks(self):
-        # 96 x 256 = 24576 base points: three evaluation blocks
+    def test_grid_sink_spans_blocks(self):
+        # 96 x 256 = 24576 base points: three evaluation blocks, sunk as one
+        # array per scan step and bitwise the values of one unblocked pass
         p = CriterionParams(
             f=uv.joukowski(0.45),
             g=uv.laurent(1, 0, [0.2, 0.1j]),
@@ -93,13 +89,15 @@ class TestEstimateSup:
             alpha=0.3 + 0.1j,
         )
         plan = uv.SamplingPlan(radial_count=96, angular_count=256)
-        reports, grids = [], []
-        for workers in (1, 2, 4):
-            sink = []
-            reports.append(estimate_sup(p, plan, workers=workers, grid_sink=sink))
-            grids.append([values.tobytes() for _, values in sink])
-        assert reports[0] == reports[1] == reports[2]
-        assert grids[0] == grids[1] == grids[2]
+        sink = []
+        report = estimate_sup(p, plan, grid_sink=sink)
+        assert report == estimate_sup(p, plan)
+        points, values = sink[0]
+        assert points.shape == values.shape == (96 * 256,)
+        assert report.samples_evaluated == sum(v.shape[0] for _, v in sink)
+        pc = pieces(p.f, p.g, p.h, points)
+        ref = _assemble_lhs(p.criterion, points, pc, p.alpha, p.squared_variant, _abs2(points))
+        assert values.tobytes() == ref.tobytes()
 
     def test_monotone_refinement_and_sample_count(self):
         p = becker(0.5)
