@@ -92,6 +92,17 @@ class RunConfig:
             raise UsageError(f"t_samples must not decrease, got {list(self.t_samples)}")
         if self.command not in SETTINGS:
             raise UsageError(f"unknown command {self.command!r}")
+        # A setting the command does not read would be dropped without a
+        # word; named as from_dict names them, plan settings last.
+        read = SETTINGS[self.command]
+        unread = [
+            name
+            for name, default in _DEFAULTS.items()
+            if name not in read and getattr(self, name) != default
+        ]
+        if unread:
+            unread.sort(key=lambda name: name in _PLAN_FIELDS)
+            raise UsageError(f"{self.command} does not read {', '.join(unread)}")
 
     def plan(self) -> SamplingPlan:
         """Plan settings the command does not read keep the SamplingPlan defaults."""
@@ -134,8 +145,9 @@ SETTINGS = {
     "catalog": (),
 }
 
-# The annotation of each field.
+# The annotation of each field, and the default of each run setting.
 _KINDS = {field.name: field.type for field in fields(RunConfig)}
+_DEFAULTS = {field.name: field.default for field in fields(RunConfig)[1:]}
 
 
 # The types RunConfig annotations name; a bool counts as no number.

@@ -109,7 +109,6 @@ def injectivity_scan(
     plan: SamplingPlan,
     collision_tolerance: "float | None" = None,
     separation_floor: "float | None" = None,
-    pairwise: bool = False,
 ) -> CollisionReport:
     """Evaluate f on the plan grid and report all near-coincident image pairs
     whose preimages are genuinely separated.
@@ -117,8 +116,7 @@ def injectivity_scan(
     Default tolerances derive from the grid itself: collision_tolerance is
     1e-9 of the median neighbor image distance (so only true collisions
     qualify) and separation_floor is two grid spacings (so neighboring
-    samples never do). ``pairwise=True`` switches to the O(n^2) reference
-    scan, intended for small grids as the oracle's own oracle.
+    samples never do).
     """
     points = sample_exterior(plan)
     values = f.values(points)
@@ -135,9 +133,7 @@ def injectivity_scan(
             "separation_floor", SEPARATION_SPACINGS, "domain", points, plan
         )
 
-    collisions = collision_pairs(
-        points, values, collision_tolerance, separation_floor, pairwise
-    )
+    collisions = collision_pairs(points, values, collision_tolerance, separation_floor)
     return CollisionReport(
         collisions=collisions,
         grid_size=points.shape[0],
@@ -151,7 +147,6 @@ def collision_pairs(
     values: np.ndarray,
     collision_tolerance: float,
     separation_floor: float,
-    pairwise: bool = False,
 ) -> tuple:
     """Near-coincident image pairs among precomputed samples. Pairs are
     canonically ordered, so the result is independent of grid order.
@@ -167,7 +162,6 @@ def collision_pairs(
             raise InvalidSpec(f"{name} must be finite and nonnegative, got {value!r}")
     if not (np.isfinite(points).all() and np.isfinite(values).all()):
         raise InvalidSpec("collision search needs finite points and values")
-    n = points.shape[0]
     found = {}
 
     def consider(i, j):
@@ -188,28 +182,22 @@ def collision_pairs(
             ),
         )
 
-    # A difference beyond double range reads inf, in both paths: never within
-    # tolerance, always separated.
+    # The vector np.abs can differ from the scalar abs in the last ulp, so it
+    # only prefilters (with slack) and consider() decides and records,
+    # keeping the reported distances those of the scalar abs. A difference
+    # beyond double range reads inf: never within tolerance, always
+    # separated.
     with np.errstate(over="ignore"):
-        if pairwise:
-            for i in range(n):
-                for j in range(i + 1, n):
-                    consider(i, j)
-        else:
-            # The vector np.abs can differ from the scalar abs in the last
-            # ulp, so it only prefilters (with slack) and consider() decides
-            # and records, keeping the reported distances those of the
-            # scalar path.
-            img_limit = collision_tolerance * (1.0 + 1e-12)
-            dom_limit = separation_floor * (1.0 - 1e-12)
-            for i, j in _cell_candidates(values, collision_tolerance):
-                keep = (np.abs(values[i] - values[j]) <= img_limit) & (
-                    np.abs(points[i] - points[j]) >= dom_limit
-                )
-                lo = np.minimum(i[keep], j[keep]).tolist()
-                hi = np.maximum(i[keep], j[keep]).tolist()
-                for a, b in zip(lo, hi):
-                    consider(a, b)
+        img_limit = collision_tolerance * (1.0 + 1e-12)
+        dom_limit = separation_floor * (1.0 - 1e-12)
+        for i, j in _cell_candidates(values, collision_tolerance):
+            keep = (np.abs(values[i] - values[j]) <= img_limit) & (
+                np.abs(points[i] - points[j]) >= dom_limit
+            )
+            lo = np.minimum(i[keep], j[keep]).tolist()
+            hi = np.maximum(i[keep], j[keep]).tolist()
+            for a, b in zip(lo, hi):
+                consider(a, b)
 
     return tuple(found[k] for k in sorted(found))
 
@@ -228,7 +216,10 @@ def _cell_candidates(values: np.ndarray, tolerance: float, block: int = 1 << 20)
     and (cx+1, cy-1..cy+1); the other four see each pair from the opposite
     side. With cell key ``cx*stride + cy`` and a spare row in every column,
     these five cells are two intervals of sorted keys, [key, key+1] and
-    [key+stride-1, key+stride+1], found by three searchsorted passes.
+    [key+stride-1, key+stride+1]. Most cells hold one sample and have no
+    neighbour, so one searchsorted pass over all samples finds where the
+    second interval starts; the ends of both are searched only for the
+    samples whose interval is not empty.
     """
     n = values.shape[0]
     if n < 2:
@@ -243,7 +234,9 @@ def _cell_candidates(values: np.ndarray, tolerance: float, block: int = 1 << 20)
     cx *= stride
     cx += cy
     del cy
-    order = np.argsort(cx, kind="stable")
+    # The order within a cell is free: collision_pairs records each pair by
+    # its (min, max) indices and reports the pairs in canonical order.
+    order = np.argsort(cx)
     keys = cx[order]
     del cx
 
@@ -251,24 +244,22 @@ def _cell_candidates(values: np.ndarray, tolerance: float, block: int = 1 << 20)
     # last of cell (cx, cy+1), i.e. later members of its own cell and all of
     # (cx, cy+1), then the three cells (cx+1, cy-1..cy+1). No other cell's
     # key lies inside either key interval: at a column's edges, cy-1 and
-    # cy+1 fall into the spare row. The queries are sorted, which keeps
-    # searchsorted cache friendly. Only nonempty ranges are kept, and the
-    # per-sample arrays are dropped before the first yield, so memory is
+    # cy+1 fall into the spare row. Only nonempty ranges are kept: the first
+    # where the next key is at most key+1, the second where the first key at
+    # or past key+stride-1 (the one full searchsorted pass) is at most
+    # key+stride+1. Queries in sorted runs keep searchsorted cache friendly.
+    # The per-sample arrays are dropped before the first yield, so memory is
     # O(n) plus one block.
-    pos = np.arange(n)
-    owners, starts, counts = [], [], []
-    for lo_key, hi_key in ((None, 1), (stride - 1, stride + 1)):
-        lo = pos + 1 if lo_key is None else np.searchsorted(keys, keys + lo_key, "left")
-        hi = np.searchsorted(keys, keys + hi_key, "right")
-        hi -= lo
-        live = hi > 0
-        owners.append(pos[live])
-        starts.append(lo[live])
-        counts.append(hi[live])
-    del keys, lo, hi, live
-    owners = np.concatenate(owners)
-    starts = np.concatenate(starts)
-    counts = np.concatenate(counts)
+    near = np.flatnonzero(np.diff(keys) <= 1)
+    lo = np.searchsorted(keys, keys + (stride - 1), "left")
+    head = keys.take(lo, mode="clip")  # lo = n, past the last key, is masked
+    beside = np.flatnonzero((lo < n) & (head <= keys + (stride + 1)))
+    owners = np.concatenate((near, beside))
+    starts = np.concatenate((near + 1, lo[beside]))
+    last_keys = np.concatenate((keys[near] + 1, keys[beside] + (stride + 1)))
+    counts = np.searchsorted(keys, last_keys, "right")
+    counts -= starts
+    del keys, lo, head, near, beside, last_keys
     ends = np.cumsum(counts)
     total = int(ends[-1]) if ends.size else 0
 

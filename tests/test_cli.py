@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from univalence.cli import _FLAGS, SETTINGS, RunConfig, _build_parser, main, run
+from univalence.errors import UsageError
 
 
 def run_quiet(config, **kwargs):
@@ -50,6 +51,25 @@ def test_check_reproduces_golden_report(case, tmp_path):
     assert code == case["exit_code"]
     assert json.dumps(strip_timing(report)) == json.dumps(case["report"])
     assert hashlib.sha256(path.read_bytes()).hexdigest() == case["grid_csv_sha256"]
+
+
+GOLDEN_ORACLE = json.loads(
+    (Path(__file__).parent / "golden_oracle_reports.json").read_text()
+)
+
+
+@pytest.mark.parametrize("case", GOLDEN_ORACLE, ids=[c["name"] for c in GOLDEN_ORACLE])
+def test_oracle_reproduces_golden_report(case, capsys):
+    # The oracle's result and exit code, recorded before the collision search
+    # ran one full searchsorted pass instead of three. joukowski_false_pass
+    # (z + 1.2/z) and laurent_false_pass (z + 0.9/z^3, f' = 0 at |z| = 1.28)
+    # are not univalent on |z| > 1, yet their grids hold no pair within the
+    # default tolerance: known false passes, pinned as they are until the
+    # oracle can say "not univalent" by other means.
+    code = main(case["argv"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == case["exit_code"]
+    assert json.dumps(report["result"]) == json.dumps(case["result"])
 
 
 class TestExitCodes:
@@ -377,6 +397,18 @@ class TestExitCodes:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err == f"usage error: {command} does not read {named}\n"
+
+    def test_unread_python_settings_are_usage_errors(self):
+        # a RunConfig built in Python names what its command would drop, as
+        # from_dict does; a setting left at its default passes
+        with pytest.raises(UsageError, match=r"^chain does not read tol, radial_count$"):
+            RunConfig(command="chain", tol=5.0, radial_count=3)
+        with pytest.raises(UsageError, match=r"^catalog does not read f$"):
+            RunConfig(command="catalog", f="joukowski:0.5")
+        with pytest.raises(UsageError, match=r"^oracle does not read refine_depth$"):
+            RunConfig(command="oracle", refine_depth=0)
+        assert RunConfig(command="catalog").to_dict() == {"command": "catalog"}
+        assert RunConfig(command="chain", tol=1e-9, radial_count=64).command == "chain"
 
     def test_console_entrypoint(self):
         out = cli("check", "--f", "joukowski:0.4", "--criterion", "becker")

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import univalence as uv
@@ -13,6 +13,7 @@ from univalence.errors import (
     StencilLeavesDomain,
 )
 from univalence.oracle import (
+    Collision,
     _cell_candidates,
     _median_neighbor_spacing,
     collision_pairs,
@@ -26,6 +27,33 @@ from univalence.oracle import (
 def unit_circle(nodes=128, turns=1):
     theta = np.linspace(0.0, 2.0 * np.pi * turns, nodes * turns + 1)
     return np.exp(1j * theta)
+
+
+def brute_force_pairs(points, values, tol, floor):
+    """The O(n^2) reference for collision_pairs: every pair, scalar abs,
+    each pair (z1, z2) in canonical order, the pairs sorted."""
+    found = {}
+    n = len(points)
+    with np.errstate(over="ignore"):
+        for a in range(n):
+            for b in range(a + 1, n):
+                img = abs(values[a] - values[b])
+                dom = abs(points[a] - points[b])
+                if img <= tol and dom >= floor:
+                    ends = sorted((complex(points[a]), complex(points[b])),
+                                  key=lambda z: (z.real, z.imag))
+                    key = tuple((z.real, z.imag) for z in ends)
+                    found.setdefault(key, Collision(*ends, img, dom))
+    return tuple(found[k] for k in sorted(found))
+
+
+def brute_force_scan(f, plan, report):
+    """brute_force_pairs over the plan grid at the report's tolerances."""
+    points = uv.sample_exterior(plan)
+    values = f.values(points)
+    return brute_force_pairs(
+        points, values, report.collision_tolerance, report.separation_floor
+    )
 
 
 def collision_plan():
@@ -116,10 +144,7 @@ class TestInjectivityScan:
         plan = uv.SamplingPlan(r_min=1.02, r_max=1.5, radial_count=12, angular_count=24)
         for f in (uv.joukowski(1.2), uv.joukowski(0.9), uv.identity()):
             fast = injectivity_scan(f, plan, collision_tolerance=1e-3, separation_floor=0.05)
-            slow = injectivity_scan(
-                f, plan, collision_tolerance=1e-3, separation_floor=0.05, pairwise=True
-            )
-            assert fast.collisions == slow.collisions
+            assert fast.collisions == brute_force_scan(f, plan, fast)
 
     def test_reversing_grid_order_is_invariant(self):
         plan = collision_plan()
@@ -133,12 +158,12 @@ class TestInjectivityScan:
         plan = uv.SamplingPlan(r_min=1.01, r_max=1.4, radial_count=16, angular_count=32)
         f = uv.joukowski(1.2)
         fast = injectivity_scan(f, plan, collision_tolerance=0.0)
-        assert fast == injectivity_scan(f, plan, collision_tolerance=0.0, pairwise=True)
+        assert fast.collisions == brute_force_scan(f, plan, fast)
         # rounded images coincide exactly in many pairs
         pts = uv.sample_exterior(plan)
         vals = np.round(f.values(pts), 1)
         fast = collision_pairs(pts, vals, 0.0, 0.05)
-        assert fast == collision_pairs(pts, vals, 0.0, 0.05, pairwise=True)
+        assert fast == brute_force_pairs(pts, vals, 0.0, 0.05)
         assert fast and all(c.image_distance == 0.0 for c in fast)
         # a zero-width cell no longer collapses the grid into one bucket
         big = uv.SamplingPlan(r_min=1.01, r_max=1.4, radial_count=64, angular_count=128)
@@ -172,25 +197,26 @@ class TestInjectivityScan:
         # with both given, nothing is derived and the scan runs
         assert injectivity_scan(uv.identity(), plan, 1e-9, 0.5).collisions == ()
 
-    @pytest.mark.parametrize("pairwise", [False, True])
-    def test_nonfinite_samples_raise(self, pairwise):
+    def test_nonfinite_samples_raise(self):
         points = np.arange(2.0, 6.0).astype(np.complex128)
         values = np.array([1.0, np.nan, 1.0, 2.0], dtype=np.complex128)
         with pytest.raises(InvalidSpec):
-            collision_pairs(points, values, 1e-3, 0.0, pairwise)
+            collision_pairs(points, values, 1e-3, 0.0)
         with pytest.raises(InvalidSpec):
-            collision_pairs(values, points, 1e-3, 0.0, pairwise)
+            collision_pairs(values, points, 1e-3, 0.0)
 
-    @pytest.mark.parametrize("pairwise", [False, True])
-    def test_differences_beyond_double_range_read_inf(self, pairwise):
+    def test_differences_beyond_double_range_read_inf(self):
         # images 1.8e308 apart, in adjacent cells of width 1e308
         points = np.array([2.0, 5.0], dtype=np.complex128)
         values = np.array([0.9e308, -0.9e308], dtype=np.complex128)
-        assert collision_pairs(points, values, 1e308, 0.5, pairwise) == ()
+        assert collision_pairs(points, values, 1e308, 0.5) == ()
         # coinciding images of preimages 3.4e308 apart
         far = np.array([1.7e308, -1.7e308], dtype=np.complex128)
-        (hit,) = collision_pairs(far, np.zeros(2, dtype=np.complex128), 1e-9, 0.5, pairwise)
+        zeros = np.zeros(2, dtype=np.complex128)
+        hits = collision_pairs(far, zeros, 1e-9, 0.5)
+        (hit,) = hits
         assert hit.image_distance == 0.0 and hit.domain_distance == np.inf
+        assert hits == brute_force_pairs(far, zeros, 1e-9, 0.5)
 
     def test_cell_candidates_blocks_cover_each_pair_once(self, rng):
         n = 200
@@ -248,7 +274,7 @@ class TestInjectivityScan:
             assert np.abs(gaps.imag).max() < 2.001 * tol
         points = 10.0 + np.arange(n, dtype=np.complex128)
         fast = collision_pairs(points, values, tol, 0.5)
-        assert fast == collision_pairs(points, values, tol, 0.5, pairwise=True)
+        assert fast == brute_force_pairs(points, values, tol, 0.5)
         assert len(fast) == len(close)
 
     @pytest.mark.parametrize("radial", [1, 3])
@@ -303,10 +329,80 @@ sigma_maps = st.one_of(
 def test_cell_search_matches_pairwise(f, tol, floor):
     plan = uv.SamplingPlan(r_min=1.02, r_max=1.5, radial_count=12, angular_count=24)
     fast = injectivity_scan(f, plan, collision_tolerance=tol, separation_floor=floor)
-    slow = injectivity_scan(
-        f, plan, collision_tolerance=tol, separation_floor=floor, pairwise=True
-    )
-    assert fast == slow
+    assert fast.collisions == brute_force_scan(f, plan, fast)
+
+
+def cells_of(values, tol):
+    """The (cx, cy) cell of each image, as the collision search draws them:
+    side (1 + 2^-16) * max(tol, 2^-30 * largest coordinate, tiny)."""
+    scale = max(np.abs(values.real).max(), np.abs(values.imag).max())
+    width = (1.0 + 2.0**-16) * max(tol, scale * 2.0**-30, np.finfo(float).tiny)
+    return np.floor(values.real / width), np.floor(values.imag / width)
+
+
+def cell_search(values, tol, block=1 << 20):
+    """_cell_candidates' blocks joined into two arrays."""
+    parts = list(_cell_candidates(values, tol, block))
+    assert all(len(i) <= block for i, _ in parts)
+    empty = [np.empty(0, dtype=np.intp)]
+    return (np.concatenate([i for i, _ in parts] or empty),
+            np.concatenate([j for _, j in parts] or empty))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    tol=st.sampled_from([0.0, 0.5, 1.0]),
+    per_cell=st.sampled_from([1, 2, 3]),
+    layout=st.sampled_from(["grid", "column", "row"]),
+    lattice=st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), max_size=40),
+)
+@example(tol=1.0, per_cell=1, layout="grid", lattice=[])
+@example(tol=1.0, per_cell=1, layout="grid", lattice=[(0, 0)])
+@example(tol=1.0, per_cell=1, layout="grid", lattice=[(0, 0), (0, 0)])
+@example(tol=1.0, per_cell=1, layout="grid", lattice=[(0, 0), (1, -1)])
+@example(tol=0.0, per_cell=1, layout="grid", lattice=[(2, 3), (2, 3)])
+def test_cell_candidates_match_brute_force(tol, per_cell, layout, lattice):
+    # Lattice images with duplicates; with per_cell 1 the lattice steps one
+    # cell width, so the images lie on cell edges. A pair is a candidate
+    # exactly when its cells differ by at most one in each coordinate.
+    re, im = np.array(lattice, dtype=float).reshape(-1, 2).T
+    if layout == "column":
+        re[:] = 0.0
+    elif layout == "row":
+        im[:] = 0.0
+    step = (1.0 + 2.0**-16) * tol / per_cell if tol else 1.0
+    values = step * (re + 1j * im)
+    n = values.size
+    cx, cy = cells_of(values, tol) if n else ((), ())
+    near = {
+        (a, b)
+        for a in range(n)
+        for b in range(a + 1, n)
+        if abs(cx[a] - cx[b]) <= 1 and abs(cy[a] - cy[b]) <= 1
+    }
+    i, j = cell_search(values, tol)
+    seen = list(zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist()))
+    assert len(seen) == len(set(seen)) and set(seen) == near
+    for block in (1, 7):
+        bi, bj = cell_search(values, tol, block)
+        assert np.array_equal(bi, i) and np.array_equal(bj, j)
+
+
+def test_collision_search_runs_one_full_searchsorted_pass(monkeypatch):
+    # Only the start of column cx+1's key interval is searched for every
+    # sample; the other range bounds are searched for nonempty ranges alone.
+    plan = uv.SamplingPlan(radial_count=96, angular_count=192)
+    n = plan.radial_count * plan.angular_count
+    searchsorted = np.searchsorted
+    full = []
+
+    def counting(a, v, *args, **kwargs):
+        full.append(np.size(v) == n)
+        return searchsorted(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", counting)
+    assert injectivity_scan(uv.joukowski(0.5), plan).grid_size == n
+    assert sum(full) == 1
 
 
 class TestFdDerivatives:
