@@ -26,7 +26,7 @@ from .errors import (
     PoleAtPoint,
 )
 from .jet import CUT_DISTANCE, ComplexJet, stack_div, stack_exp, stack_log
-from .sampling import SamplingPlan, circle_points
+from .sampling import SamplingPlan
 
 RAY_START_RADIUS = 1e6
 
@@ -54,14 +54,9 @@ class MeromorphicFn:
 
     @property
     def declared_class(self) -> str:
-        if self.kind == "moebius":
-            a, bb, c, d = self.abcd
-            if a == 1 and d == 1 and bb == 0 and c == 0:
-                return self.inner.declared_class
-            return "unknown"
-        if self.b == 1 and self.b0 == 0:
-            return "Sigma0"
-        return "Sigma"
+        """'Sigma0', 'Sigma' or 'neither', read from the expansion at
+        infinity."""
+        return _sigma_class(*_expansion_at_infinity(self))
 
     def lower_coeffs(self):
         """(b, b0, tail-array) when the function is Laurent-representable,
@@ -81,7 +76,10 @@ class MeromorphicFn:
         of the stack of value and derivatives at each point (``inv``, if
         given, is 1.0 / points, shared with other functions).
 
-        Pole hits surface as non-finite entries; scalar wrappers raise."""
+        A Moebius map with c != 0 is one quotient over the stack of its
+        innermost Laurent map, with the folded matrix of ``_fold``, so it is
+        finite wherever the whole map is. Pole hits surface as non-finite
+        entries; scalar wrappers raise."""
         points = np.asarray(points, dtype=np.complex128)
         low = self.lower_coeffs()
         if low is not None:
@@ -97,10 +95,11 @@ class MeromorphicFn:
                 if first == 0:
                     num[0] = num[0] + bb
                 return num / d
-            inner_stack = self.inner.derivs(points, order, inv)
-            num = a * inner_stack
+            u, ((a, bb), (c, d)) = _fold(self)
+            u_stack = u.derivs(points, order, inv)
+            num = a * u_stack
             num[0] = num[0] + bb
-            den = c * inner_stack
+            den = c * u_stack
             den[0] = den[0] + d
             return stack_div(num, den)[first:]
 
@@ -108,16 +107,16 @@ class MeromorphicFn:
         return self.derivs(points, order=0)[0]
 
     def jet(self, zeta: complex) -> ComplexJet:
+        """Order-3 jet at zeta. A non-finite stack is a pole (PoleAtPoint)
+        exactly where the folded denominator c u + d vanishes, and an
+        overflow (NonFiniteJet) anywhere else."""
         stack = self.derivs(np.array([zeta], dtype=np.complex128), order=3)[:, 0]
         if not np.all(np.isfinite(stack)):
-            # A pole needs some denominator c inner + d of the nesting to
-            # vanish at zeta; any other non-finite entry is an overflow.
-            fn = self
-            while fn.kind == "moebius":
-                _, _, c, d = fn.abcd
-                if c and c * complex(fn.inner.values([zeta])[0]) + d == 0:
-                    raise PoleAtPoint(f"{self.describe()} has a pole at {zeta}")
-                fn = fn.inner
+            u, (_, (c, d)) = _fold(self)
+            with np.errstate(over="ignore", invalid="ignore"):
+                pole = c * u.values([zeta])[0] + d == 0
+            if pole:
+                raise PoleAtPoint(f"{self.describe()} has a pole at {zeta}")
             raise NonFiniteJet(f"{self.describe()} overflowed at {zeta}")
         return ComplexJet.from_stack(stack)
 
@@ -154,6 +153,16 @@ def moebius_of(inner: MeromorphicFn, a, b, c, d) -> MeromorphicFn:
     if a * d - b * c == 0:
         raise InvalidSpec("degenerate Moebius map: ad - bc = 0")
     return MeromorphicFn(kind="moebius", inner=inner, abcd=(a, b, c, d))
+
+
+def _fold(fn):
+    """The innermost Laurent map u of fn and the matrix [[a, b], [c, d]] of
+    the Moebius maps around it, so that fn = (a u + b) / (c u + d)."""
+    m = np.eye(2, dtype=np.complex128)
+    while fn.kind == "moebius":
+        m = m @ np.reshape(fn.abcd, (2, 2))
+        fn = fn.inner
+    return fn, m
 
 
 def make_sigma_function(spec) -> MeromorphicFn:
@@ -299,55 +308,44 @@ def parse_h_spec(spec: str) -> HFunction:
 # ---------------------------------------------------------------------------
 
 
+SIGMA_CLASS_TOL = 1e-6
+
+
+def _expansion_at_infinity(fn):
+    """(b, b0) with fn = b z + b0 + O(1/z) at infinity, from the folded
+    coefficients: a c != 0 map tends to a/c, so b = 0."""
+    u, ((a, bb), (c, d)) = _fold(fn)
+    b_u, b0_u, _ = u.lower_coeffs()
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        b, b0 = (0j, a / c) if c else (a * b_u / d, (a * b0_u + bb) / d)
+    if not (np.isfinite(b) and np.isfinite(b0)):
+        raise EvaluationFailure(f"expansion of {fn.describe()} beyond double range")
+    return complex(b), complex(b0)
+
+
+def _sigma_class(b, b0) -> str:
+    if abs(b) <= SIGMA_CLASS_TOL:
+        return "neither"
+    if abs(b - 1.0) <= SIGMA_CLASS_TOL and abs(b0) <= SIGMA_CLASS_TOL:
+        return "Sigma0"
+    return "Sigma"
+
+
 @dataclass(frozen=True)
 class SigmaClassReport:
-    b_estimate: complex
-    b0_estimate: complex
-    residual_b: float
-    residual_b0: float
+    b: complex
+    b0: complex
     classification: str  # 'Sigma0' | 'Sigma' | 'neither'
 
 
-def validate_sigma_normalization(
-    f: MeromorphicFn, plan: SamplingPlan, class_tol: float = 1e-6
-) -> SigmaClassReport:
-    """Estimate the expansion-at-infinity coefficients b and b0 by angular
-    averaging on the plan's outermost circle, and classify the function.
-
-    Residuals are the disagreement between estimates at radius r_max and
-    2*r_max; a genuine Sigma expansion makes them vanish to roundoff.
-    """
-    n = max(int(plan.angular_count), 8)
-
-    def estimates(radius):
-        zs = circle_points(radius, n)
-        vals = f.values(zs)
-        if not np.all(np.isfinite(vals)):
-            raise EvaluationFailure(
-                f"{f.describe()} not evaluable on circle of radius {radius}"
-            )
-        b_est = np.mean(vals / zs)
-        b0_est = np.mean(vals - b_est * zs)
-        return b_est, b0_est
-
-    b_lo, b0_lo = estimates(plan.r_max)
-    b_hi, b0_hi = estimates(2.0 * plan.r_max)
-    residual_b = float(abs(b_hi - b_lo))
-    residual_b0 = float(abs(b0_hi - b0_lo))
-
-    if residual_b > class_tol or residual_b0 > class_tol or abs(b_hi) <= class_tol:
-        cls = "neither"
-    elif abs(b_hi - 1.0) <= class_tol and abs(b0_hi) <= class_tol:
-        cls = "Sigma0"
-    else:
-        cls = "Sigma"
-    return SigmaClassReport(
-        b_estimate=complex(b_hi),
-        b0_estimate=complex(b0_hi),
-        residual_b=residual_b,
-        residual_b0=residual_b0,
-        classification=cls,
-    )
+def validate_sigma_normalization(f: MeromorphicFn) -> SigmaClassReport:
+    """The coefficients b and b0 of f = b z + b0 + O(1/z) at infinity, read
+    from the folded Laurent and Moebius coefficients, and the class they
+    give: f is in Sigma when b != 0 (a Moebius map with c != 0 is bounded
+    at infinity), and in Sigma0 when also b = 1 and b0 = 0, each to
+    SIGMA_CLASS_TOL."""
+    b, b0 = _expansion_at_infinity(f)
+    return SigmaClassReport(b=b, b0=b0, classification=_sigma_class(b, b0))
 
 
 @dataclass(frozen=True)
@@ -398,20 +396,18 @@ def validate_h_admissible(
 def _derivative_roots(fn):
     """Zeros of fn' and poles of fn, each pole listed twice (it is a double
     pole of fn'). Nested Moebius maps fold into one matrix."""
-    m, name = np.eye(2, dtype=np.complex128), fn.describe()
-    while fn.kind == "moebius":
-        m = m @ np.reshape(fn.abcd, (2, 2))
-        fn = fn.inner
-    b, b0, tail = fn.lower_coeffs()
-    # In w = 1/z, fn' = b (1 - sum k t_k / b w^(k+1)) and c fn + d = (c b +
-    # (c b0 + d) w + c sum t_k w^(k+1)) / w. Read from the constant term up,
-    # these coefficients are polynomials in z with the roots 1/w.
+    u, m = _fold(fn)
+    b, b0, tail = u.lower_coeffs()
+    # fn' = (ad - bc) u' / (c u + d)^2. In w = 1/z, u' = b (1 - sum k t_k / b
+    # w^(k+1)) and c u + d = (c b + (c b0 + d) w + c sum t_k w^(k+1)) / w. Read
+    # from the constant term up, these coefficients are polynomials in z with
+    # the roots 1/w.
     c, d = m[1]
     try:
         zeros = np.roots(np.r_[1.0, 0.0, -np.arange(1, tail.size + 1) * tail / b])
         poles = np.roots(np.r_[c * b, c * b0 + d, c * tail]) if c else zeros[:0]
     except np.linalg.LinAlgError as exc:  # coefficients out of double range
-        raise EvaluationFailure(f"no roots of {name} in double range") from exc
+        raise EvaluationFailure(f"no roots of {fn.describe()} in double range") from exc
     return zeros, np.repeat(poles, 2)
 
 

@@ -39,7 +39,9 @@ from .sampling import circle_points
 DEFAULT_T_SAMPLES = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)
 DEFAULT_Z_CIRCLES = (0.5, 0.9, 1.0)
 DEFAULT_Z_ANGLES = 64
+A1_RADIUS = 0.5
 A1_NODE_COUNT = 256
+PROBE_COUNT = 16
 A1_DOUBLING_TOL = 1e-9
 A1_RESIDUAL_TOL = 1e-6
 DT_PROXY_STEP = 1e-4
@@ -177,17 +179,12 @@ def chain_p(spec: ChainSpec, z: complex, t: float) -> complex:
     return (1.0 + w) / (1.0 - w)
 
 
-def extract_a1(
-    spec: ChainSpec,
-    t: float,
-    circle_radius: float = 0.5,
-    node_count: int = A1_NODE_COUNT,
-) -> complex:
+def extract_a1(spec: ChainSpec, t: float, circle_radius: float = A1_RADIUS) -> complex:
     """First Taylor coefficient of z -> chain(z, t) at 0, by the trapezoidal
     contour rule (spectrally accurate for analytic chains)."""
     if not 0.0 < circle_radius < 1.0:
         raise ValueError("circle_radius must lie in (0, 1)")
-    zs = circle_points(circle_radius, node_count)
+    zs = circle_points(circle_radius, A1_NODE_COUNT)
     return _a1(zs, t, circle_radius, _chain_slices(spec, [(zs, t)])[0])
 
 
@@ -206,14 +203,7 @@ def _a1(zs, t, circle_radius, chain) -> complex:
     return complex(a1)
 
 
-def subordination_check(
-    spec: ChainSpec,
-    t: float,
-    s: float,
-    r: float = 0.5,
-    boundary_nodes: int = A1_NODE_COUNT,
-    probe_nodes: int = 16,
-):
+def subordination_check(spec: ChainSpec, t: float, s: float, r: float = A1_RADIUS):
     """Verify chain(., t) maps into the image of chain(., s) by winding number:
     every probe image must be enclosed exactly once by the s-contour.
 
@@ -221,8 +211,8 @@ def subordination_check(
     """
     if not 0.0 < r < 1.0:
         raise ValueError("contour radius must lie in (0, 1)")
-    ring = circle_points(r, boundary_nodes)
-    probes_z = circle_points(0.9 * r, probe_nodes)
+    ring = circle_points(r, A1_NODE_COUNT)
+    probes_z = circle_points(0.9 * r, PROBE_COUNT)
     contour, probes = _chain_slices(spec, [(ring, s), (probes_z, t)])
     return _subordination(t, s, probes_z, contour, probes)
 
@@ -307,24 +297,15 @@ def default_z_samples() -> np.ndarray:
     return np.concatenate(parts)
 
 
-def audit_pommerenke(
-    spec: ChainSpec,
-    z_samples=None,
-    t_samples=None,
-    a1_tol: float = A1_RESIDUAL_TOL,
-) -> AuditReport:
+def audit_pommerenke(spec: ChainSpec, t_samples=None) -> AuditReport:
     """Fill an AuditReport over the (z, t) grid; per-sample failures are
     recorded rather than aborting the audit. Aggregation is t-major, then
     z index, so reports are reproducible.
 
     Every chain sample comes from one ``_chain_slices`` pass, and each slice
-    is read as if it had been evaluated alone. With ``subordination_check``'s
-    default geometry the s-contour of a pair is the a1 contour at s."""
-    z = (
-        default_z_samples()
-        if z_samples is None
-        else np.asarray(z_samples, dtype=np.complex128)
-    )
+    is read as if it had been evaluated alone. The s-contour of a pair is
+    the a1 contour at s, the contour of ``subordination_check``'s default r."""
+    z = default_z_samples()
     ts = tuple(DEFAULT_T_SAMPLES if t_samples is None else t_samples)
 
     max_abs_w = -np.inf
@@ -337,10 +318,9 @@ def audit_pommerenke(
     errors = []
     a1_records = []
 
-    radius = 0.5
-    contour = circle_points(radius, A1_NODE_COUNT)
-    doubled = circle_points(radius, 2 * A1_NODE_COUNT)
-    probes_z = circle_points(0.9 * radius, 16)
+    contour = circle_points(A1_RADIUS, A1_NODE_COUNT)
+    doubled = circle_points(A1_RADIUS, 2 * A1_NODE_COUNT)
+    probes_z = circle_points(0.9 * A1_RADIUS, PROBE_COUNT)
     slices = []
     for t in ts:
         slices += [(z, t), (z, t + DT_PROXY_STEP), (contour, t), (doubled, t)]
@@ -397,8 +377,8 @@ def audit_pommerenke(
             errors.append(f"chain grid at t={t}: {exc}")
 
         try:
-            a1 = _a1(contour, t, radius, on_contour)
-            a1_double = _a1(doubled, t, radius, on_doubled)
+            a1 = _a1(contour, t, A1_RADIUS, on_contour)
+            a1_double = _a1(doubled, t, A1_RADIUS, on_doubled)
             doubling_ok = abs(a1 - a1_double) < A1_DOUBLING_TOL * max(1.0, abs(a1))
             residual = abs(a1 - np.exp(t)) / np.exp(t)
             a1_records.append((float(t), a1, float(residual), bool(doubling_ok)))
@@ -424,7 +404,7 @@ def audit_pommerenke(
         not errors
         and max_abs_w < 1.0
         and min_re_p > 0.0
-        and all(res <= a1_tol and ok for _, _, res, ok in a1_records)
+        and all(res <= A1_RESIDUAL_TOL and ok for _, _, res, ok in a1_records)
         and not subordination_failures
         and np.isfinite(boundedness)
         and np.isfinite(dt_proxy)

@@ -64,7 +64,8 @@ class CollisionReport:
 
 
 def _median_neighbor_spacing(grid: np.ndarray, plan: SamplingPlan) -> float:
-    """Median distance between grid-adjacent samples (angular and radial).
+    """Median distance between grid-adjacent samples (angular and radial),
+    0.0 on a 1x1 grid, which has no adjacent pair.
 
     The median is np.median's arithmetic on one np.partition at the middle
     index: for an even count, the lower middle value is the largest of the
@@ -74,9 +75,13 @@ def _median_neighbor_spacing(grid: np.ndarray, plan: SamplingPlan) -> float:
     # A gap or median beyond double range reads as inf; a default tolerance
     # or floor derived from it is then rejected as a plan error.
     with np.errstate(over="ignore", invalid="ignore"):
-        gaps = [np.abs(mesh - np.roll(mesh, 1, axis=1)).ravel()]
+        gaps = []
+        if plan.angular_count > 1:  # one angle: each sample is its own neighbour
+            gaps.append(np.abs(mesh - np.roll(mesh, 1, axis=1)).ravel())
         if plan.radial_count > 1:
             gaps.append(np.abs(mesh[1:] - mesh[:-1]).ravel())
+        if not gaps:
+            return 0.0
         gaps = np.concatenate(gaps)
         half = gaps.size // 2
         gaps = np.partition(gaps, half)

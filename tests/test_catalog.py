@@ -1,12 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import univalence as uv
 from univalence import _kernels
-from univalence.catalog import _derivative_roots, parse_complex, power_branch_stack
+from univalence.catalog import (
+    SigmaClassReport,
+    _derivative_roots,
+    parse_complex,
+    power_branch_stack,
+)
 from univalence.criteria import CriterionParams, evaluate_lhs
 from univalence.errors import (
     CriticalPoint,
+    EvaluationFailure,
     InvalidSpec,
     NonFiniteJet,
     OutsideDomain,
@@ -15,6 +23,8 @@ from univalence.errors import (
 from univalence.jet import stack_div
 
 from conftest import exterior_points
+
+coefficients = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
 
 
 class TestConstruction:
@@ -118,31 +128,50 @@ class TestHFunctions:
 
 class TestSigmaValidator:
     def test_identity(self):
-        rep = uv.validate_sigma_normalization(uv.identity(), uv.SamplingPlan())
+        rep = uv.validate_sigma_normalization(uv.identity())
         assert rep.classification == "Sigma0"
-        assert abs(rep.b_estimate - 1) < 1e-12 and abs(rep.b0_estimate) < 1e-12
+        assert rep.b == 1 and rep.b0 == 0
 
     def test_shifted_laurent_is_sigma_only(self):
-        rep = uv.validate_sigma_normalization(uv.laurent(1, 3), uv.SamplingPlan())
+        rep = uv.validate_sigma_normalization(uv.laurent(1, 3))
         assert rep.classification == "Sigma"
-        assert abs(rep.b0_estimate - 3) < 1e-9
+        assert rep.b0 == 3
 
-    def test_joukowski_residuals_at_large_radius(self):
-        plan = uv.SamplingPlan(r_max=1e4)
-        rep = uv.validate_sigma_normalization(uv.joukowski(0.5), plan)
-        assert rep.classification == "Sigma0"
-        assert rep.residual_b <= 1e-8 and rep.residual_b0 <= 1e-8
+    def test_joukowski_is_sigma0(self):
+        rep = uv.validate_sigma_normalization(uv.joukowski(0.5))
+        assert (rep.b, rep.b0, rep.classification) == (1, 0, "Sigma0")
 
     def test_moebius_identity_wrap_passes_through(self):
         inner = uv.joukowski(0.4)
         wrapped = uv.moebius_of(inner, 1, 0, 0, 1)
-        rep = uv.validate_sigma_normalization(wrapped, uv.SamplingPlan())
+        rep = uv.validate_sigma_normalization(wrapped)
         assert rep.classification == "Sigma0"
 
     def test_bounded_function_is_neither(self):
         inv = uv.moebius_of(uv.identity(), 0, 1, 1, 0)
-        rep = uv.validate_sigma_normalization(inv, uv.SamplingPlan())
+        rep = uv.validate_sigma_normalization(inv)
         assert rep.classification == "neither"
+
+    @pytest.mark.parametrize(
+        "spec,b,b0,cls",
+        [
+            ("moebius:1,0,1,-2:identity", 0, 1, "neither"),  # tends to a/c = 1
+            ("moebius:2,0.5,0,2:joukowski:0.3", 1, 0.25, "Sigma"),
+            ("moebius:2,0,0,4:moebius:2,1,0,1:joukowski:0.3", 1, 0.5, "Sigma"),
+            ("moebius:1,-1,0,1:moebius:1,1,0,1:identity", 1, 0, "Sigma0"),
+            # each level has c != 0, but the folded matrix is the identity
+            ("moebius:1,0,-0.5,1:moebius:1,0,0.5,1:identity", 1, 0, "Sigma0"),
+        ],
+    )
+    def test_class_read_from_folded_coefficients(self, spec, b, b0, cls):
+        f = uv.make_sigma_function(spec)
+        assert uv.validate_sigma_normalization(f) == SigmaClassReport(b, b0, cls)
+        assert f.declared_class == cls
+
+    def test_expansion_beyond_double_range_is_evaluation_failure(self):
+        f = uv.moebius_of(uv.laurent(1e200, 0), 1e200, 0, 0, 1)
+        with pytest.raises(EvaluationFailure, match="beyond double range"):
+            uv.validate_sigma_normalization(f)
 
 
 class TestHAdmissibility:
@@ -352,8 +381,52 @@ class TestConstantDenominatorMoebius:
             fn.jet(1e10)
 
     @pytest.mark.parametrize(
-        "spec", ["moebius:1,0,1,-2:identity", "moebius:0,1,1,1:moebius:1,0,1,-2:identity"]
+        "spec,zeta",
+        [
+            pytest.param("moebius:1,0,1,-2:identity", 2.0, id="moebius:1,0,1,-2:identity"),
+            pytest.param(
+                "moebius:1,0,1,-2:moebius:0.5,0,0,1:identity",
+                4.0,
+                id="moebius:1,0,1,-2:moebius:0.5,0,0,1:identity",
+            ),
+        ],
     )
-    def test_jet_at_vanishing_denominator_is_pole(self, spec):
-        with pytest.raises(PoleAtPoint, match="has a pole at 2.0"):
-            uv.make_sigma_function(spec).jet(2.0)
+    def test_jet_at_vanishing_denominator_is_pole(self, spec, zeta):
+        with pytest.raises(PoleAtPoint, match=f"has a pole at {zeta}"):
+            uv.make_sigma_function(spec).jet(zeta)
+
+    def test_jet_at_inner_pole_is_finite(self):
+        # (z - 2)/(2z - 2): the inner map's pole at z = 2 is no pole of the
+        # whole map, whose folded denominator 2z - 2 is 2 there
+        f = uv.make_sigma_function("moebius:0,1,1,1:moebius:1,0,1,-2:identity")
+        jet = f.jet(2.0).as_stack()
+        assert np.max(np.abs(jet - [0, 0.5, -1, 3])) <= 1e-15
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        u=st.builds(
+            uv.laurent,
+            coefficients.filter(bool),
+            coefficients,
+            st.lists(coefficients, max_size=4),
+        ),
+        abcd=st.tuples(coefficients, coefficients, st.just(0) | coefficients, coefficients),
+        order=st.integers(0, 4),
+        first=st.integers(0, 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_single_level_is_the_quotient(self, u, abcd, order, first, seed):
+        """One level, c = 0 or not: the stack is the quotient over the
+        inner stack bitwise, but for the sign of a zero when c = 0."""
+        a, b, c, d = abcd
+        assume(a * d - b * c != 0 and first <= order)
+        fn = uv.moebius_of(u, a, b, c, d)
+        pts = exterior_points(np.random.default_rng(seed), 40)
+        with np.errstate(all="ignore"):
+            want = self.quotient(fn, pts, order)[first:]
+        assume(np.isfinite(want).all())
+        got = fn.derivs(pts, order, first=first)
+        if c:
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert (got + 0.0).tobytes() == (want + 0.0).tobytes()

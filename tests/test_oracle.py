@@ -278,17 +278,18 @@ class TestInjectivityScan:
         assert len(fast) == len(close)
 
     @pytest.mark.parametrize("radial", [1, 3])
-    @pytest.mark.parametrize("angular", [5, 6])  # odd and even gap counts
+    @pytest.mark.parametrize("angular", [1, 5, 6])  # one angle, odd and even gap counts
     def test_median_neighbor_spacing_is_the_median(self, rng, radial, angular):
         plan = uv.SamplingPlan(radial_count=radial, angular_count=angular)
         for scale in (1e-3, 1.0, 1e6):
             grid = scale * np.array([1.0, 1j]) @ rng.normal(size=(2, radial * angular))
             mesh = grid.reshape(radial, angular)
-            gaps = [np.abs(mesh - mesh[:, np.arange(angular) - 1]).ravel()]
-            gaps.append(np.abs(np.diff(mesh, axis=0)).ravel())
+            gaps = [np.abs(np.diff(mesh, axis=0)).ravel()]
+            if angular > 1:  # with one angle, a sample's neighbour is itself
+                gaps.append(np.abs(mesh - mesh[:, np.arange(angular) - 1]).ravel())
             gaps = np.concatenate(gaps)
-            assert gaps.size % 2 == angular % 2
-            assert _median_neighbor_spacing(grid, plan) == np.median(gaps)
+            want = np.median(gaps) if gaps.size else 0.0  # a 1x1 grid has no pair
+            assert _median_neighbor_spacing(grid, plan) == want
 
     def test_evaluation_failure_carries_point(self):
         # moebius pole inside the scanned region

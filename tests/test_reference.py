@@ -28,6 +28,10 @@ LOG_TOL = 1e-14
 NEAR_ROOT_LOG_TOL = 1e-13  # beside a zero of g', the double g' loses digits
 LHS_TOL = 1e-12  # Schwarzians of Moebius maps lose about three digits
 CHAIN_TOL = 1e-13
+# Rows 0-3 of a c != 0 Moebius map over another Moebius map, one quotient
+# over the innermost Laurent map (the quotient over the inner map's stack
+# reached 2.8e-14 on the maps of test_moebius_over_moebius_stack).
+FOLD_TOL = 2e-14
 
 LAURENT_F = uv.laurent(1, 0, [0.2 - 0.1j, 0.05j, -0.02])
 # A pole at z = -12 + 16i, off every sampled ray.
@@ -221,6 +225,21 @@ def test_sheet_off_the_principal_branch():
     alpha = 0.3 + 0.2j
     v = power_branch_stack(f, g, alpha, points)[0]
     assert rel_error(v, np.exp(alpha * ref)) <= NEAR_ROOT_LOG_TOL
+
+
+def test_moebius_over_moebius_stack():
+    rng = np.random.default_rng(0)
+
+    def coeff(scale=1.0):
+        return complex(*rng.normal(scale=scale, size=2))
+
+    for k in range(24):
+        u = uv.laurent(coeff(), coeff(0.3), [coeff(0.3) for _ in range(k % 4)])
+        inner = uv.moebius_of(u, coeff(), coeff(), coeff(0.3) if k % 2 else 0, coeff())
+        fn = uv.moebius_of(inner, coeff(), coeff(), coeff(0.3), coeff())
+        points = exterior_points(rng, 16, 1.1, 10.0)
+        want = [[complex(x) for x in mp_derivs(fn, mp.mpc(complex(z)))] for z in points]
+        assert rel_error(fn.derivs(points, 3), np.transpose(want)) <= FOLD_TOL
 
 
 @pytest.mark.parametrize("criterion", CRITERIA)
