@@ -308,25 +308,34 @@ def parse_h_spec(spec: str) -> HFunction:
 # ---------------------------------------------------------------------------
 
 
-SIGMA_CLASS_TOL = 1e-6
+# Rounding allowance, in units of the last place, of the Sigma0 test.
+SIGMA_CLASS_ULPS = 8
 
 
 def _expansion_at_infinity(fn):
     """(b, b0) with fn = b z + b0 + O(1/z) at infinity, from the folded
-    coefficients: a c != 0 map tends to a/c, so b = 0."""
+    coefficients (a c != 0 map tends to a/c, so b = 0), and the size of the
+    terms b0 sums, which bounds its rounding."""
     u, ((a, bb), (c, d)) = _fold(fn)
     b_u, b0_u, _ = u.lower_coeffs()
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        b, b0 = (0j, a / c) if c else (a * b_u / d, (a * b0_u + bb) / d)
+        if c:
+            b, b0, scale = 0j, a / c, 0.0
+        else:
+            b, b0 = a * b_u / d, (a * b0_u + bb) / d
+            scale = (abs(a * b0_u) + abs(bb)) / abs(d)
     if not (np.isfinite(b) and np.isfinite(b0)):
         raise EvaluationFailure(f"expansion of {fn.describe()} beyond double range")
-    return complex(b), complex(b0)
+    return complex(b), complex(b0), float(scale)
 
 
-def _sigma_class(b, b0) -> str:
-    if abs(b) <= SIGMA_CLASS_TOL:
+def _sigma_class(b, b0, scale) -> str:
+    """Sigma when b != 0; Sigma0 when also b = 1 and b0 = 0 up to
+    SIGMA_CLASS_ULPS units in the last place of b and of ``scale``."""
+    if b == 0:
         return "neither"
-    if abs(b - 1.0) <= SIGMA_CLASS_TOL and abs(b0) <= SIGMA_CLASS_TOL:
+    tol = SIGMA_CLASS_ULPS * np.finfo(np.float64).eps
+    if abs(b - 1.0) <= tol * abs(b) and abs(b0) <= tol * scale:
         return "Sigma0"
     return "Sigma"
 
@@ -342,10 +351,10 @@ def validate_sigma_normalization(f: MeromorphicFn) -> SigmaClassReport:
     """The coefficients b and b0 of f = b z + b0 + O(1/z) at infinity, read
     from the folded Laurent and Moebius coefficients, and the class they
     give: f is in Sigma when b != 0 (a Moebius map with c != 0 is bounded
-    at infinity), and in Sigma0 when also b = 1 and b0 = 0, each to
-    SIGMA_CLASS_TOL."""
-    b, b0 = _expansion_at_infinity(f)
-    return SigmaClassReport(b=b, b0=b0, classification=_sigma_class(b, b0))
+    at infinity), and in Sigma0 when also b = 1 and b0 = 0, each up to the
+    rounding of the fold."""
+    b, b0, scale = _expansion_at_infinity(f)
+    return SigmaClassReport(b=b, b0=b0, classification=_sigma_class(b, b0, scale))
 
 
 @dataclass(frozen=True)
@@ -421,16 +430,29 @@ def _sheet_index(f, g, points, ratio):
     (gz, gp), (fz, fp) = _derivative_roots(g), _derivative_roots(f)
     at = np.r_[gz, fp, fz, gp]
     sign = np.repeat([1.0, -1.0], [gz.size + fp.size, fz.size + gp.size])
-    # One root at a time keeps the temporaries one row long; the sum runs
-    # from 0.0 in root order, as a sum over a root axis would.
+    # The anchor term is added last but made first, so the temporaries of
+    # its derivative stacks are gone before the root rows exist.
+    anchor_ratio = g.derivs(anchor, 1, first=1)[0] / f.derivs(anchor, 1, first=1)[0]
+    last = np.angle(anchor_ratio) - np.angle(ratio)
+    # One root at a time, into rows allocated once, keeps the temporaries
+    # one row long; the sum runs from 0.0 in root order, as a sum over a
+    # root axis would. arctan2(q.imag, q.real) is np.angle(q).
     on_ray = np.empty(at.shape + points.shape, dtype=bool)
     turn = np.zeros(points.shape)
+    q, qa = np.empty_like(points), np.empty_like(points)
+    angle, angle_a = np.empty(points.shape), np.empty(points.shape)
+    near = np.empty(points.shape, dtype=bool)
     for i, r in enumerate(at):
-        q = 1.0 - r / points
-        on_ray[i] = (q.real <= 0) & (np.abs(q.imag) < CUT_DISTANCE)
-        turn += sign[i] * (np.angle(q) - np.angle(1.0 - r / anchor))
-    anchor_ratio = g.derivs(anchor, 1, first=1)[0] / f.derivs(anchor, 1, first=1)[0]
-    turn += np.angle(anchor_ratio) - np.angle(ratio)
+        np.subtract(1.0, np.divide(r, points, out=q), out=q)
+        np.less_equal(q.real, 0, out=on_ray[i])
+        np.less(np.abs(q.imag, out=angle), CUT_DISTANCE, out=near)
+        on_ray[i] &= near
+        np.subtract(1.0, np.divide(r, anchor, out=qa), out=qa)
+        np.arctan2(q.imag, q.real, out=angle)
+        angle -= np.arctan2(qa.imag, qa.real, out=angle_a)
+        angle *= sign[i]
+        turn += angle
+    turn += last
     return np.rint(turn / (2.0 * np.pi)), at, on_ray
 
 

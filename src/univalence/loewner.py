@@ -7,12 +7,18 @@ closed form (whose modulus on |z| = 1 equals the criterion LHS at
 zeta = e^t/z), and p = (1+w)/(1-w) realizes the positive-real-part condition.
 The audit checks |w| < 1, Re p > 0, the first-coefficient law a1(t) = e^t,
 subordination between consecutive chain times, and boundedness proxies. It
-evaluates every chain sample it needs (the z grid at each t and at
-t + DT_PROXY_STEP, both a1 contours, the subordination probes) in one pass:
-one power branch of v with one root solve per function, one h evaluation and
-one quotient over all points, and one winding sum per subordination pair.
-A failure is recorded against its own t slice or (t, s) pair, with the
-message that slice would raise alone, and the audit goes on.
+evaluates each distinct chain sample once, in one pass: one power branch of
+v with one root solve per function, one h evaluation and one quotient over
+all points. At the default grids that pass covers 5072 points: per t, the
+z grid circles of radius 0.9 and 1, the z grid at t + DT_PROXY_STEP and the
+512-node doubled a1 contour, plus the subordination probes. The 256-node a1
+contour and the z grid circle of radius 0.5 are views of the doubled
+contour's even and every eighth nodes, bitwise the nodes ``circle_points``
+gives, since scaling an index and a node count by a power of two is exact.
+The driving function w comes from one criterion-pieces pass over the z grid
+at every t, and subordination from one winding sum per pair. A failure is
+recorded against its own t slice or (t, s) pair, with the message that
+slice would raise alone, and the audit goes on.
 """
 
 from __future__ import annotations
@@ -67,29 +73,35 @@ class ChainSpec:
         object.__setattr__(self, "alpha", complex(self.alpha))
 
 
-def _check_domain(z: np.ndarray, t: float):
-    if t < 0:
-        raise ValueError(f"chain time must be nonnegative, got {t}")
+def _concat(slices):
+    """The points of the (z, t) slices as one flat array, each slice's t
+    repeated over its points, and the slice ends. Raises the domain error
+    of the first slice that has one, as that slice alone would."""
+    zs = [np.ravel(np.asarray(z, dtype=np.complex128)) for z, _ in slices]
+    sizes = [z.size for z in zs]
+    ends = np.cumsum(sizes)
+    z = np.concatenate(zs)
     mods = np.abs(z)
-    if np.any(mods == 0) or np.any(mods > 1.0 + 1e-12):
-        bad = z[(mods == 0) | (mods > 1.0 + 1e-12)][0]
-        raise OutsideDomain(f"chain domain is 0 < |z| <= 1, got z = {bad}")
+    bad = np.flatnonzero((mods == 0) | (mods > 1.0 + 1e-12))
+    # A slice with a negative t fails before its points are looked at.
+    last = np.searchsorted(ends, bad[0], side="right") if bad.size else len(slices)
+    for _, t in slices[: last + 1]:
+        if t < 0:
+            raise ValueError(f"chain time must be nonnegative, got {t}")
+    if bad.size:
+        raise OutsideDomain(f"chain domain is 0 < |z| <= 1, got z = {z[bad[0]]}")
+    t = np.repeat(np.array([t for _, t in slices], dtype=np.float64), sizes)
+    return z, t, ends
 
 
 def _chain_slices(spec: ChainSpec, slices) -> list:
     """Chain values over a sequence of (z, t) slices from one pass over all
-    of their points: one power branch, one h and one quotient evaluation.
-    Returns, per slice, its values or the error ``chain_values`` raises for
-    that slice alone (CriticalPoint, DenominatorVanishes, EvaluationFailure)."""
-    zs = []
-    for z, t in slices:
-        z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-        _check_domain(z, t)
-        zs.append(z)
-    sizes = [z.size for z in zs]
-    ends = np.cumsum(sizes)
-    z = np.concatenate(zs)
-    t = np.repeat(np.array([t for _, t in slices], dtype=np.float64), sizes)
+    of their points: one domain check, one power branch, one h and one
+    quotient evaluation (the audit's pass is described at
+    ``_audit_samples``). Returns, per slice, its values or the error
+    ``chain_values`` raises for that slice alone (CriticalPoint,
+    DenominatorVanishes, EvaluationFailure)."""
+    z, t, ends = _concat(slices)
     et = np.exp(t)
     w = et / z
     # The quotient reads v, v', f and f' only.
@@ -105,13 +117,13 @@ def _chain_slices(spec: ChainSpec, slices) -> list:
         quotient = (vstack[0] + coef * hvals * vstack[1]) / num
     singular = (num == 0) | ~np.isfinite(num)
     out = []
-    for z, (_, t), end, size, error in zip(zs, slices, ends, sizes, errors):
-        bad = singular[end - size : end]
+    for (_, t), a, b, error in zip(slices, [0, *ends[:-1]], ends, errors):
+        bad = singular[a:b]
         if error is None and bad.any():
             error = DenominatorVanishes(
-                f"chain quotient singular at z = {z[bad][0]}, t = {t}"
+                f"chain quotient singular at z = {z[a:b][bad][0]}, t = {t}"
             )
-        out.append(quotient[end - size : end] if error is None else error)
+        out.append(quotient[a:b] if error is None else error)
     return out
 
 
@@ -124,7 +136,8 @@ def _ok(result) -> np.ndarray:
 
 def chain_values(spec: ChainSpec, z, t: float) -> np.ndarray:
     """Chain value at each z for fixed t (vector core of chain_eval)."""
-    return _ok(_chain_slices(spec, [(z, t)])[0])
+    z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
+    return _ok(_chain_slices(spec, [(z, t)])[0]).reshape(z.shape)
 
 
 def chain_eval(spec: ChainSpec, z: complex, t: float) -> complex:
@@ -136,35 +149,51 @@ def chain_w_values(spec: ChainSpec, z, t: float) -> np.ndarray:
     """Driving function w(z,t) from its closed form, at each z for fixed t;
     built from the criterion pieces at e^t/z."""
     z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    _check_domain(z, t)
-    et = np.exp(t)
-    e2t = et * et
-    em2t = np.exp(-2.0 * t)
-    w = et / z
+    return _ok(_w_slices(spec, [(z, t)])[0]).reshape(z.shape)
+
+
+def _w_slices(spec: ChainSpec, slices) -> list:
+    """w over a sequence of (z, t) slices from one ``pieces`` pass over all
+    of their points, each slice assembled with its own scalar e^t. Returns,
+    per slice, its values or the error ``chain_w_values`` raises for that
+    slice alone (CriticalPoint, HVanishes)."""
+    z, _, ends = _concat(slices)
+    ets = [np.exp(t) for _, t in slices]
+    w = np.repeat(ets, np.diff(ends, prepend=0)) / z
     pc = pieces(spec.f, spec.g, spec.h, w)
-    if np.any(pc.f1 == 0) or np.any(pc.g1 == 0):
-        bad = w[(pc.f1 == 0) | (pc.g1 == 0)][0]
-        raise CriticalPoint(f"f' or g' vanishes at {bad}")
-    if np.any(pc.h0 == 0):
-        raise HVanishes(f"h vanishes at {w[pc.h0 == 0][0]}")
     alpha = spec.alpha
-    # Pieces out of double range give non-finite w, which the audit records.
-    with np.errstate(over="ignore", invalid="ignore"):
-        diff = pc.pf - pc.pg
-        if spec.squared_variant:
-            diff = diff * diff
-        return (
-            e2t * (1.0 - pc.h0) / pc.h0
-            + (1.0 - e2t)
-            * w
-            * (pc.h1 / pc.h0 + (1.0 - 2.0 * alpha) * pc.pf + 2.0 * alpha * pc.pg)
-            + alpha
-            * e2t
-            * (em2t - 1.0) ** 2
-            * (e2t / (z * z))
-            * pc.h0
-            * ((pc.sf - pc.sg) + (alpha - 0.5) * diff)
-        )
+    out = []
+    for (_, t), et, a, b in zip(slices, ets, [0, *ends[:-1]], ends):
+        zk, wk = z[a:b], w[a:b]
+        f1, g1, h0, h1, pf, sf, pg, sg = (piece[a:b] for piece in pc)
+        if np.any(f1 == 0) or np.any(g1 == 0):
+            bad = wk[(f1 == 0) | (g1 == 0)][0]
+            out.append(CriticalPoint(f"f' or g' vanishes at {bad}"))
+            continue
+        if np.any(h0 == 0):
+            out.append(HVanishes(f"h vanishes at {wk[h0 == 0][0]}"))
+            continue
+        e2t = et * et
+        em2t = np.exp(-2.0 * t)
+        # Pieces out of double range give non-finite w, which the audit
+        # records.
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = pf - pg
+            if spec.squared_variant:
+                diff = diff * diff
+            out.append(
+                e2t * (1.0 - h0) / h0
+                + (1.0 - e2t)
+                * wk
+                * (h1 / h0 + (1.0 - 2.0 * alpha) * pf + 2.0 * alpha * pg)
+                + alpha
+                * e2t
+                * (em2t - 1.0) ** 2
+                * (e2t / (zk * zk))
+                * h0
+                * ((sf - sg) + (alpha - 0.5) * diff)
+            )
+    return out
 
 
 def chain_w(spec: ChainSpec, z: complex, t: float) -> complex:
@@ -297,14 +326,67 @@ def default_z_samples() -> np.ndarray:
     return np.concatenate(parts)
 
 
+def _audit_nodes():
+    """The a1 contour, the doubled contour and the subordination probes."""
+    return (
+        circle_points(A1_RADIUS, A1_NODE_COUNT),
+        circle_points(A1_RADIUS, 2 * A1_NODE_COUNT),
+        circle_points(0.9 * A1_RADIUS, PROBE_COUNT),
+    )
+
+
+def _audit_samples(spec: ChainSpec, ts: tuple, z: np.ndarray, nodes: tuple):
+    """Every sample the audit reads at the z grid ``z`` and the
+    ``_audit_nodes``, each as a ``_chain_slices`` result: per t, the chain
+    on the grid, on the grid at t + DT_PROXY_STEP, on the a1 contour and on
+    the doubled contour, and w on the grid; and, per subordination pair,
+    the chain at the probes.
+
+    Each distinct point is evaluated once. ``circle_points(r, 2n)[::2]`` is
+    bitwise ``circle_points(r, n)``, since scaling an angle's index and the
+    node count by a power of two is exact. So the a1 contour is a view of
+    the even nodes of the doubled contour, and the first grid circle
+    (radius A1_RADIUS, DEFAULT_Z_ANGLES nodes) a view of every eighth.
+    When the doubled contour carries an error, the a1 contour and the grid
+    are evaluated alone instead, so each keeps the message and point of its
+    own evaluation."""
+    contour, doubled, probes_z = nodes
+    stride = doubled.size // DEFAULT_Z_ANGLES
+    rest = z[DEFAULT_Z_ANGLES:]  # the grid circles past the first
+    slices = []
+    for t in ts:
+        slices += [(rest, t), (z, t + DT_PROXY_STEP), (doubled, t)]
+    slices += [(probes_z, t) for t in ts[:-1]]
+    chain = _chain_slices(spec, slices)
+    w = _w_slices(spec, [(z, t) for t in ts])
+
+    samples = []
+    for i, t in enumerate(ts):
+        outer, stepped, on_doubled = chain[3 * i : 3 * i + 3]
+        if isinstance(on_doubled, Exception):
+            grid, on_contour = _chain_slices(spec, [(z, t), (contour, t)])
+        else:
+            # With the first circle clean, the grid fails where ``outer``
+            # first fails, with the same message.
+            grid = outer
+            if not isinstance(outer, Exception):
+                grid = np.concatenate([on_doubled[::stride], outer])
+            on_contour = on_doubled[::2]
+        samples.append((grid, stepped, on_contour, on_doubled, w[i]))
+    return samples, chain[3 * len(ts) :]
+
+
 def audit_pommerenke(spec: ChainSpec, t_samples=None) -> AuditReport:
     """Fill an AuditReport over the (z, t) grid; per-sample failures are
     recorded rather than aborting the audit. Aggregation is t-major, then
     z index, so reports are reproducible.
 
-    Every chain sample comes from one ``_chain_slices`` pass, and each slice
-    is read as if it had been evaluated alone. The s-contour of a pair is
-    the a1 contour at s, the contour of ``subordination_check``'s default r."""
+    Every sample comes from ``_audit_samples``: at the default grids one
+    chain pass over 5072 points (6 t x (128 grid + 192 stepped + 512
+    doubled-contour points) + 5 x 16 probes) and one w pass over 6 x 192
+    grid points, each slice read as if it had been evaluated alone. The
+    s-contour of a pair is the a1 contour at s, the contour of
+    ``subordination_check``'s default r."""
     z = default_z_samples()
     ts = tuple(DEFAULT_T_SAMPLES if t_samples is None else t_samples)
 
@@ -318,19 +400,12 @@ def audit_pommerenke(spec: ChainSpec, t_samples=None) -> AuditReport:
     errors = []
     a1_records = []
 
-    contour = circle_points(A1_RADIUS, A1_NODE_COUNT)
-    doubled = circle_points(A1_RADIUS, 2 * A1_NODE_COUNT)
-    probes_z = circle_points(0.9 * A1_RADIUS, PROBE_COUNT)
-    slices = []
-    for t in ts:
-        slices += [(z, t), (z, t + DT_PROXY_STEP), (contour, t), (doubled, t)]
-    slices += [(probes_z, t) for t in ts[:-1]]
-    chain = _chain_slices(spec, slices)
+    contour, doubled, probes_z = nodes = _audit_nodes()
+    samples, probes = _audit_samples(spec, ts, z, nodes)
 
-    for i, t in enumerate(ts):
-        grid, stepped, on_contour, on_doubled = chain[4 * i : 4 * i + 4]
+    for t, (grid, stepped, on_contour, on_doubled, w) in zip(ts, samples):
         try:
-            wv = chain_w_values(spec, z, t)
+            wv = _ok(w)
             abs_w = np.abs(wv)
             finite = np.isfinite(abs_w)
             if not finite.all():
@@ -389,7 +464,7 @@ def audit_pommerenke(spec: ChainSpec, t_samples=None) -> AuditReport:
     for i, (t_lo, t_hi) in enumerate(zip(ts[:-1], ts[1:])):
         try:
             _, failures = _subordination(
-                t_lo, t_hi, probes_z, chain[4 * i + 6], chain[4 * len(ts) + i]
+                t_lo, t_hi, probes_z, samples[i + 1][2], probes[i]
             )
             subordination_failures.extend(failures)
         except (

@@ -161,6 +161,12 @@ class TestSigmaValidator:
             ("moebius:1,-1,0,1:moebius:1,1,0,1:identity", 1, 0, "Sigma0"),
             # each level has c != 0, but the folded matrix is the identity
             ("moebius:1,0,-0.5,1:moebius:1,0,0.5,1:identity", 1, 0, "Sigma0"),
+            # b != 0 however small, and b = 1, b0 = 0 up to the fold's
+            # rounding only: b = 0.30000000000000004 / 0.3 is one ulp off 1
+            ("laurent:1e-7;0", 1e-7, 0, "Sigma"),
+            ("laurent:1.0000001;0", 1.0000001, 0, "Sigma"),
+            ("laurent:1;1e-7", 1, 1e-7, "Sigma"),
+            ("moebius:0.1,0,0,0.3:moebius:3,0,0,1:identity", 1.0000000000000002, 0, "Sigma0"),
         ],
     )
     def test_class_read_from_folded_coefficients(self, spec, b, b0, cls):

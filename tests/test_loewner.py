@@ -4,18 +4,31 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import univalence as uv
-from univalence.errors import OutsideDomain, WEqualsOne
+from univalence.errors import (
+    CriticalPoint,
+    DenominatorVanishes,
+    EvaluationFailure,
+    HVanishes,
+    OutsideDomain,
+    WEqualsOne,
+)
 from univalence.loewner import (
     DEFAULT_T_SAMPLES,
+    DT_PROXY_STEP,
     ChainSpec,
+    _audit_nodes,
+    _audit_samples,
     audit_pommerenke,
     chain_eval,
     chain_p,
     chain_values,
     chain_w,
     chain_w_values,
+    default_z_samples,
     extract_a1,
     subordination_check,
 )
@@ -131,6 +144,14 @@ class TestChainW:
                 wv = np.abs(chain_w_values(spec, zs, t))
                 lhs = uv.evaluate_lhs(p, np.exp(t) / zs)
                 assert np.max(np.abs(wv - lhs)) <= 1e-9
+
+    def test_grid_shape_is_kept(self):
+        spec = CATALOG_SPECS[3]
+        zs = circle_points(0.8, 32)
+        for fn in (chain_values, chain_w_values):
+            grid = fn(spec, zs.reshape(4, 8), 0.5)
+            assert grid.shape == (4, 8)
+            assert np.array_equal(grid.ravel(), fn(spec, zs, 0.5))
 
     def test_unsquared_variant_respected(self):
         spec_sq = ChainSpec(
@@ -279,17 +300,17 @@ class TestAudit:
     def test_nan_does_not_hide_slice_maximum(self, monkeypatch):
         from univalence import loewner
 
-        exact = loewner.chain_w_values
+        exact = loewner._w_slices
 
-        def with_nan(spec, z, t):
-            w = exact(spec, z, t)
-            if t == 0.5:
-                w = w.copy()
-                w[0] = np.nan
-                w[1] = 1.5
-            return w
+        def with_nan(spec, slices):
+            out = exact(spec, slices)
+            for (_, t), w in zip(slices, out):
+                if t == 0.5:
+                    w[0] = np.nan
+                    w[1] = 1.5
+            return out
 
-        monkeypatch.setattr(loewner, "chain_w_values", with_nan)
+        monkeypatch.setattr(loewner, "_w_slices", with_nan)
         z = loewner.default_z_samples()
         rep = audit_pommerenke(trivial_spec(), t_samples=(0.0, 0.5))
         assert rep.max_abs_w == 1.5
@@ -324,15 +345,20 @@ class TestAudit:
         assert not rep.passed
 
     def test_one_evaluation_pass_per_audit(self, monkeypatch):
-        # one root solve per function and a fixed number of kernel calls:
-        # three per t for the w grid, five for the single chain pass (f, g
-        # and h stacks, and f', g' at the ray anchors), one winding call per
-        # subordination pair
-        from univalence import _kernels, catalog
+        # one root solve per function and a fixed number of kernel calls
+        # whatever the number of chain times: five for the chain pass (f, g
+        # and h stacks, and f', g' at the ray anchors) and three for the w
+        # pass (f, g and h); 5072 chain points at the default grids (the a1
+        # contour and the first grid circle are views of the doubled
+        # contour); one winding call per subordination pair
+        from univalence import _kernels, catalog, loewner
 
-        roots, kernel = Counter(), Counter()
-        solve, derivs, winding = (
-            catalog._derivative_roots, _kernels.laurent_derivs, _kernels.winding_sum
+        roots, kernel, branch_points = Counter(), Counter(), []
+        solve, derivs, winding, branch = (
+            catalog._derivative_roots,
+            _kernels.laurent_derivs,
+            _kernels.winding_sum,
+            loewner.power_branch_slices,
         )
 
         def counted_roots(fn):
@@ -346,18 +372,135 @@ class TestAudit:
 
             return call
 
+        def recorded_branch(f, g, alpha, points, *args, **kwargs):
+            branch_points.append(points.size)
+            return branch(f, g, alpha, points, *args, **kwargs)
+
         monkeypatch.setattr(catalog, "_derivative_roots", counted_roots)
         monkeypatch.setattr(_kernels, "laurent_derivs", counted("derivs", derivs))
         monkeypatch.setattr(_kernels, "winding_sum", counted("winding", winding))
+        monkeypatch.setattr(loewner, "power_branch_slices", recorded_branch)
         f, g = uv.laurent(1, 0, [0.1, 0.02]), uv.joukowski(0.2)
-        rep = audit_pommerenke(
-            ChainSpec(f=f, g=g, h=uv.inverse_square(0.1), alpha=0.4 + 0.1j)
-        )
+        spec = ChainSpec(f=f, g=g, h=uv.inverse_square(0.1), alpha=0.4 + 0.1j)
+        rep = audit_pommerenke(spec)
         assert rep.passed
         n = len(DEFAULT_T_SAMPLES)
         assert roots == Counter({f: 1, g: 1})
-        assert kernel["derivs"] <= 3 * n + 5
+        assert kernel["derivs"] <= 8
+        assert branch_points == [5072]
         assert kernel["winding"] == n - 1
+
+        kernel.clear()
+        audit_pommerenke(spec, t_samples=np.linspace(0.0, 4.0, 11))
+        assert kernel["derivs"] <= 8
+        assert kernel["winding"] == 10
+
+
+def _standalone(fn, spec, z, t):
+    """``fn(spec, z, t)``, or the chain error it raises."""
+    try:
+        return fn(spec, z, t)
+    except (CriticalPoint, DenominatorVanishes, EvaluationFailure, HVanishes) as exc:
+        return exc
+
+
+def _same(got, want) -> bool:
+    """A sample equals its standalone evaluation: bitwise the same values,
+    NaN positions included, or an error of the same type and message."""
+    if isinstance(want, Exception):
+        return type(got) is type(want) and str(got) == str(want)
+    return not isinstance(got, Exception) and np.array_equal(got, want, equal_nan=True)
+
+
+def assert_samples_standalone(spec, ts):
+    """Every audit sample, views of the doubled contour and the one w pass
+    included, is what ``chain_values`` or ``chain_w_values`` gives for its
+    slice alone; returns the number of samples that are errors."""
+    z = default_z_samples()
+    contour, doubled, probes_z = nodes = _audit_nodes()
+    samples, probes = _audit_samples(spec, ts, z, nodes)
+    assert len(samples) == len(ts) and len(probes) == len(ts) - 1
+    errors = 0
+    for t, (grid, stepped, on_contour, on_doubled, w) in zip(ts, samples):
+        for got, fn, zs, at in (
+            (grid, chain_values, z, t),
+            (stepped, chain_values, z, t + DT_PROXY_STEP),
+            (on_contour, chain_values, contour, t),
+            (on_doubled, chain_values, doubled, t),
+            (w, chain_w_values, z, t),
+        ):
+            want = _standalone(fn, spec, zs, at)
+            assert _same(got, want), (fn.__name__, zs.size, at, got, want)
+            errors += isinstance(want, Exception)
+    for got, t in zip(probes, ts[:-1]):
+        want = _standalone(chain_values, spec, probes_z, t)
+        assert _same(got, want), (t, got, want)
+        errors += isinstance(want, Exception)
+    return errors
+
+
+def _laurent_or_joukowski(c1, c2, joukowski):
+    return uv.joukowski(c1) if joukowski else uv.laurent(1, 0, [c1, c2])
+
+
+small = st.complex_numbers(max_magnitude=0.6, allow_nan=False, allow_infinity=False)
+
+
+class TestAuditSamples:
+    def test_contour_views_are_bitwise_standalone_nodes(self):
+        _, doubled, _ = _audit_nodes()
+        first_circle = default_z_samples()[: len(doubled) // 8]
+        assert np.array_equal(doubled[::2], circle_points(0.5, 256))
+        assert np.array_equal(doubled[::8], first_circle)
+
+    @seed(20240809)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        f=st.tuples(small, small, st.booleans()),
+        g=st.tuples(small, small, st.booleans()),
+        h=st.complex_numbers(max_magnitude=0.5, allow_nan=False, allow_infinity=False),
+        alpha=st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+        ts=st.one_of(
+            st.just(DEFAULT_T_SAMPLES),
+            st.lists(st.floats(0.0, 4.0), min_size=1, max_size=4).map(tuple),
+        ),
+    )
+    def test_samples_equal_standalone_evaluation(self, f, g, h, alpha, ts):
+        spec = ChainSpec(
+            f=_laurent_or_joukowski(*f),
+            g=_laurent_or_joukowski(*g),
+            h=uv.inverse_square(h),
+            alpha=alpha,
+        )
+        assert_samples_standalone(spec, ts)
+
+    @pytest.mark.parametrize(
+        "f,g,alpha,ts",
+        [
+            # the root of f' on the ray to grid points at t = 0
+            ("joukowski:1.5", "identity", -1.0, DEFAULT_T_SAMPLES),
+            # the pole of f at the first node of both contours at t = 0
+            ("moebius:1,0,1,-2:identity", "identity", 0.5, DEFAULT_T_SAMPLES),
+            # a pole on the ray to an even node of the doubled contour
+            ("moebius:1,0,0.1,1:joukowski:0.3", "laurent:1;0;0.1-0.05j,0.03j", 0.3, (0.0, 0.25)),
+            # every chain value overflows
+            (
+                "moebius:1e-160,1e-300,1e-300,-1.29-1.19e-07j:"
+                "laurent:2.22e-16-0.702j;0.716+2.88j;1e-300+1e-300j",
+                "joukowski:-0.774",
+                -1.0,
+                (0.0, 1.0),
+            ),
+        ],
+        ids=["root_on_ray", "moebius_pole", "moebius_pole_on_ray", "overflow_chain"],
+    )
+    def test_failing_slices_equal_standalone_evaluation(self, f, g, alpha, ts):
+        spec = ChainSpec(
+            f=uv.make_sigma_function(f), g=uv.make_sigma_function(g), alpha=alpha
+        )
+        errors = assert_samples_standalone(spec, ts)
+        if not f.startswith("moebius:1e-160"):
+            assert errors
 
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_chain_reports.json").read_text())
