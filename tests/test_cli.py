@@ -72,6 +72,42 @@ def test_oracle_reproduces_golden_report(case, capsys):
     assert json.dumps(report["result"]) == json.dumps(case["result"])
 
 
+GOLDEN_CHAINS = json.loads(
+    (Path(__file__).parent / "golden_chain_reports.json").read_text()
+)
+
+
+def golden_stdout(kind, case):
+    """The text a golden check, chain or oracle case prints on stdout."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        if kind == "check":
+            run(RunConfig.from_dict(case["report"]["config"]))
+        elif kind == "chain":
+            ts = {"t_samples": tuple(case["t_samples"])} if case["t_samples"] else {}
+            run(RunConfig("chain", f=case["f"], g=case["g"], h=case["h"],
+                          alpha=complex(*case["alpha"]), **ts))
+        else:
+            main(case["argv"])
+    return buf.getvalue()
+
+
+GOLDEN_RUNS = [
+    pytest.param(kind, case, id=f"{kind}-{case['name']}")
+    for kind, cases in (("check", GOLDEN_CHECKS), ("chain", GOLDEN_CHAINS),
+                        ("oracle", GOLDEN_ORACLE))
+    for case in cases
+]
+
+
+@pytest.mark.parametrize("kind,case", GOLDEN_RUNS)
+def test_report_text_is_json_dumps_indent_2(kind, case):
+    # The golden tests compare report values; this pins the emitted bytes:
+    # json.dumps(indent=2) text, floats as repr writes them, one newline.
+    out = golden_stdout(kind, case)
+    assert out == json.dumps(json.loads(out), indent=2, allow_nan=False) + "\n"
+
+
 class TestExitCodes:
     def test_check_pass(self):
         code, report, _ = run_quiet(
