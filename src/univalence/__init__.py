@@ -2,8 +2,8 @@
 
 Evaluates a general univalence criterion for meromorphic functions on
 {|zeta| > 1} together with its five classical specializations, audits the
-underlying Loewner-chain construction, and cross-checks verdicts against a
-brute-force injectivity oracle.
+underlying Loewner-chain construction, and cross-checks verdicts against an
+independent injectivity oracle.
 """
 
 from .catalog import (

@@ -315,15 +315,22 @@ SIGMA_CLASS_ULPS = 8
 def _expansion_at_infinity(fn):
     """(b, b0) with fn = b z + b0 + O(1/z) at infinity, from the folded
     coefficients (a c != 0 map tends to a/c, so b = 0), and the size of the
-    terms b0 sums, which bounds its rounding."""
+    terms b0 sums, through the fold's matrix products too, which bounds its
+    rounding."""
     u, ((a, bb), (c, d)) = _fold(fn)
     b_u, b0_u, _ = u.lower_coeffs()
+    # Each folded entry sums products of the levels' entries; the same
+    # products of their moduli bound the size of those sums' terms.
+    bound, level = np.eye(2), fn
+    while level.kind == "moebius":
+        bound = bound @ np.abs(np.reshape(level.abcd, (2, 2)))
+        level = level.inner
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if c:
             b, b0, scale = 0j, a / c, 0.0
         else:
             b, b0 = a * b_u / d, (a * b0_u + bb) / d
-            scale = (abs(a * b0_u) + abs(bb)) / abs(d)
+            scale = (bound[0, 0] * abs(b0_u) + bound[0, 1]) / abs(d)
     if not (np.isfinite(b) and np.isfinite(b0)):
         raise EvaluationFailure(f"expansion of {fn.describe()} beyond double range")
     return complex(b), complex(b0), float(scale)

@@ -16,6 +16,7 @@ import cmath
 import contextlib
 import functools
 import json
+import math
 import os
 import re
 import sys
@@ -218,6 +219,59 @@ def _sup_result(report, verdict) -> dict:
     }
 
 
+_ESCAPE = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value) -> str:
+    """``value`` as ``json.dumps(value, indent=2, allow_nan=False)`` writes
+    it, for the types a report holds: dicts with str keys, lists, str, bool,
+    None, int and float (a subclass such as np.float64 too). A non-finite
+    float raises json's ValueError. (json's C encoder ignores ``indent``, so
+    json.dumps would run its pure-Python encoder, at about twice the time.)"""
+    out = []
+    _append_json(value, out, "\n")
+    return "".join(out)
+
+
+def _append_json(value, out: list, newline: str) -> None:
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        out.append(float.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            out.append(f"{sep}{_ESCAPE(key)}: ")
+            _append_json(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _append_json(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, str):
+        out.append(_ESCAPE(value))
+    elif value is None:
+        out.append("null")
+    elif isinstance(value, bool):
+        out.append("true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _write_file(path: str, flag: str, text: str) -> None:
     # An unwritable path is a bad input: exit 3, not a verdict's exit 1.
     try:
@@ -322,7 +376,7 @@ def run(config: RunConfig, json_path: "str | None" = None, grid_csv: "str | None
         "timing_ms": (time.perf_counter() - started) * 1e3,
     }
     try:
-        text = json.dumps(report_dict, indent=2, allow_nan=False) + "\n"
+        text = _json_text(report_dict) + "\n"
     except ValueError as exc:
         raise EvaluationFailure(f"report holds a non-finite number: {exc}") from exc
     if json_path:

@@ -1,8 +1,10 @@
-"""Independent ground-truth machinery: brute-force injectivity scanning,
-discrete winding numbers, and finite-difference derivative oracles.
+"""Independent ground-truth machinery: injectivity scanning, discrete
+winding numbers, and finite-difference derivative oracles.
 
 Nothing here reuses the jet code paths it is meant to check: derivatives come
 from plain central differences and injectivity from direct image comparison.
+A sorted-cell search finds the candidate pairs, and each is decided exactly
+by its distances, ``np.hypot`` of the real and imaginary differences.
 """
 
 from __future__ import annotations
@@ -103,12 +105,6 @@ def _derived(name, scale, grid_name, grid, plan) -> float:
     return value
 
 
-def _pair_key(z1: complex, z2: complex):
-    a = (z1.real, z1.imag)
-    b = (z2.real, z2.imag)
-    return (a, b) if a <= b else (b, a)
-
-
 def injectivity_scan(
     f,
     plan: SamplingPlan,
@@ -167,44 +163,38 @@ def collision_pairs(
             raise InvalidSpec(f"{name} must be finite and nonnegative, got {value!r}")
     if not (np.isfinite(points).all() and np.isfinite(values).all()):
         raise InvalidSpec("collision search needs finite points and values")
-    found = {}
-
-    def consider(i, j):
-        img = abs(values[i] - values[j])
-        if img > collision_tolerance:
-            return
-        dom = abs(points[i] - points[j])
-        if dom < separation_floor:
-            return
-        key = _pair_key(complex(points[i]), complex(points[j]))
-        found.setdefault(
-            key,
-            Collision(
-                complex(key[0][0], key[0][1]),
-                complex(key[1][0], key[1][1]),
-                img,
-                dom,
-            ),
-        )
-
-    # The vector np.abs can differ from the scalar abs in the last ulp, so it
-    # only prefilters (with slack) and consider() decides and records,
-    # keeping the reported distances those of the scalar abs. A difference
-    # beyond double range reads inf: never within tolerance, always
-    # separated.
+    # np.hypot(re, im) is bitwise the scalar abs of a complex; the vector
+    # np.abs is not (it can differ in the last place), so hypot decides each
+    # pair exactly and gives the distances reported. A difference beyond
+    # double range reads inf: never within tolerance, always separated.
+    kept = []
     with np.errstate(over="ignore"):
-        img_limit = collision_tolerance * (1.0 + 1e-12)
-        dom_limit = separation_floor * (1.0 - 1e-12)
         for i, j in _cell_candidates(values, collision_tolerance):
-            keep = (np.abs(values[i] - values[j]) <= img_limit) & (
-                np.abs(points[i] - points[j]) >= dom_limit
-            )
-            lo = np.minimum(i[keep], j[keep]).tolist()
-            hi = np.maximum(i[keep], j[keep]).tolist()
-            for a, b in zip(lo, hi):
-                consider(a, b)
-
-    return tuple(found[k] for k in sorted(found))
+            d = values[i] - values[j]
+            img = np.hypot(d.real, d.imag)
+            near = img <= collision_tolerance
+            i, j, img = i[near], j[near], img[near]
+            d = points[i] - points[j]
+            dom = np.hypot(d.real, d.imag)
+            apart = dom >= separation_floor
+            kept.append((i[apart], j[apart], img[apart], dom[apart]))
+    if not kept:
+        return ()
+    i, j, img, dom = (np.concatenate(parts) for parts in zip(*kept))
+    # Each pair (z1, z2) in canonical order and the pairs sorted by (z1, z2).
+    # A pair of points met more than once (repeated points) is reported from
+    # its first index pair a < b, as a scan over all pairs meets it.
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    z1, z2 = points[lo], points[hi]
+    swap = (z2.real < z1.real) | ((z2.real == z1.real) & (z2.imag < z1.imag))
+    z1, z2 = np.where(swap, z2, z1), np.where(swap, z1, z2)
+    order = np.lexsort((hi, lo, z2.imag, z2.real, z1.imag, z1.real))
+    z1, z2, img, dom = z1[order], z2[order], img[order], dom[order]
+    first = np.ones(z1.shape, dtype=bool)
+    first[1:] = (z1[1:] != z1[:-1]) | (z2[1:] != z2[:-1])
+    return tuple(
+        map(Collision, *(x[first].tolist() for x in (z1, z2, img, dom)))
+    )
 
 
 def _cell_candidates(values: np.ndarray, tolerance: float, block: int = 1 << 20):

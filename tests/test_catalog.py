@@ -167,6 +167,11 @@ class TestSigmaValidator:
             ("laurent:1.0000001;0", 1.0000001, 0, "Sigma"),
             ("laurent:1;1e-7", 1, 1e-7, "Sigma"),
             ("moebius:0.1,0,0,0.3:moebius:3,0,0,1:identity", 1.0000000000000002, 0, "Sigma0"),
+            # the fold sums 0.3 - 0.1 - 0.2 to -2.8e-17: rounding of terms
+            # 0.6 in size, not a b0 of the identity this nest is
+            ("moebius:1,0.3,0,1:moebius:1,-0.1,0,1:moebius:1,-0.2,0,1:identity",
+             1, -2.7755575615628914e-17, "Sigma0"),
+            ("moebius:1,1e-10,0,1:identity", 1, 1e-10, "Sigma"),
         ],
     )
     def test_class_read_from_folded_coefficients(self, spec, b, b0, cls):

@@ -7,11 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from univalence.cli import _FLAGS, SETTINGS, RunConfig, _build_parser, main, run
+import univalence.cli
+from univalence.cli import _FLAGS, SETTINGS, RunConfig, _build_parser, _json_text, main, run
 from univalence.errors import UsageError
 
 
@@ -108,6 +110,51 @@ def test_report_text_is_json_dumps_indent_2(kind, case):
     assert out == json.dumps(json.loads(out), indent=2, allow_nan=False) + "\n"
 
 
+finite = st.floats(allow_nan=False, allow_infinity=False)
+leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers() | st.sampled_from([2**64, -(10**30)]),
+    finite | st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, 1.7976931348623157e308]),
+    finite.map(np.float64),
+    st.text() | st.sampled_from(["\x00\x1f\x7f", "é\u2028😀", '"\\/\n\t']),
+)
+trees = st.recursive(
+    leaves,
+    lambda kids: st.lists(kids) | st.dictionaries(st.text(), kids),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees)
+def test_report_writer_is_json_dumps_indent_2(tree):
+    assert _json_text(tree) == json.dumps(tree, indent=2, allow_nan=False)
+
+
+@pytest.mark.parametrize(
+    "bad", [float("nan"), float("inf"), -float("inf"), np.float64("nan"), np.float64("-inf")]
+)
+def test_report_writer_rejects_nonfinite_floats_as_json_does(bad):
+    tree = {"a": [1, {"b": bad}], "c": 2.0}
+    with pytest.raises(ValueError) as want:
+        json.dumps(tree, indent=2, allow_nan=False)
+    with pytest.raises(ValueError) as got:
+        _json_text(tree)
+    assert str(got.value) == str(want.value)
+
+
+def test_nonfinite_report_is_evaluation_failure(monkeypatch, capsys):
+    monkeypatch.setattr(univalence.cli, "CATALOG_LISTING", {"x": [float("inf")]})
+    assert main(["catalog"]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (
+        "error: EvaluationFailure: report holds a non-finite number: "
+        "Out of range float values are not JSON compliant: inf\n"
+    )
+
+
 class TestExitCodes:
     def test_check_pass(self):
         code, report, _ = run_quiet(
@@ -151,8 +198,6 @@ class TestExitCodes:
             RunConfig(command="chain", f="identity", g="identity", t_samples=(0.0, 0.5))
         )
         assert code == 0
-        import numpy as np
-
         code, report, _ = run_quiet(
             RunConfig(
                 command="chain",

@@ -47,6 +47,15 @@ def brute_force_pairs(points, values, tol, floor):
     return tuple(found[k] for k in sorted(found))
 
 
+def bits(collisions):
+    """Each collision's points and distances as the bits of their floats."""
+    return [
+        tuple(float(x).hex() for x in (c.z1.real, c.z1.imag, c.z2.real, c.z2.imag,
+                                        c.image_distance, c.domain_distance))
+        for c in collisions
+    ]
+
+
 def brute_force_scan(f, plan, report):
     """brute_force_pairs over the plan grid at the report's tolerances."""
     points = uv.sample_exterior(plan)
@@ -330,7 +339,43 @@ sigma_maps = st.one_of(
 def test_cell_search_matches_pairwise(f, tol, floor):
     plan = uv.SamplingPlan(r_min=1.02, r_max=1.5, radial_count=12, angular_count=24)
     fast = injectivity_scan(f, plan, collision_tolerance=tol, separation_floor=floor)
-    assert fast.collisions == brute_force_scan(f, plan, fast)
+    assert bits(fast.collisions) == bits(brute_force_scan(f, plan, fast))
+
+
+coordinates = st.floats(allow_nan=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.2e-308, 1.7e308, -1.7e308, np.inf, -np.inf]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(coordinates, coordinates), min_size=1, max_size=20))
+def test_hypot_is_the_scalar_complex_abs(pairs):
+    # collision_pairs decides and reports with np.hypot(re, im); the O(n^2)
+    # reference uses the scalar abs of np.complex128, the same bits.
+    re, im = np.array(pairs).T
+    want = np.array([abs(np.complex128(complex(x, y))) for x, y in pairs])
+    with np.errstate(over="ignore"):
+        got = np.hypot(re, im)
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    lattice=st.lists(
+        st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2)), max_size=30
+    ),
+    tol=st.sampled_from([0.0, 1e-3, 1.5]),
+    floor=st.sampled_from([0.0, 1.0]),
+)
+def test_repeated_points_match_pairwise(lattice, tol, floor):
+    # Repeated points meet one pair of points through several index pairs;
+    # each pair is reported once, from its first index pair, as brute force
+    # reports it, whatever order the cell search finds the candidates in.
+    p, re, im = np.array(lattice, dtype=float).reshape(-1, 3).T
+    points = (p + 3.0) * (1.0 - 0.5j)
+    values = (re + 1j * im) * (1.0 + 1e-4 * p)
+    fast = collision_pairs(points, values, tol, floor)
+    assert bits(fast) == bits(brute_force_pairs(points, values, tol, floor))
 
 
 def cells_of(values, tol):
