@@ -14,7 +14,6 @@ from univalence.errors import (
     EvaluationFailure,
     HVanishes,
     OutsideDomain,
-    WEqualsOne,
 )
 from univalence.loewner import (
     DEFAULT_T_SAMPLES,
@@ -23,10 +22,7 @@ from univalence.loewner import (
     _audit_nodes,
     _audit_samples,
     audit_pommerenke,
-    chain_eval,
-    chain_p,
     chain_values,
-    chain_w,
     chain_w_values,
     default_z_samples,
     extract_a1,
@@ -60,18 +56,18 @@ CATALOG_SPECS = [
 class TestChainEval:
     def test_trivial_chain_is_exponential(self):
         spec = trivial_spec()
-        assert abs(chain_eval(spec, 0.5, LN2) - 1.0) <= 1e-12
+        assert abs(chain_values(spec, 0.5, LN2)[0] - 1.0) <= 1e-12
+        zs = np.array([0.1, 0.5j, -0.8, 0.6 - 0.3j])
         for t in (0.0, 0.3, 1.0, 2.0):
-            for z in (0.1, 0.5j, -0.8, 0.6 - 0.3j):
-                assert abs(chain_eval(spec, z, t) - np.exp(t) * z) <= 1e-12 * np.exp(t)
+            assert np.max(np.abs(chain_values(spec, zs, t) - np.exp(t) * zs)) <= 1e-12 * np.exp(t)
 
     def test_joukowski_example(self):
         spec = jouk_spec(0.5, alpha=0.7)
-        assert abs(chain_eval(spec, 1.0, LN2) - 1 / 0.9375) <= 1e-12
+        assert abs(chain_values(spec, 1.0, LN2)[0] - 1 / 0.9375) <= 1e-12
 
     def test_initial_value_inverts_f(self):
         spec = jouk_spec(0.5, alpha=0.25)
-        assert abs(chain_eval(spec, 0.5, 0.0) - 1 / 2.25) <= 1e-12
+        assert abs(chain_values(spec, 0.5, 0.0)[0] - 1 / 2.25) <= 1e-12
 
     def test_initial_value_identity_all_specs(self):
         zs = np.concatenate([circle_points(0.5, 16), circle_points(0.9, 16)])
@@ -82,21 +78,21 @@ class TestChainEval:
 
     def test_domain_checks(self):
         with pytest.raises(OutsideDomain):
-            chain_eval(trivial_spec(), 1.5, 0.5)
+            chain_values(trivial_spec(), 1.5, 0.5)
         with pytest.raises(ValueError):
-            chain_eval(trivial_spec(), 0.5, -0.1)
+            chain_values(trivial_spec(), 0.5, -0.1)
 
 
 class TestChainW:
     def test_w_vanishes_for_trivial_data(self):
         spec = jouk_spec(0.5, alpha=0.9)
-        assert chain_w(spec, 0.5, 0.0) == 0.0
+        assert chain_w_values(spec, 0.5, 0.0)[0] == 0.0
 
     def test_w_at_zero_time_is_h_ratio(self):
         spec = ChainSpec(
             f=uv.joukowski(0.5), g=uv.identity(), h=uv.inverse_square(0.25), alpha=0.5
         )
-        assert abs(chain_w(spec, 0.5, 0.0) - (-1 / 17)) <= 1e-12
+        assert abs(chain_w_values(spec, 0.5, 0.0)[0] - (-1 / 17)) <= 1e-12
         zs = circle_points(0.8, 32)
         for spec in CATALOG_SPECS:
             wv = chain_w_values(spec, zs, 0.0)
@@ -105,7 +101,7 @@ class TestChainW:
 
     def test_w_matches_becker_value(self):
         spec = jouk_spec(0.5)
-        assert abs(chain_w(spec, 1.0, LN2) - (-6 / 7)) <= 1e-12
+        assert abs(chain_w_values(spec, 1.0, LN2)[0] - (-6 / 7)) <= 1e-12
 
     def test_boundary_bridge(self):
         # |w(z,t)| on |z| = 1 equals the criterion LHS at zeta = e^t / z.
@@ -164,19 +160,10 @@ class TestChainW:
             alpha=0.3,
             squared_variant=False,
         )
-        assert chain_w(spec_sq, 0.5, 1.0) != chain_w(spec_un, 0.5, 1.0)
+        assert chain_w_values(spec_sq, 0.5, 1.0)[0] != chain_w_values(spec_un, 0.5, 1.0)[0]
 
 
 class TestChainP:
-    def test_half_plane_map_values(self):
-        spec = jouk_spec(0.5, alpha=0.9)
-        assert chain_p(spec, 0.5, 0.0) == 1.0  # w = 0
-        spec2 = ChainSpec(
-            f=uv.joukowski(0.5), g=uv.identity(), h=uv.inverse_square(0.25), alpha=0.5
-        )
-        p = chain_p(spec2, 0.5, 0.0)
-        assert abs(p - (1 - 1 / 17) / (1 + 1 / 17)) <= 1e-12
-
     def test_disk_equivalence(self):
         # |w| < 1 iff Re p > 0, via the identity |1-w|^2 Re p = 1 - |w|^2.
         spec = jouk_spec(0.45, alpha=0.3, h=uv.inverse_square(0.2))
@@ -188,13 +175,6 @@ class TestChainP:
             rhs = 1.0 - np.abs(wv) ** 2
             assert np.max(np.abs(lhs - rhs)) <= 1e-12
             assert np.all((np.abs(wv) < 1) == (pv.real > 0))
-
-    def test_w_equals_one_raises(self, monkeypatch):
-        from univalence import loewner
-
-        monkeypatch.setattr(loewner, "chain_w", lambda *a: 1.0 + 0j)
-        with pytest.raises(WEqualsOne):
-            loewner.chain_p(jouk_spec(0.5), 0.5, 0.0)
 
 
 class TestExtractA1:

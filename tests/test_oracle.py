@@ -10,16 +10,13 @@ from univalence.errors import (
     InvalidSpec,
     OpenContour,
     PointTooCloseToContour,
-    StencilLeavesDomain,
 )
 from univalence.oracle import (
     Collision,
     _cell_candidates,
     _median_neighbor_spacing,
     collision_pairs,
-    fd_derivatives,
     injectivity_scan,
-    winding_number,
     winding_numbers,
 )
 
@@ -75,38 +72,38 @@ def collision_plan():
 
 class TestWindingNumber:
     def test_inside_outside(self):
-        circ = unit_circle()
-        assert winding_number(circ, 0.0) == 1
-        assert winding_number(circ, 2.0) == 0
+        assert winding_numbers(unit_circle(), [0.0, 2.0]).tolist() == [1, 0]
 
     def test_double_traversal(self):
-        assert winding_number(unit_circle(turns=2), 0.0) == 2
+        assert winding_numbers(unit_circle(turns=2), [0.0]).tolist() == [2]
 
     def test_reversal_negates(self, rng):
         contour = unit_circle(64) * (1.0 + 0.3 * np.cos(np.linspace(0, 6 * np.pi, 65)))
-        for p in (0.0, 0.4 + 0.2j):
-            assert winding_number(contour[::-1], p) == -winding_number(contour, p)
+        points = [0.0, 0.4 + 0.2j]
+        assert np.array_equal(
+            winding_numbers(contour[::-1], points), -winding_numbers(contour, points)
+        )
 
     def test_open_contour_rejected(self):
         theta = np.linspace(0.0, 1.5 * np.pi, 40)
         with pytest.raises(OpenContour):
-            winding_number(np.exp(1j * theta), 0.0)
+            winding_numbers(np.exp(1j * theta), [0.0])
 
     def test_point_on_contour_rejected(self):
         with pytest.raises(PointTooCloseToContour):
-            winding_number(unit_circle(), 1.0)
+            winding_numbers(unit_circle(), [1.0])
 
     def test_vector_matches_scalar(self, rng):
         contour = unit_circle(64) * (1.0 + 0.3 * np.cos(np.linspace(0, 6 * np.pi, 65)))
         points = rng.normal(size=40) + 1j * rng.normal(size=40)
         points = points[np.abs(np.abs(points) - 1.0) > 0.35]
         assert winding_numbers(contour, points).tolist() == [
-            winding_number(contour, p) for p in points
+            winding_numbers(contour, [p])[0] for p in points
         ]
 
     def test_vector_raises_for_first_bad_point(self):
         # 1.0 lies on the contour, 0.0 inside; the first point without a
-        # winding number names the error, as the scalar call would
+        # winding number names the error, as it would alone
         with pytest.raises(PointTooCloseToContour, match=r"point \(1\+0j\) within"):
             winding_numbers(unit_circle(), [0.0, 1.0, 1j])
 
@@ -449,29 +446,3 @@ def test_collision_search_runs_one_full_searchsorted_pass(monkeypatch):
     monkeypatch.setattr(np, "searchsorted", counting)
     assert injectivity_scan(uv.joukowski(0.5), plan).grid_size == n
     assert sum(full) == 1
-
-
-class TestFdDerivatives:
-    def test_identity_stencil(self):
-        jet = fd_derivatives(uv.identity(), 2.0, 1e-3)
-        assert abs(jet.value - 2.0) <= 1e-12
-        assert abs(jet.d1 - 1.0) <= 1e-9
-        assert abs(jet.d2) <= 1e-6
-        assert abs(jet.d3) <= 1e-4
-
-    def test_joukowski_closed_form(self):
-        jet = fd_derivatives(uv.joukowski(0.5), 2.0, 1e-3)
-        exact = np.array([2.25, 0.875, 0.125, -0.1875])
-        err = np.abs(jet.as_stack() - exact)
-        assert err[0] <= 1e-12 and err[1] <= 1e-7 and err[2] <= 1e-7 and err[3] <= 1e-5
-
-    def test_second_order_convergence(self):
-        # halving-by-ten the step divides the d3 error by ~100
-        exact = uv.derivatives_of(uv.joukowski(0.5), 2.0).d3
-        e1 = abs(fd_derivatives(uv.joukowski(0.5), 2.0, 1e-1).d3 - exact)
-        e2 = abs(fd_derivatives(uv.joukowski(0.5), 2.0, 1e-2).d3 - exact)
-        assert 50.0 <= e1 / e2 <= 200.0
-
-    def test_stencil_domain_guard(self):
-        with pytest.raises(StencilLeavesDomain):
-            fd_derivatives(uv.identity(), 1.001, 1e-2)
