@@ -3,7 +3,9 @@
 Evaluates a general univalence criterion for meromorphic functions on
 {|zeta| > 1} together with its five classical specializations, audits the
 underlying Loewner-chain construction, and cross-checks verdicts against an
-independent injectivity oracle.
+independent injectivity oracle. Every evaluation is vectorized: derivative
+stacks over whole sets of points feed the criterion pieces, the criterion
+LHS and the chain values alike.
 """
 
 from .catalog import (
@@ -20,29 +22,20 @@ from .catalog import (
     moebius_of,
     parse_function_spec,
     parse_h_spec,
-    power_branch,
     validate_h_admissible,
     validate_sigma_normalization,
 )
-from .criteria import CRITERIA, CriterionParams, corollary_lhs, evaluate_lhs, theorem1_lhs
-from .jet import ComplexJet, derivatives_of, jet_combine, pre_schwarzian, schwarzian
+from .criteria import CRITERIA, CriterionParams, evaluate_lhs
 from .loewner import (
     AuditReport,
     ChainSpec,
     audit_pommerenke,
-    chain_eval,
-    chain_p,
-    chain_w,
+    chain_values,
+    chain_w_values,
     extract_a1,
     subordination_check,
 )
-from .oracle import (
-    Collision,
-    CollisionReport,
-    fd_derivatives,
-    injectivity_scan,
-    winding_number,
-)
+from .oracle import Collision, CollisionReport, injectivity_scan, winding_numbers
 from .region import SupReport, Verdict, estimate_sup, issue_verdict
 from .sampling import SamplingPlan, sample_exterior
 
@@ -54,7 +47,6 @@ __all__ = [
     "ChainSpec",
     "Collision",
     "CollisionReport",
-    "ComplexJet",
     "CriterionParams",
     "HFunction",
     "MeromorphicFn",
@@ -62,21 +54,16 @@ __all__ = [
     "SupReport",
     "Verdict",
     "audit_pommerenke",
-    "chain_eval",
-    "chain_p",
-    "chain_w",
+    "chain_values",
+    "chain_w_values",
     "constant_one",
-    "corollary_lhs",
-    "derivatives_of",
     "estimate_sup",
     "evaluate_lhs",
     "extract_a1",
-    "fd_derivatives",
     "identity",
     "injectivity_scan",
     "inverse_square",
     "issue_verdict",
-    "jet_combine",
     "joukowski",
     "laurent",
     "laurent_even",
@@ -85,13 +72,9 @@ __all__ = [
     "moebius_of",
     "parse_function_spec",
     "parse_h_spec",
-    "power_branch",
-    "pre_schwarzian",
     "sample_exterior",
-    "schwarzian",
     "subordination_check",
-    "theorem1_lhs",
     "validate_h_admissible",
     "validate_sigma_normalization",
-    "winding_number",
+    "winding_numbers",
 ]

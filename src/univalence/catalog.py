@@ -17,18 +17,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import (
-    CriticalPoint,
-    EvaluationFailure,
-    InvalidSpec,
-    NonFiniteJet,
-    OutsideDomain,
-    PoleAtPoint,
-)
-from .jet import CUT_DISTANCE, ComplexJet, stack_div, stack_exp, stack_log
+from .errors import CriticalPoint, EvaluationFailure, InvalidSpec
+from .jet import stack_div, stack_exp, stack_log
 from .sampling import SamplingPlan
 
 RAY_START_RADIUS = 1e6
+# A root of g'/f' this close to a ray (in the imaginary part of 1 - root/z)
+# lies on it, and leaves the branch of v undefined there.
+CUT_DISTANCE = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -38,7 +34,8 @@ RAY_START_RADIUS = 1e6
 
 @dataclass(frozen=True)
 class MeromorphicFn:
-    """Structural spec of a function evaluable as a jet on the exterior disk.
+    """Structural spec of a function with closed-form derivative stacks on
+    the exterior disk.
 
     kind is one of 'identity', 'joukowski', 'laurent', 'moebius'. Laurent data
     (b, b0, tail) is meaningful for the first three kinds; (inner, abcd) only
@@ -79,7 +76,7 @@ class MeromorphicFn:
         A Moebius map with c != 0 is one quotient over the stack of its
         innermost Laurent map, with the folded matrix of ``_fold``, so it is
         finite wherever the whole map is. Pole hits surface as non-finite
-        entries; scalar wrappers raise."""
+        entries, for the caller to diagnose."""
         points = np.asarray(points, dtype=np.complex128)
         low = self.lower_coeffs()
         if low is not None:
@@ -105,20 +102,6 @@ class MeromorphicFn:
 
     def values(self, points: np.ndarray) -> np.ndarray:
         return self.derivs(points, order=0)[0]
-
-    def jet(self, zeta: complex) -> ComplexJet:
-        """Order-3 jet at zeta. A non-finite stack is a pole (PoleAtPoint)
-        exactly where the folded denominator c u + d vanishes, and an
-        overflow (NonFiniteJet) anywhere else."""
-        stack = self.derivs(np.array([zeta], dtype=np.complex128), order=3)[:, 0]
-        if not np.all(np.isfinite(stack)):
-            u, (_, (c, d)) = _fold(self)
-            with np.errstate(over="ignore", invalid="ignore"):
-                pole = c * u.values([zeta])[0] + d == 0
-            if pole:
-                raise PoleAtPoint(f"{self.describe()} has a pole at {zeta}")
-            raise NonFiniteJet(f"{self.describe()} overflowed at {zeta}")
-        return ComplexJet.from_stack(stack)
 
     def describe(self) -> str:
         if self.kind == "identity":
@@ -197,10 +180,6 @@ class HFunction:
 
     def values(self, points: np.ndarray) -> np.ndarray:
         return self.derivs(points, order=0)[0]
-
-    def jet(self, zeta: complex) -> ComplexJet:
-        stack = self.derivs(np.array([zeta], dtype=np.complex128), order=3)[:, 0]
-        return ComplexJet.from_stack(stack)
 
     def describe(self) -> str:
         if self.kind == "const":
@@ -464,7 +443,7 @@ def _sheet_index(f, g, points, ratio):
 
 
 def power_branch_stack(f, g, alpha: complex, points: np.ndarray) -> np.ndarray:
-    """Order-3 jet stack of v at each point (value, v', v'', v''')."""
+    """Order-3 derivative stack of v at each point (value, v', v'', v''')."""
     points = np.asarray(points, dtype=np.complex128)
     vstack, _, (error,) = power_branch_slices(f, g, alpha, points, [points.shape[0]])
     if error is not None:
@@ -515,11 +494,3 @@ def power_branch_slices(f, g, alpha: complex, points: np.ndarray, ends, order: i
         log_stack[0] += 2j * np.pi * sheet
         return stack_exp(alpha * log_stack), fd, errors
 
-
-def power_branch(f, g, alpha: complex, zeta: complex) -> ComplexJet:
-    """Jet of v = (g'/f')^alpha at zeta, branch normalized so v(inf) = 1."""
-    zeta = complex(zeta)
-    if abs(zeta) <= 1.0:
-        raise OutsideDomain(f"|zeta| = {abs(zeta)} <= 1")
-    stack = power_branch_stack(f, g, alpha, np.array([zeta]))[:, 0]
-    return ComplexJet.from_stack(stack)

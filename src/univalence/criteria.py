@@ -1,8 +1,11 @@
-"""Pointwise evaluation of the master univalence criterion and its five
-corollary specializations.
+"""Vectorized evaluation of the master univalence criterion and its five
+corollary specializations over whole sets of points.
 
-All criteria share the pass convention "LHS modulus <= 1"; the Nehari-type
-output is rescaled by its bound so the same threshold applies.
+Every criterion is assembled from one set of pieces (``pieces``: f', g', h,
+h', f''/f', S_f, g''/g', S_g) built from the catalog's derivative stacks,
+block by block. All criteria share the pass convention "LHS modulus <= 1";
+the Nehari-type output is rescaled by its bound so the same threshold
+applies.
 """
 
 from __future__ import annotations
@@ -176,10 +179,13 @@ def _diagnose(pc: Pieces, points: np.ndarray):
     raise EvaluationFailure(f"criterion not evaluable at {witness}")
 
 
-def _lhs(params: CriterionParams, points: np.ndarray, criterion: str):
-    """LHS at ``points``, evaluated block by block, each block's temporaries
-    freed before the next block's are made; the singular points of the whole
-    set are diagnosed once, after every block."""
+def evaluate_lhs(params: CriterionParams, points) -> np.ndarray:
+    """Criterion LHS modulus at every point, using the formula selected by
+    ``params.criterion``. The points are evaluated block by block, each
+    block's temporaries freed before the next block's are made; the
+    singular points of the whole set are diagnosed once, after every
+    block."""
+    criterion = params.criterion
     points = np.asarray(points, dtype=np.complex128)
     out = np.empty(points.shape)
 
@@ -205,22 +211,3 @@ def _lhs(params: CriterionParams, points: np.ndarray, criterion: str):
         _diagnose(pieces(params.f, params.g, params.h, points[bad]), points[bad])
     return out
 
-
-def evaluate_lhs(params: CriterionParams, points) -> np.ndarray:
-    """Criterion LHS modulus at every point, using the formula selected by
-    ``params.criterion``."""
-    return _lhs(params, points, params.criterion)
-
-
-def theorem1_lhs(params: CriterionParams, zeta: complex) -> float:
-    """Master criterion LHS modulus at one point (ignores params.criterion)."""
-    out = _lhs(params, np.array([zeta], dtype=np.complex128), "theorem1")
-    return float(out[0])
-
-
-def corollary_lhs(params: CriterionParams, zeta: complex) -> float:
-    """Corollary LHS modulus at one point; params.criterion picks the formula."""
-    if params.criterion == "theorem1":
-        raise InvalidSpec("corollary_lhs needs a corollary criterion id")
-    out = _lhs(params, np.array([zeta], dtype=np.complex128), params.criterion)
-    return float(out[0])

@@ -17,10 +17,6 @@ class OutsideDomain(UnivalenceError):
     """Evaluation point lies in the closed unit disk."""
 
 
-class PoleAtPoint(UnivalenceError):
-    """Evaluation point coincides with a pole of the function."""
-
-
 class CriticalPoint(UnivalenceError):
     """f'(z) = 0: local univalence fails at the point."""
 
@@ -31,18 +27,6 @@ class CriticalPointInRegion(UnivalenceError):
     def __init__(self, message, point=None):
         super().__init__(message)
         self.point = point
-
-
-class DivisionByZeroJet(UnivalenceError):
-    """Jet division by a jet whose value is zero."""
-
-
-class BranchCutViolation(UnivalenceError):
-    """log/pow argument on (or within 1e-12 of) the negative real axis."""
-
-
-class NonFiniteJet(UnivalenceError):
-    """A jet component overflowed or became non-finite."""
 
 
 class HVanishes(UnivalenceError):
@@ -57,10 +41,6 @@ class DenominatorVanishes(UnivalenceError):
     """The Loewner chain quotient is singular at the requested (z, t)."""
 
 
-class WEqualsOne(UnivalenceError):
-    """w(z,t) = 1: the half-plane map p = (1+w)/(1-w) is undefined."""
-
-
 class ContourThroughSingularity(UnivalenceError):
     """A discrete contour integral hit a singular chain value."""
 
@@ -71,10 +51,6 @@ class PointTooCloseToContour(UnivalenceError):
 
 class OpenContour(UnivalenceError):
     """Winding number requested for a contour that does not close."""
-
-
-class StencilLeavesDomain(UnivalenceError):
-    """A finite-difference stencil point left the exterior disk."""
 
 
 class UsageError(UnivalenceError):

@@ -37,7 +37,6 @@ from .errors import (
     OpenContour,
     OutsideDomain,
     PointTooCloseToContour,
-    WEqualsOne,
 )
 from .oracle import winding_numbers
 from .sampling import circle_points
@@ -135,14 +134,10 @@ def _ok(result) -> np.ndarray:
 
 
 def chain_values(spec: ChainSpec, z, t: float) -> np.ndarray:
-    """Chain value at each z for fixed t (vector core of chain_eval)."""
+    """Chain value at each z (a scalar counts as one point) for fixed t,
+    in the shape of z."""
     z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
     return _ok(_chain_slices(spec, [(z, t)])[0]).reshape(z.shape)
-
-
-def chain_eval(spec: ChainSpec, z: complex, t: float) -> complex:
-    """Value of the chain at one (z, t)."""
-    return complex(chain_values(spec, np.array([z]), t)[0])
 
 
 def chain_w_values(spec: ChainSpec, z, t: float) -> np.ndarray:
@@ -194,18 +189,6 @@ def _w_slices(spec: ChainSpec, slices) -> list:
                 * ((sf - sg) + (alpha - 0.5) * diff)
             )
     return out
-
-
-def chain_w(spec: ChainSpec, z: complex, t: float) -> complex:
-    return complex(chain_w_values(spec, np.array([z]), t)[0])
-
-
-def chain_p(spec: ChainSpec, z: complex, t: float) -> complex:
-    """p = (1+w)/(1-w); Re p > 0 exactly when |w| < 1."""
-    w = chain_w(spec, z, t)
-    if w == 1:
-        raise WEqualsOne(f"w(z={z}, t={t}) = 1")
-    return (1.0 + w) / (1.0 - w)
 
 
 def extract_a1(spec: ChainSpec, t: float, circle_radius: float = A1_RADIUS) -> complex:

@@ -1,10 +1,10 @@
-"""Independent ground-truth machinery: injectivity scanning, discrete
-winding numbers, and finite-difference derivative oracles.
+"""Independent ground-truth machinery: injectivity scanning and discrete
+winding numbers.
 
-Nothing here reuses the jet code paths it is meant to check: derivatives come
-from plain central differences and injectivity from direct image comparison.
-A sorted-cell search finds the candidate pairs, and each is decided exactly
-by its distances, ``np.hypot`` of the real and imaginary differences.
+Nothing here reuses the criterion code it is meant to check: injectivity
+comes from direct image comparison of function values alone. A sorted-cell
+search finds the candidate pairs, and each is decided exactly by its
+distances, ``np.hypot`` of the real and imaginary differences.
 """
 
 from __future__ import annotations
@@ -20,9 +20,7 @@ from .errors import (
     InvalidSpec,
     OpenContour,
     PointTooCloseToContour,
-    StencilLeavesDomain,
 )
-from .jet import ComplexJet
 from .sampling import SamplingPlan, sample_exterior
 
 TOLERANCE_SCALE = 1e-9  # collision tolerance as a fraction of image spacing
@@ -271,16 +269,11 @@ def _cell_candidates(values: np.ndarray, tolerance: float, block: int = 1 << 20)
         yield order[i], order[j]
 
 
-def winding_number(contour_samples, point: complex) -> int:
-    """Winding number of a closed discrete contour around a point, from
-    accumulated phase increments."""
-    return int(winding_numbers(contour_samples, [point])[0])
-
-
 def winding_numbers(contour_samples, points) -> np.ndarray:
     """Winding numbers of a closed discrete contour around each point, from
-    one phase sum per point; the first point without one (in order) raises
-    as ``winding_number`` does for it alone."""
+    one sum of phase increments per point. The first point without one (in
+    order: too close to the contour, or a sum not near a whole number of
+    turns) raises, with the message that point would raise alone."""
     contour = np.asarray(contour_samples, dtype=np.complex128)
     if contour.shape[0] < 3:
         raise OpenContour("contour needs at least 3 samples")
@@ -314,19 +307,3 @@ def winding_numbers(contour_samples, points) -> np.ndarray:
         )
     return nearest.astype(int)
 
-
-def fd_derivatives(f, zeta: complex, step: float = 1e-3) -> ComplexJet:
-    """Second-order central-difference estimates of f, f', f'', f''' using
-    the stencil zeta + {0, +-step, +-2 step} along the real axis."""
-    zeta = complex(zeta)
-    offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * step
-    stencil = zeta + offsets
-    if np.any(np.abs(stencil) <= 1.0):
-        raise StencilLeavesDomain(
-            f"stencil around {zeta} with step {step} leaves the exterior disk"
-        )
-    vm2, vm1, v0, vp1, vp2 = f.values(stencil)
-    d1 = (vp1 - vm1) / (2.0 * step)
-    d2 = (vp1 - 2.0 * v0 + vm1) / (step * step)
-    d3 = (vp2 - 2.0 * vp1 + 2.0 * vm1 - vm2) / (2.0 * step**3)
-    return ComplexJet(complex(v0), complex(d1), complex(d2), complex(d3))
