@@ -6,7 +6,10 @@ go to separate CSV files. Each command takes, and its report's config block
 records, only the run settings it reads (``SETTINGS``). Reports are
 deterministic for a fixed config; only the trailing timing field varies
 between runs. Exit codes: 0 pass/true, 1 fail/collision, 2 inconclusive,
-3 usage or evaluation error.
+3 usage or evaluation error. The criterion is sufficient, not necessary:
+check exit 1 means it failed on the grid, never that f is not univalent.
+One passing row is enough, so sweep exits 0 when some row passes, 2 when
+none passes but some row is inconclusive, and 1 only when every row fails.
 """
 
 from __future__ import annotations
@@ -337,12 +340,12 @@ def run(config: RunConfig, json_path: "str | None" = None, grid_csv: "str | None
                 rows.append(row)
                 outcomes.append(verdict.outcome)
         result = {"rows": rows}
-        if "fail" in outcomes:
-            code = 1
+        if "pass" in outcomes:
+            code = 0
         elif "inconclusive" in outcomes:
             code = 2
         else:
-            code = 0
+            code = 1
     elif config.command == "chain":
         spec = ChainSpec(
             f=make_sigma_function(config.f),

@@ -615,6 +615,34 @@ class TestSweep:
         code, _, _ = run_quiet(cfg)
         assert code == 1
 
+    def test_one_passing_row_passes(self):
+        # the theorem concludes univalence from any one row that holds
+        cfg = RunConfig(
+            command="sweep",
+            f="joukowski:0.45",
+            g="joukowski:0.9",
+            alphas=(0j, 0.5 + 0j, 1 + 0j),
+            both_variants=True,
+        )
+        code, report, _ = run_quiet(cfg)
+        verdicts = [row["verdict"] for row in report["result"]["rows"]]
+        assert verdicts == ["pass"] * 4 + ["fail"] * 2
+        assert code == 0
+
+    def test_no_pass_but_an_inconclusive_row_is_inconclusive(self):
+        # without refinement a sup within the bound reads inconclusive
+        cfg = RunConfig(
+            command="sweep",
+            f="joukowski:0.45",
+            g="joukowski:0.9",
+            alphas=(0j, 1 + 0j),
+            refine_depth=0,
+        )
+        code, report, _ = run_quiet(cfg)
+        verdicts = [row["verdict"] for row in report["result"]["rows"]]
+        assert verdicts == ["inconclusive", "fail"]
+        assert code == 2
+
 
 class TestOutputs:
     def test_json_file_matches_stdout(self, tmp_path):
