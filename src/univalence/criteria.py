@@ -161,14 +161,19 @@ def _abs2(z: np.ndarray) -> np.ndarray:
         return sq[..., 0::2] + sq[..., 1::2]
 
 
-def _diagnose(pc: Pieces, points: np.ndarray):
-    """Name the precondition that made the criterion non-finite at ``points``
-    (``pc`` holds the pieces there); raises the precise error with the
-    offending point."""
-    for name, bad in (("f'", pc.f1 == 0), ("g'", pc.g1 == 0)):
-        if np.any(bad):
-            exc = CriticalPoint(f"{name} vanishes at {points[bad][0]}")
-            exc.point = complex(points[bad][0])
+def _diagnose(params: CriterionParams, points: np.ndarray, values: np.ndarray):
+    """Raise what ``evaluate_lhs(params, points)`` raises given its LHS
+    ``values`` (nothing when all are finite): the precondition that made the
+    criterion non-finite, with the offending point."""
+    bad = ~np.isfinite(values)
+    if not np.any(bad):
+        return
+    points = points[bad]
+    pc = pieces(params.f, params.g, params.h, points)
+    for name, zero in (("f'", pc.f1 == 0), ("g'", pc.g1 == 0)):
+        if np.any(zero):
+            exc = CriticalPoint(f"{name} vanishes at {points[zero][0]}")
+            exc.point = complex(points[zero][0])
             raise exc
     if np.any(pc.h0 == 0):
         exc = HVanishes(f"h vanishes at {points[pc.h0 == 0][0]}")
@@ -179,14 +184,14 @@ def _diagnose(pc: Pieces, points: np.ndarray):
     raise EvaluationFailure(f"criterion not evaluable at {witness}")
 
 
-def evaluate_lhs(params: CriterionParams, points) -> np.ndarray:
-    """Criterion LHS modulus at every point, using the formula selected by
-    ``params.criterion``. The points are evaluated block by block, each
-    block's temporaries freed before the next block's are made; the
-    singular points of the whole set are diagnosed once, after every
-    block."""
+def lhs_values(params: CriterionParams, points: np.ndarray) -> np.ndarray:
+    """``evaluate_lhs`` without the diagnosis: non-finite entries where the
+    criterion is singular. The points are evaluated block by block, each
+    block's temporaries freed before the next block's are made. No complex
+    multiply writes in place (at length 1 that is not bitwise the
+    out-of-place product), so a value does not depend on the other points
+    of its call."""
     criterion = params.criterion
-    points = np.asarray(points, dtype=np.complex128)
     out = np.empty(points.shape)
 
     def fill(lo):
@@ -206,8 +211,14 @@ def evaluate_lhs(params: CriterionParams, points) -> np.ndarray:
 
     for lo in range(0, points.shape[0], _BLOCK):
         fill(lo)
-    bad = ~np.isfinite(out)
-    if np.any(bad):
-        _diagnose(pieces(params.f, params.g, params.h, points[bad]), points[bad])
     return out
 
+
+def evaluate_lhs(params: CriterionParams, points) -> np.ndarray:
+    """Criterion LHS modulus at every point, using the formula selected by
+    ``params.criterion``; the singular points of the whole set are
+    diagnosed once, after every block."""
+    points = np.asarray(points, dtype=np.complex128)
+    values = lhs_values(params, points)
+    _diagnose(params, points, values)
+    return values

@@ -340,6 +340,18 @@ class TestExitCodes:
             "error: CriticalPointInRegion: f' vanishes at (12.759406516050857+0j)\n"
         )
 
+    @pytest.mark.parametrize("extra", [(), ("--refine", "0")])
+    def test_pole_on_the_doubled_tail_circle_exits_3(self, capsys, extra):
+        # f = 1/(z - 100) has its pole at 2 r_max = 100, on the tail circle
+        # evaluated in the same call as the first refinement round (or, at
+        # depth 0, as the base grid); it is still diagnosed last
+        code = main(["check", "--f", "moebius:0,1,1,-100:identity",
+                     "--criterion", "becker", *extra])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "error: EvaluationFailure: criterion not evaluable at (100+0j)\n"
+
     @pytest.mark.parametrize(
         "argv",
         [
