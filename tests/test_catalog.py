@@ -11,6 +11,7 @@ from univalence.catalog import (
     parse_complex,
     power_branch_stack,
 )
+from univalence.cli import main
 from univalence.criteria import CriterionParams, evaluate_lhs
 from univalence.errors import (
     CriticalPoint,
@@ -90,6 +91,28 @@ class TestMiniLanguage:
         parse = uv.parse_h_spec if spec.startswith("h") else uv.parse_function_spec
         with pytest.raises(InvalidSpec, match="must be finite"):
             parse(spec)
+
+    @pytest.mark.parametrize(
+        "spec,message",
+        [
+            ("laurent:1", "laurent spec needs b;b0[;b1,b2,...], got 'laurent:1'"),
+            ("laurent:1;0;1;2", "laurent spec needs b;b0[;b1,b2,...], got 'laurent:1;0;1;2'"),
+            ("laurent:1;x", "cannot parse coefficient 'x'"),
+            ("laurent:1;0;0.1,,0.2", "cannot parse coefficient ''"),
+            ("moebius:1,0,0,1", "moebius spec needs :<inner>, got 'moebius:1,0,0,1'"),
+            ("moebius:1,0,0:identity", "moebius spec needs a,b,c,d, got '1,0,0'"),
+            ("moebius:1,0,0,1:", "unknown function spec ''"),
+            ("moebius:1,0,0,1:moebius:1,0", "moebius spec needs :<inner>, got 'moebius:1,0'"),
+            ("joukowski:", "cannot parse complex number from ''"),
+        ],
+    )
+    def test_malformed_spec_message(self, spec, message, capsys):
+        with pytest.raises(InvalidSpec) as exc:
+            uv.parse_function_spec(spec)
+        assert str(exc.value) == message
+        assert main(["check", "--f", spec]) == 3
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == f"error: InvalidSpec: {message}\n"
 
     def test_complex_flag_syntax(self):
         assert parse_complex("0.5") == 0.5
