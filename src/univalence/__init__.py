@@ -9,7 +9,6 @@ LHS and the chain values alike.
 """
 
 from .catalog import (
-    HFunction,
     MeromorphicFn,
     constant_one,
     identity,
@@ -48,7 +47,6 @@ __all__ = [
     "Collision",
     "CollisionReport",
     "CriterionParams",
-    "HFunction",
     "MeromorphicFn",
     "SamplingPlan",
     "SupReport",

@@ -2,17 +2,18 @@
 h-functions, plus the power v = (g'/f')^alpha continued from infinity along
 rays, its sheet chosen in closed form from the zeros and poles of f' and g'.
 
-Functions are specified structurally (identity, Joukowski-type, Laurent
-polynomial, Moebius composition) so every derivative through order four has a
-closed form. A small spec mini-language maps CLI strings onto the same
-constructors: ``identity``, ``joukowski:<re>[,<im>]``,
-``laurent:<b>;<b0>;<b1>,...``, ``moebius:<a>,<b>,<c>,<d>:<inner>``,
-``hconst``, ``hinvsq:<c>``.
+f, g and h are one model: a Laurent map u = b z + b0 + b1/z + ... under a
+flat tuple of Moebius levels, so every derivative through order four has a
+closed form; an h = 1 + h2/z^2 + ... has b = 0 and b0 = 1. A small spec
+mini-language maps CLI strings onto the constructors: ``identity``,
+``joukowski:<re>[,<im>]``, ``laurent:<b>;<b0>;<b1>,...``,
+``moebius:<a>,<b>,<c>,<d>:<inner>``, ``hconst``, ``hinvsq:<c>``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,20 +35,18 @@ CUT_DISTANCE = 1e-12
 
 @dataclass(frozen=True)
 class MeromorphicFn:
-    """Structural spec of a function with closed-form derivative stacks on
-    the exterior disk.
-
-    kind is one of 'identity', 'joukowski', 'laurent', 'moebius'. Laurent data
-    (b, b0, tail) is meaningful for the first three kinds; (inner, abcd) only
-    for 'moebius'.
-    """
+    """A Laurent map u = b z + b0 + sum tail[k] z^-(k+1) under ``levels``,
+    Moebius matrices (a, b, c, d) listed outermost first: the function is
+    L_0(L_1(...(u))) with L(w) = (a w + b)/(c w + d). kind names u for
+    ``describe``: 'identity', 'joukowski', 'laurent', or, for h = 1 + h2/z^2
+    + ... (b = 0, b0 = 1, tail (0, h2, 0, h4, ...)), 'hconst', 'hinvsq',
+    'laurent_even'."""
 
     kind: str
     b: complex = 1.0 + 0j
     b0: complex = 0j
     tail: tuple = ()
-    inner: "MeromorphicFn | None" = None
-    abcd: "tuple | None" = None
+    levels: tuple = ()
 
     @property
     def declared_class(self) -> str:
@@ -56,10 +55,8 @@ class MeromorphicFn:
         return _sigma_class(*_expansion_at_infinity(self))
 
     def lower_coeffs(self):
-        """(b, b0, tail-array) when the function is Laurent-representable,
-        else None. Used to route evaluation through the Laurent kernel."""
-        if self.kind == "moebius":
-            return None
+        """(b, b0, tail-array) of the Laurent map u under the levels, the
+        arguments of the Laurent kernel."""
         return (
             complex(self.b),
             complex(self.b0),
@@ -73,45 +70,51 @@ class MeromorphicFn:
         of the stack of value and derivatives at each point (``inv``, if
         given, is 1.0 / points, shared with other functions).
 
-        A Moebius map with c != 0 is one quotient over the stack of its
-        innermost Laurent map, with the folded matrix of ``_fold``, so it is
-        finite wherever the whole map is. Pole hits surface as non-finite
-        entries, for the caller to diagnose."""
+        The levels from the outermost one with c != 0 inwards are one
+        quotient over the stack of u, with the folded matrix of ``_fold``, so
+        it is finite wherever that part of the map is. Each level with c = 0
+        outside it then divides by its constant denominator d: the quotient
+        recurrence of stack_div reduces to this division (up to the sign of a
+        zero), and an overflowing value row stays in its row. Pole hits
+        surface as non-finite entries, for the caller to diagnose."""
         points = np.asarray(points, dtype=np.complex128)
-        low = self.lower_coeffs()
-        if low is not None:
-            b, b0, tail = low
-            return _kernels.laurent_derivs(points, b, b0, tail, order, inv, first)
-        a, bb, c, d = self.abcd
+        b, b0, tail = self.lower_coeffs()
+        cut = next((i for i, lv in enumerate(self.levels) if lv[2]), len(self.levels))
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            if not c:
-                # The constant denominator d: the quotient recurrence of
-                # stack_div reduces to this division (up to the sign of a
-                # zero), and an overflowing value row stays in its row.
-                num = a * self.inner.derivs(points, order, inv, first)
+            if cut == len(self.levels):
+                stack = _kernels.laurent_derivs(points, b, b0, tail, order, inv, first)
+            else:
+                (a, bb), (c, d) = _fold(self.levels[cut:])
+                u_stack = _kernels.laurent_derivs(points, b, b0, tail, order, inv)
+                num = a * u_stack
+                num[0] = num[0] + bb
+                den = c * u_stack
+                den[0] = den[0] + d
+                stack = stack_div(num, den)[first:]
+            for a, bb, _, d in reversed(self.levels[:cut]):
+                stack = a * stack
                 if first == 0:
-                    num[0] = num[0] + bb
-                return num / d
-            u, ((a, bb), (c, d)) = _fold(self)
-            u_stack = u.derivs(points, order, inv)
-            num = a * u_stack
-            num[0] = num[0] + bb
-            den = c * u_stack
-            den[0] = den[0] + d
-            return stack_div(num, den)[first:]
+                    stack[0] = stack[0] + bb
+                stack = stack / d
+        return stack
 
     def values(self, points: np.ndarray) -> np.ndarray:
         return self.derivs(points, order=0)[0]
 
     def describe(self) -> str:
         if self.kind == "identity":
-            return "identity"
-        if self.kind == "joukowski":
-            return f"joukowski({self.tail[0]})"
-        if self.kind == "laurent":
-            return f"laurent(b={self.b}, b0={self.b0}, tail={list(self.tail)})"
-        a, bb, c, d = self.abcd
-        return f"moebius({a},{bb},{c},{d})∘{self.inner.describe()}"
+            text = "identity"
+        elif self.kind == "joukowski":
+            text = f"joukowski({self.tail[0]})"
+        elif self.kind == "laurent":
+            text = f"laurent(b={self.b}, b0={self.b0}, tail={list(self.tail)})"
+        elif self.kind == "hconst":
+            text = "hconst"
+        elif self.kind == "hinvsq":
+            text = f"hinvsq({self.tail[1]})"
+        else:
+            text = f"laurent_even{self.tail[1::2]}"
+        return "".join(f"moebius({a},{b},{c},{d})∘" for a, b, c, d in self.levels) + text
 
 
 def identity() -> MeromorphicFn:
@@ -131,21 +134,24 @@ def laurent(b: complex, b0: complex, tail=()) -> MeromorphicFn:
     )
 
 
-def moebius_of(inner: MeromorphicFn, a, b, c, d) -> MeromorphicFn:
+def _level(a, b, c, d) -> tuple:
     a, b, c, d = (complex(v) for v in (a, b, c, d))
     if a * d - b * c == 0:
         raise InvalidSpec("degenerate Moebius map: ad - bc = 0")
-    return MeromorphicFn(kind="moebius", inner=inner, abcd=(a, b, c, d))
+    return a, b, c, d
 
 
-def _fold(fn):
-    """The innermost Laurent map u of fn and the matrix [[a, b], [c, d]] of
-    the Moebius maps around it, so that fn = (a u + b) / (c u + d)."""
+def moebius_of(inner: MeromorphicFn, a, b, c, d) -> MeromorphicFn:
+    return replace(inner, levels=(_level(a, b, c, d), *inner.levels))
+
+
+def _fold(levels):
+    """The matrix [[a, b], [c, d]] of the Moebius levels composed, outermost
+    first, so that they map u to (a u + b) / (c u + d)."""
     m = np.eye(2, dtype=np.complex128)
-    while fn.kind == "moebius":
-        m = m @ np.reshape(fn.abcd, (2, 2))
-        fn = fn.inner
-    return fn, m
+    for level in levels:
+        m = m @ np.reshape(level, (2, 2))
+    return m
 
 
 def make_sigma_function(spec) -> MeromorphicFn:
@@ -160,52 +166,24 @@ def make_sigma_function(spec) -> MeromorphicFn:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HFunction:
-    """Auxiliary analytic function with h(inf) = 1 and even inverse powers."""
-
-    kind: str  # 'const' | 'invsq' | 'laurent_even'
-    coeffs: tuple = field(default_factory=tuple)
-
-    def lower_coeffs(self):
-        tail = []
-        for h2k in self.coeffs:
-            tail.extend([0j, complex(h2k)])
-        return 0j, 1.0 + 0j, np.asarray(tail, dtype=np.complex128)
-
-    def derivs(self, points: np.ndarray, order: int = 4, inv=None) -> np.ndarray:
-        points = np.asarray(points, dtype=np.complex128)
-        b, b0, tail = self.lower_coeffs()
-        return _kernels.laurent_derivs(points, b, b0, tail, order, inv)
-
-    def values(self, points: np.ndarray) -> np.ndarray:
-        return self.derivs(points, order=0)[0]
-
-    def describe(self) -> str:
-        if self.kind == "const":
-            return "hconst"
-        if self.kind == "invsq":
-            return f"hinvsq({self.coeffs[0]})"
-        return f"laurent_even{self.coeffs}"
+def constant_one() -> MeromorphicFn:
+    return MeromorphicFn(kind="hconst", b=0j, b0=1.0 + 0j)
 
 
-def constant_one() -> HFunction:
-    return HFunction(kind="const")
-
-
-def inverse_square(c: complex) -> HFunction:
+def inverse_square(c: complex) -> MeromorphicFn:
     c = complex(c)
     if c == 0:
         return constant_one()
-    return HFunction(kind="invsq", coeffs=(c,))
+    return MeromorphicFn(kind="hinvsq", b=0j, b0=1.0 + 0j, tail=(0j, c))
 
 
-def laurent_even(*coeffs) -> HFunction:
-    return HFunction(kind="laurent_even", coeffs=tuple(complex(c) for c in coeffs))
+def laurent_even(*coeffs) -> MeromorphicFn:
+    tail = tuple(t for c in coeffs for t in (0j, complex(c)))
+    return MeromorphicFn(kind="laurent_even", b=0j, b0=1.0 + 0j, tail=tail)
 
 
-def make_h_function(spec) -> HFunction:
-    if isinstance(spec, HFunction):
+def make_h_function(spec) -> MeromorphicFn:
+    if isinstance(spec, MeromorphicFn):
         return spec
     return parse_h_spec(spec)
 
@@ -243,15 +221,30 @@ def _finite(value: complex) -> complex:
     return value
 
 
+_MOEBIUS_PREFIX = re.compile(r"moebius:([^:]*):\s*")
+
+
 def parse_function_spec(spec: str) -> MeromorphicFn:
+    # The moebius: prefixes are matched in place, so a nest takes time
+    # linear in its length; the map is built once, after the Laurent spec.
     spec = spec.strip()
+    levels, start = [], 0
+    while spec.startswith("moebius:", start):
+        prefix = _MOEBIUS_PREFIX.match(spec, start)
+        if prefix is None:
+            raise InvalidSpec(f"moebius spec needs :<inner>, got {spec[start:]!r}")
+        coeffs = prefix[1].split(",")
+        if len(coeffs) != 4:
+            raise InvalidSpec(f"moebius spec needs a,b,c,d, got {prefix[1]!r}")
+        levels.append([_parse_coeff(t) for t in coeffs])
+        start = prefix.end()
+    spec = spec[start:]
     if spec == "identity":
-        return identity()
-    if spec.startswith("joukowski:"):
-        return joukowski(_finite(parse_complex(spec[len("joukowski:") :])))
-    if spec.startswith("laurent:"):
-        body = spec[len("laurent:") :]
-        parts = body.split(";")
+        u = identity()
+    elif spec.startswith("joukowski:"):
+        u = joukowski(_finite(parse_complex(spec[len("joukowski:") :])))
+    elif spec.startswith("laurent:"):
+        parts = spec[len("laurent:") :].split(";")
         if len(parts) not in (2, 3):
             raise InvalidSpec(f"laurent spec needs b;b0[;b1,b2,...], got {spec!r}")
         b = _parse_coeff(parts[0])
@@ -259,21 +252,13 @@ def parse_function_spec(spec: str) -> MeromorphicFn:
         tail = ()
         if len(parts) == 3 and parts[2].strip():
             tail = tuple(_parse_coeff(t) for t in parts[2].split(","))
-        return laurent(b, b0, tail)
-    if spec.startswith("moebius:"):
-        body = spec[len("moebius:") :]
-        head, sep, inner_text = body.partition(":")
-        if not sep:
-            raise InvalidSpec(f"moebius spec needs :<inner>, got {spec!r}")
-        coeffs = head.split(",")
-        if len(coeffs) != 4:
-            raise InvalidSpec(f"moebius spec needs a,b,c,d, got {head!r}")
-        a, b, c, d = (_parse_coeff(t) for t in coeffs)
-        return moebius_of(parse_function_spec(inner_text), a, b, c, d)
-    raise InvalidSpec(f"unknown function spec {spec!r}")
+        u = laurent(b, b0, tail)
+    else:
+        raise InvalidSpec(f"unknown function spec {spec!r}")
+    return replace(u, levels=tuple(_level(*level) for level in levels))
 
 
-def parse_h_spec(spec: str) -> HFunction:
+def parse_h_spec(spec: str) -> MeromorphicFn:
     spec = spec.strip()
     if spec == "hconst":
         return constant_one()
@@ -296,14 +281,13 @@ def _expansion_at_infinity(fn):
     coefficients (a c != 0 map tends to a/c, so b = 0), and the size of the
     terms b0 sums, through the fold's matrix products too, which bounds its
     rounding."""
-    u, ((a, bb), (c, d)) = _fold(fn)
-    b_u, b0_u, _ = u.lower_coeffs()
+    (a, bb), (c, d) = _fold(fn.levels)
+    b_u, b0_u, _ = fn.lower_coeffs()
     # Each folded entry sums products of the levels' entries; the same
     # products of their moduli bound the size of those sums' terms.
-    bound, level = np.eye(2), fn
-    while level.kind == "moebius":
-        bound = bound @ np.abs(np.reshape(level.abcd, (2, 2)))
-        level = level.inner
+    bound = np.eye(2)
+    for level in fn.levels:
+        bound = bound @ np.abs(np.reshape(level, (2, 2)))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if c:
             b, b0, scale = 0j, a / c, 0.0
@@ -354,7 +338,7 @@ class HAdmissibilityReport:
 
 
 def validate_h_admissible(
-    h: HFunction, plan: SamplingPlan, tol: float = 1e-9
+    h: MeromorphicFn, plan: SamplingPlan, tol: float = 1e-9
 ) -> HAdmissibilityReport:
     """Check Re h >= 1/2 on the sampled grid and cross-check it against the
     equivalent disk condition |(1-h)/h| <= 1."""
@@ -390,14 +374,13 @@ def validate_h_admissible(
 
 def _derivative_roots(fn):
     """Zeros of fn' and poles of fn, each pole listed twice (it is a double
-    pole of fn'). Nested Moebius maps fold into one matrix."""
-    u, m = _fold(fn)
-    b, b0, tail = u.lower_coeffs()
+    pole of fn'). The Moebius levels fold into one matrix."""
+    b, b0, tail = fn.lower_coeffs()
     # fn' = (ad - bc) u' / (c u + d)^2. In w = 1/z, u' = b (1 - sum k t_k / b
     # w^(k+1)) and c u + d = (c b + (c b0 + d) w + c sum t_k w^(k+1)) / w. Read
     # from the constant term up, these coefficients are polynomials in z with
     # the roots 1/w.
-    c, d = m[1]
+    c, d = _fold(fn.levels)[1]
     try:
         zeros = np.roots(np.r_[1.0, 0.0, -np.arange(1, tail.size + 1) * tail / b])
         poles = np.roots(np.r_[c * b, c * b0 + d, c * tail]) if c else zeros[:0]

@@ -107,6 +107,11 @@ class RunConfig:
         if unread:
             unread.sort(key=lambda name: name in _PLAN_FIELDS)
             raise UsageError(f"{self.command} does not read {', '.join(unread)}")
+        # Each sweep row reads its own alpha and variant.
+        if self.alphas and self.alpha != _DEFAULTS["alpha"]:
+            raise UsageError("sweep with alphas does not read alpha")
+        if self.both_variants and not self.squared_variant:
+            raise UsageError("sweep with both_variants does not read squared_variant")
 
     def plan(self) -> SamplingPlan:
         """Plan settings the command does not read keep the SamplingPlan defaults."""

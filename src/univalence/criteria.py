@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .catalog import HFunction, MeromorphicFn, constant_one, identity
+from .catalog import MeromorphicFn, constant_one, identity
 from .errors import (
     CriticalPoint,
     EvaluationFailure,
@@ -48,7 +48,7 @@ class CriterionParams:
 
     f: MeromorphicFn
     g: MeromorphicFn = field(default_factory=identity)
-    h: HFunction = field(default_factory=constant_one)
+    h: MeromorphicFn = field(default_factory=constant_one)
     alpha: complex = 0.5 + 0j
     criterion: str = "theorem1"
     squared_variant: bool = True

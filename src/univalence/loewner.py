@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .catalog import HFunction, MeromorphicFn, constant_one, power_branch_slices
+from .catalog import MeromorphicFn, constant_one, power_branch_slices
 from .criteria import pieces
 from .errors import (
     ContourThroughSingularity,
@@ -64,7 +64,7 @@ class ChainSpec:
 
     f: MeromorphicFn
     g: MeromorphicFn
-    h: HFunction = field(default_factory=constant_one)
+    h: MeromorphicFn = field(default_factory=constant_one)
     alpha: complex = 0.5 + 0j
     squared_variant: bool = True
 

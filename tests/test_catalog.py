@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -113,6 +115,20 @@ class TestMiniLanguage:
         assert main(["check", "--f", spec]) == 3
         out = capsys.readouterr()
         assert out.out == "" and out.err == f"error: InvalidSpec: {message}\n"
+
+    def test_deep_nest_is_a_flat_tuple(self, rng):
+        # 5000 identity levels over z + 0.3/z: nothing walks them by recursion
+        base = uv.joukowski(0.3)
+        deep = uv.parse_function_spec("moebius:1,0,0,1:" * 5000 + "joukowski:0.3")
+        built = base
+        for _ in range(5000):
+            built = uv.moebius_of(built, 1, 0, 0, 1)
+        assert deep == built and hash(deep) == hash(built) and deep != base
+        assert deep.describe() == "moebius((1+0j),0j,0j,(1+0j))∘" * 5000 + "joukowski((0.3+0j))"
+        pts = exterior_points(rng, 50)
+        # multiplying by 1 + 0j may flip the sign of a zero part, nothing else
+        assert (deep.derivs(pts) + 0.0).tobytes() == (base.derivs(pts) + 0.0).tobytes()
+        assert deep.declared_class == "Sigma0"
 
     def test_complex_flag_syntax(self):
         assert parse_complex("0.5") == 0.5
@@ -356,8 +372,8 @@ class TestConstantDenominatorMoebius:
 
     @staticmethod
     def quotient(fn, pts, order):
-        inner = fn.inner.derivs(pts, order)
-        a, b, c, d = fn.abcd
+        inner = replace(fn, levels=fn.levels[1:]).derivs(pts, order)
+        a, b, c, d = fn.levels[0]
         num, den = a * inner, c * inner
         num[0] += b
         den[0] += d

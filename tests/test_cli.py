@@ -155,6 +155,26 @@ def test_nonfinite_report_is_evaluation_failure(monkeypatch, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv,depth",
+    [
+        (["check", "--f", "{}"], 1000),
+        (["check", "--f", "{}", "--criterion", "becker"], 1000),
+        (["chain", "--f", "{}", "--g", "{}"], 400),
+        (["oracle", "--f", "{}"], 1000),
+    ],
+    ids=["check", "becker", "chain", "oracle"],
+)
+def test_deep_identity_nest_reports_its_inner_map(argv, depth, capsys):
+    # a nest of identity Moebius levels is the map under it: same result,
+    # not a RecursionError
+    results = []
+    for spec in ("moebius:1,0,0,1:" * depth + "joukowski:0.3", "joukowski:0.3"):
+        assert main([arg.format(spec) for arg in argv]) == 0
+        results.append(json.loads(capsys.readouterr().out)["result"])
+    assert results[0] == results[1]
+
+
 class TestExitCodes:
     def test_check_pass(self):
         code, report, _ = run_quiet(
@@ -615,6 +635,46 @@ class TestSweep:
         _, report, _ = run_quiet(cfg)
         rows = report["result"]["rows"]
         assert [r["squared_variant"] for r in rows] == [True, False]
+
+    @pytest.mark.parametrize(
+        "argv, block, settings, message",
+        [
+            (
+                ["--alpha", "0.3", "--alphas", "0", "1"],
+                '{"alpha": {"re": 0.3, "im": 0}, "alphas": [{"re": 0, "im": 0}]}',
+                dict(alpha=0.3 + 0j, alphas=(0j, 1 + 0j)),
+                "sweep with alphas does not read alpha",
+            ),
+            (
+                ["--unsquared", "--both-variants"],
+                '{"squared_variant": false, "both_variants": true}',
+                dict(squared_variant=False, both_variants=True),
+                "sweep with both_variants does not read squared_variant",
+            ),
+        ],
+        ids=["alpha", "squared_variant"],
+    )
+    def test_setting_no_row_reads_is_usage_error(
+        self, tmp_path, capsys, argv, block, settings, message
+    ):
+        # every row takes its own alpha and variant, so the config block
+        # would record a value that no row read
+        path = tmp_path / "config.json"
+        path.write_text('{"command": "sweep", ' + block[1:])
+        for args in (argv, ["--config", str(path)]):
+            assert main(["sweep", *args]) == 3
+            out = capsys.readouterr()
+            assert out.out == "" and out.err == f"usage error: {message}\n"
+        with pytest.raises(UsageError, match=f"^{message}$"):
+            RunConfig(command="sweep", **settings)
+
+    def test_default_alpha_and_variant_round_trip(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        argv = ["--alphas", "0", "0.25", "--both-variants", "--radial", "8", "--angular", "16"]
+        assert main(["sweep", *argv, "--json", str(path)]) == 0
+        first = strip_timing(json.loads(capsys.readouterr().out))
+        assert main(["sweep", "--config", str(path)]) == 0
+        assert strip_timing(json.loads(capsys.readouterr().out)) == first
 
     def test_exit_aggregation(self):
         cfg = RunConfig(

@@ -10,6 +10,7 @@ dL/dt = z L' (1 - w)/(1 + w), and a1 by a 40-digit trapezoidal rule.
 """
 
 import functools
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -55,17 +56,17 @@ def forty_digits():
 @functools.lru_cache(maxsize=None)
 def mp_coeffs(fn):
     """Catalog coefficients as mpmath numbers (exact: they are doubles)."""
-    if fn.kind == "moebius":
-        return tuple(mp.mpc(complex(x)) for x in fn.abcd)
+    if fn.levels:
+        return tuple(mp.mpc(complex(x)) for x in fn.levels[0])
     b, b0, tail = fn.lower_coeffs()
     return mp.mpc(complex(b)), mp.mpc(complex(b0)), [mp.mpc(complex(t)) for t in tail]
 
 
 def mp_derivs(fn, z):
     """fn, fn', fn'', fn''' at z; Moebius maps by the chain rule."""
-    if fn.kind == "moebius":
+    if fn.levels:
         a, b, c, d = mp_coeffs(fn)
-        g0, g1, g2, g3 = mp_derivs(fn.inner, z)
+        g0, g1, g2, g3 = mp_derivs(replace(fn, levels=fn.levels[1:]), z)
         q = c * g0 + d
         det = a * d - b * c
         return [
