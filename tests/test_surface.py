@@ -54,20 +54,20 @@ def test_readme_cli_examples_run():
     # with the code its comment names, where it names one
     section = (ROOT / "README.md").read_text().split("\n## CLI\n", 1)[1]
     (block,) = [b for b in re.findall(r"```bash\n(.*?)```", section, re.S) if "univalence " in b]
-    expected, named = None, 0
+    expected, checked = None, 0
     for line in block.splitlines():
         if line.startswith("#"):
-            code = re.search(r"exit (?:code )?(\d)", line)
-            expected = code and int(code[1])
+            named_code = re.search(r"exit (?:code )?(\d)", line)
+            expected = named_code and int(named_code[1])
         elif line.startswith("univalence "):
             with contextlib.redirect_stdout(io.StringIO()):
                 code = cli.main(shlex.split(line)[1:])
             assert code != 3, line
             if expected is not None:
                 assert code == expected, line
-                named += 1
+                checked += 1
             expected = None
-    assert named == 3
+    assert checked == 3
 
 
 def test_console_script_is_the_cli():
