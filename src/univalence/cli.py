@@ -108,10 +108,9 @@ class RunConfig:
             unread.sort(key=lambda name: name in _PLAN_FIELDS)
             raise UsageError(f"{self.command} does not read {', '.join(unread)}")
         # Each sweep row reads its own alpha and variant.
-        if self.alphas and self.alpha != _DEFAULTS["alpha"]:
-            raise UsageError("sweep with alphas does not read alpha")
-        if self.both_variants and not self.squared_variant:
-            raise UsageError("sweep with both_variants does not read squared_variant")
+        for name, given in (("alpha", "alphas"), ("squared_variant", "both_variants")):
+            if getattr(self, given) and getattr(self, name) != _DEFAULTS[name]:
+                raise UsageError(f"sweep with {given} does not read {name}")
 
     def plan(self) -> SamplingPlan:
         """Plan settings the command does not read keep the SamplingPlan defaults."""
