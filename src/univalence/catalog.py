@@ -12,7 +12,6 @@ mini-language maps CLI strings onto the constructors: ``identity``,
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -102,14 +101,12 @@ class MeromorphicFn:
         return self.derivs(points, order=0)[0]
 
     def describe(self) -> str:
-        if self.kind == "identity":
-            text = "identity"
+        if self.kind in ("identity", "hconst"):
+            text = self.kind
         elif self.kind == "joukowski":
             text = f"joukowski({self.tail[0]})"
         elif self.kind == "laurent":
             text = f"laurent(b={self.b}, b0={self.b0}, tail={list(self.tail)})"
-        elif self.kind == "hconst":
-            text = "hconst"
         elif self.kind == "hinvsq":
             text = f"hinvsq({self.tail[1]})"
         else:
@@ -156,9 +153,11 @@ def _fold(levels):
 
 def make_sigma_function(spec) -> MeromorphicFn:
     """Build a catalog function from a spec string or pass one through."""
-    if isinstance(spec, MeromorphicFn):
-        return spec
-    return parse_function_spec(spec)
+    if not isinstance(spec, MeromorphicFn):
+        return parse_function_spec(spec)
+    if spec.b == 0 and not spec.levels:
+        raise InvalidSpec(f"{spec.describe()} has no leading term b z with b != 0")
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +182,11 @@ def laurent_even(*coeffs) -> MeromorphicFn:
 
 
 def make_h_function(spec) -> MeromorphicFn:
-    if isinstance(spec, MeromorphicFn):
-        return spec
-    return parse_h_spec(spec)
+    if not isinstance(spec, MeromorphicFn):
+        return parse_h_spec(spec)
+    if spec.b != 0 or spec.b0 != 1 or any(spec.tail[:1]) or spec.levels:
+        raise InvalidSpec(f"{spec.describe()} is not an h = 1 + h2/z^2 + ...")
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -221,24 +222,18 @@ def _finite(value: complex) -> complex:
     return value
 
 
-_MOEBIUS_PREFIX = re.compile(r"moebius:([^:]*):\s*")
-
-
 def parse_function_spec(spec: str) -> MeromorphicFn:
-    # The moebius: prefixes are matched in place, so a nest takes time
-    # linear in its length; the map is built once, after the Laurent spec.
     spec = spec.strip()
-    levels, start = [], 0
-    while spec.startswith("moebius:", start):
-        prefix = _MOEBIUS_PREFIX.match(spec, start)
-        if prefix is None:
-            raise InvalidSpec(f"moebius spec needs :<inner>, got {spec[start:]!r}")
-        coeffs = prefix[1].split(",")
+    levels = []
+    while spec.startswith("moebius:"):
+        head, sep, rest = spec[len("moebius:") :].partition(":")
+        if not sep:
+            raise InvalidSpec(f"moebius spec needs :<inner>, got {spec!r}")
+        coeffs = head.split(",")
         if len(coeffs) != 4:
-            raise InvalidSpec(f"moebius spec needs a,b,c,d, got {prefix[1]!r}")
+            raise InvalidSpec(f"moebius spec needs a,b,c,d, got {head!r}")
         levels.append([_parse_coeff(t) for t in coeffs])
-        start = prefix.end()
-    spec = spec[start:]
+        spec = rest.strip()
     if spec == "identity":
         u = identity()
     elif spec.startswith("joukowski:"):

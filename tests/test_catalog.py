@@ -158,6 +158,34 @@ class TestHFunctions:
         expected = 1 + 0.25 / z**2 - 0.1 / z**4
         assert abs(h.values([z])[0] - expected) < 1e-15
 
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            uv.joukowski(0.3),
+            uv.identity(),
+            uv.moebius_of(uv.constant_one(), 1, 0, 0, 2),
+            uv.MeromorphicFn(kind="laurent_even", b=0j, b0=1 + 0j, tail=(0.1,)),
+        ],
+    )
+    def test_make_h_function_refuses_a_non_h(self, fn):
+        with pytest.raises(InvalidSpec, match=r"is not an h = 1 \+ h2/z\^2"):
+            uv.make_h_function(fn)
+
+    def test_make_h_function_passes_an_h_through(self):
+        for h in (uv.constant_one(), uv.inverse_square(0.3), uv.laurent_even(0.2, 0.1)):
+            assert uv.make_h_function(h) is h
+
+    @pytest.mark.parametrize("h", [uv.constant_one(), uv.inverse_square(0.3)])
+    def test_make_sigma_function_refuses_an_h(self, h):
+        with pytest.raises(InvalidSpec, match="no leading term b z with b != 0"):
+            uv.make_sigma_function(h)
+
+    def test_make_sigma_function_passes_a_wrapped_map_through(self):
+        # A Moebius map with c != 0 is bounded at infinity, class 'neither',
+        # and stays a valid f, as the CLI's moebius specs allow.
+        f = uv.moebius_of(uv.constant_one(), 0, 1, 1, 1)
+        assert uv.make_sigma_function(f) is f
+
 
 class TestSigmaValidator:
     def test_identity(self):
