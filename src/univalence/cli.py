@@ -26,11 +26,7 @@ import sys
 import time
 from dataclasses import dataclass, fields
 
-from .catalog import (
-    make_h_function,
-    make_sigma_function,
-    parse_complex,
-)
+from .catalog import make_sigma_function, parse_complex
 from .criteria import CRITERIA, CriterionParams
 from .errors import EvaluationFailure, UnivalenceError, UsageError
 from .loewner import DEFAULT_T_SAMPLES, ChainSpec, audit_pommerenke
@@ -205,14 +201,9 @@ def _c2d(value: complex) -> dict:
 
 
 def _params(config: RunConfig, alpha=None, squared=None) -> CriterionParams:
-    return CriterionParams(
-        f=make_sigma_function(config.f),
-        g=make_sigma_function(config.g),
-        h=make_h_function(config.h),
-        alpha=config.alpha if alpha is None else alpha,
-        criterion=config.criterion,
-        squared_variant=config.squared_variant if squared is None else squared,
-    )
+    alpha = config.alpha if alpha is None else alpha
+    squared = config.squared_variant if squared is None else squared
+    return CriterionParams(config.f, config.g, config.h, alpha, config.criterion, squared)
 
 
 def _sup_result(report, verdict) -> dict:
@@ -351,13 +342,7 @@ def run(config: RunConfig, json_path: "str | None" = None, grid_csv: "str | None
         else:
             code = 1
     elif config.command == "chain":
-        spec = ChainSpec(
-            f=make_sigma_function(config.f),
-            g=make_sigma_function(config.g),
-            h=make_h_function(config.h),
-            alpha=config.alpha,
-            squared_variant=config.squared_variant,
-        )
+        spec = ChainSpec(config.f, config.g, config.h, config.alpha, config.squared_variant)
         audit = audit_pommerenke(spec, t_samples=config.t_samples)
         result = audit.to_json_dict()
         code = 0 if audit.passed else 1

@@ -1,21 +1,33 @@
-"""Vectorized evaluation of the master univalence criterion and its five
-corollary specializations over whole sets of points.
+"""Vectorized evaluation of the paper's exterior-disk criterion and its five
+corollaries over whole sets of points. Each criterion is the modulus of the
+signed ``theorem1`` bracket at a preset, and holds where it is <= 1:
 
-Every criterion is assembled from one set of pieces (``pieces``: f', g', h,
-h', f''/f', S_f, g''/g', S_g) built from the catalog's derivative stacks,
-block by block. All criteria share the pass convention "LHS modulus <= 1";
-the Nehari-type output is rescaled by its bound so the same threshold
-applies.
+    criterion           g = z   h = 1   alpha
+    theorem1            no      no      given
+    alpha_zero          yes     no      0
+    miazga_wesolowski   no      no      1/2
+    epstein             no      yes     1/2
+    becker              yes     yes     0       (|z|^2-1) |z f''/f'|
+    nehari              yes     yes     1/2     (|z|^2-1)^2 |S_f| / 2
+
+The Loewner driving function w(z, t) is the same bracket at zeta = e^t/z.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
 
-from .catalog import MeromorphicFn, constant_one, identity
+from .catalog import (
+    MeromorphicFn,
+    constant_one,
+    identity,
+    make_h_function,
+    make_sigma_function,
+)
 from .errors import (
     CriticalPoint,
     EvaluationFailure,
@@ -24,14 +36,17 @@ from .errors import (
     OutsideDomain,
 )
 
-CRITERIA = (
-    "theorem1",
-    "alpha_zero",
-    "miazga_wesolowski",
-    "epstein",
-    "becker",
-    "nehari",
-)
+# criterion -> (alpha, None: the given one; derivative orders of the f, g and
+# h stacks read, None: g = z or h = 1). Order 3 brings the Schwarzian.
+_PRESETS = {
+    "theorem1": (None, (3, 3, 1)),
+    "alpha_zero": (0.0, (2, None, 1)),
+    "miazga_wesolowski": (0.5, (3, 3, 1)),
+    "epstein": (0.5, (3, 3, None)),
+    "becker": (0.0, (2, None, None)),
+    "nehari": (0.5, (3, None, None)),
+}
+CRITERIA = tuple(_PRESETS)
 
 # Points per evaluation block: each complex temporary of the pieces and the
 # assembly (128 KB) stays in a per-core L2 cache until the next step reads it.
@@ -40,11 +55,10 @@ _BLOCK = 8192
 @dataclass(frozen=True)
 class CriterionParams:
     """One criterion instance: the function pair, the auxiliary h, the complex
-    parameter, and which formula to apply.
-
-    For 'becker' and 'nehari' the unused g and h are forcibly recorded as
-    identity / constant one so reports stay reproducible.
-    """
+    parameter, and which formula to apply. f, g and h may be spec strings; a
+    function of the wrong role (an h as f, say) is an InvalidSpec. For
+    'becker' and 'nehari' the unused g and h are forcibly recorded as
+    identity / constant one so reports stay reproducible."""
 
     f: MeromorphicFn
     g: MeromorphicFn = field(default_factory=identity)
@@ -54,6 +68,9 @@ class CriterionParams:
     squared_variant: bool = True
 
     def __post_init__(self):
+        object.__setattr__(self, "f", make_sigma_function(self.f))
+        object.__setattr__(self, "g", make_sigma_function(self.g))
+        object.__setattr__(self, "h", make_h_function(self.h))
         if self.criterion not in CRITERIA:
             raise InvalidSpec(f"unknown criterion {self.criterion!r}")
         object.__setattr__(self, "alpha", complex(self.alpha))
@@ -76,24 +93,12 @@ class Pieces(NamedTuple):
     sg: "np.ndarray | None"  # Schwarzian of g
 
 
-# Derivative order of the f, g and h stacks each criterion reads (None: not
-# read). Order 3 brings the Schwarzian, order 2 only f''/f' (or g''/g').
-_ORDERS = {
-    "theorem1": (3, 3, 1),
-    "alpha_zero": (2, None, 1),
-    "miazga_wesolowski": (3, 3, 1),
-    "epstein": (3, 3, None),
-    "becker": (2, None, None),
-    "nehari": (3, None, None),
-}
-
-
 def pieces(f, g, h, points: np.ndarray, criterion: str = "theorem1") -> Pieces:
     """Criterion pieces of (f, g, h) at each point that ``criterion``
     reads, the others None (theorem1 reads all); shared by the criterion
     scan and the Loewner driving function. Critical points and poles yield
     non-finite entries for the caller to diagnose."""
-    f_order, g_order, h_order = _ORDERS[criterion]
+    f_order, g_order, h_order = _PRESETS[criterion][1]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         inv = 1.0 / points
         # No formula reads f or g itself: their stacks start at the derivative.
@@ -113,43 +118,45 @@ def _stack_pieces(d):
     return d[0], p, (d[2] / d[0] - 1.5 * p * p if d.shape[0] > 2 else None)
 
 
-def _assemble_lhs(
-    criterion: str, points: np.ndarray, pc: Pieces, alpha: complex, squared: bool, aa
-) -> np.ndarray:
-    """Criterion LHS modulus at each point from its pieces and ``aa =
-    _abs2(points)``. Singular pieces yield non-finite entries for the caller
-    to diagnose."""
-    z = points
+def theorem1(z, pc: Pieces, alpha, squared: bool, aa, phase=None) -> np.ndarray:
+    """The signed theorem1 bracket at each z from its pieces, where the
+    criterion scan passes aa = |z|^2 (phase None: z/conj(z)) and the Loewner
+    w at z = e^t/(chain z) passes aa = e^{2t} and phase = 1/(chain z)^2:
+
+        (1-h)/h aa - (aa-1) (z h'/h + (1-2 alpha) z f''/f' + 2 alpha z g''/g')
+          + alpha (aa-1)^2 phase h ((alpha-1/2) D + S_f - S_g),
+
+    D = (f''/f' - g''/g')^2 (not squared when ``squared`` is false). A term
+    is left out when a piece it reads is None (g = z, h = 1; no S_f: alpha =
+    0) or when alpha = 1/2 zeroes its coefficient, never for alpha = 0: a
+    g' = 0 must still make the bracket non-finite, for the caller to
+    diagnose."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         am1 = aa - 1.0
-        if criterion == "becker":
-            return am1 * np.abs(z * pc.pf)
-        if criterion == "nehari":
-            return 0.5 * am1**2 * np.abs(pc.sf)
-        if criterion == "epstein":
-            phase = z / np.conj(z)
-            return np.abs(0.5 * am1**2 * phase * (pc.sf - pc.sg) - am1 * (z * pc.pg))
-        ratio = (1.0 - pc.h0) / pc.h0
-        hh = z * pc.h1 / pc.h0
-        if criterion == "alpha_zero":
-            return np.abs(ratio * aa - am1 * (hh + z * pc.pf))
-        phase = z / np.conj(z)
-        if criterion == "miazga_wesolowski":
-            t = (
-                ratio * aa
-                - am1 * (hh + z * pc.pg)
-                + 0.5 * am1**2 * phase * pc.h0 * (pc.sf - pc.sg)
-            )
-        else:
-            diff = pc.pf - pc.pg
-            if squared:
-                diff = diff * diff
-            t = (
-                ratio * aa
-                - am1 * (hh + (1.0 - 2.0 * alpha) * z * pc.pf + 2.0 * alpha * z * pc.pg)
-                + alpha * am1**2 * phase * pc.h0 * ((alpha - 0.5) * diff + pc.sf - pc.sg)
-            )
-        return np.abs(t)
+        lin, out = [], []
+        if pc.h0 is not None:
+            lin.append(z * pc.h1 / pc.h0)
+            out.append((1.0 - pc.h0) / pc.h0 * aa)
+        if alpha != 0.5:
+            lin.append((1.0 - 2.0 * alpha) * z * pc.pf)
+        if pc.pg is not None:
+            lin.append(2.0 * alpha * z * pc.pg)
+        if lin:
+            out.append(-am1 * reduce(np.add, lin))
+        if pc.sf is not None:
+            inner = pc.sf
+            if alpha != 0.5:
+                diff = pc.pf if pc.pg is None else pc.pf - pc.pg
+                if squared:
+                    diff = diff * diff
+                inner = (alpha - 0.5) * diff + inner
+            if pc.sg is not None:
+                inner = inner - pc.sg
+            coef = alpha * am1**2 * (z / np.conj(z) if phase is None else phase)
+            if pc.h0 is not None:
+                coef = coef * pc.h0
+            out.append(coef * inner)
+        return reduce(np.add, out)
 
 
 def _abs2(z: np.ndarray) -> np.ndarray:
@@ -191,7 +198,8 @@ def lhs_values(params: CriterionParams, points: np.ndarray) -> np.ndarray:
     multiply writes in place (at length 1 that is not bitwise the
     out-of-place product), so a value does not depend on the other points
     of its call."""
-    criterion = params.criterion
+    alpha = _PRESETS[params.criterion][0]
+    alpha = params.alpha if alpha is None else alpha
     out = np.empty(points.shape)
 
     def fill(lo):
@@ -204,10 +212,8 @@ def lhs_values(params: CriterionParams, points: np.ndarray) -> np.ndarray:
             inside = np.abs(z) <= 1.0
             if np.any(inside):
                 raise OutsideDomain(f"criterion point {z[inside][0]} not in the exterior disk")
-        pc = pieces(params.f, params.g, params.h, z, criterion)
-        out[lo : lo + _BLOCK] = _assemble_lhs(
-            criterion, z, pc, params.alpha, params.squared_variant, aa
-        )
+        pc = pieces(params.f, params.g, params.h, z, params.criterion)
+        out[lo : lo + _BLOCK] = np.abs(theorem1(z, pc, alpha, params.squared_variant, aa))
 
     for lo in range(0, points.shape[0], _BLOCK):
         fill(lo)

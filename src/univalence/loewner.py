@@ -2,10 +2,12 @@
 univalence criterion.
 
 The chain value comes from the closed-form quotient of u = f*v and
-v = (g'/f')^alpha; the driving function w(z,t) is evaluated from its reduced
-closed form (whose modulus on |z| = 1 equals the criterion LHS at
-zeta = e^t/z), and p = (1+w)/(1-w) realizes the positive-real-part condition.
-The audit checks |w| < 1, Re p > 0, the first-coefficient law a1(t) = e^t,
+v = (g'/f')^alpha; the driving function w(z,t) is the signed theorem1
+bracket at zeta = e^t/z (so its modulus on |z| = 1 is the criterion LHS
+there). The chain L obeys the Loewner equation dL/dt = z dL/dz p with
+p = (1-w)/(1+w); the audit's min_re_p reports Re((1+w)/(1-w)), which, like
+Re p, is > 0 exactly where |w| < 1. The audit checks |w| < 1, that real
+part, the first-coefficient law a1(t) = e^t,
 subordination between consecutive chain times, and boundedness proxies. It
 evaluates each distinct chain sample once, in one pass: one power branch of
 v with one root solve per function, one h evaluation and one quotient over
@@ -15,10 +17,11 @@ z grid circles of radius 0.9 and 1, the z grid at t + DT_PROXY_STEP and the
 contour and the z grid circle of radius 0.5 are views of the doubled
 contour's even and every eighth nodes, bitwise the nodes ``circle_points``
 gives, since scaling an index and a node count by a power of two is exact.
-The driving function w comes from one criterion-pieces pass over the z grid
-at every t, and subordination from one winding sum per pair. A failure is
-recorded against its own t slice or (t, s) pair, with the message that
-slice would raise alone, and the audit goes on.
+The driving function w comes from one criterion-pieces pass and one
+theorem1 call over the z grid at every t, and subordination from one
+winding sum per pair. A failure is recorded against its own t slice or
+(t, s) pair, with the message that slice would raise alone, and the audit
+goes on.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import MeromorphicFn, constant_one, power_branch_slices
-from .criteria import pieces
+from .criteria import CriterionParams, pieces, theorem1
 from .errors import (
     ContourThroughSingularity,
     CriticalPoint,
@@ -60,7 +63,8 @@ class ChainSpec:
     The quotient construction presumes the normalized expansion f = z + a1/z
     + ... (leading coefficient 1, no constant term); a nonzero constant term
     drags a chain pole into the disk for large t, which the audit flags via
-    the first-coefficient law."""
+    the first-coefficient law. f, g, h and alpha are checked and converted
+    as ``CriterionParams`` does."""
 
     f: MeromorphicFn
     g: MeromorphicFn
@@ -69,7 +73,9 @@ class ChainSpec:
     squared_variant: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", complex(self.alpha))
+        params = CriterionParams(self.f, self.g, self.h, self.alpha)
+        for name in ("f", "g", "h", "alpha"):
+            object.__setattr__(self, name, getattr(params, name))
 
 
 def _concat(slices):
@@ -141,53 +147,34 @@ def chain_values(spec: ChainSpec, z, t: float) -> np.ndarray:
 
 
 def chain_w_values(spec: ChainSpec, z, t: float) -> np.ndarray:
-    """Driving function w(z,t) from its closed form, at each z for fixed t;
-    built from the criterion pieces at e^t/z."""
+    """Driving function w(z,t) at each z for fixed t: the signed theorem1
+    bracket at zeta = e^t/z, with |zeta|^2 = e^{2t} and zeta/conj(zeta) =
+    1/z^2."""
     z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
     return _ok(_w_slices(spec, [(z, t)])[0]).reshape(z.shape)
 
 
 def _w_slices(spec: ChainSpec, slices) -> list:
-    """w over a sequence of (z, t) slices from one ``pieces`` pass over all
-    of their points, each slice assembled with its own scalar e^t. Returns,
-    per slice, its values or the error ``chain_w_values`` raises for that
-    slice alone (CriticalPoint, HVanishes)."""
-    z, _, ends = _concat(slices)
-    ets = [np.exp(t) for _, t in slices]
-    w = np.repeat(ets, np.diff(ends, prepend=0)) / z
+    """w over a sequence of (z, t) slices: the signed ``theorem1`` bracket at
+    zeta = e^t/z, where |zeta|^2 = e^{2t} and zeta/conj(zeta) = 1/z^2, from
+    one ``pieces`` pass and one ``theorem1`` call over all of their points.
+    Returns, per slice, its values or the error ``chain_w_values`` raises
+    for that slice alone (CriticalPoint, HVanishes). Pieces out of double
+    range give non-finite w, which the audit records."""
+    z, t, ends = _concat(slices)
+    et = np.exp(t)
+    w = et / z
     pc = pieces(spec.f, spec.g, spec.h, w)
-    alpha = spec.alpha
+    values = theorem1(w, pc, spec.alpha, spec.squared_variant, et * et, 1.0 / (z * z))
     out = []
-    for (_, t), et, a, b in zip(slices, ets, [0, *ends[:-1]], ends):
-        zk, wk = z[a:b], w[a:b]
-        f1, g1, h0, h1, pf, sf, pg, sg = (piece[a:b] for piece in pc)
-        if np.any(f1 == 0) or np.any(g1 == 0):
-            bad = wk[(f1 == 0) | (g1 == 0)][0]
-            out.append(CriticalPoint(f"f' or g' vanishes at {bad}"))
-            continue
-        if np.any(h0 == 0):
-            out.append(HVanishes(f"h vanishes at {wk[h0 == 0][0]}"))
-            continue
-        e2t = et * et
-        em2t = np.exp(-2.0 * t)
-        # Pieces out of double range give non-finite w, which the audit
-        # records.
-        with np.errstate(over="ignore", invalid="ignore"):
-            diff = pf - pg
-            if spec.squared_variant:
-                diff = diff * diff
-            out.append(
-                e2t * (1.0 - h0) / h0
-                + (1.0 - e2t)
-                * wk
-                * (h1 / h0 + (1.0 - 2.0 * alpha) * pf + 2.0 * alpha * pg)
-                + alpha
-                * e2t
-                * (em2t - 1.0) ** 2
-                * (e2t / (zk * zk))
-                * h0
-                * ((sf - sg) + (alpha - 0.5) * diff)
-            )
+    for a, b in zip([0, *ends[:-1]], ends):
+        critical = (pc.f1[a:b] == 0) | (pc.g1[a:b] == 0)
+        if critical.any():
+            out.append(CriticalPoint(f"f' or g' vanishes at {w[a:b][critical][0]}"))
+        elif (pc.h0[a:b] == 0).any():
+            out.append(HVanishes(f"h vanishes at {w[a:b][pc.h0[a:b] == 0][0]}"))
+        else:
+            out.append(values[a:b])
     return out
 
 

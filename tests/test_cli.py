@@ -360,6 +360,19 @@ class TestExitCodes:
             "error: CriticalPointInRegion: f' vanishes at (12.759406516050857+0j)\n"
         )
 
+    @pytest.mark.parametrize("alpha", ["0", "0.3", "0.5"])
+    def test_critical_point_of_g_is_diagnosed_at_every_alpha(self, capsys, alpha):
+        # g = joukowski(4) has g' = 0 at z = 2, a grid point of this plan. At
+        # alpha = 0 every g term has coefficient 0, yet 0 * inf is NaN, so
+        # the point is still diagnosed rather than read as a finite LHS.
+        code = main(["check", "--f", "joukowski:0.3", "--g", "joukowski:4",
+                     "--alpha", alpha, "--rmin", "2", "--rmax", "4",
+                     "--radial", "3", "--angular", "8"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "error: CriticalPointInRegion: g' vanishes at (2+0j)\n"
+
     @pytest.mark.parametrize("extra", [(), ("--refine", "0")])
     def test_pole_on_the_doubled_tail_circle_exits_3(self, capsys, extra):
         # f = 1/(z - 100) has its pole at 2 r_max = 100, on the tail circle

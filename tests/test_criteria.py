@@ -9,13 +9,14 @@ import pytest
 import univalence as uv
 from univalence.criteria import (
     _BLOCK,
+    _PRESETS,
     CRITERIA,
     CriterionParams,
     Pieces,
     _abs2,
-    _assemble_lhs,
     evaluate_lhs,
     pieces,
+    theorem1,
 )
 from univalence.errors import (
     CriticalPoint,
@@ -152,6 +153,21 @@ class TestStructure:
         with pytest.raises(InvalidSpec):
             CriterionParams(f=uv.identity(), criterion="lewandowski")
 
+    def test_h_as_f_is_refused(self):
+        # an h has b = 0: becker read it as f and returned 9 at z = 2
+        with pytest.raises(InvalidSpec) as exc:
+            evaluate_lhs(CriterionParams(f=uv.inverse_square(0.3), criterion="becker"), [2])
+        assert str(exc.value) == "hinvsq((0.3+0j)) has no leading term b z with b != 0"
+
+    def test_non_h_as_h_is_refused(self):
+        with pytest.raises(InvalidSpec) as exc:
+            CriterionParams(f=uv.joukowski(0.3), h=uv.joukowski(0.3))
+        assert str(exc.value) == "joukowski((0.3+0j)) is not an h = 1 + h2/z^2 + ..."
+
+    def test_spec_strings_are_parsed(self):
+        p = CriterionParams(f="joukowski:0.3", g="identity", h="hinvsq:0.1")
+        assert (p.f, p.g, p.h) == (uv.joukowski(0.3), uv.identity(), uv.inverse_square(0.1))
+
     def test_outside_domain(self):
         with pytest.raises(OutsideDomain):
             lhs(params(uv.identity()), 0.99)
@@ -164,6 +180,15 @@ class TestStructure:
     def test_h_vanishes(self):
         with pytest.raises(HVanishes):
             lhs(params(uv.identity(), h=uv.inverse_square(-4.0)), 2.0)
+
+
+def single_pass(p, pts):
+    """``p``'s LHS at ``pts`` from one ``pieces`` pass and one ``theorem1``
+    call, at the alpha its criterion fixes."""
+    alpha = _PRESETS[p.criterion][0]
+    alpha = p.alpha if alpha is None else alpha
+    pc = pieces(p.f, p.g, p.h, pts, p.criterion)
+    return np.abs(theorem1(pts, pc, alpha, p.squared_variant, _abs2(pts)))
 
 
 class TestBlocks:
@@ -187,8 +212,7 @@ class TestBlocks:
             criterion=criterion,
         )
         pts = exterior_points(rng, n)
-        pc = pieces(p.f, p.g, p.h, pts)
-        ref = _assemble_lhs(criterion, pts, pc, p.alpha, p.squared_variant, _abs2(pts))
+        ref = single_pass(p, pts)
         assert np.isfinite(ref).all()
         assert evaluate_lhs(p, pts).tobytes() == ref.tobytes()
 
@@ -204,6 +228,123 @@ class TestBlocks:
         with pytest.raises(OutsideDomain) as exc:
             evaluate_lhs(p, pts)
         assert str(exc.value) == "criterion point 1j not in the exterior disk"
+
+
+def six_formula_lhs(criterion, points, pc, alpha, squared, aa):
+    """The criterion LHS as it was assembled before every criterion became
+    ``theorem1`` at a preset: one formula per criterion."""
+    z = points
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        am1 = aa - 1.0
+        if criterion == "becker":
+            return am1 * np.abs(z * pc.pf)
+        if criterion == "nehari":
+            return 0.5 * am1**2 * np.abs(pc.sf)
+        if criterion == "epstein":
+            phase = z / np.conj(z)
+            return np.abs(0.5 * am1**2 * phase * (pc.sf - pc.sg) - am1 * (z * pc.pg))
+        ratio = (1.0 - pc.h0) / pc.h0
+        hh = z * pc.h1 / pc.h0
+        if criterion == "alpha_zero":
+            return np.abs(ratio * aa - am1 * (hh + z * pc.pf))
+        phase = z / np.conj(z)
+        if criterion == "miazga_wesolowski":
+            t = (
+                ratio * aa
+                - am1 * (hh + z * pc.pg)
+                + 0.5 * am1**2 * phase * pc.h0 * (pc.sf - pc.sg)
+            )
+        else:
+            diff = pc.pf - pc.pg
+            if squared:
+                diff = diff * diff
+            t = (
+                ratio * aa
+                - am1 * (hh + (1.0 - 2.0 * alpha) * z * pc.pf + 2.0 * alpha * z * pc.pg)
+                + alpha * am1**2 * phase * pc.h0 * ((alpha - 0.5) * diff + pc.sf - pc.sg)
+            )
+        return np.abs(t)
+
+
+def closed_form_w(spec, z, t):
+    """w(z, t) as the Loewner module wrote it before it called ``theorem1``:
+    its own closed form in e^t."""
+    et = np.exp(t)
+    w = et / z
+    f1, g1, h0, h1, pf, sf, pg, sg = pieces(spec.f, spec.g, spec.h, w)
+    e2t = et * et
+    em2t = np.exp(-2.0 * t)
+    alpha = spec.alpha
+    diff = pf - pg
+    if spec.squared_variant:
+        diff = diff * diff
+    return (
+        e2t * (1.0 - h0) / h0
+        + (1.0 - e2t) * w * (h1 / h0 + (1.0 - 2.0 * alpha) * pf + 2.0 * alpha * pg)
+        + alpha * e2t * (em2t - 1.0) ** 2 * (e2t / (z * z)) * h0
+        * ((sf - sg) + (alpha - 0.5) * diff)
+    )
+
+
+class TestPresets:
+    """Each criterion is theorem1 at a preset: g = z, h = 1, alpha (None:
+    the given one). Four are bitwise the formulas they replaced; becker and
+    nehari take the modulus of a product instead of a product of moduli."""
+
+    PRESETS = {
+        "theorem1": (False, False, None),
+        "alpha_zero": (True, False, 0.0),
+        "miazga_wesolowski": (False, False, 0.5),
+        "epstein": (False, True, 0.5),
+        "becker": (True, True, 0.0),
+        "nehari": (True, True, 0.5),
+    }
+
+    @pytest.mark.parametrize("alpha", [0.3 + 0.1j, 0.0, 0.5])
+    @pytest.mark.parametrize("squared", [True, False])
+    @pytest.mark.parametrize("f", sorted(TestBlocks.F_CASES))
+    @pytest.mark.parametrize("criterion", CRITERIA)
+    def test_criterion_is_theorem1_at_its_preset(self, rng, criterion, f, squared, alpha):
+        g, h = uv.laurent(1, 0, [0.2, 0.1j]), uv.inverse_square(0.2 + 0.1j)
+        p = params(TestBlocks.F_CASES[f], g=g, h=h, alpha=alpha, criterion=criterion,
+                   squared=squared)
+        pts = exterior_points(rng, 2000, r_lo=1.0001, r_hi=1e3)
+        got = evaluate_lhs(p, pts)
+        old = six_formula_lhs(criterion, pts, pieces(p.f, p.g, p.h, pts), p.alpha, squared,
+                              _abs2(pts))
+        g_is_z, h_is_one, fixed = self.PRESETS[criterion]
+        preset = params(
+            p.f,
+            g=uv.identity() if g_is_z else g,
+            h=uv.constant_one() if h_is_one else h,
+            alpha=p.alpha if fixed is None else fixed,
+            squared=squared,
+        )
+        at_preset = evaluate_lhs(preset, pts)
+        assert np.isfinite(got).all()
+        if criterion in ("becker", "nehari"):
+            for ref in (old, at_preset):
+                assert np.all(np.abs(got - ref) <= 1e-15 * ref)
+        else:
+            assert got.tobytes() == old.tobytes() == at_preset.tobytes()
+
+    @pytest.mark.parametrize("squared", [True, False])
+    @pytest.mark.parametrize("f", sorted(TestBlocks.F_CASES))
+    def test_w_is_theorem1_on_the_chain(self, f, squared):
+        from univalence.loewner import ChainSpec, chain_w_values, default_z_samples
+
+        spec = ChainSpec(
+            f=TestBlocks.F_CASES[f],
+            g=uv.laurent(1, 0, [0.2, 0.1j]),
+            h=uv.inverse_square(0.2 + 0.1j),
+            alpha=0.3 + 0.1j,
+            squared_variant=squared,
+        )
+        z = default_z_samples()
+        for t in (0.0, 0.25, 1.0, 4.0):
+            got = chain_w_values(spec, z, t)
+            want = closed_form_w(spec, z, t)
+            assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
 
 
 class TestRowRequests:

@@ -13,6 +13,7 @@ from univalence.errors import (
     DenominatorVanishes,
     EvaluationFailure,
     HVanishes,
+    InvalidSpec,
     OutsideDomain,
 )
 from univalence.loewner import (
@@ -51,6 +52,20 @@ CATALOG_SPECS = [
     ChainSpec(f=uv.joukowski(0.4), g=uv.identity(), h=uv.inverse_square(0.25), alpha=0.3),
     ChainSpec(f=uv.laurent(1, 0, [0.1, 0.02]), g=uv.identity(), h=uv.constant_one(), alpha=0.5),
 ]
+
+
+class TestChainSpecRoles:
+    def test_h_as_g_is_refused(self):
+        # the audit died in the ray branch: "no roots of hinvsq(...) in
+        # double range"
+        with pytest.raises(InvalidSpec) as exc:
+            audit_pommerenke(ChainSpec(f=uv.joukowski(0.3), g=uv.inverse_square(0.3)))
+        assert str(exc.value) == "hinvsq((0.3+0j)) has no leading term b z with b != 0"
+
+    def test_non_h_as_h_is_refused(self):
+        with pytest.raises(InvalidSpec) as exc:
+            ChainSpec(f=uv.joukowski(0.3), g=uv.identity(), h=uv.joukowski(0.3))
+        assert str(exc.value) == "joukowski((0.3+0j)) is not an h = 1 + h2/z^2 + ..."
 
 
 class TestChainEval:
