@@ -155,7 +155,7 @@ def make_sigma_function(spec) -> MeromorphicFn:
     """Build a catalog function from a spec string or pass one through."""
     if not isinstance(spec, MeromorphicFn):
         return parse_function_spec(spec)
-    if spec.b == 0 and not spec.levels:
+    if spec.b == 0:
         raise InvalidSpec(f"{spec.describe()} has no leading term b z with b != 0")
     return spec
 

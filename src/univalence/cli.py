@@ -8,8 +8,9 @@ deterministic for a fixed config; only the trailing timing field varies
 between runs. Exit codes: 0 pass/true, 1 fail/collision, 2 inconclusive,
 3 usage or evaluation error. The criterion is sufficient, not necessary:
 check exit 1 means it failed on the grid, never that f is not univalent.
-One passing row is enough, so sweep exits 0 when some row passes, 2 when
-none passes but some row is inconclusive, and 1 only when every row fails.
+One passing row is enough, so a sweep's verdict is pass when some row
+passes, inconclusive when none passes but some row is, and fail only when
+every row fails; it names the passing rows and exits as check does.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .loewner import DEFAULT_T_SAMPLES, ChainSpec, audit_pommerenke
 from .oracle import injectivity_scan
 from .region import SamplingPlan, estimate_sup, issue_verdict
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 REPORT_NOTE = (
     "sample-based scan: a pass verdict asserts the criterion held on the "
     "evaluated samples only (univalence then follows by sufficiency); a fail "
@@ -59,7 +60,6 @@ class RunConfig:
     h: str = "hconst"
     alpha: complex = 0.5 + 0j
     criterion: str = "theorem1"
-    squared_variant: bool = True
     r_min: float = SamplingPlan.r_min
     r_max: float = SamplingPlan.r_max
     radial_count: int = SamplingPlan.radial_count
@@ -69,7 +69,6 @@ class RunConfig:
     tol: float = 1e-9
     t_samples: tuple[float, ...] = DEFAULT_T_SAMPLES
     alphas: tuple[complex, ...] = ()
-    both_variants: bool = False
     collision_tolerance: float | None = None
     separation_floor: float | None = None
 
@@ -103,10 +102,9 @@ class RunConfig:
         if unread:
             unread.sort(key=lambda name: name in _PLAN_FIELDS)
             raise UsageError(f"{self.command} does not read {', '.join(unread)}")
-        # Each sweep row reads its own alpha and variant.
-        for name, given in (("alpha", "alphas"), ("squared_variant", "both_variants")):
-            if getattr(self, given) and getattr(self, name) != _DEFAULTS[name]:
-                raise UsageError(f"sweep with {given} does not read {name}")
+        # Each sweep row reads its own alpha.
+        if self.alphas and self.alpha != _DEFAULTS["alpha"]:
+            raise UsageError("sweep with alphas does not read alpha")
 
     def plan(self) -> SamplingPlan:
         """Plan settings the command does not read keep the SamplingPlan defaults."""
@@ -139,11 +137,11 @@ class RunConfig:
 
 # The RunConfig fields each command reads. Its parser registers, its config
 # block records and --config accepts these alone.
-_SCAN = ("f", "g", "h", "alpha", "criterion", "squared_variant", *_PLAN_FIELDS, "tol")
+_SCAN = ("f", "g", "h", "alpha", "criterion", *_PLAN_FIELDS, "tol")
 SETTINGS = {
     "check": _SCAN,
-    "sweep": (*_SCAN, "alphas", "both_variants"),
-    "chain": ("f", "g", "h", "alpha", "squared_variant", "t_samples"),
+    "sweep": (*_SCAN, "alphas"),
+    "chain": ("f", "g", "h", "alpha", "t_samples"),
     "oracle": ("f", "r_min", "r_max", "radial_count", "angular_count",
                "collision_tolerance", "separation_floor"),
     "catalog": (),
@@ -155,9 +153,7 @@ _DEFAULTS = {field.name: field.default for field in fields(RunConfig)[1:]}
 
 
 # The types RunConfig annotations name; a bool counts as no number.
-_TYPES = dict(
-    str=str, bool=bool, int=int, float=(int, float), complex=(int, float, complex)
-)
+_TYPES = dict(str=str, int=int, float=(int, float), complex=(int, float, complex))
 # A negative tolerance or floor admits no pair and would pass vacuously; a
 # chain starts at t = 0.
 _NONNEGATIVE = {"t_samples", "collision_tolerance", "separation_floor"}
@@ -171,7 +167,7 @@ def _is(kind: str, value) -> bool:
     if kind.startswith("tuple["):
         return isinstance(value, tuple) and all(_is(kind[6:-6], v) for v in value)
     types = _TYPES[kind]
-    return isinstance(value, types) and isinstance(value, bool) == (types is bool)
+    return isinstance(value, types) and not isinstance(value, bool)
 
 
 def _to_json(kind: str, value):
@@ -200,13 +196,15 @@ def _c2d(value: complex) -> dict:
     return {"re": value.real, "im": value.imag}
 
 
-def _params(config: RunConfig, alpha=None, squared=None) -> CriterionParams:
-    alpha = config.alpha if alpha is None else alpha
-    squared = config.squared_variant if squared is None else squared
-    return CriterionParams(config.f, config.g, config.h, alpha, config.criterion, squared)
+# The exit code of each verdict, for check and sweep alike.
+_EXIT = {"pass": 0, "fail": 1, "inconclusive": 2}
 
 
-def _sup_result(report, verdict) -> dict:
+def _sup_result(config: RunConfig, alpha: complex, sink=None) -> dict:
+    """Scan the criterion of ``config`` at ``alpha``; its result block."""
+    params = CriterionParams(config.f, config.g, config.h, alpha, config.criterion)
+    report = estimate_sup(params, config.plan(), sink)
+    verdict = issue_verdict(report, config.tol)
     return {
         "sup": report.sup_estimate,
         "argmax": _c2d(report.argmax),
@@ -313,36 +311,25 @@ def run(config: RunConfig, json_path: "str | None" = None, grid_csv: "str | None
     result: dict
     if config.command == "check":
         sink = [] if grid_csv else None
-        report = estimate_sup(_params(config), config.plan(), sink)
-        verdict = issue_verdict(report, config.tol)
-        result = _sup_result(report, verdict)
+        result = _sup_result(config, config.alpha, sink)
         if grid_csv:
             _write_grid_csv(grid_csv, sink)
-        code = {"pass": 0, "fail": 1, "inconclusive": 2}[verdict.outcome]
+        code = _EXIT[result["verdict"]]
     elif config.command == "sweep":
-        alphas = config.alphas or (config.alpha,)
-        variants = (True, False) if config.both_variants else (config.squared_variant,)
-        rows = []
-        outcomes = []
-        for alpha in alphas:
-            for squared in variants:
-                report = estimate_sup(
-                    _params(config, alpha=alpha, squared=squared), config.plan()
-                )
-                verdict = issue_verdict(report, config.tol)
-                row = {"alpha": _c2d(alpha), "squared_variant": squared}
-                row.update(_sup_result(report, verdict))
-                rows.append(row)
-                outcomes.append(verdict.outcome)
-        result = {"rows": rows}
-        if "pass" in outcomes:
-            code = 0
-        elif "inconclusive" in outcomes:
-            code = 2
-        else:
-            code = 1
+        rows = [
+            {"alpha": _c2d(alpha), **_sup_result(config, alpha)}
+            for alpha in config.alphas or (config.alpha,)
+        ]
+        outcomes = [row["verdict"] for row in rows]
+        verdict = next(v for v in ("pass", "inconclusive", "fail") if v in outcomes)
+        result = {
+            "verdict": verdict,
+            "passing_rows": [i for i, v in enumerate(outcomes) if v == "pass"],
+            "rows": rows,
+        }
+        code = _EXIT[verdict]
     elif config.command == "chain":
-        spec = ChainSpec(config.f, config.g, config.h, config.alpha, config.squared_variant)
+        spec = ChainSpec(config.f, config.g, config.h, config.alpha)
         audit = audit_pommerenke(spec, t_samples=config.t_samples)
         result = audit.to_json_dict()
         code = 0 if audit.passed else 1
@@ -404,9 +391,6 @@ _FLAGS = {
     "h": ("--h", dict(help="h-function spec")),
     "alpha": ("--alpha", dict(type=parse_complex, help="complex parameter: re[,im]")),
     "criterion": ("--criterion", dict(choices=CRITERIA)),
-    "squared_variant": (
-        "--unsquared", dict(action="store_false", help="unsquared (f''/f' - g''/g') factor")
-    ),
     "r_min": ("--rmin", dict(type=float)),
     "r_max": ("--rmax", dict(type=float)),
     "radial_count": ("--radial", dict(type=int)),
@@ -418,7 +402,6 @@ _FLAGS = {
     "alphas": (
         "--alphas", dict(nargs="+", type=parse_complex, metavar="RE[,IM]", help="one row each")
     ),
-    "both_variants": ("--both-variants", dict(action="store_true", help="scan both variants")),
     "collision_tolerance": ("--collision-tol", dict(type=float)),
     "separation_floor": ("--separation-floor", dict(type=float)),
 }

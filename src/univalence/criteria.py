@@ -65,7 +65,6 @@ class CriterionParams:
     h: MeromorphicFn = field(default_factory=constant_one)
     alpha: complex = 0.5 + 0j
     criterion: str = "theorem1"
-    squared_variant: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "f", make_sigma_function(self.f))
@@ -118,7 +117,7 @@ def _stack_pieces(d):
     return d[0], p, (d[2] / d[0] - 1.5 * p * p if d.shape[0] > 2 else None)
 
 
-def theorem1(z, pc: Pieces, alpha, squared: bool, aa, phase=None) -> np.ndarray:
+def theorem1(z, pc: Pieces, alpha, aa, phase=None) -> np.ndarray:
     """The signed theorem1 bracket at each z from its pieces, where the
     criterion scan passes aa = |z|^2 (phase None: z/conj(z)) and the Loewner
     w at z = e^t/(chain z) passes aa = e^{2t} and phase = 1/(chain z)^2:
@@ -126,11 +125,10 @@ def theorem1(z, pc: Pieces, alpha, squared: bool, aa, phase=None) -> np.ndarray:
         (1-h)/h aa - (aa-1) (z h'/h + (1-2 alpha) z f''/f' + 2 alpha z g''/g')
           + alpha (aa-1)^2 phase h ((alpha-1/2) D + S_f - S_g),
 
-    D = (f''/f' - g''/g')^2 (not squared when ``squared`` is false). A term
-    is left out when a piece it reads is None (g = z, h = 1; no S_f: alpha =
-    0) or when alpha = 1/2 zeroes its coefficient, never for alpha = 0: a
-    g' = 0 must still make the bracket non-finite, for the caller to
-    diagnose."""
+    D = (f''/f' - g''/g')^2. A term is left out when a piece it reads is
+    None (g = z, h = 1; no S_f: alpha = 0) or when alpha = 1/2 zeroes its
+    coefficient, never for alpha = 0: a g' = 0 must still make the bracket
+    non-finite, for the caller to diagnose."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         am1 = aa - 1.0
         lin, out = [], []
@@ -147,8 +145,9 @@ def theorem1(z, pc: Pieces, alpha, squared: bool, aa, phase=None) -> np.ndarray:
             inner = pc.sf
             if alpha != 0.5:
                 diff = pc.pf if pc.pg is None else pc.pf - pc.pg
-                if squared:
-                    diff = diff * diff
+                # Named, so that no in-place multiply (not always bitwise
+                # the out-of-place one) is made of its temporary.
+                diff = diff * diff
                 inner = (alpha - 0.5) * diff + inner
             if pc.sg is not None:
                 inner = inner - pc.sg
@@ -213,7 +212,7 @@ def lhs_values(params: CriterionParams, points: np.ndarray) -> np.ndarray:
             if np.any(inside):
                 raise OutsideDomain(f"criterion point {z[inside][0]} not in the exterior disk")
         pc = pieces(params.f, params.g, params.h, z, params.criterion)
-        out[lo : lo + _BLOCK] = np.abs(theorem1(z, pc, alpha, params.squared_variant, aa))
+        out[lo : lo + _BLOCK] = np.abs(theorem1(z, pc, alpha, aa))
 
     for lo in range(0, points.shape[0], _BLOCK):
         fill(lo)

@@ -5,14 +5,13 @@ The chain value comes from the closed-form quotient of u = f*v and
 v = (g'/f')^alpha; the driving function w(z,t) is the signed theorem1
 bracket at zeta = e^t/z (so its modulus on |z| = 1 is the criterion LHS
 there). The chain L obeys the Loewner equation dL/dt = z dL/dz p with
-p = (1-w)/(1+w); the audit's min_re_p reports Re((1+w)/(1-w)), which, like
-Re p, is > 0 exactly where |w| < 1. The audit checks |w| < 1, that real
-part, the first-coefficient law a1(t) = e^t,
-subordination between consecutive chain times, and boundedness proxies. It
-evaluates each distinct chain sample once, in one pass: one power branch of
-v with one root solve per function, one h evaluation and one quotient over
-all points. At the default grids that pass covers 5072 points: per t, the
-z grid circles of radius 0.9 and 1, the z grid at t + DT_PROXY_STEP and the
+p = (1-w)/(1+w), and Re p > 0 exactly where |w| < 1. The audit checks
+|w| < 1, the first-coefficient law a1(t) = e^t, subordination between
+consecutive chain times, and boundedness proxies. It evaluates each
+distinct chain sample once, in one pass: one power branch of v with one
+root solve per function, one h evaluation and one quotient over all points.
+At the default grids that pass covers 5072 points: per t, the z grid
+circles of radius 0.9 and 1, the z grid at t + DT_PROXY_STEP and the
 512-node doubled a1 contour, plus the subordination probes. The 256-node a1
 contour and the z grid circle of radius 0.5 are views of the doubled
 contour's even and every eighth nodes, bitwise the nodes ``circle_points``
@@ -57,8 +56,8 @@ DT_PROXY_STEP = 1e-4
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """Data defining one chain: the function pair, the auxiliary h, the power
-    parameter, and which variant of the final factor w uses.
+    """Data defining one chain: the function pair, the auxiliary h and the
+    power parameter.
 
     The quotient construction presumes the normalized expansion f = z + a1/z
     + ... (leading coefficient 1, no constant term); a nonzero constant term
@@ -70,7 +69,6 @@ class ChainSpec:
     g: MeromorphicFn
     h: MeromorphicFn = field(default_factory=constant_one)
     alpha: complex = 0.5 + 0j
-    squared_variant: bool = True
 
     def __post_init__(self):
         params = CriterionParams(self.f, self.g, self.h, self.alpha)
@@ -165,7 +163,7 @@ def _w_slices(spec: ChainSpec, slices) -> list:
     et = np.exp(t)
     w = et / z
     pc = pieces(spec.f, spec.g, spec.h, w)
-    values = theorem1(w, pc, spec.alpha, spec.squared_variant, et * et, 1.0 / (z * z))
+    values = theorem1(w, pc, spec.alpha, et * et, 1.0 / (z * z))
     out = []
     for a, b in zip([0, *ends[:-1]], ends):
         critical = (pc.f1[a:b] == 0) | (pc.g1[a:b] == 0)
@@ -237,8 +235,6 @@ class AuditReport:
 
     max_abs_w: float
     witness_w: tuple  # (z, t)
-    min_re_p: float
-    witness_p: tuple  # (z, t)
     a1_records: tuple  # (t, a1, residual, doubling_ok) per t sample
     subordination_failures: tuple
     boundedness_proxy: float
@@ -259,12 +255,6 @@ class AuditReport:
                 "re": self.witness_w[0].real,
                 "im": self.witness_w[0].imag,
                 "t": self.witness_w[1],
-            },
-            "min_re_p": _finite_or_none(self.min_re_p),
-            "witness_p": {
-                "re": self.witness_p[0].real,
-                "im": self.witness_p[0].imag,
-                "t": self.witness_p[1],
             },
             "a1": [
                 {
@@ -362,8 +352,6 @@ def audit_pommerenke(spec: ChainSpec, t_samples=None) -> AuditReport:
 
     max_abs_w = -np.inf
     witness_w = (complex(z[0]), ts[0])
-    min_re_p = np.inf
-    witness_p = (complex(z[0]), ts[0])
     # A proxy that no finite chain sample fed stays -inf and reads null.
     boundedness = -np.inf
     dt_proxy = -np.inf
@@ -375,8 +363,7 @@ def audit_pommerenke(spec: ChainSpec, t_samples=None) -> AuditReport:
 
     for t, (grid, stepped, on_contour, on_doubled, w) in zip(ts, samples):
         try:
-            wv = _ok(w)
-            abs_w = np.abs(wv)
+            abs_w = np.abs(_ok(w))
             finite = np.isfinite(abs_w)
             if not finite.all():
                 # A NaN would win argmax and lose every comparison, hiding
@@ -389,13 +376,6 @@ def audit_pommerenke(spec: ChainSpec, t_samples=None) -> AuditReport:
             if float(abs_w[k]) > max_abs_w:
                 max_abs_w = float(abs_w[k])
                 witness_w = (complex(z[k]), float(t))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                pv = (1.0 + wv) / (1.0 - wv)
-            re_p = np.where(np.isfinite(pv.real), pv.real, np.inf)
-            k = int(np.argmin(re_p))
-            if float(re_p[k]) < min_re_p:
-                min_re_p = float(re_p[k])
-                witness_p = (complex(z[k]), float(t))
         except (CriticalPoint, HVanishes) as exc:
             errors.append(f"w grid at t={t}: {exc}")
 
@@ -448,7 +428,6 @@ def audit_pommerenke(spec: ChainSpec, t_samples=None) -> AuditReport:
     passed = (
         not errors
         and max_abs_w < 1.0
-        and min_re_p > 0.0
         and all(res <= A1_RESIDUAL_TOL and ok for _, _, res, ok in a1_records)
         and not subordination_failures
         and np.isfinite(boundedness)
@@ -457,8 +436,6 @@ def audit_pommerenke(spec: ChainSpec, t_samples=None) -> AuditReport:
     return AuditReport(
         max_abs_w=float(max_abs_w),
         witness_w=witness_w,
-        min_re_p=float(min_re_p),
-        witness_p=witness_p,
         a1_records=tuple(a1_records),
         subordination_failures=tuple(subordination_failures),
         boundedness_proxy=float(boundedness),

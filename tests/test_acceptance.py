@@ -76,7 +76,6 @@ def test_01_reduction_identities():
                     h=params_master.h,
                     alpha=params_master.alpha,
                     criterion="theorem1",
-                    squared_variant=params_master.squared_variant,
                 ),
                 pts,
             )
@@ -270,7 +269,6 @@ def test_08_pommerenke_audit():
     with _Budget(8, "pommerenke audit", 10.0):
         trivial = audit_pommerenke(CHAIN_SPECS[0])
         assert trivial.max_abs_w == 0.0
-        assert trivial.min_re_p == 1.0
         assert trivial.passed
 
         spec = ChainSpec(

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +22,7 @@ from univalence.errors import (
     InvalidSpec,
 )
 from univalence.jet import stack_div
+from univalence.loewner import ChainSpec
 
 from conftest import exterior_points
 
@@ -175,15 +177,30 @@ class TestHFunctions:
         for h in (uv.constant_one(), uv.inverse_square(0.3), uv.laurent_even(0.2, 0.1)):
             assert uv.make_h_function(h) is h
 
-    @pytest.mark.parametrize("h", [uv.constant_one(), uv.inverse_square(0.3)])
+    @pytest.mark.parametrize(
+        "h",
+        [
+            uv.constant_one(),
+            uv.inverse_square(0.3),
+            # a Moebius level does not give its inner map the leading term b z
+            # it lacks: 2h is an even map, never univalent
+            uv.moebius_of(uv.inverse_square(0.3), 2, 0, 0, 1),
+        ],
+    )
     def test_make_sigma_function_refuses_an_h(self, h):
-        with pytest.raises(InvalidSpec, match="no leading term b z with b != 0"):
+        message = f"^{re.escape(h.describe())} has no leading term b z with b != 0$"
+        with pytest.raises(InvalidSpec, match=message):
             uv.make_sigma_function(h)
+        with pytest.raises(InvalidSpec, match=message):
+            CriterionParams(f=h)
+        with pytest.raises(InvalidSpec, match=message):
+            ChainSpec(f=uv.joukowski(0.3), g=h)
 
     def test_make_sigma_function_passes_a_wrapped_map_through(self):
-        # A Moebius map with c != 0 is bounded at infinity, class 'neither',
-        # and stays a valid f, as the CLI's moebius specs allow.
-        f = uv.moebius_of(uv.constant_one(), 0, 1, 1, 1)
+        # A Moebius map with c != 0 over a Sigma map is bounded at infinity,
+        # class 'neither', and stays a valid f, as the CLI's moebius specs
+        # allow.
+        f = uv.moebius_of(uv.identity(), 0, 1, 1, 1)
         assert uv.make_sigma_function(f) is f
 
 

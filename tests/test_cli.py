@@ -424,7 +424,7 @@ class TestExitCodes:
             ("check", '"plan": {"r_min": "a"}', "r_min"),
             ("check", '"plan": {"radial_count": 2.5}', "radial_count"),
             ("check", '"f": 5', "f"),
-            ("check", '"squared_variant": "no"', "squared_variant"),
+            ("check", '"tol": true', "tol"),
             # a complex takes finite real parts: no bool, string or overflow
             ("check", '"alpha": {"re": true, "im": 0}', "alpha"),
             ("check", '"alpha": {"re": 1, "im": "x"}', "alpha"),
@@ -454,7 +454,7 @@ class TestExitCodes:
             ("--f", "nonsense"),
             ("--radial", "5"),
             ("--criterion", "becker"),
-            ("--unsquared",),
+            ("--alphas", "0"),
             ("--config", "config.json"),
         ],
     )
@@ -482,7 +482,7 @@ class TestExitCodes:
         assert block.pop("command") == command
         keys = set(block) - {"plan"} | set(block.get("plan", {}))
         assert flags == keys == set(SETTINGS[command])
-        assert len(keys) == {"check": 13, "sweep": 15, "chain": 6, "oracle": 7,
+        assert len(keys) == {"check": 12, "sweep": 13, "chain": 5, "oracle": 7,
                              "catalog": 0}[command]
 
     @pytest.mark.parametrize(
@@ -509,6 +509,10 @@ class TestExitCodes:
         [
             ('{"command": "check", "alphas": [{"re": 1, "im": 0}]}', "alphas"),
             ('{"command": "check", "both_variants": true, "tol": 0.1}', "both_variants"),
+            # keys a block of an older schema may hold
+            ('{"command": "check", "squared_variant": true}', "squared_variant"),
+            ('{"command": "sweep", "both_variants": false}', "both_variants"),
+            ('{"command": "chain", "squared_variant": false}', "squared_variant"),
             ('{"command": "chain", "plan": {"r_max": 3.0}}', "r_max"),
             ('{"command": "oracle", "plan": {"refine_depth": 0}}', "refine_depth"),
             # a plan setting outside "plan" is not where the block keeps it
@@ -604,8 +608,8 @@ class TestDeterminism:
         assert out.err == (
             "usage error: --config fixes every run setting; drop --criterion, --radial\n"
         )
-        assert main([*argv, "--unsquared"]) == 3
-        assert "drop --unsquared" in capsys.readouterr().err
+        assert main([*argv, "--tol", "0.1"]) == 3
+        assert "drop --tol" in capsys.readouterr().err
         # outputs do not change the report, so they may join it
         csv = tmp_path / "grid.csv"
         code = main([*argv, "--json", str(tmp_path / "r.json"), "--grid-csv", str(csv)])
@@ -636,54 +640,23 @@ class TestSweep:
         alphas = [(r["alpha"]["re"], r["alpha"]["im"]) for r in report["result"]["rows"]]
         assert alphas == [(0.5, 0.0), (0.0, 0.0), (0.25, 0.1)]
 
-    def test_both_variants_doubles_rows(self):
-        cfg = RunConfig(
-            command="sweep",
-            f="joukowski:0.4",
-            alphas=(0.3 + 0j,),
-            both_variants=True,
-            radial_count=8,
-            angular_count=16,
-        )
-        _, report, _ = run_quiet(cfg)
-        rows = report["result"]["rows"]
-        assert [r["squared_variant"] for r in rows] == [True, False]
-
-    @pytest.mark.parametrize(
-        "argv, block, settings, message",
-        [
-            (
-                ["--alpha", "0.3", "--alphas", "0", "1"],
-                '{"alpha": {"re": 0.3, "im": 0}, "alphas": [{"re": 0, "im": 0}]}',
-                dict(alpha=0.3 + 0j, alphas=(0j, 1 + 0j)),
-                "sweep with alphas does not read alpha",
-            ),
-            (
-                ["--unsquared", "--both-variants"],
-                '{"squared_variant": false, "both_variants": true}',
-                dict(squared_variant=False, both_variants=True),
-                "sweep with both_variants does not read squared_variant",
-            ),
-        ],
-        ids=["alpha", "squared_variant"],
-    )
-    def test_setting_no_row_reads_is_usage_error(
-        self, tmp_path, capsys, argv, block, settings, message
-    ):
-        # every row takes its own alpha and variant, so the config block
-        # would record a value that no row read
+    def test_alpha_no_row_reads_is_usage_error(self, tmp_path, capsys):
+        # every row takes its own alpha, so the config block would record a
+        # value that no row read
+        message = "sweep with alphas does not read alpha"
         path = tmp_path / "config.json"
-        path.write_text('{"command": "sweep", ' + block[1:])
-        for args in (argv, ["--config", str(path)]):
+        path.write_text('{"command": "sweep", "alpha": {"re": 0.3, "im": 0}, '
+                        '"alphas": [{"re": 0, "im": 0}]}')
+        for args in (["--alpha", "0.3", "--alphas", "0", "1"], ["--config", str(path)]):
             assert main(["sweep", *args]) == 3
             out = capsys.readouterr()
             assert out.out == "" and out.err == f"usage error: {message}\n"
         with pytest.raises(UsageError, match=f"^{message}$"):
-            RunConfig(command="sweep", **settings)
+            RunConfig(command="sweep", alpha=0.3 + 0j, alphas=(0j, 1 + 0j))
 
-    def test_default_alpha_and_variant_round_trip(self, tmp_path, capsys):
+    def test_default_alpha_round_trip(self, tmp_path, capsys):
         path = tmp_path / "report.json"
-        argv = ["--alphas", "0", "0.25", "--both-variants", "--radial", "8", "--angular", "16"]
+        argv = ["--alphas", "0", "0.25", "--radial", "8", "--angular", "16"]
         assert main(["sweep", *argv, "--json", str(path)]) == 0
         first = strip_timing(json.loads(capsys.readouterr().out))
         assert main(["sweep", "--config", str(path)]) == 0
@@ -697,21 +670,25 @@ class TestSweep:
             radial_count=8,
             angular_count=16,
         )
-        code, _, _ = run_quiet(cfg)
+        code, report, _ = run_quiet(cfg)
         assert code == 1
+        assert report["result"]["verdict"] == "fail"
+        assert report["result"]["passing_rows"] == []
 
     def test_one_passing_row_passes(self):
-        # the theorem concludes univalence from any one row that holds
+        # the theorem concludes univalence from any one row that holds, and
+        # the result names the rows that do
         cfg = RunConfig(
             command="sweep",
             f="joukowski:0.45",
             g="joukowski:0.9",
             alphas=(0j, 0.5 + 0j, 1 + 0j),
-            both_variants=True,
         )
         code, report, _ = run_quiet(cfg)
-        verdicts = [row["verdict"] for row in report["result"]["rows"]]
-        assert verdicts == ["pass"] * 4 + ["fail"] * 2
+        result = report["result"]
+        assert [row["verdict"] for row in result["rows"]] == ["pass", "pass", "fail"]
+        assert result["verdict"] == "pass"
+        assert result["passing_rows"] == [0, 1]
         assert code == 0
 
     def test_no_pass_but_an_inconclusive_row_is_inconclusive(self):
@@ -726,6 +703,8 @@ class TestSweep:
         code, report, _ = run_quiet(cfg)
         verdicts = [row["verdict"] for row in report["result"]["rows"]]
         assert verdicts == ["inconclusive", "fail"]
+        assert report["result"]["verdict"] == "inconclusive"
+        assert report["result"]["passing_rows"] == []
         assert code == 2
 
 
@@ -832,7 +811,7 @@ class TestOutputs:
 
     def test_schema_fields(self):
         _, report, _ = run_quiet(RunConfig(command="check", f="identity"))
-        assert report["schema"] == 3
+        assert report["schema"] == 4
         assert "seed" not in report["config"]
         assert set(report["result"]) == {
             "sup",

@@ -31,14 +31,13 @@ from univalence.sampling import SamplingPlan
 from conftest import exterior_points
 
 
-def params(f, g=None, h=None, alpha=0.5, criterion="theorem1", squared=True):
+def params(f, g=None, h=None, alpha=0.5, criterion="theorem1"):
     return CriterionParams(
         f=f,
         g=g if g is not None else uv.identity(),
         h=h if h is not None else uv.constant_one(),
         alpha=alpha,
         criterion=criterion,
-        squared_variant=squared,
     )
 
 
@@ -116,24 +115,6 @@ class TestReductions:
         assert max_gap(p, pc, exterior_points(rng, 60, 1.01, 20.0)) <= 1e-12
 
 
-class TestVariants:
-    def test_squared_flag_changes_mixed_alpha_values(self):
-        f, g = uv.joukowski(0.5), uv.identity()
-        z = 1.7 + 0.4j
-        sq = lhs(params(f, g=g, alpha=0.3), z)
-        unsq = lhs(params(f, g=g, alpha=0.3, squared=False), z)
-        assert abs(sq - unsq) > 1e-6
-
-    def test_variants_agree_when_prefactor_vanishes(self, rng):
-        # alpha = 1/2 kills the (alpha - 1/2) factor, f = g kills the base.
-        f = uv.joukowski(0.5)
-        pts = exterior_points(rng, 10)
-        for g, alpha in ((uv.identity(), 0.5), (f, 0.3)):
-            a = evaluate_lhs(params(f, g=g, alpha=alpha), pts)
-            b = evaluate_lhs(params(f, g=g, alpha=alpha, squared=False), pts)
-            assert a.tobytes() == b.tobytes()
-
-
 class TestStructure:
     def test_becker_nehari_record_canonical_g_h(self):
         p = CriterionParams(
@@ -188,7 +169,7 @@ def single_pass(p, pts):
     alpha = _PRESETS[p.criterion][0]
     alpha = p.alpha if alpha is None else alpha
     pc = pieces(p.f, p.g, p.h, pts, p.criterion)
-    return np.abs(theorem1(pts, pc, alpha, p.squared_variant, _abs2(pts)))
+    return np.abs(theorem1(pts, pc, alpha, _abs2(pts)))
 
 
 class TestBlocks:
@@ -230,7 +211,7 @@ class TestBlocks:
         assert str(exc.value) == "criterion point 1j not in the exterior disk"
 
 
-def six_formula_lhs(criterion, points, pc, alpha, squared, aa):
+def six_formula_lhs(criterion, points, pc, alpha, aa):
     """The criterion LHS as it was assembled before every criterion became
     ``theorem1`` at a preset: one formula per criterion."""
     z = points
@@ -256,8 +237,7 @@ def six_formula_lhs(criterion, points, pc, alpha, squared, aa):
             )
         else:
             diff = pc.pf - pc.pg
-            if squared:
-                diff = diff * diff
+            diff = diff * diff
             t = (
                 ratio * aa
                 - am1 * (hh + (1.0 - 2.0 * alpha) * z * pc.pf + 2.0 * alpha * z * pc.pg)
@@ -276,8 +256,7 @@ def closed_form_w(spec, z, t):
     em2t = np.exp(-2.0 * t)
     alpha = spec.alpha
     diff = pf - pg
-    if spec.squared_variant:
-        diff = diff * diff
+    diff = diff * diff
     return (
         e2t * (1.0 - h0) / h0
         + (1.0 - e2t) * w * (h1 / h0 + (1.0 - 2.0 * alpha) * pf + 2.0 * alpha * pg)
@@ -301,24 +280,20 @@ class TestPresets:
     }
 
     @pytest.mark.parametrize("alpha", [0.3 + 0.1j, 0.0, 0.5])
-    @pytest.mark.parametrize("squared", [True, False])
     @pytest.mark.parametrize("f", sorted(TestBlocks.F_CASES))
     @pytest.mark.parametrize("criterion", CRITERIA)
-    def test_criterion_is_theorem1_at_its_preset(self, rng, criterion, f, squared, alpha):
+    def test_criterion_is_theorem1_at_its_preset(self, rng, criterion, f, alpha):
         g, h = uv.laurent(1, 0, [0.2, 0.1j]), uv.inverse_square(0.2 + 0.1j)
-        p = params(TestBlocks.F_CASES[f], g=g, h=h, alpha=alpha, criterion=criterion,
-                   squared=squared)
+        p = params(TestBlocks.F_CASES[f], g=g, h=h, alpha=alpha, criterion=criterion)
         pts = exterior_points(rng, 2000, r_lo=1.0001, r_hi=1e3)
         got = evaluate_lhs(p, pts)
-        old = six_formula_lhs(criterion, pts, pieces(p.f, p.g, p.h, pts), p.alpha, squared,
-                              _abs2(pts))
+        old = six_formula_lhs(criterion, pts, pieces(p.f, p.g, p.h, pts), p.alpha, _abs2(pts))
         g_is_z, h_is_one, fixed = self.PRESETS[criterion]
         preset = params(
             p.f,
             g=uv.identity() if g_is_z else g,
             h=uv.constant_one() if h_is_one else h,
             alpha=p.alpha if fixed is None else fixed,
-            squared=squared,
         )
         at_preset = evaluate_lhs(preset, pts)
         assert np.isfinite(got).all()
@@ -328,9 +303,8 @@ class TestPresets:
         else:
             assert got.tobytes() == old.tobytes() == at_preset.tobytes()
 
-    @pytest.mark.parametrize("squared", [True, False])
     @pytest.mark.parametrize("f", sorted(TestBlocks.F_CASES))
-    def test_w_is_theorem1_on_the_chain(self, f, squared):
+    def test_w_is_theorem1_on_the_chain(self, f):
         from univalence.loewner import ChainSpec, chain_w_values, default_z_samples
 
         spec = ChainSpec(
@@ -338,7 +312,6 @@ class TestPresets:
             g=uv.laurent(1, 0, [0.2, 0.1j]),
             h=uv.inverse_square(0.2 + 0.1j),
             alpha=0.3 + 0.1j,
-            squared_variant=squared,
         )
         z = default_z_samples()
         for t in (0.0, 0.25, 1.0, 4.0):

@@ -138,7 +138,7 @@ def mp_lhs(params, z):
         t = (aa - 1) ** 2 / 2 * phase * (sf - sg) - (aa - 1) * z * pg
     else:
         a = mp.mpc(params.alpha)
-        diff = (pf - pg) ** 2 if params.squared_variant else pf - pg
+        diff = (pf - pg) ** 2
         t = (
             ratio * aa
             - (aa - 1) * (hh + (1 - 2 * a) * z * pf + 2 * a * z * pg)
@@ -247,22 +247,19 @@ def test_moebius_over_moebius_stack():
 def test_criterion_lhs(criterion):
     points = exterior_points(np.random.default_rng(7), 6, 1.05, 20.0)
     for f, g in PAIRS[:3]:
-        for squared in (True, False):
-            params = CriterionParams(
-                f, g, uv.inverse_square(0.2 - 0.1j), 0.35 + 0.1j, criterion, squared
-            )
-            ref = np.array([float(mp_lhs(params, z)) for z in points])
-            assert rel_error(evaluate_lhs(params, points), ref) <= LHS_TOL
+        params = CriterionParams(f, g, uv.inverse_square(0.2 - 0.1j), 0.35 + 0.1j, criterion)
+        ref = np.array([float(mp_lhs(params, z)) for z in points])
+        assert rel_error(evaluate_lhs(params, points), ref) <= LHS_TOL
 
 
-def chain_spec(pair, squared=True):
+def chain_spec(pair):
     f, g = PAIRS[pair]
-    return ChainSpec(f, g, uv.inverse_square(0.15 + 0.05j), 0.4 - 0.1j, squared)
+    return ChainSpec(f, g, uv.inverse_square(0.15 + 0.05j), 0.4 - 0.1j)
 
 
 @pytest.mark.parametrize("pair", range(len(PAIRS)))
 def test_chain_values_and_w(pair):
-    # w from the Loewner equation is the squared variant's closed form
+    # w from the Loewner equation is the theorem1 bracket's closed form
     spec = chain_spec(pair)
     ref = MpChain(spec)
     zs = np.array([0.9 * np.exp(0.4j), np.exp(-1.9j)])
@@ -277,11 +274,10 @@ def test_chain_values_and_w(pair):
         assert rel_error(chain_w_values(spec, zs, t), np.array(ws)) <= CHAIN_TOL
 
 
-@pytest.mark.parametrize("squared", [True, False])
-def test_boundary_bridge(squared):
+def test_boundary_bridge():
     # |w(z, t)| on |z| = 1 is the master criterion's LHS at e^t/z
-    spec = chain_spec(0, squared)
-    params = CriterionParams(spec.f, spec.g, spec.h, spec.alpha, "theorem1", squared)
+    spec = chain_spec(0)
+    params = CriterionParams(spec.f, spec.g, spec.h, spec.alpha, "theorem1")
     zs = np.exp(1j * np.array([0.3, 2.0, -2.8]))
     for t in (0.25, 1.0):
         want = np.array([float(mp_lhs(params, np.exp(t) / z)) for z in zs])

@@ -143,7 +143,7 @@ class TestEstimateSup:
         assert points.shape == values.shape == (96 * 256,)
         assert report.samples_evaluated == sum(v.shape[0] for _, v in sink)
         pc = pieces(p.f, p.g, p.h, points)
-        ref = np.abs(theorem1(points, pc, p.alpha, p.squared_variant, _abs2(points)))
+        ref = np.abs(theorem1(points, pc, p.alpha, _abs2(points)))
         assert values.tobytes() == ref.tobytes()
 
     def test_monotone_refinement_and_sample_count(self):

@@ -67,7 +67,7 @@ def test_readme_cli_examples_run():
                 assert code == expected, line
                 checked += 1
             expected = None
-    assert checked == 3
+    assert checked == 4
 
 
 def test_console_script_is_the_cli():
