@@ -278,12 +278,22 @@ class TestPresets:
         "becker": (True, True, 0.0),
         "nehari": (True, True, 0.5),
     }
+    # (g, h) pairs the presets must replace: a Laurent g under an hinvsq h,
+    # and a c != 0 Moebius g under a two-term even-Laurent h
+    GH_CASES = {
+        "laurent_hinvsq": (uv.laurent(1, 0, [0.2, 0.1j]), uv.inverse_square(0.2 + 0.1j)),
+        "moebius_heven": (
+            uv.moebius_of(uv.joukowski(0.2j), 1, 0, 0.15, 1),
+            uv.laurent_even(0.1 - 0.05j, 0.02),
+        ),
+    }
 
+    @pytest.mark.parametrize("gh", sorted(GH_CASES))
     @pytest.mark.parametrize("alpha", [0.3 + 0.1j, 0.0, 0.5])
     @pytest.mark.parametrize("f", sorted(TestBlocks.F_CASES))
     @pytest.mark.parametrize("criterion", CRITERIA)
-    def test_criterion_is_theorem1_at_its_preset(self, rng, criterion, f, alpha):
-        g, h = uv.laurent(1, 0, [0.2, 0.1j]), uv.inverse_square(0.2 + 0.1j)
+    def test_criterion_is_theorem1_at_its_preset(self, rng, criterion, f, alpha, gh):
+        g, h = self.GH_CASES[gh]
         p = params(TestBlocks.F_CASES[f], g=g, h=h, alpha=alpha, criterion=criterion)
         pts = exterior_points(rng, 2000, r_lo=1.0001, r_hi=1e3)
         got = evaluate_lhs(p, pts)
@@ -303,16 +313,13 @@ class TestPresets:
         else:
             assert got.tobytes() == old.tobytes() == at_preset.tobytes()
 
+    @pytest.mark.parametrize("gh", sorted(GH_CASES))
     @pytest.mark.parametrize("f", sorted(TestBlocks.F_CASES))
-    def test_w_is_theorem1_on_the_chain(self, f):
+    def test_w_is_theorem1_on_the_chain(self, f, gh):
         from univalence.loewner import ChainSpec, chain_w_values, default_z_samples
 
-        spec = ChainSpec(
-            f=TestBlocks.F_CASES[f],
-            g=uv.laurent(1, 0, [0.2, 0.1j]),
-            h=uv.inverse_square(0.2 + 0.1j),
-            alpha=0.3 + 0.1j,
-        )
+        g, h = self.GH_CASES[gh]
+        spec = ChainSpec(f=TestBlocks.F_CASES[f], g=g, h=h, alpha=0.3 + 0.1j)
         z = default_z_samples()
         for t in (0.0, 0.25, 1.0, 4.0):
             got = chain_w_values(spec, z, t)
