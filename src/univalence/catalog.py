@@ -436,16 +436,16 @@ def power_branch_slices(f, g, alpha: complex, points: np.ndarray, ends, order: i
     for that slice alone (a CriticalPoint or EvaluationFailure), or None. The
     roots of f' and g' are solved once; the stacks of a failed slice mean
     nothing. The v stack runs through v^(order) and the f stack through
-    f^(order+1) (f' when v = 1); each row is bitwise the same at every order."""
+    f^(order+1); each row is bitwise the same at every order."""
     points = np.asarray(points, dtype=np.complex128)
     alpha = complex(alpha)
     bounds = list(zip([0, *ends[:-1]], ends))
     errors = [None] * len(bounds)
+    fd = f.derivs(points, order=order + 1)
     if alpha == 0 or f == g:
         out = np.zeros((order + 1, points.shape[0]), dtype=np.complex128)
         out[0] = 1.0
-        return out, f.derivs(points, order=1), errors
-    fd = f.derivs(points, order=order + 1)
+        return out, fd, errors
     gd = g.derivs(points, order=order + 1, first=1)  # g' through g^(order+1)
     bad = (fd[1] == 0) | (gd[0] == 0) | ~(np.isfinite(fd[1]) & np.isfinite(gd[0]))
     for k, (a, b) in enumerate(bounds):

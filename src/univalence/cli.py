@@ -34,7 +34,7 @@ from .loewner import DEFAULT_T_SAMPLES, ChainSpec, audit_pommerenke
 from .oracle import injectivity_scan
 from .region import SamplingPlan, estimate_sup, issue_verdict
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 REPORT_NOTE = (
     "sample-based scan: a pass verdict asserts the criterion held on the "
     "evaluated samples only (univalence then follows by sufficiency); a fail "

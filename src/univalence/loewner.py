@@ -6,14 +6,14 @@ v = (g'/f')^alpha; the driving function w(z,t) is the signed theorem1
 bracket at zeta = e^t/z (so its modulus on |z| = 1 is the criterion LHS
 there). The chain L obeys the Loewner equation dL/dt = z dL/dz p with
 p = (1-w)/(1+w), and Re p > 0 exactly where |w| < 1. The audit checks
-|w| < 1, the first-coefficient law a1(t) = e^t, subordination between
-consecutive chain times, and boundedness proxies. It evaluates each
-distinct chain sample once, in one pass: one power branch of v with one
-root solve per function, one h evaluation and one quotient over all points.
-At the default grids that pass covers 5072 points: per t, the z grid
-circles of radius 0.9 and 1, the z grid at t + DT_PROXY_STEP and the
-512-node doubled a1 contour, plus the subordination probes. The 256-node a1
-contour and the z grid circle of radius 0.5 are views of the doubled
+|w| < 1, the Loewner equation on the z grid (from dL/dt and z dL/dz in
+closed form), the first-coefficient law a1(t) = e^t and subordination
+between consecutive chain times. It evaluates each distinct chain sample
+once, in one pass: one power branch of v with one root solve per function,
+one h stack and one quotient over all points. At the default grids that
+pass covers 3920 points: per t, the z grid circles of radius 0.9 and 1 and
+the 512-node doubled a1 contour, plus the subordination probes. The 256-node
+a1 contour and the z grid circle of radius 0.5 are views of the doubled
 contour's even and every eighth nodes, bitwise the nodes ``circle_points``
 gives, since scaling an index and a node count by a power of two is exact.
 The driving function w comes from one criterion-pieces pass and one
@@ -51,7 +51,10 @@ A1_NODE_COUNT = 256
 PROBE_COUNT = 16
 A1_DOUBLING_TOL = 1e-9
 A1_RESIDUAL_TOL = 1e-6
-DT_PROXY_STEP = 1e-4
+# Bound on the audit's Loewner residual max|dL/dt - z dL/dz p| / max|dL/dt|
+# on the z grid times e^{-2t}: the chain quotient's denominator cancels from
+# about e^t/z to e^{-t}/z, so L carries a relative error of about eps e^{2t}.
+LOEWNER_RESIDUAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -98,26 +101,34 @@ def _concat(slices):
 
 
 def _chain_slices(spec: ChainSpec, slices) -> list:
-    """Chain values over a sequence of (z, t) slices from one pass over all
-    of their points: one domain check, one power branch, one h and one
-    quotient evaluation (the audit's pass is described at
-    ``_audit_samples``). Returns, per slice, its values or the error
-    ``chain_values`` raises for that slice alone (CriticalPoint,
-    DenominatorVanishes, EvaluationFailure)."""
+    """Chain values and their derivatives over a sequence of (z, t) slices
+    from one pass over all of their points: one domain check, one power
+    branch, one h stack and one quotient evaluation (the audit's pass is
+    described at ``_audit_samples``). Returns, per slice, the rows (L, dL/dt,
+    z dL/dz) or the error ``chain_values`` raises for that slice alone
+    (CriticalPoint, DenominatorVanishes, EvaluationFailure). L = N/D with
+    N = v + c h v', D = u + c h u', u = f v, zeta = e^t/z, c = (e^-t - e^t)/z;
+    d/dt = zeta d/dzeta + dc/dt d/dc and z d/dz = -zeta d/dzeta - c d/dc."""
     z, t, ends = _concat(slices)
-    et = np.exp(t)
-    w = et / z
-    # The quotient reads v, v', f and f' only.
-    vstack, fstack, errors = power_branch_slices(
-        spec.f, spec.g, spec.alpha, w, ends, order=1
+    et, emt = np.exp(t), np.exp(-t)
+    zeta = et / z
+    (v0, v1, v2), (f0, f1, f2, _), errors = power_branch_slices(
+        spec.f, spec.g, spec.alpha, zeta, ends, order=2
     )
-    hvals = spec.h.values(w)
-    coef = (np.exp(-t) - et) / z
+    h0, h1 = spec.h.derivs(zeta, order=1)
+    coef = (emt - et) / z
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        u0 = fstack[0] * vstack[0]
-        u1 = fstack[1] * vstack[0] + fstack[0] * vstack[1]
-        num = u0 + coef * hvals * u1
-        quotient = (vstack[0] + coef * hvals * vstack[1]) / num
+        u0 = f0 * v0
+        u1 = f1 * v0 + f0 * v1
+        u2 = f2 * v0 + 2.0 * f1 * v1 + f0 * v2
+        num = u0 + coef * h0 * u1
+        quotient = (v0 + coef * h0 * v1) / num
+        # zeta dL/dzeta and dL/dc, times D
+        by_zeta = v1 + coef * (h1 * v1 + h0 * v2) - quotient * (u1 + coef * (h1 * u1 + h0 * u2))
+        by_zeta *= zeta
+        by_c = h0 * (v1 - quotient * u1)
+        dt = (by_zeta - (emt + et) / z * by_c) / num
+        rows = np.stack([quotient, dt, -(by_zeta + coef * by_c) / num])
     singular = (num == 0) | ~np.isfinite(num)
     out = []
     for (_, t), a, b, error in zip(slices, [0, *ends[:-1]], ends, errors):
@@ -126,12 +137,12 @@ def _chain_slices(spec: ChainSpec, slices) -> list:
             error = DenominatorVanishes(
                 f"chain quotient singular at z = {z[a:b][bad][0]}, t = {t}"
             )
-        out.append(quotient[a:b] if error is None else error)
+        out.append(rows[:, a:b] if error is None else error)
     return out
 
 
 def _ok(result) -> np.ndarray:
-    """The values of a ``_chain_slices`` result; raises its error."""
+    """The rows of a ``_chain_slices`` result; raises its error."""
     if isinstance(result, Exception):
         raise result
     return result
@@ -141,7 +152,7 @@ def chain_values(spec: ChainSpec, z, t: float) -> np.ndarray:
     """Chain value at each z (a scalar counts as one point) for fixed t,
     in the shape of z."""
     z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    return _ok(_chain_slices(spec, [(z, t)])[0]).reshape(z.shape)
+    return _ok(_chain_slices(spec, [(z, t)])[0])[0].reshape(z.shape)
 
 
 def chain_w_values(spec: ChainSpec, z, t: float) -> np.ndarray:
@@ -188,7 +199,7 @@ def extract_a1(spec: ChainSpec, t: float, circle_radius: float = A1_RADIUS) -> c
 def _a1(zs, t, circle_radius, chain) -> complex:
     """a1 from the chain values (a ``_chain_slices`` result) on the contour."""
     try:
-        vals = _ok(chain)
+        vals = _ok(chain)[0]
     except DenominatorVanishes as exc:
         raise ContourThroughSingularity(str(exc)) from exc
     with np.errstate(over="ignore", invalid="ignore"):
@@ -218,8 +229,8 @@ def _subordination(t, s, probes_z, contour, probes):
     """``subordination_check`` from the chain values (``_chain_slices``
     results) on the s-contour and at the probes."""
     try:
-        contour = _ok(contour)
-        probes = _ok(probes)
+        contour = _ok(contour)[0]
+        probes = _ok(probes)[0]
     except DenominatorVanishes as exc:
         raise ContourThroughSingularity(str(exc)) from exc
     if not (np.isfinite(contour).all() and np.isfinite(probes).all()):
@@ -237,14 +248,9 @@ class AuditReport:
     witness_w: tuple  # (z, t)
     a1_records: tuple  # (t, a1, residual, doubling_ok) per t sample
     subordination_failures: tuple
-    boundedness_proxy: float
-    dt_proxy: float
+    loewner_residual: float
     errors: tuple
     passed: bool
-
-    @property
-    def a1_residuals(self):
-        return tuple((t, res) for t, _, res, _ in self.a1_records)
 
     def to_json_dict(self) -> dict:
         """Report form; a non-finite extreme (no w sample evaluated, say)
@@ -270,8 +276,7 @@ class AuditReport:
                 {"t": t, "s": s, "probe": {"re": z.real, "im": z.imag}}
                 for t, s, z in self.subordination_failures
             ],
-            "boundedness_proxy": _finite_or_none(self.boundedness_proxy),
-            "dt_proxy": _finite_or_none(self.dt_proxy),
+            "loewner_residual": _finite_or_none(self.loewner_residual),
             "errors": list(self.errors),
             "pass": self.passed,
         }
@@ -298,9 +303,8 @@ def _audit_nodes():
 def _audit_samples(spec: ChainSpec, ts: tuple, z: np.ndarray, nodes: tuple):
     """Every sample the audit reads at the z grid ``z`` and the
     ``_audit_nodes``, each as a ``_chain_slices`` result: per t, the chain
-    on the grid, on the grid at t + DT_PROXY_STEP, on the a1 contour and on
-    the doubled contour, and w on the grid; and, per subordination pair,
-    the chain at the probes.
+    rows on the grid, on the a1 contour and on the doubled contour, and w on
+    the grid; and, per subordination pair, the chain rows at the probes.
 
     Each distinct point is evaluated once. ``circle_points(r, 2n)[::2]`` is
     bitwise ``circle_points(r, n)``, since scaling an angle's index and the
@@ -315,14 +319,14 @@ def _audit_samples(spec: ChainSpec, ts: tuple, z: np.ndarray, nodes: tuple):
     rest = z[DEFAULT_Z_ANGLES:]  # the grid circles past the first
     slices = []
     for t in ts:
-        slices += [(rest, t), (z, t + DT_PROXY_STEP), (doubled, t)]
+        slices += [(rest, t), (doubled, t)]
     slices += [(probes_z, t) for t in ts[:-1]]
     chain = _chain_slices(spec, slices)
     w = _w_slices(spec, [(z, t) for t in ts])
 
     samples = []
     for i, t in enumerate(ts):
-        outer, stepped, on_doubled = chain[3 * i : 3 * i + 3]
+        outer, on_doubled = chain[2 * i : 2 * i + 2]
         if isinstance(on_doubled, Exception):
             grid, on_contour = _chain_slices(spec, [(z, t), (contour, t)])
         else:
@@ -330,10 +334,10 @@ def _audit_samples(spec: ChainSpec, ts: tuple, z: np.ndarray, nodes: tuple):
             # first fails, with the same message.
             grid = outer
             if not isinstance(outer, Exception):
-                grid = np.concatenate([on_doubled[::stride], outer])
-            on_contour = on_doubled[::2]
-        samples.append((grid, stepped, on_contour, on_doubled, w[i]))
-    return samples, chain[3 * len(ts) :]
+                grid = np.concatenate([on_doubled[:, ::stride], outer], axis=1)
+            on_contour = on_doubled[:, ::2]
+        samples.append((grid, on_contour, on_doubled, w[i]))
+    return samples, chain[2 * len(ts) :]
 
 
 def audit_pommerenke(spec: ChainSpec, t_samples=None) -> AuditReport:
@@ -342,26 +346,26 @@ def audit_pommerenke(spec: ChainSpec, t_samples=None) -> AuditReport:
     z index, so reports are reproducible.
 
     Every sample comes from ``_audit_samples``: at the default grids one
-    chain pass over 5072 points (6 t x (128 grid + 192 stepped + 512
-    doubled-contour points) + 5 x 16 probes) and one w pass over 6 x 192
-    grid points, each slice read as if it had been evaluated alone. The
-    s-contour of a pair is the a1 contour at s, the contour of
-    ``subordination_check``'s default r."""
+    chain pass over 3920 points (6 t x (128 grid + 512 doubled-contour
+    points) + 5 x 16 probes) and one w pass over 6 x 192 grid points, each
+    slice read as if it had been evaluated alone. The s-contour of a pair is
+    the a1 contour at s, the contour of ``subordination_check``'s default r.
+    A Loewner residual (LOEWNER_RESIDUAL_TOL) that is not finite reads inf."""
     z = default_z_samples()
     ts = tuple(DEFAULT_T_SAMPLES if t_samples is None else t_samples)
+    if not ts:
+        raise ValueError("t_samples must hold at least one time")
 
     max_abs_w = -np.inf
     witness_w = (complex(z[0]), ts[0])
-    # A proxy that no finite chain sample fed stays -inf and reads null.
-    boundedness = -np.inf
-    dt_proxy = -np.inf
+    loewner = -np.inf
     errors = []
     a1_records = []
 
     contour, doubled, probes_z = nodes = _audit_nodes()
     samples, probes = _audit_samples(spec, ts, z, nodes)
 
-    for t, (grid, stepped, on_contour, on_doubled, w) in zip(ts, samples):
+    for t, (grid, on_contour, on_doubled, w) in zip(ts, samples):
         try:
             abs_w = np.abs(_ok(w))
             finite = np.isfinite(abs_w)
@@ -380,26 +384,20 @@ def audit_pommerenke(spec: ChainSpec, t_samples=None) -> AuditReport:
             errors.append(f"w grid at t={t}: {exc}")
 
         try:
-            cv = _ok(grid)
-            # max(x, nan) keeps x, so non-finite entries are recorded and
-            # only the finite ones are folded into the proxies.
+            cv, dt, zdz = _ok(grid)
+        except (DenominatorVanishes, CriticalPoint) as exc:
+            errors.append(f"chain grid at t={t}: {exc}")
+        else:
             finite = np.isfinite(cv)
-            if finite.any():
-                top = float(np.max(np.abs(cv[finite])))
-                boundedness = max(boundedness, top / np.exp(t))
-            cv2 = _ok(stepped)
-            with np.errstate(over="ignore", invalid="ignore"):
-                quot = np.abs(cv2 - cv) / DT_PROXY_STEP
-            finite = np.isfinite(quot)
             if not finite.all():
                 errors.append(
                     f"chain grid at t={t}: non-finite chain value at z = "
                     f"{complex(z[~finite][0])}"
                 )
-            if finite.any():
-                dt_proxy = max(dt_proxy, float(np.max(quot[finite])))
-        except (DenominatorVanishes, CriticalPoint) as exc:
-            errors.append(f"chain grid at t={t}: {exc}")
+            if not isinstance(w, Exception):
+                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                    res = np.max(np.abs(dt - zdz * (1.0 - w) / (1.0 + w))) / np.max(np.abs(dt))
+                loewner = max(loewner, res * np.exp(-2.0 * t) if np.isfinite(res) else np.inf)
 
         try:
             a1 = _a1(contour, t, A1_RADIUS, on_contour)
@@ -414,7 +412,7 @@ def audit_pommerenke(spec: ChainSpec, t_samples=None) -> AuditReport:
     for i, (t_lo, t_hi) in enumerate(zip(ts[:-1], ts[1:])):
         try:
             _, failures = _subordination(
-                t_lo, t_hi, probes_z, samples[i + 1][2], probes[i]
+                t_lo, t_hi, probes_z, samples[i + 1][1], probes[i]
             )
             subordination_failures.extend(failures)
         except (
@@ -430,16 +428,14 @@ def audit_pommerenke(spec: ChainSpec, t_samples=None) -> AuditReport:
         and max_abs_w < 1.0
         and all(res <= A1_RESIDUAL_TOL and ok for _, _, res, ok in a1_records)
         and not subordination_failures
-        and np.isfinite(boundedness)
-        and np.isfinite(dt_proxy)
+        and loewner <= LOEWNER_RESIDUAL_TOL
     )
     return AuditReport(
         max_abs_w=float(max_abs_w),
         witness_w=witness_w,
         a1_records=tuple(a1_records),
         subordination_failures=tuple(subordination_failures),
-        boundedness_proxy=float(boundedness),
-        dt_proxy=float(dt_proxy),
+        loewner_residual=float(loewner),
         errors=tuple(errors),
         passed=bool(passed),
     )

@@ -811,7 +811,7 @@ class TestOutputs:
 
     def test_schema_fields(self):
         _, report, _ = run_quiet(RunConfig(command="check", f="identity"))
-        assert report["schema"] == 4
+        assert report["schema"] == 5
         assert "seed" not in report["config"]
         assert set(report["result"]) == {
             "sup",

@@ -17,12 +17,14 @@ from univalence.errors import (
     InvalidSpec,
     OutsideDomain,
 )
+from univalence.criteria import theorem1
 from univalence.loewner import (
     DEFAULT_T_SAMPLES,
-    DT_PROXY_STEP,
+    LOEWNER_RESIDUAL_TOL,
     ChainSpec,
     _audit_nodes,
     _audit_samples,
+    _chain_slices,
     audit_pommerenke,
     chain_values,
     chain_w_values,
@@ -186,6 +188,14 @@ def unsquared_w(spec, z, t):
     )
 
 
+def chain_rows(spec, z, t):
+    """The rows (L, dL/dt, z dL/dz) of one slice evaluated alone."""
+    rows = _chain_slices(spec, [(z, t)])[0]
+    if isinstance(rows, Exception):
+        raise rows
+    return rows
+
+
 class TestLoewnerEquation:
     """The chain L and its driving function w obey dL/dt = z dL/dz p with
     p = (1-w)/(1+w), by central differences in t and in log z."""
@@ -213,13 +223,18 @@ class TestLoewnerEquation:
         ),
     ]
 
-    def residual(self, spec, w, z, t):
-        """max|dL/dt - z dL/dz p| / max|dL/dt| at the points z."""
+    def differences(self, spec, z, t):
+        """dL/dt and z dL/dz at the points z."""
         step = self.STEP
         dt = (chain_values(spec, z, t + step) - chain_values(spec, z, t - step)) / (2 * step)
         zdz = (
             chain_values(spec, z * np.exp(step), t) - chain_values(spec, z * np.exp(-step), t)
         ) / (2 * step)
+        return dt, zdz
+
+    def residual(self, spec, w, z, t):
+        """max|dL/dt - z dL/dz p| / max|dL/dt| at the points z."""
+        dt, zdz = self.differences(spec, z, t)
         p = (1.0 - w) / (1.0 + w)
         return np.max(np.abs(dt - zdz * p)) / np.max(np.abs(dt))
 
@@ -230,6 +245,67 @@ class TestLoewnerEquation:
             assert self.residual(spec, chain_w_values(spec, z, t), z, t) <= self.BOUND
             # the check can fail: the unsquared alpha-term drives no chain
             assert self.residual(spec, unsquared_w(spec, z, t), z, t) > self.BOUND + 1e-3
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["laurent_f", "laurent_g", "alpha_one"])
+    def test_closed_form_derivatives(self, spec):
+        # the rows _chain_slices gives next to L, against the differences
+        z = circle_points(0.9, 16)
+        for t in (0.25, 1.0, 2.0):
+            _, dt, zdz = chain_rows(spec, z, t)
+            for got, want in zip((dt, zdz), self.differences(spec, z, t)):
+                assert np.max(np.abs(got - want)) / np.max(np.abs(want)) <= self.BOUND
+
+
+def doubled_h_term(z, pc, alpha, aa, phase=None):
+    """theorem1 with its (1 - h)/h aa term counted twice."""
+    return theorem1(z, pc, alpha, aa, phase) + (1.0 - pc.h0) / pc.h0 * aa
+
+
+def flipped_alpha_term(z, pc, alpha, aa, phase=None):
+    """theorem1 with the sign of its alpha-term flipped: pieces without S_f
+    leave that term out."""
+    without = theorem1(z, pc._replace(sf=None), alpha, aa, phase)
+    return 2.0 * without - theorem1(z, pc, alpha, aa, phase)
+
+
+class TestLoewnerResidual:
+    """The audit's ``loewner_residual``: the Loewner equation on the z grid
+    from the closed-form derivatives, scaled by e^{-2t}."""
+
+    SPEC = ChainSpec(
+        f=uv.laurent(1, 0, [0.1, 0.02]),
+        g=uv.joukowski(0.2),
+        h=uv.inverse_square(0.1),
+        alpha=0.4 + 0.1j,
+    )
+
+    @pytest.mark.parametrize("mutant", [doubled_h_term, flipped_alpha_term])
+    def test_a_wrong_w_fails(self, mutant, monkeypatch):
+        from univalence import loewner
+
+        assert audit_pommerenke(self.SPEC).passed
+        monkeypatch.setattr(loewner, "theorem1", mutant)
+        rep = audit_pommerenke(self.SPEC)
+        # |w| < 1 and every other check still holds: the residual alone fails
+        assert rep.max_abs_w < 1.0 and not rep.errors
+        assert rep.loewner_residual >= 1e3 * LOEWNER_RESIDUAL_TOL
+        assert not rep.passed
+
+    def test_bound_scales_with_e_2t(self):
+        # The chain quotient's denominator cancels from e^t/z to e^-t/z, so
+        # the unscaled residual grows like eps e^{2t}: at t = 8 it is past
+        # the bound, and scaled by e^{-2t} it is within it.
+        spec = ChainSpec(
+            f=uv.make_sigma_function("joukowski:0.4"),
+            g=uv.make_sigma_function("laurent:1;0;0.1,0.03j"),
+            h=uv.make_h_function("hinvsq:-0.1,0.2"),
+            alpha=0.25,
+        )
+        for t in (6.0, 8.0):
+            rep = audit_pommerenke(spec, t_samples=(t,))
+            assert not rep.errors
+            assert rep.loewner_residual <= LOEWNER_RESIDUAL_TOL
+        assert rep.loewner_residual * np.exp(16.0) > LOEWNER_RESIDUAL_TOL
 
 
 class TestExtractA1:
@@ -283,8 +359,8 @@ class TestAudit:
         assert rep.max_abs_w == 0.0
         assert rep.passed
         assert not rep.subordination_failures
-        assert all(res == 0.0 or res < 1e-12 for _, res in rep.a1_residuals)
-        assert np.isfinite(rep.dt_proxy)
+        assert all(res == 0.0 or res < 1e-12 for _, _, res, _ in rep.a1_records)
+        assert 0.0 <= rep.loewner_residual <= LOEWNER_RESIDUAL_TOL
 
     def test_becker_violation_flagged(self):
         rep = audit_pommerenke(jouk_spec(0.6), t_samples=(0.0, 0.25, LN2))
@@ -307,7 +383,7 @@ class TestAudit:
             "witness_w",
             "a1",
             "subordination",
-            "boundedness_proxy",
+            "loewner_residual",
             "pass",
         }
         assert d["pass"] is True
@@ -349,8 +425,8 @@ class TestAudit:
         assert f"w grid at t=0.5: non-finite w at z = {complex(z[0])}" in rep.errors
         assert not rep.passed
 
-    def test_proxies_without_finite_samples_are_null(self):
-        # the overflow chain above: no finite sample feeds either proxy
+    def test_residual_without_finite_samples_is_null(self):
+        # the overflow chain above: no finite chain derivative gives a residual
         spec = ChainSpec(
             f=uv.make_sigma_function(
                 "moebius:1e-160,1e-300,1e-300,-1.29-1.19e-07j:"
@@ -360,8 +436,12 @@ class TestAudit:
             alpha=-1.0,
         )
         d = audit_pommerenke(spec, t_samples=(0.0, 1.0)).to_json_dict()
-        assert d["boundedness_proxy"] is None and d["dt_proxy"] is None
+        assert d["loewner_residual"] is None
         assert d["pass"] is False
+
+    def test_empty_t_samples_is_refused(self):
+        with pytest.raises(ValueError, match="^t_samples must hold at least one time$"):
+            audit_pommerenke(trivial_spec(), t_samples=())
 
     def test_subordination_contour_failure_is_recorded(self):
         # the probes at 0.45 e^t land on the ring at 0.5 e^s when e^(t-s) =
@@ -379,7 +459,7 @@ class TestAudit:
         # one root solve per function and a fixed number of kernel calls
         # whatever the number of chain times: five for the chain pass (f, g
         # and h stacks, and f', g' at the ray anchors) and three for the w
-        # pass (f, g and h); 5072 chain points at the default grids (the a1
+        # pass (f, g and h); 3920 chain points at the default grids (the a1
         # contour and the first grid circle are views of the doubled
         # contour); one winding call per subordination pair
         from univalence import _kernels, catalog, loewner
@@ -418,7 +498,7 @@ class TestAudit:
         n = len(DEFAULT_T_SAMPLES)
         assert roots == Counter({f: 1, g: 1})
         assert kernel["derivs"] <= 8
-        assert branch_points == [5072]
+        assert branch_points == [3920]
         assert kernel["winding"] == n - 1
 
         kernel.clear()
@@ -445,26 +525,25 @@ def _same(got, want) -> bool:
 
 def assert_samples_standalone(spec, ts):
     """Every audit sample, views of the doubled contour and the one w pass
-    included, is what ``chain_values`` or ``chain_w_values`` gives for its
+    included, is what ``_chain_slices`` or ``chain_w_values`` gives for its
     slice alone; returns the number of samples that are errors."""
     z = default_z_samples()
     contour, doubled, probes_z = nodes = _audit_nodes()
     samples, probes = _audit_samples(spec, ts, z, nodes)
     assert len(samples) == len(ts) and len(probes) == len(ts) - 1
     errors = 0
-    for t, (grid, stepped, on_contour, on_doubled, w) in zip(ts, samples):
+    for t, (grid, on_contour, on_doubled, w) in zip(ts, samples):
         for got, fn, zs, at in (
-            (grid, chain_values, z, t),
-            (stepped, chain_values, z, t + DT_PROXY_STEP),
-            (on_contour, chain_values, contour, t),
-            (on_doubled, chain_values, doubled, t),
+            (grid, chain_rows, z, t),
+            (on_contour, chain_rows, contour, t),
+            (on_doubled, chain_rows, doubled, t),
             (w, chain_w_values, z, t),
         ):
             want = _standalone(fn, spec, zs, at)
             assert _same(got, want), (fn.__name__, zs.size, at, got, want)
             errors += isinstance(want, Exception)
     for got, t in zip(probes, ts[:-1]):
-        want = _standalone(chain_values, spec, probes_z, t)
+        want = _standalone(chain_rows, spec, probes_z, t)
         assert _same(got, want), (t, got, want)
         errors += isinstance(want, Exception)
     return errors
@@ -535,9 +614,6 @@ class TestAuditSamples:
 
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_chain_reports.json").read_text())
-# Fields the golden reports recorded before a deliberate fix: a proxy that no
-# finite chain sample fed now reads null instead of 0.0.
-MENDED = {"overflow_chain": {"boundedness_proxy": None, "dt_proxy": None}}
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=[c["name"] for c in GOLDEN])
@@ -549,5 +625,4 @@ def test_audit_reproduces_golden_report(case):
         alpha=complex(*case["alpha"]),
     )
     got = audit_pommerenke(spec, t_samples=case["t_samples"]).to_json_dict()
-    want = {**case["report"], **MENDED.get(case["name"], {})}
-    assert json.dumps(got, allow_nan=False) == json.dumps(want)
+    assert json.dumps(got, allow_nan=False) == json.dumps(case["report"])

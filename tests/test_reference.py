@@ -5,8 +5,9 @@ Every reference value is recomputed from the catalog coefficients with
 mpmath, by paths that share no code with the package: derivatives in closed
 form through the chain rule, the branch of log(g'/f') as the principal log at
 the ray's start plus the quadrature of g''/g' - f''/f' along the ray (no root
-finding), the driving function w from the Loewner equation
-dL/dt = z L' (1 - w)/(1 + w), and a1 by a 40-digit trapezoidal rule.
+finding), the chain's dL/dt and z dL/dz by numerical differentiation, the
+driving function w from the Loewner equation dL/dt = z L' (1 - w)/(1 + w),
+and a1 by a 40-digit trapezoidal rule.
 """
 
 import functools
@@ -19,7 +20,13 @@ import pytest
 import univalence as uv
 from univalence.catalog import RAY_START_RADIUS, _sheet_index, power_branch_stack
 from univalence.criteria import CRITERIA, CriterionParams, evaluate_lhs
-from univalence.loewner import ChainSpec, chain_values, chain_w_values, extract_a1
+from univalence.loewner import (
+    ChainSpec,
+    _chain_slices,
+    chain_values,
+    chain_w_values,
+    extract_a1,
+)
 
 from conftest import exterior_points
 
@@ -175,12 +182,13 @@ class MpChain:
         c = (mp.exp(-t) - mp.exp(t)) / z
         return (v + c * h[0] * v1) / (f[0] * v + c * h[0] * (f[1] * v + f[0] * v1))
 
-    def w(self, z, t, base):
-        """Driving function from the Loewner equation: p = L_t / (z L_z)."""
+    def derivs(self, z, t, base):
+        """dL/dt, z dL/dz and the driving function w from the Loewner
+        equation: p = L_t / (z L_z)."""
         lt = mp.diff(lambda s: self.value(z, s, base), t)
-        lz = mp.diff(lambda y: self.value(y, t, base), z)
-        p = lt / (z * lz)
-        return (1 - p) / (1 + p)
+        zlz = z * mp.diff(lambda y: self.value(y, t, base), z)
+        p = lt / zlz
+        return lt, zlz, (1 - p) / (1 + p)
 
     def a1(self, t, radius=0.5, nodes=128):
         """First Taylor coefficient by the trapezoidal rule on |z| = radius;
@@ -259,19 +267,24 @@ def chain_spec(pair):
 
 @pytest.mark.parametrize("pair", range(len(PAIRS)))
 def test_chain_values_and_w(pair):
-    # w from the Loewner equation is the theorem1 bracket's closed form
+    # w from the Loewner equation is the theorem1 bracket's closed form, and
+    # the chain's derivative rows are those of its value
     spec = chain_spec(pair)
     ref = MpChain(spec)
     zs = np.array([0.9 * np.exp(0.4j), np.exp(-1.9j)])
     for t in (0.0, 2.0):
-        values, ws = [], []
+        values, ws, derivs = [], [], []
         for z in zs:
             z_mp, t_mp = mp.mpc(complex(z)), mp.mpf(t)
             base = ref.base(z_mp, t_mp)
             values.append(complex(ref.value(z_mp, t_mp, base)))
-            ws.append(complex(ref.w(z_mp, t_mp, base)))
+            lt, zlz, w = (complex(x) for x in ref.derivs(z_mp, t_mp, base))
+            derivs.append((lt, zlz))
+            ws.append(w)
         assert rel_error(chain_values(spec, zs, t), np.array(values)) <= CHAIN_TOL
         assert rel_error(chain_w_values(spec, zs, t), np.array(ws)) <= CHAIN_TOL
+        rows = _chain_slices(spec, [(zs, t)])[0]
+        assert rel_error(rows[1:], np.transpose(derivs)) <= CHAIN_TOL
 
 
 def test_boundary_bridge():
