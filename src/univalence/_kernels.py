@@ -5,8 +5,9 @@ stack of a Laurent-family function: from the value or from the first
 derivative up to a given order. It skips terms whose coefficient is zero and
 lets each row's first term write the row, so no pass adds zeros; the rows are
 bitwise those of the full stack. ``winding_sum`` accumulates the phase of a
-closed polyline around each of a vector of points. Both are pure functions
-of their arguments.
+closed polyline around each of a vector of points, for a batch of polylines
+at once, and the exact distance only where a bound does not clear the point.
+Both are pure functions of their arguments.
 """
 
 from __future__ import annotations
@@ -82,16 +83,21 @@ def _zero_terms_vanish(b, b0, x):
 # ---------------------------------------------------------------------------
 
 
-def winding_sum(xs, ys, px, py):
-    # One row per probe point (px, py may be scalars or arrays): the phase
-    # sum and the distance to the nearest segment, reduced along the row.
-    px = np.asarray(px, dtype=np.float64)[..., None]
-    py = np.asarray(py, dtype=np.float64)[..., None]
-    ax = xs[:-1] - px
-    ay = ys[:-1] - py
-    bx = xs[1:] - px
-    by = ys[1:] - py
+def winding_sum(xs, ys, px, py, clearance):
+    # Contours xs, ys (..., n) and probes px, py (..., m) share batch axes: per
+    # probe, the phase sum and distance, reduced as a one-row call reduces.
+    vx = xs[..., None, :] - px[..., None]
+    vy = ys[..., None, :] - py[..., None]
+    ax, ay, bx, by = vx[..., :-1], vy[..., :-1], vx[..., 1:], vy[..., 1:]
     total = np.sum(np.arctan2(ax * by - ay * bx, ax * bx + ay * by), axis=-1)
+    # Certified guard: |p - s| >= min(|p - a|, |p - b|) - |b - a|/2 on each
+    # segment [a, b]. Where this bound, less a relative slack above rounding,
+    # clears ``clearance`` (a NaN never does), it stands in for the distance.
+    near = np.sqrt(np.min(vx * vx + vy * vy, axis=-1))
+    half = 0.5 * np.max(np.hypot(np.diff(xs), np.diff(ys)), axis=-1)[..., None]
+    min_dist = near - half - 1e-12 * (near + half)
+    close = ~(min_dist > clearance)
+    ax, ay, bx, by = ax[close], ay[close], bx[close], by[close]
     ex = bx - ax
     ey = by - ay
     ee = ex * ex + ey * ey
@@ -99,5 +105,5 @@ def winding_sum(xs, ys, px, py):
     t = np.clip(t, 0.0, 1.0)
     dx = ax + t * ex
     dy = ay + t * ey
-    min_dist = np.sqrt(np.min(dx * dx + dy * dy, axis=-1))
+    min_dist[close] = np.sqrt(np.min(dx * dx + dy * dy, axis=-1))
     return total, min_dist

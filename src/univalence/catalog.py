@@ -461,10 +461,10 @@ def power_branch_slices(f, g, alpha: complex, points: np.ndarray, ends, order: i
             except EvaluationFailure as exc:
                 errors = [error or exc for error in errors]
             else:
+                struck = on_ray.any(axis=0)
                 for k, (a, b) in enumerate(bounds):
-                    hit = np.argwhere(on_ray[:, a:b])
-                    if errors[k] is None and hit.size:
-                        i, j = hit[0]
+                    if errors[k] is None and struck[a:b].any():
+                        i, j = np.argwhere(on_ray[:, a:b])[0]
                         errors[k] = CriticalPoint(
                             f"g'/f' zero or pole at {at[i]} on the ray to {points[a + j]}"
                         )

@@ -17,10 +17,10 @@ a1 contour and the z grid circle of radius 0.5 are views of the doubled
 contour's even and every eighth nodes, bitwise the nodes ``circle_points``
 gives, since scaling an index and a node count by a power of two is exact.
 The driving function w comes from one criterion-pieces pass and one
-theorem1 call over the z grid at every t, and subordination from one
-winding sum per pair. A failure is recorded against its own t slice or
-(t, s) pair, with the message that slice would raise alone, and the audit
-goes on.
+theorem1 call over the z grid at every t; each per-t check runs once over
+samples stacked over t, and one winding pass judges all (t, s) pairs. A
+failure is recorded against its own t slice or (t, s) pair, with the
+message that slice would raise alone, and the audit goes on.
 """
 
 from __future__ import annotations
@@ -35,12 +35,12 @@ from .errors import (
     ContourThroughSingularity,
     CriticalPoint,
     DenominatorVanishes,
+    EvaluationFailure,
     HVanishes,
-    OpenContour,
+    InvalidSpec,
     OutsideDomain,
-    PointTooCloseToContour,
 )
-from .oracle import winding_numbers
+from .oracle import winding_rows
 from .sampling import circle_points
 
 DEFAULT_T_SAMPLES = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)
@@ -110,14 +110,15 @@ def _chain_slices(spec: ChainSpec, slices) -> list:
     N = v + c h v', D = u + c h u', u = f v, zeta = e^t/z, c = (e^-t - e^t)/z;
     d/dt = zeta d/dzeta + dc/dt d/dc and z d/dz = -zeta d/dzeta - c d/dc."""
     z, t, ends = _concat(slices)
-    et, emt = np.exp(t), np.exp(-t)
-    zeta = et / z
-    (v0, v1, v2), (f0, f1, f2, _), errors = power_branch_slices(
-        spec.f, spec.g, spec.alpha, zeta, ends, order=2
-    )
-    h0, h1 = spec.h.derivs(zeta, order=1)
-    coef = (emt - et) / z
+    # e^t overflows past t of about 709; the slices record what follows.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        et, emt = np.exp(t), np.exp(-t)
+        zeta = et / z
+        (v0, v1, v2), (f0, f1, f2, _), errors = power_branch_slices(
+            spec.f, spec.g, spec.alpha, zeta, ends, order=2
+        )
+        h0, h1 = spec.h.derivs(zeta, order=1)
+        coef = (emt - et) / z
         u0 = f0 * v0
         u1 = f1 * v0 + f0 * v1
         u2 = f2 * v0 + 2.0 * f1 * v1 + f0 * v2
@@ -141,11 +142,19 @@ def _chain_slices(spec: ChainSpec, slices) -> list:
     return out
 
 
-def _ok(result) -> np.ndarray:
-    """The rows of a ``_chain_slices`` result; raises its error."""
+def _ok(result):
+    """A result's value; raises it if it is an error."""
     if isinstance(result, Exception):
         raise result
     return result
+
+
+def _stacked(results, shape, row=...) -> tuple:
+    """Per-slice results as one array, a row per result (row ``row`` of its
+    values, or NaN for an error), and per result its error or None."""
+    errors = [result if isinstance(result, Exception) else None for result in results]
+    rows = [np.full(shape, np.nan + 0j) if e else r[row] for r, e in zip(results, errors)]
+    return np.array(rows).reshape((len(rows),) + shape), errors
 
 
 def chain_values(spec: ChainSpec, z, t: float) -> np.ndarray:
@@ -171,10 +180,11 @@ def _w_slices(spec: ChainSpec, slices) -> list:
     for that slice alone (CriticalPoint, HVanishes). Pieces out of double
     range give non-finite w, which the audit records."""
     z, t, ends = _concat(slices)
-    et = np.exp(t)
-    w = et / z
-    pc = pieces(spec.f, spec.g, spec.h, w)
-    values = theorem1(w, pc, spec.alpha, et * et, 1.0 / (z * z))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        et = np.exp(t)
+        w = et / z
+        pc = pieces(spec.f, spec.g, spec.h, w)
+        values = theorem1(w, pc, spec.alpha, et * et, 1.0 / (z * z))
     out = []
     for a, b in zip([0, *ends[:-1]], ends):
         critical = (pc.f1[a:b] == 0) | (pc.g1[a:b] == 0)
@@ -193,22 +203,26 @@ def extract_a1(spec: ChainSpec, t: float, circle_radius: float = A1_RADIUS) -> c
     if not 0.0 < circle_radius < 1.0:
         raise ValueError("circle_radius must lie in (0, 1)")
     zs = circle_points(circle_radius, A1_NODE_COUNT)
-    return _a1(zs, t, circle_radius, _chain_slices(spec, [(zs, t)])[0])
+    return _ok(_a1_rows(_chain_slices(spec, [(zs, t)]), zs, (t,), circle_radius)[0])
 
 
-def _a1(zs, t, circle_radius, chain) -> complex:
-    """a1 from the chain values (a ``_chain_slices`` result) on the contour."""
-    try:
-        vals = _ok(chain)[0]
-    except DenominatorVanishes as exc:
-        raise ContourThroughSingularity(str(exc)) from exc
+def _a1_rows(chain, zs, ts, circle_radius) -> list:
+    """Per ``_chain_slices`` result on the contour ``zs``, one per time in
+    ``ts``, the a1 of ``extract_a1`` or the error it raises for that result
+    alone, from one mean over the results stacked."""
+    values, errors = _stacked(chain, zs.shape, 0)
     with np.errstate(over="ignore", invalid="ignore"):
-        a1 = np.mean(vals / zs)
-    if not np.isfinite(a1):
-        raise ContourThroughSingularity(
-            f"chain not finite on contour radius {circle_radius} at t = {t}"
-        )
-    return complex(a1)
+        a1 = np.mean(values / zs, axis=1)
+    out = []
+    for t, value, error in zip(ts, a1, errors):
+        if isinstance(error, DenominatorVanishes):
+            error = ContourThroughSingularity(str(error))
+        elif error is None and not np.isfinite(value):
+            error = ContourThroughSingularity(
+                f"chain not finite on contour radius {circle_radius} at t = {t}"
+            )
+        out.append(error or complex(value))
+    return out
 
 
 def subordination_check(spec: ChainSpec, t: float, s: float, r: float = A1_RADIUS):
@@ -222,22 +236,27 @@ def subordination_check(spec: ChainSpec, t: float, s: float, r: float = A1_RADIU
     ring = circle_points(r, A1_NODE_COUNT)
     probes_z = circle_points(0.9 * r, PROBE_COUNT)
     contour, probes = _chain_slices(spec, [(ring, s), (probes_z, t)])
-    return _subordination(t, s, probes_z, contour, probes)
-
-
-def _subordination(t, s, probes_z, contour, probes):
-    """``subordination_check`` from the chain values (``_chain_slices``
-    results) on the s-contour and at the probes."""
-    try:
-        contour = _ok(contour)[0]
-        probes = _ok(probes)[0]
-    except DenominatorVanishes as exc:
-        raise ContourThroughSingularity(str(exc)) from exc
-    if not (np.isfinite(contour).all() and np.isfinite(probes).all()):
-        raise ContourThroughSingularity(f"chain not finite at t = {t} or s = {s}")
-    turns = winding_numbers(np.concatenate([contour, contour[:1]]), probes)
-    failures = [(t, s, complex(z0)) for z0, n in zip(probes_z, turns) if n != 1]
+    failures = _ok(_subordination([(t, s)], probes_z, [contour], [probes])[0])
     return (not failures), failures
+
+
+def _subordination(pairs, probes_z, contours, probes) -> list:
+    """Per (t, s) pair, the failures of ``subordination_check`` or the error
+    it raises for that pair alone, from the ``_chain_slices`` results on the
+    s-contour and at the t probes, with one winding pass for all pairs."""
+    rings, ring_errors = _stacked(contours, (A1_NODE_COUNT,), 0)
+    values, probe_errors = _stacked(probes, probes_z.shape, 0)
+    closed = np.concatenate([rings, rings[:, :1]], axis=1)
+    turns, winding_errors = winding_rows(closed, values) if pairs else ((), ())
+    out = []
+    for (t, s), row, *errors in zip(pairs, turns, ring_errors, probe_errors, winding_errors):
+        error = next(filter(None, errors), None)
+        if isinstance(error, DenominatorVanishes):
+            error = ContourThroughSingularity(str(error))
+        elif isinstance(error, InvalidSpec):  # winding_rows refuses a non-finite value
+            error = ContourThroughSingularity(f"chain not finite at t = {t} or s = {s}")
+        out.append(error or [(t, s, complex(probes_z[j])) for j in np.flatnonzero(row != 1)])
+    return out
 
 
 @dataclass(frozen=True)
@@ -350,78 +369,77 @@ def audit_pommerenke(spec: ChainSpec, t_samples=None) -> AuditReport:
     points) + 5 x 16 probes) and one w pass over 6 x 192 grid points, each
     slice read as if it had been evaluated alone. The s-contour of a pair is
     the a1 contour at s, the contour of ``subordination_check``'s default r.
-    A Loewner residual (LOEWNER_RESIDUAL_TOL) that is not finite reads inf."""
+    |w|, the residual and both a1 means are computed over rows stacked over
+    t. A Loewner residual (LOEWNER_RESIDUAL_TOL) that is not finite reads
+    inf."""
     z = default_z_samples()
     ts = tuple(DEFAULT_T_SAMPLES if t_samples is None else t_samples)
     if not ts:
         raise ValueError("t_samples must hold at least one time")
 
-    max_abs_w = -np.inf
-    witness_w = (complex(z[0]), ts[0])
-    loewner = -np.inf
-    errors = []
-    a1_records = []
-
     contour, doubled, probes_z = nodes = _audit_nodes()
     samples, probes = _audit_samples(spec, ts, z, nodes)
+    grid, on_contour, on_doubled, w = zip(*samples)
+    grid, grid_errors = _stacked(grid, (3, z.size))
+    cv, dt, zdz = grid.transpose(1, 0, 2)
+    w, w_errors = _stacked(w, z.shape)
+    a1s = _a1_rows(on_contour, contour, ts, A1_RADIUS)
+    a1d = _a1_rows(on_doubled, doubled, ts, A1_RADIUS)
+    pairs = list(zip(ts[:-1], ts[1:]))
+    judged = _subordination(pairs, probes_z, on_contour[1:], probes)
 
-    for t, (grid, on_contour, on_doubled, w) in zip(ts, samples):
-        try:
-            abs_w = np.abs(_ok(w))
-            finite = np.isfinite(abs_w)
-            if not finite.all():
-                # A NaN would win argmax and lose every comparison, hiding
-                # the slice maximum; record it and rank the finite samples.
-                errors.append(
-                    f"w grid at t={t}: non-finite w at z = {complex(z[~finite][0])}"
-                )
-                abs_w = np.where(finite, abs_w, -np.inf)
-            k = int(np.argmax(abs_w))
-            if float(abs_w[k]) > max_abs_w:
-                max_abs_w = float(abs_w[k])
-                witness_w = (complex(z[k]), float(t))
-        except (CriticalPoint, HVanishes) as exc:
-            errors.append(f"w grid at t={t}: {exc}")
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        abs_w = np.abs(w)
+        res = np.max(np.abs(dt - zdz * (1.0 - w) / (1.0 + w)), axis=1) / np.max(np.abs(dt), axis=1)
+    # A NaN would win argmax and lose every comparison, hiding a slice
+    # maximum: rank the finite samples only. The flat argmax runs t-major,
+    # then by z index, so it finds the first maximum.
+    w_finite, grid_finite = np.isfinite(abs_w), np.isfinite(cv)
+    abs_w[~w_finite] = -np.inf
+    i, k = np.unravel_index(np.argmax(abs_w), abs_w.shape)
+    max_abs_w = abs_w[i, k]
+    witness_w = (complex(z[k]), float(ts[i])) if max_abs_w > -np.inf else (complex(z[0]), ts[0])
+    # the first non-finite sample of each row, if it has one
+    w_at, grid_at = np.argmin(w_finite, axis=1), np.argmin(grid_finite, axis=1)
 
-        try:
-            cv, dt, zdz = _ok(grid)
-        except (DenominatorVanishes, CriticalPoint) as exc:
-            errors.append(f"chain grid at t={t}: {exc}")
+    loewner = -np.inf
+    errors = []  # (stage, error or message)
+    a1_records = []
+    for i, (t, a1, a1_double) in enumerate(zip(ts, a1s, a1d)):
+        if w_errors[i] is not None:
+            errors.append((f"w grid at t={t}", w_errors[i]))
+        elif not w_finite[i, w_at[i]]:
+            errors.append((f"w grid at t={t}", f"non-finite w at z = {complex(z[w_at[i]])}"))
+
+        if grid_errors[i] is not None:
+            errors.append((f"chain grid at t={t}", grid_errors[i]))
         else:
-            finite = np.isfinite(cv)
-            if not finite.all():
-                errors.append(
-                    f"chain grid at t={t}: non-finite chain value at z = "
-                    f"{complex(z[~finite][0])}"
-                )
-            if not isinstance(w, Exception):
-                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                    res = np.max(np.abs(dt - zdz * (1.0 - w) / (1.0 + w))) / np.max(np.abs(dt))
-                loewner = max(loewner, res * np.exp(-2.0 * t) if np.isfinite(res) else np.inf)
+            if not grid_finite[i, grid_at[i]]:
+                at = complex(z[grid_at[i]])
+                errors.append((f"chain grid at t={t}", f"non-finite chain value at z = {at}"))
+            if w_errors[i] is None:
+                loewner = max(loewner, res[i] * np.exp(-2.0 * t) if np.isfinite(res[i]) else np.inf)
 
-        try:
-            a1 = _a1(contour, t, A1_RADIUS, on_contour)
-            a1_double = _a1(doubled, t, A1_RADIUS, on_doubled)
+        failed = a1 if isinstance(a1, Exception) else a1_double
+        if isinstance(failed, Exception):
+            errors.append((f"a1 at t={t}", failed))
+        else:
             doubling_ok = abs(a1 - a1_double) < A1_DOUBLING_TOL * max(1.0, abs(a1))
             residual = abs(a1 - np.exp(t)) / np.exp(t)
             a1_records.append((float(t), a1, float(residual), bool(doubling_ok)))
-        except (ContourThroughSingularity, CriticalPoint) as exc:
-            errors.append(f"a1 at t={t}: {exc}")
 
     subordination_failures = []
-    for i, (t_lo, t_hi) in enumerate(zip(ts[:-1], ts[1:])):
-        try:
-            _, failures = _subordination(
-                t_lo, t_hi, probes_z, samples[i + 1][1], probes[i]
-            )
-            subordination_failures.extend(failures)
-        except (
-            ContourThroughSingularity,
-            CriticalPoint,
-            OpenContour,
-            PointTooCloseToContour,
-        ) as exc:
-            errors.append(f"subordination ({t_lo}, {t_hi}): {exc}")
+    for (t, s), result in zip(pairs, judged):
+        if isinstance(result, Exception):
+            errors.append((f"subordination ({t}, {s})", result))
+        else:
+            subordination_failures.extend(result)
+    # An EvaluationFailure (the roots of f' or g' out of double range, so no
+    # branch of v) ends the audit instead of being recorded.
+    for _, error in errors:
+        if isinstance(error, EvaluationFailure):
+            raise error
+    errors = [f"{stage}: {error}" for stage, error in errors]
 
     passed = (
         not errors

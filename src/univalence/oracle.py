@@ -25,6 +25,7 @@ from .sampling import SamplingPlan, sample_exterior
 
 TOLERANCE_SCALE = 1e-9  # collision tolerance as a fraction of image spacing
 SEPARATION_SPACINGS = 2.0  # separation floor in units of domain grid spacing
+CONTOUR_CLEARANCE = 1e-9  # a point this close to a contour has no winding number
 
 
 @dataclass(frozen=True)
@@ -271,39 +272,53 @@ def _cell_candidates(values: np.ndarray, tolerance: float, block: int = 1 << 20)
 
 def winding_numbers(contour_samples, points) -> np.ndarray:
     """Winding numbers of a closed discrete contour around each point, from
-    one sum of phase increments per point. The first point without one (in
-    order: too close to the contour, or a sum not near a whole number of
-    turns) raises, with the message that point would raise alone."""
-    contour = np.asarray(contour_samples, dtype=np.complex128)
-    if contour.shape[0] < 3:
-        raise OpenContour("contour needs at least 3 samples")
-    if abs(contour[0] - contour[-1]) > 1e-12:
-        raise OpenContour(
-            f"contour endpoints differ by {abs(contour[0] - contour[-1])}"
-        )
+    one sum of phase increments per point: ``winding_rows`` of one row,
+    raising its error."""
     points = np.asarray(points, dtype=np.complex128)
+    contour = np.asarray(contour_samples, dtype=np.complex128)
+    turns, (error,) = winding_rows(contour[None], points.reshape(1, -1))
+    if error is not None:
+        raise error
+    return turns.reshape(points.shape)[()]  # [()]: a scalar for a scalar point
+
+
+def winding_rows(contours, points) -> tuple:
+    """Winding numbers of each row of ``contours`` (closed discrete contours)
+    around the same row of ``points``, from one kernel pass over all rows,
+    and per row None or the error that row raises alone: InvalidSpec for a
+    non-finite sample or point, OpenContour for a contour that does not
+    close, and PointTooCloseToContour for its first point without a number."""
+    if contours.shape[-1] < 3:
+        raise OpenContour("contour needs at least 3 samples")
     with np.errstate(over="ignore", invalid="ignore"):
         total, min_dist = _kernels.winding_sum(
-            np.ascontiguousarray(contour.real),
-            np.ascontiguousarray(contour.imag),
+            np.ascontiguousarray(contours.real),
+            np.ascontiguousarray(contours.imag),
             points.real,
             points.imag,
+            CONTOUR_CLEARANCE,
         )
         turns = total / (2.0 * np.pi)
         nearest = np.rint(turns)
         overflowed = ~np.isfinite(total)
-        bad = overflowed | (min_dist <= 1e-9) | (np.abs(turns - nearest) >= 0.1)
-    if bad.any():
-        k = int(np.argmax(bad))
-        point = complex(points[k])
-        if overflowed[k]:
-            raise PointTooCloseToContour(f"phase sum around {point} overflowed")
-        if min_dist[k] <= 1e-9:
-            raise PointTooCloseToContour(
-                f"point {point} within {float(min_dist[k])} of the contour"
+        close = min_dist <= CONTOUR_CLEARANCE
+        bad = overflowed | close | (np.abs(turns - nearest) >= 0.1)
+        numbers = nearest.astype(int)  # a failed row's numbers mean nothing
+        gap = contours[:, 0] - contours[:, -1]
+        gaps = np.hypot(gap.real, gap.imag)  # bitwise the scalar abs of each gap
+    finite = np.isfinite(contours).all(axis=1) & np.isfinite(points).all(axis=1)
+    errors = [None] * len(contours)
+    for i, row in enumerate(bad):
+        if not finite[i]:
+            errors[i] = InvalidSpec("winding number needs finite contour samples and points")
+        elif gaps[i] > 1e-12:
+            errors[i] = OpenContour(f"contour endpoints differ by {gaps[i]}")
+        elif row.any():
+            k = int(np.argmax(row))
+            point = complex(points[i, k])
+            errors[i] = PointTooCloseToContour(
+                f"phase sum around {point} overflowed" if overflowed[i, k]
+                else f"point {point} within {float(min_dist[i, k])} of the contour" if close[i, k]
+                else f"phase sum {float(turns[i, k])} turns is not near an integer"
             )
-        raise PointTooCloseToContour(
-            f"phase sum {float(turns[k])} turns is not near an integer"
-        )
-    return nearest.astype(int)
-
+    return numbers, errors

@@ -92,3 +92,131 @@ def test_laurent_rows_match_reference_bitwise(points, b, b0, tail, order, first,
     want = reference_laurent_derivs(points, b, b0, tail, order, inv)[first:]
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+def reference_winding_sum(xs, ys, px, py):
+    # The kernel as it was before its batch axis and its distance bound: one
+    # contour, the exact distance to the polyline at every probe.
+    px = np.asarray(px, dtype=np.float64)[..., None]
+    py = np.asarray(py, dtype=np.float64)[..., None]
+    ax = xs[:-1] - px
+    ay = ys[:-1] - py
+    bx = xs[1:] - px
+    by = ys[1:] - py
+    total = np.sum(np.arctan2(ax * by - ay * bx, ax * bx + ay * by), axis=-1)
+    ex = bx - ax
+    ey = by - ay
+    ee = ex * ex + ey * ey
+    t = np.where(ee > 0.0, -(ax * ex + ay * ey) / np.where(ee > 0.0, ee, 1.0), 0.0)
+    t = np.clip(t, 0.0, 1.0)
+    dx = ax + t * ex
+    dy = ay + t * ey
+    return total, np.sqrt(np.min(dx * dx + dy * dy, axis=-1))
+
+
+CLEARANCE = 1e-9
+
+
+def _contour_batch(rng, rows=5, nodes=256, probes=16):
+    """Closed wavy contours, one per row, with probes inside, outside, on a
+    vertex, 1e-10 and 1e-5 off a segment's midpoint, per row."""
+    theta = np.linspace(0.0, 2.0 * np.pi, nodes + 1)
+    radius = 1.0 + 0.2 * rng.uniform(size=(rows, 1)) * np.cos(3.0 * theta)
+    contours = radius * np.exp(1j * theta)
+    contours[:, -1] = contours[:, 0]
+    points = 2.5 * (rng.uniform(size=(rows, probes)) - 0.5) * (1 + 1j)
+    mid = 0.5 * (contours[:, 7] + contours[:, 8])
+    normal = 1j * (contours[:, 8] - contours[:, 7]) / abs(contours[:, 8] - contours[:, 7])
+    points[:, 0] = contours[:, 3]
+    points[:, 1] = mid + 1e-10 * normal
+    points[:, 2] = mid + 1e-5 * normal
+    return contours, points
+
+
+def _winding_sum(contours, points, clearance=CLEARANCE):
+    return _kernels.winding_sum(
+        np.ascontiguousarray(contours.real),
+        np.ascontiguousarray(contours.imag),
+        points.real,
+        points.imag,
+        clearance,
+    )
+
+
+def test_winding_rows_are_bitwise_one_row_calls(rng):
+    contours, points = _contour_batch(rng)
+    total, min_dist = _winding_sum(contours, points)
+    assert total.shape == min_dist.shape == points.shape
+    for i in range(contours.shape[0]):
+        row_total, row_dist = _winding_sum(contours[i : i + 1], points[i : i + 1])
+        assert row_total.tobytes() == total[i : i + 1].tobytes()
+        assert row_dist.tobytes() == min_dist[i : i + 1].tobytes()
+    # an empty batch, as a one-time audit would pass
+    total, min_dist = _winding_sum(contours[:0], points[:0])
+    assert total.shape == min_dist.shape == (0, points.shape[1])
+
+
+def test_winding_sum_matches_reference_guard(rng):
+    # The phase sum is bitwise the reference's. The distance is bitwise the
+    # reference's wherever the bound does not clear the clearance (probes on
+    # or within 1e-5 of the contour); elsewhere it is a lower bound that
+    # clears it, so every guard decision is the reference's.
+    contours, points = _contour_batch(rng)
+    total, min_dist = _winding_sum(contours, points)
+    for i in range(contours.shape[0]):
+        want_total, want_dist = reference_winding_sum(
+            contours[i].real, contours[i].imag, points[i].real, points[i].imag
+        )
+        assert total[i].tobytes() == want_total.tobytes()
+        exact = min_dist[i] == want_dist
+        assert exact[:3].all()
+        assert ((min_dist[i] <= CLEARANCE) == (want_dist <= CLEARANCE)).all()
+        assert (min_dist[i][~exact] > CLEARANCE).all()
+        assert (min_dist[i][~exact] <= want_dist[~exact]).all()
+
+
+def test_bound_fallback_at_the_centre_of_a_thin_rectangle():
+    # Centre of a 4-vertex contour whose longest side is twice the vertex
+    # distance: the bound is about 1e-10 - slack, below the clearance, but
+    # the probe is 1e-5 from the contour; the exact distance decides.
+    rect = np.array([-1 - 1e-5j, 1 - 1e-5j, 1 + 1e-5j, -1 + 1e-5j, -1 - 1e-5j])
+    _, min_dist = _winding_sum(rect[None], np.zeros((1, 1), dtype=complex))
+    _, want = reference_winding_sum(rect.real, rect.imag, 0.0, 0.0)
+    assert min_dist[0, 0] == want == 1e-5
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    vertices=st.lists(
+        st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=3, max_size=8
+    ),
+    scale=st.builds(lambda e: 10.0**e, st.floats(-6.0, 6.0)),
+    offsets=st.lists(
+        st.tuples(
+            st.integers(0, 7),
+            st.floats(0.0, 1.0),
+            st.builds(lambda e: 10.0**e, st.floats(-13.0, 0.0)),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_winding_guard_decisions_match_reference(vertices, scale, offsets):
+    # Probes near the segments of a polygon at any scale, from far off to
+    # well inside the clearance: the guard decides as the exact distance
+    # does, and the distance is exact wherever the bound does not clear.
+    contour = np.array([complex(x, y) for x, y in vertices] + [complex(*vertices[0])]) * scale
+    points = []
+    for k, u, d in offsets:
+        a, b = contour[k % (contour.size - 1)], contour[k % (contour.size - 1) + 1]
+        points.append(a + u * (b - a) + 1j * d * scale)
+    points = np.array(points)
+    total, min_dist = _winding_sum(contour[None], points[None])
+    want_total, want_dist = reference_winding_sum(
+        contour.real, contour.imag, points.real, points.imag
+    )
+    assert total[0].tobytes() == want_total.tobytes()
+    assert ((min_dist[0] <= CLEARANCE) == (want_dist <= CLEARANCE)).all()
+    exact = min_dist[0] == want_dist
+    assert (min_dist[0][~exact] > CLEARANCE).all()
+    assert (min_dist[0][~exact] <= want_dist[~exact]).all()

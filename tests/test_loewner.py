@@ -16,11 +16,13 @@ from univalence.errors import (
     HVanishes,
     InvalidSpec,
     OutsideDomain,
+    PointTooCloseToContour,
 )
 from univalence.criteria import theorem1
 from univalence.loewner import (
     DEFAULT_T_SAMPLES,
     LOEWNER_RESIDUAL_TOL,
+    PROBE_COUNT,
     ChainSpec,
     _audit_nodes,
     _audit_samples,
@@ -455,13 +457,45 @@ class TestAudit:
         assert len(rep.a1_records) == 2
         assert not rep.passed
 
+    def test_large_time_records_overflow_without_warning(self):
+        # e^t overflows past t of about 709: the samples at t = 1e300 are
+        # recorded as errors, and no RuntimeWarning (an error in this suite)
+        # escapes from the chain or w pass
+        spec = ChainSpec(f=uv.joukowski(0.3), g=uv.joukowski(0.2))
+        rep = audit_pommerenke(spec, t_samples=(0.0, 1e300))
+        assert rep.errors[0] == "w grid at t=1e+300: non-finite w at z = (0.5+0j)"
+        assert rep.errors[-1].startswith("subordination (0.0, 1e+300): ")
+        assert not rep.passed
+
+    def test_pairs_judged_as_subordination_check_judges_them(self):
+        # one winding pass for all pairs; per pair, the same failures or
+        # error as subordination_check: the probes of (t_on, 0) land on the
+        # s-contour (within 1e-9), those of (t_off, 0) lie 5e-8 outside it,
+        # where the distance bound does not clear and the exact distance
+        # decides, and (0, t_off) nests
+        t_on = 0.10536051565782628
+        t_off = t_on + 1e-7
+        ts = (t_on, 0.0, t_off, 0.0)
+        rep = audit_pommerenke(trivial_spec(), t_samples=ts)
+        errors, failures = [], []
+        for t, s in zip(ts[:-1], ts[1:]):
+            try:
+                failures += subordination_check(trivial_spec(), t, s)[1]
+            except PointTooCloseToContour as exc:
+                errors.append(f"subordination ({t}, {s}): {exc}")
+        assert errors == [f"subordination ({t_on}, 0.0): point (0.5+0j) within 0.0 of the contour"]
+        assert len(failures) == PROBE_COUNT
+        assert list(rep.errors) == errors
+        assert list(rep.subordination_failures) == failures
+
     def test_one_evaluation_pass_per_audit(self, monkeypatch):
         # one root solve per function and a fixed number of kernel calls
         # whatever the number of chain times: five for the chain pass (f, g
         # and h stacks, and f', g' at the ray anchors) and three for the w
         # pass (f, g and h); 3920 chain points at the default grids (the a1
         # contour and the first grid circle are views of the doubled
-        # contour); one winding call per subordination pair
+        # contour); one winding call for all subordination pairs, none for a
+        # single chain time (no pair)
         from univalence import _kernels, catalog, loewner
 
         roots, kernel, branch_points = Counter(), Counter(), []
@@ -495,16 +529,19 @@ class TestAudit:
         spec = ChainSpec(f=f, g=g, h=uv.inverse_square(0.1), alpha=0.4 + 0.1j)
         rep = audit_pommerenke(spec)
         assert rep.passed
-        n = len(DEFAULT_T_SAMPLES)
         assert roots == Counter({f: 1, g: 1})
         assert kernel["derivs"] <= 8
         assert branch_points == [3920]
-        assert kernel["winding"] == n - 1
+        assert kernel["winding"] == 1
 
         kernel.clear()
         audit_pommerenke(spec, t_samples=np.linspace(0.0, 4.0, 11))
         assert kernel["derivs"] <= 8
-        assert kernel["winding"] == 10
+        assert kernel["winding"] == 1
+
+        kernel.clear()
+        audit_pommerenke(spec, t_samples=(1.0,))
+        assert kernel["winding"] == 0
 
 
 def _standalone(fn, spec, z, t):

@@ -18,6 +18,7 @@ from univalence.oracle import (
     collision_pairs,
     injectivity_scan,
     winding_numbers,
+    winding_rows,
 )
 
 
@@ -106,6 +107,56 @@ class TestWindingNumber:
         # winding number names the error, as it would alone
         with pytest.raises(PointTooCloseToContour, match=r"point \(1\+0j\) within"):
             winding_numbers(unit_circle(), [0.0, 1.0, 1j])
+
+    @pytest.mark.parametrize("where", ["contour", "point"])
+    def test_non_finite_input_rejected(self, where):
+        # abs(NaN) > 1e-12 is False, so the closure check alone would let a
+        # NaN contour through to the phase sum
+        contour, points = unit_circle(), np.array([0.0, 2.0], dtype=complex)
+        if where == "contour":
+            contour[0] = contour[-1] = np.nan
+        else:
+            points[1] = complex(np.nan, 0.0)
+        with pytest.raises(InvalidSpec, match="^winding number needs finite"):
+            winding_numbers(contour, points)
+
+    def test_rows_judged_as_alone(self):
+        # one pass over rows that pass, hit a vertex, lie 1e-5 inside a thin
+        # rectangle (where the distance bound does not clear), do not close
+        # or hold a NaN: each row's numbers or error are winding_numbers'
+        circle = unit_circle(256)
+        corners = np.array([-1 - 1e-5j, 1 - 1e-5j, 1 + 1e-5j, -1 + 1e-5j, -1 - 1e-5j])
+        at = np.linspace(0.0, 4.0, 257)
+        rect = np.interp(at, range(5), corners.real) + 1j * np.interp(at, range(5), corners.imag)
+        unclosed = circle * np.exp(0.1j * np.linspace(0.0, 1.0, 257))
+        with_nan = circle.copy()
+        with_nan[5] = np.nan
+        contours = np.array([circle, circle, rect, unclosed, with_nan])
+        points = np.array(
+            [
+                [0.0, 2.0, 0.5j],
+                [0.0, circle[3], 3.0],
+                [0.0, 0.5, 2j],
+                [0.0, 0.1, 0.2],
+                [0.0, 0.1, 0.2],
+            ]
+        )
+        turns, errors = winding_rows(contours, points)
+        for contour, row, numbers, error in zip(contours, points, turns, errors):
+            try:
+                want = winding_numbers(contour, row)
+            except (InvalidSpec, OpenContour, PointTooCloseToContour) as exc:
+                assert type(error) is type(exc) and str(error) == str(exc)
+            else:
+                assert error is None and numbers.tolist() == want.tolist()
+        assert [type(e).__name__ for e in errors] == [
+            "NoneType",
+            "PointTooCloseToContour",
+            "NoneType",
+            "OpenContour",
+            "InvalidSpec",
+        ]
+        assert turns[2].tolist() == [1, 1, 0]
 
 
 class TestInjectivityScan:
