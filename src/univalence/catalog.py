@@ -1,6 +1,6 @@
 """Catalog of meromorphic functions on the exterior disk and admissible
-h-functions, plus the power v = (g'/f')^alpha continued from infinity along
-rays, its sheet chosen in closed form from the zeros and poles of f' and g'.
+h-functions, plus the zeros of f' and the poles of f in |z| >= 1, solved
+from the coefficients: the theorem's hypotheses on f and g.
 
 f, g and h are one model: a Laurent map u = b z + b0 + b1/z + ... under a
 flat tuple of Moebius levels, so every derivative through order four has a
@@ -17,14 +17,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _kernels
-from .errors import CriticalPoint, EvaluationFailure, InvalidSpec
-from .jet import stack_div, stack_exp, stack_log
+from .errors import EvaluationFailure, InvalidSpec
+from .jet import stack_div
 from .sampling import SamplingPlan
-
-RAY_START_RADIUS = 1e6
-# A root of g'/f' this close to a ray (in the imaginary part of 1 - root/z)
-# lies on it, and leaves the branch of v undefined there.
-CUT_DISTANCE = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -363,112 +358,39 @@ def validate_h_admissible(
 
 
 # ---------------------------------------------------------------------------
-# The power v = (g'/f')^alpha, normalized to 1 at infinity
+# Zeros of f' and poles of f
 # ---------------------------------------------------------------------------
+
+# A root within ROOT_BAND of the unit circle counts as in |z| >= 1, where the
+# criterion and the chain are sampled: np.roots places a simple root to
+# about eps times its condition number, so the side of the circle such a
+# root falls on is rounding.
+ROOT_BAND = 1e-9
 
 
 def _derivative_roots(fn):
-    """Zeros of fn' and poles of fn, each pole listed twice (it is a double
-    pole of fn'). The Moebius levels fold into one matrix."""
+    """Zeros of fn' and poles of fn. The Moebius levels fold into one
+    matrix."""
     b, b0, tail = fn.lower_coeffs()
     # fn' = (ad - bc) u' / (c u + d)^2. In w = 1/z, u' = b (1 - sum k t_k / b
     # w^(k+1)) and c u + d = (c b + (c b0 + d) w + c sum t_k w^(k+1)) / w. Read
     # from the constant term up, these coefficients are polynomials in z with
     # the roots 1/w.
-    c, d = _fold(fn.levels)[1]
     try:
-        zeros = np.roots(np.r_[1.0, 0.0, -np.arange(1, tail.size + 1) * tail / b])
-        poles = np.roots(np.r_[c * b, c * b0 + d, c * tail]) if c else zeros[:0]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            c, d = _fold(fn.levels)[1]
+            zeros = np.roots(np.r_[1.0, 0.0, -np.arange(1, tail.size + 1) * tail / b])
+            poles = np.roots(np.r_[c * b, c * b0 + d, c * tail]) if c else zeros[:0]
     except np.linalg.LinAlgError as exc:  # coefficients out of double range
         raise EvaluationFailure(f"no roots of {fn.describe()} in double range") from exc
-    return zeros, np.repeat(poles, 2)
+    return zeros, poles
 
 
-def _sheet_index(f, g, points, ratio):
-    """k such that Log ratio + 2 pi i k continues log(g'/f') along the ray
-    from radius RAY_START_RADIUS to each point, the zeros and poles r of
-    g'/f', and the mask of the rays (columns) that pass through each r
-    (rows), where k is undefined. Off its ray each r adds the turn of
-    1 - r/z exactly."""
-    anchor = points * (RAY_START_RADIUS / np.abs(points))
-    (gz, gp), (fz, fp) = _derivative_roots(g), _derivative_roots(f)
-    at = np.r_[gz, fp, fz, gp]
-    sign = np.repeat([1.0, -1.0], [gz.size + fp.size, fz.size + gp.size])
-    # The anchor term is added last but made first, so the temporaries of
-    # its derivative stacks are gone before the root rows exist.
-    anchor_ratio = g.derivs(anchor, 1, first=1)[0] / f.derivs(anchor, 1, first=1)[0]
-    last = np.angle(anchor_ratio) - np.angle(ratio)
-    # One root at a time, into rows allocated once, keeps the temporaries
-    # one row long; the sum runs from 0.0 in root order, as a sum over a
-    # root axis would. arctan2(q.imag, q.real) is np.angle(q).
-    on_ray = np.empty(at.shape + points.shape, dtype=bool)
-    turn = np.zeros(points.shape)
-    q, qa = np.empty_like(points), np.empty_like(points)
-    angle, angle_a = np.empty(points.shape), np.empty(points.shape)
-    near = np.empty(points.shape, dtype=bool)
-    for i, r in enumerate(at):
-        np.subtract(1.0, np.divide(r, points, out=q), out=q)
-        np.less_equal(q.real, 0, out=on_ray[i])
-        np.less(np.abs(q.imag, out=angle), CUT_DISTANCE, out=near)
-        on_ray[i] &= near
-        np.subtract(1.0, np.divide(r, anchor, out=qa), out=qa)
-        np.arctan2(q.imag, q.real, out=angle)
-        angle -= np.arctan2(qa.imag, qa.real, out=angle_a)
-        angle *= sign[i]
-        turn += angle
-    turn += last
-    return np.rint(turn / (2.0 * np.pi)), at, on_ray
-
-
-def power_branch_stack(f, g, alpha: complex, points: np.ndarray) -> np.ndarray:
-    """Order-3 derivative stack of v at each point (value, v', v'', v''')."""
-    points = np.asarray(points, dtype=np.complex128)
-    vstack, _, (error,) = power_branch_slices(f, g, alpha, points, [points.shape[0]])
-    if error is not None:
-        raise error
-    return vstack
-
-
-def power_branch_slices(f, g, alpha: complex, points: np.ndarray, ends, order: int = 3):
-    """The stack of ``power_branch_stack`` and the f stack it was built from
-    over the consecutive slices ``points[ends[k-1]:ends[k]]``, from one pass
-    over all of them, and per slice the error ``power_branch_stack`` raises
-    for that slice alone (a CriticalPoint or EvaluationFailure), or None. The
-    roots of f' and g' are solved once; the stacks of a failed slice mean
-    nothing. The v stack runs through v^(order) and the f stack through
-    f^(order+1); each row is bitwise the same at every order."""
-    points = np.asarray(points, dtype=np.complex128)
-    alpha = complex(alpha)
-    bounds = list(zip([0, *ends[:-1]], ends))
-    errors = [None] * len(bounds)
-    fd = f.derivs(points, order=order + 1)
-    if alpha == 0 or f == g:
-        out = np.zeros((order + 1, points.shape[0]), dtype=np.complex128)
-        out[0] = 1.0
-        return out, fd, errors
-    gd = g.derivs(points, order=order + 1, first=1)  # g' through g^(order+1)
-    bad = (fd[1] == 0) | (gd[0] == 0) | ~(np.isfinite(fd[1]) & np.isfinite(gd[0]))
-    for k, (a, b) in enumerate(bounds):
-        if bad[a:b].any():
-            errors[k] = CriticalPoint(f"g'/f' zero or pole at {points[a:b][bad[a:b]][0]}")
-    # A ratio out of double range comes back non-finite for the caller. The
-    # sheet comes before the stacks, so their temporaries never coexist.
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        sheet = 0.0
-        if None in errors:
-            try:
-                sheet, at, on_ray = _sheet_index(f, g, points, gd[0] / fd[1])
-            except EvaluationFailure as exc:
-                errors = [error or exc for error in errors]
-            else:
-                struck = on_ray.any(axis=0)
-                for k, (a, b) in enumerate(bounds):
-                    if errors[k] is None and struck[a:b].any():
-                        i, j = np.argwhere(on_ray[:, a:b])[0]
-                        errors[k] = CriticalPoint(
-                            f"g'/f' zero or pole at {at[i]} on the ray to {points[a + j]}"
-                        )
-        log_stack = stack_log(stack_div(gd, fd[1:]))
-        log_stack[0] += 2j * np.pi * sheet
-        return stack_exp(alpha * log_stack), fd, errors
-
+def exterior_roots(fn) -> tuple:
+    """The zeros of fn' and the poles of fn in |z| >= 1 - ROOT_BAND, each
+    outermost first (roots of equal modulus in ``np.roots`` order)."""
+    out = []
+    for roots in _derivative_roots(fn):
+        roots = roots[np.argsort(-np.abs(roots), kind="stable")]
+        out.append(roots[np.abs(roots) >= 1.0 - ROOT_BAND])
+    return tuple(out)

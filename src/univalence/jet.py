@@ -2,9 +2,8 @@
 
 A derivative *stack* is a numpy array of shape ``(order+1, ...)`` holding a
 function's value and its first ``order`` derivatives at each point. The
-quotient, exp and log recurrences below carry whole stacks through one
-operation each, for any order up to 4: the Moebius quotient of the catalog
-and the power ``v = (g'/f')^alpha`` are built from them.
+quotient recurrence below carries whole stacks through one operation, for
+any order up to 4: the Moebius quotient of the catalog is built from it.
 """
 
 from __future__ import annotations
@@ -22,24 +21,3 @@ def stack_div(a, b):
             s = s - _BINOM[i][k] * (q[k] * b[i - k])
         q.append(s / b[0])
     return np.stack(q)
-
-
-def stack_exp(a):
-    g = [np.exp(a[0])]
-    for n in range(1, len(a)):
-        s = a[1] * g[n - 1]
-        for k in range(2, n + 1):
-            s = s + _BINOM[n - 1][k - 1] * (a[k] * g[n - k])
-        g.append(s)
-    return np.stack(g)
-
-
-def stack_log(a):
-    """Stack of the principal log(a); derivatives are branch-independent."""
-    g = [np.log(a[0])]
-    for n in range(1, len(a)):
-        s = a[n]
-        for j in range(n - 1):
-            s = s - _BINOM[n - 1][j] * (g[j + 1] * a[n - 1 - j])
-        g.append(s / a[0])
-    return np.stack(g)

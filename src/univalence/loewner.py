@@ -1,26 +1,30 @@
 """Numeric construction and audit of the Loewner chain certifying the
 univalence criterion.
 
-The chain value comes from the closed-form quotient of u = f*v and
-v = (g'/f')^alpha; the driving function w(z,t) is the signed theorem1
-bracket at zeta = e^t/z (so its modulus on |z| = 1 is the criterion LHS
-there). The chain L obeys the Loewner equation dL/dt = z dL/dz p with
-p = (1-w)/(1+w), and Re p > 0 exactly where |w| < 1. The audit checks
-|w| < 1, the Loewner equation on the z grid (from dL/dt and z dL/dz in
-closed form), the first-coefficient law a1(t) = e^t and subordination
-between consecutive chain times. It evaluates each distinct chain sample
-once, in one pass: one power branch of v with one root solve per function,
-one h stack and one quotient over all points. At the default grids that
-pass covers 3920 points: per t, the z grid circles of radius 0.9 and 1 and
-the 512-node doubled a1 contour, plus the subordination probes. The 256-node
-a1 contour and the z grid circle of radius 0.5 are views of the doubled
-contour's even and every eighth nodes, bitwise the nodes ``circle_points``
-gives, since scaling an index and a node count by a power of two is exact.
-The driving function w comes from one criterion-pieces pass and one
-theorem1 call over the z grid at every t; each per-t check runs once over
-samples stacked over t, and one winding pass judges all (t, s) pairs. A
-failure is recorded against its own t slice or (t, s) pair, with the
-message that slice would raise alone, and the audit goes on.
+The chain is L = (v + c h v')/(u + c h u') with u = f*v, v = (g'/f')^alpha
+and c = (e^-t - e^t)/z at zeta = e^t/z. v is a common factor of the
+numerator and the denominator, so L and its derivatives read v only
+through l = v'/v = alpha (g''/g' - f''/f') and v''/v, which no branch of v
+changes: L = (1 + c h l)/(f + c h (f' + f l)). The driving function w(z,t)
+is the signed theorem1 bracket at zeta (so its modulus on |z| = 1 is the
+criterion LHS there). L obeys the Loewner equation dL/dt = z dL/dz p with
+p = (1-w)/(1+w), and Re p > 0 exactly where |w| < 1. The audit checks the
+theorem's hypothesis that f and g have no critical point and no pole in
+|z| >= 1 (from the roots of their coefficients), |w| < 1, the Loewner
+equation on the z grid (from dL/dt and z dL/dz in closed form), the
+first-coefficient law a1(t) = e^t and subordination between consecutive
+chain times. It evaluates each distinct chain sample once, in one pass:
+one f, g and h stack and one quotient over all points. At the default grids
+that pass covers 3920 points: per t, the z grid circles of radius 0.9 and 1
+and the 512-node doubled a1 contour, plus the subordination probes. The
+256-node a1 contour and the z grid circle of radius 0.5 are views of the
+doubled contour's even and every eighth nodes, bitwise the nodes
+``circle_points`` gives, since scaling an index and a node count by a power
+of two is exact. The driving function w comes from one criterion-pieces
+pass and one theorem1 call over the z grid at every t; each per-t check
+runs once over samples stacked over t, and one winding pass judges all
+(t, s) pairs. A failure is recorded against its own t slice or (t, s) pair,
+with the message that slice would raise alone, and the audit goes on.
 """
 
 from __future__ import annotations
@@ -29,13 +33,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .catalog import MeromorphicFn, constant_one, power_branch_slices
+from .catalog import MeromorphicFn, constant_one, exterior_roots
 from .criteria import CriterionParams, pieces, theorem1
 from .errors import (
     ContourThroughSingularity,
     CriticalPoint,
     DenominatorVanishes,
-    EvaluationFailure,
     HVanishes,
     InvalidSpec,
     OutsideDomain,
@@ -65,8 +68,10 @@ class ChainSpec:
     The quotient construction presumes the normalized expansion f = z + a1/z
     + ... (leading coefficient 1, no constant term); a nonzero constant term
     drags a chain pole into the disk for large t, which the audit flags via
-    the first-coefficient law. f, g, h and alpha are checked and converted
-    as ``CriterionParams`` does."""
+    the first-coefficient law. The chain reads v = (g'/f')^alpha only
+    through v'/v, so no branch of v is chosen; the audit fails a pair whose
+    f' or g' vanishes, or whose f or g has a pole, in |z| >= 1. f, g, h and
+    alpha are checked and converted as ``CriterionParams`` does."""
 
     f: MeromorphicFn
     g: MeromorphicFn
@@ -100,46 +105,63 @@ def _concat(slices):
     return z, t, ends
 
 
-def _chain_slices(spec: ChainSpec, slices) -> list:
+def _chain_slices(spec: ChainSpec, slices) -> tuple:
     """Chain values and their derivatives over a sequence of (z, t) slices
-    from one pass over all of their points: one domain check, one power
-    branch, one h stack and one quotient evaluation (the audit's pass is
-    described at ``_audit_samples``). Returns, per slice, the rows (L, dL/dt,
-    z dL/dz) or the error ``chain_values`` raises for that slice alone
-    (CriticalPoint, DenominatorVanishes, EvaluationFailure). L = N/D with
-    N = v + c h v', D = u + c h u', u = f v, zeta = e^t/z, c = (e^-t - e^t)/z;
-    d/dt = zeta d/dzeta + dc/dt d/dc and z d/dz = -zeta d/dzeta - c d/dc."""
+    from one pass over all of their points: one domain check, one f, g and
+    h stack and one quotient evaluation (the audit's pass is described at
+    ``_audit_samples``). Returns the rows (L, dL/dt, z dL/dz) over all the
+    points, NaN over a slice that fails, and per slice None or the error
+    ``chain_values`` raises for that slice alone (CriticalPoint,
+    DenominatorVanishes).
+
+    With zeta = e^t/z, c = (e^-t - e^t)/z, l = v'/v = alpha (pg - pf) and
+    pf = f''/f', pg = g''/g', L = N/D with N = 1 + c h l and D = f + c h u1,
+    u1 = u'/v = f' + f l; d/dt = zeta d/dzeta + dc/dt d/dc and z d/dz =
+    -zeta d/dzeta - c d/dc, which read v''/v = alpha (pg' - pf') + l^2 with
+    p' = f'''/f' - p^2. v = 1 (l = 0, g not evaluated) when alpha = 0 or
+    g = f."""
     z, t, ends = _concat(slices)
     # e^t overflows past t of about 709; the slices record what follows.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         et, emt = np.exp(t), np.exp(-t)
         zeta = et / z
-        (v0, v1, v2), (f0, f1, f2, _), errors = power_branch_slices(
-            spec.f, spec.g, spec.alpha, zeta, ends, order=2
-        )
+        v_is_one = spec.alpha == 0 or spec.f == spec.g
+        fd = spec.f.derivs(zeta, order=2 if v_is_one else 3)
+        f0, f1, f2 = fd[:3]
+        ell = ell2 = 0.0  # v'/v and v''/v
+        critical = np.zeros(z.shape, dtype=bool)
+        if not v_is_one:
+            g1, g2, g3 = spec.g.derivs(zeta, order=3, first=1)
+            critical = (f1 == 0) | (g1 == 0) | ~(np.isfinite(f1) & np.isfinite(g1))
+            pf, pg = f2 / f1, g2 / g1
+            ell = spec.alpha * (pg - pf)
+            ell2 = spec.alpha * (g3 / g1 - fd[3] / f1 - (pg - pf) * (pg + pf)) + ell * ell
         h0, h1 = spec.h.derivs(zeta, order=1)
         coef = (emt - et) / z
-        u0 = f0 * v0
-        u1 = f1 * v0 + f0 * v1
-        u2 = f2 * v0 + 2.0 * f1 * v1 + f0 * v2
-        num = u0 + coef * h0 * u1
-        quotient = (v0 + coef * h0 * v1) / num
+        u1 = f1 + f0 * ell
+        u2 = f2 + 2.0 * f1 * ell + f0 * ell2
+        num = f0 + coef * h0 * u1
+        quotient = (1.0 + coef * h0 * ell) / num
         # zeta dL/dzeta and dL/dc, times D
-        by_zeta = v1 + coef * (h1 * v1 + h0 * v2) - quotient * (u1 + coef * (h1 * u1 + h0 * u2))
+        by_zeta = ell + coef * (h1 * ell + h0 * ell2) - quotient * (u1 + coef * (h1 * u1 + h0 * u2))
         by_zeta *= zeta
-        by_c = h0 * (v1 - quotient * u1)
+        by_c = h0 * (ell - quotient * u1)
         dt = (by_zeta - (emt + et) / z * by_c) / num
         rows = np.stack([quotient, dt, -(by_zeta + coef * by_c) / num])
     singular = (num == 0) | ~np.isfinite(num)
-    out = []
-    for (_, t), a, b, error in zip(slices, [0, *ends[:-1]], ends, errors):
-        bad = singular[a:b]
-        if error is None and bad.any():
+    errors = []
+    for (_, t), a, b in zip(slices, [0, *ends[:-1]], ends):
+        error = None
+        if critical[a:b].any():
+            error = CriticalPoint(f"g'/f' zero or pole at {zeta[a:b][critical[a:b]][0]}")
+        elif singular[a:b].any():
             error = DenominatorVanishes(
-                f"chain quotient singular at z = {z[a:b][bad][0]}, t = {t}"
+                f"chain quotient singular at z = {z[a:b][singular[a:b]][0]}, t = {t}"
             )
-        out.append(rows[:, a:b] if error is None else error)
-    return out
+        if error is not None:
+            rows[:, a:b] = np.nan
+        errors.append(error)
+    return rows, errors
 
 
 def _ok(result):
@@ -149,19 +171,12 @@ def _ok(result):
     return result
 
 
-def _stacked(results, shape, row=...) -> tuple:
-    """Per-slice results as one array, a row per result (row ``row`` of its
-    values, or NaN for an error), and per result its error or None."""
-    errors = [result if isinstance(result, Exception) else None for result in results]
-    rows = [np.full(shape, np.nan + 0j) if e else r[row] for r, e in zip(results, errors)]
-    return np.array(rows).reshape((len(rows),) + shape), errors
-
-
 def chain_values(spec: ChainSpec, z, t: float) -> np.ndarray:
     """Chain value at each z (a scalar counts as one point) for fixed t,
     in the shape of z."""
     z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    return _ok(_chain_slices(spec, [(z, t)])[0])[0].reshape(z.shape)
+    rows, (error,) = _chain_slices(spec, [(z, t)])
+    return _ok(error or rows)[0].reshape(z.shape)
 
 
 def chain_w_values(spec: ChainSpec, z, t: float) -> np.ndarray:
@@ -169,32 +184,36 @@ def chain_w_values(spec: ChainSpec, z, t: float) -> np.ndarray:
     bracket at zeta = e^t/z, with |zeta|^2 = e^{2t} and zeta/conj(zeta) =
     1/z^2."""
     z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    return _ok(_w_slices(spec, [(z, t)])[0]).reshape(z.shape)
+    values, (error,) = _w_slices(spec, [(z, t)])
+    return _ok(error or values).reshape(z.shape)
 
 
-def _w_slices(spec: ChainSpec, slices) -> list:
+def _w_slices(spec: ChainSpec, slices) -> tuple:
     """w over a sequence of (z, t) slices: the signed ``theorem1`` bracket at
     zeta = e^t/z, where |zeta|^2 = e^{2t} and zeta/conj(zeta) = 1/z^2, from
     one ``pieces`` pass and one ``theorem1`` call over all of their points.
-    Returns, per slice, its values or the error ``chain_w_values`` raises
-    for that slice alone (CriticalPoint, HVanishes). Pieces out of double
-    range give non-finite w, which the audit records."""
+    Returns the values over all the points, NaN over a slice that fails,
+    and per slice None or the error ``chain_w_values`` raises for that slice
+    alone (CriticalPoint, HVanishes). Pieces out of double range give
+    non-finite w, which the audit records."""
     z, t, ends = _concat(slices)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         et = np.exp(t)
         w = et / z
         pc = pieces(spec.f, spec.g, spec.h, w)
         values = theorem1(w, pc, spec.alpha, et * et, 1.0 / (z * z))
-    out = []
+    errors = []
     for a, b in zip([0, *ends[:-1]], ends):
+        error = None
         critical = (pc.f1[a:b] == 0) | (pc.g1[a:b] == 0)
         if critical.any():
-            out.append(CriticalPoint(f"f' or g' vanishes at {w[a:b][critical][0]}"))
+            error = CriticalPoint(f"f' or g' vanishes at {w[a:b][critical][0]}")
         elif (pc.h0[a:b] == 0).any():
-            out.append(HVanishes(f"h vanishes at {w[a:b][pc.h0[a:b] == 0][0]}"))
-        else:
-            out.append(values[a:b])
-    return out
+            error = HVanishes(f"h vanishes at {w[a:b][pc.h0[a:b] == 0][0]}")
+        if error is not None:
+            values[a:b] = np.nan
+        errors.append(error)
+    return values, errors
 
 
 def extract_a1(spec: ChainSpec, t: float, circle_radius: float = A1_RADIUS) -> complex:
@@ -203,14 +222,14 @@ def extract_a1(spec: ChainSpec, t: float, circle_radius: float = A1_RADIUS) -> c
     if not 0.0 < circle_radius < 1.0:
         raise ValueError("circle_radius must lie in (0, 1)")
     zs = circle_points(circle_radius, A1_NODE_COUNT)
-    return _ok(_a1_rows(_chain_slices(spec, [(zs, t)]), zs, (t,), circle_radius)[0])
+    rows, errors = _chain_slices(spec, [(zs, t)])
+    return _ok(_a1_rows(rows[:1], errors, zs, (t,), circle_radius)[0])
 
 
-def _a1_rows(chain, zs, ts, circle_radius) -> list:
-    """Per ``_chain_slices`` result on the contour ``zs``, one per time in
-    ``ts``, the a1 of ``extract_a1`` or the error it raises for that result
-    alone, from one mean over the results stacked."""
-    values, errors = _stacked(chain, zs.shape, 0)
+def _a1_rows(values, errors, zs, ts, circle_radius) -> list:
+    """Per row of chain values on the contour ``zs``, one per time in ``ts``
+    with its ``_chain_slices`` error, the a1 of ``extract_a1`` or the error
+    it raises for that row alone, from one mean over all the rows."""
     with np.errstate(over="ignore", invalid="ignore"):
         a1 = np.mean(values / zs, axis=1)
     out = []
@@ -235,22 +254,22 @@ def subordination_check(spec: ChainSpec, t: float, s: float, r: float = A1_RADIU
         raise ValueError("contour radius must lie in (0, 1)")
     ring = circle_points(r, A1_NODE_COUNT)
     probes_z = circle_points(0.9 * r, PROBE_COUNT)
-    contour, probes = _chain_slices(spec, [(ring, s), (probes_z, t)])
-    failures = _ok(_subordination([(t, s)], probes_z, [contour], [probes])[0])
+    rows, errors = _chain_slices(spec, [(ring, s), (probes_z, t)])
+    contour, probes = rows[:1, : ring.size], rows[:1, ring.size :]
+    failures = _ok(_subordination([(t, s)], probes_z, contour, probes, [errors])[0])
     return (not failures), failures
 
 
-def _subordination(pairs, probes_z, contours, probes) -> list:
+def _subordination(pairs, probes_z, rings, probes, errors) -> list:
     """Per (t, s) pair, the failures of ``subordination_check`` or the error
-    it raises for that pair alone, from the ``_chain_slices`` results on the
-    s-contour and at the t probes, with one winding pass for all pairs."""
-    rings, ring_errors = _stacked(contours, (A1_NODE_COUNT,), 0)
-    values, probe_errors = _stacked(probes, probes_z.shape, 0)
+    it raises for that pair alone, from the chain values on the s-contour
+    and at the t probes, a row per pair, and per pair the ``_chain_slices``
+    errors of both, with one winding pass for all pairs."""
     closed = np.concatenate([rings, rings[:, :1]], axis=1)
-    turns, winding_errors = winding_rows(closed, values) if pairs else ((), ())
+    turns, winding_errors = winding_rows(closed, probes) if pairs else ((), ())
     out = []
-    for (t, s), row, *errors in zip(pairs, turns, ring_errors, probe_errors, winding_errors):
-        error = next(filter(None, errors), None)
+    for (t, s), row, chain_errors, winding_error in zip(pairs, turns, errors, winding_errors):
+        error = next(filter(None, [*chain_errors, winding_error]), None)
         if isinstance(error, DenominatorVanishes):
             error = ContourThroughSingularity(str(error))
         elif isinstance(error, InvalidSpec):  # winding_rows refuses a non-finite value
@@ -321,42 +340,60 @@ def _audit_nodes():
 
 def _audit_samples(spec: ChainSpec, ts: tuple, z: np.ndarray, nodes: tuple):
     """Every sample the audit reads at the z grid ``z`` and the
-    ``_audit_nodes``, each as a ``_chain_slices`` result: per t, the chain
-    rows on the grid, on the a1 contour and on the doubled contour, and w on
-    the grid; and, per subordination pair, the chain rows at the probes.
+    ``_audit_nodes``, stacked with a row per t (per subordination pair for
+    the probes): the chain rows (L, dL/dt, z dL/dz) on the grid, of shape
+    (3, len(ts), z.size); L on the a1 contour and on the doubled contour; w
+    on the grid; and L at the probes. Returns these five arrays, NaN in a
+    row whose slice failed, and their five lists of per-row errors, each
+    None or the error of ``_chain_slices`` or ``_w_slices`` for that row's
+    slice evaluated alone.
 
     Each distinct point is evaluated once. ``circle_points(r, 2n)[::2]`` is
     bitwise ``circle_points(r, n)``, since scaling an angle's index and the
-    node count by a power of two is exact. So the a1 contour is a view of
-    the even nodes of the doubled contour, and the first grid circle
-    (radius A1_RADIUS, DEFAULT_Z_ANGLES nodes) a view of every eighth.
-    When the doubled contour carries an error, the a1 contour and the grid
-    are evaluated alone instead, so each keeps the message and point of its
-    own evaluation."""
+    node count by a power of two is exact. So the a1 contour is the even
+    nodes of the doubled contour, and the first grid circle (radius
+    A1_RADIUS, DEFAULT_Z_ANGLES nodes) every eighth. With the first circle
+    clean, the grid fails where the other circles first fail, with the same
+    message. When the doubled contour carries an error, the a1 contour and
+    the grid are evaluated alone instead, so each keeps the message and
+    point of its own evaluation."""
     contour, doubled, probes_z = nodes
-    stride = doubled.size // DEFAULT_Z_ANGLES
-    rest = z[DEFAULT_Z_ANGLES:]  # the grid circles past the first
-    slices = []
-    for t in ts:
-        slices += [(rest, t), (doubled, t)]
-    slices += [(probes_z, t) for t in ts[:-1]]
-    chain = _chain_slices(spec, slices)
-    w = _w_slices(spec, [(z, t) for t in ts])
-
-    samples = []
+    n, rest = len(ts), z[DEFAULT_Z_ANGLES:]  # the grid circles past the first
+    slices = [(zs, t) for t in ts for zs in (rest, doubled)] + [(probes_z, t) for t in ts[:-1]]
+    rows, errors = _chain_slices(spec, slices)
+    end = n * (rest.size + doubled.size)  # where the probes start
+    per_t = rows[:, :end].reshape(3, n, -1)
+    on_doubled = per_t[0, :, rest.size :]
+    first_circle = per_t[:, :, rest.size :: doubled.size // DEFAULT_Z_ANGLES]
+    grid = np.concatenate([first_circle, per_t[:, :, : rest.size]], axis=2)
+    on_contour = on_doubled[:, ::2].copy()
+    grid_errors, doubled_errors = errors[: 2 * n : 2], errors[1 : 2 * n : 2]
+    contour_errors = list(doubled_errors)
     for i, t in enumerate(ts):
-        outer, on_doubled = chain[2 * i : 2 * i + 2]
-        if isinstance(on_doubled, Exception):
-            grid, on_contour = _chain_slices(spec, [(z, t), (contour, t)])
-        else:
-            # With the first circle clean, the grid fails where ``outer``
-            # first fails, with the same message.
-            grid = outer
-            if not isinstance(outer, Exception):
-                grid = np.concatenate([on_doubled[:, ::stride], outer], axis=1)
-            on_contour = on_doubled[:, ::2]
-        samples.append((grid, on_contour, on_doubled, w[i]))
-    return samples, chain[2 * len(ts) :]
+        if doubled_errors[i] is not None:
+            alone, (grid_errors[i], contour_errors[i]) = _chain_slices(spec, [(z, t), (contour, t)])
+            grid[:, i], on_contour[i] = alone[:, : z.size], alone[0, z.size :]
+        elif grid_errors[i] is not None:
+            grid[:, i] = np.nan
+    w, w_errors = _w_slices(spec, [(z, t) for t in ts])
+    probes = rows[0, end:].reshape(n - 1, probes_z.size)
+    return (
+        (grid, on_contour, on_doubled, w.reshape(n, z.size), probes),
+        (grid_errors, contour_errors, doubled_errors, w_errors, errors[2 * n :]),
+    )
+
+
+def _preconditions(spec: ChainSpec) -> list:
+    """The theorem's hypotheses on f and g that fail: per function (g only
+    when it is not f), the outermost zero of its derivative and the
+    outermost pole in |z| >= 1 (``catalog.exterior_roots``)."""
+    out = []
+    for name, fn in [("f", spec.f)] + [("g", spec.g)] * (spec.g != spec.f):
+        for roots, what in zip(exterior_roots(fn), (f"{name}' vanishes", f"{name} has a pole")):
+            if roots.size:
+                more = f" (and {roots.size - 1} more there)" if roots.size > 1 else ""
+                out.append(f"{what} at {complex(roots[0])} in |z| >= 1{more}")
+    return out
 
 
 def audit_pommerenke(spec: ChainSpec, t_samples=None) -> AuditReport:
@@ -364,29 +401,30 @@ def audit_pommerenke(spec: ChainSpec, t_samples=None) -> AuditReport:
     recorded rather than aborting the audit. Aggregation is t-major, then
     z index, so reports are reproducible.
 
-    Every sample comes from ``_audit_samples``: at the default grids one
-    chain pass over 3920 points (6 t x (128 grid + 512 doubled-contour
-    points) + 5 x 16 probes) and one w pass over 6 x 192 grid points, each
-    slice read as if it had been evaluated alone. The s-contour of a pair is
-    the a1 contour at s, the contour of ``subordination_check``'s default r.
-    |w|, the residual and both a1 means are computed over rows stacked over
-    t. A Loewner residual (LOEWNER_RESIDUAL_TOL) that is not finite reads
-    inf."""
+    A zero of f' or g', or a pole of f or g, in |z| >= 1 is recorded first,
+    as a ``precondition``, and fails the audit. Every sample comes from
+    ``_audit_samples``: at the default grids one chain pass over 3920 points
+    (6 t x (128 grid + 512 doubled-contour points) + 5 x 16 probes) and one
+    w pass over 6 x 192 grid points, each slice read as if it had been
+    evaluated alone. The s-contour of a pair is the a1 contour at s, the
+    contour of ``subordination_check``'s default r. |w|, the residual and
+    both a1 means are computed over rows stacked over t. A Loewner residual
+    (LOEWNER_RESIDUAL_TOL) that is not finite reads inf."""
     z = default_z_samples()
     ts = tuple(DEFAULT_T_SAMPLES if t_samples is None else t_samples)
     if not ts:
         raise ValueError("t_samples must hold at least one time")
 
+    errors = [("precondition", message) for message in _preconditions(spec)]
     contour, doubled, probes_z = nodes = _audit_nodes()
-    samples, probes = _audit_samples(spec, ts, z, nodes)
-    grid, on_contour, on_doubled, w = zip(*samples)
-    grid, grid_errors = _stacked(grid, (3, z.size))
-    cv, dt, zdz = grid.transpose(1, 0, 2)
-    w, w_errors = _stacked(w, z.shape)
-    a1s = _a1_rows(on_contour, contour, ts, A1_RADIUS)
-    a1d = _a1_rows(on_doubled, doubled, ts, A1_RADIUS)
+    samples, sample_errors = _audit_samples(spec, ts, z, nodes)
+    (cv, dt, zdz), on_contour, on_doubled, w, probes = samples
+    grid_errors, contour_errors, doubled_errors, w_errors, probe_errors = sample_errors
+    a1s = _a1_rows(on_contour, contour_errors, contour, ts, A1_RADIUS)
+    a1d = _a1_rows(on_doubled, doubled_errors, doubled, ts, A1_RADIUS)
     pairs = list(zip(ts[:-1], ts[1:]))
-    judged = _subordination(pairs, probes_z, on_contour[1:], probes)
+    pair_errors = list(zip(contour_errors[1:], probe_errors))
+    judged = _subordination(pairs, probes_z, on_contour[1:], probes, pair_errors)
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         abs_w = np.abs(w)
@@ -403,7 +441,6 @@ def audit_pommerenke(spec: ChainSpec, t_samples=None) -> AuditReport:
     w_at, grid_at = np.argmin(w_finite, axis=1), np.argmin(grid_finite, axis=1)
 
     loewner = -np.inf
-    errors = []  # (stage, error or message)
     a1_records = []
     for i, (t, a1, a1_double) in enumerate(zip(ts, a1s, a1d)):
         if w_errors[i] is not None:
@@ -434,11 +471,6 @@ def audit_pommerenke(spec: ChainSpec, t_samples=None) -> AuditReport:
             errors.append((f"subordination ({t}, {s})", result))
         else:
             subordination_failures.extend(result)
-    # An EvaluationFailure (the roots of f' or g' out of double range, so no
-    # branch of v) ends the audit instead of being recorded.
-    for _, error in errors:
-        if isinstance(error, EvaluationFailure):
-            raise error
     errors = [f"{stage}: {error}" for stage, error in errors]
 
     passed = (

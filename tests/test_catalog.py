@@ -9,15 +9,15 @@ from hypothesis import strategies as st
 import univalence as uv
 from univalence import _kernels
 from univalence.catalog import (
+    ROOT_BAND,
     SigmaClassReport,
     _derivative_roots,
+    exterior_roots,
     parse_complex,
-    power_branch_stack,
 )
 from univalence.cli import main
 from univalence.criteria import CriterionParams, evaluate_lhs
 from univalence.errors import (
-    CriticalPoint,
     EvaluationFailure,
     InvalidSpec,
 )
@@ -285,51 +285,6 @@ class TestHAdmissibility:
             rep = uv.validate_h_admissible(uv.inverse_square(c), uv.SamplingPlan())
             assert rep.equivalence_ok
 
-
-def power_branch(f, g, alpha, z):
-    """Value and first three derivatives of v = (g'/f')^alpha at the one
-    point z."""
-    return power_branch_stack(f, g, alpha, np.array([z], dtype=np.complex128))[:, 0]
-
-
-class TestPowerBranch:
-    def test_equal_functions_give_unit_jet(self):
-        v = power_branch(uv.joukowski(0.5), uv.joukowski(0.5), 0.7 + 0.1j, 2.0)
-        assert v.tolist() == [1.0, 0.0, 0.0, 0.0]
-
-    def test_zero_alpha_gives_unit_jet(self):
-        v = power_branch(uv.joukowski(0.5), uv.joukowski(1.2), 0.0, 2.0)
-        assert v[0] == 1.0 and v[1] == 0.0
-
-    def test_sqrt_example(self):
-        v = power_branch(uv.joukowski(0.5), uv.joukowski(1.2), 0.5, 2.0)
-        assert abs(v[0] - np.sqrt(0.8)) < 1e-12
-
-    def test_reciprocity(self, rng):
-        f, g = uv.joukowski(0.5), uv.laurent(1, 0, [0.2, 0.1])
-        pts = exterior_points(rng, 30, 1.05, 20.0)
-        fw = power_branch_stack(f, g, 0.35 + 0.2j, pts)[0]
-        bw = power_branch_stack(g, f, 0.35 + 0.2j, pts)[0]
-        assert np.max(np.abs(fw * bw - 1.0)) <= 1e-10
-
-    def test_alpha_one_equals_jet_quotient(self, rng):
-        f, g = uv.joukowski(0.5), uv.joukowski(1.2)
-        for z in exterior_points(rng, 10, 1.3, 8.0):
-            v = power_branch(f, g, 1.0, z)
-            fd = f.derivs(np.array([z]))[:, 0]
-            gd = g.derivs(np.array([z]))[:, 0]
-            assert np.max(np.abs(v - stack_div(gd[1:], fd[1:]))) <= 1e-12
-
-    def test_branch_continuity_against_principal_log(self):
-        # For a ratio that stays near 1, ray continuation must agree with the
-        # principal branch.
-        f, g = uv.joukowski(0.1), uv.joukowski(0.3)
-        z = 1.5 * np.exp(1.1j)
-        v = power_branch(f, g, 0.5, z)
-        fd1 = f.derivs([z], 1)[1, 0]
-        gd1 = g.derivs([z], 1)[1, 0]
-        assert abs(v[0] - np.exp(0.5 * np.log(gd1 / fd1))) < 1e-12
-
     def test_admissible_h_ratio_bound(self):
         # The disk bound used at chain time t=0 holds for every admissible h.
         plan = uv.SamplingPlan()
@@ -339,37 +294,48 @@ class TestPowerBranch:
                 assert rep.max_ratio <= 1.0 + 1e-9
 
 
-class TestSheetChoice:
-    """The sheet of log(g'/f') comes from the roots of f' and g' in 1/z."""
+class TestDerivativeRoots:
+    """The zeros of f' and the poles of f, read from the coefficients."""
 
     def test_derivative_roots_fold_nested_moebius(self):
         inner = uv.laurent(1.5 - 0.5j, 0.2j, [0.3 - 0.1j, 0.05j, -0.02])
         fn = uv.moebius_of(uv.moebius_of(inner, 2, 1j, 0.5, 3), 1, 0.3, 0.2j, 1)
         zeros, poles = _derivative_roots(fn)
-        assert zeros.size == 4 and poles.size == 8
-        assert np.array_equal(poles[::2], poles[1::2])
+        assert zeros.size == 4 and poles.size == 4
         # fn' vanishes with the inner map's derivative; fn blows up at a pole
         assert np.max(np.abs(inner.derivs(zeros, order=1)[1])) < 1e-12
         assert np.min(np.abs(fn.values(poles * (1.0 + 1e-9)))) > 1e6
         assert _derivative_roots(uv.moebius_of(inner, 2, 1, 0, 1))[1].size == 0
 
-    def test_pole_on_ray_raises(self):
-        # f has a pole at z ~ -9.97, on the ray from infinity to -2; stepping
-        # along the ray used to pass over it and return a value
-        f = uv.moebius_of(uv.joukowski(0.3), 1, 0, 0.1, 1)
-        g = uv.laurent(1, 0, [0.1 - 0.05j, 0.03j])
-        with pytest.raises(CriticalPoint, match=r"-9\.96.* on the ray to \(-2"):
-            power_branch(f, g, 0.5, -2)
-        assert np.isfinite(power_branch(f, g, 0.5, -2 + 0.1j)).all()
+    @pytest.mark.parametrize(
+        "spec,zeros,poles",
+        [
+            pytest.param(spec, zeros, poles, id=spec)
+            for spec, zeros, poles in [
+                ("joukowski:1.2", [1.0954451150103321] * 2, []),
+                ("joukowski:2.0", [1.4142135623730951] * 2, []),
+                ("laurent:1;0;0,0,0.9", [1.2819] * 4, []),
+                ("moebius:1,0,1,-2:identity", [], [2.0]),
+                ("joukowski:0.6", [], []),
+                ("joukowski:0.999", [], []),
+                ("laurent:1;0;0.2,0.05", [], []),
+            ]
+        ],
+    )
+    def test_exterior_roots(self, spec, zeros, poles):
+        got = exterior_roots(uv.make_sigma_function(spec))
+        for roots, want in zip(got, (zeros, poles)):
+            assert np.allclose(np.abs(roots), want, rtol=1e-4)
+            assert np.all(np.diff(np.abs(roots)) <= 0)  # outermost first
 
-    def test_root_off_the_ray_keeps_a_finite_branch(self):
-        # g' = 1 - 1.5/z^2 vanishes at z = sqrt(1.5); rays near it still work
-        f, g = uv.identity(), uv.joukowski(1.5)
-        zs = 1.1 * np.exp(1j * np.array([0.05, -0.05, 1.0, np.pi - 0.05]))
-        v = power_branch_stack(f, g, 0.5, zs)
-        assert np.all(np.isfinite(v))
-        with pytest.raises(CriticalPoint):
-            power_branch_stack(f, g, 0.5, np.array([1.1 + 0j]))
+    def test_root_within_rounding_of_the_circle_counts(self):
+        # joukowski:1.0 has f' = 1 - 1/z^2, zero at +-1 on the circle, where
+        # np.roots may place a root an ulp or two inside: a root within
+        # ROOT_BAND of |z| = 1 counts as in |z| >= 1, one farther in does not
+        zeros, _ = exterior_roots(uv.joukowski(1.0))
+        assert np.allclose(sorted(zeros.real), [-1.0, 1.0], rtol=0, atol=1e-15)
+        assert exterior_roots(uv.joukowski((1.0 - 0.5 * ROOT_BAND) ** 2))[0].size == 2
+        assert exterior_roots(uv.joukowski((1.0 - 2.0 * ROOT_BAND) ** 2))[0].size == 0
 
 
 class TestDerivativeOrders:

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import univalence.cli
+from univalence.catalog import make_sigma_function
 from univalence.cli import _FLAGS, SETTINGS, RunConfig, _build_parser, _json_text, main, run
 from univalence.errors import UsageError
 
@@ -229,19 +230,51 @@ class TestExitCodes:
         assert code == 1
         assert abs(report["result"]["max_abs_w"] - 1.0588235294117647) < 1e-6
 
-    def test_chain_records_root_on_ray(self):
-        # f' = 1 - 1.5/z^2 vanishes at z = sqrt(1.5), on the ray to the t = 0
-        # sample 1/0.9: that slice is recorded, the audit goes on and fails
+    def test_chain_records_critical_point_in_exterior(self):
+        # f' = 1 - 1.5/z^2 vanishes at z = +-sqrt(1.5): the precondition
+        # names the outermost root, the audit goes on over every t and fails
         code, report, _ = run_quiet(
             RunConfig(command="chain", f="joukowski:1.5", g="identity")
         )
         result = report["result"]
         assert code == 1 and result["pass"] is False
         assert result["errors"] == [
-            "chain grid at t=0.0: g'/f' zero or pole at (1.2247448713915894+0j) "
-            "on the ray to (1.1111111111111112+0j)"
+            "precondition: f' vanishes at (1.2247448713915894+0j) in |z| >= 1 (and 1 more there)"
         ]
         assert len(result["a1"]) == 6
+
+    @pytest.mark.parametrize("n", [16, 32, 63])
+    def test_chain_fails_critical_point_near_the_circle(self, n, capsys):
+        # f = z - (1.5/n) z^-n is not univalent on |z| > 1: f' = 1 + 1.5
+        # z^-(n+1) vanishes at |z| = 1.5^(1/(n+1)), 1.024 to 1.006. |w| stays
+        # below 1 at the six chain times, so only the precondition fails
+        f = "laurent:1;0;" + ",".join(["0"] * (n - 1) + [repr(-1.5 / n)])
+        assert main(["chain", "--f", f, "--g", "identity", "--alpha", "0"]) == 1
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["pass"] is False and result["max_abs_w"] < 1.0
+        (error,) = result["errors"]
+        prefix = "precondition: f' vanishes at "
+        assert error.startswith(prefix) and error.endswith(f" in |z| >= 1 (and {n} more there)")
+        root = complex(error[len(prefix) :].split(" in ")[0])
+        assert abs(abs(root) - 1.5 ** (1 / (n + 1))) < 1e-12
+        assert abs(make_sigma_function(f).derivs(np.array([root]), 1)[1, 0]) < 1e-12
+
+    def test_chain_passes_control_without_exterior_roots(self, capsys):
+        argv = ["chain", "--f", "laurent:1;0;0.2,0.05", "--g", "identity", "--alpha", "0"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["errors"] == []
+
+    def test_chain_root_within_rounding_of_the_circle_fails(self):
+        # joukowski:1.0: f' = 1 - 1/z^2 vanishes at +-1, which np.roots
+        # places an ulp inside |z| = 1; a root within catalog.ROOT_BAND of the
+        # circle counts as in |z| >= 1. The sample at zeta = 1 fails too.
+        code, report, _ = run_quiet(
+            RunConfig(command="chain", f="joukowski:1.0", g="identity")
+        )
+        errors = report["result"]["errors"]
+        assert code == 1
+        assert errors[0].startswith("precondition: f' vanishes at ")
+        assert "chain grid at t=0.0: g'/f' zero or pole at (1+0j)" in errors
 
     @pytest.mark.parametrize(
         "argv",

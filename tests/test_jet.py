@@ -3,13 +3,11 @@ from math import comb
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import univalence as uv
 from univalence.criteria import CriterionParams, evaluate_lhs, pieces
 from univalence.errors import CriticalPoint, OutsideDomain
-from univalence.jet import stack_div, stack_exp, stack_log
+from univalence.jet import stack_div
 
 from conftest import exterior_points
 from test_reference import mp_derivs, rel_error
@@ -46,27 +44,7 @@ def schwarzian(f, points):
     return pieces(f, uv.identity(), uv.constant_one(), np.atleast_1d(points), "nehari").sf
 
 
-finite_part = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
-
-
-@st.composite
-def stacks(draw, im_bound=3.0):
-    return stack(
-        *(complex(draw(finite_part), draw(st.floats(-im_bound, im_bound))) for _ in range(4))
-    )
-
-
 class TestCombineRules:
-    def test_exp_of_identity_seed(self):
-        assert close(stack_exp(stack(0, 1, 0, 0)), stack(1, 1, 1, 1))
-
-    def test_log_of_shifted_identity(self):
-        assert close(stack_log(stack(1, 1, 0, 0)), stack(0, 1, -1, 2))
-
-    def test_sqrt_binomial_series(self):
-        out = stack_exp(0.5 * stack_log(stack(1, 1, 0, 0)))
-        assert close(out, stack(1, 0.5, -0.25, 0.375))
-
     def test_div_then_mul_roundtrip(self):
         a = stack(2.0 + 1j, -0.5, 0.25j, 1.0)
         b = stack(-1.0 + 2j, 1.5, -0.5, 0.125j)
@@ -78,13 +56,6 @@ class TestCombineRules:
         with np.errstate(divide="ignore", invalid="ignore"):
             out = stack_div(stack(1, 0, 0, 0), stack(0, 1, 0, 0))
         assert not np.isfinite(out).any()
-
-
-@settings(max_examples=60, derandomize=True, deadline=None)
-@given(stacks(im_bound=3.0))
-def test_log_exp_roundtrip(a):
-    # |Im a[0]| < pi keeps exp(a) off the principal cut.
-    assert np.max(np.abs(stack_log(stack_exp(a)) - a)) <= 1e-12
 
 
 class TestDerivativesOf:

@@ -12,7 +12,6 @@ from univalence.criteria import pieces
 from univalence.errors import (
     CriticalPoint,
     DenominatorVanishes,
-    EvaluationFailure,
     HVanishes,
     InvalidSpec,
     OutsideDomain,
@@ -48,6 +47,9 @@ def jouk_spec(c, alpha=0.5, h=None):
     return ChainSpec(f=f, g=f, h=h if h is not None else uv.constant_one(), alpha=alpha)
 
 
+# f = 1e-310 z: every chain value overflows.
+SUBNORMAL_SPEC = ChainSpec(f=uv.laurent(1e-310, 0), g=uv.identity(), alpha=0.0)
+
 # Chain specs use the normalized class (b = 1, b0 = 0): the quotient formula
 # presumes it, and a nonzero b0 drags a chain pole to z ~ 1/(b0 e^t).
 CATALOG_SPECS = [
@@ -61,8 +63,7 @@ CATALOG_SPECS = [
 
 class TestChainSpecRoles:
     def test_h_as_g_is_refused(self):
-        # the audit died in the ray branch: "no roots of hinvsq(...) in
-        # double range"
+        # refused as ChainSpec is built, before any root of g is solved
         with pytest.raises(InvalidSpec) as exc:
             audit_pommerenke(ChainSpec(f=uv.joukowski(0.3), g=uv.inverse_square(0.3)))
         assert str(exc.value) == "hinvsq((0.3+0j)) has no leading term b z with b != 0"
@@ -192,9 +193,9 @@ def unsquared_w(spec, z, t):
 
 def chain_rows(spec, z, t):
     """The rows (L, dL/dt, z dL/dz) of one slice evaluated alone."""
-    rows = _chain_slices(spec, [(z, t)])[0]
-    if isinstance(rows, Exception):
-        raise rows
+    rows, (error,) = _chain_slices(spec, [(z, t)])
+    if error is not None:
+        raise error
     return rows
 
 
@@ -392,16 +393,9 @@ class TestAudit:
         assert all({"t", "re", "im", "residual", "doubling_ok"} <= set(r) for r in d["a1"])
 
     def test_nonfinite_chain_values_are_recorded(self):
-        # den/num overflows: every chain value is inf, every dt quotient NaN
-        spec = ChainSpec(
-            f=uv.make_sigma_function(
-                "moebius:1e-160,1e-300,1e-300,-1.29-1.19e-07j:"
-                "laurent:2.22e-16-0.702j;0.716+2.88j;1e-300+1e-300j"
-            ),
-            g=uv.joukowski(-0.774),
-            alpha=-1.0,
-        )
-        rep = audit_pommerenke(spec, t_samples=(0.0, 1.0))
+        # f = 1e-310 z: the quotient's denominator is subnormal, so every
+        # chain value overflows and every dt quotient is NaN
+        rep = audit_pommerenke(SUBNORMAL_SPEC, t_samples=(0.0, 1.0))
         for t in (0.0, 1.0):
             assert f"chain grid at t={t}: non-finite chain value at z = (0.5+0j)" in rep.errors
         assert not rep.passed
@@ -412,12 +406,14 @@ class TestAudit:
         exact = loewner._w_slices
 
         def with_nan(spec, slices):
-            out = exact(spec, slices)
-            for (_, t), w in zip(slices, out):
+            values, errors = exact(spec, slices)
+            start = 0
+            for z, t in slices:
                 if t == 0.5:
-                    w[0] = np.nan
-                    w[1] = 1.5
-            return out
+                    values[start] = np.nan
+                    values[start + 1] = 1.5
+                start += z.size
+            return values, errors
 
         monkeypatch.setattr(loewner, "_w_slices", with_nan)
         z = loewner.default_z_samples()
@@ -428,16 +424,8 @@ class TestAudit:
         assert not rep.passed
 
     def test_residual_without_finite_samples_is_null(self):
-        # the overflow chain above: no finite chain derivative gives a residual
-        spec = ChainSpec(
-            f=uv.make_sigma_function(
-                "moebius:1e-160,1e-300,1e-300,-1.29-1.19e-07j:"
-                "laurent:2.22e-16-0.702j;0.716+2.88j;1e-300+1e-300j"
-            ),
-            g=uv.joukowski(-0.774),
-            alpha=-1.0,
-        )
-        d = audit_pommerenke(spec, t_samples=(0.0, 1.0)).to_json_dict()
+        # the subnormal chain above: no finite chain derivative gives a residual
+        d = audit_pommerenke(SUBNORMAL_SPEC, t_samples=(0.0, 1.0)).to_json_dict()
         assert d["loewner_residual"] is None
         assert d["pass"] is False
 
@@ -489,21 +477,21 @@ class TestAudit:
         assert list(rep.subordination_failures) == failures
 
     def test_one_evaluation_pass_per_audit(self, monkeypatch):
-        # one root solve per function and a fixed number of kernel calls
-        # whatever the number of chain times: five for the chain pass (f, g
-        # and h stacks, and f', g' at the ray anchors) and three for the w
-        # pass (f, g and h); 3920 chain points at the default grids (the a1
+        # one root solve per function (the precondition) and a fixed number
+        # of kernel calls whatever the number of chain times: three for the
+        # chain pass (f, g and h stacks) and three for the w pass (f, g and
+        # h); one chain pass over 3920 points at the default grids (the a1
         # contour and the first grid circle are views of the doubled
         # contour); one winding call for all subordination pairs, none for a
         # single chain time (no pair)
         from univalence import _kernels, catalog, loewner
 
-        roots, kernel, branch_points = Counter(), Counter(), []
-        solve, derivs, winding, branch = (
+        roots, kernel, chain_points = Counter(), Counter(), []
+        solve, derivs, winding, chain = (
             catalog._derivative_roots,
             _kernels.laurent_derivs,
             _kernels.winding_sum,
-            loewner.power_branch_slices,
+            loewner._chain_slices,
         )
 
         def counted_roots(fn):
@@ -517,26 +505,26 @@ class TestAudit:
 
             return call
 
-        def recorded_branch(f, g, alpha, points, *args, **kwargs):
-            branch_points.append(points.size)
-            return branch(f, g, alpha, points, *args, **kwargs)
+        def recorded_chain(spec, slices):
+            chain_points.append(sum(np.size(z) for z, _ in slices))
+            return chain(spec, slices)
 
         monkeypatch.setattr(catalog, "_derivative_roots", counted_roots)
         monkeypatch.setattr(_kernels, "laurent_derivs", counted("derivs", derivs))
         monkeypatch.setattr(_kernels, "winding_sum", counted("winding", winding))
-        monkeypatch.setattr(loewner, "power_branch_slices", recorded_branch)
+        monkeypatch.setattr(loewner, "_chain_slices", recorded_chain)
         f, g = uv.laurent(1, 0, [0.1, 0.02]), uv.joukowski(0.2)
         spec = ChainSpec(f=f, g=g, h=uv.inverse_square(0.1), alpha=0.4 + 0.1j)
         rep = audit_pommerenke(spec)
         assert rep.passed
         assert roots == Counter({f: 1, g: 1})
-        assert kernel["derivs"] <= 8
-        assert branch_points == [3920]
+        assert kernel["derivs"] == 6
+        assert chain_points == [3920]
         assert kernel["winding"] == 1
 
         kernel.clear()
         audit_pommerenke(spec, t_samples=np.linspace(0.0, 4.0, 11))
-        assert kernel["derivs"] <= 8
+        assert kernel["derivs"] == 6
         assert kernel["winding"] == 1
 
         kernel.clear()
@@ -548,42 +536,50 @@ def _standalone(fn, spec, z, t):
     """``fn(spec, z, t)``, or the chain error it raises."""
     try:
         return fn(spec, z, t)
-    except (CriticalPoint, DenominatorVanishes, EvaluationFailure, HVanishes) as exc:
+    except (CriticalPoint, DenominatorVanishes, HVanishes) as exc:
         return exc
 
 
-def _same(got, want) -> bool:
-    """A sample equals its standalone evaluation: bitwise the same values,
-    NaN positions included, or an error of the same type and message."""
+def _same(got, error, want) -> bool:
+    """A stacked row and its error equal the row's standalone evaluation:
+    bitwise the same values, NaN positions included, and no error; or an
+    error of the same type and message, and a row of NaN."""
     if isinstance(want, Exception):
-        return type(got) is type(want) and str(got) == str(want)
-    return not isinstance(got, Exception) and np.array_equal(got, want, equal_nan=True)
+        return type(error) is type(want) and str(error) == str(want) and np.isnan(got).all()
+    return error is None and np.array_equal(got, want, equal_nan=True)
 
 
 def assert_samples_standalone(spec, ts):
-    """Every audit sample, views of the doubled contour and the one w pass
-    included, is what ``_chain_slices`` or ``chain_w_values`` gives for its
-    slice alone; returns the number of samples that are errors."""
+    """Every row of the audit's samples stacked over t (over the pairs for
+    the probes), the contour views and the one w pass included, is what
+    ``_chain_slices``, ``chain_values`` or ``chain_w_values`` gives for its
+    slice alone; returns the number of rows that are errors."""
     z = default_z_samples()
     contour, doubled, probes_z = nodes = _audit_nodes()
-    samples, probes = _audit_samples(spec, ts, z, nodes)
-    assert len(samples) == len(ts) and len(probes) == len(ts) - 1
-    errors = 0
-    for t, (grid, on_contour, on_doubled, w) in zip(ts, samples):
-        for got, fn, zs, at in (
-            (grid, chain_rows, z, t),
-            (on_contour, chain_rows, contour, t),
-            (on_doubled, chain_rows, doubled, t),
-            (w, chain_w_values, z, t),
-        ):
-            want = _standalone(fn, spec, zs, at)
-            assert _same(got, want), (fn.__name__, zs.size, at, got, want)
-            errors += isinstance(want, Exception)
-    for got, t in zip(probes, ts[:-1]):
-        want = _standalone(chain_rows, spec, probes_z, t)
-        assert _same(got, want), (t, got, want)
-        errors += isinstance(want, Exception)
-    return errors
+    (grid, on_contour, on_doubled, w, probes), errors = _audit_samples(spec, ts, z, nodes)
+    assert grid.shape == (3, len(ts), z.size)
+    assert probes.shape == (len(ts) - 1, PROBE_COUNT)
+    grid_errors, contour_errors, doubled_errors, w_errors, probe_errors = errors
+    rows = []
+    for i, t in enumerate(ts):
+        rows += [
+            (grid[:, i], grid_errors[i], chain_rows, z, t),
+            (on_contour[i], contour_errors[i], chain_values, contour, t),
+            (on_doubled[i], doubled_errors[i], chain_values, doubled, t),
+            (w[i], w_errors[i], chain_w_values, z, t),
+        ]
+    rows += [(probes[i], probe_errors[i], chain_values, probes_z, t) for i, t in enumerate(ts[:-1])]
+    count = 0
+    for got, error, fn, zs, t in rows:
+        want = _standalone(fn, spec, zs, t)
+        assert _same(got, error, want), (fn.__name__, zs.size, t, got, error, want)
+        count += isinstance(want, Exception)
+    return count
+
+
+# 1/z at the first odd node of the doubled contour and t = 0, as the chain
+# pass computes it: a pole of f there fails that contour alone.
+_ODD_NODE_ZETA = complex((np.exp(np.zeros(1)) / _audit_nodes()[1][1:2])[0])
 
 
 def _laurent_or_joukowski(c1, c2, joukowski):
@@ -622,32 +618,26 @@ class TestAuditSamples:
         assert_samples_standalone(spec, ts)
 
     @pytest.mark.parametrize(
-        "f,g,alpha,ts",
+        "f,g,alpha,ts,fails",
         [
-            # the root of f' on the ray to grid points at t = 0
-            ("joukowski:1.5", "identity", -1.0, DEFAULT_T_SAMPLES),
+            # f'(1) = 0 at the grid point z = 1 at t = 0
+            ("joukowski:1.0", "identity", -1.0, DEFAULT_T_SAMPLES, True),
             # the pole of f at the first node of both contours at t = 0
-            ("moebius:1,0,1,-2:identity", "identity", 0.5, DEFAULT_T_SAMPLES),
-            # a pole on the ray to an even node of the doubled contour
-            ("moebius:1,0,0.1,1:joukowski:0.3", "laurent:1;0;0.1-0.05j,0.03j", 0.3, (0.0, 0.25)),
-            # every chain value overflows
-            (
-                "moebius:1e-160,1e-300,1e-300,-1.29-1.19e-07j:"
-                "laurent:2.22e-16-0.702j;0.716+2.88j;1e-300+1e-300j",
-                "joukowski:-0.774",
-                -1.0,
-                (0.0, 1.0),
-            ),
+            ("moebius:1,0,1,-2:identity", "identity", 0.5, DEFAULT_T_SAMPLES, True),
+            # a pole at an odd node of the doubled contour: the a1 contour and
+            # the grid, evaluated alone, are clean
+            (f"moebius:1,0,1,{-_ODD_NODE_ZETA}:identity", "laurent:1;0;0.1-0.05j,0.03j", 0.3,
+             (0.0, 0.25), True),
+            # every chain value overflows, with no error
+            ("laurent:1e-310;0", "identity", 0.0, (0.0, 1.0), False),
         ],
-        ids=["root_on_ray", "moebius_pole", "moebius_pole_on_ray", "overflow_chain"],
+        ids=["critical_point_on_grid", "moebius_pole", "pole_at_odd_node", "subnormal_f"],
     )
-    def test_failing_slices_equal_standalone_evaluation(self, f, g, alpha, ts):
+    def test_failing_slices_equal_standalone_evaluation(self, f, g, alpha, ts, fails):
         spec = ChainSpec(
             f=uv.make_sigma_function(f), g=uv.make_sigma_function(g), alpha=alpha
         )
-        errors = assert_samples_standalone(spec, ts)
-        if not f.startswith("moebius:1e-160"):
-            assert errors
+        assert bool(assert_samples_standalone(spec, ts)) == fails
 
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_chain_reports.json").read_text())
