@@ -18,6 +18,7 @@ from univalence.errors import (
     PointTooCloseToContour,
 )
 from univalence.criteria import theorem1
+from univalence.jet import stack_div
 from univalence.loewner import (
     DEFAULT_T_SAMPLES,
     LOEWNER_RESIDUAL_TOL,
@@ -96,6 +97,27 @@ class TestChainEval:
             vals = chain_values(spec, zs, 0.0)
             fvals = spec.f.values(1.0 / zs)
             assert np.max(np.abs(vals * fvals - 1.0)) <= 1e-10
+
+    @pytest.mark.parametrize("alpha", [-2, -1, 1, 2])
+    def test_integer_alpha_equals_the_quotient_of_v(self, alpha):
+        # An integer alpha gives v = (g'/f')^alpha without a branch. The
+        # chain read from v'/v equals (v + c h v')/(f v + c h (f v)') formed
+        # from v itself, with zeta = e^t/z and c = (e^-t - e^t)/z.
+        f, g = uv.joukowski(0.4), uv.laurent(1, 0, [0.1 - 0.05j, 0.03j])
+        spec = ChainSpec(f, g, uv.inverse_square(0.2 + 0.1j), alpha)
+        z = np.concatenate([circle_points(0.5, 16), circle_points(0.9, 16)])
+        for t in (0.0, 0.5, 2.0):
+            zeta, c = np.exp(t) / z, (np.exp(-t) - np.exp(t)) / z
+            fd, gd = f.derivs(zeta, order=2), g.derivs(zeta, order=2)
+            ratio = stack_div(gd[1:], fd[1:])  # g'/f' and its derivative
+            v = ratio[0] ** alpha
+            dv = alpha * ratio[0] ** (alpha - 1) * ratio[1]
+            ch = c * spec.h.values(zeta)
+            want = (v + ch * dv) / (fd[0] * v + ch * (fd[1] * v + fd[0] * dv))
+            got = chain_values(spec, z, t)
+            # both sides are double quotients; near |L| ~ 100 at t = 2 the
+            # denominators cancel and each loses about two digits
+            assert np.max(np.abs(got - want) / np.maximum(np.abs(want), 1.0)) <= 1e-12
 
     def test_domain_checks(self):
         with pytest.raises(OutsideDomain):
