@@ -101,12 +101,19 @@ def pieces(f, g, h, points: np.ndarray, criterion: str = "theorem1") -> Pieces:
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         inv = 1.0 / points
         # No formula reads f or g itself: their stacks start at the derivative.
-        f1, pf, sf = _stack_pieces(f.derivs(points, f_order, inv, first=1))
-        g1 = pg = sg = h0 = h1 = None
-        if g_order:
-            g1, pg, sg = _stack_pieces(g.derivs(points, g_order, inv, first=1))
-        if h_order:
-            h0, h1 = h.derivs(points, h_order, inv)
+        gd = g.derivs(points, g_order, inv, first=1) if g_order else None
+        hd = h.derivs(points, h_order, inv) if h_order else None
+        return stack_pieces(f.derivs(points, f_order, inv, first=1), gd, hd)
+
+
+def stack_pieces(fd, gd, hd) -> Pieces:
+    """Pieces from the rows f', f'', ... and g', g'', ... (to order 2, or 3
+    for the Schwarzian) and h, h' of stacks at a set of points, None for a
+    stack that is None; non-finite where a row is, under the caller's
+    errstate."""
+    f1, pf, sf = _stack_pieces(fd)
+    g1, pg, sg = (None,) * 3 if gd is None else _stack_pieces(gd)
+    h0, h1 = (None,) * 2 if hd is None else hd
     return Pieces(f1, g1, h0, h1, pf, sf, pg, sg)
 
 

@@ -13,18 +13,18 @@ theorem's hypothesis that f and g have no critical point and no pole in
 |z| >= 1 (from the roots of their coefficients), |w| < 1, the Loewner
 equation on the z grid (from dL/dt and z dL/dz in closed form), the
 first-coefficient law a1(t) = e^t and subordination between consecutive
-chain times. It evaluates each distinct chain sample once, in one pass:
-one f, g and h stack and one quotient over all points. At the default grids
-that pass covers 3920 points: per t, the z grid circles of radius 0.9 and 1
-and the 512-node doubled a1 contour, plus the subordination probes. The
-256-node a1 contour and the z grid circle of radius 0.5 are views of the
-doubled contour's even and every eighth nodes, bitwise the nodes
-``circle_points`` gives, since scaling an index and a node count by a power
-of two is exact. The driving function w comes from one criterion-pieces
-pass and one theorem1 call over the z grid at every t; each per-t check
-runs once over samples stacked over t, and one winding pass judges all
-(t, s) pairs. A failure is recorded against its own t slice or (t, s) pair,
-with the message that slice would raise alone, and the audit goes on.
+chain times. It evaluates each distinct chain sample once, in two passes
+(``_audit_samples``). The grid pass reads f, g and h to order 3, 3 and 1
+over the z grid at every t and returns L, dL/dt, z dL/dz and w, the signed
+theorem1 bracket over the criterion pieces of the same stacks. The L pass
+reads them to order 2, 2 and 0 (no g when v = 1) over the 512-node doubled
+a1 contour at every t and the subordination probes; the 256-node a1
+contour is a view of the doubled contour's even nodes, bitwise the nodes
+``circle_points`` gives. At the default grids the passes cover 6 x 192 and
+6 x 512 + 5 x 16 = 3152 points. Each per-t check runs once over samples
+stacked over t, and one winding pass judges all (t, s) pairs. A failure is
+recorded against its own t slice or (t, s) pair, with the message that
+slice would raise alone, and the audit goes on.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import MeromorphicFn, constant_one, exterior_roots
-from .criteria import CriterionParams, pieces, theorem1
+from .criteria import CriterionParams, stack_pieces, theorem1
 from .errors import (
     ContourThroughSingularity,
     CriticalPoint,
@@ -105,63 +105,94 @@ def _concat(slices):
     return z, t, ends
 
 
-def _chain_slices(spec: ChainSpec, slices) -> tuple:
-    """Chain values and their derivatives over a sequence of (z, t) slices
-    from one pass over all of their points: one domain check, one f, g and
-    h stack and one quotient evaluation (the audit's pass is described at
-    ``_audit_samples``). Returns the rows (L, dL/dt, z dL/dz) over all the
-    points, NaN over a slice that fails, and per slice None or the error
+def _chain_slices(spec: ChainSpec, slices, grid: bool = False) -> tuple:
+    """Chain values over a sequence of (z, t) slices from one pass over all
+    of their points: one domain check, one f, g and h stack and one quotient
+    evaluation. Returns the row L (with ``grid``, the rows L, dL/dt, z dL/dz
+    and w) over all the points, and per slice None or the error
     ``chain_values`` raises for that slice alone (CriticalPoint,
-    DenominatorVanishes).
+    DenominatorVanishes), then with ``grid`` that of ``chain_w_values``
+    (CriticalPoint, HVanishes). The rows an error is about are NaN over its
+    slice.
 
     With zeta = e^t/z, c = (e^-t - e^t)/z, l = v'/v = alpha (pg - pf) and
     pf = f''/f', pg = g''/g', L = N/D with N = 1 + c h l and D = f + c h u1,
-    u1 = u'/v = f' + f l; d/dt = zeta d/dzeta + dc/dt d/dc and z d/dz =
-    -zeta d/dzeta - c d/dc, which read v''/v = alpha (pg' - pf') + l^2 with
-    p' = f'''/f' - p^2. v = 1 (l = 0, g not evaluated) when alpha = 0 or
-    g = f."""
+    u1 = u'/v = f' + f l. v = 1 (l = 0, g not read) when alpha = 0 or g = f.
+    ``grid`` reads f''', g''' and h' too: d/dt = zeta d/dzeta + dc/dt d/dc
+    and z d/dz = -zeta d/dzeta - c d/dc read v''/v = alpha (pg' - pf') + l^2
+    with p' = f'''/f' - p^2, and w is ``theorem1`` over the ``Pieces`` of
+    the same stacks, with |zeta|^2 = e^{2t} and zeta/conj(zeta) = 1/z^2."""
     z, t, ends = _concat(slices)
+    order, v_is_one = 3 if grid else 2, spec.alpha == 0 or spec.f == spec.g
     # e^t overflows past t of about 709; the slices record what follows.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         et, emt = np.exp(t), np.exp(-t)
         zeta = et / z
-        v_is_one = spec.alpha == 0 or spec.f == spec.g
-        fd = spec.f.derivs(zeta, order=2 if v_is_one else 3)
-        f0, f1, f2 = fd[:3]
-        ell = ell2 = 0.0  # v'/v and v''/v
-        critical = np.zeros(z.shape, dtype=bool)
-        if not v_is_one:
-            g1, g2, g3 = spec.g.derivs(zeta, order=3, first=1)
-            critical = (f1 == 0) | (g1 == 0) | ~(np.isfinite(f1) & np.isfinite(g1))
-            pf, pg = f2 / f1, g2 / g1
-            ell = spec.alpha * (pg - pf)
-            ell2 = spec.alpha * (g3 / g1 - fd[3] / f1 - (pg - pf) * (pg + pf)) + ell * ell
-        h0, h1 = spec.h.derivs(zeta, order=1)
+        inv = 1.0 / zeta
+        fd = spec.f.derivs(zeta, order, inv)
+        gd = fd[1:]  # g = f, or g not read
+        if spec.g != spec.f and (grid or not v_is_one):
+            gd = spec.g.derivs(zeta, order, inv, first=1)
+        hd = spec.h.derivs(zeta, order - 2, inv)
+        (f0, f1, f2), h0 = fd[:3], hd[0]
+        if grid:
+            pc = stack_pieces(fd[1:], gd, hd)
+            pf, pg = pc.pf, pc.pg
+        elif not v_is_one:
+            pf, pg = f2 / f1, gd[1] / gd[0]
+        ell = 0.0 if v_is_one else spec.alpha * (pg - pf)  # v'/v
         coef = (emt - et) / z
         u1 = f1 + f0 * ell
-        u2 = f2 + 2.0 * f1 * ell + f0 * ell2
         num = f0 + coef * h0 * u1
-        quotient = (1.0 + coef * h0 * ell) / num
-        # zeta dL/dzeta and dL/dc, times D
-        by_zeta = ell + coef * (h1 * ell + h0 * ell2) - quotient * (u1 + coef * (h1 * u1 + h0 * u2))
-        by_zeta *= zeta
-        by_c = h0 * (ell - quotient * u1)
-        dt = (by_zeta - (emt + et) / z * by_c) / num
-        rows = np.stack([quotient, dt, -(by_zeta + coef * by_c) / num])
-    singular = (num == 0) | ~np.isfinite(num)
+        rows = [(1.0 + coef * h0 * ell) / num]
+        if grid:
+            quotient, h1, ell2 = rows[0], hd[1], 0.0  # ell2 = v''/v
+            if not v_is_one:
+                ell2 = spec.alpha * (gd[2] / gd[0] - fd[3] / f1 - (pg - pf) * (pg + pf)) + ell * ell
+            u2 = f2 + 2.0 * f1 * ell + f0 * ell2
+            # zeta dL/dzeta and dL/dc, times D
+            by_zeta = ell + coef * (h1 * ell + h0 * ell2) - quotient * (u1 + coef * (h1 * u1 + h0 * u2))
+            # Not in place: at length 1 that is not bitwise this product.
+            by_zeta = by_zeta * zeta
+            by_c = h0 * (ell - quotient * u1)
+            rows += [
+                (by_zeta - (emt + et) / z * by_c) / num,
+                -(by_zeta + coef * by_c) / num,
+                theorem1(zeta, pc, spec.alpha, et * et, 1.0 / (z * z)),
+            ]
+        rows = np.stack(rows)
+        singular = (num == 0) | ~np.isfinite(num)
+        critical = False
+        if not v_is_one:
+            critical = (f1 == 0) | (gd[0] == 0) | ~(np.isfinite(f1) & np.isfinite(gd[0]))
+    tests = [
+        (critical, lambda k, t: CriticalPoint(f"g'/f' zero or pole at {zeta[k]}")),
+        (singular, lambda k, t: DenominatorVanishes(f"chain quotient singular at z = {z[k]}, t = {t}")),
+    ]
+    errors = [_slice_errors(slices, ends, rows[:3], tests)]
+    if grid:
+        critical = (pc.f1 == 0) | (pc.g1 == 0)
+        tests = [
+            (critical, lambda k, t: CriticalPoint(f"f' or g' vanishes at {zeta[k]}")),
+            (pc.h0 == 0, lambda k, t: HVanishes(f"h vanishes at {zeta[k]}")),
+        ]
+        errors.append(_slice_errors(slices, ends, rows[3:], tests))
+    return (rows, *errors)
+
+
+def _slice_errors(slices, ends, rows, tests) -> list:
+    """Per slice, None or ``make(k, t)`` for the first (mask, make) of
+    ``tests`` whose mask holds in the slice, at its first such point k and
+    the slice's t; ``rows`` is made NaN over a slice with an error."""
+    tests = [test for test in tests if np.any(test[0])]
     errors = []
     for (_, t), a, b in zip(slices, [0, *ends[:-1]], ends):
-        error = None
-        if critical[a:b].any():
-            error = CriticalPoint(f"g'/f' zero or pole at {zeta[a:b][critical[a:b]][0]}")
-        elif singular[a:b].any():
-            error = DenominatorVanishes(
-                f"chain quotient singular at z = {z[a:b][singular[a:b]][0]}, t = {t}"
-            )
-        if error is not None:
+        hits = [(mask, make) for mask, make in tests if mask[a:b].any()]
+        if hits:
             rows[:, a:b] = np.nan
-        errors.append(error)
-    return rows, errors
+            mask, make = hits[0]
+        errors.append(make(a + np.argmax(mask[a:b]), t) if hits else None)
+    return errors
 
 
 def _ok(result):
@@ -181,39 +212,10 @@ def chain_values(spec: ChainSpec, z, t: float) -> np.ndarray:
 
 def chain_w_values(spec: ChainSpec, z, t: float) -> np.ndarray:
     """Driving function w(z,t) at each z for fixed t: the signed theorem1
-    bracket at zeta = e^t/z, with |zeta|^2 = e^{2t} and zeta/conj(zeta) =
-    1/z^2."""
+    bracket at zeta = e^t/z, the last row of ``_chain_slices``' grid pass."""
     z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    values, (error,) = _w_slices(spec, [(z, t)])
-    return _ok(error or values).reshape(z.shape)
-
-
-def _w_slices(spec: ChainSpec, slices) -> tuple:
-    """w over a sequence of (z, t) slices: the signed ``theorem1`` bracket at
-    zeta = e^t/z, where |zeta|^2 = e^{2t} and zeta/conj(zeta) = 1/z^2, from
-    one ``pieces`` pass and one ``theorem1`` call over all of their points.
-    Returns the values over all the points, NaN over a slice that fails,
-    and per slice None or the error ``chain_w_values`` raises for that slice
-    alone (CriticalPoint, HVanishes). Pieces out of double range give
-    non-finite w, which the audit records."""
-    z, t, ends = _concat(slices)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        et = np.exp(t)
-        w = et / z
-        pc = pieces(spec.f, spec.g, spec.h, w)
-        values = theorem1(w, pc, spec.alpha, et * et, 1.0 / (z * z))
-    errors = []
-    for a, b in zip([0, *ends[:-1]], ends):
-        error = None
-        critical = (pc.f1[a:b] == 0) | (pc.g1[a:b] == 0)
-        if critical.any():
-            error = CriticalPoint(f"f' or g' vanishes at {w[a:b][critical][0]}")
-        elif (pc.h0[a:b] == 0).any():
-            error = HVanishes(f"h vanishes at {w[a:b][pc.h0[a:b] == 0][0]}")
-        if error is not None:
-            values[a:b] = np.nan
-        errors.append(error)
-    return values, errors
+    rows, _, (error,) = _chain_slices(spec, [(z, t)], grid=True)
+    return _ok(error or rows)[3].reshape(z.shape)
 
 
 def extract_a1(spec: ChainSpec, t: float, circle_radius: float = A1_RADIUS) -> complex:
@@ -345,41 +347,31 @@ def _audit_samples(spec: ChainSpec, ts: tuple, z: np.ndarray, nodes: tuple):
     (3, len(ts), z.size); L on the a1 contour and on the doubled contour; w
     on the grid; and L at the probes. Returns these five arrays, NaN in a
     row whose slice failed, and their five lists of per-row errors, each
-    None or the error of ``_chain_slices`` or ``_w_slices`` for that row's
-    slice evaluated alone.
+    None or the error of ``_chain_slices`` for that row's slice evaluated
+    alone.
 
-    Each distinct point is evaluated once. ``circle_points(r, 2n)[::2]`` is
-    bitwise ``circle_points(r, n)``, since scaling an angle's index and the
-    node count by a power of two is exact. So the a1 contour is the even
-    nodes of the doubled contour, and the first grid circle (radius
-    A1_RADIUS, DEFAULT_Z_ANGLES nodes) every eighth. With the first circle
-    clean, the grid fails where the other circles first fail, with the same
-    message. When the doubled contour carries an error, the a1 contour and
-    the grid are evaluated alone instead, so each keeps the message and
-    point of its own evaluation."""
-    contour, doubled, probes_z = nodes
-    n, rest = len(ts), z[DEFAULT_Z_ANGLES:]  # the grid circles past the first
-    slices = [(zs, t) for t in ts for zs in (rest, doubled)] + [(probes_z, t) for t in ts[:-1]]
-    rows, errors = _chain_slices(spec, slices)
-    end = n * (rest.size + doubled.size)  # where the probes start
-    per_t = rows[:, :end].reshape(3, n, -1)
-    on_doubled = per_t[0, :, rest.size :]
-    first_circle = per_t[:, :, rest.size :: doubled.size // DEFAULT_Z_ANGLES]
-    grid = np.concatenate([first_circle, per_t[:, :, : rest.size]], axis=2)
+    Two ``_chain_slices`` passes evaluate each distinct point once: the
+    grid pass over the z grid at every t, and the L pass over the doubled
+    contour at every t and the probes at every t but the last. The a1
+    contour is a view of the doubled contour's even nodes, bitwise
+    ``circle_points(r, n)`` since scaling an angle's index and the node
+    count by a power of two is exact. When the doubled contour carries an
+    error, the a1 contour is evaluated alone instead, so that it keeps the
+    message and point of its own evaluation."""
+    (contour, doubled, probes_z), n = nodes, len(ts)
+    rows, grid_errors, w_errors = _chain_slices(spec, [(z, t) for t in ts], grid=True)
+    on_nodes, errors = _chain_slices(spec, [(doubled, t) for t in ts] + [(probes_z, t) for t in ts[:-1]])
+    on_doubled = on_nodes[0, : n * doubled.size].reshape(n, -1)
     on_contour = on_doubled[:, ::2].copy()
-    grid_errors, doubled_errors = errors[: 2 * n : 2], errors[1 : 2 * n : 2]
-    contour_errors = list(doubled_errors)
+    doubled_errors, contour_errors = errors[:n], errors[:n]
     for i, t in enumerate(ts):
         if doubled_errors[i] is not None:
-            alone, (grid_errors[i], contour_errors[i]) = _chain_slices(spec, [(z, t), (contour, t)])
-            grid[:, i], on_contour[i] = alone[:, : z.size], alone[0, z.size :]
-        elif grid_errors[i] is not None:
-            grid[:, i] = np.nan
-    w, w_errors = _w_slices(spec, [(z, t) for t in ts])
-    probes = rows[0, end:].reshape(n - 1, probes_z.size)
+            alone, [contour_errors[i]] = _chain_slices(spec, [(contour, t)])
+            on_contour[i] = alone[0]
+    probes = on_nodes[0, n * doubled.size :].reshape(n - 1, probes_z.size)
     return (
-        (grid, on_contour, on_doubled, w.reshape(n, z.size), probes),
-        (grid_errors, contour_errors, doubled_errors, w_errors, errors[2 * n :]),
+        (rows[:3].reshape(3, n, -1), on_contour, on_doubled, rows[3].reshape(n, -1), probes),
+        (grid_errors, contour_errors, doubled_errors, w_errors, errors[n:]),
     )
 
 
@@ -403,13 +395,14 @@ def audit_pommerenke(spec: ChainSpec, t_samples=None) -> AuditReport:
 
     A zero of f' or g', or a pole of f or g, in |z| >= 1 is recorded first,
     as a ``precondition``, and fails the audit. Every sample comes from
-    ``_audit_samples``: at the default grids one chain pass over 3920 points
-    (6 t x (128 grid + 512 doubled-contour points) + 5 x 16 probes) and one
-    w pass over 6 x 192 grid points, each slice read as if it had been
-    evaluated alone. The s-contour of a pair is the a1 contour at s, the
-    contour of ``subordination_check``'s default r. |w|, the residual and
-    both a1 means are computed over rows stacked over t. A Loewner residual
-    (LOEWNER_RESIDUAL_TOL) that is not finite reads inf."""
+    ``_audit_samples``: at the default grids a grid pass over 6 x 192 z
+    grid points (L, dL/dt, z dL/dz and w) and an L pass over 3152 points
+    (6 t x 512 doubled-contour points + 5 x 16 probes), each slice read as
+    if it had been evaluated alone. The s-contour of a pair is the a1
+    contour at s, the contour of ``subordination_check``'s default r. |w|,
+    the residual and both a1 means are computed over rows stacked over t.
+    A Loewner residual (LOEWNER_RESIDUAL_TOL) that is not finite reads
+    inf."""
     z = default_z_samples()
     ts = tuple(DEFAULT_T_SAMPLES if t_samples is None else t_samples)
     if not ts:

@@ -214,11 +214,12 @@ def unsquared_w(spec, z, t):
 
 
 def chain_rows(spec, z, t):
-    """The rows (L, dL/dt, z dL/dz) of one slice evaluated alone."""
-    rows, (error,) = _chain_slices(spec, [(z, t)])
+    """The rows (L, dL/dt, z dL/dz) of the grid pass over one slice
+    evaluated alone."""
+    rows, (error,), _ = _chain_slices(spec, [(z, t)], grid=True)
     if error is not None:
         raise error
-    return rows
+    return rows[:3]
 
 
 class TestLoewnerEquation:
@@ -273,12 +274,29 @@ class TestLoewnerEquation:
 
     @pytest.mark.parametrize("spec", SPECS, ids=["laurent_f", "laurent_g", "alpha_one"])
     def test_closed_form_derivatives(self, spec):
-        # the rows _chain_slices gives next to L, against the differences
+        # the rows the grid pass gives next to L, against the differences of
+        # the L pass; its L is bitwise the L pass's
         z = circle_points(0.9, 16)
         for t in (0.25, 1.0, 2.0):
-            _, dt, zdz = chain_rows(spec, z, t)
+            value, dt, zdz = chain_rows(spec, z, t)
+            assert np.array_equal(value, chain_values(spec, z, t))
             for got, want in zip((dt, zdz), self.differences(spec, z, t)):
                 assert np.max(np.abs(got - want)) / np.max(np.abs(want)) <= self.BOUND
+
+    def test_rows_do_not_depend_on_the_other_points_of_the_call(self):
+        # each point's rows from a one-point slice are bitwise its rows in a
+        # 300-point call: no complex multiply writes in place, which at
+        # length 1 is not bitwise the out-of-place product
+        spec = ChainSpec(
+            f=uv.make_sigma_function("joukowski:0.3,0.1"),
+            g=uv.make_sigma_function("laurent:1;0;0.1+0.05j,0.02j"),
+            h=uv.make_h_function("hinvsq:0.2,0.1"),
+            alpha=0.3 + 0.1j,
+        )
+        z = np.concatenate([circle_points(r, 100) for r in (0.3, 0.6, 0.9)])
+        batch = chain_rows(spec, z, 0.7)
+        alone = np.stack([chain_rows(spec, z[k : k + 1], 0.7)[:, 0] for k in range(z.size)], axis=1)
+        assert [int(np.sum(a != b)) for a, b in zip(batch, alone)] == [0, 0, 0]
 
 
 def doubled_h_term(z, pc, alpha, aa, phase=None):
@@ -425,19 +443,19 @@ class TestAudit:
     def test_nan_does_not_hide_slice_maximum(self, monkeypatch):
         from univalence import loewner
 
-        exact = loewner._w_slices
+        exact = loewner._chain_slices
 
-        def with_nan(spec, slices):
-            values, errors = exact(spec, slices)
+        def with_nan(spec, slices, grid=False):
+            rows, *errors = exact(spec, slices, grid)
             start = 0
             for z, t in slices:
-                if t == 0.5:
-                    values[start] = np.nan
-                    values[start + 1] = 1.5
+                if grid and t == 0.5:
+                    rows[3, start] = np.nan
+                    rows[3, start + 1] = 1.5
                 start += z.size
-            return values, errors
+            return (rows, *errors)
 
-        monkeypatch.setattr(loewner, "_w_slices", with_nan)
+        monkeypatch.setattr(loewner, "_chain_slices", with_nan)
         z = loewner.default_z_samples()
         rep = audit_pommerenke(trivial_spec(), t_samples=(0.0, 0.5))
         assert rep.max_abs_w == 1.5
@@ -470,7 +488,7 @@ class TestAudit:
     def test_large_time_records_overflow_without_warning(self):
         # e^t overflows past t of about 709: the samples at t = 1e300 are
         # recorded as errors, and no RuntimeWarning (an error in this suite)
-        # escapes from the chain or w pass
+        # escapes from the grid or the L pass
         spec = ChainSpec(f=uv.joukowski(0.3), g=uv.joukowski(0.2))
         rep = audit_pommerenke(spec, t_samples=(0.0, 1e300))
         assert rep.errors[0] == "w grid at t=1e+300: non-finite w at z = (0.5+0j)"
@@ -500,15 +518,15 @@ class TestAudit:
 
     def test_one_evaluation_pass_per_audit(self, monkeypatch):
         # one root solve per function (the precondition) and a fixed number
-        # of kernel calls whatever the number of chain times: three for the
-        # chain pass (f, g and h stacks) and three for the w pass (f, g and
-        # h); one chain pass over 3920 points at the default grids (the a1
-        # contour and the first grid circle are views of the doubled
-        # contour); one winding call for all subordination pairs, none for a
-        # single chain time (no pair)
+        # of kernel calls whatever the number of chain times: f, g and h
+        # stacks to order 3 for the grid pass over the z grid (6 x 192
+        # points at the default grids) and to order 2 for the L pass over
+        # the doubled a1 contour and the probes (6 x 512 + 5 x 16 points);
+        # one winding call for all subordination pairs, none for a single
+        # chain time (no pair)
         from univalence import _kernels, catalog, loewner
 
-        roots, kernel, chain_points = Counter(), Counter(), []
+        roots, kernel, kernel_points, passes = Counter(), Counter(), Counter(), []
         solve, derivs, winding, chain = (
             catalog._derivative_roots,
             _kernels.laurent_derivs,
@@ -527,12 +545,16 @@ class TestAudit:
 
             return call
 
-        def recorded_chain(spec, slices):
-            chain_points.append(sum(np.size(z) for z, _ in slices))
-            return chain(spec, slices)
+        def recorded_derivs(points, b, b0, tail, order=4, inv=None, first=0):
+            kernel_points[points.size, order] += 1
+            return derivs(points, b, b0, tail, order, inv, first)
+
+        def recorded_chain(spec, slices, grid=False):
+            passes.append((sum(np.size(z) for z, _ in slices), grid))
+            return chain(spec, slices, grid)
 
         monkeypatch.setattr(catalog, "_derivative_roots", counted_roots)
-        monkeypatch.setattr(_kernels, "laurent_derivs", counted("derivs", derivs))
+        monkeypatch.setattr(_kernels, "laurent_derivs", counted("derivs", recorded_derivs))
         monkeypatch.setattr(_kernels, "winding_sum", counted("winding", winding))
         monkeypatch.setattr(loewner, "_chain_slices", recorded_chain)
         f, g = uv.laurent(1, 0, [0.1, 0.02]), uv.joukowski(0.2)
@@ -541,7 +563,10 @@ class TestAudit:
         assert rep.passed
         assert roots == Counter({f: 1, g: 1})
         assert kernel["derivs"] == 6
-        assert chain_points == [3920]
+        # f and g (from g') to order 3 on the grid and 2 on the nodes, h to 1 and 0
+        assert kernel_points == Counter({(1152, 3): 2, (1152, 1): 1, (3152, 2): 2, (3152, 0): 1})
+        assert sum(size * count for (size, _), count in kernel_points.items()) == 12912
+        assert passes == [(1152, True), (3152, False)]
         assert kernel["winding"] == 1
 
         kernel.clear()
@@ -573,19 +598,21 @@ def _same(got, error, want) -> bool:
 
 def assert_samples_standalone(spec, ts):
     """Every row of the audit's samples stacked over t (over the pairs for
-    the probes), the contour views and the one w pass included, is what
-    ``_chain_slices``, ``chain_values`` or ``chain_w_values`` gives for its
-    slice alone; returns the number of rows that are errors."""
+    the probes), the a1 contour view and the w row of the grid pass
+    included, is what the grid pass, ``chain_values`` or ``chain_w_values``
+    gives for its slice alone, and the grid's L is the L pass's; returns
+    the number of rows that are errors."""
     z = default_z_samples()
     contour, doubled, probes_z = nodes = _audit_nodes()
     (grid, on_contour, on_doubled, w, probes), errors = _audit_samples(spec, ts, z, nodes)
-    assert grid.shape == (3, len(ts), z.size)
+    assert grid.shape == (3, len(ts), z.size) and w.shape == (len(ts), z.size)
     assert probes.shape == (len(ts) - 1, PROBE_COUNT)
     grid_errors, contour_errors, doubled_errors, w_errors, probe_errors = errors
     rows = []
     for i, t in enumerate(ts):
         rows += [
             (grid[:, i], grid_errors[i], chain_rows, z, t),
+            (grid[0, i], grid_errors[i], chain_values, z, t),
             (on_contour[i], contour_errors[i], chain_values, contour, t),
             (on_doubled[i], doubled_errors[i], chain_values, doubled, t),
             (w[i], w_errors[i], chain_w_values, z, t),
@@ -617,6 +644,45 @@ class TestAuditSamples:
         first_circle = default_z_samples()[: len(doubled) // 8]
         assert np.array_equal(doubled[::2], circle_points(0.5, 256))
         assert np.array_equal(doubled[::8], first_circle)
+
+    @pytest.mark.parametrize(
+        "f,g,alpha",
+        [
+            # g'(1) = 0: at t = 0, z = 1 only w, not the chain, reads it
+            ("joukowski:0.3", "joukowski:1.0", 0.0),
+            ("laurent:1;0;0.1,0.02", "laurent:1;0;0.1,0.02", 0.4 + 0.1j),
+            ("moebius:1,0.1j,0.03+0.04j,1:joukowski:0.3", "joukowski:0.2,-0.1", 0.4 - 0.1j),
+        ],
+        ids=["alpha_zero", "g_is_f", "moebius_f"],
+    )
+    def test_w_is_the_bracket_of_separate_pieces(self, f, g, alpha):
+        # w from the grid pass's stacks, where the chain itself reads no g
+        # (alpha = 0), reuses f's rows (g = f) or reads a quotient stack (a
+        # Moebius level with c != 0), is bitwise theorem1 over pieces
+        # evaluated apart at zeta = e^t/z, and fails where those pieces
+        # hold a critical point
+        spec = ChainSpec(
+            f=uv.make_sigma_function(f),
+            g=uv.make_sigma_function(g),
+            h=uv.make_h_function("hinvsq:0.15,0.05"),
+            alpha=alpha,
+        )
+        z = default_z_samples()
+        samples, errors = _audit_samples(spec, DEFAULT_T_SAMPLES, z, _audit_nodes())
+        assert errors[0] == [None] * len(DEFAULT_T_SAMPLES)
+        critical = []
+        for t, w, error in zip(DEFAULT_T_SAMPLES, samples[3], errors[3]):
+            et = np.exp(np.full(z.size, t))
+            zeta = et / z
+            pc = pieces(spec.f, spec.g, spec.h, zeta)
+            if ((pc.f1 == 0) | (pc.g1 == 0)).any():
+                critical.append(t)
+                assert isinstance(error, CriticalPoint) and np.isnan(w).all()
+            else:
+                want = theorem1(zeta, pc, spec.alpha, et * et, 1.0 / (z * z))
+                assert error is None and np.array_equal(w, want)
+        assert critical == ([0.0] if g == "joukowski:1.0" else [])
+
 
     @seed(20240809)
     @settings(max_examples=40, deadline=None)

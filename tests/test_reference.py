@@ -236,7 +236,7 @@ def chain_spec(pair):
 @pytest.mark.parametrize("pair", range(len(PAIRS)))
 def test_chain_values_and_w(pair):
     # w from the Loewner equation is the theorem1 bracket's closed form, and
-    # the chain's derivative rows are those of its value
+    # the grid pass's derivative rows are those of the chain's value
     spec = chain_spec(pair)
     ref = MpChain(spec)
     zs = np.array([0.9 * np.exp(0.4j), np.exp(-1.9j)])
@@ -251,8 +251,9 @@ def test_chain_values_and_w(pair):
             ws.append(w)
         assert rel_error(chain_values(spec, zs, t), np.array(values)) <= CHAIN_TOL
         assert rel_error(chain_w_values(spec, zs, t), np.array(ws)) <= CHAIN_TOL
-        rows, _ = _chain_slices(spec, [(zs, t)])
-        assert rel_error(rows[1:], np.transpose(derivs)) <= CHAIN_TOL
+        rows, _, _ = _chain_slices(spec, [(zs, t)], grid=True)
+        assert rel_error(rows[1:3], np.transpose(derivs)) <= CHAIN_TOL
+        assert rel_error(rows[3], np.array(ws)) <= CHAIN_TOL
 
 
 def test_boundary_bridge():
@@ -296,5 +297,5 @@ def test_chain_where_the_log_ratio_leaves_the_principal_branch():
         derivs.append([complex(x) for x in ref.derivs(z_mp, t_mp, base)[:2]])
     assert sheets == [1, -1, 1, 0]
     assert rel_error(chain_values(spec, zs, t), np.array(values)) <= CHAIN_TOL
-    rows, _ = _chain_slices(spec, [(zs, t)])
-    assert rel_error(rows[1:], np.transpose(derivs)) <= CHAIN_TOL
+    rows, _, _ = _chain_slices(spec, [(zs, t)], grid=True)
+    assert rel_error(rows[1:3], np.transpose(derivs)) <= CHAIN_TOL
