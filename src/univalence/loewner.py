@@ -326,18 +326,25 @@ def _finite_or_none(value: float):
     return value if np.isfinite(value) else None
 
 
+# The audit's constant nodes, built once and read-only: the z grid, the a1
+# contour, the doubled contour and the subordination probes.
+_Z_SAMPLES = np.concatenate([circle_points(r, DEFAULT_Z_ANGLES) for r in DEFAULT_Z_CIRCLES])
+_NODES = (
+    circle_points(A1_RADIUS, A1_NODE_COUNT),
+    circle_points(A1_RADIUS, 2 * A1_NODE_COUNT),
+    circle_points(0.9 * A1_RADIUS, PROBE_COUNT),
+)
+for _points in (_Z_SAMPLES, *_NODES):
+    _points.flags.writeable = False
+
+
 def default_z_samples() -> np.ndarray:
-    parts = [circle_points(r, DEFAULT_Z_ANGLES) for r in DEFAULT_Z_CIRCLES]
-    return np.concatenate(parts)
+    return _Z_SAMPLES
 
 
 def _audit_nodes():
     """The a1 contour, the doubled contour and the subordination probes."""
-    return (
-        circle_points(A1_RADIUS, A1_NODE_COUNT),
-        circle_points(A1_RADIUS, 2 * A1_NODE_COUNT),
-        circle_points(0.9 * A1_RADIUS, PROBE_COUNT),
-    )
+    return _NODES
 
 
 def _audit_samples(spec: ChainSpec, ts: tuple, z: np.ndarray, nodes: tuple):

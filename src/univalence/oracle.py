@@ -1,5 +1,6 @@
 """Independent ground-truth machinery: injectivity scanning and discrete
-winding numbers.
+winding numbers, as signed counts of a ray's crossings by the contour (as
+sums of phase increments where rounding may decide a count).
 
 Nothing here reuses the criterion code it is meant to check: injectivity
 comes from direct image comparison of function values alone. A sorted-cell
@@ -272,8 +273,8 @@ def _cell_candidates(values: np.ndarray, tolerance: float, block: int = 1 << 20)
 
 def winding_numbers(contour_samples, points) -> np.ndarray:
     """Winding numbers of a closed discrete contour around each point, from
-    one sum of phase increments per point: ``winding_rows`` of one row,
-    raising its error."""
+    one certified crossing count (or phase sum) per point: ``winding_rows``
+    of one row, raising its error."""
     points = np.asarray(points, dtype=np.complex128)
     contour = np.asarray(contour_samples, dtype=np.complex128)
     turns, (error,) = winding_rows(contour[None], points.reshape(1, -1))
@@ -284,23 +285,22 @@ def winding_numbers(contour_samples, points) -> np.ndarray:
 
 def winding_rows(contours, points) -> tuple:
     """Winding numbers of each row of ``contours`` (closed discrete contours)
-    around the same row of ``points``, from one kernel pass over all rows,
-    and per row None or the error that row raises alone: InvalidSpec for a
-    non-finite sample or point, OpenContour for a contour that does not
+    around the same row of ``points``, from one crossing-count pass over all
+    rows, and per row None or the error that row raises alone: InvalidSpec for
+    a non-finite sample or point, OpenContour for a contour that does not
     close, and PointTooCloseToContour for its first point without a number."""
     if contours.shape[-1] < 3:
         raise OpenContour("contour needs at least 3 samples")
     with np.errstate(over="ignore", invalid="ignore"):
-        total, min_dist = _kernels.winding_sum(
+        turns, min_dist = _kernels.winding_sum(
             np.ascontiguousarray(contours.real),
             np.ascontiguousarray(contours.imag),
             points.real,
             points.imag,
             CONTOUR_CLEARANCE,
         )
-        turns = total / (2.0 * np.pi)
         nearest = np.rint(turns)
-        overflowed = ~np.isfinite(total)
+        overflowed = ~np.isfinite(turns)
         close = min_dist <= CONTOUR_CLEARANCE
         bad = overflowed | close | (np.abs(turns - nearest) >= 0.1)
         numbers = nearest.astype(int)  # a failed row's numbers mean nothing

@@ -1,4 +1,5 @@
 import cmath
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -114,6 +115,28 @@ def reference_winding_sum(xs, ys, px, py):
     return total, np.sqrt(np.min(dx * dx + dy * dy, axis=-1))
 
 
+def exact_crossing_count(xs, ys, px, py):
+    # The signed crossings of the ray y = 0, x > 0 by the polygon of the
+    # rounded differences xs - px, ys - py, closing segment included, a vertex
+    # above the ray where its y > 0, in exact arithmetic; None for an
+    # intercept of exactly 0 (the probe on a crossing segment).
+    vx = [Fraction(float(v)) for v in xs - px]
+    vy = [Fraction(float(v)) for v in ys - py]
+    count = 0
+    for i in range(len(vx)):
+        j = (i + 1) % len(vx)
+        if (vy[i] > 0) != (vy[j] > 0):
+            x0 = vx[i] + vy[i] / (vy[i] - vy[j]) * (vx[j] - vx[i])
+            if x0 == 0:
+                return None
+            count += (x0 > 0) * (1 if vy[j] > 0 else -1)
+    return count
+
+
+def _in_turns(total):
+    return total / (2.0 * np.pi)
+
+
 CLEARANCE = 1e-9
 
 
@@ -157,17 +180,20 @@ def test_winding_rows_are_bitwise_one_row_calls(rng):
 
 
 def test_winding_sum_matches_reference_guard(rng):
-    # The phase sum is bitwise the reference's. The distance is bitwise the
-    # reference's wherever the bound does not clear the clearance (probes on
-    # or within 1e-5 of the contour); elsewhere it is a lower bound that
-    # clears it, so every guard decision is the reference's.
+    # Where the distance clears, the turns are the integer the reference
+    # phase sum rounds to. The distance is bitwise the reference's wherever
+    # the bound does not clear the clearance (probes on or within 1e-5 of the
+    # contour); elsewhere it is a lower bound that clears it, so every guard
+    # decision is the reference's.
     contours, points = _contour_batch(rng)
-    total, min_dist = _winding_sum(contours, points)
+    turns, min_dist = _winding_sum(contours, points)
     for i in range(contours.shape[0]):
         want_total, want_dist = reference_winding_sum(
             contours[i].real, contours[i].imag, points[i].real, points[i].imag
         )
-        assert total[i].tobytes() == want_total.tobytes()
+        cleared = want_dist > CLEARANCE
+        assert cleared.sum() == points.shape[1] - 2
+        assert (turns[i][cleared] == np.rint(_in_turns(want_total[cleared]))).all()
         exact = min_dist[i] == want_dist
         assert exact[:3].all()
         assert ((min_dist[i] <= CLEARANCE) == (want_dist <= CLEARANCE)).all()
@@ -211,12 +237,127 @@ def test_winding_guard_decisions_match_reference(vertices, scale, offsets):
         a, b = contour[k % (contour.size - 1)], contour[k % (contour.size - 1) + 1]
         points.append(a + u * (b - a) + 1j * d * scale)
     points = np.array(points)
-    total, min_dist = _winding_sum(contour[None], points[None])
+    turns, min_dist = _winding_sum(contour[None], points[None])
     want_total, want_dist = reference_winding_sum(
         contour.real, contour.imag, points.real, points.imag
     )
-    assert total[0].tobytes() == want_total.tobytes()
+    assert_turns(turns[0], contour, points, want_total, want_dist)
     assert ((min_dist[0] <= CLEARANCE) == (want_dist <= CLEARANCE)).all()
     exact = min_dist[0] == want_dist
     assert (min_dist[0][~exact] > CLEARANCE).all()
     assert (min_dist[0][~exact] <= want_dist[~exact]).all()
+
+
+def assert_turns(turns, contour, points, want_total, want_dist):
+    """Each probe's turns are the exact crossing count, or, where the kernel
+    cannot certify it, bitwise the reference phase sum in turns; where the
+    distance clears the clearance, a count is what the phase sum rounds to.
+    (Past a scale of about 1e7 the reference distance has rounding errors
+    above the clearance, and a probe on the rounded polygon may clear it.)"""
+    phase = _in_turns(want_total)
+    for got, p, want, dist in zip(turns, points, phase, want_dist):
+        count = exact_crossing_count(contour.real, contour.imag, p.real, p.imag)
+        if got != count:
+            assert got.tobytes() == want.tobytes()
+        elif dist > CLEARANCE:
+            assert count == np.rint(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    vertices=st.lists(
+        st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=3, max_size=8
+    ),
+    flat=st.lists(
+        st.tuples(st.integers(0, 7), st.sampled_from([0.0, 1e-300, -1e-17, 1e-12, -1e-6])),
+        max_size=3,
+    ),
+    scale=st.builds(lambda e: 10.0**e, st.floats(-6.0, 12.0)),
+    probes=st.lists(
+        st.tuples(
+            st.integers(0, 7),
+            st.floats(-3.0, 4.0),
+            st.sampled_from([0.0, 1e-16, -1e-13, 1e-10, -1e-3]),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+# a probe on a segment along its ray's line, where rounding at 1e11 clears the guard
+@example(vertices=[(0.0, 0.0), (0.0, 0.0), (0.75, 1.0)], flat=[(0, 0.0)], scale=1e11, probes=[(2, 0.875, 0.0)])
+def test_winding_turns_match_exact_crossing_count(vertices, flat, scale, probes):
+    # Polygons at scales 1e-6..1e12 with nearly horizontal segments (a vertex
+    # moved to its predecessor's height, give or take a relative 1e-300 to
+    # 1e-6), and probes on a segment's line, its extension past either end
+    # included, at or near that line's height: vertices on the probe's ray,
+    # probes on the polygon and intercepts within rounding of the probe.
+    for k, dy in flat:
+        k %= len(vertices)
+        vertices[k] = (vertices[k][0], vertices[k - 1][1] + dy)
+    contour = np.array([complex(x, y) for x, y in vertices] + [complex(*vertices[0])]) * scale
+    points = []
+    for k, u, d in probes:
+        a, b = contour[k % (contour.size - 1)], contour[k % (contour.size - 1) + 1]
+        points.append(a + u * (b - a) + 1j * d * scale)
+    points = np.array(points)
+    turns, _ = _winding_sum(contour[None], points[None])
+    want_total, want_dist = reference_winding_sum(
+        contour.real, contour.imag, points.real, points.imag
+    )
+    assert_turns(turns[0], contour, points, want_total, want_dist)
+
+
+def test_closing_segment_counts():
+    # exp(2 pi i k/64), k = 0..64, ends 2.4e-16 below 1: the ray from
+    # 0.5 - 1e-16j passes through that gap, so only the closing segment
+    # crosses it
+    contour = np.exp(2j * np.pi * np.arange(65) / 64)
+    assert contour[-1].imag < -1e-16 < contour[0].imag
+    turns, min_dist = _winding_sum(contour[None], np.array([[0.5 - 1e-16j]]))
+    assert turns.tolist() == [[1.0]] and min_dist[0, 0] > CLEARANCE
+    assert exact_crossing_count(contour.real, contour.imag, 0.5, -1e-16) == 1
+
+
+def _phase_calls(monkeypatch):
+    # The shape of each np.arctan2 argument from here on: the probes, by the
+    # segments, whose phase the kernel sums.
+    calls, arctan2 = [], np.arctan2
+    monkeypatch.setattr(np, "arctan2", lambda y, x: calls.append(y.shape) or arctan2(y, x))
+    return calls
+
+
+def test_uncertain_intercept_reads_the_phase_sum(monkeypatch):
+    # 1.5e-8 right of the diagonal of a triangle of side 2e4: 1.06e-8 from
+    # the contour, which clears the guard, but the intercept 1.5e-8 lies
+    # within 1e-12 (|ax| + |bx|) = 2e-8 of the probe, so the count is not
+    # certain; the phase is summed for that probe alone
+    contour = np.array([-1e4 - 1e4j, 1e4 + 1e4j, -1e4 + 1e4j, -1e4 - 1e4j])
+    points = np.array([[1.5e-8 + 0j, -1e-3 + 0j, 3.0 + 0j]])
+    total, dist = reference_winding_sum(contour.real, contour.imag, 1.5e-8, 0.0)
+    calls = _phase_calls(monkeypatch)
+    turns, min_dist = _winding_sum(contour[None], points)
+    assert calls == [(1, 3)]
+    assert min_dist[0, 0] > CLEARANCE and dist > CLEARANCE
+    assert turns[0, :1].tobytes() == _in_turns(total).tobytes()
+    assert np.rint(turns[0, 0]) == 0.0 and turns[0, 1:].tolist() == [1.0, 0.0]
+
+
+def test_far_rows_read_the_phase_sum(monkeypatch):
+    # A contour with coordinates from 2^499 on reads the phase sum, which
+    # overflows from about 2^512; a row of ordinary size in the same batch
+    # still reads its count
+    circle = np.exp(2j * np.pi * np.arange(65) / 64)
+    circle[-1] = circle[0]
+    contours = np.array([circle * 2.0**499, circle * 2.0**520, circle])
+    points = np.array([[0.0, 3.0 * 2.0**499], [0.0, 0.0], [0.0, 3.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = [
+            reference_winding_sum(c.real, c.imag, p.real, p.imag)[0] for c, p in zip(contours, points)
+        ]
+        calls = _phase_calls(monkeypatch)
+        turns, _ = _winding_sum(contours, points)
+    assert calls == [(4, 64)]
+    for i in range(2):
+        assert turns[i].tobytes() == _in_turns(want[i]).tobytes()
+    assert np.rint(turns[0]).tolist() == [1.0, 0.0] and np.isnan(turns[1]).all()
+    assert turns[2].tolist() == [1.0, 0.0]

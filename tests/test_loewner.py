@@ -523,7 +523,8 @@ class TestAudit:
         # points at the default grids) and to order 2 for the L pass over
         # the doubled a1 contour and the probes (6 x 512 + 5 x 16 points);
         # one winding call for all subordination pairs, none for a single
-        # chain time (no pair)
+        # chain time (no pair); no circle_points call, since the z grid and
+        # the nodes are built once, read-only
         from univalence import _kernels, catalog, loewner
 
         roots, kernel, kernel_points, passes = Counter(), Counter(), Counter(), []
@@ -557,6 +558,7 @@ class TestAudit:
         monkeypatch.setattr(_kernels, "laurent_derivs", counted("derivs", recorded_derivs))
         monkeypatch.setattr(_kernels, "winding_sum", counted("winding", winding))
         monkeypatch.setattr(loewner, "_chain_slices", recorded_chain)
+        monkeypatch.setattr(loewner, "circle_points", counted("circle_points", loewner.circle_points))
         f, g = uv.laurent(1, 0, [0.1, 0.02]), uv.joukowski(0.2)
         spec = ChainSpec(f=f, g=g, h=uv.inverse_square(0.1), alpha=0.4 + 0.1j)
         rep = audit_pommerenke(spec)
@@ -568,6 +570,10 @@ class TestAudit:
         assert sum(size * count for (size, _), count in kernel_points.items()) == 12912
         assert passes == [(1152, True), (3152, False)]
         assert kernel["winding"] == 1
+        assert kernel["circle_points"] == 0
+        for nodes in (loewner.default_z_samples(), *loewner._audit_nodes()):
+            with pytest.raises(ValueError, match="read-only"):
+                nodes[0] = nodes[0]
 
         kernel.clear()
         audit_pommerenke(spec, t_samples=np.linspace(0.0, 4.0, 11))
