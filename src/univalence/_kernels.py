@@ -6,9 +6,8 @@ derivative up to a given order. It skips terms whose coefficient is zero and
 lets each row's first term write the row, so no pass adds zeros; the rows are
 bitwise those of the full stack. ``winding_sum`` counts the signed crossings
 of a ray from each of a vector of points by a closed polyline, for a batch of
-polylines at once, summing the phase only where rounding may decide a count
-and taking the exact distance only where a bound does not clear the point.
-Both are pure functions of their arguments.
+polylines at once, and gives a point no number where rounding could decide
+its count. Both are pure functions of their arguments.
 """
 
 from __future__ import annotations
@@ -80,53 +79,32 @@ def _zero_terms_vanish(b, b0, x):
 
 
 # ---------------------------------------------------------------------------
-# Winding number support: certified crossing count and minimum distance.
+# Winding numbers: a signed crossing count, each crossing certified.
 # ---------------------------------------------------------------------------
 
 
-def winding_sum(xs, ys, px, py, clearance):
+def winding_sum(xs, ys, px, py):
     # Contours xs, ys (..., n) and probes px, py (..., m) share batch axes: per
-    # probe, the winding number in turns and the distance, reduced as a
-    # one-row call reduces.
+    # probe, the winding number in turns, NaN where rounding may decide it; a
+    # row reads as a one-row call reads.
     vx = xs[..., None, :] - px[..., None]
     vy = ys[..., None, :] - py[..., None]
     # Signed crossings of the ray y = 0, x > 0 by the segments i -> i+1 and the
     # closing one n-1 -> 0 (above the ray: vy > 0), from their intercepts x0,
-    # and segments from a vertex on the ray's line, whose phase may be +-pi.
+    # and segments from a vertex on the ray's line, which may run through it.
     n, up = vx.shape[-1], vy > 0
     a = np.flatnonzero((up != np.roll(up, -1, axis=-1)) | (vy == 0))  # flat index of a
     r, b = a // n, a + 1 - n * ((a + 1) % n == 0)  # its probe; flat index of b
     ax, ay, bx, by = vx.take(a), vy.take(a), vx.take(b), vy.take(b)
-    with np.errstate(invalid="ignore"):  # 0/0 along the ray's line
-        x0 = ax + ay / (ay - by) * (bx - ax)
+    with np.errstate(over="ignore", invalid="ignore"):  # 0/0 along the ray's line
+        dy = ay - by
+        x0 = ax + ay / dy * (bx - ax)
     sign = np.where(x0 > 0.0, np.subtract(up.take(b), up.take(a), dtype=float), 0.0)
-    turns = np.bincount(r, weights=sign, minlength=up[..., 0].size).reshape(up.shape[:-1])
+    turns = np.bincount(r, sign, up[..., 0].size).astype(float)  # ints for an empty r
     # A crossing is certain where |x0| > 1e-12 (|ax| + |bx|), past rounding, and
-    # so is its phase term's sign: |ax by - ay bx| = |x0| (|ay| + |by|). One along
-    # the line is where it misses the probe. Elsewhere, or where a product may
-    # overflow (a coordinate sum reaches 2^499), turns are the phase sum / 2 pi.
-    redo = ~(np.max(np.abs(xs) + np.abs(ys), axis=-1)[..., None] + np.abs(px) + np.abs(py) < 2.0**499)
-    sure = (np.abs(x0) > 1e-12 * (np.abs(ax) + np.abs(bx))) | ((ay == by) & (ax * bx > 0))
-    redo.reshape(-1)[r[~sure]] = True
-    if redo.any():
-        wx, wy = vx[redo], vy[redo]
-        ax, ay, bx, by = wx[:, :-1], wy[:, :-1], wx[:, 1:], wy[:, 1:]
-        total = np.sum(np.arctan2(ax * by - ay * bx, ax * bx + ay * by), axis=-1)
-        turns[redo] = total / (2.0 * np.pi)
-    # Certified guard: |p - s| >= min(|p - a|, |p - b|) - |b - a|/2 on each
-    # segment [a, b]. Where this bound, less a relative slack above rounding,
-    # clears ``clearance`` (a NaN never does), it stands in for the distance.
-    near = np.sqrt(np.min(vx * vx + vy * vy, axis=-1))
-    half = 0.5 * np.max(np.hypot(np.diff(xs), np.diff(ys)), axis=-1)[..., None]
-    min_dist = near - half - 1e-12 * (near + half)
-    close = ~(min_dist > clearance)
-    if close.any():
-        wx, wy = vx[close], vy[close]
-        ax, ay, bx, by = wx[:, :-1], wy[:, :-1], wx[:, 1:], wy[:, 1:]
-        ex, ey = bx - ax, by - ay
-        ee = ex * ex + ey * ey
-        t = np.where(ee > 0.0, -(ax * ex + ay * ey) / np.where(ee > 0.0, ee, 1.0), 0.0)
-        t = np.clip(t, 0.0, 1.0)
-        dx, dy = ax + t * ex, ay + t * ey
-        min_dist[close] = np.sqrt(np.min(dx * dx + dy * dy, axis=-1))
-    return turns, min_dist
+    # ay - by is finite (an overflow reads x0 as ax), or along the line beside
+    # the probe; a probe with any other segment lies within rounding of one.
+    sure = (np.abs(x0) > 1e-12 * (np.abs(ax) + np.abs(bx))) & np.isfinite(dy)
+    beside = (ay == by) & (np.sign(ax) * np.sign(bx) > 0)  # no product to underflow
+    turns[r[~(sure | beside)]] = np.nan
+    return turns.reshape(up.shape[:-1])

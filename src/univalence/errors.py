@@ -46,7 +46,7 @@ class ContourThroughSingularity(UnivalenceError):
 
 
 class PointTooCloseToContour(UnivalenceError):
-    """Winding number undefined: the point sits (numerically) on the contour."""
+    """Winding number undefined: rounding could decide the point's crossing count."""
 
 
 class OpenContour(UnivalenceError):

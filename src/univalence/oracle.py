@@ -1,6 +1,6 @@
 """Independent ground-truth machinery: injectivity scanning and discrete
-winding numbers, as signed counts of a ray's crossings by the contour (as
-sums of phase increments where rounding may decide a count).
+winding numbers, as signed counts of a ray's crossings by the contour; a
+point whose count rounding could decide has none.
 
 Nothing here reuses the criterion code it is meant to check: injectivity
 comes from direct image comparison of function values alone. A sorted-cell
@@ -26,7 +26,6 @@ from .sampling import SamplingPlan, sample_exterior
 
 TOLERANCE_SCALE = 1e-9  # collision tolerance as a fraction of image spacing
 SEPARATION_SPACINGS = 2.0  # separation floor in units of domain grid spacing
-CONTOUR_CLEARANCE = 1e-9  # a point this close to a contour has no winding number
 
 
 @dataclass(frozen=True)
@@ -273,8 +272,8 @@ def _cell_candidates(values: np.ndarray, tolerance: float, block: int = 1 << 20)
 
 def winding_numbers(contour_samples, points) -> np.ndarray:
     """Winding numbers of a closed discrete contour around each point, from
-    one certified crossing count (or phase sum) per point: ``winding_rows``
-    of one row, raising its error."""
+    one certified crossing count per point: ``winding_rows`` of one row,
+    raising its error."""
     points = np.asarray(points, dtype=np.complex128)
     contour = np.asarray(contour_samples, dtype=np.complex128)
     turns, (error,) = winding_rows(contour[None], points.reshape(1, -1))
@@ -287,38 +286,31 @@ def winding_rows(contours, points) -> tuple:
     """Winding numbers of each row of ``contours`` (closed discrete contours)
     around the same row of ``points``, from one crossing-count pass over all
     rows, and per row None or the error that row raises alone: InvalidSpec for
-    a non-finite sample or point, OpenContour for a contour that does not
-    close, and PointTooCloseToContour for its first point without a number."""
+    a non-finite sample or point, OpenContour for a contour whose endpoints
+    differ by more than 1e-12 of its scale (at least 1), and
+    PointTooCloseToContour for its first point whose count rounding could
+    decide."""
     if contours.shape[-1] < 3:
         raise OpenContour("contour needs at least 3 samples")
     with np.errstate(over="ignore", invalid="ignore"):
-        turns, min_dist = _kernels.winding_sum(
+        turns = _kernels.winding_sum(
             np.ascontiguousarray(contours.real),
             np.ascontiguousarray(contours.imag),
             points.real,
             points.imag,
-            CONTOUR_CLEARANCE,
         )
-        nearest = np.rint(turns)
-        overflowed = ~np.isfinite(turns)
-        close = min_dist <= CONTOUR_CLEARANCE
-        bad = overflowed | close | (np.abs(turns - nearest) >= 0.1)
-        numbers = nearest.astype(int)  # a failed row's numbers mean nothing
+        numbers = turns.astype(int)  # a failed row's numbers mean nothing
         gap = contours[:, 0] - contours[:, -1]
         gaps = np.hypot(gap.real, gap.imag)  # bitwise the scalar abs of each gap
+        scales = np.max(np.abs(contours), axis=1, initial=1.0)
     finite = np.isfinite(contours).all(axis=1) & np.isfinite(points).all(axis=1)
     errors = [None] * len(contours)
-    for i, row in enumerate(bad):
+    for i, row in enumerate(np.isnan(turns)):
         if not finite[i]:
             errors[i] = InvalidSpec("winding number needs finite contour samples and points")
-        elif gaps[i] > 1e-12:
+        elif gaps[i] > 1e-12 * scales[i]:
             errors[i] = OpenContour(f"contour endpoints differ by {gaps[i]}")
         elif row.any():
-            k = int(np.argmax(row))
-            point = complex(points[i, k])
-            errors[i] = PointTooCloseToContour(
-                f"phase sum around {point} overflowed" if overflowed[i, k]
-                else f"point {point} within {float(min_dist[i, k])} of the contour" if close[i, k]
-                else f"phase sum {float(turns[i, k])} turns is not near an integer"
-            )
+            point = complex(points[i, np.argmax(row)])
+            errors[i] = PointTooCloseToContour(f"point {point} within rounding of the contour")
     return numbers, errors

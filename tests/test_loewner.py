@@ -479,7 +479,7 @@ class TestAudit:
         t = 0.10536051565782628
         rep = audit_pommerenke(trivial_spec(), t_samples=(t, 0.0))
         assert rep.errors == (
-            f"subordination ({t}, 0.0): point (0.5+0j) within 0.0 of the contour",
+            f"subordination ({t}, 0.0): point (0.5+0j) within rounding of the contour",
         )
         assert not rep.subordination_failures
         assert len(rep.a1_records) == 2
@@ -498,9 +498,8 @@ class TestAudit:
     def test_pairs_judged_as_subordination_check_judges_them(self):
         # one winding pass for all pairs; per pair, the same failures or
         # error as subordination_check: the probes of (t_on, 0) land on the
-        # s-contour (within 1e-9), those of (t_off, 0) lie 5e-8 outside it,
-        # where the distance bound does not clear and the exact distance
-        # decides, and (0, t_off) nests
+        # s-contour, those of (t_off, 0) lie 5e-8 outside it, where each
+        # crossing is still certain, and (0, t_off) nests
         t_on = 0.10536051565782628
         t_off = t_on + 1e-7
         ts = (t_on, 0.0, t_off, 0.0)
@@ -511,7 +510,7 @@ class TestAudit:
                 failures += subordination_check(trivial_spec(), t, s)[1]
             except PointTooCloseToContour as exc:
                 errors.append(f"subordination ({t}, {s}): {exc}")
-        assert errors == [f"subordination ({t_on}, 0.0): point (0.5+0j) within 0.0 of the contour"]
+        assert errors == [f"subordination ({t_on}, 0.0): point (0.5+0j) within rounding of the contour"]
         assert len(failures) == PROBE_COUNT
         assert list(rep.errors) == errors
         assert list(rep.subordination_failures) == failures

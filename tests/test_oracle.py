@@ -90,9 +90,25 @@ class TestWindingNumber:
         with pytest.raises(OpenContour):
             winding_numbers(np.exp(1j * theta), [0.0])
 
+    def test_closure_is_relative_to_the_contour_scale(self):
+        # a 64-gon of radius 1e5 ends 2.4e-11 from its start, a relative gap
+        # of 2.4e-16: it closes
+        circle = 1e5 * np.exp(2j * np.pi * np.arange(65) / 64)
+        assert abs(circle[-1] - circle[0]) > 1e-12
+        assert winding_numbers(circle, [0.0]).tolist() == [1]
+
     def test_point_on_contour_rejected(self):
         with pytest.raises(PointTooCloseToContour):
             winding_numbers(unit_circle(), [1.0])
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_point_on_a_large_segment_rejected(self, reverse):
+        # the probe lies exactly on the segment 5e8-5e8j -> 0 (y = -x), in
+        # either orientation of the contour
+        contour = np.array([0, -1e-7j, 5e8 - 5e8j, 0])
+        contour = contour[::-1] if reverse else contour
+        with pytest.raises(PointTooCloseToContour, match="within rounding of the contour$"):
+            winding_numbers(contour, [249999999.9999999 - 249999999.9999999j])
 
     def test_vector_matches_scalar(self, rng):
         contour = unit_circle(64) * (1.0 + 0.3 * np.cos(np.linspace(0, 6 * np.pi, 65)))
@@ -111,7 +127,7 @@ class TestWindingNumber:
     @pytest.mark.parametrize("where", ["contour", "point"])
     def test_non_finite_input_rejected(self, where):
         # abs(NaN) > 1e-12 is False, so the closure check alone would let a
-        # NaN contour through to the phase sum
+        # NaN contour through to the crossing count
         contour, points = unit_circle(), np.array([0.0, 2.0], dtype=complex)
         if where == "contour":
             contour[0] = contour[-1] = np.nan
@@ -122,8 +138,8 @@ class TestWindingNumber:
 
     def test_rows_judged_as_alone(self):
         # one pass over rows that pass, hit a vertex, lie 1e-5 inside a thin
-        # rectangle (where the distance bound does not clear), do not close
-        # or hold a NaN: each row's numbers or error are winding_numbers'
+        # rectangle, do not close or hold a NaN: each row's numbers or error
+        # are winding_numbers'
         circle = unit_circle(256)
         corners = np.array([-1 - 1e-5j, 1 - 1e-5j, 1 + 1e-5j, -1 + 1e-5j, -1 - 1e-5j])
         at = np.linspace(0.0, 4.0, 257)
