@@ -1,6 +1,7 @@
 """Catalog of meromorphic functions on the exterior disk and admissible
-h-functions, plus the zeros of f' and the poles of f in |z| >= 1, solved
-from the coefficients: the theorem's hypotheses on f and g.
+h-functions, plus the zeros of f' and the poles of f in |z| >= 1, the
+theorem's hypotheses on f and g: ruled out by a bound on the coefficients,
+with a slack for its rounding, or else solved from them with ``np.roots``.
 
 f, g and h are one model: a Laurent map u = b z + b0 + b1/z + ... under a
 flat tuple of Moebius levels, so every derivative through order four has a
@@ -386,9 +387,37 @@ def _derivative_roots(fn):
     return zeros, poles
 
 
+def _bound_excludes_roots(fn) -> bool:
+    """True when the coefficients prove that fn' has no zero and fn no pole
+    in |z| >= rho = 1 - ROOT_BAND (Marden, Geometry of Polynomials, 1966):
+    u' = b - sum k t_k z^-(k+1), whose zeros are those of fn', has none when
+    sum k |t_k| rho^-(k+1) < |b|, and the folded c u + d none when |c b| rho
+    > |c b0 + d| + sum |c t_k| rho^-k (each right side falls as |z| grows).
+    Each margin must exceed (n + 16) eps times the sum of its terms' moduli,
+    n = len(tail), which covers the few roundings of each term and the n of
+    their sum. An overflowing or NaN sum fails its comparison: undecided."""
+    b, b0, tail = fn.lower_coeffs()
+    (c, d), rho, k = _fold(fn.levels)[1], 1.0 - ROOT_BAND, np.arange(1, tail.size + 1)
+    slack = (tail.size + 16) * np.finfo(np.float64).eps
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.abs(tail) * rho**-k  # |t_k| rho^-k
+        zeros = k @ terms / rho
+        if not abs(b) - zeros > slack * (abs(b) + zeros):
+            return False
+        if not c:
+            return True
+        lead, rest = abs(c) * abs(b) * rho, abs(c) * terms.sum()
+        margin = lead - abs(c * b0 + d) - rest
+        return bool(margin > slack * (lead + abs(c) * abs(b0) + abs(d) + rest))
+
+
 def exterior_roots(fn) -> tuple:
     """The zeros of fn' and the poles of fn in |z| >= 1 - ROOT_BAND, each
-    outermost first (roots of equal modulus in ``np.roots`` order)."""
+    outermost first (roots of equal modulus in ``np.roots`` order). Both are
+    empty, with nothing solved, where ``_bound_excludes_roots`` proves it;
+    otherwise ``np.roots`` solves for them (``_derivative_roots``)."""
+    if _bound_excludes_roots(fn):
+        return np.empty(0, np.complex128), np.empty(0, np.complex128)
     out = []
     for roots in _derivative_roots(fn):
         roots = roots[np.argsort(-np.abs(roots), kind="stable")]

@@ -1,16 +1,18 @@
 import re
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import univalence as uv
-from univalence import _kernels
+from univalence import _kernels, catalog
 from univalence.catalog import (
     ROOT_BAND,
     SigmaClassReport,
+    _bound_excludes_roots,
     _derivative_roots,
     exterior_roots,
     parse_complex,
@@ -294,6 +296,18 @@ class TestHAdmissibility:
                 assert rep.max_ratio <= 1.0 + 1e-9
 
 
+# spec: the moduli of the zeros of f' and of the poles of f in |z| >= 1
+EXTERIOR_ROOT_SPECS = {
+    "joukowski:1.2": ([1.0954451150103321] * 2, []),
+    "joukowski:2.0": ([1.4142135623730951] * 2, []),
+    "laurent:1;0;0,0,0.9": ([1.2819] * 4, []),
+    "moebius:1,0,1,-2:identity": ([], [2.0]),
+    "joukowski:0.6": ([], []),
+    "joukowski:0.999": ([], []),
+    "laurent:1;0;0.2,0.05": ([], []),
+}
+
+
 class TestDerivativeRoots:
     """The zeros of f' and the poles of f, read from the coefficients."""
 
@@ -311,15 +325,7 @@ class TestDerivativeRoots:
         "spec,zeros,poles",
         [
             pytest.param(spec, zeros, poles, id=spec)
-            for spec, zeros, poles in [
-                ("joukowski:1.2", [1.0954451150103321] * 2, []),
-                ("joukowski:2.0", [1.4142135623730951] * 2, []),
-                ("laurent:1;0;0,0,0.9", [1.2819] * 4, []),
-                ("moebius:1,0,1,-2:identity", [], [2.0]),
-                ("joukowski:0.6", [], []),
-                ("joukowski:0.999", [], []),
-                ("laurent:1;0;0.2,0.05", [], []),
-            ]
+            for spec, (zeros, poles) in EXTERIOR_ROOT_SPECS.items()
         ],
     )
     def test_exterior_roots(self, spec, zeros, poles):
@@ -336,6 +342,116 @@ class TestDerivativeRoots:
         assert np.allclose(sorted(zeros.real), [-1.0, 1.0], rtol=0, atol=1e-15)
         assert exterior_roots(uv.joukowski((1.0 - 0.5 * ROOT_BAND) ** 2))[0].size == 2
         assert exterior_roots(uv.joukowski((1.0 - 2.0 * ROOT_BAND) ** 2))[0].size == 0
+
+
+RHO = 1.0 - ROOT_BAND
+
+
+def _roots_inside(fn) -> bool:
+    """Whether every zero of u' and, under fn's one level (a, b, c, d) with
+    c != 0, every root of c u + d lies in |z| < 1 - ROOT_BAND, by 40-digit
+    roots with their error bound (exact products of the doubles)."""
+    b, b0, tail, polys = mp.mpc(fn.b), mp.mpc(fn.b0), [mp.mpc(t) for t in fn.tail], []
+    with mp.workdps(40):
+        polys.append([b, 0, *(-k * t for k, t in enumerate(tail, 1))])  # z^(n+1) u'
+        for _, _, c, d in fn.levels:
+            c, d = mp.mpc(c), mp.mpc(d)
+            polys += [[c * b, c * b0 + d, *(c * t for t in tail)]] if c else []  # z^n (c u + d)
+        for poly in polys:
+            roots, err = mp.polyroots(poly, maxsteps=200, extraprec=60, error=True)
+            if max(abs(r) for r in roots) + err >= RHO:
+                return False
+    return True
+
+
+@st.composite
+def bounded_maps(draw):
+    """A Laurent map with a 1-8 term tail of complex phases whose zero bound
+    sum k |t_k| rho^-(k+1) is 0.9-1.1 times |b|; in half of them one level
+    with c != 0 whose d puts the pole bound's margin around zero too."""
+    n = draw(st.integers(1, 8))
+    unit = st.floats(0.0, 2.0 * np.pi)
+    moduli = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+    tail = moduli * np.exp(1j * np.array(draw(st.lists(unit, min_size=n, max_size=n))))
+    b = draw(st.floats(0.5, 2.0)) * np.exp(1j * draw(unit))
+    k = np.arange(1, n + 1)
+    tail *= draw(st.floats(0.9, 1.1)) * abs(b) / (k @ (moduli * RHO ** -(k + 1.0)))
+    u = uv.laurent(b, draw(coefficients), tail)
+    if not draw(st.booleans()):
+        return u
+    c = draw(st.floats(0.1, 2.0)) * np.exp(1j * draw(unit))
+    lead = abs(c) * abs(b) * RHO - abs(c) * np.sum(np.abs(tail) * RHO ** -k)
+    d = draw(st.floats(0.0, 1.2)) * abs(lead) * np.exp(1j * draw(unit)) - c * u.b0
+    assume(d != 0)
+    return uv.moebius_of(u, 1, 0, c, d)
+
+
+class TestRootBound:
+    """``exterior_roots`` rules the roots out by a bound on the coefficients
+    before it solves for them: where the bound decides, every root lies
+    inside |z| < 1 - ROOT_BAND, and the result is the solve's."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(fn=bounded_maps())
+    def test_bound_is_sound(self, fn):
+        assert not _bound_excludes_roots(fn) or _roots_inside(fn)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_bound_is_sound_at_a_tie(self, n):
+        # one-term tails around the tie n |t| = |b| rho^(n+1), a few ulps
+        # apart: the computed bound rounds to either side of |b| there, so
+        # only its slack keeps it from ruling out a root at |z| >= rho
+        for b in (0.7 * np.exp(0.4j), 1.3 * np.exp(0.4j)):
+            with mp.workdps(40):
+                tie = float(abs(mp.mpc(b)) * mp.mpf(RHO) ** (n + 1) / n)
+            for phase in (0.0, 0.3, 1.0, 2.5):
+                for j in range(-2, 3):
+                    t = (tie + j * np.spacing(tie)) * np.exp(1j * phase)
+                    fn = uv.laurent(b, 0, [0] * (n - 1) + [t])
+                    assert not _bound_excludes_roots(fn) or _roots_inside(fn), (b, phase, j)
+
+    @pytest.mark.parametrize(
+        "fn",
+        [pytest.param(uv.joukowski(c), id=f"joukowski:{c!r}") for c in np.linspace(0.0, 1.5, 31)]
+        + [
+            pytest.param(uv.joukowski((1.0 + s * k * ROOT_BAND) ** 2), id=f"joukowski:(1{s:+}*{k}*band)^2")
+            for s in (-1, 1)
+            for k in (0.5, 2.0)
+        ]
+        + [
+            pytest.param(uv.laurent(1, 0, [0] * (n - 1) + [-kappa / n]), id=f"z-({kappa}/{n})z^-{n}")
+            for n in (4, 8, 16, 32, 63)
+            for kappa in (0.5, 1.0, 1.5)
+        ]
+        + [pytest.param(uv.make_sigma_function(spec), id=spec) for spec in EXTERIOR_ROOT_SPECS],
+    )
+    def test_bound_agrees_with_the_solve(self, fn, monkeypatch):
+        got = exterior_roots(fn)
+        monkeypatch.setattr(catalog, "_bound_excludes_roots", lambda fn: False)
+        for roots, want in zip(got, exterior_roots(fn), strict=True):
+            assert np.array_equal(roots, want)
+
+    def test_bound_decides_the_maps_that_are_clear_of_the_circle(self):
+        # z - (0.5/n) z^-n: f' vanishes at |z| = 0.5^(1/(n+1)) <= 0.99;
+        # joukowski((1 - k ROOT_BAND)^2): at |z| = 1 - k ROOT_BAND, inside
+        # rho for k = 2, in the band for k = 0.5
+        for n in (4, 8, 16, 32, 63):
+            assert _bound_excludes_roots(uv.laurent(1, 0, [0] * (n - 1) + [-0.5 / n]))
+        assert _bound_excludes_roots(uv.joukowski((1.0 - 2.0 * ROOT_BAND) ** 2))
+        assert not _bound_excludes_roots(uv.joukowski((1.0 - 0.5 * ROOT_BAND) ** 2))
+        assert not _bound_excludes_roots(uv.make_sigma_function("moebius:1,0,1,-2:identity"))
+        # 1/(u + 0.5), u = z + (0.1+0.2i)/z: u = -0.5 at |z| = 0.47
+        assert _bound_excludes_roots(uv.make_sigma_function("moebius:1,0,1,0.5:joukowski:0.1,0.2"))
+
+    def test_overflowing_bound_is_undecided(self):
+        # |t| rho^-k overflows: the bound decides nothing, warns of nothing
+        # (filterwarnings makes a RuntimeWarning an error), and the solve
+        # refuses the coefficients as out of double range
+        fn = uv.make_sigma_function("laurent:1;0;0,1e308")
+        assert not _bound_excludes_roots(fn)
+        with pytest.raises(EvaluationFailure, match="double range"):
+            exterior_roots(fn)
+        assert not _bound_excludes_roots(replace(fn, tail=(np.nan,)))
 
 
 class TestDerivativeOrders:

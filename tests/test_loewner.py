@@ -516,8 +516,9 @@ class TestAudit:
         assert list(rep.subordination_failures) == failures
 
     def test_one_evaluation_pass_per_audit(self, monkeypatch):
-        # one root solve per function (the precondition) and a fixed number
-        # of kernel calls whatever the number of chain times: f, g and h
+        # no root solve, since the coefficient bound of the precondition
+        # rules out every root of both functions, and a fixed number of
+        # kernel calls whatever the number of chain times: f, g and h
         # stacks to order 3 for the grid pass over the z grid (6 x 192
         # points at the default grids) and to order 2 for the L pass over
         # the doubled a1 contour and the probes (6 x 512 + 5 x 16 points);
@@ -562,7 +563,7 @@ class TestAudit:
         spec = ChainSpec(f=f, g=g, h=uv.inverse_square(0.1), alpha=0.4 + 0.1j)
         rep = audit_pommerenke(spec)
         assert rep.passed
-        assert roots == Counter({f: 1, g: 1})
+        assert roots == Counter()
         assert kernel["derivs"] == 6
         # f and g (from g') to order 3 on the grid and 2 on the nodes, h to 1 and 0
         assert kernel_points == Counter({(1152, 3): 2, (1152, 1): 1, (3152, 2): 2, (3152, 0): 1})
@@ -582,6 +583,14 @@ class TestAudit:
         kernel.clear()
         audit_pommerenke(spec, t_samples=(1.0,))
         assert kernel["winding"] == 0
+
+        # f = z - (1.5/16) z^-16, whose f' vanishes at |z| = 1.024, is beyond
+        # the bound: one solve names its roots; g = identity needs none
+        f16 = uv.laurent(1, 0, [0] * 15 + [-1.5 / 16])
+        rep = audit_pommerenke(ChainSpec(f=f16, g=uv.identity(), alpha=0))
+        assert roots == Counter({f16: 1})
+        assert rep.errors[0].startswith("precondition: f' vanishes at ")
+        assert rep.errors[0].endswith(" in |z| >= 1 (and 16 more there)")
 
 
 def _standalone(fn, spec, z, t):
