@@ -272,14 +272,14 @@ def _expansion_at_infinity(fn):
     coefficients (a c != 0 map tends to a/c, so b = 0), and the size of the
     terms b0 sums, through the fold's matrix products too, which bounds its
     rounding."""
-    (a, bb), (c, d) = _fold(fn.levels)
     b_u, b0_u, _ = fn.lower_coeffs()
-    # Each folded entry sums products of the levels' entries; the same
-    # products of their moduli bound the size of those sums' terms.
-    bound = np.eye(2)
-    for level in fn.levels:
-        bound = bound @ np.abs(np.reshape(level, (2, 2)))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        (a, bb), (c, d) = _fold(fn.levels)
+        # Each folded entry sums products of the levels' entries; the same
+        # products of their moduli bound the size of those sums' terms.
+        bound = np.eye(2)
+        for level in fn.levels:
+            bound = bound @ np.abs(np.reshape(level, (2, 2)))
         if c:
             b, b0, scale = 0j, a / c, 0.0
         else:
@@ -397,9 +397,10 @@ def _bound_excludes_roots(fn) -> bool:
     n = len(tail), which covers the few roundings of each term and the n of
     their sum. An overflowing or NaN sum fails its comparison: undecided."""
     b, b0, tail = fn.lower_coeffs()
-    (c, d), rho, k = _fold(fn.levels)[1], 1.0 - ROOT_BAND, np.arange(1, tail.size + 1)
+    rho, k = 1.0 - ROOT_BAND, np.arange(1, tail.size + 1)
     slack = (tail.size + 16) * np.finfo(np.float64).eps
     with np.errstate(over="ignore", invalid="ignore"):
+        c, d = _fold(fn.levels)[1]
         terms = np.abs(tail) * rho**-k  # |t_k| rho^-k
         zeros = k @ terms / rho
         if not abs(b) - zeros > slack * (abs(b) + zeros):

@@ -264,6 +264,14 @@ class TestSigmaValidator:
         with pytest.raises(EvaluationFailure, match="beyond double range"):
             uv.validate_sigma_normalization(f)
 
+    def test_overflowing_fold_warns_of_nothing(self):
+        # the fold's d overflows to inf + nan i while c = 1: the map still
+        # tends to a / c at infinity, so it is read as bounded, silently
+        f = uv.make_sigma_function(
+            "moebius:1e-300,0,1e-300,1e300:moebius:1e-300,1e-300,1e-300,1e300:identity"
+        )
+        assert uv.validate_sigma_normalization(f) == SigmaClassReport(0, 0, "neither")
+
 
 class TestHAdmissibility:
     def test_constant_one_passes(self):
@@ -452,6 +460,15 @@ class TestRootBound:
         with pytest.raises(EvaluationFailure, match="double range"):
             exterior_roots(fn)
         assert not _bound_excludes_roots(replace(fn, tail=(np.nan,)))
+
+    def test_overflowing_fold_is_undecided(self):
+        # the folded matrix's d overflows to inf + nan i: undecided, silent
+        fn = uv.make_sigma_function(
+            "moebius:1e-300,0,1e-300,1e300:moebius:1e-300,1e-300,1e-300,1e300:identity"
+        )
+        assert not _bound_excludes_roots(fn)
+        with pytest.raises(EvaluationFailure, match="double range"):
+            exterior_roots(fn)
 
 
 class TestDerivativeOrders:
