@@ -1,7 +1,8 @@
 """Catalog of meromorphic functions on the exterior disk and admissible
 h-functions, plus the zeros of f' and the poles of f in |z| >= 1, the
-theorem's hypotheses on f and g: ruled out by a bound on the coefficients,
-with a slack for its rounding, or else solved from them with ``np.roots``.
+theorem's hypotheses on f and g: for a map whose folded levels have c = 0,
+ruled out by a bound on the coefficients with a slack for its rounding, or
+else solved from them with ``np.roots``.
 
 f, g and h are one model: a Laurent map u = b z + b0 + b1/z + ... under a
 flat tuple of Moebius levels, so every derivative through order four has a
@@ -389,27 +390,24 @@ def _derivative_roots(fn):
 
 def _bound_excludes_roots(fn) -> bool:
     """True when the coefficients prove that fn' has no zero and fn no pole
-    in |z| >= rho = 1 - ROOT_BAND (Marden, Geometry of Polynomials, 1966):
-    u' = b - sum k t_k z^-(k+1), whose zeros are those of fn', has none when
-    sum k |t_k| rho^-(k+1) < |b|, and the folded c u + d none when |c b| rho
-    > |c b0 + d| + sum |c t_k| rho^-k (each right side falls as |z| grows).
-    Each margin must exceed (n + 16) eps times the sum of its terms' moduli,
-    n = len(tail), which covers the few roundings of each term and the n of
-    their sum. An overflowing or NaN sum fails its comparison: undecided."""
-    b, b0, tail = fn.lower_coeffs()
+    in |z| >= rho = 1 - ROOT_BAND (Marden, Geometry of Polynomials, 1966).
+    Where the folded levels have c = 0, fn has no pole and fn' the zeros of
+    u' = b - sum k t_k z^-(k+1), which has none in |z| >= rho when sum k
+    |t_k| rho^-(k+1) < |b|, a left side that falls as |z| grows. The margin must
+    exceed (n + 16) eps times |b| plus the sum, n = len(tail), which covers
+    the few roundings of each term and the n of their sum with 13 eps |b| to
+    spare; and |b| must be at least the least normal double over that slack,
+    so that the spare dwarfs the few 2^-1074 by which each term below the
+    normal range rounds. A folded c != 0, a smaller |b| and an overflowing
+    or NaN sum are left to the solve: undecided."""
+    b, _, tail = fn.lower_coeffs()
     rho, k = 1.0 - ROOT_BAND, np.arange(1, tail.size + 1)
     slack = (tail.size + 16) * np.finfo(np.float64).eps
     with np.errstate(over="ignore", invalid="ignore"):
-        c, d = _fold(fn.levels)[1]
-        terms = np.abs(tail) * rho**-k  # |t_k| rho^-k
-        zeros = k @ terms / rho
-        if not abs(b) - zeros > slack * (abs(b) + zeros):
+        if _fold(fn.levels)[1, 0] or not slack * abs(b) >= np.finfo(np.float64).tiny:
             return False
-        if not c:
-            return True
-        lead, rest = abs(c) * abs(b) * rho, abs(c) * terms.sum()
-        margin = lead - abs(c * b0 + d) - rest
-        return bool(margin > slack * (lead + abs(c) * abs(b0) + abs(d) + rest))
+        zeros = k @ (np.abs(tail) * rho**-k) / rho
+        return bool(abs(b) - zeros > slack * (abs(b) + zeros))
 
 
 def exterior_roots(fn) -> tuple:
