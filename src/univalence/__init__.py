@@ -2,10 +2,11 @@
 
 Evaluates a general univalence criterion for meromorphic functions on
 {|zeta| > 1} together with its five classical specializations, audits the
-underlying Loewner-chain construction, and cross-checks verdicts against an
-independent injectivity oracle. Every evaluation is vectorized: derivative
-stacks over whole sets of points feed the criterion pieces, the criterion
-LHS and the chain values alike.
+underlying Loewner-chain construction through one entry point,
+``audit_pommerenke``, and cross-checks verdicts against an independent
+injectivity oracle. Every evaluation is vectorized: derivative stacks over
+whole sets of points feed the criterion pieces, the criterion LHS and the
+chain values alike.
 """
 
 from .catalog import (
@@ -25,16 +26,8 @@ from .catalog import (
     validate_sigma_normalization,
 )
 from .criteria import CRITERIA, CriterionParams, evaluate_lhs
-from .loewner import (
-    AuditReport,
-    ChainSpec,
-    audit_pommerenke,
-    chain_values,
-    chain_w_values,
-    extract_a1,
-    subordination_check,
-)
-from .oracle import Collision, CollisionReport, injectivity_scan, winding_numbers
+from .loewner import AuditReport, ChainSpec, audit_pommerenke
+from .oracle import Collision, CollisionReport, injectivity_scan
 from .region import SupReport, Verdict, estimate_sup, issue_verdict
 from .sampling import SamplingPlan, sample_exterior
 
@@ -52,12 +45,9 @@ __all__ = [
     "SupReport",
     "Verdict",
     "audit_pommerenke",
-    "chain_values",
-    "chain_w_values",
     "constant_one",
     "estimate_sup",
     "evaluate_lhs",
-    "extract_a1",
     "identity",
     "injectivity_scan",
     "inverse_square",
@@ -71,8 +61,6 @@ __all__ = [
     "parse_function_spec",
     "parse_h_spec",
     "sample_exterior",
-    "subordination_check",
     "validate_h_admissible",
     "validate_sigma_normalization",
-    "winding_numbers",
 ]

@@ -20,7 +20,6 @@ import numpy as np
 
 from . import _kernels
 from .errors import EvaluationFailure, InvalidSpec
-from .jet import stack_div
 from .sampling import SamplingPlan
 
 
@@ -44,12 +43,6 @@ class MeromorphicFn:
     tail: tuple = ()
     levels: tuple = ()
 
-    @property
-    def declared_class(self) -> str:
-        """'Sigma0', 'Sigma' or 'neither', read from the expansion at
-        infinity."""
-        return _sigma_class(*_expansion_at_infinity(self))
-
     def lower_coeffs(self):
         """(b, b0, tail-array) of the Laurent map u under the levels, the
         arguments of the Laurent kernel."""
@@ -70,7 +63,7 @@ class MeromorphicFn:
         quotient over the stack of u, with the folded matrix of ``_fold``, so
         it is finite wherever that part of the map is. Each level with c = 0
         outside it then divides by its constant denominator d: the quotient
-        recurrence of stack_div reduces to this division (up to the sign of a
+        recurrence of _stack_div reduces to this division (up to the sign of a
         zero), and an overflowing value row stays in its row. Pole hits
         surface as non-finite entries, for the caller to diagnose."""
         points = np.asarray(points, dtype=np.complex128)
@@ -86,7 +79,7 @@ class MeromorphicFn:
                 num[0] = num[0] + bb
                 den = c * u_stack
                 den[0] = den[0] + d
-                stack = stack_div(num, den)[first:]
+                stack = _stack_div(num, den)[first:]
             for a, bb, _, d in reversed(self.levels[:cut]):
                 stack = a * stack
                 if first == 0:
@@ -146,6 +139,22 @@ def _fold(levels):
     for level in levels:
         m = m @ np.reshape(level, (2, 2))
     return m
+
+
+_BINOM = ((1,), (1, 1), (1, 2, 1), (1, 3, 3, 1), (1, 4, 6, 4, 1))
+
+
+def _stack_div(a, b):
+    """The stack (value and derivatives, rows first, up to order 4) of the
+    quotient a/b from the stacks of a and b, by the quotient recurrence
+    q^(i) = (a^(i) - sum_k<i C(i, k) q^(k) b^(i-k)) / b."""
+    q = [a[0] / b[0]]
+    for i in range(1, len(a)):
+        s = a[i]
+        for k in range(i):
+            s = s - _BINOM[i][k] * (q[k] * b[i - k])
+        q.append(s / b[0])
+    return np.stack(q)
 
 
 def make_sigma_function(spec) -> MeromorphicFn:

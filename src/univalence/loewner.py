@@ -23,8 +23,9 @@ contour is a view of the doubled contour's even nodes, bitwise the nodes
 ``circle_points`` gives. At the default grids the passes cover 6 x 192 and
 6 x 512 + 5 x 16 = 3152 points. Each per-t check runs once over samples
 stacked over t, and one winding pass judges all (t, s) pairs. A failure is
-recorded against its own t slice or (t, s) pair, with the message that
-slice would raise alone, and the audit goes on.
+recorded against its own t slice or (t, s) pair, with the error of that
+slice evaluated alone, and the audit goes on. ``audit_pommerenke`` is the
+one entry point: each check has this one implementation.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .errors import (
     CriticalPoint,
     DenominatorVanishes,
     HVanishes,
+    InvalidPlan,
     InvalidSpec,
     OutsideDomain,
 )
@@ -98,7 +100,7 @@ def _concat(slices):
     last = np.searchsorted(ends, bad[0], side="right") if bad.size else len(slices)
     for _, t in slices[: last + 1]:
         if t < 0:
-            raise ValueError(f"chain time must be nonnegative, got {t}")
+            raise InvalidPlan(f"chain time must be nonnegative, got {t}")
     if bad.size:
         raise OutsideDomain(f"chain domain is 0 < |z| <= 1, got z = {z[bad[0]]}")
     t = np.repeat(np.array([t for _, t in slices], dtype=np.float64), sizes)
@@ -109,11 +111,11 @@ def _chain_slices(spec: ChainSpec, slices, grid: bool = False) -> tuple:
     """Chain values over a sequence of (z, t) slices from one pass over all
     of their points: one domain check, one f, g and h stack and one quotient
     evaluation. Returns the row L (with ``grid``, the rows L, dL/dt, z dL/dz
-    and w) over all the points, and per slice None or the error
-    ``chain_values`` raises for that slice alone (CriticalPoint,
-    DenominatorVanishes), then with ``grid`` that of ``chain_w_values``
-    (CriticalPoint, HVanishes). The rows an error is about are NaN over its
-    slice.
+    and w) over all the points, and per slice None or the error of L for
+    that slice evaluated alone (CriticalPoint, DenominatorVanishes), then
+    with ``grid`` that of w (CriticalPoint, HVanishes). The rows an error is
+    about are NaN over its slice. A slice's values and errors do not depend
+    on the other slices of the call.
 
     With zeta = e^t/z, c = (e^-t - e^t)/z, l = v'/v = alpha (pg - pf) and
     pf = f''/f', pg = g''/g', L = N/D with N = 1 + c h l and D = f + c h u1,
@@ -195,86 +197,36 @@ def _slice_errors(slices, ends, rows, tests) -> list:
     return errors
 
 
-def _ok(result):
-    """A result's value; raises it if it is an error."""
-    if isinstance(result, Exception):
-        raise result
-    return result
-
-
-def chain_values(spec: ChainSpec, z, t: float) -> np.ndarray:
-    """Chain value at each z (a scalar counts as one point) for fixed t,
-    in the shape of z."""
-    z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    rows, (error,) = _chain_slices(spec, [(z, t)])
-    return _ok(error or rows)[0].reshape(z.shape)
-
-
-def chain_w_values(spec: ChainSpec, z, t: float) -> np.ndarray:
-    """Driving function w(z,t) at each z for fixed t: the signed theorem1
-    bracket at zeta = e^t/z, the last row of ``_chain_slices``' grid pass."""
-    z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    rows, _, (error,) = _chain_slices(spec, [(z, t)], grid=True)
-    return _ok(error or rows)[3].reshape(z.shape)
-
-
-def extract_a1(spec: ChainSpec, t: float, circle_radius: float = A1_RADIUS) -> complex:
-    """First Taylor coefficient of z -> chain(z, t) at 0, by the trapezoidal
-    contour rule (spectrally accurate for analytic chains)."""
-    if not 0.0 < circle_radius < 1.0:
-        raise ValueError("circle_radius must lie in (0, 1)")
-    zs = circle_points(circle_radius, A1_NODE_COUNT)
-    rows, errors = _chain_slices(spec, [(zs, t)])
-    return _ok(_a1_rows(rows[:1], errors, zs, (t,), circle_radius)[0])
-
-
-def _a1_rows(values, errors, zs, ts, circle_radius) -> list:
-    """Per row of chain values on the contour ``zs``, one per time in ``ts``
-    with its ``_chain_slices`` error, the a1 of ``extract_a1`` or the error
-    it raises for that row alone, from one mean over all the rows."""
+def _a1_rows(values, errors, zs, ts) -> list:
+    """Per row of chain values on the contour ``zs`` (radius A1_RADIUS),
+    one per time in ``ts`` with its ``_chain_slices`` error, the a1 (the
+    first Taylor coefficient at 0, by the trapezoidal rule: spectrally
+    accurate for an analytic chain) or the error of that row alone, from one
+    mean over all the rows."""
     with np.errstate(over="ignore", invalid="ignore"):
         a1 = np.mean(values / zs, axis=1)
     out = []
     for t, value, error in zip(ts, a1, errors):
-        if isinstance(error, DenominatorVanishes):
-            error = ContourThroughSingularity(str(error))
-        elif error is None and not np.isfinite(value):
+        if error is None and not np.isfinite(value):
             error = ContourThroughSingularity(
-                f"chain not finite on contour radius {circle_radius} at t = {t}"
+                f"chain not finite on contour radius {A1_RADIUS} at t = {t}"
             )
         out.append(error or complex(value))
     return out
 
 
-def subordination_check(spec: ChainSpec, t: float, s: float, r: float = A1_RADIUS):
-    """Verify chain(., t) maps into the image of chain(., s) by winding number:
-    every probe image must be enclosed exactly once by the s-contour.
-
-    Returns (ok, failures) with failures a list of (t, s, probe point).
-    """
-    if not 0.0 < r < 1.0:
-        raise ValueError("contour radius must lie in (0, 1)")
-    ring = circle_points(r, A1_NODE_COUNT)
-    probes_z = circle_points(0.9 * r, PROBE_COUNT)
-    rows, errors = _chain_slices(spec, [(ring, s), (probes_z, t)])
-    contour, probes = rows[:1, : ring.size], rows[:1, ring.size :]
-    failures = _ok(_subordination([(t, s)], probes_z, contour, probes, [errors])[0])
-    return (not failures), failures
-
-
 def _subordination(pairs, probes_z, rings, probes, errors) -> list:
-    """Per (t, s) pair, the failures of ``subordination_check`` or the error
-    it raises for that pair alone, from the chain values on the s-contour
-    and at the t probes, a row per pair, and per pair the ``_chain_slices``
-    errors of both, with one winding pass for all pairs."""
+    """Per (t, s) pair, the probes whose image the s-contour does not wind
+    around exactly once, as (t, s, probe) failures, or the error of that
+    pair alone, from the chain values on the s-contour and at the t probes,
+    a row per pair, and per pair the ``_chain_slices`` errors of both, with
+    one winding pass for all pairs."""
     closed = np.concatenate([rings, rings[:, :1]], axis=1)
     turns, winding_errors = winding_rows(closed, probes) if pairs else ((), ())
     out = []
     for (t, s), row, chain_errors, winding_error in zip(pairs, turns, errors, winding_errors):
         error = next(filter(None, [*chain_errors, winding_error]), None)
-        if isinstance(error, DenominatorVanishes):
-            error = ContourThroughSingularity(str(error))
-        elif isinstance(error, InvalidSpec):  # winding_rows refuses a non-finite value
+        if isinstance(error, InvalidSpec):  # winding_rows refuses a non-finite value
             error = ContourThroughSingularity(f"chain not finite at t = {t} or s = {s}")
         out.append(error or [(t, s, complex(probes_z[j])) for j in np.flatnonzero(row != 1)])
     return out
@@ -338,24 +290,15 @@ for _points in (_Z_SAMPLES, *_NODES):
     _points.flags.writeable = False
 
 
-def default_z_samples() -> np.ndarray:
-    return _Z_SAMPLES
-
-
-def _audit_nodes():
-    """The a1 contour, the doubled contour and the subordination probes."""
-    return _NODES
-
-
-def _audit_samples(spec: ChainSpec, ts: tuple, z: np.ndarray, nodes: tuple):
-    """Every sample the audit reads at the z grid ``z`` and the
-    ``_audit_nodes``, stacked with a row per t (per subordination pair for
-    the probes): the chain rows (L, dL/dt, z dL/dz) on the grid, of shape
-    (3, len(ts), z.size); L on the a1 contour and on the doubled contour; w
-    on the grid; and L at the probes. Returns these five arrays, NaN in a
-    row whose slice failed, and their five lists of per-row errors, each
-    None or the error of ``_chain_slices`` for that row's slice evaluated
-    alone.
+def _audit_samples(spec: ChainSpec, ts: tuple):
+    """Every sample the audit reads at the z grid ``_Z_SAMPLES`` and the
+    ``_NODES``, stacked with a row per t (per subordination pair for the
+    probes): the chain rows (L, dL/dt, z dL/dz) on the grid, of shape
+    (3, len(ts), _Z_SAMPLES.size); L on the a1 contour and on the doubled
+    contour; w on the grid; and L at the probes. Returns these five arrays,
+    NaN in a row whose slice failed, and their five lists of per-row errors,
+    each None or the error of ``_chain_slices`` for that row's slice
+    evaluated alone.
 
     Two ``_chain_slices`` passes evaluate each distinct point once: the
     grid pass over the z grid at every t, and the L pass over the doubled
@@ -365,8 +308,8 @@ def _audit_samples(spec: ChainSpec, ts: tuple, z: np.ndarray, nodes: tuple):
     count by a power of two is exact. When the doubled contour carries an
     error, the a1 contour is evaluated alone instead, so that it keeps the
     message and point of its own evaluation."""
-    (contour, doubled, probes_z), n = nodes, len(ts)
-    rows, grid_errors, w_errors = _chain_slices(spec, [(z, t) for t in ts], grid=True)
+    (contour, doubled, probes_z), n = _NODES, len(ts)
+    rows, grid_errors, w_errors = _chain_slices(spec, [(_Z_SAMPLES, t) for t in ts], grid=True)
     on_nodes, errors = _chain_slices(spec, [(doubled, t) for t in ts] + [(probes_z, t) for t in ts[:-1]])
     on_doubled = on_nodes[0, : n * doubled.size].reshape(n, -1)
     on_contour = on_doubled[:, ::2].copy()
@@ -406,22 +349,22 @@ def audit_pommerenke(spec: ChainSpec, t_samples=None) -> AuditReport:
     grid points (L, dL/dt, z dL/dz and w) and an L pass over 3152 points
     (6 t x 512 doubled-contour points + 5 x 16 probes), each slice read as
     if it had been evaluated alone. The s-contour of a pair is the a1
-    contour at s, the contour of ``subordination_check``'s default r. |w|,
-    the residual and both a1 means are computed over rows stacked over t.
-    A Loewner residual (LOEWNER_RESIDUAL_TOL) that is not finite reads
-    inf."""
-    z = default_z_samples()
+    contour at s, and its probes lie at 0.9 A1_RADIUS (``_subordination``).
+    |w|, the residual and both a1 means are computed over rows stacked over
+    t. A Loewner residual (LOEWNER_RESIDUAL_TOL) that is not finite reads
+    inf. An empty ``t_samples`` raises InvalidPlan."""
+    z = _Z_SAMPLES
     ts = tuple(DEFAULT_T_SAMPLES if t_samples is None else t_samples)
     if not ts:
-        raise ValueError("t_samples must hold at least one time")
+        raise InvalidPlan("t_samples must hold at least one time")
 
     errors = [("precondition", message) for message in _preconditions(spec)]
-    contour, doubled, probes_z = nodes = _audit_nodes()
-    samples, sample_errors = _audit_samples(spec, ts, z, nodes)
+    contour, doubled, probes_z = _NODES
+    samples, sample_errors = _audit_samples(spec, ts)
     (cv, dt, zdz), on_contour, on_doubled, w, probes = samples
     grid_errors, contour_errors, doubled_errors, w_errors, probe_errors = sample_errors
-    a1s = _a1_rows(on_contour, contour_errors, contour, ts, A1_RADIUS)
-    a1d = _a1_rows(on_doubled, doubled_errors, doubled, ts, A1_RADIUS)
+    a1s = _a1_rows(on_contour, contour_errors, contour, ts)
+    a1d = _a1_rows(on_doubled, doubled_errors, doubled, ts)
     pairs = list(zip(ts[:-1], ts[1:]))
     pair_errors = list(zip(contour_errors[1:], probe_errors))
     judged = _subordination(pairs, probes_z, on_contour[1:], probes, pair_errors)

@@ -1,6 +1,7 @@
 """Independent ground-truth machinery: injectivity scanning and discrete
-winding numbers, as signed counts of a ray's crossings by the contour; a
-point whose count rounding could decide has none.
+winding numbers (``winding_rows``, over a batch of contours), as signed
+counts of a ray's crossings by the contour; a point whose count rounding
+could decide has none.
 
 Nothing here reuses the criterion code it is meant to check: injectivity
 comes from direct image comparison of function values alone. A sorted-cell
@@ -268,18 +269,6 @@ def _cell_candidates(values: np.ndarray, tolerance: float, block: int = 1 << 20)
         i = np.repeat(owners[r0:r1], take)
         j = np.repeat(starts[r0:r1] - range_start, take) + np.arange(first, last)
         yield order[i], order[j]
-
-
-def winding_numbers(contour_samples, points) -> np.ndarray:
-    """Winding numbers of a closed discrete contour around each point, from
-    one certified crossing count per point: ``winding_rows`` of one row,
-    raising its error."""
-    points = np.asarray(points, dtype=np.complex128)
-    contour = np.asarray(contour_samples, dtype=np.complex128)
-    turns, (error,) = winding_rows(contour[None], points.reshape(1, -1))
-    if error is not None:
-        raise error
-    return turns.reshape(points.shape)[()]  # [()]: a scalar for a scalar point
 
 
 def winding_rows(contours, points) -> tuple:

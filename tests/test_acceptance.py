@@ -12,7 +12,7 @@ import numpy as np
 
 import univalence as uv
 from univalence.criteria import CriterionParams, evaluate_lhs, pieces
-from univalence.loewner import ChainSpec, audit_pommerenke, chain_values, chain_w_values, extract_a1
+from univalence.loewner import ChainSpec, _chain_slices, audit_pommerenke
 from univalence.region import estimate_sup, issue_verdict
 from univalence.sampling import circle_points
 
@@ -172,18 +172,21 @@ CHAIN_SPECS = [
 def test_05_loewner_chain_identities():
     with _Budget(5, "loewner chain identities", 5.0):
         zs = np.concatenate([circle_points(0.5, 32), circle_points(0.9, 32)])
+        ts = (0.0, 0.5, 1.0, 2.0)
         trivial = CHAIN_SPECS[0]
-        for t in (0.0, 0.5, 1.0, 2.0):
-            vals = chain_values(trivial, zs, t)
-            assert np.max(np.abs(vals - np.exp(t) * zs)) <= 1e-12 * np.exp(t)
+        vals, errors = _chain_slices(trivial, [(zs, t) for t in ts])
+        assert errors == [None] * len(ts)
+        for t, row in zip(ts, vals[0].reshape(len(ts), -1)):
+            assert np.max(np.abs(row - np.exp(t) * zs)) <= 1e-12 * np.exp(t)
         for spec in CHAIN_SPECS:
-            vals = chain_values(spec, zs, 0.0)
-            assert np.max(np.abs(vals * spec.f.values(1.0 / zs) - 1.0)) <= 1e-10
-            wv = chain_w_values(spec, zs, 0.0)
+            rows, errors, w_errors = _chain_slices(spec, [(zs, 0.0)], grid=True)
+            assert errors == w_errors == [None]
+            assert np.max(np.abs(rows[0] * spec.f.values(1.0 / zs) - 1.0)) <= 1e-10
             hv = spec.h.values(1.0 / zs)
-            assert np.max(np.abs(wv - (1.0 - hv) / hv)) <= 1e-10
-            for t in (0.0, 0.5, 1.0, 2.0):
-                a1 = extract_a1(spec, t)
+            assert np.max(np.abs(rows[3] - (1.0 - hv) / hv)) <= 1e-10
+            records = audit_pommerenke(spec, t_samples=ts).a1_records
+            assert [t for t, *_ in records] == list(ts)
+            for t, a1, *_ in records:
                 assert abs(a1 - np.exp(t)) / np.exp(t) <= 1e-6, (spec, t)
 
 
@@ -205,7 +208,9 @@ def test_06_boundary_bridge():
             for t in (0.25, LN2, 1.0):
                 # g stays locally univalent here: |e^t/z| = e^t avoids the
                 # critical radius sqrt(1.2) of the third case
-                wv = np.abs(chain_w_values(spec, zs, t))
+                rows, _, w_errors = _chain_slices(spec, [(zs, t)], grid=True)
+                assert w_errors == [None]
+                wv = np.abs(rows[3])
                 lhs = evaluate_lhs(params, np.exp(t) / zs)
                 assert np.max(np.abs(wv - lhs)) <= 1e-9, (spec, t)
 

@@ -316,13 +316,15 @@ class TestPresets:
     @pytest.mark.parametrize("gh", sorted(GH_CASES))
     @pytest.mark.parametrize("f", sorted(TestBlocks.F_CASES))
     def test_w_is_theorem1_on_the_chain(self, f, gh):
-        from univalence.loewner import ChainSpec, chain_w_values, default_z_samples
+        from univalence.loewner import _Z_SAMPLES, ChainSpec, _chain_slices
 
         g, h = self.GH_CASES[gh]
         spec = ChainSpec(f=TestBlocks.F_CASES[f], g=g, h=h, alpha=0.3 + 0.1j)
-        z = default_z_samples()
-        for t in (0.0, 0.25, 1.0, 4.0):
-            got = chain_w_values(spec, z, t)
+        ts = (0.0, 0.25, 1.0, 4.0)
+        z = _Z_SAMPLES
+        rows, _, w_errors = _chain_slices(spec, [(z, t) for t in ts], grid=True)
+        assert w_errors == [None] * len(ts)
+        for t, got in zip(ts, rows[3].reshape(len(ts), -1)):
             want = closed_form_w(spec, z, t)
             assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
 

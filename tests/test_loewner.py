@@ -9,30 +9,24 @@ from hypothesis import strategies as st
 
 import univalence as uv
 from univalence.criteria import pieces
+from univalence.catalog import _stack_div
 from univalence.errors import (
     CriticalPoint,
-    DenominatorVanishes,
-    HVanishes,
+    InvalidPlan,
     InvalidSpec,
     OutsideDomain,
-    PointTooCloseToContour,
 )
 from univalence.criteria import theorem1
-from univalence.jet import stack_div
 from univalence.loewner import (
+    _NODES,
+    _Z_SAMPLES,
     DEFAULT_T_SAMPLES,
     LOEWNER_RESIDUAL_TOL,
     PROBE_COUNT,
     ChainSpec,
-    _audit_nodes,
     _audit_samples,
     _chain_slices,
     audit_pommerenke,
-    chain_values,
-    chain_w_values,
-    default_z_samples,
-    extract_a1,
-    subordination_check,
 )
 from univalence.sampling import circle_points
 
@@ -76,27 +70,32 @@ class TestChainSpecRoles:
 
 
 class TestChainEval:
+    """L from the L pass of ``_chain_slices``, a row of values per slice."""
+
     def test_trivial_chain_is_exponential(self):
         spec = trivial_spec()
-        assert abs(chain_values(spec, 0.5, LN2)[0] - 1.0) <= 1e-12
+        assert abs(_chain_slices(spec, [(0.5, LN2)])[0][0, 0] - 1.0) <= 1e-12
         zs = np.array([0.1, 0.5j, -0.8, 0.6 - 0.3j])
-        for t in (0.0, 0.3, 1.0, 2.0):
-            assert np.max(np.abs(chain_values(spec, zs, t) - np.exp(t) * zs)) <= 1e-12 * np.exp(t)
+        ts = (0.0, 0.3, 1.0, 2.0)
+        rows, errors = _chain_slices(spec, [(zs, t) for t in ts])
+        assert errors == [None] * len(ts)
+        for t, values in zip(ts, rows[0].reshape(len(ts), -1)):
+            assert np.max(np.abs(values - np.exp(t) * zs)) <= 1e-12 * np.exp(t)
 
     def test_joukowski_example(self):
         spec = jouk_spec(0.5, alpha=0.7)
-        assert abs(chain_values(spec, 1.0, LN2)[0] - 1 / 0.9375) <= 1e-12
+        assert abs(_chain_slices(spec, [(1.0, LN2)])[0][0, 0] - 1 / 0.9375) <= 1e-12
 
     def test_initial_value_inverts_f(self):
         spec = jouk_spec(0.5, alpha=0.25)
-        assert abs(chain_values(spec, 0.5, 0.0)[0] - 1 / 2.25) <= 1e-12
+        assert abs(_chain_slices(spec, [(0.5, 0.0)])[0][0, 0] - 1 / 2.25) <= 1e-12
 
     def test_initial_value_identity_all_specs(self):
         zs = np.concatenate([circle_points(0.5, 16), circle_points(0.9, 16)])
         for spec in CATALOG_SPECS:
-            vals = chain_values(spec, zs, 0.0)
+            rows, errors = _chain_slices(spec, [(zs, 0.0)])
             fvals = spec.f.values(1.0 / zs)
-            assert np.max(np.abs(vals * fvals - 1.0)) <= 1e-10
+            assert errors == [None] and np.max(np.abs(rows[0] * fvals - 1.0)) <= 1e-10
 
     @pytest.mark.parametrize("alpha", [-2, -1, 1, 2])
     def test_integer_alpha_equals_the_quotient_of_v(self, alpha):
@@ -109,42 +108,46 @@ class TestChainEval:
         for t in (0.0, 0.5, 2.0):
             zeta, c = np.exp(t) / z, (np.exp(-t) - np.exp(t)) / z
             fd, gd = f.derivs(zeta, order=2), g.derivs(zeta, order=2)
-            ratio = stack_div(gd[1:], fd[1:])  # g'/f' and its derivative
+            ratio = _stack_div(gd[1:], fd[1:])  # g'/f' and its derivative
             v = ratio[0] ** alpha
             dv = alpha * ratio[0] ** (alpha - 1) * ratio[1]
             ch = c * spec.h.values(zeta)
             want = (v + ch * dv) / (fd[0] * v + ch * (fd[1] * v + fd[0] * dv))
-            got = chain_values(spec, z, t)
+            rows, errors = _chain_slices(spec, [(z, t)])
+            got = rows[0]
+            assert errors == [None]
             # both sides are double quotients; near |L| ~ 100 at t = 2 the
             # denominators cancel and each loses about two digits
             assert np.max(np.abs(got - want) / np.maximum(np.abs(want), 1.0)) <= 1e-12
 
     def test_domain_checks(self):
-        with pytest.raises(OutsideDomain):
-            chain_values(trivial_spec(), 1.5, 0.5)
-        with pytest.raises(ValueError):
-            chain_values(trivial_spec(), 0.5, -0.1)
+        with pytest.raises(OutsideDomain, match=r"^chain domain is 0 < \|z\| <= 1, got z = \(1.5\+0j\)$"):
+            _chain_slices(trivial_spec(), [(1.5, 0.5)])
+        with pytest.raises(InvalidPlan, match="^chain time must be nonnegative, got -0.1$"):
+            _chain_slices(trivial_spec(), [(0.5, -0.1)])
 
 
 class TestChainW:
+    """w, the last row of the grid pass of ``_chain_slices``."""
+
     def test_w_vanishes_for_trivial_data(self):
         spec = jouk_spec(0.5, alpha=0.9)
-        assert chain_w_values(spec, 0.5, 0.0)[0] == 0.0
+        assert _chain_slices(spec, [(0.5, 0.0)], grid=True)[0][3, 0] == 0.0
 
     def test_w_at_zero_time_is_h_ratio(self):
         spec = ChainSpec(
             f=uv.joukowski(0.5), g=uv.identity(), h=uv.inverse_square(0.25), alpha=0.5
         )
-        assert abs(chain_w_values(spec, 0.5, 0.0)[0] - (-1 / 17)) <= 1e-12
+        assert abs(_chain_slices(spec, [(0.5, 0.0)], grid=True)[0][3, 0] - (-1 / 17)) <= 1e-12
         zs = circle_points(0.8, 32)
         for spec in CATALOG_SPECS:
-            wv = chain_w_values(spec, zs, 0.0)
+            rows, _, w_errors = _chain_slices(spec, [(zs, 0.0)], grid=True)
             hv = spec.h.values(1.0 / zs)
-            assert np.max(np.abs(wv - (1.0 - hv) / hv)) <= 1e-10
+            assert w_errors == [None] and np.max(np.abs(rows[3] - (1.0 - hv) / hv)) <= 1e-10
 
     def test_w_matches_becker_value(self):
         spec = jouk_spec(0.5)
-        assert abs(chain_w_values(spec, 1.0, LN2)[0] - (-6 / 7)) <= 1e-12
+        assert abs(_chain_slices(spec, [(1.0, LN2)], grid=True)[0][3, 0] - (-6 / 7)) <= 1e-12
 
     def test_boundary_bridge(self):
         # |w(z,t)| on |z| = 1 equals the criterion LHS at zeta = e^t / z.
@@ -168,20 +171,23 @@ class TestChainW:
             ),
         ]
         zs = circle_points(1.0, 64)
+        ts = (0.25, LN2, 1.0)
         for spec in cases:
             p = uv.CriterionParams(f=spec.f, g=spec.g, h=spec.h, alpha=spec.alpha)
-            for t in (0.25, LN2, 1.0):
-                wv = np.abs(chain_w_values(spec, zs, t))
+            rows, _, w_errors = _chain_slices(spec, [(zs, t) for t in ts], grid=True)
+            assert w_errors == [None] * len(ts)
+            for t, wv in zip(ts, np.abs(rows[3]).reshape(len(ts), -1)):
                 lhs = uv.evaluate_lhs(p, np.exp(t) / zs)
                 assert np.max(np.abs(wv - lhs)) <= 1e-9
 
-    def test_grid_shape_is_kept(self):
+    def test_grid_shape_is_read_flat(self):
+        # a slice's z of any shape is read as its points in C order
         spec = CATALOG_SPECS[3]
         zs = circle_points(0.8, 32)
-        for fn in (chain_values, chain_w_values):
-            grid = fn(spec, zs.reshape(4, 8), 0.5)
-            assert grid.shape == (4, 8)
-            assert np.array_equal(grid.ravel(), fn(spec, zs, 0.5))
+        for grid in (False, True):
+            flat = _chain_slices(spec, [(zs, 0.5)], grid)
+            shaped = _chain_slices(spec, [(zs.reshape(4, 8), 0.5)], grid)
+            assert flat[0].shape == shaped[0].shape and np.array_equal(flat[0], shaped[0])
 
 
 class TestChainP:
@@ -191,7 +197,7 @@ class TestChainP:
         spec = jouk_spec(0.45, alpha=0.3, h=uv.inverse_square(0.2))
         zs = circle_points(0.9, 16)
         for t in (0.1, 0.8):
-            wv = chain_w_values(spec, zs, t)
+            wv = _chain_slices(spec, [(zs, t)], grid=True)[0][3]
             pv = (1.0 - wv) / (1.0 + wv)
             lhs = np.abs(1.0 + wv) ** 2 * pv.real
             rhs = 1.0 - np.abs(wv) ** 2
@@ -211,15 +217,6 @@ def unsquared_w(spec, z, t):
         - (e2t - 1.0) * zeta * (h1 / h0 + (1.0 - 2.0 * alpha) * pf + 2.0 * alpha * pg)
         + alpha * (e2t - 1.0) ** 2 / (z * z) * h0 * ((alpha - 0.5) * (pf - pg) + sf - sg)
     )
-
-
-def chain_rows(spec, z, t):
-    """The rows (L, dL/dt, z dL/dz) of the grid pass over one slice
-    evaluated alone."""
-    rows, (error,), _ = _chain_slices(spec, [(z, t)], grid=True)
-    if error is not None:
-        raise error
-    return rows[:3]
 
 
 class TestLoewnerEquation:
@@ -250,13 +247,13 @@ class TestLoewnerEquation:
     ]
 
     def differences(self, spec, z, t):
-        """dL/dt and z dL/dz at the points z."""
+        """dL/dt and z dL/dz at the points z, from one L pass."""
         step = self.STEP
-        dt = (chain_values(spec, z, t + step) - chain_values(spec, z, t - step)) / (2 * step)
-        zdz = (
-            chain_values(spec, z * np.exp(step), t) - chain_values(spec, z * np.exp(-step), t)
-        ) / (2 * step)
-        return dt, zdz
+        slices = [(z, t + step), (z, t - step), (z * np.exp(step), t), (z * np.exp(-step), t)]
+        rows, errors = _chain_slices(spec, slices)
+        assert errors == [None] * len(slices)
+        later, earlier, outer, inner = rows[0].reshape(len(slices), -1)
+        return (later - earlier) / (2 * step), (outer - inner) / (2 * step)
 
     def residual(self, spec, w, z, t):
         """max|dL/dt - z dL/dz p| / max|dL/dt| at the points z."""
@@ -268,7 +265,8 @@ class TestLoewnerEquation:
     def test_w_drives_the_chain(self, spec):
         z = circle_points(0.9, 16)
         for t in (0.25, 1.0, 2.0):
-            assert self.residual(spec, chain_w_values(spec, z, t), z, t) <= self.BOUND
+            w = _chain_slices(spec, [(z, t)], grid=True)[0][3]
+            assert self.residual(spec, w, z, t) <= self.BOUND
             # the check can fail: the unsquared alpha-term drives no chain
             assert self.residual(spec, unsquared_w(spec, z, t), z, t) > self.BOUND + 1e-3
 
@@ -278,8 +276,10 @@ class TestLoewnerEquation:
         # the L pass; its L is bitwise the L pass's
         z = circle_points(0.9, 16)
         for t in (0.25, 1.0, 2.0):
-            value, dt, zdz = chain_rows(spec, z, t)
-            assert np.array_equal(value, chain_values(spec, z, t))
+            rows, errors, _ = _chain_slices(spec, [(z, t)], grid=True)
+            value, dt, zdz = rows[:3]
+            assert errors == [None]
+            assert np.array_equal(value, _chain_slices(spec, [(z, t)])[0][0])
             for got, want in zip((dt, zdz), self.differences(spec, z, t)):
                 assert np.max(np.abs(got - want)) / np.max(np.abs(want)) <= self.BOUND
 
@@ -294,8 +294,9 @@ class TestLoewnerEquation:
             alpha=0.3 + 0.1j,
         )
         z = np.concatenate([circle_points(r, 100) for r in (0.3, 0.6, 0.9)])
-        batch = chain_rows(spec, z, 0.7)
-        alone = np.stack([chain_rows(spec, z[k : k + 1], 0.7)[:, 0] for k in range(z.size)], axis=1)
+        batch = _chain_slices(spec, [(z, 0.7)], grid=True)[0][:3]
+        alone = [_chain_slices(spec, [(z[k : k + 1], 0.7)], grid=True)[0][:3, 0] for k in range(z.size)]
+        alone = np.stack(alone, axis=1)
         assert [int(np.sum(a != b)) for a, b in zip(batch, alone)] == [0, 0, 0]
 
 
@@ -351,24 +352,28 @@ class TestLoewnerResidual:
         assert rep.loewner_residual * np.exp(16.0) > LOEWNER_RESIDUAL_TOL
 
 
-class TestExtractA1:
+class TestA1:
+    """The a1 the audit records: the trapezoidal mean over the a1 contour,
+    the even nodes of the doubled contour."""
+
     def test_trivial_chain(self):
-        assert abs(extract_a1(trivial_spec(), 1.0) - np.e) <= 1e-9
+        ((t, a1, _, _),) = audit_pommerenke(trivial_spec(), t_samples=(1.0,)).a1_records
+        assert t == 1.0 and abs(a1 - np.e) <= 1e-9
 
     def test_joukowski_series(self):
-        spec = jouk_spec(0.5)
-        assert abs(extract_a1(spec, 0.0) - 1.0) <= 1e-9
-        assert abs(extract_a1(spec, LN2) - 2.0) <= 2e-6
+        records = audit_pommerenke(jouk_spec(0.5), t_samples=(0.0, LN2)).a1_records
+        (t0, at_zero, _, _), (t1, at_ln2, _, _) = records
+        assert (t0, t1) == (0.0, LN2)
+        assert abs(at_zero - 1.0) <= 1e-9
+        assert abs(at_ln2 - 2.0) <= 2e-6
 
     def test_exponential_law_across_catalog(self):
+        ts = (0.0, 0.5, LN2, 1.0, 2.0)
         for spec in CATALOG_SPECS:
-            for t in (0.0, 0.5, 1.0, LN2, 2.0):
-                a1 = extract_a1(spec, t)
+            records = audit_pommerenke(spec, t_samples=ts).a1_records
+            assert [t for t, *_ in records] == list(ts)
+            for t, a1, *_ in records:
                 assert abs(a1 - np.exp(t)) / np.exp(t) <= 1e-6, (spec, t)
-
-    def test_bad_radius(self):
-        with pytest.raises(ValueError):
-            extract_a1(trivial_spec(), 1.0, circle_radius=1.5)
 
     def test_unnormalized_constant_term_breaks_the_law(self):
         # b0 != 0 puts a chain pole at z ~ 1/(b0 e^t); by t = 2 it is inside
@@ -377,23 +382,28 @@ class TestExtractA1:
         spec = ChainSpec(
             f=uv.laurent(1, 0.3, [0.1]), g=uv.identity(), h=uv.constant_one(), alpha=0.5
         )
-        assert abs(extract_a1(spec, 2.0) - np.exp(2.0)) / np.exp(2.0) > 1e-3
         rep = audit_pommerenke(spec)
+        (residual,) = [res for t, _, res, _ in rep.a1_records if t == 2.0]
+        assert residual > 1e-3
         assert not rep.passed
 
 
 class TestSubordination:
+    """Subordination of a two-time audit (t, s): the t probes' images lie
+    inside the s-contour's."""
+
     def test_ordered_times_nest(self):
-        ok, failures = subordination_check(trivial_spec(), 0.0, 1.0, 0.5)
-        assert ok and not failures
+        rep = audit_pommerenke(trivial_spec(), t_samples=(0.0, 1.0))
+        assert rep.passed and not rep.subordination_failures
 
     def test_equal_times_nest(self):
-        ok, _ = subordination_check(trivial_spec(), 1.0, 1.0, 0.5)
-        assert ok
+        rep = audit_pommerenke(trivial_spec(), t_samples=(1.0, 1.0))
+        assert rep.passed and not rep.subordination_failures
 
     def test_swapped_times_fail(self):
-        ok, failures = subordination_check(trivial_spec(), 1.0, 0.0, 0.5)
-        assert not ok and len(failures) == 16
+        rep = audit_pommerenke(trivial_spec(), t_samples=(1.0, 0.0))
+        assert not rep.errors and not rep.passed
+        assert len(rep.subordination_failures) == 16
 
 
 class TestAudit:
@@ -456,7 +466,7 @@ class TestAudit:
             return (rows, *errors)
 
         monkeypatch.setattr(loewner, "_chain_slices", with_nan)
-        z = loewner.default_z_samples()
+        z = loewner._Z_SAMPLES
         rep = audit_pommerenke(trivial_spec(), t_samples=(0.0, 0.5))
         assert rep.max_abs_w == 1.5
         assert rep.witness_w == (complex(z[1]), 0.5)
@@ -470,7 +480,7 @@ class TestAudit:
         assert d["pass"] is False
 
     def test_empty_t_samples_is_refused(self):
-        with pytest.raises(ValueError, match="^t_samples must hold at least one time$"):
+        with pytest.raises(InvalidPlan, match="^t_samples must hold at least one time$"):
             audit_pommerenke(trivial_spec(), t_samples=())
 
     def test_subordination_contour_failure_is_recorded(self):
@@ -495,21 +505,20 @@ class TestAudit:
         assert rep.errors[-1].startswith("subordination (0.0, 1e+300): ")
         assert not rep.passed
 
-    def test_pairs_judged_as_subordination_check_judges_them(self):
+    def test_pairs_judged_as_alone(self):
         # one winding pass for all pairs; per pair, the same failures or
-        # error as subordination_check: the probes of (t_on, 0) land on the
-        # s-contour, those of (t_off, 0) lie 5e-8 outside it, where each
-        # crossing is still certain, and (0, t_off) nests
+        # error as the audit of that pair alone: the probes of (t_on, 0) land
+        # on the s-contour, those of (t_off, 0) lie 5e-8 outside it, where
+        # each crossing is still certain, and (0, t_off) nests
         t_on = 0.10536051565782628
         t_off = t_on + 1e-7
         ts = (t_on, 0.0, t_off, 0.0)
         rep = audit_pommerenke(trivial_spec(), t_samples=ts)
         errors, failures = [], []
         for t, s in zip(ts[:-1], ts[1:]):
-            try:
-                failures += subordination_check(trivial_spec(), t, s)[1]
-            except PointTooCloseToContour as exc:
-                errors.append(f"subordination ({t}, {s}): {exc}")
+            alone = audit_pommerenke(trivial_spec(), t_samples=(t, s))
+            errors += alone.errors
+            failures += alone.subordination_failures
         assert errors == [f"subordination ({t_on}, 0.0): point (0.5+0j) within rounding of the contour"]
         assert len(failures) == PROBE_COUNT
         assert list(rep.errors) == errors
@@ -571,7 +580,7 @@ class TestAudit:
         assert passes == [(1152, True), (3152, False)]
         assert kernel["winding"] == 1
         assert kernel["circle_points"] == 0
-        for nodes in (loewner.default_z_samples(), *loewner._audit_nodes()):
+        for nodes in (loewner._Z_SAMPLES, *loewner._NODES):
             with pytest.raises(ValueError, match="read-only"):
                 nodes[0] = nodes[0]
 
@@ -593,56 +602,41 @@ class TestAudit:
         assert rep.errors[0].endswith(" in |z| >= 1 (and 16 more there)")
 
 
-def _standalone(fn, spec, z, t):
-    """``fn(spec, z, t)``, or the chain error it raises."""
-    try:
-        return fn(spec, z, t)
-    except (CriticalPoint, DenominatorVanishes, HVanishes) as exc:
-        return exc
-
-
-def _same(got, error, want) -> bool:
-    """A stacked row and its error equal the row's standalone evaluation:
-    bitwise the same values, NaN positions included, and no error; or an
-    error of the same type and message, and a row of NaN."""
-    if isinstance(want, Exception):
-        return type(error) is type(want) and str(error) == str(want) and np.isnan(got).all()
-    return error is None and np.array_equal(got, want, equal_nan=True)
-
-
 def assert_samples_standalone(spec, ts):
     """Every row of the audit's samples stacked over t (over the pairs for
     the probes), the a1 contour view and the w row of the grid pass
-    included, is what the grid pass, ``chain_values`` or ``chain_w_values``
-    gives for its slice alone, and the grid's L is the L pass's; returns
-    the number of rows that are errors."""
-    z = default_z_samples()
-    contour, doubled, probes_z = nodes = _audit_nodes()
-    (grid, on_contour, on_doubled, w, probes), errors = _audit_samples(spec, ts, z, nodes)
-    assert grid.shape == (3, len(ts), z.size) and w.shape == (len(ts), z.size)
+    included, is what ``_chain_slices`` gives for its slice alone: bitwise
+    the same values, NaN positions included, and an error of the same type
+    and message, or none; the grid's L is the L pass's. Returns the number
+    of rows that are errors."""
+    contour, doubled, probes_z = _NODES
+    (grid, on_contour, on_doubled, w, probes), errors = _audit_samples(spec, ts)
+    assert grid.shape == (3, len(ts), _Z_SAMPLES.size) and w.shape == (len(ts), _Z_SAMPLES.size)
     assert probes.shape == (len(ts) - 1, PROBE_COUNT)
     grid_errors, contour_errors, doubled_errors, w_errors, probe_errors = errors
     rows = []
     for i, t in enumerate(ts):
-        rows += [
-            (grid[:, i], grid_errors[i], chain_rows, z, t),
-            (grid[0, i], grid_errors[i], chain_values, z, t),
-            (on_contour[i], contour_errors[i], chain_values, contour, t),
-            (on_doubled[i], doubled_errors[i], chain_values, doubled, t),
-            (w[i], w_errors[i], chain_w_values, z, t),
+        alone, (grid_error,), (w_error,) = _chain_slices(spec, [(_Z_SAMPLES, t)], grid=True)
+        rows += [(grid[:, i], grid_errors[i], alone[:3], grid_error), (w[i], w_errors[i], alone[3], w_error)]
+        on_l_pass = [
+            (grid[0, i], grid_errors[i], _Z_SAMPLES),
+            (on_contour[i], contour_errors[i], contour),
+            (on_doubled[i], doubled_errors[i], doubled),
         ]
-    rows += [(probes[i], probe_errors[i], chain_values, probes_z, t) for i, t in enumerate(ts[:-1])]
-    count = 0
-    for got, error, fn, zs, t in rows:
-        want = _standalone(fn, spec, zs, t)
-        assert _same(got, error, want), (fn.__name__, zs.size, t, got, error, want)
-        count += isinstance(want, Exception)
-    return count
+        if i < len(ts) - 1:
+            on_l_pass.append((probes[i], probe_errors[i], probes_z))
+        for got, error, zs in on_l_pass:
+            alone, (want_error,) = _chain_slices(spec, [(zs, t)])
+            rows.append((got, error, alone[0], want_error))
+    for got, error, want, want_error in rows:
+        assert type(error) is type(want_error) and str(error) == str(want_error), (error, want_error)
+        assert np.array_equal(got, want, equal_nan=True), (got, want)
+    return sum(want_error is not None for *_, want_error in rows)
 
 
 # 1/z at the first odd node of the doubled contour and t = 0, as the chain
 # pass computes it: a pole of f there fails that contour alone.
-_ODD_NODE_ZETA = complex((np.exp(np.zeros(1)) / _audit_nodes()[1][1:2])[0])
+_ODD_NODE_ZETA = complex((np.exp(np.zeros(1)) / _NODES[1][1:2])[0])
 
 
 def _laurent_or_joukowski(c1, c2, joukowski):
@@ -654,8 +648,8 @@ small = st.complex_numbers(max_magnitude=0.6, allow_nan=False, allow_infinity=Fa
 
 class TestAuditSamples:
     def test_contour_views_are_bitwise_standalone_nodes(self):
-        _, doubled, _ = _audit_nodes()
-        first_circle = default_z_samples()[: len(doubled) // 8]
+        _, doubled, _ = _NODES
+        first_circle = _Z_SAMPLES[: len(doubled) // 8]
         assert np.array_equal(doubled[::2], circle_points(0.5, 256))
         assert np.array_equal(doubled[::8], first_circle)
 
@@ -681,8 +675,8 @@ class TestAuditSamples:
             h=uv.make_h_function("hinvsq:0.15,0.05"),
             alpha=alpha,
         )
-        z = default_z_samples()
-        samples, errors = _audit_samples(spec, DEFAULT_T_SAMPLES, z, _audit_nodes())
+        z = _Z_SAMPLES
+        samples, errors = _audit_samples(spec, DEFAULT_T_SAMPLES)
         assert errors[0] == [None] * len(DEFAULT_T_SAMPLES)
         critical = []
         for t, w, error in zip(DEFAULT_T_SAMPLES, samples[3], errors[3]):

@@ -1,0 +1,180 @@
+"""The mutant matrix: checks that can really fail.
+
+Each entry replaces one program constant or function in process and names
+the one check that must fail under it. A check is a verdict or an invariant
+on a stated input, never a golden byte pin: it holds on the program as it
+is, and fails under its mutant. A function mutant is the function rebuilt
+from its own source with one textual replacement, which must match exactly
+once, installed at every name a caller looks the function up by.
+
+A check added to the program adds its mutant here.
+"""
+
+import __future__
+import inspect
+import textwrap
+from typing import NamedTuple
+
+import numpy as np
+import pytest
+
+import univalence as uv
+from univalence import _kernels, catalog, criteria, loewner
+from univalence.catalog import ROOT_BAND
+from univalence.errors import PointTooCloseToContour
+from univalence.loewner import ChainSpec, audit_pommerenke
+from univalence.oracle import winding_rows
+
+
+def rebuilt(fn, old: str, new: str):
+    """``fn`` compiled from its own source with ``old`` replaced by ``new``,
+    in a copy of its module's namespace."""
+    source = textwrap.dedent(inspect.getsource(fn))
+    assert source.count(old) == 1, (fn.__name__, old)
+    namespace = dict(fn.__globals__)
+    flags = __future__.annotations.compiler_flag
+    exec(compile(source.replace(old, new), inspect.getsourcefile(fn), "exec", flags, True), namespace)
+    return namespace[fn.__name__]
+
+
+# ---------------------------------------------------------------------------
+# Checks
+# ---------------------------------------------------------------------------
+
+# S_f != S_g, alpha != 1/2 and h != 1: every term of w is live.
+LIVE_W = ChainSpec(
+    f=uv.laurent(1, 0, [0.1, 0.02]),
+    g=uv.joukowski(0.2),
+    h=uv.inverse_square(0.1),
+    alpha=0.4 + 0.1j,
+)
+
+
+def loewner_residual_holds():
+    """w drives the chain: the audit's Loewner residual of LIVE_W is within
+    its bound."""
+    return audit_pommerenke(LIVE_W).loewner_residual <= loewner.LOEWNER_RESIDUAL_TOL
+
+
+def wrong_w_is_refused():
+    """The audit fails LIVE_W driven by a w whose (1 - h)/h term is counted
+    twice, where |w| < 1 and only the Loewner residual can see it."""
+    theorem1 = loewner.theorem1
+
+    def doubled_h_term(z, pc, alpha, aa, phase=None):
+        return theorem1(z, pc, alpha, aa, phase) + (1.0 - pc.h0) / pc.h0 * aa
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(loewner, "theorem1", doubled_h_term)
+        report = audit_pommerenke(LIVE_W)
+    return report.max_abs_w < 1.0 and not report.passed
+
+
+def swapped_times_are_not_subordinate():
+    """L(., 1) of the identity chain, e z, does not map into the image of
+    L(., 0), z: the audit at the times (1, 0) fails."""
+    spec = ChainSpec(f=uv.identity(), g=uv.identity())
+    return not audit_pommerenke(spec, t_samples=(1.0, 0.0)).passed
+
+
+def pole_inside_the_a1_contour_fails():
+    """f = z + 0.3 + 0.1/z: b0 != 0 puts a chain pole at |z| ~ e^-t/0.3,
+    well inside the a1 contour at t = 3, where the contour mean is no
+    Taylor coefficient; the audit at t = 3 fails."""
+    spec = ChainSpec(f=uv.laurent(1, 0.3, [0.1]), g=uv.identity())
+    return not audit_pommerenke(spec, t_samples=(3.0,)).passed
+
+
+def pole_just_outside_the_a1_contour_fails():
+    """f = g = z + 1.87: L(z, 0) = z/(1 + 1.87 z) has its pole at
+    |z| = 0.535 in the disk, just outside the a1 contour, so the 256-node
+    mean misses a1 by about 3e-8; the audit at t = 0 fails."""
+    f = uv.laurent(1, 1.87)
+    return not audit_pommerenke(ChainSpec(f=f, g=f), t_samples=(0.0,)).passed
+
+
+# Maps whose u' vanishes in |z| >= rho = 1 - ROOT_BAND.
+ROOTS_OUTSIDE = {
+    # z - (1.5/16) z^-16: 17 zeros at |z| = 1.5^(1/17) = 1.024
+    "n16": uv.laurent(1, 0, [0] * 15 + [-1.5 / 16]),
+    # zeros at |z| = 1 - ROOT_BAND/2, in the band
+    "band": uv.joukowski((1.0 - 0.5 * ROOT_BAND) ** 2),
+    # b z + t z^-6 at the tie 6 |t| = |b| rho^7: its zeros lie 3.9e-18
+    # outside rho (40-digit), and the computed bound falls below |b| by
+    # rounding alone
+    "tie": uv.laurent(0.7 * np.exp(0.4j), 0, [0] * 5 + [0.11666666585000002]),
+    # b = 5(1+i) and each t_k = 1+i in units of 2^-1074: a zero near
+    # z = 1.05, with |b| below the normal range
+    "subnormal": uv.make_sigma_function(
+        "laurent:2.5e-323+2.5e-323j;0;5e-324+5e-324j,5e-324+5e-324j,5e-324+5e-324j"
+    ),
+}
+
+
+def bound_keeps(name):
+    """The coefficient bound does not rule out the zeros of u' of the map
+    ROOTS_OUTSIDE[name]."""
+
+    def check():
+        return not catalog._bound_excludes_roots(ROOTS_OUTSIDE[name])
+
+    check.__name__ = f"bound_keeps_{name}"
+    return check
+
+
+def probe_on_a_segment_has_no_winding_number():
+    """A probe at the midpoint of a segment whose rounded intercept is not 0
+    but within rounding of it lies on the contour: no winding number."""
+    contour = np.array([0.25 + 0.8125j, 1.0 - 0.1783904658936024j, 0.0, 0.25 + 0.8125j]) * 10.0**-0.5
+    probe = contour[0] + 0.5 * (contour[1] - contour[0])
+    _, (error,) = winding_rows(contour[None], np.array([[probe]]))
+    return isinstance(error, PointTooCloseToContour)
+
+
+# ---------------------------------------------------------------------------
+# Mutants
+# ---------------------------------------------------------------------------
+
+
+class Mutant(NamedTuple):
+    name: str
+    owners: tuple  # the modules a caller looks the target up in
+    attr: str
+    edit: tuple  # (old, new) source text, or (value,) for a constant
+    check: object
+
+
+MUTANTS = [
+    Mutant("theorem1 (aa-1) for (aa-1)^2", (criteria, loewner), "theorem1",
+           ("am1**2", "am1"), loewner_residual_holds),
+    Mutant("LOEWNER_RESIDUAL_TOL = 1e300", (loewner,), "LOEWNER_RESIDUAL_TOL",
+           (1e300,), wrong_w_is_refused),
+    Mutant("_subordination reports no failure", (loewner,), "_subordination",
+           ("row != 1", "row != row"), swapped_times_are_not_subordinate),
+    Mutant("A1_RESIDUAL_TOL = 1e300", (loewner,), "A1_RESIDUAL_TOL",
+           (1e300,), pole_inside_the_a1_contour_fails),
+    Mutant("A1_DOUBLING_TOL = 1e300", (loewner,), "A1_DOUBLING_TOL",
+           (1e300,), pole_just_outside_the_a1_contour_fails),
+    Mutant("root bound without the k weight", (catalog,), "_bound_excludes_roots",
+           ("k @ (", "np.sum("), bound_keeps("n16")),
+    Mutant("root bound at rho = 1", (catalog,), "_bound_excludes_roots",
+           ("rho, k = 1.0 - ROOT_BAND,", "rho, k = 1.0,"), bound_keeps("band")),
+    Mutant("root bound without slack", (catalog,), "_bound_excludes_roots",
+           ("slack * (abs(b) + zeros)", "0.0"), bound_keeps("tie")),
+    Mutant("root bound without the normal-range condition", (catalog,), "_bound_excludes_roots",
+           (" or not slack * abs(b) >= np.finfo(np.float64).tiny", ""), bound_keeps("subnormal")),
+    Mutant("winding certificate 0", (_kernels,), "winding_sum",
+           ("np.abs(x0) > 1e-12 *", "np.abs(x0) > 0.0 *"), probe_on_a_segment_has_no_winding_number),
+]
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=[m.name for m in MUTANTS])
+def test_mutant_is_killed(mutant, monkeypatch):
+    assert mutant.check(), f"{mutant.check.__name__} fails on the program as it is"
+    if len(mutant.edit) == 1:
+        value = mutant.edit[0]
+    else:
+        value = rebuilt(getattr(mutant.owners[0], mutant.attr), *mutant.edit)
+    for owner in mutant.owners:
+        monkeypatch.setattr(owner, mutant.attr, value)
+    assert not mutant.check(), f"{mutant.name} survives {mutant.check.__name__}"

@@ -20,13 +20,7 @@ import pytest
 
 import univalence as uv
 from univalence.criteria import CRITERIA, CriterionParams, evaluate_lhs
-from univalence.loewner import (
-    ChainSpec,
-    _chain_slices,
-    chain_values,
-    chain_w_values,
-    extract_a1,
-)
+from univalence.loewner import ChainSpec, _chain_slices, audit_pommerenke
 
 from conftest import exterior_points
 
@@ -236,7 +230,8 @@ def chain_spec(pair):
 @pytest.mark.parametrize("pair", range(len(PAIRS)))
 def test_chain_values_and_w(pair):
     # w from the Loewner equation is the theorem1 bracket's closed form, and
-    # the grid pass's derivative rows are those of the chain's value
+    # the grid pass's derivative rows are those of the chain's value; L from
+    # both passes
     spec = chain_spec(pair)
     ref = MpChain(spec)
     zs = np.array([0.9 * np.exp(0.4j), np.exp(-1.9j)])
@@ -249,9 +244,11 @@ def test_chain_values_and_w(pair):
             lt, zlz, w = (complex(x) for x in ref.derivs(z_mp, t_mp, base))
             derivs.append((lt, zlz))
             ws.append(w)
-        assert rel_error(chain_values(spec, zs, t), np.array(values)) <= CHAIN_TOL
-        assert rel_error(chain_w_values(spec, zs, t), np.array(ws)) <= CHAIN_TOL
-        rows, _, _ = _chain_slices(spec, [(zs, t)], grid=True)
+        chain, errors = _chain_slices(spec, [(zs, t)])
+        rows, grid_errors, w_errors = _chain_slices(spec, [(zs, t)], grid=True)
+        assert errors == grid_errors == w_errors == [None]
+        for got in (chain[0], rows[0]):
+            assert rel_error(got, np.array(values)) <= CHAIN_TOL
         assert rel_error(rows[1:3], np.transpose(derivs)) <= CHAIN_TOL
         assert rel_error(rows[3], np.array(ws)) <= CHAIN_TOL
 
@@ -263,17 +260,20 @@ def test_boundary_bridge():
     zs = np.exp(1j * np.array([0.3, 2.0, -2.8]))
     for t in (0.25, 1.0):
         want = np.array([float(mp_lhs(params, np.exp(t) / z)) for z in zs])
-        assert rel_error(np.abs(chain_w_values(spec, zs, t)), want) <= CHAIN_TOL
+        rows, _, w_errors = _chain_slices(spec, [(zs, t)], grid=True)
+        assert w_errors == [None] and rel_error(np.abs(rows[3]), want) <= CHAIN_TOL
 
 
 @pytest.mark.parametrize("pair", [0, 3])
-def test_extract_a1(pair):
-    # pairs whose chain is analytic in the disk: MOEBIUS_F's pole would put a
-    # branch point of v inside the contour
+def test_audit_a1(pair):
+    # the a1 the audit records; pairs whose chain is analytic in the disk:
+    # MOEBIUS_F's pole would put a branch point of v inside the contour
     spec = chain_spec(pair)
-    for t in (0.0, 1.0):
+    records = audit_pommerenke(spec, t_samples=(0.0, 1.0)).a1_records
+    assert [t for t, *_ in records] == [0.0, 1.0]
+    for t, a1, *_ in records:
         want = complex(MpChain(spec).a1(mp.mpf(t)))
-        assert abs(extract_a1(spec, t) - want) <= CHAIN_TOL * abs(want)
+        assert abs(a1 - want) <= CHAIN_TOL * abs(want)
 
 
 def test_chain_where_the_log_ratio_leaves_the_principal_branch():
@@ -296,6 +296,7 @@ def test_chain_where_the_log_ratio_leaves_the_principal_branch():
         values.append(complex(ref.value(z_mp, t_mp, base)))
         derivs.append([complex(x) for x in ref.derivs(z_mp, t_mp, base)[:2]])
     assert sheets == [1, -1, 1, 0]
-    assert rel_error(chain_values(spec, zs, t), np.array(values)) <= CHAIN_TOL
+    chain, errors = _chain_slices(spec, [(zs, t)])
+    assert errors == [None] and rel_error(chain[0], np.array(values)) <= CHAIN_TOL
     rows, _, _ = _chain_slices(spec, [(zs, t)], grid=True)
     assert rel_error(rows[1:3], np.transpose(derivs)) <= CHAIN_TOL
