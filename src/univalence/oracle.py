@@ -211,10 +211,13 @@ def _cell_candidates(values: np.ndarray, tolerance: float, block: int = 1 << 20)
     and (cx+1, cy-1..cy+1); the other four see each pair from the opposite
     side. With cell key ``cx*stride + cy`` and a spare row in every column,
     these five cells are two intervals of sorted keys, [key, key+1] and
-    [key+stride-1, key+stride+1]. Most cells hold one sample and have no
-    neighbour, so one searchsorted pass over all samples finds where the
-    second interval starts; the ends of both are searched only for the
-    samples whose interval is not empty.
+    [key+stride-1, key+stride+1]. Where the second interval starts follows
+    from the gaps between sorted keys in O(n) passes: just past the sample's
+    run of keys with gaps below stride-1, wherever the run's last key is
+    below key+stride-1; only samples whose run spans stride-1 or more ahead
+    of them (crowded columns) are searched for it. Most cells hold one
+    sample and have no neighbour, so the ends of both intervals are searched
+    only for the samples whose interval is not empty.
     """
     n = values.shape[0]
     if n < 2:
@@ -240,13 +243,27 @@ def _cell_candidates(values: np.ndarray, tolerance: float, block: int = 1 << 20)
     # (cx, cy+1), then the three cells (cx+1, cy-1..cy+1). No other cell's
     # key lies inside either key interval: at a column's edges, cy-1 and
     # cy+1 fall into the spare row. Only nonempty ranges are kept: the first
-    # where the next key is at most key+1, the second where the first key at
-    # or past key+stride-1 (the one full searchsorted pass) is at most
-    # key+stride+1. Queries in sorted runs keep searchsorted cache friendly.
-    # The per-sample arrays are dropped before the first yield, so memory is
+    # where the next key is at most key+1, the second where the key at lo,
+    # the index of the first key at or past key+stride-1, is at most
+    # key+stride+1. Sorted queries keep searchsorted cache friendly. The
+    # per-sample arrays are dropped before the first yield, so memory is
     # O(n) plus one block.
-    near = np.flatnonzero(np.diff(keys) <= 1)
-    lo = np.searchsorted(keys, keys + (stride - 1), "left")
+    step = np.diff(keys)
+    near = np.flatnonzero(step <= 1)
+    # lo without a search: a run is a maximal stretch of sorted keys, each
+    # less than stride-1 above the one before, so the key after a run is at
+    # least stride-1 above all of it, and lo is the run's last index + 1
+    # wherever the run's last key is below key+stride-1. A sample that ends
+    # its run has lo = its index + 1; the samples whose run goes on take the
+    # end of their run, and only those whose run still spans stride-1 or
+    # more ahead of them (crowded columns) are searched.
+    lo = np.arange(1, n + 1)
+    rest = np.flatnonzero(step < stride - 1)  # every sample but a run's last
+    breaks = np.flatnonzero(np.diff(rest, append=n) != 1)  # runs' ends in rest
+    end = np.repeat(rest[breaks] + 1, np.diff(breaks, prepend=-1))  # its run's last
+    lo[rest] = end + 1
+    crowded = rest[keys[end] >= keys[rest] + (stride - 1)]
+    lo[crowded] = np.searchsorted(keys, keys[crowded] + (stride - 1), "left")
     head = keys.take(lo, mode="clip")  # lo = n, past the last key, is masked
     beside = np.flatnonzero((lo < n) & (head <= keys + (stride + 1)))
     owners = np.concatenate((near, beside))
@@ -254,7 +271,7 @@ def _cell_candidates(values: np.ndarray, tolerance: float, block: int = 1 << 20)
     last_keys = np.concatenate((keys[near] + 1, keys[beside] + (stride + 1)))
     counts = np.searchsorted(keys, last_keys, "right")
     counts -= starts
-    del keys, lo, head, near, beside, last_keys
+    del keys, step, near, lo, rest, breaks, end, crowded, head, beside, last_keys
     ends = np.cumsum(counts)
     total = int(ends[-1]) if ends.size else 0
 

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import univalence as uv
-from univalence import _kernels, catalog, criteria, loewner
+from univalence import _kernels, catalog, criteria, loewner, oracle
 from univalence.catalog import ROOT_BAND
 from univalence.errors import PointTooCloseToContour
 from univalence.loewner import ChainSpec, audit_pommerenke
@@ -131,6 +131,37 @@ def probe_on_a_segment_has_no_winding_number():
     return isinstance(error, PointTooCloseToContour)
 
 
+# A 9 x 9 lattice of half-cell steps at tolerance 1: up to four images to a
+# cell, five cells to a column. The sorted keys of a column are at most one
+# apart and a column's top key is two below the next column's bottom, so
+# the whole lattice is one run of keys and every column but the last is
+# crowded: its samples' column cx+1 intervals are found by searchsorted.
+CROWDED_STEPS = np.arange(-4, 5)
+
+
+def cell_candidates_are_the_adjacent_pairs():
+    """On the crowded lattice at tolerance 1, the cell search yields each
+    pair of images whose cells differ by at most one in each coordinate
+    exactly once, and no other pair."""
+    re, im = (a.ravel() for a in np.meshgrid(CROWDED_STEPS, CROWDED_STEPS))
+    width = 1.0 + 2.0**-16  # the cell side at tolerance 1
+    values = 0.5 * width * (re + 1j * im)  # exactly cell (re // 2, im // 2)
+    cx, cy = re // 2, im // 2
+    n = values.size
+    adjacent = {
+        (a, b)
+        for a in range(n)
+        for b in range(a + 1, n)
+        if abs(cx[a] - cx[b]) <= 1 and abs(cy[a] - cy[b]) <= 1
+    }
+    seen = [
+        (min(a, b), max(a, b))
+        for i, j in oracle._cell_candidates(values, 1.0)
+        for a, b in zip(i.tolist(), j.tolist())
+    ]
+    return len(seen) == len(set(seen)) and set(seen) == adjacent
+
+
 # ---------------------------------------------------------------------------
 # Mutants
 # ---------------------------------------------------------------------------
@@ -165,6 +196,24 @@ MUTANTS = [
            (" or not slack * abs(b) >= np.finfo(np.float64).tiny", ""), bound_keeps("subnormal")),
     Mutant("winding certificate 0", (_kernels,), "winding_sum",
            ("np.abs(x0) > 1e-12 *", "np.abs(x0) > 0.0 *"), probe_on_a_segment_has_no_winding_number),
+    Mutant("cell search without the crowded-run search", (oracle,), "_cell_candidates",
+           ("rest[keys[end] >= keys[rest] + (stride - 1)]", "rest[:0]"),
+           cell_candidates_are_the_adjacent_pairs),
+    Mutant("cell search with lo = i + 1 everywhere", (oracle,), "_cell_candidates",
+           ("np.flatnonzero(step < stride - 1)", "np.flatnonzero(step < 0)"),
+           cell_candidates_are_the_adjacent_pairs),
+    Mutant("cell search without a spare row", (oracle,), "_cell_candidates",
+           ("int(cy.max()) + 2", "int(cy.max()) + 1"), cell_candidates_are_the_adjacent_pairs),
+    Mutant("cell search without (cx, cy+1)", (oracle,), "_cell_candidates",
+           ("keys[near] + 1,", "keys[near],"), cell_candidates_are_the_adjacent_pairs),
+    Mutant("cell search without (cx+1, cy-1)", (oracle,), "_cell_candidates",
+           ("    head = keys.take(lo,", "    lo = np.searchsorted(keys, keys + stride)\n    head = keys.take(lo,"),
+           cell_candidates_are_the_adjacent_pairs),
+    Mutant("cell search without (cx+1, cy+1)", (oracle,), "_cell_candidates",
+           ("keys[beside] + (stride + 1)", "keys[beside] + stride"),
+           cell_candidates_are_the_adjacent_pairs),
+    Mutant("cell search from pos instead of pos+1", (oracle,), "_cell_candidates",
+           ("(near + 1, lo[beside])", "(near, lo[beside])"), cell_candidates_are_the_adjacent_pairs),
 ]
 
 

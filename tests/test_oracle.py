@@ -506,18 +506,75 @@ def test_cell_candidates_match_brute_force(tol, per_cell, layout, lattice):
         assert np.array_equal(bi, i) and np.array_equal(bj, j)
 
 
-def test_collision_search_runs_one_full_searchsorted_pass(monkeypatch):
-    # Only the start of column cx+1's key interval is searched for every
-    # sample; the other range bounds are searched for nonempty ranges alone.
+def run_shapes(values, tol):
+    """The longest run of sorted cell keys ``cx*stride + cy``, each less than
+    stride-1 above the one before, and the number of samples whose run goes
+    on to a key stride-1 or more above theirs (a crowded column)."""
+    cx, cy = cells_of(values, tol)
+    cy -= cy.min()
+    stride = cy.max() + 2
+    keys = sorted(((cx - cx.min()) * stride + cy).tolist())
+    runs = [[keys[0]]]
+    for a, b in zip(keys, keys[1:]):
+        if b - a < stride - 1:
+            runs[-1].append(b)
+        else:
+            runs.append([b])
+    crowded = sum(run[-1] - key >= stride - 1 for run in runs for key in run)
+    return max(map(len, runs)), crowded
+
+
+def test_cell_search_matches_pairwise_in_every_run_shape():
+    # The three shapes of runs the search settles differently, on small
+    # plans: a real map puts conjugate images, and so more than one
+    # collision pair, in a column; z + c/z with c the product of two grid
+    # points (not real) shares columns only between the images of its
+    # collision pairs; at a wide tolerance whole columns run together, and
+    # the search falls back to searchsorted for the crowded ones.
+    plan = collision_plan()
+    points = uv.sample_exterior(plan)
+    exact = points[0] * points[2 * plan.angular_count + 5]
+    wide = uv.sample_exterior(
+        uv.SamplingPlan(r_min=1.02, r_max=1.5, radial_count=12, angular_count=24)
+    )
+    cases = {
+        "real": (uv.joukowski(1.2), points, 1e-9),
+        "complex": (uv.joukowski(exact), points, 1e-9),
+        "crowded": (uv.joukowski(1.2), wide, 0.3),
+    }
+    shapes = {}
+    for name, (f, grid, tol) in cases.items():
+        values = f.values(grid)
+        shapes[name] = run_shapes(values, tol)
+        fast = collision_pairs(grid, values, tol, 0.05)
+        assert fast and bits(fast) == bits(brute_force_pairs(grid, values, tol, 0.05))
+    assert shapes["real"][0] > 2
+    assert shapes["complex"] == (2, 0)
+    assert shapes["crowded"][1] > 100
+    # the crowded grid's candidates in blocks of 1 and 7
+    values = uv.joukowski(1.2).values(wide)
+    i, j = cell_search(values, 0.3)
+    for block in (1, 7):
+        bi, bj = cell_search(values, 0.3, block)
+        assert np.array_equal(bi, i) and np.array_equal(bj, j)
+
+
+@pytest.mark.parametrize(
+    "f", [uv.joukowski(0.5), uv.joukowski(0.3 + 0.2j)], ids=["real", "complex"]
+)
+def test_collision_search_runs_no_full_searchsorted_pass(monkeypatch, f):
+    # Where each sample's key interval of column cx+1 starts follows from the
+    # runs of sorted keys; only crowded runs and nonempty ranges are
+    # searched, so no searchsorted call reads every sample's key.
     plan = uv.SamplingPlan(radial_count=96, angular_count=192)
     n = plan.radial_count * plan.angular_count
     searchsorted = np.searchsorted
-    full = []
+    sizes = []
 
     def counting(a, v, *args, **kwargs):
-        full.append(np.size(v) == n)
+        sizes.append(np.size(v))
         return searchsorted(a, v, *args, **kwargs)
 
     monkeypatch.setattr(np, "searchsorted", counting)
-    assert injectivity_scan(uv.joukowski(0.5), plan).grid_size == n
-    assert sum(full) == 1
+    assert injectivity_scan(f, plan).grid_size == n
+    assert sizes and max(sizes) < n
