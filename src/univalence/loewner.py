@@ -9,23 +9,21 @@ changes: L = (1 + c h l)/(f + c h (f' + f l)). The driving function w(z,t)
 is the signed theorem1 bracket at zeta (so its modulus on |z| = 1 is the
 criterion LHS there). L obeys the Loewner equation dL/dt = z dL/dz p with
 p = (1-w)/(1+w), and Re p > 0 exactly where |w| < 1. The audit checks the
-theorem's hypothesis that f and g have no critical point and no pole in
-|z| >= 1 (from the roots of their coefficients), |w| < 1, the Loewner
-equation on the z grid (from dL/dt and z dL/dz in closed form), the
-first-coefficient law a1(t) = e^t and subordination between consecutive
-chain times. It evaluates each distinct chain sample once, in two passes
+theorem's hypotheses that f is in Sigma0 (f = z + O(1/z) at infinity) and
+that f and g have no critical point and no pole in |z| >= 1 (from their
+coefficients), |w| < 1, the Loewner equation on the z grid (from dL/dt and
+z dL/dz in closed form) and the first-coefficient law a1(t) = e^t. It
+evaluates each distinct chain sample once, in two passes
 (``_audit_samples``). The grid pass reads f, g and h to order 3, 3 and 1
 over the z grid at every t and returns L, dL/dt, z dL/dz and w, the signed
 theorem1 bracket over the criterion pieces of the same stacks. The L pass
-reads them to order 2, 2 and 0 (no g when v = 1) over the 512-node doubled
-a1 contour at every t and the subordination probes; the 256-node a1
-contour is a view of the doubled contour's even nodes, bitwise the nodes
-``circle_points`` gives. At the default grids the passes cover 6 x 192 and
-6 x 512 + 5 x 16 = 3152 points. Each per-t check runs once over samples
-stacked over t, and one winding pass judges all (t, s) pairs. A failure is
-recorded against its own t slice or (t, s) pair, with the error of that
-slice evaluated alone, and the audit goes on. ``audit_pommerenke`` is the
-one entry point: each check has this one implementation.
+reads them to order 2, 2 and 0 (no g when v = 1) over the 256-node a1
+contour at every t. At the default grids the passes cover 6 x 192 and
+6 x 256 points. Each per-t check runs once over samples stacked over t. A
+failure is recorded against its own t slice, with the error of that slice
+evaluated alone, and the audit goes on; each time is judged on its own, so
+the times may come in any order. ``audit_pommerenke`` is the one entry
+point: each check has this one implementation.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .catalog import MeromorphicFn, constant_one, exterior_roots
+from .catalog import MeromorphicFn, constant_one, exterior_roots, validate_sigma_normalization
 from .criteria import CriterionParams, stack_pieces, theorem1
 from .errors import (
     ContourThroughSingularity,
@@ -42,10 +40,8 @@ from .errors import (
     DenominatorVanishes,
     HVanishes,
     InvalidPlan,
-    InvalidSpec,
     OutsideDomain,
 )
-from .oracle import winding_rows
 from .sampling import circle_points
 
 DEFAULT_T_SAMPLES = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)
@@ -53,8 +49,6 @@ DEFAULT_Z_CIRCLES = (0.5, 0.9, 1.0)
 DEFAULT_Z_ANGLES = 64
 A1_RADIUS = 0.5
 A1_NODE_COUNT = 256
-PROBE_COUNT = 16
-A1_DOUBLING_TOL = 1e-9
 A1_RESIDUAL_TOL = 1e-6
 # Bound on the audit's Loewner residual max|dL/dt - z dL/dz p| / max|dL/dt|
 # on the z grid times e^{-2t}: the chain quotient's denominator cancels from
@@ -68,12 +62,14 @@ class ChainSpec:
     power parameter.
 
     The quotient construction presumes the normalized expansion f = z + a1/z
-    + ... (leading coefficient 1, no constant term); a nonzero constant term
-    drags a chain pole into the disk for large t, which the audit flags via
-    the first-coefficient law. The chain reads v = (g'/f')^alpha only
-    through v'/v, so no branch of v is chosen; the audit fails a pair whose
-    f' or g' vanishes, or whose f or g has a pole, in |z| >= 1. f, g, h and
-    alpha are checked and converted as ``CriterionParams`` does."""
+    + ... (f in Sigma0: leading coefficient 1, no constant term); a nonzero
+    constant term b0 makes the quotient's denominator vanish near
+    z = -e^-t/b0, inside the disk once e^t |b0| > 1, so the audit fails an
+    f outside Sigma0 as a precondition. The chain reads
+    v = (g'/f')^alpha only through v'/v, so no branch of v is chosen; the
+    audit fails a pair whose f' or g' vanishes, or whose f or g has a pole,
+    in |z| >= 1. f, g, h and alpha are checked and converted as
+    ``CriterionParams`` does."""
 
     f: MeromorphicFn
     g: MeromorphicFn
@@ -197,14 +193,14 @@ def _slice_errors(slices, ends, rows, tests) -> list:
     return errors
 
 
-def _a1_rows(values, errors, zs, ts) -> list:
-    """Per row of chain values on the contour ``zs`` (radius A1_RADIUS),
-    one per time in ``ts`` with its ``_chain_slices`` error, the a1 (the
+def _a1_rows(values, errors, ts) -> list:
+    """Per row of chain values on the a1 contour ``_CONTOUR``, one per time
+    in ``ts`` with its ``_chain_slices`` error, the a1 (the
     first Taylor coefficient at 0, by the trapezoidal rule: spectrally
     accurate for an analytic chain) or the error of that row alone, from one
     mean over all the rows."""
     with np.errstate(over="ignore", invalid="ignore"):
-        a1 = np.mean(values / zs, axis=1)
+        a1 = np.mean(values / _CONTOUR, axis=1)
     out = []
     for t, value, error in zip(ts, a1, errors):
         if error is None and not np.isfinite(value):
@@ -215,31 +211,13 @@ def _a1_rows(values, errors, zs, ts) -> list:
     return out
 
 
-def _subordination(pairs, probes_z, rings, probes, errors) -> list:
-    """Per (t, s) pair, the probes whose image the s-contour does not wind
-    around exactly once, as (t, s, probe) failures, or the error of that
-    pair alone, from the chain values on the s-contour and at the t probes,
-    a row per pair, and per pair the ``_chain_slices`` errors of both, with
-    one winding pass for all pairs."""
-    closed = np.concatenate([rings, rings[:, :1]], axis=1)
-    turns, winding_errors = winding_rows(closed, probes) if pairs else ((), ())
-    out = []
-    for (t, s), row, chain_errors, winding_error in zip(pairs, turns, errors, winding_errors):
-        error = next(filter(None, [*chain_errors, winding_error]), None)
-        if isinstance(error, InvalidSpec):  # winding_rows refuses a non-finite value
-            error = ContourThroughSingularity(f"chain not finite at t = {t} or s = {s}")
-        out.append(error or [(t, s, complex(probes_z[j])) for j in np.flatnonzero(row != 1)])
-    return out
-
-
 @dataclass(frozen=True)
 class AuditReport:
     """Numeric audit of the chain-certification conditions on a sample grid."""
 
     max_abs_w: float
     witness_w: tuple  # (z, t)
-    a1_records: tuple  # (t, a1, residual, doubling_ok) per t sample
-    subordination_failures: tuple
+    a1_records: tuple  # (t, a1, residual) per t sample
     loewner_residual: float
     errors: tuple
     passed: bool
@@ -255,18 +233,8 @@ class AuditReport:
                 "t": self.witness_w[1],
             },
             "a1": [
-                {
-                    "t": t,
-                    "re": a1.real,
-                    "im": a1.imag,
-                    "residual": res,
-                    "doubling_ok": ok,
-                }
-                for t, a1, res, ok in self.a1_records
-            ],
-            "subordination": [
-                {"t": t, "s": s, "probe": {"re": z.real, "im": z.imag}}
-                for t, s, z in self.subordination_failures
+                {"t": t, "re": a1.real, "im": a1.imag, "residual": res}
+                for t, a1, res in self.a1_records
             ],
             "loewner_residual": _finite_or_none(self.loewner_residual),
             "errors": list(self.errors),
@@ -278,58 +246,39 @@ def _finite_or_none(value: float):
     return value if np.isfinite(value) else None
 
 
-# The audit's constant nodes, built once and read-only: the z grid, the a1
-# contour, the doubled contour and the subordination probes.
+# The audit's constant nodes, built once and read-only: the z grid and the
+# a1 contour.
 _Z_SAMPLES = np.concatenate([circle_points(r, DEFAULT_Z_ANGLES) for r in DEFAULT_Z_CIRCLES])
-_NODES = (
-    circle_points(A1_RADIUS, A1_NODE_COUNT),
-    circle_points(A1_RADIUS, 2 * A1_NODE_COUNT),
-    circle_points(0.9 * A1_RADIUS, PROBE_COUNT),
-)
-for _points in (_Z_SAMPLES, *_NODES):
+_CONTOUR = circle_points(A1_RADIUS, A1_NODE_COUNT)
+for _points in (_Z_SAMPLES, _CONTOUR):
     _points.flags.writeable = False
 
 
 def _audit_samples(spec: ChainSpec, ts: tuple):
-    """Every sample the audit reads at the z grid ``_Z_SAMPLES`` and the
-    ``_NODES``, stacked with a row per t (per subordination pair for the
-    probes): the chain rows (L, dL/dt, z dL/dz) on the grid, of shape
-    (3, len(ts), _Z_SAMPLES.size); L on the a1 contour and on the doubled
-    contour; w on the grid; and L at the probes. Returns these five arrays,
-    NaN in a row whose slice failed, and their five lists of per-row errors,
-    each None or the error of ``_chain_slices`` for that row's slice
-    evaluated alone.
-
-    Two ``_chain_slices`` passes evaluate each distinct point once: the
-    grid pass over the z grid at every t, and the L pass over the doubled
-    contour at every t and the probes at every t but the last. The a1
-    contour is a view of the doubled contour's even nodes, bitwise
-    ``circle_points(r, n)`` since scaling an angle's index and the node
-    count by a power of two is exact. When the doubled contour carries an
-    error, the a1 contour is evaluated alone instead, so that it keeps the
-    message and point of its own evaluation."""
-    (contour, doubled, probes_z), n = _NODES, len(ts)
+    """Every sample the audit reads, stacked with a row per t: the chain
+    rows (L, dL/dt, z dL/dz) on the z grid ``_Z_SAMPLES``, of shape
+    (3, len(ts), _Z_SAMPLES.size); L on the a1 contour ``_CONTOUR``; and w
+    on the z grid. Returns these three arrays, NaN in a row whose slice
+    failed, and their three lists of per-row errors, each None or the error
+    of ``_chain_slices`` for that row's slice evaluated alone: a grid pass
+    over the z grid at every t and an L pass over the contour at every t."""
+    n = len(ts)
     rows, grid_errors, w_errors = _chain_slices(spec, [(_Z_SAMPLES, t) for t in ts], grid=True)
-    on_nodes, errors = _chain_slices(spec, [(doubled, t) for t in ts] + [(probes_z, t) for t in ts[:-1]])
-    on_doubled = on_nodes[0, : n * doubled.size].reshape(n, -1)
-    on_contour = on_doubled[:, ::2].copy()
-    doubled_errors, contour_errors = errors[:n], errors[:n]
-    for i, t in enumerate(ts):
-        if doubled_errors[i] is not None:
-            alone, [contour_errors[i]] = _chain_slices(spec, [(contour, t)])
-            on_contour[i] = alone[0]
-    probes = on_nodes[0, n * doubled.size :].reshape(n - 1, probes_z.size)
+    on_contour, contour_errors = _chain_slices(spec, [(_CONTOUR, t) for t in ts])
     return (
-        (rows[:3].reshape(3, n, -1), on_contour, on_doubled, rows[3].reshape(n, -1), probes),
-        (grid_errors, contour_errors, doubled_errors, w_errors, errors[n:]),
+        (rows[:3].reshape(3, n, -1), on_contour[0].reshape(n, -1), rows[3].reshape(n, -1)),
+        (grid_errors, contour_errors, w_errors),
     )
 
 
 def _preconditions(spec: ChainSpec) -> list:
-    """The theorem's hypotheses on f and g that fail: per function (g only
-    when it is not f), the outermost zero of its derivative and the
+    """The theorem's hypotheses on f and g that fail: f in Sigma0
+    (``catalog.validate_sigma_normalization``), then per function (g only
+    when it is not f) the outermost zero of its derivative and the
     outermost pole in |z| >= 1 (``catalog.exterior_roots``)."""
-    out = []
+    out, sigma = [], validate_sigma_normalization(spec.f)
+    if sigma.classification != "Sigma0":
+        out.append(f"f is not in Sigma0: b = {sigma.b}, b0 = {sigma.b0}")
     for name, fn in [("f", spec.f)] + [("g", spec.g)] * (spec.g != spec.f):
         for roots, what in zip(exterior_roots(fn), (f"{name}' vanishes", f"{name} has a pole")):
             if roots.size:
@@ -343,31 +292,23 @@ def audit_pommerenke(spec: ChainSpec, t_samples=None) -> AuditReport:
     recorded rather than aborting the audit. Aggregation is t-major, then
     z index, so reports are reproducible.
 
-    A zero of f' or g', or a pole of f or g, in |z| >= 1 is recorded first,
-    as a ``precondition``, and fails the audit. Every sample comes from
-    ``_audit_samples``: at the default grids a grid pass over 6 x 192 z
-    grid points (L, dL/dt, z dL/dz and w) and an L pass over 3152 points
-    (6 t x 512 doubled-contour points + 5 x 16 probes), each slice read as
-    if it had been evaluated alone. The s-contour of a pair is the a1
-    contour at s, and its probes lie at 0.9 A1_RADIUS (``_subordination``).
-    |w|, the residual and both a1 means are computed over rows stacked over
-    t. A Loewner residual (LOEWNER_RESIDUAL_TOL) that is not finite reads
-    inf. An empty ``t_samples`` raises InvalidPlan."""
+    An f outside Sigma0, and a zero of f' or g' or a pole of f or g in
+    |z| >= 1, is recorded first, as a ``precondition``, and fails the audit.
+    Every sample comes from ``_audit_samples``: at the default grids a grid
+    pass over 6 x 192 z grid points (L, dL/dt, z dL/dz and w) and an L pass
+    over 6 x 256 a1 contour points, each slice read as if it had been
+    evaluated alone. |w|, the residual and the a1 means are computed over
+    rows stacked over t, and each time is judged alone. A Loewner residual
+    (LOEWNER_RESIDUAL_TOL) that is not finite reads inf. An empty
+    ``t_samples`` raises InvalidPlan."""
     z = _Z_SAMPLES
     ts = tuple(DEFAULT_T_SAMPLES if t_samples is None else t_samples)
     if not ts:
         raise InvalidPlan("t_samples must hold at least one time")
 
     errors = [("precondition", message) for message in _preconditions(spec)]
-    contour, doubled, probes_z = _NODES
-    samples, sample_errors = _audit_samples(spec, ts)
-    (cv, dt, zdz), on_contour, on_doubled, w, probes = samples
-    grid_errors, contour_errors, doubled_errors, w_errors, probe_errors = sample_errors
-    a1s = _a1_rows(on_contour, contour_errors, contour, ts)
-    a1d = _a1_rows(on_doubled, doubled_errors, doubled, ts)
-    pairs = list(zip(ts[:-1], ts[1:]))
-    pair_errors = list(zip(contour_errors[1:], probe_errors))
-    judged = _subordination(pairs, probes_z, on_contour[1:], probes, pair_errors)
+    ((cv, dt, zdz), on_contour, w), (grid_errors, contour_errors, w_errors) = _audit_samples(spec, ts)
+    a1s = _a1_rows(on_contour, contour_errors, ts)
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         abs_w = np.abs(w)
@@ -385,7 +326,7 @@ def audit_pommerenke(spec: ChainSpec, t_samples=None) -> AuditReport:
 
     loewner = -np.inf
     a1_records = []
-    for i, (t, a1, a1_double) in enumerate(zip(ts, a1s, a1d)):
+    for i, (t, a1) in enumerate(zip(ts, a1s)):
         if w_errors[i] is not None:
             errors.append((f"w grid at t={t}", w_errors[i]))
         elif not w_finite[i, w_at[i]]:
@@ -400,34 +341,22 @@ def audit_pommerenke(spec: ChainSpec, t_samples=None) -> AuditReport:
             if w_errors[i] is None:
                 loewner = max(loewner, res[i] * np.exp(-2.0 * t) if np.isfinite(res[i]) else np.inf)
 
-        failed = a1 if isinstance(a1, Exception) else a1_double
-        if isinstance(failed, Exception):
-            errors.append((f"a1 at t={t}", failed))
+        if isinstance(a1, Exception):
+            errors.append((f"a1 at t={t}", a1))
         else:
-            doubling_ok = abs(a1 - a1_double) < A1_DOUBLING_TOL * max(1.0, abs(a1))
-            residual = abs(a1 - np.exp(t)) / np.exp(t)
-            a1_records.append((float(t), a1, float(residual), bool(doubling_ok)))
-
-    subordination_failures = []
-    for (t, s), result in zip(pairs, judged):
-        if isinstance(result, Exception):
-            errors.append((f"subordination ({t}, {s})", result))
-        else:
-            subordination_failures.extend(result)
+            a1_records.append((float(t), a1, float(abs(a1 - np.exp(t)) / np.exp(t))))
     errors = [f"{stage}: {error}" for stage, error in errors]
 
     passed = (
         not errors
         and max_abs_w < 1.0
-        and all(res <= A1_RESIDUAL_TOL and ok for _, _, res, ok in a1_records)
-        and not subordination_failures
+        and all(res <= A1_RESIDUAL_TOL for _, _, res in a1_records)
         and loewner <= LOEWNER_RESIDUAL_TOL
     )
     return AuditReport(
         max_abs_w=float(max_abs_w),
         witness_w=witness_w,
         a1_records=tuple(a1_records),
-        subordination_failures=tuple(subordination_failures),
         loewner_residual=float(loewner),
         errors=tuple(errors),
         passed=bool(passed),

@@ -27,6 +27,10 @@ from .sampling import SamplingPlan, sample_exterior
 
 TOLERANCE_SCALE = 1e-9  # collision tolerance as a fraction of image spacing
 SEPARATION_SPACINGS = 2.0  # separation floor in units of domain grid spacing
+# Most pairs a collision search keeps: eight per sample of the default
+# 64 x 128 grid. One collision already decides the verdict, and a tolerance
+# wide enough to pass this turns the report into a list of O(n^2) pairs.
+COLLISION_LIMIT = 8 * 64 * 128
 
 
 @dataclass(frozen=True)
@@ -154,7 +158,9 @@ def collision_pairs(
 
     A tolerance of 0 asks for exact coincidence; a negative or non-finite
     tolerance or floor raises InvalidSpec (a NaN would pass every pair), and
-    so does a non-finite point or value (a NaN image is near nothing)."""
+    so does a non-finite point or value (a NaN image is near nothing). A
+    search that keeps more than COLLISION_LIMIT index pairs stops at the
+    block that passes it and raises InvalidPlan."""
     for name, value in (
         ("collision_tolerance", collision_tolerance),
         ("separation_floor", separation_floor),
@@ -167,7 +173,7 @@ def collision_pairs(
     # np.abs is not (it can differ in the last place), so hypot decides each
     # pair exactly and gives the distances reported. A difference beyond
     # double range reads inf: never within tolerance, always separated.
-    kept = []
+    kept, count = [], 0
     with np.errstate(over="ignore"):
         for i, j in _cell_candidates(values, collision_tolerance):
             d = values[i] - values[j]
@@ -178,6 +184,12 @@ def collision_pairs(
             dom = np.hypot(d.real, d.imag)
             apart = dom >= separation_floor
             kept.append((i[apart], j[apart], img[apart], dom[apart]))
+            count += kept[-1][0].size
+            if count > COLLISION_LIMIT:
+                raise InvalidPlan(
+                    f"collision search keeps more than {COLLISION_LIMIT} pairs at collision_tolerance "
+                    f"{collision_tolerance!r}, separation_floor {separation_floor!r}"
+                )
     if not kept:
         return ()
     i, j, img, dom = (np.concatenate(parts) for parts in zip(*kept))

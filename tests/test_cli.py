@@ -314,23 +314,57 @@ class TestExitCodes:
             "puts the default collision_tolerance beyond double range\n"
         )
 
+    def test_oracle_refuses_a_tolerance_wider_than_the_image(self, capsys, monkeypatch):
+        # at tolerance 10 most of the 8192 samples' pairs collide (about 11M
+        # kept pairs): the search stops once it keeps COLLISION_LIMIT of
+        # them, before any Collision is built
+        from univalence import oracle
+
+        built = []
+        monkeypatch.setattr(oracle, "Collision", lambda *args: built.append(args))
+        assert main(["oracle", "--f", "joukowski:1.2", "--collision-tol", "10"]) == 3
+        out = capsys.readouterr()
+        assert out.out == "" and built == []
+        assert out.err == (
+            f"error: InvalidPlan: collision search keeps more than {oracle.COLLISION_LIMIT} pairs "
+            "at collision_tolerance 10.0, separation_floor 0.775943097232398\n"
+        )
+        # above every count the suite and CI pin: 542, 836 and 162 oracle
+        # collisions, and all 41328 pairs of test_oracle's crowded 12 x 24 grid
+        assert oracle.COLLISION_LIMIT > max(542, 836, 162, 41328)
+
     @pytest.mark.parametrize("config", [False, True])
-    def test_decreasing_chain_times_are_usage_error(self, tmp_path, capsys, config):
-        # the audit probes each time's contour inside the next time's, so
-        # 1 0.5 0 would read as 32 subordination failures (exit 1)
+    def test_decreasing_chain_times_are_accepted(self, tmp_path, capsys, config):
+        # each chain time is judged alone: the times 1 0.5 0 give the a1
+        # records of the sorted times, in their own order
         argv = ["chain", "--f", "joukowski:0.3", "--g", "joukowski:0.2"]
+        assert main([*argv, "--t-samples", "0", "0.5", "1"]) == 0
+        by_time = {r["t"]: r for r in json.loads(capsys.readouterr().out)["result"]["a1"]}
         if config:
             path = tmp_path / "config.json"
-            path.write_text('{"command": "chain", "t_samples": [1.0, 0.5, 0.0]}')
+            path.write_text(
+                '{"command": "chain", "f": "joukowski:0.3", "g": "joukowski:0.2", '
+                '"t_samples": [1.0, 0.5, 0.0]}'
+            )
             argv = ["chain", "--config", str(path)]
         else:
             argv += ["--t-samples", "1", "0.5", "0"]
-        assert main(argv) == 3
+        assert main(argv) == 0
         out = capsys.readouterr()
-        assert out.out == ""
-        assert out.err == "usage error: t_samples must not decrease, got [1.0, 0.5, 0.0]\n"
-        # equal neighbours are allowed
-        assert main(["chain", "--t-samples", "0", "1", "1"]) == 0
+        assert out.err == ""
+        a1 = json.loads(out.out)["result"]["a1"]
+        assert a1 == [by_time[t] for t in (1.0, 0.5, 0.0)]
+
+    def test_chain_refuses_f_outside_sigma0(self, capsys):
+        # f = g = z + 1.2: L(z, t) = e^t z/(1 + 1.2 e^t z) has its pole at
+        # |z| = e^-t/1.2 in the disk, beyond the a1 contour, where no other
+        # check of the audit looks; the Sigma0 precondition refuses the b0
+        argv = ["chain", "--f", "laurent:1;1.2", "--g", "laurent:1;1.2", "--t-samples", "0", "0.1"]
+        assert main(argv) == 1
+        out = capsys.readouterr()
+        result = json.loads(out.out)["result"]
+        assert out.err == "" and result["pass"] is False
+        assert result["errors"] == ["precondition: f is not in Sigma0: b = (1+0j), b0 = (1.2+0j)"]
 
     @pytest.mark.parametrize(
         "argv, alphas",
@@ -844,7 +878,7 @@ class TestOutputs:
 
     def test_schema_fields(self):
         _, report, _ = run_quiet(RunConfig(command="check", f="identity"))
-        assert report["schema"] == 5
+        assert report["schema"] == 6
         assert "seed" not in report["config"]
         assert set(report["result"]) == {
             "sup",

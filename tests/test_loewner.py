@@ -18,11 +18,13 @@ from univalence.errors import (
 )
 from univalence.criteria import theorem1
 from univalence.loewner import (
-    _NODES,
+    _CONTOUR,
     _Z_SAMPLES,
+    A1_NODE_COUNT,
+    A1_RADIUS,
+    A1_RESIDUAL_TOL,
     DEFAULT_T_SAMPLES,
     LOEWNER_RESIDUAL_TOL,
-    PROBE_COUNT,
     ChainSpec,
     _audit_samples,
     _chain_slices,
@@ -67,6 +69,36 @@ class TestChainSpecRoles:
         with pytest.raises(InvalidSpec) as exc:
             ChainSpec(f=uv.joukowski(0.3), g=uv.identity(), h=uv.joukowski(0.3))
         assert str(exc.value) == "joukowski((0.3+0j)) is not an h = 1 + h2/z^2 + ..."
+
+
+SHIFTS = "moebius:1,-0.3,0,1:" + "moebius:1,0.1,0,1:" * 3
+
+
+class TestSigma0Precondition:
+    """The chain presumes f = z + O(1/z): an f outside Sigma0 fails the
+    audit as a precondition, up to the rounding of the fold alone."""
+
+    @pytest.mark.parametrize(
+        "f,line",
+        [
+            ("moebius:1,0,1,-2:identity", "b = 0j, b0 = (1+0j)"),  # bounded at infinity
+            ("laurent:2;0;0.1", "b = (2+0j), b0 = 0j"),
+            ("laurent:1;1e-300", "b = (1+0j), b0 = (1e-300+0j)"),
+            # b0 = 0.1 + 0.1 + 0.1 - 0.3 = 2.8e-17, the rounding of the fold
+            (SHIFTS + "joukowski:0.3", None),
+            (SHIFTS.replace("0.1,", "0.1000001,", 1) + "joukowski:0.3",
+             "b = (1+0j), b0 = (1.0000000000287557e-07+0j)"),
+            ("moebius:2,0,0,2:joukowski:0.3", None),
+        ],
+        ids=["bounded", "b_not_one", "tiny_b0", "rounded_b0", "small_b0", "scaled"],
+    )
+    def test_only_f_outside_sigma0_fails(self, f, line):
+        spec = ChainSpec(f=uv.make_sigma_function(f), g=uv.identity(), alpha=0.0)
+        rep = audit_pommerenke(spec, t_samples=(0.0,))
+        sigma = [e for e in rep.errors if e.startswith("precondition: f is not in Sigma0: ")]
+        assert sigma == ([] if line is None else [f"precondition: f is not in Sigma0: {line}"])
+        if line is not None:
+            assert rep.errors[0] == sigma[0] and not rep.passed
 
 
 class TestChainEval:
@@ -353,16 +385,15 @@ class TestLoewnerResidual:
 
 
 class TestA1:
-    """The a1 the audit records: the trapezoidal mean over the a1 contour,
-    the even nodes of the doubled contour."""
+    """The a1 the audit records: the trapezoidal mean over the a1 contour."""
 
     def test_trivial_chain(self):
-        ((t, a1, _, _),) = audit_pommerenke(trivial_spec(), t_samples=(1.0,)).a1_records
+        ((t, a1, _),) = audit_pommerenke(trivial_spec(), t_samples=(1.0,)).a1_records
         assert t == 1.0 and abs(a1 - np.e) <= 1e-9
 
     def test_joukowski_series(self):
         records = audit_pommerenke(jouk_spec(0.5), t_samples=(0.0, LN2)).a1_records
-        (t0, at_zero, _, _), (t1, at_ln2, _, _) = records
+        (t0, at_zero, _), (t1, at_ln2, _) = records
         assert (t0, t1) == (0.0, LN2)
         assert abs(at_zero - 1.0) <= 1e-9
         assert abs(at_ln2 - 2.0) <= 2e-6
@@ -378,32 +409,44 @@ class TestA1:
     def test_unnormalized_constant_term_breaks_the_law(self):
         # b0 != 0 puts a chain pole at z ~ 1/(b0 e^t); by t = 2 it is inside
         # the contour and the extracted coefficient goes wrong. The audit
-        # must flag this rather than pass silently.
+        # refuses such an f as a precondition, before the law is read.
         spec = ChainSpec(
             f=uv.laurent(1, 0.3, [0.1]), g=uv.identity(), h=uv.constant_one(), alpha=0.5
         )
         rep = audit_pommerenke(spec)
-        (residual,) = [res for t, _, res, _ in rep.a1_records if t == 2.0]
+        assert rep.errors == ("precondition: f is not in Sigma0: b = (1+0j), b0 = (0.3+0j)",)
+        (residual,) = [res for t, _, res in rep.a1_records if t == 2.0]
         assert residual > 1e-3
         assert not rep.passed
 
+    def test_residual_alone_fails_past_the_digit_loss(self):
+        # f = g = z + 0.3/z: |w| <= 0.6 at every t, and the chain's rounding
+        # error of about eps e^{2t} moves the a1 mean by 2e-8 at t = 10,
+        # within A1_RESIDUAL_TOL, and by 2.3e-6 at t = 12, past it
+        for t, passed in ((10.0, True), (12.0, False)):
+            rep = audit_pommerenke(jouk_spec(0.3), t_samples=(t,))
+            ((_, _, residual),) = rep.a1_records
+            assert rep.max_abs_w < 0.61 and not rep.errors
+            assert rep.loewner_residual <= LOEWNER_RESIDUAL_TOL
+            assert (residual <= A1_RESIDUAL_TOL) == passed and rep.passed == passed
 
-class TestSubordination:
-    """Subordination of a two-time audit (t, s): the t probes' images lie
-    inside the s-contour's."""
 
-    def test_ordered_times_nest(self):
-        rep = audit_pommerenke(trivial_spec(), t_samples=(0.0, 1.0))
-        assert rep.passed and not rep.subordination_failures
+class TestTimeOrder:
+    """Each chain time is judged alone, so the times may come in any order."""
 
-    def test_equal_times_nest(self):
-        rep = audit_pommerenke(trivial_spec(), t_samples=(1.0, 1.0))
-        assert rep.passed and not rep.subordination_failures
-
-    def test_swapped_times_fail(self):
+    def test_swapped_times_pass(self):
         rep = audit_pommerenke(trivial_spec(), t_samples=(1.0, 0.0))
-        assert not rep.errors and not rep.passed
-        assert len(rep.subordination_failures) == 16
+        assert rep.passed and not rep.errors
+
+    def test_records_are_those_of_each_time_alone(self):
+        ts = (2.0, 0.5, 0.0, 1.0, 0.0)
+        spec = CATALOG_SPECS[3]
+        rep = audit_pommerenke(spec, t_samples=ts)
+        alone = [audit_pommerenke(spec, t_samples=(t,)) for t in ts]
+        assert rep.a1_records == tuple(r for a in alone for r in a.a1_records)
+        assert rep.max_abs_w == max(a.max_abs_w for a in alone)
+        assert rep.loewner_residual == max(a.loewner_residual for a in alone)
+        assert rep.passed and all(a.passed for a in alone)
 
 
 class TestAudit:
@@ -411,8 +454,7 @@ class TestAudit:
         rep = audit_pommerenke(trivial_spec())
         assert rep.max_abs_w == 0.0
         assert rep.passed
-        assert not rep.subordination_failures
-        assert all(res == 0.0 or res < 1e-12 for _, _, res, _ in rep.a1_records)
+        assert all(res == 0.0 or res < 1e-12 for _, _, res in rep.a1_records)
         assert 0.0 <= rep.loewner_residual <= LOEWNER_RESIDUAL_TOL
 
     def test_becker_violation_flagged(self):
@@ -431,16 +473,16 @@ class TestAudit:
     def test_json_shape(self):
         rep = audit_pommerenke(trivial_spec(), t_samples=(0.0, 0.5))
         d = rep.to_json_dict()
-        assert set(d) >= {
+        assert set(d) == {
             "max_abs_w",
             "witness_w",
             "a1",
-            "subordination",
             "loewner_residual",
+            "errors",
             "pass",
         }
         assert d["pass"] is True
-        assert all({"t", "re", "im", "residual", "doubling_ok"} <= set(r) for r in d["a1"])
+        assert all(set(r) == {"t", "re", "im", "residual"} for r in d["a1"])
 
     def test_nonfinite_chain_values_are_recorded(self):
         # f = 1e-310 z: the quotient's denominator is subnormal, so every
@@ -483,18 +525,6 @@ class TestAudit:
         with pytest.raises(InvalidPlan, match="^t_samples must hold at least one time$"):
             audit_pommerenke(trivial_spec(), t_samples=())
 
-    def test_subordination_contour_failure_is_recorded(self):
-        # the probes at 0.45 e^t land on the ring at 0.5 e^s when e^(t-s) =
-        # 10/9: that pair is recorded and the audit goes on
-        t = 0.10536051565782628
-        rep = audit_pommerenke(trivial_spec(), t_samples=(t, 0.0))
-        assert rep.errors == (
-            f"subordination ({t}, 0.0): point (0.5+0j) within rounding of the contour",
-        )
-        assert not rep.subordination_failures
-        assert len(rep.a1_records) == 2
-        assert not rep.passed
-
     def test_large_time_records_overflow_without_warning(self):
         # e^t overflows past t of about 709: the samples at t = 1e300 are
         # recorded as errors, and no RuntimeWarning (an error in this suite)
@@ -502,27 +532,9 @@ class TestAudit:
         spec = ChainSpec(f=uv.joukowski(0.3), g=uv.joukowski(0.2))
         rep = audit_pommerenke(spec, t_samples=(0.0, 1e300))
         assert rep.errors[0] == "w grid at t=1e+300: non-finite w at z = (0.5+0j)"
-        assert rep.errors[-1].startswith("subordination (0.0, 1e+300): ")
+        assert rep.errors[-1].startswith("a1 at t=1e+300: ")
+        assert [t for t, *_ in rep.a1_records] == [0.0]
         assert not rep.passed
-
-    def test_pairs_judged_as_alone(self):
-        # one winding pass for all pairs; per pair, the same failures or
-        # error as the audit of that pair alone: the probes of (t_on, 0) land
-        # on the s-contour, those of (t_off, 0) lie 5e-8 outside it, where
-        # each crossing is still certain, and (0, t_off) nests
-        t_on = 0.10536051565782628
-        t_off = t_on + 1e-7
-        ts = (t_on, 0.0, t_off, 0.0)
-        rep = audit_pommerenke(trivial_spec(), t_samples=ts)
-        errors, failures = [], []
-        for t, s in zip(ts[:-1], ts[1:]):
-            alone = audit_pommerenke(trivial_spec(), t_samples=(t, s))
-            errors += alone.errors
-            failures += alone.subordination_failures
-        assert errors == [f"subordination ({t_on}, 0.0): point (0.5+0j) within rounding of the contour"]
-        assert len(failures) == PROBE_COUNT
-        assert list(rep.errors) == errors
-        assert list(rep.subordination_failures) == failures
 
     def test_one_evaluation_pass_per_audit(self, monkeypatch):
         # no root solve, since the coefficient bound of the precondition
@@ -530,10 +542,8 @@ class TestAudit:
         # kernel calls whatever the number of chain times: f, g and h
         # stacks to order 3 for the grid pass over the z grid (6 x 192
         # points at the default grids) and to order 2 for the L pass over
-        # the doubled a1 contour and the probes (6 x 512 + 5 x 16 points);
-        # one winding call for all subordination pairs, none for a single
-        # chain time (no pair); no circle_points call, since the z grid and
-        # the nodes are built once, read-only
+        # the a1 contour (6 x 256 points); no winding call; no circle_points
+        # call, since the z grid and the contour are built once, read-only
         from univalence import _kernels, catalog, loewner
 
         roots, kernel, kernel_points, passes = Counter(), Counter(), Counter(), []
@@ -575,22 +585,18 @@ class TestAudit:
         assert roots == Counter()
         assert kernel["derivs"] == 6
         # f and g (from g') to order 3 on the grid and 2 on the nodes, h to 1 and 0
-        assert kernel_points == Counter({(1152, 3): 2, (1152, 1): 1, (3152, 2): 2, (3152, 0): 1})
-        assert sum(size * count for (size, _), count in kernel_points.items()) == 12912
-        assert passes == [(1152, True), (3152, False)]
-        assert kernel["winding"] == 1
+        assert kernel_points == Counter({(1152, 3): 2, (1152, 1): 1, (1536, 2): 2, (1536, 0): 1})
+        assert sum(size * count for (size, _), count in kernel_points.items()) == 8064
+        assert passes == [(1152, True), (1536, False)]
+        assert kernel["winding"] == 0
         assert kernel["circle_points"] == 0
-        for nodes in (loewner._Z_SAMPLES, *loewner._NODES):
+        for nodes in (loewner._Z_SAMPLES, loewner._CONTOUR):
             with pytest.raises(ValueError, match="read-only"):
                 nodes[0] = nodes[0]
 
         kernel.clear()
         audit_pommerenke(spec, t_samples=np.linspace(0.0, 4.0, 11))
         assert kernel["derivs"] == 6
-        assert kernel["winding"] == 1
-
-        kernel.clear()
-        audit_pommerenke(spec, t_samples=(1.0,))
         assert kernel["winding"] == 0
 
         # f = z - (1.5/16) z^-16, whose f' vanishes at |z| = 1.024, is beyond
@@ -603,28 +609,19 @@ class TestAudit:
 
 
 def assert_samples_standalone(spec, ts):
-    """Every row of the audit's samples stacked over t (over the pairs for
-    the probes), the a1 contour view and the w row of the grid pass
-    included, is what ``_chain_slices`` gives for its slice alone: bitwise
-    the same values, NaN positions included, and an error of the same type
-    and message, or none; the grid's L is the L pass's. Returns the number
-    of rows that are errors."""
-    contour, doubled, probes_z = _NODES
-    (grid, on_contour, on_doubled, w, probes), errors = _audit_samples(spec, ts)
+    """Every row of the audit's samples stacked over t, the w row of the
+    grid pass included, is what ``_chain_slices`` gives for its slice alone:
+    bitwise the same values, NaN positions included, and an error of the
+    same type and message, or none; the grid's L is the L pass's. Returns
+    the number of rows that are errors."""
+    (grid, on_contour, w), (grid_errors, contour_errors, w_errors) = _audit_samples(spec, ts)
     assert grid.shape == (3, len(ts), _Z_SAMPLES.size) and w.shape == (len(ts), _Z_SAMPLES.size)
-    assert probes.shape == (len(ts) - 1, PROBE_COUNT)
-    grid_errors, contour_errors, doubled_errors, w_errors, probe_errors = errors
+    assert on_contour.shape == (len(ts), A1_NODE_COUNT)
     rows = []
     for i, t in enumerate(ts):
         alone, (grid_error,), (w_error,) = _chain_slices(spec, [(_Z_SAMPLES, t)], grid=True)
         rows += [(grid[:, i], grid_errors[i], alone[:3], grid_error), (w[i], w_errors[i], alone[3], w_error)]
-        on_l_pass = [
-            (grid[0, i], grid_errors[i], _Z_SAMPLES),
-            (on_contour[i], contour_errors[i], contour),
-            (on_doubled[i], doubled_errors[i], doubled),
-        ]
-        if i < len(ts) - 1:
-            on_l_pass.append((probes[i], probe_errors[i], probes_z))
+        on_l_pass = [(grid[0, i], grid_errors[i], _Z_SAMPLES), (on_contour[i], contour_errors[i], _CONTOUR)]
         for got, error, zs in on_l_pass:
             alone, (want_error,) = _chain_slices(spec, [(zs, t)])
             rows.append((got, error, alone[0], want_error))
@@ -634,9 +631,9 @@ def assert_samples_standalone(spec, ts):
     return sum(want_error is not None for *_, want_error in rows)
 
 
-# 1/z at the first odd node of the doubled contour and t = 0, as the chain
-# pass computes it: a pole of f there fails that contour alone.
-_ODD_NODE_ZETA = complex((np.exp(np.zeros(1)) / _NODES[1][1:2])[0])
+# 1/z at the first node of the a1 contour off the z grid, at t = 0, as the
+# chain pass computes it: a pole of f there fails that contour alone.
+_OFF_GRID_NODE_ZETA = complex((np.exp(np.zeros(1)) / _CONTOUR[1:2])[0])
 
 
 def _laurent_or_joukowski(c1, c2, joukowski):
@@ -647,11 +644,12 @@ small = st.complex_numbers(max_magnitude=0.6, allow_nan=False, allow_infinity=Fa
 
 
 class TestAuditSamples:
-    def test_contour_views_are_bitwise_standalone_nodes(self):
-        _, doubled, _ = _NODES
-        first_circle = _Z_SAMPLES[: len(doubled) // 8]
-        assert np.array_equal(doubled[::2], circle_points(0.5, 256))
-        assert np.array_equal(doubled[::8], first_circle)
+    def test_a1_contour_holds_the_first_grid_circle(self):
+        # the grid's circle of radius A1_RADIUS is every fourth contour node,
+        # so the contour's odd nodes lie off the grid
+        first_circle = _Z_SAMPLES[: A1_NODE_COUNT // 4]
+        assert np.array_equal(_CONTOUR, circle_points(A1_RADIUS, A1_NODE_COUNT))
+        assert np.array_equal(_CONTOUR[::4], first_circle)
 
     @pytest.mark.parametrize(
         "f,g,alpha",
@@ -679,7 +677,7 @@ class TestAuditSamples:
         samples, errors = _audit_samples(spec, DEFAULT_T_SAMPLES)
         assert errors[0] == [None] * len(DEFAULT_T_SAMPLES)
         critical = []
-        for t, w, error in zip(DEFAULT_T_SAMPLES, samples[3], errors[3]):
+        for t, w, error in zip(DEFAULT_T_SAMPLES, samples[2], errors[2]):
             et = np.exp(np.full(z.size, t))
             zeta = et / z
             pc = pieces(spec.f, spec.g, spec.h, zeta)
@@ -718,16 +716,16 @@ class TestAuditSamples:
         [
             # f'(1) = 0 at the grid point z = 1 at t = 0
             ("joukowski:1.0", "identity", -1.0, DEFAULT_T_SAMPLES, True),
-            # the pole of f at the first node of both contours at t = 0
+            # the pole of f at the first node of the grid and the contour at t = 0
             ("moebius:1,0,1,-2:identity", "identity", 0.5, DEFAULT_T_SAMPLES, True),
-            # a pole at an odd node of the doubled contour: the a1 contour and
-            # the grid, evaluated alone, are clean
-            (f"moebius:1,0,1,{-_ODD_NODE_ZETA}:identity", "laurent:1;0;0.1-0.05j,0.03j", 0.3,
+            # a pole at a node of the a1 contour off the z grid: the grid,
+            # evaluated alone, is clean
+            (f"moebius:1,0,1,{-_OFF_GRID_NODE_ZETA}:identity", "laurent:1;0;0.1-0.05j,0.03j", 0.3,
              (0.0, 0.25), True),
             # every chain value overflows, with no error
             ("laurent:1e-310;0", "identity", 0.0, (0.0, 1.0), False),
         ],
-        ids=["critical_point_on_grid", "moebius_pole", "pole_at_odd_node", "subnormal_f"],
+        ids=["critical_point_on_grid", "moebius_pole", "pole_off_the_grid", "subnormal_f"],
     )
     def test_failing_slices_equal_standalone_evaluation(self, f, g, alpha, ts, fails):
         spec = ChainSpec(

@@ -286,6 +286,23 @@ class TestInjectivityScan:
         with pytest.raises(InvalidSpec):
             collision_pairs(values, points, 1e-3, 0.0)
 
+    def test_collision_limit_counts_the_kept_pairs(self, monkeypatch):
+        # z + 1.2/z on a 12 x 24 grid at tolerance 0.3 keeps hundreds of
+        # pairs: with the limit at their number the search reports them all,
+        # one below it the search refuses the grid
+        from univalence import oracle
+
+        plan = uv.SamplingPlan(r_min=1.02, r_max=1.5, radial_count=12, angular_count=24)
+        points = uv.sample_exterior(plan)
+        values = uv.joukowski(1.2).values(points)
+        hits = collision_pairs(points, values, 0.3, 0.05)
+        assert len(hits) > 100
+        monkeypatch.setattr(oracle, "COLLISION_LIMIT", len(hits))
+        assert collision_pairs(points, values, 0.3, 0.05) == hits
+        monkeypatch.setattr(oracle, "COLLISION_LIMIT", len(hits) - 1)
+        with pytest.raises(InvalidPlan, match=f"^collision search keeps more than {len(hits) - 1} pairs "):
+            collision_pairs(points, values, 0.3, 0.05)
+
     def test_differences_beyond_double_range_read_inf(self):
         # images 1.8e308 apart, in adjacent cells of width 1e308
         points = np.array([2.0, 5.0], dtype=np.complex128)
