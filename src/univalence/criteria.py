@@ -11,6 +11,10 @@ signed ``theorem1`` bracket at a preset, and holds where it is <= 1:
     nehari              yes     yes     1/2     (|z|^2-1)^2 |S_f| / 2
 
 The Loewner driving function w(z, t) is the same bracket at zeta = e^t/z.
+Its weights (|z|^2-1)^k and its phase z/conj(z) come from the caller: the
+scan's polar grid z = r u (|u| = 1) takes 1/z = conj(u)/r, |z|^2 - 1 =
+(r-1)(r+1) and z/conj(z) = u^2 from each row and column, while
+``evaluate_lhs`` computes them at each point.
 """
 
 from __future__ import annotations
@@ -92,14 +96,15 @@ class Pieces(NamedTuple):
     sg: "np.ndarray | None"  # Schwarzian of g
 
 
-def pieces(f, g, h, points: np.ndarray, criterion: str = "theorem1") -> Pieces:
+def pieces(f, g, h, points: np.ndarray, criterion: str = "theorem1", inv=None) -> Pieces:
     """Criterion pieces of (f, g, h) at each point that ``criterion``
-    reads, the others None (theorem1 reads all); shared by the criterion
-    scan and the Loewner driving function. Critical points and poles yield
-    non-finite entries for the caller to diagnose."""
+    reads, the others None (theorem1 reads all); ``inv``, if given, is
+    1/points. Critical points and poles yield non-finite entries for the
+    caller to diagnose."""
     f_order, g_order, h_order = _PRESETS[criterion][1]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        inv = 1.0 / points
+        if inv is None:
+            inv = 1.0 / points
         # No formula reads f or g itself: their stacks start at the derivative.
         gd = g.derivs(points, g_order, inv, first=1) if g_order else None
         hd = h.derivs(points, h_order, inv) if h_order else None
@@ -124,28 +129,29 @@ def _stack_pieces(d):
     return d[0], p, (d[2] / d[0] - 1.5 * p * p if d.shape[0] > 2 else None)
 
 
-def theorem1(z, pc: Pieces, alpha, aa, phase=None) -> np.ndarray:
-    """The signed theorem1 bracket at each z from its pieces, where the
-    criterion scan passes aa = |z|^2 (phase None: z/conj(z)) and the Loewner
-    w at z = e^t/(chain z) passes aa = e^{2t} and phase = 1/(chain z)^2:
+def theorem1(z, pc: Pieces, alpha, aa, am1, phase) -> np.ndarray:
+    """The signed theorem1 bracket at each z from its pieces, given
+    aa = |z|^2, am1 = aa - 1 and phase = z/conj(z), each at every z or
+    broadcast to it (the scan passes them per row and column, the Loewner w
+    at z = e^t/(chain z) passes aa = e^{2t} and phase = 1/(chain z)^2):
 
-        (1-h)/h aa - (aa-1) (z h'/h + (1-2 alpha) z f''/f' + 2 alpha z g''/g')
-          + alpha (aa-1)^2 phase h ((alpha-1/2) D + S_f - S_g),
+        (1-h)/h aa - am1 (z h'/h + (1-2 alpha) z f''/f' + 2 alpha z g''/g')
+          + alpha am1^2 phase h ((alpha-1/2) D + S_f - S_g),
 
     D = (f''/f' - g''/g')^2. A term is left out when a piece it reads is
     None (g = z, h = 1; no S_f: alpha = 0) or when alpha = 1/2 zeroes its
     coefficient, never for alpha = 0: a g' = 0 must still make the bracket
-    non-finite, for the caller to diagnose."""
+    non-finite, for the caller to diagnose. A coefficient that is exactly 1
+    is not multiplied by."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        am1 = aa - 1.0
         lin, out = [], []
         if pc.h0 is not None:
             lin.append(z * pc.h1 / pc.h0)
             out.append((1.0 - pc.h0) / pc.h0 * aa)
         if alpha != 0.5:
-            lin.append((1.0 - 2.0 * alpha) * z * pc.pf)
+            lin.append(z * pc.pf if alpha == 0 else (1.0 - 2.0 * alpha) * z * pc.pf)
         if pc.pg is not None:
-            lin.append(2.0 * alpha * z * pc.pg)
+            lin.append(z * pc.pg if alpha == 0.5 else 2.0 * alpha * z * pc.pg)
         if lin:
             out.append(-am1 * reduce(np.add, lin))
         if pc.sf is not None:
@@ -158,7 +164,7 @@ def theorem1(z, pc: Pieces, alpha, aa, phase=None) -> np.ndarray:
                 inner = (alpha - 0.5) * diff + inner
             if pc.sg is not None:
                 inner = inner - pc.sg
-            coef = alpha * am1**2 * (z / np.conj(z) if phase is None else phase)
+            coef = alpha * am1**2 * phase
             if pc.h0 is not None:
                 coef = coef * pc.h0
             out.append(coef * inner)
@@ -200,12 +206,11 @@ def _diagnose(params: CriterionParams, points: np.ndarray, values: np.ndarray):
 def lhs_values(params: CriterionParams, points: np.ndarray) -> np.ndarray:
     """``evaluate_lhs`` without the diagnosis: non-finite entries where the
     criterion is singular. The points are evaluated block by block, each
-    block's temporaries freed before the next block's are made. No complex
-    multiply writes in place (at length 1 that is not bitwise the
-    out-of-place product), so a value does not depend on the other points
-    of its call."""
-    alpha = _PRESETS[params.criterion][0]
-    alpha = params.alpha if alpha is None else alpha
+    block's temporaries freed before the next block's are made, with 1/z,
+    |z|^2 and z/conj(z) computed at each point. No complex multiply writes
+    in place (at length 1 that is not bitwise the out-of-place product), so
+    a value does not depend on the other points of its call."""
+    alpha = _alpha(params)
     out = np.empty(points.shape)
 
     def fill(lo):
@@ -219,11 +224,51 @@ def lhs_values(params: CriterionParams, points: np.ndarray) -> np.ndarray:
             if np.any(inside):
                 raise OutsideDomain(f"criterion point {z[inside][0]} not in the exterior disk")
         pc = pieces(params.f, params.g, params.h, z, params.criterion)
-        out[lo : lo + _BLOCK] = np.abs(theorem1(z, pc, alpha, aa))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            bracket = theorem1(z, pc, alpha, aa, aa - 1.0, z / np.conj(z))
+        out[lo : lo + _BLOCK] = np.abs(bracket)
 
     for lo in range(0, points.shape[0], _BLOCK):
         fill(lo)
     return out
+
+
+def lhs_polar(params: CriterionParams, radii: np.ndarray, units: np.ndarray):
+    """The points z = r u of the polar grid ``radii`` x ``units`` (radii
+    > 1, units of modulus 1), radius-major, and the LHS at each, non-finite
+    where the criterion is singular. 1/z = conj(u)/r, |z|^2 = r r and
+    |z|^2 - 1 = (r-1)(r+1) are taken per row, z/conj(z) = u^2 per column.
+    The grid is evaluated in blocks of at most _BLOCK points, whole rows
+    but for a row wider than _BLOCK, which is cut into blocks of _BLOCK
+    points; a value depends on its own row and column alone."""
+    alpha = _alpha(params)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        z = radii[:, None] * units[None, :]
+        if np.any(radii <= 1.0):
+            raise OutsideDomain(f"criterion point {z[radii <= 1.0][0, 0]} not in the exterior disk")
+        rinv, conj = 1.0 / radii, np.conj(units)
+        aa, am1, phase = radii * radii, (radii - 1.0) * (radii + 1.0), units * units
+    out = np.empty(z.shape)
+
+    def fill(i, j):
+        zb = z[i, j]
+        # 1/z is passed, not named, so it is freed before the bracket is made
+        pc = pieces(params.f, params.g, params.h, zb, params.criterion, rinv[i, None] * conj[None, j])
+        out[i, j] = np.abs(theorem1(zb, pc, alpha, aa[i, None], am1[i, None], phase[None, j]))
+
+    rows, cols = z.shape
+    step = max(1, _BLOCK // cols)
+    width = min(cols, _BLOCK)
+    for lo in range(0, rows, step):
+        for left in range(0, cols, width):
+            fill(slice(lo, lo + step), slice(left, left + width))
+    return z.ravel(), out.ravel()
+
+
+def _alpha(params: CriterionParams):
+    """The alpha of the criterion's preset, or the given one."""
+    alpha = _PRESETS[params.criterion][0]
+    return params.alpha if alpha is None else alpha
 
 
 def evaluate_lhs(params: CriterionParams, points) -> np.ndarray:

@@ -153,10 +153,11 @@ def _chain_slices(spec: ChainSpec, slices, grid: bool = False) -> tuple:
             # Not in place: at length 1 that is not bitwise this product.
             by_zeta = by_zeta * zeta
             by_c = h0 * (ell - quotient * u1)
+            aa = et * et
             rows += [
                 (by_zeta - (emt + et) / z * by_c) / num,
                 -(by_zeta + coef * by_c) / num,
-                theorem1(zeta, pc, spec.alpha, et * et, 1.0 / (z * z)),
+                theorem1(zeta, pc, spec.alpha, aa, aa - 1.0, 1.0 / (z * z)),
             ]
         rows = np.stack(rows)
         singular = (num == 0) | ~np.isfinite(num)

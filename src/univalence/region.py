@@ -3,8 +3,9 @@
 The scan is deterministic: a fixed geometric-radius grid, argmax-local
 refinement, and a Richardson tail extrapolation from the two outermost
 circles guard the "for all zeta" quantifier at desk scale. A scan makes
-1 + refine_depth criterion calls, each in fixed blocks of points, in order;
-each scan step's singular points are diagnosed on that step's points alone.
+1 + refine_depth criterion calls, each on a polar grid in blocks of whole
+rows; each scan step's singular points are diagnosed on that step's points
+alone.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import CriterionParams, _diagnose, lhs_values
+from .criteria import CriterionParams, _diagnose, lhs_polar
 from .errors import CriticalPoint, CriticalPointInRegion
-from .sampling import SamplingPlan, circle_points, sample_exterior
+from .sampling import SamplingPlan, sample_exterior
 
 __all__ = [
     "SamplingPlan",
@@ -56,27 +57,16 @@ def estimate_sup(
 ) -> SupReport:
     """Scan the plan grid, refine around the argmax, extrapolate the tail.
 
-    A scan makes 1 + refine_depth criterion calls: the r_max circle is the
-    base grid's outer row, not evaluated again (a one-row grid, at r_min,
-    gives it a call of its own), and the 2*r_max circle is evaluated in the
-    first refinement round's call (the base grid's at depth 0). Each stage is
-    diagnosed on its own points, in the order base grid, refinement rounds,
-    r_max circle, 2*r_max circle; ``grid_sink``, when given, receives each
-    stage's (points, values) arrays in that order once it passes.
+    Every stage is a polar grid, radii crossed with unit vectors, and a
+    scan makes 1 + refine_depth ``lhs_polar`` calls: the base grid's call
+    holds the r_max circle (its outer row; a one-row grid, at r_min, gets it
+    as one more row) and the 2*r_max circle as one more row, and each
+    refinement round's call holds its patch. Each stage is diagnosed on its
+    own points, in the order base grid, refinement rounds, r_max circle,
+    2*r_max circle; ``grid_sink``, when given, receives each stage's
+    (points, values) arrays in that order once it passes.
     """
     evaluated = 0
-    with np.errstate(invalid="ignore"):  # if 2*r_max overflows, r_max raises first
-        far_points = circle_points(2.0 * plan.r_max, plan.angular_count)
-    far_values = None
-
-    def evaluate(points, with_far=False):
-        """LHS at ``points`` (and, in the same call, at the 2*r_max circle)."""
-        nonlocal far_values
-        if not with_far:
-            return lhs_values(params, points)
-        values = lhs_values(params, np.concatenate([points, far_points]))
-        far_values = values[points.shape[0] :]
-        return values[: points.shape[0]]
 
     def accept(points, values):
         """Diagnose, sink and count one stage; return its max and argmax."""
@@ -91,9 +81,11 @@ def estimate_sup(
         i = int(np.argmax(values))
         return float(values[i]), complex(points[i])
 
-    base = sample_exterior(plan)
-    base_values = evaluate(base, with_far=plan.refine_depth == 0)
-    sup, argmax = accept(base, base_values)
+    size, n = plan.radial_count * plan.angular_count, plan.angular_count
+    outer = [plan.r_max] if plan.radial_count == 1 else []
+    radii = np.concatenate([plan.radii(), outer, [2.0 * plan.r_max]])
+    grid, grid_values = lhs_polar(params, radii, np.exp(1j * plan.angles()))
+    sup, argmax = accept(grid[:size], grid_values[:size])
 
     if plan.radial_count > 1:
         dlog = np.log(plan.r_max / plan.r_min) / (plan.radial_count - 1)
@@ -104,14 +96,13 @@ def estimate_sup(
 
     improvement = 0.0
     side = 2 * plan.refine_factor + 1
-    for k in range(plan.refine_depth):
+    for _ in range(plan.refine_depth):
         prev = sup
         c_log = np.log(abs(argmax))
         c_ang = np.angle(argmax)
         logs = np.clip(np.linspace(c_log - dlog, c_log + dlog, side), log_lo, log_hi)
         angs = np.linspace(c_ang - dang, c_ang + dang, side)
-        local = (np.exp(logs)[:, None] * np.exp(1j * angs)[None, :]).ravel()
-        local_sup, local_argmax = accept(local, evaluate(local, with_far=k == 0))
+        local_sup, local_argmax = accept(*lhs_polar(params, np.exp(logs), np.exp(1j * angs)))
         if local_sup > sup:
             sup, argmax = local_sup, local_argmax
         improvement = sup - prev
@@ -125,14 +116,8 @@ def estimate_sup(
 
     # Tail guard: the sup may be approached only at infinity. Richardson
     # extrapolation in 1/r^2 from the outermost circle and its double.
-    if plan.radial_count > 1:
-        near_points = base[-plan.angular_count :]
-        near_values = base_values[-plan.angular_count :]
-    else:
-        near_points = circle_points(plan.r_max, plan.angular_count)
-        near_values = evaluate(near_points)
-    near, _ = accept(near_points, near_values)
-    far, tail_argmax = accept(far_points, far_values)
+    near, _ = accept(grid[-2 * n : -n], grid_values[-2 * n : -n])
+    far, tail_argmax = accept(grid[-n:], grid_values[-n:])
     tail = max(0.0, (4.0 * far - near) / 3.0)
 
     if tail > sup:

@@ -169,7 +169,8 @@ def single_pass(p, pts):
     alpha = _PRESETS[p.criterion][0]
     alpha = p.alpha if alpha is None else alpha
     pc = pieces(p.f, p.g, p.h, pts, p.criterion)
-    return np.abs(theorem1(pts, pc, alpha, _abs2(pts)))
+    aa = _abs2(pts)
+    return np.abs(theorem1(pts, pc, alpha, aa, aa - 1.0, pts / np.conj(pts)))
 
 
 class TestBlocks:

@@ -332,16 +332,16 @@ class TestLoewnerEquation:
         assert [int(np.sum(a != b)) for a, b in zip(batch, alone)] == [0, 0, 0]
 
 
-def doubled_h_term(z, pc, alpha, aa, phase=None):
+def doubled_h_term(z, pc, alpha, aa, am1, phase):
     """theorem1 with its (1 - h)/h aa term counted twice."""
-    return theorem1(z, pc, alpha, aa, phase) + (1.0 - pc.h0) / pc.h0 * aa
+    return theorem1(z, pc, alpha, aa, am1, phase) + (1.0 - pc.h0) / pc.h0 * aa
 
 
-def flipped_alpha_term(z, pc, alpha, aa, phase=None):
+def flipped_alpha_term(z, pc, alpha, aa, am1, phase):
     """theorem1 with the sign of its alpha-term flipped: pieces without S_f
     leave that term out."""
-    without = theorem1(z, pc._replace(sf=None), alpha, aa, phase)
-    return 2.0 * without - theorem1(z, pc, alpha, aa, phase)
+    without = theorem1(z, pc._replace(sf=None), alpha, aa, am1, phase)
+    return 2.0 * without - theorem1(z, pc, alpha, aa, am1, phase)
 
 
 class TestLoewnerResidual:
@@ -685,7 +685,8 @@ class TestAuditSamples:
                 critical.append(t)
                 assert isinstance(error, CriticalPoint) and np.isnan(w).all()
             else:
-                want = theorem1(zeta, pc, spec.alpha, et * et, 1.0 / (z * z))
+                aa = et * et
+                want = theorem1(zeta, pc, spec.alpha, aa, aa - 1.0, 1.0 / (z * z))
                 assert error is None and np.array_equal(w, want)
         assert critical == ([0.0] if g == "joukowski:1.0" else [])
 

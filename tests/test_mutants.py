@@ -19,11 +19,13 @@ import numpy as np
 import pytest
 
 import univalence as uv
-from univalence import _kernels, catalog, criteria, loewner, oracle
+from univalence import _kernels, catalog, criteria, loewner, oracle, region
 from univalence.catalog import ROOT_BAND
 from univalence.errors import PointTooCloseToContour
 from univalence.loewner import ChainSpec, audit_pommerenke
 from univalence.oracle import winding_rows
+
+import test_reference
 
 
 def rebuilt(fn, old: str, new: str):
@@ -61,8 +63,8 @@ def wrong_w_is_refused():
     twice, where |w| < 1 and only the Loewner residual can see it."""
     theorem1 = loewner.theorem1
 
-    def doubled_h_term(z, pc, alpha, aa, phase=None):
-        return theorem1(z, pc, alpha, aa, phase) + (1.0 - pc.h0) / pc.h0 * aa
+    def doubled_h_term(z, pc, alpha, aa, am1, phase):
+        return theorem1(z, pc, alpha, aa, am1, phase) + (1.0 - pc.h0) / pc.h0 * aa
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(loewner, "theorem1", doubled_h_term)
@@ -85,6 +87,13 @@ def a1_law_fails_past_the_digit_loss():
     A1_RESIDUAL_TOL; the audit fails."""
     spec = ChainSpec(f=uv.joukowski(0.3), g=uv.joukowski(0.3))
     return not audit_pommerenke(spec, t_samples=(12.0,)).passed
+
+
+def scan_holds_at_exact_polar_points():
+    """The scan's values on the rows of test_reference.POLAR_PLAN agree
+    with the 40-digit LHS at the exact polar points r e^{i theta}, for every
+    criterion, within test_reference.LHS_TOL."""
+    return test_reference.polar_scan_error() <= test_reference.LHS_TOL
 
 
 # Maps whose u' vanishes in |z| >= rho = 1 - ROOT_BAND.
@@ -172,6 +181,12 @@ class Mutant(NamedTuple):
 MUTANTS = [
     Mutant("theorem1 (aa-1) for (aa-1)^2", (criteria, loewner), "theorem1",
            ("am1**2", "am1"), loewner_residual_holds),
+    Mutant("polar phase u for u^2", (criteria, region), "lhs_polar",
+           ("units * units", "units"), scan_holds_at_exact_polar_points),
+    Mutant("polar 1/z without conj", (criteria, region), "lhs_polar",
+           ("np.conj(units)", "units"), scan_holds_at_exact_polar_points),
+    Mutant("polar am1 = r - 1", (criteria, region), "lhs_polar",
+           ("(radii - 1.0) * (radii + 1.0)", "radii - 1.0"), scan_holds_at_exact_polar_points),
     Mutant("LOEWNER_RESIDUAL_TOL = 1e300", (loewner,), "LOEWNER_RESIDUAL_TOL",
            (1e300,), wrong_w_is_refused),
     Mutant("A1_RESIDUAL_TOL = 1e300", (loewner,), "A1_RESIDUAL_TOL",

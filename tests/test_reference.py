@@ -21,6 +21,7 @@ import pytest
 import univalence as uv
 from univalence.criteria import CRITERIA, CriterionParams, evaluate_lhs
 from univalence.loewner import ChainSpec, _chain_slices, audit_pommerenke
+from univalence.region import estimate_sup
 
 from conftest import exterior_points
 
@@ -111,8 +112,9 @@ def mp_log_ratio(f, g, zeta):
 
 
 def mp_lhs(params, z):
-    """Criterion LHS modulus at z, transcribed term by term."""
-    z = mp.mpc(complex(z))
+    """Criterion LHS modulus at z (a double, or an mpmath point taken as
+    it is), transcribed term by term."""
+    z = z if isinstance(z, mp.mpc) else mp.mpc(complex(z))
     f, g, h = (mp_derivs(fn, z) for fn in (params.f, params.g, params.h))
     pf, pg = f[2] / f[1], g[2] / g[1]
     sf = f[3] / f[1] - mp.mpf(3) / 2 * pf**2
@@ -220,6 +222,55 @@ def test_criterion_lhs(criterion):
         params = CriterionParams(f, g, uv.inverse_square(0.2 - 0.1j), 0.35 + 0.1j, criterion)
         ref = np.array([float(mp_lhs(params, z)) for z in points])
         assert rel_error(evaluate_lhs(params, points), ref) <= LHS_TOL
+
+
+# The scan's rows checked at their exact polar points: r_min = 1.001, a
+# middle row, r_max and the 2 r_max circle. Far out the LHS is a difference
+# of larger terms (the bracket's grow like |z|^2; for MOEBIUS_F the two
+# terms of S_f are O(|z|^-2), S_f is O(|z|^-4)), so doubles lose about
+# 2 log10 |z| digits, at the rounded z and on the polar grid alike: at the
+# default r_max = 50 the 2 r_max circle reads up to 9.3e-12. r_max = 10
+# keeps every row within LHS_TOL, as |z| <= 20 does for test_criterion_lhs.
+POLAR_PLAN = uv.SamplingPlan(r_max=10.0, radial_count=5, angular_count=7, refine_depth=0)
+
+
+def polar_params():
+    for criterion in CRITERIA:
+        for f, g in PAIRS[:3]:
+            yield CriterionParams(f, g, uv.inverse_square(0.2 - 0.1j), 0.35 + 0.1j, criterion)
+
+
+@functools.lru_cache(maxsize=None)
+def mp_polar_rows(params):
+    """The 40-digit LHS at r e^{i theta}, from the float r and theta of each
+    checked row of POLAR_PLAN and each of its angles."""
+    plan = POLAR_PLAN
+    radii = plan.radii()
+    with mp.workdps(40):
+        return np.array([
+            [float(mp_lhs(params, mp.mpf(r) * mp.expj(theta))) for theta in plan.angles()]
+            for r in (radii[0], radii[2], radii[-1], 2.0 * plan.r_max)
+        ])
+
+
+def polar_scan_error():
+    """The largest relative error (floored at 1) of the scan's values on the
+    checked rows of POLAR_PLAN, over every criterion and three pairs."""
+    worst = 0.0
+    for params in polar_params():
+        sink = []
+        estimate_sup(params, POLAR_PLAN, grid_sink=sink)
+        rows = sink[0][1].reshape(POLAR_PLAN.radial_count, POLAR_PLAN.angular_count)
+        got = np.stack([rows[0], rows[2], rows[-1], sink[-1][1]])
+        worst = max(worst, rel_error(got, mp_polar_rows(params)))
+    return worst
+
+
+def test_scan_at_exact_polar_points():
+    # the scan's 1/z = conj(u)/r, |z|^2 - 1 = (r-1)(r+1) and z/conj(z) = u^2
+    # hold the LHS at the polar point r e^{i theta} itself, the 2 r_max
+    # circle included
+    assert polar_scan_error() <= LHS_TOL
 
 
 def chain_spec(pair):

@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 import univalence as uv
 from univalence.criteria import (
+    _BLOCK,
     CRITERIA,
     CriterionParams,
-    _abs2,
+    _alpha,
     _diagnose,
     evaluate_lhs,
+    lhs_polar,
     lhs_values,
     pieces,
     theorem1,
@@ -21,6 +23,7 @@ from univalence.errors import (
     CriticalPointInRegion,
     HVanishes,
     InvalidPlan,
+    OutsideDomain,
     UnivalenceError,
 )
 from univalence.region import (
@@ -62,7 +65,7 @@ class TestSampleExterior:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_outer_row_is_the_r_max_circle(self, data):
-        # the scan reads its r_max tail circle from the base grid's last row
+        # the scan's r_max tail circle is the base grid's last row
         r_min = data.draw(st.floats(1.0 + 1e-12, 1e3))
         plan = uv.SamplingPlan(
             r_min=r_min,
@@ -127,8 +130,9 @@ class TestEstimateSup:
         assert estimate_sup(p, plan) == estimate_sup(p, plan)
 
     def test_grid_sink_spans_blocks(self):
-        # 96 x 256 = 24576 base points: three evaluation blocks, sunk as one
-        # array per scan step and bitwise the values of one unblocked pass
+        # 96 x 256 = 24576 base points and the 2 r_max row: three blocks of
+        # whole rows, sunk as one array per scan step and bitwise the values
+        # of one unblocked pass
         p = CriterionParams(
             f=uv.joukowski(0.45),
             g=uv.laurent(1, 0, [0.2, 0.1j]),
@@ -142,9 +146,44 @@ class TestEstimateSup:
         points, values = sink[0]
         assert points.shape == values.shape == (96 * 256,)
         assert report.samples_evaluated == sum(v.shape[0] for _, v in sink)
-        pc = pieces(p.f, p.g, p.h, points)
-        ref = np.abs(theorem1(points, pc, p.alpha, _abs2(points)))
-        assert values.tobytes() == ref.tobytes()
+        ref = polar_pass(p, plan.radii(), np.exp(1j * plan.angles()))
+        assert [a.tobytes() for a in ref] == [points.tobytes(), values.tobytes()]
+
+    def test_rows_wider_than_a_block(self):
+        # each 20000-point row, the 2 r_max circle's too, is cut into three
+        # blocks; its sunk values are bitwise those of one unsplit pass
+        p = CriterionParams(
+            f=uv.laurent(1, 0.1, [0.3 - 0.1j, 0.05j]),
+            g=uv.joukowski(0.2),
+            h=uv.inverse_square(0.1),
+            alpha=0.3 + 0.1j,
+        )
+        plan = uv.SamplingPlan(radial_count=2, angular_count=20000, refine_depth=1)
+        assert plan.angular_count > _BLOCK
+        sink = []
+        estimate_sup(p, plan, grid_sink=sink)
+        units = np.exp(1j * plan.angles())
+        for (points, values), radii in ((sink[0], plan.radii()), (sink[-1], [2.0 * plan.r_max])):
+            ref = polar_pass(p, np.array(radii), units)
+            assert [a.tobytes() for a in ref] == [points.tobytes(), values.tobytes()]
+
+    @pytest.mark.parametrize("criterion", CRITERIA)
+    def test_polar_values_match_evaluate_lhs(self, criterion):
+        # every stage's values against the per-point 1/z, |z|^2 and z/conj(z)
+        # at the same (rounded) z, Moebius f with c != 0 included
+        for f in TestAgainstFiveCallScan.F_CASES.values():
+            p = CriterionParams(
+                f=f,
+                g=uv.laurent(1, 0, [0.2, 0.1j]),
+                h=uv.inverse_square(0.2 + 0.1j),
+                alpha=0.3 + 0.1j,
+                criterion=criterion,
+            )
+            sink = []
+            estimate_sup(p, uv.SamplingPlan(radial_count=16, angular_count=32), grid_sink=sink)
+            for points, values in sink:
+                want = evaluate_lhs(p, points)
+                assert np.max(np.abs(values - want) / np.maximum(want, 1.0)) <= 1e-11
 
     def test_monotone_refinement_and_sample_count(self):
         p = becker(0.5)
@@ -183,15 +222,31 @@ class TestEstimateSup:
         assert len(sink[-1][0]) == 16
 
 
+def polar_pass(p, radii, units):
+    """The points of the polar grid ``radii`` x ``units`` and ``p``'s LHS at
+    each from one ``pieces`` pass and one ``theorem1`` call over them all,
+    with the scan's factors: 1/z = conj(u)/r, |z|^2 = r r and |z|^2 - 1 =
+    (r-1)(r+1) per row, z/conj(z) = u^2 per column."""
+    alpha = _alpha(p)
+    z = radii[:, None] * units[None, :]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        inv = (1.0 / radii)[:, None] * np.conj(units)[None, :]
+        pc = pieces(p.f, p.g, p.h, z, p.criterion, inv)
+        aa, am1 = radii * radii, (radii - 1.0) * (radii + 1.0)
+        values = theorem1(z, pc, alpha, aa[:, None], am1[:, None], (units * units)[None, :])
+    return z.ravel(), np.abs(values).ravel()
+
+
 def reference_estimate_sup(params, plan, grid_sink=None):
-    """The scan as it was with one ``evaluate_lhs`` call per stage, the two
-    tail circles included: five calls at the default plan."""
+    """The scan with one ``polar_pass`` per stage, the two tail circles
+    included: five passes at the default plan."""
     evaluated = 0
 
-    def scan(points):
+    def scan(radii, units):
         nonlocal evaluated
+        points, values = polar_pass(params, radii, units)
         try:
-            values = evaluate_lhs(params, points)
+            _diagnose(params, points, values)
         except CriticalPoint as exc:
             raise CriticalPointInRegion(str(exc), getattr(exc, "point", None)) from exc
         if grid_sink is not None:
@@ -200,7 +255,8 @@ def reference_estimate_sup(params, plan, grid_sink=None):
         i = int(np.argmax(values))
         return float(values[i]), complex(points[i])
 
-    sup, argmax = scan(sample_exterior(plan))
+    units = np.exp(1j * plan.angles())
+    sup, argmax = scan(plan.radii(), units)
 
     if plan.radial_count > 1:
         dlog = np.log(plan.r_max / plan.r_min) / (plan.radial_count - 1)
@@ -217,8 +273,7 @@ def reference_estimate_sup(params, plan, grid_sink=None):
         c_ang = np.angle(argmax)
         logs = np.clip(np.linspace(c_log - dlog, c_log + dlog, side), log_lo, log_hi)
         angs = np.linspace(c_ang - dang, c_ang + dang, side)
-        local = (np.exp(logs)[:, None] * np.exp(1j * angs)[None, :]).ravel()
-        local_sup, local_argmax = scan(local)
+        local_sup, local_argmax = scan(np.exp(logs), np.exp(1j * angs))
         if local_sup > sup:
             sup, argmax = local_sup, local_argmax
         improvement = sup - prev
@@ -230,8 +285,7 @@ def reference_estimate_sup(params, plan, grid_sink=None):
     )
 
     (near, _), (far, tail_argmax) = [
-        scan(circle_points(radius, plan.angular_count))
-        for radius in (plan.r_max, 2.0 * plan.r_max)
+        scan(np.array([radius]), units) for radius in (plan.r_max, 2.0 * plan.r_max)
     ]
     tail = max(0.0, (4.0 * far - near) / 3.0)
 
@@ -331,6 +385,22 @@ def test_each_stage_is_diagnosed_on_its_own_points():
     with pytest.raises(CriticalPoint) as info:
         evaluate_lhs(p, points)
     assert info.value.point == 2.0
+
+
+def test_exterior_is_decided_by_the_radius():
+    # at r_min = 1 + 2^-52 some rounded grid points r u have |z| <= 1, which
+    # evaluate_lhs refuses; the scan evaluates r e^{i theta} with r > 1, in
+    # the exterior disk, and reads the verdict of sup 2|c| = 0.9. A radius
+    # that is not above 1 is refused, naming its first point.
+    plan = uv.SamplingPlan(r_min=1.0 + 2.0**-52)
+    points = sample_exterior(plan)
+    assert np.any(np.abs(points) <= 1.0)
+    with pytest.raises(OutsideDomain):
+        evaluate_lhs(becker(0.45), points)
+    assert issue_verdict(estimate_sup(becker(0.45), plan)).outcome == "pass"
+    with pytest.raises(OutsideDomain) as info:
+        lhs_polar(becker(0.45), np.array([2.0, 1.0]), np.exp(1j * plan.angles()))
+    assert str(info.value) == "criterion point (1+0j) not in the exterior disk"
 
 
 def test_critical_point_in_region_carries_location():
