@@ -4,13 +4,17 @@
 stack of a Laurent-family function: from the value or from the first
 derivative up to a given order. It skips terms whose coefficient is zero and
 lets each row's first term write the row, so no pass adds zeros; the rows are
-bitwise those of the full stack. ``winding_sum`` counts the signed crossings
-of a ray from each of a vector of points by a closed polyline, for a batch of
-polylines at once, and gives a point no number where rounding could decide
-its count. Both are pure functions of their arguments.
+bitwise those of the full stack. ``laurent_derivs_scaled`` evaluates the
+scaled rows z^j f^(j) of the same stack, in which the power of 1/z of a
+term does not advance from row to row. ``winding_sum`` counts the signed
+crossings of a ray from each of a vector of points by a closed polyline, for
+a batch of polylines at once, and gives a point no number where rounding
+could decide its count. All three are pure functions of their arguments.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -76,6 +80,50 @@ def _zero_terms_vanish(b, b0, x):
     only a row holding -0, and only a -0 part of b or b0 puts one there."""
     parts = (b.real, b.imag, b0.real, b0.imag)
     return not any(v == 0 and np.signbit(v) for v in parts) and np.isfinite(x).all()
+
+
+# ---------------------------------------------------------------------------
+# The same stack scaled: row j is z^j f^(j), so no row advances the power.
+# ---------------------------------------------------------------------------
+
+
+def laurent_derivs_scaled(points, inv, b, b0, tail, order=4, first=0):
+    # Rows first..order of z^j u^(j) at each point z, given inv = 1/z: row j
+    # is b z if j <= 1, plus b0 if j = 0, plus (-1)^j (k+1)(k+2)...(k+j)
+    # tail[k] z^-(k+1) for each term k, a multiple of the term's power
+    # inv^(k+1) whatever j is, so the power advances once per term. A row's
+    # first part writes it, b0 is added next, and the terms follow in order
+    # k = 0, 1, ... A zero coefficient adds no term, and a row with no part
+    # is zero. Each entry is a function of its own z and 1/z, computed alike
+    # at every length: no multiply writes into one of its operands.
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.empty((order + 1 - first,) + points.shape, np.complex128)
+        fresh = set(range(first, order + 1))
+
+        def part(j, c, x):
+            row = out[j - first]
+            if j not in fresh:
+                row += c * x
+                return
+            if c == 1:
+                np.copyto(row, x)
+            else:
+                np.multiply(c, x, out=row)
+            fresh.discard(j)
+            if j == 0 and b0 != 0:
+                row += b0
+
+        if b != 0:
+            for j in range(first, min(order, 1) + 1):
+                part(j, b, points)
+        for k, t in enumerate(np.trim_zeros(tail, "b")):
+            power = inv if k == 0 else power * inv
+            if t != 0:
+                for j in range(first, order + 1):
+                    part(j, t * math.prod(range(-k - j, -k)), power)
+        for j in fresh:
+            out[j - first] = b0 if j == 0 else 0.0
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -57,24 +57,32 @@ class MeromorphicFn:
     ) -> np.ndarray:
         """Rows ``first`` (0, or 1 to leave out the value) through ``order``
         of the stack of value and derivatives at each point (``inv``, if
-        given, is 1.0 / points, shared with other functions).
+        given, is 1.0 / points, shared with other functions). ``points`` may
+        instead be a pair (z, 1/z) of arrays: row j is then the scaled row
+        z^j f^(j), from the scaled kernel.
 
         The levels from the outermost one with c != 0 inwards are one
         quotient over the stack of u, with the folded matrix of ``_fold``, so
         it is finite wherever that part of the map is. Each level with c = 0
         outside it then divides by its constant denominator d: the quotient
         recurrence of _stack_div reduces to this division (up to the sign of a
-        zero), and an overflowing value row stays in its row. Pole hits
-        surface as non-finite entries, for the caller to diagnose."""
-        points = np.asarray(points, dtype=np.complex128)
+        zero), and an overflowing value row stays in its row. Both apply to
+        scaled rows as they are, since z^i q^(i) obeys the recurrence of the
+        rows z^i a^(i) and z^i b^(i). Pole hits surface as non-finite
+        entries, for the caller to diagnose."""
         b, b0, tail = self.lower_coeffs()
+        if isinstance(points, tuple):
+            kernel, args = _kernels.laurent_derivs_scaled, (*points, b, b0, tail, order)
+        else:
+            points = np.asarray(points, dtype=np.complex128)
+            kernel, args = _kernels.laurent_derivs, (points, b, b0, tail, order, inv)
         cut = next((i for i, lv in enumerate(self.levels) if lv[2]), len(self.levels))
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             if cut == len(self.levels):
-                stack = _kernels.laurent_derivs(points, b, b0, tail, order, inv, first)
+                stack = kernel(*args, first)
             else:
                 (a, bb), (c, d) = _fold(self.levels[cut:])
-                u_stack = _kernels.laurent_derivs(points, b, b0, tail, order, inv)
+                u_stack = kernel(*args)
                 num = a * u_stack
                 num[0] = num[0] + bb
                 den = c * u_stack

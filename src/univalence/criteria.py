@@ -11,10 +11,12 @@ signed ``theorem1`` bracket at a preset, and holds where it is <= 1:
     nehari              yes     yes     1/2     (|z|^2-1)^2 |S_f| / 2
 
 The Loewner driving function w(z, t) is the same bracket at zeta = e^t/z.
-Its weights (|z|^2-1)^k and its phase z/conj(z) come from the caller: the
-scan's polar grid z = r u (|u| = 1) takes 1/z = conj(u)/r, |z|^2 - 1 =
-(r-1)(r+1) and z/conj(z) = u^2 from each row and column, while
-``evaluate_lhs`` computes them at each point.
+Its weights (|z|^2-1)^k and its phase z/conj(z) come from the caller:
+``evaluate_lhs`` computes them at each point, while the scan's polar grid
+z = r u (|u| = 1) takes |z|^2 - 1 = (r-1)(r+1) from each row and reads
+pieces scaled by powers of z (z f''/f', z^2 S_f, z h'), built from the
+scaled rows z^j f^(j) at z and 1/z = conj(u)/r, so that its bracket takes
+z = 1 and the phase z/conj(z) / z^2 = 1/|z|^2, again per row.
 """
 
 from __future__ import annotations
@@ -96,19 +98,39 @@ class Pieces(NamedTuple):
     sg: "np.ndarray | None"  # Schwarzian of g
 
 
-def pieces(f, g, h, points: np.ndarray, criterion: str = "theorem1", inv=None) -> Pieces:
+def pieces(f, g, h, points: np.ndarray, criterion: str = "theorem1") -> Pieces:
     """Criterion pieces of (f, g, h) at each point that ``criterion``
-    reads, the others None (theorem1 reads all); ``inv``, if given, is
-    1/points. Critical points and poles yield non-finite entries for the
-    caller to diagnose."""
+    reads, the others None (theorem1 reads all). ``points`` may be a pair
+    (z, 1/z), as ``MeromorphicFn.derivs`` takes it: the pieces are then
+    scaled (``_scaled_pieces``). Critical points and poles yield non-finite
+    entries for the caller to diagnose."""
     f_order, g_order, h_order = _PRESETS[criterion][1]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if inv is None:
-            inv = 1.0 / points
+        if isinstance(points, tuple):
+            f1, pf, sf = _scaled_pieces(f, f_order, points)
+            g1, pg, sg = _scaled_pieces(g, g_order, points) if g_order else (None,) * 3
+            h0, h1 = h.derivs(points, h_order) if h_order else (None,) * 2
+            return Pieces(f1, g1, h0, h1, pf, sf, pg, sg)
+        inv = 1.0 / points
         # No formula reads f or g itself: their stacks start at the derivative.
         gd = g.derivs(points, g_order, inv, first=1) if g_order else None
         hd = h.derivs(points, h_order, inv) if h_order else None
         return stack_pieces(f.derivs(points, f_order, inv, first=1), gd, hd)
+
+
+def _scaled_pieces(fn, order, grid):
+    """(z fn', z fn''/fn', z^2 S_fn or None) at the points of ``grid`` =
+    (z, 1/z), from the scaled rows z^j fn^(j). Where a Moebius level of fn
+    has c != 0, its Schwarzian is a difference of terms of size
+    |fn''/fn'|^2, whose rounding near the level's pole decides digits of
+    the LHS: the pieces are then those of the unscaled rows, as
+    ``evaluate_lhs`` reads them, scaled by z after, so that the two round
+    alike."""
+    if order < 3 or not any(level[2] for level in fn.levels):
+        return _stack_pieces(fn.derivs(grid, order, first=1))
+    z, inv = grid
+    f1, pf, sf = _stack_pieces(fn.derivs(z, order, inv, first=1))
+    return z * f1, z * pf, z * z * sf
 
 
 def stack_pieces(fd, gd, hd) -> Pieces:
@@ -132,8 +154,10 @@ def _stack_pieces(d):
 def theorem1(z, pc: Pieces, alpha, aa, am1, phase) -> np.ndarray:
     """The signed theorem1 bracket at each z from its pieces, given
     aa = |z|^2, am1 = aa - 1 and phase = z/conj(z), each at every z or
-    broadcast to it (the scan passes them per row and column, the Loewner w
-    at z = e^t/(chain z) passes aa = e^{2t} and phase = 1/(chain z)^2):
+    broadcast to it (the Loewner w at z = e^t/(chain z) passes aa = e^{2t}
+    and phase = 1/(chain z)^2). The scan passes z = 1 with the scaled pieces
+    of a polar grid, which carry z already (z f''/f' for f''/f', z^2 S_f for
+    S_f, so z^2 D for D), and phase = (z/conj(z)) / z^2 = 1/aa, per row:
 
         (1-h)/h aa - am1 (z h'/h + (1-2 alpha) z f''/f' + 2 alpha z g''/g')
           + alpha am1^2 phase h ((alpha-1/2) D + S_f - S_g),
@@ -141,17 +165,25 @@ def theorem1(z, pc: Pieces, alpha, aa, am1, phase) -> np.ndarray:
     D = (f''/f' - g''/g')^2. A term is left out when a piece it reads is
     None (g = z, h = 1; no S_f: alpha = 0) or when alpha = 1/2 zeroes its
     coefficient, never for alpha = 0: a g' = 0 must still make the bracket
-    non-finite, for the caller to diagnose. A coefficient that is exactly 1
-    is not multiplied by."""
+    non-finite, for the caller to diagnose. A coefficient or a z that is
+    exactly 1 is not multiplied by."""
+    unit = np.ndim(z) == 0 and z == 1
+
+    def times_z(coef, x):
+        """(coef z) x, leaving out a coef (None) or a z that is exactly 1."""
+        if unit:
+            return x if coef is None else coef * x
+        return z * x if coef is None else coef * z * x
+
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         lin, out = [], []
         if pc.h0 is not None:
-            lin.append(z * pc.h1 / pc.h0)
+            lin.append(times_z(None, pc.h1) / pc.h0)
             out.append((1.0 - pc.h0) / pc.h0 * aa)
         if alpha != 0.5:
-            lin.append(z * pc.pf if alpha == 0 else (1.0 - 2.0 * alpha) * z * pc.pf)
+            lin.append(times_z(None if alpha == 0 else 1.0 - 2.0 * alpha, pc.pf))
         if pc.pg is not None:
-            lin.append(z * pc.pg if alpha == 0.5 else 2.0 * alpha * z * pc.pg)
+            lin.append(times_z(None if alpha == 0.5 else 2.0 * alpha, pc.pg))
         if lin:
             out.append(-am1 * reduce(np.add, lin))
         if pc.sf is not None:
@@ -236,25 +268,28 @@ def lhs_values(params: CriterionParams, points: np.ndarray) -> np.ndarray:
 def lhs_polar(params: CriterionParams, radii: np.ndarray, units: np.ndarray):
     """The points z = r u of the polar grid ``radii`` x ``units`` (radii
     > 1, units of modulus 1), radius-major, and the LHS at each, non-finite
-    where the criterion is singular. 1/z = conj(u)/r, |z|^2 = r r and
-    |z|^2 - 1 = (r-1)(r+1) are taken per row, z/conj(z) = u^2 per column.
-    The grid is evaluated in blocks of at most _BLOCK points, whole rows
-    but for a row wider than _BLOCK, which is cut into blocks of _BLOCK
-    points; a value depends on its own row and column alone."""
+    where the criterion is singular. The f, g and h stacks are the scaled
+    rows z^j f^(j), from z and 1/z = conj(u)/r, so the pieces are scaled and
+    the bracket takes z = 1, with |z|^2 = r r, |z|^2 - 1 = (r-1)(r+1) and
+    the phase 1/|z|^2 per row. The grid is evaluated in blocks of at most
+    _BLOCK points, whole rows but for a row wider than _BLOCK, which is cut
+    into blocks of _BLOCK points; a value depends on its own row and column
+    alone."""
     alpha = _alpha(params)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         z = radii[:, None] * units[None, :]
         if np.any(radii <= 1.0):
             raise OutsideDomain(f"criterion point {z[radii <= 1.0][0, 0]} not in the exterior disk")
         rinv, conj = 1.0 / radii, np.conj(units)
-        aa, am1, phase = radii * radii, (radii - 1.0) * (radii + 1.0), units * units
+        aa, am1 = radii * radii, (radii - 1.0) * (radii + 1.0)
+        phase = 1.0 / aa
     out = np.empty(z.shape)
 
     def fill(i, j):
-        zb = z[i, j]
         # 1/z is passed, not named, so it is freed before the bracket is made
-        pc = pieces(params.f, params.g, params.h, zb, params.criterion, rinv[i, None] * conj[None, j])
-        out[i, j] = np.abs(theorem1(zb, pc, alpha, aa[i, None], am1[i, None], phase[None, j]))
+        pc = pieces(params.f, params.g, params.h, (z[i, j], rinv[i, None] * conj[None, j]),
+                    params.criterion)
+        out[i, j] = np.abs(theorem1(1.0, pc, alpha, aa[i, None], am1[i, None], phase[i, None]))
 
     rows, cols = z.shape
     step = max(1, _BLOCK // cols)

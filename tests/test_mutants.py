@@ -181,12 +181,19 @@ class Mutant(NamedTuple):
 MUTANTS = [
     Mutant("theorem1 (aa-1) for (aa-1)^2", (criteria, loewner), "theorem1",
            ("am1**2", "am1"), loewner_residual_holds),
-    Mutant("polar phase u for u^2", (criteria, region), "lhs_polar",
-           ("units * units", "units"), scan_holds_at_exact_polar_points),
+    Mutant("polar Schwarzian weight 1/r for 1/r^2", (criteria, region), "lhs_polar",
+           ("phase = 1.0 / aa", "phase = 1.0 / radii"), scan_holds_at_exact_polar_points),
+    Mutant("polar Schwarzian weight 1 in place of 1/aa", (criteria, region), "lhs_polar",
+           ("phase = 1.0 / aa", "phase = np.ones_like(aa)"), scan_holds_at_exact_polar_points),
     Mutant("polar 1/z without conj", (criteria, region), "lhs_polar",
            ("np.conj(units)", "units"), scan_holds_at_exact_polar_points),
+    Mutant("polar row j read at power k+1+j", (_kernels,), "laurent_derivs_scaled",
+           ("-k)), power)", "-k)), power * inv**j)"),
+           scan_holds_at_exact_polar_points),
     Mutant("polar am1 = r - 1", (criteria, region), "lhs_polar",
            ("(radii - 1.0) * (radii + 1.0)", "radii - 1.0"), scan_holds_at_exact_polar_points),
+    Mutant("polar Schwarzian of a c != 0 level unscaled", (criteria,), "_scaled_pieces",
+           ("z * z * sf", "sf"), scan_holds_at_exact_polar_points),
     Mutant("LOEWNER_RESIDUAL_TOL = 1e300", (loewner,), "LOEWNER_RESIDUAL_TOL",
            (1e300,), wrong_w_is_refused),
     Mutant("A1_RESIDUAL_TOL = 1e300", (loewner,), "A1_RESIDUAL_TOL",

@@ -267,10 +267,31 @@ def polar_scan_error():
 
 
 def test_scan_at_exact_polar_points():
-    # the scan's 1/z = conj(u)/r, |z|^2 - 1 = (r-1)(r+1) and z/conj(z) = u^2
-    # hold the LHS at the polar point r e^{i theta} itself, the 2 r_max
-    # circle included
+    # the scan's scaled rows, |z|^2 - 1 = (r-1)(r+1) and phase 1/|z|^2 hold
+    # the LHS at the polar point r e^{i theta} itself, the 2 r_max circle
+    # included
     assert polar_scan_error() <= LHS_TOL
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [LAURENT_F, uv.moebius_of(LAURENT_F, 2, 0.5j, 0, 1), MOEBIUS_F, NESTED_F],
+    ids=["laurent", "moebius_c0", "moebius_c", "nested"],
+)
+def test_scaled_rows_at_exact_polar_points(fn):
+    # the scan's stack rows z^j f^(j), j = 0..3, from z = r u and 1/z =
+    # conj(u)/r, at r e^{i theta} (float r and theta) on POLAR_PLAN's rows
+    # and its 2 r_max circle
+    plan = POLAR_PLAN
+    radii, units = np.append(plan.radii(), 2.0 * plan.r_max), np.exp(1j * plan.angles())
+    z, inv = radii[:, None] * units, (1.0 / radii)[:, None] * np.conj(units)
+    got = fn.derivs((z, inv), 3)
+    want = [
+        [[complex(d * z**j) for j, d in enumerate(mp_derivs(fn, z))] for z in
+         (mp.mpf(r) * mp.expj(theta) for theta in plan.angles())]
+        for r in radii
+    ]
+    assert rel_error(got, np.moveaxis(np.array(want), -1, 0)) <= FOLD_TOL
 
 
 def chain_spec(pair):

@@ -225,15 +225,16 @@ class TestEstimateSup:
 def polar_pass(p, radii, units):
     """The points of the polar grid ``radii`` x ``units`` and ``p``'s LHS at
     each from one ``pieces`` pass and one ``theorem1`` call over them all,
-    with the scan's factors: 1/z = conj(u)/r, |z|^2 = r r and |z|^2 - 1 =
-    (r-1)(r+1) per row, z/conj(z) = u^2 per column."""
+    with the scan's factors: the scaled pieces at z and 1/z = conj(u)/r,
+    z = 1, and |z|^2 = r r, |z|^2 - 1 = (r-1)(r+1) and the phase 1/|z|^2
+    per row."""
     alpha = _alpha(p)
     z = radii[:, None] * units[None, :]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         inv = (1.0 / radii)[:, None] * np.conj(units)[None, :]
-        pc = pieces(p.f, p.g, p.h, z, p.criterion, inv)
+        pc = pieces(p.f, p.g, p.h, (z, inv), p.criterion)
         aa, am1 = radii * radii, (radii - 1.0) * (radii + 1.0)
-        values = theorem1(z, pc, alpha, aa[:, None], am1[:, None], (units * units)[None, :])
+        values = theorem1(1.0, pc, alpha, aa[:, None], am1[:, None], (1.0 / aa)[:, None])
     return z.ravel(), np.abs(values).ravel()
 
 
@@ -369,6 +370,47 @@ class TestAgainstFiveCallScan:
         got = scan_outcome(estimate_sup, p, plan)
         assert got == scan_outcome(reference_estimate_sup, p, plan)
         assert not got[0].startswith("SupReport")
+
+
+# f over the four kinds of level: none, c = 0, c != 0, and c = 0 over c != 0
+BLOCK_F = {
+    **TestAgainstFiveCallScan.F_CASES,
+    "nested": uv.moebius_of(TestAgainstFiveCallScan.F_CASES["moebius_c"], 2, 0.5j, 0, 1),
+}
+
+
+@pytest.mark.parametrize("f", sorted(BLOCK_F))
+@pytest.mark.parametrize("criterion", CRITERIA)
+def test_values_do_not_depend_on_the_grid(criterion, f):
+    # lhs_polar's value at (r, u) is bitwise the same whatever grid and
+    # block hold it: a 9 x 9 subset and one row of a 64 x 300 grid (three
+    # blocks of whole rows), and a 2 x 20000 grid, whose rows are cut into
+    # blocks at columns 8192 and 16384, inside a 4 x 20000 grid and inside
+    # 64 x 300 grids across each cut
+    p = CriterionParams(
+        f=BLOCK_F[f],
+        g=uv.laurent(1, 0, [0.2, 0.1j]),
+        h=uv.inverse_square(0.2 + 0.1j),
+        alpha=0.3 + 0.1j,
+        criterion=criterion,
+    )
+
+    def grid(radii, units):
+        return lhs_polar(p, radii, units)[1].reshape(radii.shape[0], units.shape[0])
+
+    radii = np.geomspace(1.01, 100.0, 64)
+    units = np.exp(2j * np.pi * np.arange(300) / 300)
+    whole = grid(radii, units)
+    rows, cols = [2, 9, 26, 27, 30, 41, 53, 54, 63], [0, 7, 33, 120, 150, 151, 222, 280, 299]
+    assert grid(radii[rows], units[cols]).tobytes() == whole[np.ix_(rows, cols)].tobytes()
+    assert grid(radii[[40]], units).tobytes() == whole[40].tobytes()
+    units = np.exp(2j * np.pi * np.arange(20000) / 20000)
+    assert units.shape[0] > 2 * _BLOCK
+    wide = grid(radii[[5, 50]], units)
+    assert wide.tobytes() == grid(radii[[1, 5, 20, 50]], units)[[1, 3]].tobytes()
+    for left in (_BLOCK - 150, 2 * _BLOCK - 150):
+        narrow = grid(radii, units[left : left + 300])
+        assert wide[:, left : left + 300].tobytes() == narrow[[5, 50]].tobytes()
 
 
 def test_each_stage_is_diagnosed_on_its_own_points():
