@@ -5,8 +5,11 @@ ruled out by a bound on the coefficients with a slack for its rounding, or
 else solved from them with ``np.roots``.
 
 f, g and h are one model: a Laurent map u = b z + b0 + b1/z + ... under a
-flat tuple of Moebius levels, so every derivative through order four has a
-closed form; an h = 1 + h2/z^2 + ... has b = 0 and b0 = 1. A small spec
+flat tuple of Moebius levels, which fold into one matrix M. The one Laurent
+kernel (``_kernels.laurent_derivs_scaled``) gives u's scaled rows
+z^j u^(j), and a function's value and criterion pieces (z f', z f''/f',
+z^2 S_f) are closed forms in those rows and M (``MeromorphicFn.pieces``);
+an h = 1 + h2/z^2 + ... has b = 0 and b0 = 1. A small spec
 mini-language maps CLI strings onto the constructors: ``identity``,
 ``joukowski:<re>[,<im>]``, ``laurent:<b>;<b0>;<b1>,...``,
 ``moebius:<a>,<b>,<c>,<d>:<inner>``, ``hconst``, ``hinvsq:<c>``.
@@ -15,6 +18,7 @@ mini-language maps CLI strings onto the constructors: ``identity``,
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -44,59 +48,87 @@ class MeromorphicFn:
     levels: tuple = ()
 
     def lower_coeffs(self):
-        """(b, b0, tail-array) of the Laurent map u under the levels, the
-        arguments of the Laurent kernel."""
+        """(b, b0, tail-array) of the Laurent map u under the levels."""
         return (
             complex(self.b),
             complex(self.b0),
             np.asarray(self.tail, dtype=np.complex128),
         )
 
-    def derivs(
-        self, points: np.ndarray, order: int = 4, inv=None, first: int = 0
-    ) -> np.ndarray:
-        """Rows ``first`` (0, or 1 to leave out the value) through ``order``
-        of the stack of value and derivatives at each point (``inv``, if
-        given, is 1.0 / points, shared with other functions). ``points`` may
-        instead be a pair (z, 1/z) of arrays: row j is then the scaled row
-        z^j f^(j), from the scaled kernel.
+    @cached_property
+    def _kernel_coeffs(self):
+        """(b, b0, tail without its trailing zeros), the Laurent kernel's
+        arguments, built once per function."""
+        n = len(self.tail)
+        while n and self.tail[n - 1] == 0:
+            n -= 1
+        return complex(self.b), complex(self.b0), np.array(self.tail[:n], dtype=np.complex128)
 
-        The levels from the outermost one with c != 0 inwards are one
-        quotient over the stack of u, with the folded matrix of ``_fold``, so
-        it is finite wherever that part of the map is. Each level with c = 0
-        outside it then divides by its constant denominator d: the quotient
-        recurrence of _stack_div reduces to this division (up to the sign of a
-        zero), and an overflowing value row stays in its row. Both apply to
-        scaled rows as they are, since z^i q^(i) obeys the recurrence of the
-        rows z^i a^(i) and z^i b^(i). Pole hits surface as non-finite
-        entries, for the caller to diagnose."""
-        b, b0, tail = self.lower_coeffs()
-        if isinstance(points, tuple):
-            kernel, args = _kernels.laurent_derivs_scaled, (*points, b, b0, tail, order)
-        else:
-            points = np.asarray(points, dtype=np.complex128)
-            kernel, args = _kernels.laurent_derivs, (points, b, b0, tail, order, inv)
-        cut = next((i for i, lv in enumerate(self.levels) if lv[2]), len(self.levels))
+    @cached_property
+    def _folded(self):
+        """The levels folded into one matrix (``_fold``), built once per
+        function."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _fold(self.levels)
+
+    def derivs(self, grid, order: int = 4, first: int = 0) -> np.ndarray:
+        """Rows ``first`` through ``order`` of the scaled stack
+        U_j = z^j u^(j) of the Laurent map u, its levels left out, at the
+        points of ``grid`` = (z, 1/z). ``pieces`` and ``values`` apply the
+        levels."""
+        return _kernels.laurent_derivs_scaled(*grid, *self._kernel_coeffs, order, first)
+
+    def pieces(self, grid, order: int, value: bool = False) -> tuple:
+        """(f or None, z f', z f''/f', z^2 S_f) at the points of ``grid`` =
+        (z, 1/z), through ``order`` (0 to 3; a piece past it is None), with
+        f only when ``value`` is set. With the folded level M = (a, b; c, d),
+        s = c u + d and det = ad - bc, they are closed forms in the scaled
+        rows U_j = z^j u^(j) of the Laurent map u:
+
+            f = (a U0 + b)/s,   z f' = det U1/s^2,
+            z f''/f' = U2/U1 - 2c U1/s,   z^2 S_f = U3/U1 - 3/2 (U2/U1)^2,
+
+        the last since the Schwarzian is Moebius-invariant. They take one
+        reciprocal each of U1 and, for c != 0, of s; for c = 0, s is d and
+        f and z f' are u's and z u' times a/d, u's own where a = d.
+        Critical points and poles give non-finite entries, for the caller to
+        diagnose."""
+        (a, b), (c, d) = self._folded
+        first = 0 if value or c else 1
+        rows = self.derivs(grid, order, first)
+        u0, u1, u2, u3 = ([None] * first + list(rows) + [None] * 3)[:4]
+        f0 = f1 = pf = sf = None
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            if cut == len(self.levels):
-                stack = kernel(*args, first)
+            if c:
+                q = np.reciprocal(c * u0 + d)
+                if value:
+                    f0 = (a * u0 + b) * q
+                if order > 0:
+                    u1q = u1 * q
+                    f1 = (a * d - b * c) * u1q * q
             else:
-                (a, bb), (c, d) = _fold(self.levels[cut:])
-                u_stack = kernel(*args)
-                num = a * u_stack
-                num[0] = num[0] + bb
-                den = c * u_stack
-                den[0] = den[0] + d
-                stack = _stack_div(num, den)[first:]
-            for a, bb, _, d in reversed(self.levels[:cut]):
-                stack = a * stack
-                if first == 0:
-                    stack[0] = stack[0] + bb
-                stack = stack / d
-        return stack
+                k = a / d
+                if value:
+                    f0 = u0 if k == 1 else k * u0
+                    f0 = f0 + b / d if b else f0
+                if order > 0:
+                    f1 = u1 if k == 1 else k * u1
+            if order > 1:
+                r = np.reciprocal(u1)
+                pf = p = u2 * r
+                if c:
+                    pf = p - (2.0 * c) * u1q
+            if order > 2:
+                sf = u3 * r
+                sf = sf - 1.5 * (p * p)
+        return f0, f1, pf, sf
 
     def values(self, points: np.ndarray) -> np.ndarray:
-        return self.derivs(points, order=0)[0]
+        """f at each point, from z and 1.0 / z: a Laurent map's is its
+        kernel's value row, each term added in order k = 0, 1, ..."""
+        points = np.asarray(points, dtype=np.complex128)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return self.pieces((points, 1.0 / points), 0, value=True)[0]
 
     def describe(self) -> str:
         if self.kind in ("identity", "hconst"):
@@ -147,22 +179,6 @@ def _fold(levels):
     for level in levels:
         m = m @ np.reshape(level, (2, 2))
     return m
-
-
-_BINOM = ((1,), (1, 1), (1, 2, 1), (1, 3, 3, 1), (1, 4, 6, 4, 1))
-
-
-def _stack_div(a, b):
-    """The stack (value and derivatives, rows first, up to order 4) of the
-    quotient a/b from the stacks of a and b, by the quotient recurrence
-    q^(i) = (a^(i) - sum_k<i C(i, k) q^(k) b^(i-k)) / b."""
-    q = [a[0] / b[0]]
-    for i in range(1, len(a)):
-        s = a[i]
-        for k in range(i):
-            s = s - _BINOM[i][k] * (q[k] * b[i - k])
-        q.append(s / b[0])
-    return np.stack(q)
 
 
 def make_sigma_function(spec) -> MeromorphicFn:
@@ -292,7 +308,7 @@ def _expansion_at_infinity(fn):
     rounding."""
     b_u, b0_u, _ = fn.lower_coeffs()
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        (a, bb), (c, d) = _fold(fn.levels)
+        (a, bb), (c, d) = fn._folded
         # Each folded entry sums products of the levels' entries; the same
         # products of their moduli bound the size of those sums' terms.
         bound = np.eye(2)
@@ -397,7 +413,7 @@ def _derivative_roots(fn):
     # the roots 1/w.
     try:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            c, d = _fold(fn.levels)[1]
+            c, d = fn._folded[1]
             zeros = np.roots(np.r_[1.0, 0.0, -np.arange(1, tail.size + 1) * tail / b])
             poles = np.roots(np.r_[c * b, c * b0 + d, c * tail]) if c else zeros[:0]
     except np.linalg.LinAlgError as exc:  # coefficients out of double range
@@ -421,7 +437,7 @@ def _bound_excludes_roots(fn) -> bool:
     rho, k = 1.0 - ROOT_BAND, np.arange(1, tail.size + 1)
     slack = (tail.size + 16) * np.finfo(np.float64).eps
     with np.errstate(over="ignore", invalid="ignore"):
-        if _fold(fn.levels)[1, 0] or not slack * abs(b) >= np.finfo(np.float64).tiny:
+        if fn._folded[1, 0] or not slack * abs(b) >= np.finfo(np.float64).tiny:
             return False
         zeros = k @ (np.abs(tail) * rho**-k) / rho
         return bool(abs(b) - zeros > slack * (abs(b) + zeros))
@@ -439,3 +455,16 @@ def exterior_roots(fn) -> tuple:
         roots = roots[np.argsort(-np.abs(roots), kind="stable")]
         out.append(roots[np.abs(roots) >= 1.0 - ROOT_BAND])
     return tuple(out)
+
+
+def root_preconditions(f, g) -> list:
+    """For f, and for g when it is not f, the outermost zero of its
+    derivative and its outermost pole in |z| >= 1 (``exterior_roots``), each
+    as the message of a failed precondition of the theorem."""
+    out = []
+    for name, fn in [("f", f)] + [("g", g)] * (g != f):
+        for roots, what in zip(exterior_roots(fn), (f"{name}' vanishes", f"{name} has a pole")):
+            if roots.size:
+                more = f" (and {roots.size - 1} more there)" if roots.size > 1 else ""
+                out.append(f"{what} at {complex(roots[0])} in |z| >= 1{more}")
+    return out

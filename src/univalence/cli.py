@@ -7,10 +7,13 @@ records, only the run settings it reads (``SETTINGS``). Reports are
 deterministic for a fixed config; only the trailing timing field varies
 between runs. Exit codes: 0 pass/true, 1 fail/collision, 2 inconclusive,
 3 usage or evaluation error. The criterion is sufficient, not necessary:
-check exit 1 means it failed on the grid, never that f is not univalent.
-One passing row is enough, so a sweep's verdict is pass when some row
-passes, inconclusive when none passes but some row is, and fail only when
-every row fails; it names the passing rows and exits as check does.
+check exit 1 means it failed on the grid, or that f or g breaks the
+theorem's hypotheses, never that f is not univalent. check and sweep first
+solve for the zeros of f' and g' and the poles of f and g in |z| >= 1 (the
+report's ``preconditions``): any one fails the run with no scan. One
+passing row is enough, so a sweep's verdict is pass when some row passes,
+inconclusive when none passes but some row is, and fail only when every
+row fails; it names the passing rows and exits as check does.
 """
 
 from __future__ import annotations
@@ -25,16 +28,16 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
-from .catalog import make_sigma_function, parse_complex
+from .catalog import make_sigma_function, parse_complex, root_preconditions
 from .criteria import CRITERIA, CriterionParams
 from .errors import EvaluationFailure, UnivalenceError, UsageError
 from .loewner import DEFAULT_T_SAMPLES, ChainSpec, audit_pommerenke
 from .oracle import injectivity_scan
 from .region import SamplingPlan, estimate_sup, issue_verdict
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 REPORT_NOTE = (
     "sample-based scan: a pass verdict asserts the criterion held on the "
     "evaluated samples only (univalence then follows by sufficiency); a fail "
@@ -197,9 +200,9 @@ def _c2d(value: complex) -> dict:
 _EXIT = {"pass": 0, "fail": 1, "inconclusive": 2}
 
 
-def _sup_result(config: RunConfig, alpha: complex, sink=None) -> dict:
-    """Scan the criterion of ``config`` at ``alpha``; its result block."""
-    params = CriterionParams(config.f, config.g, config.h, alpha, config.criterion)
+def _sup_result(params: CriterionParams, config: RunConfig, sink=None) -> dict:
+    """Scan the criterion ``params`` on the plan of ``config``; its result
+    block."""
     report = estimate_sup(params, config.plan(), sink)
     verdict = issue_verdict(report, config.tol)
     return {
@@ -306,20 +309,27 @@ def run(config: RunConfig, json_path: "str | None" = None, grid_csv: "str | None
     """Execute one command; returns (exit_code, report_dict)."""
     started = time.perf_counter()
     result: dict
+    if config.command in ("check", "sweep"):
+        # A zero of f' or g' or a pole of f or g in |z| >= 1 breaks the
+        # theorem's hypotheses: the verdict is fail, and nothing is scanned.
+        params = CriterionParams(config.f, config.g, config.h, config.alpha, config.criterion)
+        failed = root_preconditions(params.f, params.g)
     if config.command == "check":
         sink = [] if grid_csv else None
-        result = _sup_result(config, config.alpha, sink)
+        result = {"preconditions": failed}
+        result.update({"verdict": "fail"} if failed else _sup_result(params, config, sink))
         if grid_csv:
-            _write_grid_csv(grid_csv, sink)
+            _write_grid_csv(grid_csv, sink or [])
         code = _EXIT[result["verdict"]]
     elif config.command == "sweep":
-        rows = [
-            {"alpha": _c2d(alpha), **_sup_result(config, alpha)}
+        rows = [] if failed else [
+            {"alpha": _c2d(alpha), **_sup_result(replace(params, alpha=alpha), config)}
             for alpha in config.alphas or (config.alpha,)
         ]
         outcomes = [row["verdict"] for row in rows]
-        verdict = next(v for v in ("pass", "inconclusive", "fail") if v in outcomes)
+        verdict = next((v for v in ("pass", "inconclusive") if v in outcomes), "fail")
         result = {
+            "preconditions": failed,
             "verdict": verdict,
             "passing_rows": [i for i, v in enumerate(outcomes) if v == "pass"],
             "rows": rows,

@@ -11,12 +11,13 @@ signed ``theorem1`` bracket at a preset, and holds where it is <= 1:
     nehari              yes     yes     1/2     (|z|^2-1)^2 |S_f| / 2
 
 The Loewner driving function w(z, t) is the same bracket at zeta = e^t/z.
-Its weights (|z|^2-1)^k and its phase z/conj(z) come from the caller:
-``evaluate_lhs`` computes them at each point, while the scan's polar grid
-z = r u (|u| = 1) takes |z|^2 - 1 = (r-1)(r+1) from each row and reads
-pieces scaled by powers of z (z f''/f', z^2 S_f, z h'), built from the
-scaled rows z^j f^(j) at z and 1/z = conj(u)/r, so that its bracket takes
-z = 1 and the phase z/conj(z) / z^2 = 1/|z|^2, again per row.
+Every caller reads the pieces scaled by powers of z (z f', z f''/f',
+z^2 S_f, z h'), each a closed form in the scaled rows z^j u^(j) of the
+function's Laurent map u (``MeromorphicFn.pieces``), at z and 1/z: the scan's
+polar grid z = r u (|u| = 1) at 1/z = conj(u)/r, with |z|^2 - 1 = (r-1)(r+1)
+per row; ``evaluate_lhs`` at 1/z = 1.0 / z, with |z|^2 per point; the
+chain at zeta and 1/zeta = z e^-t. The bracket's Schwarzian term then has
+the phase (z/conj(z)) / z^2 = 1/|z|^2, so ``theorem1`` reads no z.
 """
 
 from __future__ import annotations
@@ -85,107 +86,63 @@ class CriterionParams:
 
 
 class Pieces(NamedTuple):
-    """Building blocks of every criterion at a set of points; a piece the
-    criterion does not read is None."""
+    """Building blocks of every criterion at a set of points z, scaled by
+    powers of z (``MeromorphicFn.pieces``); a piece the criterion does not
+    read is None."""
 
-    f1: np.ndarray  # f'
-    g1: "np.ndarray | None"  # g'
+    f1: np.ndarray  # z f'
+    g1: "np.ndarray | None"  # z g'
     h0: "np.ndarray | None"  # h
-    h1: "np.ndarray | None"  # h'
-    pf: np.ndarray  # f''/f'
-    sf: "np.ndarray | None"  # Schwarzian of f
-    pg: "np.ndarray | None"  # g''/g'
-    sg: "np.ndarray | None"  # Schwarzian of g
+    h1: "np.ndarray | None"  # z h'
+    pf: np.ndarray  # z f''/f'
+    sf: "np.ndarray | None"  # z^2 S_f
+    pg: "np.ndarray | None"  # z g''/g'
+    sg: "np.ndarray | None"  # z^2 S_g
 
 
-def pieces(f, g, h, points: np.ndarray, criterion: str = "theorem1") -> Pieces:
-    """Criterion pieces of (f, g, h) at each point that ``criterion``
-    reads, the others None (theorem1 reads all). ``points`` may be a pair
-    (z, 1/z), as ``MeromorphicFn.derivs`` takes it: the pieces are then
-    scaled (``_scaled_pieces``). Critical points and poles yield non-finite
-    entries for the caller to diagnose."""
+def pieces(f, g, h, grid, criterion: str = "theorem1") -> Pieces:
+    """Criterion pieces of (f, g, h) at the points of ``grid`` = (z, 1/z)
+    that ``criterion`` reads, the others None (theorem1 reads all).
+    Critical points and poles yield non-finite entries for the caller to
+    diagnose."""
     f_order, g_order, h_order = _PRESETS[criterion][1]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if isinstance(points, tuple):
-            f1, pf, sf = _scaled_pieces(f, f_order, points)
-            g1, pg, sg = _scaled_pieces(g, g_order, points) if g_order else (None,) * 3
-            h0, h1 = h.derivs(points, h_order) if h_order else (None,) * 2
-            return Pieces(f1, g1, h0, h1, pf, sf, pg, sg)
-        inv = 1.0 / points
-        # No formula reads f or g itself: their stacks start at the derivative.
-        gd = g.derivs(points, g_order, inv, first=1) if g_order else None
-        hd = h.derivs(points, h_order, inv) if h_order else None
-        return stack_pieces(f.derivs(points, f_order, inv, first=1), gd, hd)
-
-
-def _scaled_pieces(fn, order, grid):
-    """(z fn', z fn''/fn', z^2 S_fn or None) at the points of ``grid`` =
-    (z, 1/z), from the scaled rows z^j fn^(j). Where a Moebius level of fn
-    has c != 0, its Schwarzian is a difference of terms of size
-    |fn''/fn'|^2, whose rounding near the level's pole decides digits of
-    the LHS: the pieces are then those of the unscaled rows, as
-    ``evaluate_lhs`` reads them, scaled by z after, so that the two round
-    alike."""
-    if order < 3 or not any(level[2] for level in fn.levels):
-        return _stack_pieces(fn.derivs(grid, order, first=1))
-    z, inv = grid
-    f1, pf, sf = _stack_pieces(fn.derivs(z, order, inv, first=1))
-    return z * f1, z * pf, z * z * sf
-
-
-def stack_pieces(fd, gd, hd) -> Pieces:
-    """Pieces from the rows f', f'', ... and g', g'', ... (to order 2, or 3
-    for the Schwarzian) and h, h' of stacks at a set of points, None for a
-    stack that is None; non-finite where a row is, under the caller's
-    errstate."""
-    f1, pf, sf = _stack_pieces(fd)
-    g1, pg, sg = (None,) * 3 if gd is None else _stack_pieces(gd)
-    h0, h1 = (None,) * 2 if hd is None else hd
+    _, f1, pf, sf = f.pieces(grid, f_order)
+    g1, pg, sg = g.pieces(grid, g_order)[1:] if g_order else (None,) * 3
+    h0, h1 = h.derivs(grid, h_order) if h_order else (None,) * 2
     return Pieces(f1, g1, h0, h1, pf, sf, pg, sg)
 
 
-def _stack_pieces(d):
-    """(fn', fn''/fn', Schwarzian or None) from the derivative rows of a
-    stack of order 2 or 3."""
-    p = d[1] / d[0]
-    return d[0], p, (d[2] / d[0] - 1.5 * p * p if d.shape[0] > 2 else None)
-
-
-def theorem1(z, pc: Pieces, alpha, aa, am1, phase) -> np.ndarray:
-    """The signed theorem1 bracket at each z from its pieces, given
-    aa = |z|^2, am1 = aa - 1 and phase = z/conj(z), each at every z or
-    broadcast to it (the Loewner w at z = e^t/(chain z) passes aa = e^{2t}
-    and phase = 1/(chain z)^2). The scan passes z = 1 with the scaled pieces
-    of a polar grid, which carry z already (z f''/f' for f''/f', z^2 S_f for
-    S_f, so z^2 D for D), and phase = (z/conj(z)) / z^2 = 1/aa, per row:
+def theorem1(pc: Pieces, alpha, aa, am1) -> np.ndarray:
+    """The signed theorem1 bracket at each point z from its scaled pieces,
+    given aa = |z|^2 and am1 = aa - 1, each at every z or broadcast to it
+    (the Loewner w at zeta = e^t/(chain z) passes aa = e^{2t} per t). The
+    pieces carry z (z f''/f' for f''/f', z^2 S_f for S_f, so z^2 D for D),
+    so the phase z/conj(z) of the Schwarzian term is 1/aa:
 
         (1-h)/h aa - am1 (z h'/h + (1-2 alpha) z f''/f' + 2 alpha z g''/g')
-          + alpha am1^2 phase h ((alpha-1/2) D + S_f - S_g),
+          + alpha am1^2 / aa h ((alpha-1/2) D + S_f - S_g),
 
-    D = (f''/f' - g''/g')^2. A term is left out when a piece it reads is
-    None (g = z, h = 1; no S_f: alpha = 0) or when alpha = 1/2 zeroes its
-    coefficient, never for alpha = 0: a g' = 0 must still make the bracket
-    non-finite, for the caller to diagnose. A coefficient or a z that is
-    exactly 1 is not multiplied by."""
-    unit = np.ndim(z) == 0 and z == 1
-
-    def times_z(coef, x):
-        """(coef z) x, leaving out a coef (None) or a z that is exactly 1."""
-        if unit:
-            return x if coef is None else coef * x
-        return z * x if coef is None else coef * z * x
-
+    D = (f''/f' - g''/g')^2, with one reciprocal of h for z h'/h and
+    (1-h)/h. A term is left out when a piece it reads is None (g = z, h = 1;
+    no S_f: alpha = 0) or when alpha = 1/2 zeroes its coefficient, never for
+    alpha = 0: a g' = 0 must still make the bracket non-finite, for the
+    caller to diagnose. A coefficient that is exactly 1 is not multiplied
+    by."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         lin, out = [], []
         if pc.h0 is not None:
-            lin.append(times_z(None, pc.h1) / pc.h0)
-            out.append((1.0 - pc.h0) / pc.h0 * aa)
+            rh = np.reciprocal(pc.h0)
+            lin.append(pc.h1 * rh)
+            out.append((1.0 - pc.h0) * rh * aa)
         if alpha != 0.5:
-            lin.append(times_z(None if alpha == 0 else 1.0 - 2.0 * alpha, pc.pf))
+            lin.append(pc.pf if alpha == 0 else (1.0 - 2.0 * alpha) * pc.pf)
         if pc.pg is not None:
-            lin.append(times_z(None if alpha == 0.5 else 2.0 * alpha, pc.pg))
+            lin.append(pc.pg if alpha == 0.5 else (2.0 * alpha) * pc.pg)
         if lin:
             out.append(-am1 * reduce(np.add, lin))
+            # The summed terms and 1/h are freed before the Schwarzian
+            # term's temporaries are made, which sets a block's peak memory.
+            lin = rh = None
         if pc.sf is not None:
             inner = pc.sf
             if alpha != 0.5:
@@ -196,7 +153,7 @@ def theorem1(z, pc: Pieces, alpha, aa, am1, phase) -> np.ndarray:
                 inner = (alpha - 0.5) * diff + inner
             if pc.sg is not None:
                 inner = inner - pc.sg
-            coef = alpha * am1**2 * phase
+            coef = alpha * (am1**2 / aa)
             if pc.h0 is not None:
                 coef = coef * pc.h0
             out.append(coef * inner)
@@ -220,7 +177,8 @@ def _diagnose(params: CriterionParams, points: np.ndarray, values: np.ndarray):
     if not np.any(bad):
         return
     points = points[bad]
-    pc = pieces(params.f, params.g, params.h, points)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        pc = pieces(params.f, params.g, params.h, (points, 1.0 / points))
     for name, zero in (("f'", pc.f1 == 0), ("g'", pc.g1 == 0)):
         if np.any(zero):
             exc = CriticalPoint(f"{name} vanishes at {points[zero][0]}")
@@ -238,10 +196,11 @@ def _diagnose(params: CriterionParams, points: np.ndarray, values: np.ndarray):
 def lhs_values(params: CriterionParams, points: np.ndarray) -> np.ndarray:
     """``evaluate_lhs`` without the diagnosis: non-finite entries where the
     criterion is singular. The points are evaluated block by block, each
-    block's temporaries freed before the next block's are made, with 1/z,
-    |z|^2 and z/conj(z) computed at each point. No complex multiply writes
-    in place (at length 1 that is not bitwise the out-of-place product), so
-    a value does not depend on the other points of its call."""
+    block's temporaries freed before the next block's are made, with the
+    pieces at (z, 1.0 / z) and |z|^2 computed at each point, as the scan
+    reads them. No complex multiply writes in place (at length 1 that is not
+    bitwise the out-of-place product), so a value does not depend on the
+    other points of its call."""
     alpha = _alpha(params)
     out = np.empty(points.shape)
 
@@ -255,10 +214,9 @@ def lhs_values(params: CriterionParams, points: np.ndarray) -> np.ndarray:
             inside = np.abs(z) <= 1.0
             if np.any(inside):
                 raise OutsideDomain(f"criterion point {z[inside][0]} not in the exterior disk")
-        pc = pieces(params.f, params.g, params.h, z, params.criterion)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            bracket = theorem1(z, pc, alpha, aa, aa - 1.0, z / np.conj(z))
-        out[lo : lo + _BLOCK] = np.abs(bracket)
+            pc = pieces(params.f, params.g, params.h, (z, 1.0 / z), params.criterion)
+            out[lo : lo + _BLOCK] = np.abs(theorem1(pc, alpha, aa, aa - 1.0))
 
     for lo in range(0, points.shape[0], _BLOCK):
         fill(lo)
@@ -268,13 +226,11 @@ def lhs_values(params: CriterionParams, points: np.ndarray) -> np.ndarray:
 def lhs_polar(params: CriterionParams, radii: np.ndarray, units: np.ndarray):
     """The points z = r u of the polar grid ``radii`` x ``units`` (radii
     > 1, units of modulus 1), radius-major, and the LHS at each, non-finite
-    where the criterion is singular. The f, g and h stacks are the scaled
-    rows z^j f^(j), from z and 1/z = conj(u)/r, so the pieces are scaled and
-    the bracket takes z = 1, with |z|^2 = r r, |z|^2 - 1 = (r-1)(r+1) and
-    the phase 1/|z|^2 per row. The grid is evaluated in blocks of at most
-    _BLOCK points, whole rows but for a row wider than _BLOCK, which is cut
-    into blocks of _BLOCK points; a value depends on its own row and column
-    alone."""
+    where the criterion is singular. The pieces are read at z and
+    1/z = conj(u)/r, with |z|^2 = r r and |z|^2 - 1 = (r-1)(r+1) per row.
+    The grid is evaluated in blocks of at most _BLOCK points, whole rows but
+    for a row wider than _BLOCK, which is cut into blocks of _BLOCK points; a
+    value depends on its own row and column alone."""
     alpha = _alpha(params)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         z = radii[:, None] * units[None, :]
@@ -282,14 +238,13 @@ def lhs_polar(params: CriterionParams, radii: np.ndarray, units: np.ndarray):
             raise OutsideDomain(f"criterion point {z[radii <= 1.0][0, 0]} not in the exterior disk")
         rinv, conj = 1.0 / radii, np.conj(units)
         aa, am1 = radii * radii, (radii - 1.0) * (radii + 1.0)
-        phase = 1.0 / aa
     out = np.empty(z.shape)
 
     def fill(i, j):
         # 1/z is passed, not named, so it is freed before the bracket is made
         pc = pieces(params.f, params.g, params.h, (z[i, j], rinv[i, None] * conj[None, j]),
                     params.criterion)
-        out[i, j] = np.abs(theorem1(1.0, pc, alpha, aa[i, None], am1[i, None], phase[i, None]))
+        out[i, j] = np.abs(theorem1(pc, alpha, aa[i, None], am1[i, None]))
 
     rows, cols = z.shape
     step = max(1, _BLOCK // cols)

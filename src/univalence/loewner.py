@@ -14,16 +14,18 @@ that f and g have no critical point and no pole in |z| >= 1 (from their
 coefficients), |w| < 1, the Loewner equation on the z grid (from dL/dt and
 z dL/dz in closed form) and the first-coefficient law a1(t) = e^t. It
 evaluates each distinct chain sample once, in two passes
-(``_audit_samples``). The grid pass reads f, g and h to order 3, 3 and 1
-over the z grid at every t and returns L, dL/dt, z dL/dz and w, the signed
-theorem1 bracket over the criterion pieces of the same stacks. The L pass
-reads them to order 2, 2 and 0 (no g when v = 1) over the 256-node a1
-contour at every t. At the default grids the passes cover 6 x 192 and
-6 x 256 points. Each per-t check runs once over samples stacked over t. A
-failure is recorded against its own t slice, with the error of that slice
-evaluated alone, and the audit goes on; each time is judged on its own, so
-the times may come in any order. ``audit_pommerenke`` is the one entry
-point: each check has this one implementation.
+(``_audit_samples``), from the criterion pieces of f, g and h
+(``MeromorphicFn.pieces``) at zeta = e^t/z and 1/zeta = z e^-t. The grid
+pass reads f, g and h to order 3, 3 and 1 over the z grid at every t and
+returns L, dL/dt, z dL/dz and w, the signed theorem1 bracket over the same
+pieces. The L pass reads them to order 2, 2 and 0 (f to order 1 and no g
+when v = 1) over the 256-node a1 contour at every t. At the default grids
+the passes cover 6 x 192 and 6 x 256 points. Each per-t check runs once
+over samples stacked over t. A failure is recorded against its own t slice,
+with the error of that slice evaluated alone, and the audit goes on; each
+time is judged on its own, so the times may come in any order.
+``audit_pommerenke`` is the one entry point: each check has this one
+implementation.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .catalog import MeromorphicFn, constant_one, exterior_roots, validate_sigma_normalization
-from .criteria import CriterionParams, stack_pieces, theorem1
+from .catalog import MeromorphicFn, constant_one, root_preconditions, validate_sigma_normalization
+from .criteria import CriterionParams, Pieces, theorem1
 from .errors import (
     ContourThroughSingularity,
     CriticalPoint,
@@ -83,9 +85,9 @@ class ChainSpec:
 
 
 def _concat(slices):
-    """The points of the (z, t) slices as one flat array, each slice's t
-    repeated over its points, and the slice ends. Raises the domain error
-    of the first slice that has one, as that slice alone would."""
+    """The points of the (z, t) slices as one flat array, the slices' times
+    and the slice sizes and ends. Raises the domain error of the first slice
+    that has one, as that slice alone would."""
     zs = [np.ravel(np.asarray(z, dtype=np.complex128)) for z, _ in slices]
     sizes = [z.size for z in zs]
     ends = np.cumsum(sizes)
@@ -99,81 +101,76 @@ def _concat(slices):
             raise InvalidPlan(f"chain time must be nonnegative, got {t}")
     if bad.size:
         raise OutsideDomain(f"chain domain is 0 < |z| <= 1, got z = {z[bad[0]]}")
-    t = np.repeat(np.array([t for _, t in slices], dtype=np.float64), sizes)
-    return z, t, ends
+    return z, np.array([t for _, t in slices], dtype=np.float64), sizes, ends
 
 
 def _chain_slices(spec: ChainSpec, slices, grid: bool = False) -> tuple:
     """Chain values over a sequence of (z, t) slices from one pass over all
-    of their points: one domain check, one f, g and h stack and one quotient
-    evaluation. Returns the row L (with ``grid``, the rows L, dL/dt, z dL/dz
-    and w) over all the points, and per slice None or the error of L for
-    that slice evaluated alone (CriticalPoint, DenominatorVanishes), then
-    with ``grid`` that of w (CriticalPoint, HVanishes). The rows an error is
-    about are NaN over its slice. A slice's values and errors do not depend
-    on the other slices of the call.
+    of their points: one domain check, one set of f, g and h pieces and one
+    quotient evaluation. Returns the row L (with ``grid``, the rows L,
+    dL/dt, z dL/dz and w) over all the points, and per slice None or the
+    error of L for that slice evaluated alone (CriticalPoint,
+    DenominatorVanishes), then with ``grid`` that of w (CriticalPoint,
+    HVanishes). The rows an error is about are NaN over its slice. A slice's
+    values and errors do not depend on the other slices of the call.
 
-    With zeta = e^t/z, c = (e^-t - e^t)/z, l = v'/v = alpha (pg - pf) and
-    pf = f''/f', pg = g''/g', L = N/D with N = 1 + c h l and D = f + c h u1,
-    u1 = u'/v = f' + f l. v = 1 (l = 0, g not read) when alpha = 0 or g = f.
-    ``grid`` reads f''', g''' and h' too: d/dt = zeta d/dzeta + dc/dt d/dc
-    and z d/dz = -zeta d/dzeta - c d/dc read v''/v = alpha (pg' - pf') + l^2
-    with p' = f'''/f' - p^2, and w is ``theorem1`` over the ``Pieces`` of
-    the same stacks, with |zeta|^2 = e^{2t} and zeta/conj(zeta) = 1/z^2."""
-    z, t, ends = _concat(slices)
+    The pieces are scaled (``MeromorphicFn.pieces``) at zeta = e^t/z and
+    1/zeta = z e^-t: f, F1 = zeta f', pf = zeta f''/f' and sf = zeta^2 S_f,
+    the same for g, and h, zeta h'. With c = (e^-t - e^t)/z, kappa = c/zeta
+    = e^-2t - 1 and lam = zeta v'/v = alpha (pg - pf), L = N/D with
+    N = 1 + kappa h lam and D = f + kappa h u1, u1 = zeta u'/v = F1 + f lam.
+    v = 1 (lam = 0, g not read) when alpha = 0 or g = f. ``grid`` reads
+    zeta^2 S_f, zeta^2 S_g and zeta h' too: d/dt = zeta d/dzeta + dc/dt d/dc
+    and z d/dz = -zeta d/dzeta - c d/dc read zeta^2 v''/v = alpha (sg - sf
+    + (pg - pf)(pg + pf)/2) + lam^2 and zeta^2 f'' = F1 pf, and w is
+    ``theorem1`` over the same pieces, with |zeta|^2 = e^{2t}. kappa, e^2t
+    and 1 + e^-2t are taken once per slice."""
+    z, per_t, sizes, ends = _concat(slices)
     order, v_is_one = 3 if grid else 2, spec.alpha == 0 or spec.f == spec.g
     # e^t overflows past t of about 709; the slices record what follows.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        et, emt = np.exp(t), np.exp(-t)
-        zeta = et / z
-        inv = 1.0 / zeta
-        fd = spec.f.derivs(zeta, order, inv)
-        gd = fd[1:]  # g = f, or g not read
+        e2t, em2t = np.exp(2.0 * per_t), np.exp(-2.0 * per_t)
+        kappa = np.repeat(em2t - 1.0, sizes)
+        grid_at = (np.repeat(np.exp(per_t), sizes) / z, z * np.repeat(np.exp(-per_t), sizes))
+        f0, f1, pf, sf = spec.f.pieces(grid_at, order if grid or not v_is_one else 1, value=True)
+        g1, pg, sg = f1, pf, sf  # g = f, or g not read
         if spec.g != spec.f and (grid or not v_is_one):
-            gd = spec.g.derivs(zeta, order, inv, first=1)
-        hd = spec.h.derivs(zeta, order - 2, inv)
-        (f0, f1, f2), h0 = fd[:3], hd[0]
+            _, g1, pg, sg = spec.g.pieces(grid_at, order)
+        h0, h1 = (*spec.h.derivs(grid_at, order - 2), None)[:2]
+        lam = 0.0 if v_is_one else spec.alpha * (pg - pf)  # zeta v'/v
+        u1 = f1 + f0 * lam
+        kh = kappa * h0
+        num = f0 + kh * u1
+        rows = [(1.0 + kh * lam) / num]
         if grid:
-            pc = stack_pieces(fd[1:], gd, hd)
-            pf, pg = pc.pf, pc.pg
-        elif not v_is_one:
-            pf, pg = f2 / f1, gd[1] / gd[0]
-        ell = 0.0 if v_is_one else spec.alpha * (pg - pf)  # v'/v
-        coef = (emt - et) / z
-        u1 = f1 + f0 * ell
-        num = f0 + coef * h0 * u1
-        rows = [(1.0 + coef * h0 * ell) / num]
-        if grid:
-            quotient, h1, ell2 = rows[0], hd[1], 0.0  # ell2 = v''/v
+            quotient, lam2 = rows[0], 0.0  # lam2 = zeta^2 v''/v
             if not v_is_one:
-                ell2 = spec.alpha * (gd[2] / gd[0] - fd[3] / f1 - (pg - pf) * (pg + pf)) + ell * ell
-            u2 = f2 + 2.0 * f1 * ell + f0 * ell2
-            # zeta dL/dzeta and dL/dc, times D
-            by_zeta = ell + coef * (h1 * ell + h0 * ell2) - quotient * (u1 + coef * (h1 * u1 + h0 * u2))
-            # Not in place: at length 1 that is not bitwise this product.
-            by_zeta = by_zeta * zeta
-            by_c = h0 * (ell - quotient * u1)
-            aa = et * et
+                lam2 = spec.alpha * (sg - sf + 0.5 * ((pg - pf) * (pg + pf))) + lam * lam
+            u2 = f1 * pf + 2.0 * f1 * lam + f0 * lam2
+            # zeta dL/dzeta and c dL/dc / kappa, times D
+            by_zeta = lam + kappa * (h1 * lam + h0 * lam2) - quotient * (u1 + kappa * (h1 * u1 + h0 * u2))
+            by_c = h0 * (lam - quotient * u1)
             rows += [
-                (by_zeta - (emt + et) / z * by_c) / num,
-                -(by_zeta + coef * by_c) / num,
-                theorem1(zeta, pc, spec.alpha, aa, aa - 1.0, 1.0 / (z * z)),
+                (by_zeta - np.repeat(1.0 + em2t, sizes) * by_c) / num,
+                -(by_zeta + kappa * by_c) / num,
+                theorem1(Pieces(f1, g1, h0, h1, pf, sf, pg, sg), spec.alpha,
+                         np.repeat(e2t, sizes), np.repeat(e2t - 1.0, sizes)),
             ]
         rows = np.stack(rows)
         singular = (num == 0) | ~np.isfinite(num)
         critical = False
         if not v_is_one:
-            critical = (f1 == 0) | (gd[0] == 0) | ~(np.isfinite(f1) & np.isfinite(gd[0]))
+            critical = (f1 == 0) | (g1 == 0) | ~(np.isfinite(pf) & np.isfinite(pg))
+    zeta = grid_at[0]
     tests = [
         (critical, lambda k, t: CriticalPoint(f"g'/f' zero or pole at {zeta[k]}")),
         (singular, lambda k, t: DenominatorVanishes(f"chain quotient singular at z = {z[k]}, t = {t}")),
     ]
     errors = [_slice_errors(slices, ends, rows[:3], tests)]
     if grid:
-        critical = (pc.f1 == 0) | (pc.g1 == 0)
         tests = [
-            (critical, lambda k, t: CriticalPoint(f"f' or g' vanishes at {zeta[k]}")),
-            (pc.h0 == 0, lambda k, t: HVanishes(f"h vanishes at {zeta[k]}")),
+            ((f1 == 0) | (g1 == 0), lambda k, t: CriticalPoint(f"f' or g' vanishes at {zeta[k]}")),
+            (h0 == 0, lambda k, t: HVanishes(f"h vanishes at {zeta[k]}")),
         ]
         errors.append(_slice_errors(slices, ends, rows[3:], tests))
     return (rows, *errors)
@@ -276,16 +273,11 @@ def _preconditions(spec: ChainSpec) -> list:
     """The theorem's hypotheses on f and g that fail: f in Sigma0
     (``catalog.validate_sigma_normalization``), then per function (g only
     when it is not f) the outermost zero of its derivative and the
-    outermost pole in |z| >= 1 (``catalog.exterior_roots``)."""
+    outermost pole in |z| >= 1 (``catalog.root_preconditions``)."""
     out, sigma = [], validate_sigma_normalization(spec.f)
     if sigma.classification != "Sigma0":
         out.append(f"f is not in Sigma0: b = {sigma.b}, b0 = {sigma.b0}")
-    for name, fn in [("f", spec.f)] + [("g", spec.g)] * (spec.g != spec.f):
-        for roots, what in zip(exterior_roots(fn), (f"{name}' vanishes", f"{name} has a pole")):
-            if roots.size:
-                more = f" (and {roots.size - 1} more there)" if roots.size > 1 else ""
-                out.append(f"{what} at {complex(roots[0])} in |z| >= 1{more}")
-    return out
+    return out + root_preconditions(spec.f, spec.g)
 
 
 def audit_pommerenke(spec: ChainSpec, t_samples=None) -> AuditReport:

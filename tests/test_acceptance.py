@@ -16,7 +16,7 @@ from univalence.loewner import ChainSpec, _chain_slices, audit_pommerenke
 from univalence.region import estimate_sup, issue_verdict
 from univalence.sampling import circle_points
 
-from test_reference import mp_derivs, rel_error
+from test_reference import closed_form_pieces, mp_pieces, rel_error
 
 LN2 = float(np.log(2.0))
 
@@ -121,8 +121,10 @@ def test_02_becker_supremum_law():
 
 
 def schwarzian(f, points):
-    """S_f at each point, the piece the Nehari-type criterion reads."""
-    return pieces(f, uv.identity(), uv.constant_one(), np.atleast_1d(points), "nehari").sf
+    """S_f at each point, from z^2 S_f, the piece the Nehari-type criterion
+    reads."""
+    z = np.atleast_1d(np.asarray(points, dtype=np.complex128))
+    return pieces(f, uv.identity(), uv.constant_one(), (z, 1.0 / z), "nehari").sf / (z * z)
 
 
 def test_03_schwarzian_checks():
@@ -152,13 +154,14 @@ def test_03_schwarzian_checks():
 
 def test_04_derivs_vs_40_digit_reference():
     with _Budget(4, "derivative stacks vs 40 digits", 2.0):
-        # rows 0-3 against the chain-rule derivatives at 40 digits, relative
-        # error floored at 1 (the worst case reads about 7e-16)
+        # the pieces f, z f', z f''/f' and z^2 S_f against the chain-rule
+        # derivatives at 40 digits, relative error floored at 1
         pts = sample_points(100, 1.25, 2.5, seed=31)
         with mp.workdps(40):
             for f in [uv.identity(), *CATALOG_F]:
-                want = [[complex(x) for x in mp_derivs(f, mp.mpc(complex(z)))] for z in pts]
-                assert rel_error(f.derivs(pts, 3), np.transpose(want)) <= 1e-14, f.describe()
+                want = [[complex(x) for x in mp_pieces(f, mp.mpc(complex(z)))] for z in pts]
+                got = closed_form_pieces(f, pts)
+                assert rel_error(got, np.transpose(want)) <= 1e-14, f.describe()
 
 
 CHAIN_SPECS = [

@@ -14,12 +14,11 @@ from univalence.catalog import (
     SigmaClassReport,
     _bound_excludes_roots,
     _derivative_roots,
-    _stack_div,
     exterior_roots,
     parse_complex,
 )
 from univalence.cli import main
-from univalence.criteria import CriterionParams, evaluate_lhs
+from univalence.criteria import CriterionParams
 from univalence.errors import (
     EvaluationFailure,
     InvalidSpec,
@@ -86,7 +85,8 @@ class TestMiniLanguage:
     def test_h_specs(self):
         assert uv.parse_h_spec("hconst").values([2.0])[0] == 1.0
         h = uv.parse_h_spec("hinvsq:0.25")
-        assert h.derivs([2.0], 1)[:, 0].tolist() == [1.0625, -0.0625]
+        # h and z h' at z = 2
+        assert h.derivs((np.array([2.0]), np.array([0.5])), 1)[:, 0].tolist() == [1.0625, -0.125]
 
     @pytest.mark.parametrize(
         "spec",
@@ -130,8 +130,10 @@ class TestMiniLanguage:
         assert deep == built and hash(deep) == hash(built) and deep != base
         assert deep.describe() == "moebius((1+0j),0j,0j,(1+0j))∘" * 5000 + "joukowski((0.3+0j))"
         pts = exterior_points(rng, 50)
-        # multiplying by 1 + 0j may flip the sign of a zero part, nothing else
-        assert (deep.derivs(pts) + 0.0).tobytes() == (base.derivs(pts) + 0.0).tobytes()
+        # the levels fold to the identity matrix: the same bits as the base
+        grid = (pts, 1.0 / pts)
+        assert np.array(deep.pieces(grid, 3, True)).tobytes() == np.array(base.pieces(grid, 3, True)).tobytes()
+        assert deep.values(pts).tobytes() == base.values(pts).tobytes()
         assert uv.validate_sigma_normalization(deep).classification == "Sigma0"
 
     def test_complex_flag_syntax(self):
@@ -146,11 +148,11 @@ class TestHFunctions:
         h = uv.constant_one()
         pts = exterior_points(rng, 20)
         assert np.all(h.values(pts) == 1.0)
-        assert np.all(h.derivs(pts)[1] == 0.0)
+        assert np.all(h.derivs((pts, 1.0 / pts))[1] == 0.0)
 
     def test_inverse_square_derivative(self):
         h = uv.inverse_square(0.25)
-        assert h.derivs([2.0], 1)[:, 0].tolist() == [1.0625, -0.0625]
+        assert h.derivs((np.array([2.0]), np.array([0.5])), 1)[:, 0].tolist() == [1.0625, -0.125]
 
     def test_zero_coefficient_collapses_to_constant(self, rng):
         h = uv.inverse_square(0.0)
@@ -324,7 +326,7 @@ class TestDerivativeRoots:
         zeros, poles = _derivative_roots(fn)
         assert zeros.size == 4 and poles.size == 4
         # fn' vanishes with the inner map's derivative; fn blows up at a pole
-        assert np.max(np.abs(inner.derivs(zeros, order=1)[1])) < 1e-12
+        assert np.max(np.abs(inner.derivs((zeros, 1.0 / zeros), order=1)[1])) < 1e-12
         assert np.min(np.abs(fn.values(poles * (1.0 + 1e-9)))) > 1e6
         assert _derivative_roots(uv.moebius_of(inner, 2, 1, 0, 1))[1].size == 0
 
@@ -483,31 +485,34 @@ class TestRootBound:
 
 
 class TestDerivativeOrders:
-    """A lower-order stack is bitwise the leading rows of the order-4 one."""
+    """A lower-order stack is bitwise the leading rows of the order-4 one,
+    and a lower-order piece the same piece of the order-3 call."""
 
     @pytest.mark.parametrize("tail", [(), (0.3 - 0.1j, 0.05j, -0.02, 0.01 + 0.01j)])
     def test_laurent_kernel(self, rng, tail):
         pts = exterior_points(rng, 200)
         tail = np.asarray(tail, dtype=np.complex128)
-        full = _kernels.laurent_derivs(pts, 1.5 - 0.5j, 0.2j, tail)
+        full = _kernels.laurent_derivs_scaled(pts, 1.0 / pts, 1.5 - 0.5j, 0.2j, tail)
         assert full.shape == (5, 200)
         for k in range(5):
-            stack = _kernels.laurent_derivs(pts, 1.5 - 0.5j, 0.2j, tail, order=k)
+            stack = _kernels.laurent_derivs_scaled(pts, 1.0 / pts, 1.5 - 0.5j, 0.2j, tail, order=k)
             assert stack.tobytes() == full[: k + 1].tobytes()
 
     def test_moebius_composition(self, rng):
         f = uv.moebius_of(uv.laurent(1, 0.1, [0.3, 0.05j]), 2, 1j, 0.5, 30)
         pts = exterior_points(rng, 200)
-        full = f.derivs(pts)
-        for k in range(5):
-            assert f.derivs(pts, order=k).tobytes() == full[: k + 1].tobytes()
+        grid = (pts, 1.0 / pts)
+        full = f.pieces(grid, 3, value=True)
+        for k in (1, 2):
+            for got, want in zip(f.pieces(grid, k, value=True)[: k + 1], full):
+                assert got.tobytes() == want.tobytes()
+        assert f.pieces(grid, 3)[0] is None
 
 
-class TestConstantDenominatorMoebius:
-    """A Moebius map with c = 0 divides by d; the quotient recurrence over
-    the denominator c * inner + d, whose derivative rows are zero, gives the
-    same stack, bitwise but for the sign of a zero component (the recurrence
-    subtracts signed zero products, and -0.0 - -0.0 is +0.0)."""
+class TestClosedFormPieces:
+    """The pieces of M o u read u's scaled rows: for a level with c = 0,
+    z f''/f' and z^2 S_f are u's and z f' is a/d times u's; for c != 0,
+    z^2 S_f is u's, bitwise, since the Schwarzian is Moebius-invariant."""
 
     INNERS = {
         "identity": uv.identity(),
@@ -526,50 +531,53 @@ class TestConstantDenominatorMoebius:
         ].astype(np.complex128)
 
     @staticmethod
-    def quotient(fn, pts, order):
-        inner = replace(fn, levels=fn.levels[1:]).derivs(pts, order)
-        a, b, c, d = fn.levels[0]
-        num, den = a * inner, c * inner
-        num[0] += b
-        den[0] += d
-        return _stack_div(num, den)
+    def laurent_map(fn):
+        return replace(fn, levels=())
 
     @pytest.mark.parametrize("inner", sorted(INNERS))
     @pytest.mark.parametrize(
         "abd", [(1, 0, 1), (1.1, 0.2 + 0.1j, 1), (-2.5, 1j, -1), (-0.9, 0.5, 1j)]
     )
-    def test_equal_to_quotient(self, rng, inner, abd):
+    def test_constant_denominator_keeps_the_ratios(self, rng, inner, abd):
         a, b, d = abd
         fn = uv.moebius_of(self.INNERS[inner], a, b, 0, d)
         pts = self.points(rng)
-        for order in range(5):
-            got, want = fn.derivs(pts, order), self.quotient(fn, pts, order)
-            assert np.isfinite(got).all()
-            # adding 0.0 turns -0.0 into +0.0 and leaves every other bit
-            assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
-        if d == 1:  # the maps the benchmark scans
-            assert got.tobytes() == want.tobytes()
+        grid = (pts, 1.0 / pts)
+        for order in (1, 2, 3):
+            _, f1, pf, sf = fn.pieces(grid, order)
+            inner_pieces = self.INNERS[inner].pieces(grid, order)
+            assert np.isfinite(f1).all()
+            if not self.INNERS[inner].levels:
+                k = np.complex128(a) / np.complex128(d)
+                assert f1.tobytes() == (inner_pieces[1] if k == 1 else k * inner_pieces[1]).tobytes()
+            if order > 1 and not any(lv[2] for lv in self.INNERS[inner].levels):
+                assert pf.tobytes() == inner_pieces[2].tobytes()
+            if order > 2:
+                assert sf.tobytes() == self.laurent_map(fn).pieces(grid, 3)[3].tobytes()
 
     def test_shared_reciprocal_is_bitwise_neutral(self, rng):
+        # values, at z and 1.0 / z, is the value piece and reads the value
+        # row of the kernel's full stack
         pts = self.points(rng)
-        inv = 1.0 / pts
+        grid = (pts, 1.0 / pts)
         for fn in [*self.INNERS.values(), uv.inverse_square(0.2 - 0.1j)]:
-            for order in range(5):
-                assert fn.derivs(pts, order, inv).tobytes() == fn.derivs(pts, order).tobytes()
+            values = fn.values(pts)
+            assert values.tobytes() == fn.pieces(grid, 3, value=True)[0].tobytes()
+            if not fn.levels:
+                assert values.tobytes() == fn.derivs(grid)[0].tobytes()
 
     def test_overflowing_value_keeps_finite_derivatives(self):
-        # f = 1e300 z + 1/z overflows at |z| = 1e10 but f' and f'' do not;
-        # the quotient recurrence spread the inf of row 0 to every row
-        inner = uv.laurent(1e300, 0, [1])
-        fn = uv.moebius_of(inner, 1, 0, 0, 1)
-        pts = np.array([1e10, 1e10j, 2.0], dtype=np.complex128)
-        stack = fn.derivs(pts, 3)
-        assert not np.isfinite(stack[0, :2]).any() and np.isfinite(stack[1:]).all()
-        assert stack[1:].tobytes() == inner.derivs(pts, 3)[1:].tobytes()
-        p = CriterionParams(f=fn, criterion="becker")
-        assert evaluate_lhs(p, pts).tobytes() == evaluate_lhs(
-            CriterionParams(f=inner, criterion="becker"), pts
-        ).tobytes()
+        # u = z + 1.5e308 + 1/z overflows at z = 1e308, but its scaled
+        # rows 1-3 do not; a level with c = 0 reads no value row for
+        # the pieces, so they stay finite and are u's
+        inner = uv.laurent(1, 1.5e308, [1])
+        fn = uv.moebius_of(inner, 1, 0.5, 0, 1)
+        pts = np.array([1e308, 2.0], dtype=np.complex128)
+        grid = (pts, 1.0 / pts)
+        f0, *rest = fn.pieces(grid, 3, value=True)
+        assert not np.isfinite(f0[0]) and np.isfinite(f0[1])
+        assert np.isfinite(rest).all()
+        assert np.array(rest).tobytes() == np.array(inner.pieces(grid, 3)[1:]).tobytes()
 
     @pytest.mark.parametrize(
         "spec,zeta",
@@ -582,16 +590,20 @@ class TestConstantDenominatorMoebius:
             ),
         ],
     )
-    def test_jet_at_vanishing_denominator_is_pole(self, spec, zeta):
-        # the folded denominator c u + d vanishes: no entry is finite
-        assert not np.isfinite(uv.make_sigma_function(spec).derivs([zeta], 3)).any()
+    def test_pieces_at_vanishing_denominator_are_a_pole(self, spec, zeta):
+        # the folded denominator c u + d vanishes: f, z f' and z f''/f' are
+        # not finite, while z^2 S_f = z^2 S_u = 0 (u is z)
+        f0, f1, pf, sf = uv.make_sigma_function(spec).pieces((np.array([zeta]), np.array([1 / zeta])), 3, True)
+        assert not np.isfinite(np.array([f0, f1, pf])).any()
+        assert sf.tolist() == [0]
 
-    def test_jet_at_inner_pole_is_finite(self):
+    def test_pieces_at_inner_pole_are_finite(self):
         # (z - 2)/(2z - 2): the inner map's pole at z = 2 is no pole of the
-        # whole map, whose folded denominator 2z - 2 is 2 there
+        # whole map, whose folded denominator 2z - 2 is 2 there: f = 0,
+        # f' = 0.5 and f'' = -1 at z = 2, and S_f = 0
         f = uv.make_sigma_function("moebius:0,1,1,1:moebius:1,0,1,-2:identity")
-        stack = f.derivs([2.0], 3)[:, 0]
-        assert np.max(np.abs(stack - [0, 0.5, -1, 3])) <= 1e-15
+        got = np.array(f.pieces((np.array([2.0]), np.array([0.5])), 3, True))[:, 0]
+        assert np.max(np.abs(got - [0, 1, -4, 0])) <= 1e-15
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -602,22 +614,24 @@ class TestConstantDenominatorMoebius:
             st.lists(coefficients, max_size=4),
         ),
         abcd=st.tuples(coefficients, coefficients, st.just(0) | coefficients, coefficients),
-        order=st.integers(0, 4),
-        first=st.integers(0, 1),
+        order=st.integers(1, 3),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_single_level_is_the_quotient(self, u, abcd, order, first, seed):
-        """One level, c = 0 or not: the stack is the quotient over the
-        inner stack bitwise, but for the sign of a zero when c = 0."""
+    def test_single_level_reads_the_laurent_map(self, u, abcd, order, seed):
+        """One level, c = 0 or not: z^2 S_f is the Laurent map's, bitwise,
+        and for c = 0 so are z f''/f' and (a/d times) z f'."""
         a, b, c, d = abcd
-        assume(a * d - b * c != 0 and first <= order)
+        assume(a * d - b * c != 0)
         fn = uv.moebius_of(u, a, b, c, d)
         pts = exterior_points(np.random.default_rng(seed), 40)
-        with np.errstate(all="ignore"):
-            want = self.quotient(fn, pts, order)[first:]
-        assume(np.isfinite(want).all())
-        got = fn.derivs(pts, order, first=first)
-        if c:
-            assert got.tobytes() == want.tobytes()
-        else:
-            assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+        grid = (pts, 1.0 / pts)
+        _, f1, pf, sf = fn.pieces(grid, order)
+        _, u1, up, us = u.pieces(grid, order)
+        if order > 2:
+            assert sf.tobytes() == us.tobytes()
+        if not c:
+            with np.errstate(over="ignore", invalid="ignore"):
+                k = np.complex128(a) / np.complex128(d)
+                assert f1.tobytes() == (u1 if k == 1 else k * u1).tobytes()
+            if order > 1:
+                assert pf.tobytes() == up.tobytes()

@@ -14,8 +14,11 @@ from hypothesis import strategies as st
 
 import univalence.cli
 from univalence.catalog import make_sigma_function
-from univalence.cli import _FLAGS, SETTINGS, RunConfig, _build_parser, _json_text, main, run
-from univalence.errors import UsageError
+from univalence.catalog import parse_complex
+from univalence.cli import _EXIT, _FLAGS, SETTINGS, RunConfig, _build_parser, _json_text, main, run
+from univalence.criteria import CriterionParams
+from univalence.errors import CriticalPointInRegion, EvaluationFailure, UsageError
+from univalence.region import SamplingPlan, estimate_sup
 
 
 def run_quiet(config, **kwargs):
@@ -257,7 +260,7 @@ class TestExitCodes:
         assert error.startswith(prefix) and error.endswith(f" in |z| >= 1 (and {n} more there)")
         root = complex(error[len(prefix) :].split(" in ")[0])
         assert abs(abs(root) - 1.5 ** (1 / (n + 1))) < 1e-12
-        assert abs(make_sigma_function(f).derivs(np.array([root]), 1)[1, 0]) < 1e-12
+        assert abs(make_sigma_function(f).derivs((np.array([root]), np.array([1 / root])), 1)[1, 0]) < 1e-12
 
     def test_chain_passes_control_without_exterior_roots(self, capsys):
         argv = ["chain", "--f", "laurent:1;0;0.2,0.05", "--g", "identity", "--alpha", "0"]
@@ -417,40 +420,129 @@ class TestExitCodes:
 
     def test_whole_grid_is_diagnosed_at_once(self, capsys):
         # f' vanishes at sqrt(c) = 12.759... and h at 1.001 = r_min, in
-        # different blocks of the grid; the whole grid is diagnosed at once
-        code = main(["check", "--f", "joukowski:162.80245464184108",
-                     "--h", "hinvsq:-1.0020009999999997"])
+        # different blocks of the grid; the whole grid is diagnosed at once.
+        # check names the zero of f' as a failed precondition and scans
+        # nothing
+        f, h = "joukowski:162.80245464184108", "hinvsq:-1.0020009999999997"
+        with pytest.raises(CriticalPointInRegion) as exc:
+            estimate_sup(CriterionParams(f=f, h=h), SamplingPlan())
+        assert str(exc.value) == "f' vanishes at (12.759406516050857+0j)"
+        code = main(["check", "--f", f, "--h", h])
         captured = capsys.readouterr()
-        assert code == 3
-        assert captured.out == ""
-        assert captured.err == (
-            "error: CriticalPointInRegion: f' vanishes at (12.759406516050857+0j)\n"
-        )
+        assert code == 1 and captured.err == ""
+        result = json.loads(captured.out)["result"]
+        assert set(result) == {"preconditions", "verdict"} and result["verdict"] == "fail"
+        (failed,) = result["preconditions"]
+        assert failed.startswith("f' vanishes at (12.75940651605")
+        assert failed.endswith("+0j) in |z| >= 1 (and 1 more there)")
 
     @pytest.mark.parametrize("alpha", ["0", "0.3", "0.5"])
     def test_critical_point_of_g_is_diagnosed_at_every_alpha(self, capsys, alpha):
         # g = joukowski(4) has g' = 0 at z = 2, a grid point of this plan. At
         # alpha = 0 every g term has coefficient 0, yet 0 * inf is NaN, so
         # the point is still diagnosed rather than read as a finite LHS.
+        # check fails g on the precondition first, at every alpha
+        plan = SamplingPlan(r_min=2.0, r_max=4.0, radial_count=3, angular_count=8)
+        params = CriterionParams(f="joukowski:0.3", g="joukowski:4", alpha=parse_complex(alpha))
+        with pytest.raises(CriticalPointInRegion) as exc:
+            estimate_sup(params, plan)
+        assert str(exc.value) == "g' vanishes at (2+0j)"
         code = main(["check", "--f", "joukowski:0.3", "--g", "joukowski:4",
                      "--alpha", alpha, "--rmin", "2", "--rmax", "4",
                      "--radial", "3", "--angular", "8"])
         captured = capsys.readouterr()
-        assert code == 3
-        assert captured.out == ""
-        assert captured.err == "error: CriticalPointInRegion: g' vanishes at (2+0j)\n"
+        assert code == 1 and captured.err == ""
+        (failed,) = json.loads(captured.out)["result"]["preconditions"]
+        assert failed.startswith("g' vanishes at (2")
 
     @pytest.mark.parametrize("extra", [(), ("--refine", "0")])
     def test_pole_on_the_doubled_tail_circle_exits_3(self, capsys, extra):
         # f = 1/(z - 100) has its pole at 2 r_max = 100, on the tail circle
         # evaluated in the same call as the first refinement round (or, at
-        # depth 0, as the base grid); it is still diagnosed last
+        # depth 0, as the base grid); the scan still diagnoses it last.
+        # check fails f on the pole as a precondition and scans nothing
+        plan = SamplingPlan(refine_depth=0) if extra else SamplingPlan()
+        params = CriterionParams(f="moebius:0,1,1,-100:identity", criterion="becker")
+        with pytest.raises(EvaluationFailure) as exc:
+            estimate_sup(params, plan)
+        assert str(exc.value) == "criterion not evaluable at (100+0j)"
         code = main(["check", "--f", "moebius:0,1,1,-100:identity",
                      "--criterion", "becker", *extra])
         captured = capsys.readouterr()
-        assert code == 3
-        assert captured.out == ""
-        assert captured.err == "error: EvaluationFailure: criterion not evaluable at (100+0j)\n"
+        assert code == 1 and captured.err == ""
+        (failed,) = json.loads(captured.out)["result"]["preconditions"]
+        assert failed.startswith("f has a pole at (100")
+
+
+class TestRootPreconditions:
+    """check and sweep fail a zero of f' or g', or a pole of f or g, in
+    |z| >= 1 (``catalog.exterior_roots``), before any scan: exit 1, the
+    root named in the report's ``preconditions``, nothing on stderr."""
+
+    # spec: the outermost root the precondition names; None for none
+    CASES = {
+        "joukowski:1.2": "f' vanishes at (1.09544511501",
+        "joukowski:2.0": "f' vanishes at (1.41421356237",
+        "laurent:1;0;0,0,0.9": "f' vanishes at ",
+        "moebius:1,0,1,-2:identity": "f has a pole at (2",
+        "joukowski:0.6": None,
+        "joukowski:0.999": None,
+        "laurent:1;0;0.2,0.05": None,
+    }
+
+    @pytest.mark.parametrize("spec", sorted(CASES))
+    def test_check_fails_an_exterior_root(self, spec, capsys):
+        argv = ["check", "--f", spec, "--radial", "8", "--angular", "16", "--refine", "1"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        result = json.loads(captured.out)["result"]
+        want = self.CASES[spec]
+        if want is None:
+            assert result["preconditions"] == [] and "sup" in result
+            assert code == _EXIT[result["verdict"]]
+        else:
+            (failed,) = result["preconditions"]
+            assert failed.startswith(want) and " in |z| >= 1" in failed
+            assert result == {"preconditions": [failed], "verdict": "fail"} and code == 1
+
+    def test_off_grid_pole_fails(self, capsys):
+        # f = z/(z - 2) has its pole at z = 2, off every sampled ray: the
+        # scan passed it with sup 2.18e-11 at the default plan
+        code = main(["sweep", "--f", "moebius:1,0,1,-2:identity", "--alphas", "0", "0.5"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""
+        result = json.loads(captured.out)["result"]
+        assert result == {
+            "preconditions": ["f has a pole at (2-0j) in |z| >= 1"],
+            "verdict": "fail",
+            "passing_rows": [],
+            "rows": [],
+        }
+        params = CriterionParams(f="moebius:1,0,1,-2:identity")
+        assert estimate_sup(params, SamplingPlan()).sup_estimate < 1e-9
+
+    def test_g_is_checked_unless_it_is_f(self, monkeypatch):
+        from univalence import catalog
+
+        solved = []
+        solve = catalog.exterior_roots
+        monkeypatch.setattr(catalog, "exterior_roots", lambda fn: solved.append(fn) or solve(fn))
+        run_quiet(RunConfig(command="check", f="joukowski:0.3", g="joukowski:0.2",
+                            radial_count=2, angular_count=4))
+        assert solved == [make_sigma_function("joukowski:0.3"), make_sigma_function("joukowski:0.2")]
+        solved.clear()
+        run_quiet(RunConfig(command="sweep", f="joukowski:0.3", g="joukowski:0.3",
+                            alphas=(0.2, 0.5), radial_count=2, angular_count=4))
+        assert solved == [make_sigma_function("joukowski:0.3")]
+
+    def test_sweep_without_roots_scans_every_row(self):
+        code, report, _ = run_quiet(RunConfig(command="sweep", f="joukowski:0.3",
+                                              alphas=(0.0, 0.5), radial_count=4, angular_count=8))
+        result = report["result"]
+        assert result["preconditions"] == [] and len(result["rows"]) == 2
+        assert code == _EXIT[result["verdict"]]
+
 
     @pytest.mark.parametrize(
         "argv",
@@ -878,9 +970,10 @@ class TestOutputs:
 
     def test_schema_fields(self):
         _, report, _ = run_quiet(RunConfig(command="check", f="identity"))
-        assert report["schema"] == 6
+        assert report["schema"] == 7
         assert "seed" not in report["config"]
         assert set(report["result"]) == {
+            "preconditions",
             "sup",
             "argmax",
             "tail",

@@ -15,6 +15,7 @@ from univalence.criteria import (
     Pieces,
     _abs2,
     evaluate_lhs,
+    lhs_polar,
     pieces,
     theorem1,
 )
@@ -29,6 +30,7 @@ from univalence.region import estimate_sup
 from univalence.sampling import SamplingPlan
 
 from conftest import exterior_points
+from test_reference import LHS_TOL
 
 
 def params(f, g=None, h=None, alpha=0.5, criterion="theorem1"):
@@ -168,9 +170,16 @@ def single_pass(p, pts):
     call, at the alpha its criterion fixes."""
     alpha = _PRESETS[p.criterion][0]
     alpha = p.alpha if alpha is None else alpha
-    pc = pieces(p.f, p.g, p.h, pts, p.criterion)
+    pc = pieces(p.f, p.g, p.h, grid(pts), p.criterion)
     aa = _abs2(pts)
-    return np.abs(theorem1(pts, pc, alpha, aa, aa - 1.0, pts / np.conj(pts)))
+    return np.abs(theorem1(pc, alpha, aa, aa - 1.0))
+
+
+def grid(pts):
+    """The pair (z, 1/z) at which the pieces are read, as ``evaluate_lhs``
+    forms it."""
+    pts = np.asarray(pts, dtype=np.complex128)
+    return pts, 1.0 / pts
 
 
 class TestBlocks:
@@ -212,57 +221,56 @@ class TestBlocks:
         assert str(exc.value) == "criterion point 1j not in the exterior disk"
 
 
-def six_formula_lhs(criterion, points, pc, alpha, aa):
+def six_formula_lhs(criterion, pc, alpha, aa):
     """The criterion LHS as it was assembled before every criterion became
-    ``theorem1`` at a preset: one formula per criterion."""
-    z = points
+    ``theorem1`` at a preset, one formula per criterion, over the scaled
+    pieces (z f''/f', z^2 S_f, z h') with the phase 1/|z|^2 and 1/h taken
+    once."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         am1 = aa - 1.0
+        phase = am1**2 / aa
         if criterion == "becker":
-            return am1 * np.abs(z * pc.pf)
+            return am1 * np.abs(pc.pf)
         if criterion == "nehari":
-            return 0.5 * am1**2 * np.abs(pc.sf)
+            return 0.5 * am1**2 / aa * np.abs(pc.sf)
         if criterion == "epstein":
-            phase = z / np.conj(z)
-            return np.abs(0.5 * am1**2 * phase * (pc.sf - pc.sg) - am1 * (z * pc.pg))
-        ratio = (1.0 - pc.h0) / pc.h0
-        hh = z * pc.h1 / pc.h0
+            return np.abs(0.5 * phase * (pc.sf - pc.sg) - am1 * pc.pg)
+        rh = np.reciprocal(pc.h0)
+        ratio = (1.0 - pc.h0) * rh
+        hh = pc.h1 * rh
         if criterion == "alpha_zero":
-            return np.abs(ratio * aa - am1 * (hh + z * pc.pf))
-        phase = z / np.conj(z)
+            return np.abs(ratio * aa - am1 * (hh + pc.pf))
         if criterion == "miazga_wesolowski":
-            t = (
-                ratio * aa
-                - am1 * (hh + z * pc.pg)
-                + 0.5 * am1**2 * phase * pc.h0 * (pc.sf - pc.sg)
-            )
+            t = ratio * aa - am1 * (hh + pc.pg) + 0.5 * phase * pc.h0 * (pc.sf - pc.sg)
         else:
             diff = pc.pf - pc.pg
             diff = diff * diff
             t = (
                 ratio * aa
-                - am1 * (hh + (1.0 - 2.0 * alpha) * z * pc.pf + 2.0 * alpha * z * pc.pg)
-                + alpha * am1**2 * phase * pc.h0 * ((alpha - 0.5) * diff + pc.sf - pc.sg)
+                - am1 * (hh + (1.0 - 2.0 * alpha) * pc.pf + 2.0 * alpha * pc.pg)
+                + alpha * phase * pc.h0 * ((alpha - 0.5) * diff + pc.sf - pc.sg)
             )
         return np.abs(t)
 
 
 def closed_form_w(spec, z, t):
     """w(z, t) as the Loewner module wrote it before it called ``theorem1``:
-    its own closed form in e^t."""
+    its own closed form in e^t, over the pieces at w = e^t/z scaled by
+    powers of w, read at 1/w = z e^-t as the chain reads them, with 1/h
+    taken once."""
     et = np.exp(t)
     w = et / z
-    f1, g1, h0, h1, pf, sf, pg, sg = pieces(spec.f, spec.g, spec.h, w)
+    f1, g1, h0, h1, pf, sf, pg, sg = pieces(spec.f, spec.g, spec.h, (w, z * np.exp(-t)))
     e2t = et * et
     em2t = np.exp(-2.0 * t)
     alpha = spec.alpha
     diff = pf - pg
     diff = diff * diff
+    rh = np.reciprocal(h0)
     return (
-        e2t * (1.0 - h0) / h0
-        + (1.0 - e2t) * w * (h1 / h0 + (1.0 - 2.0 * alpha) * pf + 2.0 * alpha * pg)
-        + alpha * e2t * (em2t - 1.0) ** 2 * (e2t / (z * z)) * h0
-        * ((sf - sg) + (alpha - 0.5) * diff)
+        e2t * ((1.0 - h0) * rh)
+        + (1.0 - e2t) * (h1 * rh + (1.0 - 2.0 * alpha) * pf + 2.0 * alpha * pg)
+        + alpha * e2t * (em2t - 1.0) ** 2 * h0 * ((sf - sg) + (alpha - 0.5) * diff)
     )
 
 
@@ -298,7 +306,7 @@ class TestPresets:
         p = params(TestBlocks.F_CASES[f], g=g, h=h, alpha=alpha, criterion=criterion)
         pts = exterior_points(rng, 2000, r_lo=1.0001, r_hi=1e3)
         got = evaluate_lhs(p, pts)
-        old = six_formula_lhs(criterion, pts, pieces(p.f, p.g, p.h, pts), p.alpha, _abs2(pts))
+        old = six_formula_lhs(criterion, pieces(p.f, p.g, p.h, grid(pts)), p.alpha, _abs2(pts))
         g_is_z, h_is_one, fixed = self.PRESETS[criterion]
         preset = params(
             p.f,
@@ -353,13 +361,13 @@ class TestRowRequests:
         f, g = uv.laurent(1.5, 0.1, [0.3, 0.05j]), uv.joukowski(0.2)
         which = {1.5: "f", 1.0: "g", 0.0: "h"}
         calls = []
-        kernel = _kernels.laurent_derivs
+        kernel = _kernels.laurent_derivs_scaled
 
-        def recorded(points, b, b0, tail, order=4, inv=None, first=0):
+        def recorded(points, inv, b, b0, tail, order=4, first=0):
             calls.append((which[b], first, order))
-            return kernel(points, b, b0, tail, order, inv, first)
+            return kernel(points, inv, b, b0, tail, order, first)
 
-        monkeypatch.setattr(_kernels, "laurent_derivs", recorded)
+        monkeypatch.setattr(_kernels, "laurent_derivs_scaled", recorded)
         pts = exterior_points(rng, 2 * _BLOCK + 5)
         for criterion in CRITERIA:
             calls.clear()
@@ -387,8 +395,8 @@ class TestPiecesOnDemand:
         fn, g = TestBlocks.F_CASES[f], uv.moebius_of(uv.joukowski(0.2), 1.1, 0.3, 0, 1)
         h = uv.inverse_square(0.2 + 0.1j)
         pts = exterior_points(rng, 300)
-        full = pieces(fn, g, h, pts)
-        got = pieces(fn, g, h, pts, criterion)
+        full = pieces(fn, g, h, grid(pts))
+        got = pieces(fn, g, h, grid(pts), criterion)
         for name in Pieces._fields:
             value = getattr(got, name)
             if name in self.NEVER.get(criterion, ()):
@@ -454,3 +462,50 @@ class TestAnalyticProperties:
                 m1 = float(np.max(evaluate_lhs(p, ring1)))
                 m2 = float(np.max(evaluate_lhs(p, 2 * ring1)))
                 assert abs(m1 - m2) <= 0.05 * max(m2, 1e-12)
+
+
+class TestMoebiusInvariance:
+    """Post-composing f with a Moebius level M: with c = 0 every piece a
+    criterion reads is unchanged, so is every criterion; with c != 0 only
+    S_f = S_u is, so at alpha = 1/2 with g = z and h = 1 (nehari, and
+    theorem1 at its defaults) the LHS of M o u is u's, near M's pole too.
+    Checked on the scan's polar grid at the default plan and pointwise."""
+
+    U = uv.joukowski(0.3)
+
+    @staticmethod
+    def both_paths(p, extra_points):
+        plan = SamplingPlan()
+        radii = np.concatenate([plan.radii(), [2.0 * plan.r_max]])
+        points, polar = lhs_polar(p, radii, np.exp(1j * plan.angles()))
+        points = np.concatenate([points, extra_points])
+        return np.concatenate([polar, evaluate_lhs(p, points)])
+
+    @pytest.mark.parametrize("criterion", CRITERIA)
+    @pytest.mark.parametrize(
+        "levels", [(2, 0.5j, 0, 1), (1.1 - 0.3j, -2, 0, 0.7j), ((1, 1, 0, 1), (0.5, 0, 0, 2))]
+    )
+    def test_affine_level_leaves_every_criterion(self, rng, criterion, levels):
+        f = self.U
+        for level in levels if isinstance(levels[0], tuple) else (levels,):
+            f = uv.moebius_of(f, *level)
+        g, h = uv.laurent(1, 0, [0.2, 0.1j]), uv.inverse_square(0.2 + 0.1j)
+        extra = exterior_points(rng, 200, 1.001, 100.0)
+        got = self.both_paths(params(f, g, h, 0.3 + 0.1j, criterion), extra)
+        want = self.both_paths(params(self.U, g, h, 0.3 + 0.1j, criterion), extra)
+        assert np.max(np.abs(got - want) / np.maximum(want, 1.0)) <= 1.4e-15
+
+    @pytest.mark.parametrize("criterion", ["nehari", "theorem1"])
+    @pytest.mark.parametrize(
+        "level", [(1, 0.1j, 0.03 + 0.04j, 1), (1, 0, 1, 0.3), (0, 1, 1, 0)],
+        ids=["pole_near_-12+16i", "pole_in_the_disk", "reciprocal"],
+    )
+    def test_level_with_c_leaves_the_schwarzian_criteria(self, criterion, level):
+        f = uv.moebius_of(self.U, *level)
+        # points within 0.5 of the first level's pole, -11.99 + 16.01i
+        pole = -11.99101053 + 16.01200394j
+        extra = pole + np.array([0.5, 0.31, -0.2j, 0.05 + 0.05j, 1e-3])
+        got = self.both_paths(params(f, criterion=criterion), extra)
+        want = self.both_paths(params(self.U, criterion=criterion), extra)
+        assert np.isfinite(got).all()
+        assert np.max(np.abs(got - want) / np.maximum(want, 1.0)) <= LHS_TOL

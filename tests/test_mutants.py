@@ -11,7 +11,9 @@ A check added to the program adds its mutant here.
 """
 
 import __future__
+import contextlib
 import inspect
+import io
 import textwrap
 from typing import NamedTuple
 
@@ -19,7 +21,7 @@ import numpy as np
 import pytest
 
 import univalence as uv
-from univalence import _kernels, catalog, criteria, loewner, oracle, region
+from univalence import _kernels, catalog, cli, criteria, loewner, oracle, region
 from univalence.catalog import ROOT_BAND
 from univalence.errors import PointTooCloseToContour
 from univalence.loewner import ChainSpec, audit_pommerenke
@@ -63,8 +65,8 @@ def wrong_w_is_refused():
     twice, where |w| < 1 and only the Loewner residual can see it."""
     theorem1 = loewner.theorem1
 
-    def doubled_h_term(z, pc, alpha, aa, am1, phase):
-        return theorem1(z, pc, alpha, aa, am1, phase) + (1.0 - pc.h0) / pc.h0 * aa
+    def doubled_h_term(pc, alpha, aa, am1):
+        return theorem1(pc, alpha, aa, am1) + (1.0 - pc.h0) / pc.h0 * aa
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(loewner, "theorem1", doubled_h_term)
@@ -82,11 +84,11 @@ def pole_beyond_the_a1_contour_fails():
 
 
 def a1_law_fails_past_the_digit_loss():
-    """f = g = z + 0.3/z at t = 12: |w| <= 0.6, and the chain's rounding
-    error of about eps e^{2t} moves the a1 mean by 2.3e-6, past
+    """f = g = z + 0.3/z at t = 13: |w| <= 0.6, and the chain's rounding
+    error of about eps e^{2t} moves the a1 mean by 8.7e-6, past
     A1_RESIDUAL_TOL; the audit fails."""
     spec = ChainSpec(f=uv.joukowski(0.3), g=uv.joukowski(0.3))
-    return not audit_pommerenke(spec, t_samples=(12.0,)).passed
+    return not audit_pommerenke(spec, t_samples=(13.0,)).passed
 
 
 def scan_holds_at_exact_polar_points():
@@ -94,6 +96,14 @@ def scan_holds_at_exact_polar_points():
     with the 40-digit LHS at the exact polar points r e^{i theta}, for every
     criterion, within test_reference.LHS_TOL."""
     return test_reference.polar_scan_error() <= test_reference.LHS_TOL
+
+
+def check_fails_an_off_grid_pole():
+    """f = z/(z - 2) has a pole at z = 2, off every sampled ray of the
+    default plan, where the scan reads sup 2.2e-11: check fails it (exit 1)
+    on the root precondition."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(["check", "--f", "moebius:1,0,1,-2:identity"]) == 1
 
 
 # Maps whose u' vanishes in |z| >= rho = 1 - ROOT_BAND.
@@ -181,10 +191,10 @@ class Mutant(NamedTuple):
 MUTANTS = [
     Mutant("theorem1 (aa-1) for (aa-1)^2", (criteria, loewner), "theorem1",
            ("am1**2", "am1"), loewner_residual_holds),
-    Mutant("polar Schwarzian weight 1/r for 1/r^2", (criteria, region), "lhs_polar",
-           ("phase = 1.0 / aa", "phase = 1.0 / radii"), scan_holds_at_exact_polar_points),
-    Mutant("polar Schwarzian weight 1 in place of 1/aa", (criteria, region), "lhs_polar",
-           ("phase = 1.0 / aa", "phase = np.ones_like(aa)"), scan_holds_at_exact_polar_points),
+    Mutant("polar Schwarzian weight 1/r for 1/r^2", (criteria, loewner), "theorem1",
+           ("am1**2 / aa", "am1**2 / np.sqrt(aa)"), scan_holds_at_exact_polar_points),
+    Mutant("polar Schwarzian weight 1 in place of 1/aa", (criteria, loewner), "theorem1",
+           ("am1**2 / aa", "am1**2"), scan_holds_at_exact_polar_points),
     Mutant("polar 1/z without conj", (criteria, region), "lhs_polar",
            ("np.conj(units)", "units"), scan_holds_at_exact_polar_points),
     Mutant("polar row j read at power k+1+j", (_kernels,), "laurent_derivs_scaled",
@@ -192,8 +202,16 @@ MUTANTS = [
            scan_holds_at_exact_polar_points),
     Mutant("polar am1 = r - 1", (criteria, region), "lhs_polar",
            ("(radii - 1.0) * (radii + 1.0)", "radii - 1.0"), scan_holds_at_exact_polar_points),
-    Mutant("polar Schwarzian of a c != 0 level unscaled", (criteria,), "_scaled_pieces",
-           ("z * z * sf", "sf"), scan_holds_at_exact_polar_points),
+    Mutant("polar Schwarzian of a c != 0 level unscaled", (catalog.MeromorphicFn,), "pieces",
+           ("return f0, f1, pf, sf", "return f0, f1, pf, sf / (grid[0] * grid[0]) if c and order > 2 else sf"),
+           scan_holds_at_exact_polar_points),
+    Mutant("z f''/f' without its -2c U1/s term", (catalog.MeromorphicFn,), "pieces",
+           ("pf = p - (2.0 * c) * u1q", "pf = p"), scan_holds_at_exact_polar_points),
+    Mutant("reciprocal of the wrong row", (catalog.MeromorphicFn,), "pieces",
+           ("q = np.reciprocal(c * u0 + d)", "q = np.reciprocal(c * u1 + d)"), scan_holds_at_exact_polar_points),
+    Mutant("check without the root precondition", (cli,), "run",
+           ("failed = root_preconditions(params.f, params.g)", "failed = []"),
+           check_fails_an_off_grid_pole),
     Mutant("LOEWNER_RESIDUAL_TOL = 1e300", (loewner,), "LOEWNER_RESIDUAL_TOL",
            (1e300,), wrong_w_is_refused),
     Mutant("A1_RESIDUAL_TOL = 1e300", (loewner,), "A1_RESIDUAL_TOL",

@@ -28,13 +28,13 @@ from conftest import exterior_points
 # Agreement demanded of the double-precision results, relative (floored at 1).
 LHS_TOL = 1e-12  # Schwarzians of Moebius maps lose about three digits
 CHAIN_TOL = 1e-13
-# Rows 0-3 of a c != 0 Moebius map over another Moebius map, one quotient
-# over the innermost Laurent map (the quotient over the inner map's stack
-# reached 2.8e-14 on the maps of test_moebius_over_moebius_stack).
+# The closed-form pieces of a c != 0 Moebius map over another Moebius map,
+# one folded level over the innermost Laurent map.
 FOLD_TOL = 2e-14
 
 LAURENT_F = uv.laurent(1, 0, [0.2 - 0.1j, 0.05j, -0.02])
-# A pole at z = -12 + 16i, off every sampled ray.
+# A pole at z = -11.99 + 16.01i, off every sampled ray of the scan tests;
+# test_criterion_lhs_near_the_moebius_pole samples beside it.
 MOEBIUS_F = uv.moebius_of(uv.joukowski(0.3), 1, 0.1j, 0.03 + 0.04j, 1)
 # The outer map cancels the inner one's pole at z ~ -50: (1 + 0.1i) f.
 NESTED_F = uv.moebius_of(uv.moebius_of(LAURENT_F, 1, 0, 0.02, 1), 1 + 0.1j, 0, -0.02, 1)
@@ -86,6 +86,21 @@ def mp_derivs(fn, z):
         out[3] -= k * (k + 1) * (k + 2) * tk * x**3
         term *= x
     return out
+
+
+def mp_pieces(fn, z):
+    """fn, z fn', z fn''/fn' and z^2 S_fn at z, from ``mp_derivs``: the
+    pieces ``MeromorphicFn.pieces`` reads in closed form."""
+    d = mp_derivs(fn, z)
+    p = d[2] / d[1]
+    return [d[0], z * d[1], z * p, z**2 * (d[3] / d[1] - mp.mpf(3) / 2 * p**2)]
+
+
+def closed_form_pieces(fn, points):
+    """The rows f, z f', z f''/f' and z^2 S_f of ``fn.pieces`` at ``points``
+    and 1.0 / points, as ``evaluate_lhs`` reads them."""
+    points = np.asarray(points, dtype=np.complex128)
+    return np.array(fn.pieces((points, 1.0 / points), 3, value=True))
 
 
 def mp_ratio(f, g, z):
@@ -200,7 +215,7 @@ def rel_error(got, want):
     return np.max(np.abs(got - want) / np.maximum(np.abs(want), 1.0))
 
 
-def test_moebius_over_moebius_stack():
+def test_moebius_over_moebius_pieces():
     rng = np.random.default_rng(0)
 
     def coeff(scale=1.0):
@@ -211,8 +226,8 @@ def test_moebius_over_moebius_stack():
         inner = uv.moebius_of(u, coeff(), coeff(), coeff(0.3) if k % 2 else 0, coeff())
         fn = uv.moebius_of(inner, coeff(), coeff(), coeff(0.3), coeff())
         points = exterior_points(rng, 16, 1.1, 10.0)
-        want = [[complex(x) for x in mp_derivs(fn, mp.mpc(complex(z)))] for z in points]
-        assert rel_error(fn.derivs(points, 3), np.transpose(want)) <= FOLD_TOL
+        want = [[complex(x) for x in mp_pieces(fn, mp.mpc(complex(z)))] for z in points]
+        assert rel_error(closed_form_pieces(fn, points), np.transpose(want)) <= FOLD_TOL
 
 
 @pytest.mark.parametrize("criterion", CRITERIA)
@@ -220,6 +235,23 @@ def test_criterion_lhs(criterion):
     points = exterior_points(np.random.default_rng(7), 6, 1.05, 20.0)
     for f, g in PAIRS[:3]:
         params = CriterionParams(f, g, uv.inverse_square(0.2 - 0.1j), 0.35 + 0.1j, criterion)
+        ref = np.array([float(mp_lhs(params, z)) for z in points])
+        assert rel_error(evaluate_lhs(params, points), ref) <= LHS_TOL
+
+
+@pytest.mark.parametrize("criterion", CRITERIA)
+def test_criterion_lhs_near_the_moebius_pole(criterion):
+    # points 0.05 to 0.5 from MOEBIUS_F's pole at -11.99 + 16.01i, where
+    # S_f as a difference of terms of size |f''/f'|^2 lost up to 7 digits;
+    # S_f = S_u keeps them, and z f''/f' = z u''/u' - 2c z u'/(c u + d)
+    # keeps those of the criteria that read it
+    pole = -11.99101053 + 16.01200394j
+    points = pole + np.array([0.5, 0.45j, -0.31, -0.2 - 0.2j, 0.1j, 0.05])
+    for g, h, alpha in [
+        (uv.identity(), uv.constant_one(), 0.5),
+        (uv.joukowski(0.2 - 0.1j), uv.inverse_square(0.2 - 0.1j), 0.35 + 0.1j),
+    ]:
+        params = CriterionParams(MOEBIUS_F, g, h, alpha, criterion)
         ref = np.array([float(mp_lhs(params, z)) for z in points])
         assert rel_error(evaluate_lhs(params, points), ref) <= LHS_TOL
 
@@ -278,16 +310,16 @@ def test_scan_at_exact_polar_points():
     [LAURENT_F, uv.moebius_of(LAURENT_F, 2, 0.5j, 0, 1), MOEBIUS_F, NESTED_F],
     ids=["laurent", "moebius_c0", "moebius_c", "nested"],
 )
-def test_scaled_rows_at_exact_polar_points(fn):
-    # the scan's stack rows z^j f^(j), j = 0..3, from z = r u and 1/z =
-    # conj(u)/r, at r e^{i theta} (float r and theta) on POLAR_PLAN's rows
-    # and its 2 r_max circle
+def test_scaled_pieces_at_exact_polar_points(fn):
+    # the scan's pieces f, z f', z f''/f' and z^2 S_f, from z = r u and
+    # 1/z = conj(u)/r, at r e^{i theta} (float r and theta) on POLAR_PLAN's
+    # rows and its 2 r_max circle
     plan = POLAR_PLAN
     radii, units = np.append(plan.radii(), 2.0 * plan.r_max), np.exp(1j * plan.angles())
     z, inv = radii[:, None] * units, (1.0 / radii)[:, None] * np.conj(units)
-    got = fn.derivs((z, inv), 3)
+    got = np.array(fn.pieces((z, inv), 3, value=True))
     want = [
-        [[complex(d * z**j) for j, d in enumerate(mp_derivs(fn, z))] for z in
+        [[complex(x) for x in mp_pieces(fn, z)] for z in
          (mp.mpf(r) * mp.expj(theta) for theta in plan.angles())]
         for r in radii
     ]

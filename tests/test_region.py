@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import univalence as uv
+from univalence.catalog import root_preconditions
 from univalence.criteria import (
     _BLOCK,
     CRITERIA,
@@ -225,16 +226,15 @@ class TestEstimateSup:
 def polar_pass(p, radii, units):
     """The points of the polar grid ``radii`` x ``units`` and ``p``'s LHS at
     each from one ``pieces`` pass and one ``theorem1`` call over them all,
-    with the scan's factors: the scaled pieces at z and 1/z = conj(u)/r,
-    z = 1, and |z|^2 = r r, |z|^2 - 1 = (r-1)(r+1) and the phase 1/|z|^2
-    per row."""
+    with the scan's factors: the pieces at z and 1/z = conj(u)/r, and
+    |z|^2 = r r and |z|^2 - 1 = (r-1)(r+1) per row."""
     alpha = _alpha(p)
     z = radii[:, None] * units[None, :]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         inv = (1.0 / radii)[:, None] * np.conj(units)[None, :]
         pc = pieces(p.f, p.g, p.h, (z, inv), p.criterion)
         aa, am1 = radii * radii, (radii - 1.0) * (radii + 1.0)
-        values = theorem1(1.0, pc, alpha, aa[:, None], am1[:, None], (1.0 / aa)[:, None])
+        values = theorem1(pc, alpha, aa[:, None], am1[:, None])
     return z.ravel(), np.abs(values).ravel()
 
 
@@ -345,13 +345,6 @@ class TestAgainstFiveCallScan:
     @pytest.mark.parametrize(
         "f, h, plan",
         [
-            # f = 1/(z - 100): a pole on the 2 r_max circle, after every other stage
-            ("moebius:0,1,1,-100:identity", "hconst", {}),
-            ("moebius:0,1,1,-100:identity", "hconst", {"refine_depth": 0}),
-            ("moebius:0,1,1,-100:identity", "hconst", {"radial_count": 1}),
-            # f = 1/(z - 50): a pole on the r_max circle
-            ("moebius:0,1,1,-50:identity", "hconst", {"radial_count": 3, "angular_count": 4}),
-            ("moebius:0,1,1,-50:identity", "hconst", {"radial_count": 1, "angular_count": 4}),
             # f' = 0 at z = 2 and h = 0 at z = 4: base grid on one, r_max circle on the other
             ("joukowski:4", "hinvsq:-16", {"r_min": 2.0, "r_max": 4.0, "radial_count": 1,
                                            "angular_count": 4}),
@@ -370,6 +363,32 @@ class TestAgainstFiveCallScan:
         got = scan_outcome(estimate_sup, p, plan)
         assert got == scan_outcome(reference_estimate_sup, p, plan)
         assert not got[0].startswith("SupReport")
+
+
+    @pytest.mark.parametrize(
+        "f, pole, plan",
+        [
+            # f = 1/(z - 100): a pole on the 2 r_max circle, after every other stage
+            ("moebius:0,1,1,-100:identity", 100, {}),
+            ("moebius:0,1,1,-100:identity", 100, {"refine_depth": 0}),
+            ("moebius:0,1,1,-100:identity", 100, {"radial_count": 1}),
+            # f = 1/(z - 50): a pole on the r_max circle
+            ("moebius:0,1,1,-50:identity", 50, {"radial_count": 3, "angular_count": 4}),
+            ("moebius:0,1,1,-50:identity", 50, {"radial_count": 1, "angular_count": 4}),
+        ],
+    )
+    def test_pole_on_the_grid_is_left_to_the_precondition(self, f, pole, plan):
+        # theorem1 at its defaults reads S_f alone, and S_f = S_u = 0 for a
+        # Moebius map of z: the scan reads 0 at every point, the pole on a
+        # sampled circle included, as the five-call scan does. check and
+        # sweep fail such an f on the root precondition before any scan.
+        p = CriterionParams(f=uv.make_sigma_function(f))
+        plan = uv.SamplingPlan(**plan)
+        got = scan_outcome(estimate_sup, p, plan)
+        assert got == scan_outcome(reference_estimate_sup, p, plan)
+        assert got[0].startswith("SupReport(sup_estimate=0.0,")
+        (failed,) = root_preconditions(p.f, p.f)
+        assert failed.startswith(f"f has a pole at ({pole}")
 
 
 # f over the four kinds of level: none, c = 0, c != 0, and c = 0 over c != 0
