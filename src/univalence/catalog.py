@@ -78,12 +78,12 @@ class MeromorphicFn:
         levels."""
         return _kernels.laurent_derivs_scaled(*grid, *self._kernel_coeffs, order, first)
 
-    def pieces(self, grid, order: int, value: bool = False) -> tuple:
-        """(f or None, z f', z f''/f', z^2 S_f) at the points of ``grid`` =
-        (z, 1/z), through ``order`` (0 to 3; a piece past it is None), with
-        f only when ``value`` is set. With the folded level M = (a, b; c, d),
-        s = c u + d and det = ad - bc, they are closed forms in the scaled
-        rows U_j = z^j u^(j) of the Laurent map u:
+    def pieces(self, grid, order: int, first: int = 1) -> tuple:
+        """(f, z f', z f''/f', z^2 S_f) at the points of ``grid`` = (z, 1/z),
+        pieces ``first`` through ``order`` (0 to 3; a piece outside them is
+        None), as ``derivs`` gives rows. With the folded level
+        M = (a, b; c, d), s = c u + d and det = ad - bc, they are closed forms
+        in the scaled rows U_j = z^j u^(j) of the Laurent map u:
 
             f = (a U0 + b)/s,   z f' = det U1/s^2,
             z f''/f' = U2/U1 - 2c U1/s,   z^2 S_f = U3/U1 - 3/2 (U2/U1)^2,
@@ -94,24 +94,25 @@ class MeromorphicFn:
         Critical points and poles give non-finite entries, for the caller to
         diagnose."""
         (a, b), (c, d) = self._folded
-        first = 0 if value or c else 1
-        rows = self.derivs(grid, order, first)
-        u0, u1, u2, u3 = ([None] * first + list(rows) + [None] * 3)[:4]
+        start = 0 if c else min(first, 1)
+        rows = self.derivs(grid, order, start)
+        u0, u1, u2, u3 = ([None] * start + list(rows) + [None] * 3)[:4]
         f0 = f1 = pf = sf = None
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             if c:
                 q = np.reciprocal(c * u0 + d)
-                if value:
+                if first == 0:
                     f0 = (a * u0 + b) * q
                 if order > 0:
                     u1q = u1 * q
-                    f1 = (a * d - b * c) * u1q * q
+                    if first < 2:
+                        f1 = (a * d - b * c) * u1q * q
             else:
                 k = a / d
-                if value:
+                if first == 0:
                     f0 = u0 if k == 1 else k * u0
                     f0 = f0 + b / d if b else f0
-                if order > 0:
+                if order > 0 and first < 2:
                     f1 = u1 if k == 1 else k * u1
             if order > 1:
                 r = np.reciprocal(u1)
@@ -128,7 +129,7 @@ class MeromorphicFn:
         kernel's value row, each term added in order k = 0, 1, ..."""
         points = np.asarray(points, dtype=np.complex128)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return self.pieces((points, 1.0 / points), 0, value=True)[0]
+            return self.pieces((points, 1.0 / points), 0, 0)[0]
 
     def describe(self) -> str:
         if self.kind in ("identity", "hconst"):

@@ -90,7 +90,7 @@ class Pieces(NamedTuple):
     powers of z (``MeromorphicFn.pieces``); a piece the criterion does not
     read is None."""
 
-    f1: np.ndarray  # z f'
+    f1: "np.ndarray | None"  # z f'
     g1: "np.ndarray | None"  # z g'
     h0: "np.ndarray | None"  # h
     h1: "np.ndarray | None"  # z h'
@@ -100,14 +100,15 @@ class Pieces(NamedTuple):
     sg: "np.ndarray | None"  # z^2 S_g
 
 
-def pieces(f, g, h, grid, criterion: str = "theorem1") -> Pieces:
+def pieces(f, g, h, grid, criterion: "str | None" = None) -> Pieces:
     """Criterion pieces of (f, g, h) at the points of ``grid`` = (z, 1/z)
-    that ``criterion`` reads, the others None (theorem1 reads all).
-    Critical points and poles yield non-finite entries for the caller to
-    diagnose."""
-    f_order, g_order, h_order = _PRESETS[criterion][1]
-    _, f1, pf, sf = f.pieces(grid, f_order)
-    g1, pg, sg = g.pieces(grid, g_order)[1:] if g_order else (None,) * 3
+    that ``criterion`` reads, the others None (theorem1 reads all but z f'
+    and z g'); with no criterion, every piece, for ``_diagnose``. Critical
+    points and poles yield non-finite entries for the caller to diagnose."""
+    f_order, g_order, h_order = _PRESETS[criterion or "theorem1"][1]
+    first = 2 if criterion else 1
+    _, f1, pf, sf = f.pieces(grid, f_order, first)
+    g1, pg, sg = g.pieces(grid, g_order, first)[1:] if g_order else (None,) * 3
     h0, h1 = h.derivs(grid, h_order) if h_order else (None,) * 2
     return Pieces(f1, g1, h0, h1, pf, sf, pg, sg)
 

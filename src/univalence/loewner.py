@@ -13,17 +13,17 @@ theorem's hypotheses that f is in Sigma0 (f = z + O(1/z) at infinity) and
 that f and g have no critical point and no pole in |z| >= 1 (from their
 coefficients), |w| < 1, the Loewner equation on the z grid (from dL/dt and
 z dL/dz in closed form) and the first-coefficient law a1(t) = e^t. It
-evaluates each distinct chain sample once, in two passes
-(``_audit_samples``), from the criterion pieces of f, g and h
-(``MeromorphicFn.pieces``) at zeta = e^t/z and 1/zeta = z e^-t. The grid
-pass reads f, g and h to order 3, 3 and 1 over the z grid at every t and
-returns L, dL/dt, z dL/dz and w, the signed theorem1 bracket over the same
-pieces. The L pass reads them to order 2, 2 and 0 (f to order 1 and no g
-when v = 1) over the 256-node a1 contour at every t. At the default grids
-the passes cover 6 x 192 and 6 x 256 points. Each per-t check runs once
-over samples stacked over t. A failure is recorded against its own t slice,
-with the error of that slice evaluated alone, and the audit goes on; each
-time is judged on its own, so the times may come in any order.
+evaluates every chain sample in one pass (``_audit_samples``) over the
+chain times by one row of constant nodes, the z grid and then the 256-node
+a1 contour, from the criterion pieces of f, g and h
+(``MeromorphicFn.pieces``) to order 3, 3 and 1 at zeta = e^t/z and
+1/zeta = z e^-t: L at every node, and dL/dt, z dL/dz and w, the signed
+theorem1 bracket over the same pieces, on the z grid's columns. At the
+default grids the pass covers 6 x 448 points in 3 kernel calls. Each per-t
+check runs once over samples stacked over t. A failure is recorded against
+its own row, the z grid and the contour each on their own, with the error
+of that time evaluated alone, and the audit goes on; each time is judged
+on its own, so the times may come in any order.
 ``audit_pommerenke`` is the one entry point: each check has this one
 implementation.
 """
@@ -42,7 +42,6 @@ from .errors import (
     DenominatorVanishes,
     HVanishes,
     InvalidPlan,
-    OutsideDomain,
 )
 from .sampling import circle_points
 
@@ -84,116 +83,107 @@ class ChainSpec:
             object.__setattr__(self, name, getattr(params, name))
 
 
-def _concat(slices):
-    """The points of the (z, t) slices as one flat array, the slices' times
-    and the slice sizes and ends. Raises the domain error of the first slice
-    that has one, as that slice alone would."""
-    zs = [np.ravel(np.asarray(z, dtype=np.complex128)) for z, _ in slices]
-    sizes = [z.size for z in zs]
-    ends = np.cumsum(sizes)
-    z = np.concatenate(zs)
-    mods = np.abs(z)
-    bad = np.flatnonzero((mods == 0) | (mods > 1.0 + 1e-12))
-    # A slice with a negative t fails before its points are looked at.
-    last = np.searchsorted(ends, bad[0], side="right") if bad.size else len(slices)
-    for _, t in slices[: last + 1]:
-        if t < 0:
-            raise InvalidPlan(f"chain time must be nonnegative, got {t}")
-    if bad.size:
-        raise OutsideDomain(f"chain domain is 0 < |z| <= 1, got z = {z[bad[0]]}")
-    return z, np.array([t for _, t in slices], dtype=np.float64), sizes, ends
-
-
-def _chain_slices(spec: ChainSpec, slices, grid: bool = False) -> tuple:
-    """Chain values over a sequence of (z, t) slices from one pass over all
-    of their points: one domain check, one set of f, g and h pieces and one
-    quotient evaluation. Returns the row L (with ``grid``, the rows L,
-    dL/dt, z dL/dz and w) over all the points, and per slice None or the
-    error of L for that slice evaluated alone (CriticalPoint,
-    DenominatorVanishes), then with ``grid`` that of w (CriticalPoint,
-    HVanishes). The rows an error is about are NaN over its slice. A slice's
-    values and errors do not depend on the other slices of the call.
+def _audit_samples(spec: ChainSpec, ts, nodes: np.ndarray, n_grid: int) -> tuple:
+    """Every chain sample the audit reads, from one pass over the times
+    ``ts`` by the node row ``nodes`` (0 < |z| <= 1), whose first ``n_grid``
+    nodes are the z grid: one set of f, g and h pieces and one quotient
+    evaluation. Returns the arrays L at every node and dL/dt, z dL/dz and w
+    on the z grid, with a row per time, and three lists of per-time errors,
+    each None or the error of that row: of L, dL/dt and z dL/dz on the z
+    grid, of L on the other nodes (CriticalPoint, DenominatorVanishes), and
+    of w (CriticalPoint, HVanishes). The rows an error is about are NaN. A
+    row's values and error do not depend on the other times or nodes of the
+    call. A negative time raises InvalidPlan before anything is evaluated.
 
     The pieces are scaled (``MeromorphicFn.pieces``) at zeta = e^t/z and
-    1/zeta = z e^-t: f, F1 = zeta f', pf = zeta f''/f' and sf = zeta^2 S_f,
-    the same for g, and h, zeta h'. With c = (e^-t - e^t)/z, kappa = c/zeta
-    = e^-2t - 1 and lam = zeta v'/v = alpha (pg - pf), L = N/D with
-    N = 1 + kappa h lam and D = f + kappa h u1, u1 = zeta u'/v = F1 + f lam.
-    v = 1 (lam = 0, g not read) when alpha = 0 or g = f. ``grid`` reads
-    zeta^2 S_f, zeta^2 S_g and zeta h' too: d/dt = zeta d/dzeta + dc/dt d/dc
-    and z d/dz = -zeta d/dzeta - c d/dc read zeta^2 v''/v = alpha (sg - sf
-    + (pg - pf)(pg + pf)/2) + lam^2 and zeta^2 f'' = F1 pf, and w is
-    ``theorem1`` over the same pieces, with |zeta|^2 = e^{2t}. kappa, e^2t
-    and 1 + e^-2t are taken once per slice."""
-    z, per_t, sizes, ends = _concat(slices)
-    order, v_is_one = 3 if grid else 2, spec.alpha == 0 or spec.f == spec.g
-    # e^t overflows past t of about 709; the slices record what follows.
+    1/zeta = z e^-t, f, g and h to order 3, 3 and 1: f, F1 = zeta f',
+    pf = zeta f''/f' and sf = zeta^2 S_f, the same for g, and h, zeta h'.
+    With c = (e^-t - e^t)/z, kappa = c/zeta = e^-2t - 1 and lam = zeta v'/v
+    = alpha (pg - pf), L = N/D with N = 1 + kappa h lam and
+    D = f + kappa h u1, u1 = zeta u'/v = F1 + f lam. v = 1 (lam = 0) when
+    alpha = 0 or g = f. On the z grid's columns, views of the pieces,
+    d/dt = zeta d/dzeta + dc/dt d/dc and z d/dz = -zeta d/dzeta - c d/dc
+    read zeta^2 v''/v = alpha (sg - sf + (pg - pf)(pg + pf)/2) + lam^2 and
+    zeta^2 f'' = F1 pf, and w is ``theorem1`` over the same pieces, with
+    |zeta|^2 = e^{2t}. kappa, e^2t and 1 + e^-2t are columns, one entry per
+    time."""
+    for t in ts:
+        if t < 0:
+            raise InvalidPlan(f"chain time must be nonnegative, got {t}")
+    per_t = np.array(ts, dtype=np.float64)[:, None]
+    v_is_one = spec.alpha == 0 or spec.f == spec.g
+    # e^t overflows past t of about 709; the rows record what follows.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         e2t, em2t = np.exp(2.0 * per_t), np.exp(-2.0 * per_t)
-        kappa = np.repeat(em2t - 1.0, sizes)
-        grid_at = (np.repeat(np.exp(per_t), sizes) / z, z * np.repeat(np.exp(-per_t), sizes))
-        f0, f1, pf, sf = spec.f.pieces(grid_at, order if grid or not v_is_one else 1, value=True)
-        g1, pg, sg = f1, pf, sf  # g = f, or g not read
-        if spec.g != spec.f and (grid or not v_is_one):
-            _, g1, pg, sg = spec.g.pieces(grid_at, order)
-        h0, h1 = (*spec.h.derivs(grid_at, order - 2), None)[:2]
+        kappa = em2t - 1.0
+        zeta = np.exp(per_t) / nodes
+        grid_at = (zeta, nodes * np.exp(-per_t))
+        f0, f1, pf, sf = spec.f.pieces(grid_at, 3, 0)
+        g1, pg, sg = f1, pf, sf  # g = f
+        if spec.g != spec.f:
+            _, g1, pg, sg = spec.g.pieces(grid_at, 3)
+        h0, h1 = spec.h.derivs(grid_at, 1)
         lam = 0.0 if v_is_one else spec.alpha * (pg - pf)  # zeta v'/v
         u1 = f1 + f0 * lam
         kh = kappa * h0
         num = f0 + kh * u1
-        rows = [(1.0 + kh * lam) / num]
-        if grid:
-            quotient, lam2 = rows[0], 0.0  # lam2 = zeta^2 v''/v
-            if not v_is_one:
-                lam2 = spec.alpha * (sg - sf + 0.5 * ((pg - pf) * (pg + pf))) + lam * lam
-            u2 = f1 * pf + 2.0 * f1 * lam + f0 * lam2
-            # zeta dL/dzeta and c dL/dc / kappa, times D
-            by_zeta = lam + kappa * (h1 * lam + h0 * lam2) - quotient * (u1 + kappa * (h1 * u1 + h0 * u2))
-            by_c = h0 * (lam - quotient * u1)
-            rows += [
-                (by_zeta - np.repeat(1.0 + em2t, sizes) * by_c) / num,
-                -(by_zeta + kappa * by_c) / num,
-                theorem1(Pieces(f1, g1, h0, h1, pf, sf, pg, sg), spec.alpha,
-                         np.repeat(e2t, sizes), np.repeat(e2t - 1.0, sizes)),
-            ]
-        rows = np.stack(rows)
+        value = (1.0 + kh * lam) / num
         singular = (num == 0) | ~np.isfinite(num)
-        critical = False
+        zero = (f1 == 0) | (g1 == 0)  # f' or g' vanishes
+        critical = None if v_is_one else zero | ~(np.isfinite(pf) & np.isfinite(pg))
+
+        # the z grid's columns
+        pc = Pieces(*(a[:, :n_grid] for a in (f1, g1, h0, h1, pf, sf, pg, sg)))
+        f0, u1, num, quotient = (a[:, :n_grid] for a in (f0, u1, num, value))
+        lam2 = 0.0  # zeta^2 v''/v
         if not v_is_one:
-            critical = (f1 == 0) | (g1 == 0) | ~(np.isfinite(pf) & np.isfinite(pg))
-    zeta = grid_at[0]
-    tests = [
-        (critical, lambda k, t: CriticalPoint(f"g'/f' zero or pole at {zeta[k]}")),
-        (singular, lambda k, t: DenominatorVanishes(f"chain quotient singular at z = {z[k]}, t = {t}")),
+            lam = lam[:, :n_grid]
+            lam2 = spec.alpha * (pc.sg - pc.sf + 0.5 * ((pc.pg - pc.pf) * (pc.pg + pc.pf))) + lam * lam
+        u2 = pc.f1 * pc.pf + 2.0 * pc.f1 * lam + f0 * lam2
+        # zeta dL/dzeta and c dL/dc / kappa, times D
+        by_zeta = lam + kappa * (pc.h1 * lam + pc.h0 * lam2) - quotient * (u1 + kappa * (pc.h1 * u1 + pc.h0 * u2))
+        by_c = pc.h0 * (lam - quotient * u1)
+        dt = (by_zeta - (1.0 + em2t) * by_c) / num
+        zdz = -(by_zeta + kappa * by_c) / num
+        w = theorem1(pc, spec.alpha, e2t, e2t - 1.0)
+
+    chain = [
+        (critical, lambda i, k: CriticalPoint(f"g'/f' zero or pole at {zeta[i, k]}")),
+        (singular, lambda i, k: DenominatorVanishes(f"chain quotient singular at z = {nodes[k]}, t = {ts[i]}")),
     ]
-    errors = [_slice_errors(slices, ends, rows[:3], tests)]
-    if grid:
-        tests = [
-            ((f1 == 0) | (g1 == 0), lambda k, t: CriticalPoint(f"f' or g' vanishes at {zeta[k]}")),
-            (h0 == 0, lambda k, t: HVanishes(f"h vanishes at {zeta[k]}")),
-        ]
-        errors.append(_slice_errors(slices, ends, rows[3:], tests))
-    return (rows, *errors)
+    on_w = [
+        (zero, lambda i, k: CriticalPoint(f"f' or g' vanishes at {zeta[i, k]}")),
+        (h0 == 0, lambda i, k: HVanishes(f"h vanishes at {zeta[i, k]}")),
+    ]
+    errors = (
+        _row_errors(chain, slice(0, n_grid), [quotient, dt, zdz]),
+        _row_errors(chain, slice(n_grid, None), [value[:, n_grid:]]),
+        _row_errors(on_w, slice(0, n_grid), [w]),
+    )
+    return (value, dt, zdz, w), errors
 
 
-def _slice_errors(slices, ends, rows, tests) -> list:
-    """Per slice, None or ``make(k, t)`` for the first (mask, make) of
-    ``tests`` whose mask holds in the slice, at its first such point k and
-    the slice's t; ``rows`` is made NaN over a slice with an error."""
-    tests = [test for test in tests if np.any(test[0])]
-    errors = []
-    for (_, t), a, b in zip(slices, [0, *ends[:-1]], ends):
-        hits = [(mask, make) for mask, make in tests if mask[a:b].any()]
-        if hits:
-            rows[:, a:b] = np.nan
-            mask, make = hits[0]
-        errors.append(make(a + np.argmax(mask[a:b]), t) if hits else None)
+def _row_errors(tests, cols, rows) -> list:
+    """Per time (a row of each mask), None or ``make(i, k)`` for the first
+    (mask, make) of ``tests`` whose mask holds in row i within the columns
+    ``cols``, at its first such column k; each of ``rows`` is made NaN in a
+    row with an error. A mask of None never holds."""
+    errors = [None] * len(rows[0])
+    for mask, make in reversed(tests):  # the first test's error wins
+        if mask is not None and mask.any():
+            mask = mask[:, cols]
+            for i in np.flatnonzero(mask.any(axis=1)):
+                errors[i] = make(i, cols.start + int(np.argmax(mask[i])))
+    for i, error in enumerate(errors):
+        if error is not None:
+            for row in rows:
+                row[i] = np.nan
     return errors
 
 
 def _a1_rows(values, errors, ts) -> list:
     """Per row of chain values on the a1 contour ``_CONTOUR``, one per time
-    in ``ts`` with its ``_chain_slices`` error, the a1 (the
+    in ``ts`` with its ``_audit_samples`` error, the a1 (the
     first Taylor coefficient at 0, by the trapezoidal rule: spectrally
     accurate for an analytic chain) or the error of that row alone, from one
     mean over all the rows."""
@@ -244,29 +234,13 @@ def _finite_or_none(value: float):
     return value if np.isfinite(value) else None
 
 
-# The audit's constant nodes, built once and read-only: the z grid and the
-# a1 contour.
-_Z_SAMPLES = np.concatenate([circle_points(r, DEFAULT_Z_ANGLES) for r in DEFAULT_Z_CIRCLES])
-_CONTOUR = circle_points(A1_RADIUS, A1_NODE_COUNT)
-for _points in (_Z_SAMPLES, _CONTOUR):
-    _points.flags.writeable = False
-
-
-def _audit_samples(spec: ChainSpec, ts: tuple):
-    """Every sample the audit reads, stacked with a row per t: the chain
-    rows (L, dL/dt, z dL/dz) on the z grid ``_Z_SAMPLES``, of shape
-    (3, len(ts), _Z_SAMPLES.size); L on the a1 contour ``_CONTOUR``; and w
-    on the z grid. Returns these three arrays, NaN in a row whose slice
-    failed, and their three lists of per-row errors, each None or the error
-    of ``_chain_slices`` for that row's slice evaluated alone: a grid pass
-    over the z grid at every t and an L pass over the contour at every t."""
-    n = len(ts)
-    rows, grid_errors, w_errors = _chain_slices(spec, [(_Z_SAMPLES, t) for t in ts], grid=True)
-    on_contour, contour_errors = _chain_slices(spec, [(_CONTOUR, t) for t in ts])
-    return (
-        (rows[:3].reshape(3, n, -1), on_contour[0].reshape(n, -1), rows[3].reshape(n, -1)),
-        (grid_errors, contour_errors, w_errors),
-    )
+# The audit's constant nodes, built once and read-only: the z grid, then the
+# a1 contour, in one row.
+_NODES = np.concatenate(
+    [circle_points(r, DEFAULT_Z_ANGLES) for r in DEFAULT_Z_CIRCLES] + [circle_points(A1_RADIUS, A1_NODE_COUNT)]
+)
+_NODES.flags.writeable = False
+_Z_SAMPLES, _CONTOUR = np.split(_NODES, [len(DEFAULT_Z_CIRCLES) * DEFAULT_Z_ANGLES])
 
 
 def _preconditions(spec: ChainSpec) -> list:
@@ -287,21 +261,21 @@ def audit_pommerenke(spec: ChainSpec, t_samples=None) -> AuditReport:
 
     An f outside Sigma0, and a zero of f' or g' or a pole of f or g in
     |z| >= 1, is recorded first, as a ``precondition``, and fails the audit.
-    Every sample comes from ``_audit_samples``: at the default grids a grid
-    pass over 6 x 192 z grid points (L, dL/dt, z dL/dz and w) and an L pass
-    over 6 x 256 a1 contour points, each slice read as if it had been
-    evaluated alone. |w|, the residual and the a1 means are computed over
-    rows stacked over t, and each time is judged alone. A Loewner residual
-    (LOEWNER_RESIDUAL_TOL) that is not finite reads inf. An empty
-    ``t_samples`` raises InvalidPlan."""
+    Every sample comes from one ``_audit_samples`` pass over the times by
+    the z grid and the a1 contour (6 x 448 points at the default grids),
+    each row read as if its time had been evaluated alone. |w|, the residual
+    and the a1 means are computed over rows stacked over t, and each time is
+    judged alone. A Loewner residual (LOEWNER_RESIDUAL_TOL) that is not
+    finite reads inf. An empty ``t_samples`` raises InvalidPlan."""
     z = _Z_SAMPLES
     ts = tuple(DEFAULT_T_SAMPLES if t_samples is None else t_samples)
     if not ts:
         raise InvalidPlan("t_samples must hold at least one time")
 
     errors = [("precondition", message) for message in _preconditions(spec)]
-    ((cv, dt, zdz), on_contour, w), (grid_errors, contour_errors, w_errors) = _audit_samples(spec, ts)
-    a1s = _a1_rows(on_contour, contour_errors, ts)
+    (value, dt, zdz, w), (grid_errors, contour_errors, w_errors) = _audit_samples(spec, ts, _NODES, z.size)
+    cv = value[:, : z.size]
+    a1s = _a1_rows(value[:, z.size :], contour_errors, ts)
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         abs_w = np.abs(w)

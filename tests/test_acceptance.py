@@ -12,7 +12,7 @@ import numpy as np
 
 import univalence as uv
 from univalence.criteria import CriterionParams, evaluate_lhs, pieces
-from univalence.loewner import ChainSpec, _chain_slices, audit_pommerenke
+from univalence.loewner import ChainSpec, _audit_samples, audit_pommerenke
 from univalence.region import estimate_sup, issue_verdict
 from univalence.sampling import circle_points
 
@@ -177,16 +177,16 @@ def test_05_loewner_chain_identities():
         zs = np.concatenate([circle_points(0.5, 32), circle_points(0.9, 32)])
         ts = (0.0, 0.5, 1.0, 2.0)
         trivial = CHAIN_SPECS[0]
-        vals, errors = _chain_slices(trivial, [(zs, t) for t in ts])
+        (vals, *_), (_, errors, _) = _audit_samples(trivial, ts, zs, 0)
         assert errors == [None] * len(ts)
-        for t, row in zip(ts, vals[0].reshape(len(ts), -1)):
+        for t, row in zip(ts, vals):
             assert np.max(np.abs(row - np.exp(t) * zs)) <= 1e-12 * np.exp(t)
         for spec in CHAIN_SPECS:
-            rows, errors, w_errors = _chain_slices(spec, [(zs, 0.0)], grid=True)
+            (value, _, _, w), (errors, _, w_errors) = _audit_samples(spec, (0.0,), zs, zs.size)
             assert errors == w_errors == [None]
-            assert np.max(np.abs(rows[0] * spec.f.values(1.0 / zs) - 1.0)) <= 1e-10
+            assert np.max(np.abs(value[0] * spec.f.values(1.0 / zs) - 1.0)) <= 1e-10
             hv = spec.h.values(1.0 / zs)
-            assert np.max(np.abs(rows[3] - (1.0 - hv) / hv)) <= 1e-10
+            assert np.max(np.abs(w[0] - (1.0 - hv) / hv)) <= 1e-10
             records = audit_pommerenke(spec, t_samples=ts).a1_records
             assert [t for t, *_ in records] == list(ts)
             for t, a1, *_ in records:
@@ -211,9 +211,9 @@ def test_06_boundary_bridge():
             for t in (0.25, LN2, 1.0):
                 # g stays locally univalent here: |e^t/z| = e^t avoids the
                 # critical radius sqrt(1.2) of the third case
-                rows, _, w_errors = _chain_slices(spec, [(zs, t)], grid=True)
+                (*_, w), (_, _, w_errors) = _audit_samples(spec, (t,), zs, zs.size)
                 assert w_errors == [None]
-                wv = np.abs(rows[3])
+                wv = np.abs(w[0])
                 lhs = evaluate_lhs(params, np.exp(t) / zs)
                 assert np.max(np.abs(wv - lhs)) <= 1e-9, (spec, t)
 

@@ -132,7 +132,7 @@ class TestMiniLanguage:
         pts = exterior_points(rng, 50)
         # the levels fold to the identity matrix: the same bits as the base
         grid = (pts, 1.0 / pts)
-        assert np.array(deep.pieces(grid, 3, True)).tobytes() == np.array(base.pieces(grid, 3, True)).tobytes()
+        assert np.array(deep.pieces(grid, 3, 0)).tobytes() == np.array(base.pieces(grid, 3, 0)).tobytes()
         assert deep.values(pts).tobytes() == base.values(pts).tobytes()
         assert uv.validate_sigma_normalization(deep).classification == "Sigma0"
 
@@ -502,9 +502,9 @@ class TestDerivativeOrders:
         f = uv.moebius_of(uv.laurent(1, 0.1, [0.3, 0.05j]), 2, 1j, 0.5, 30)
         pts = exterior_points(rng, 200)
         grid = (pts, 1.0 / pts)
-        full = f.pieces(grid, 3, value=True)
+        full = f.pieces(grid, 3, 0)
         for k in (1, 2):
-            for got, want in zip(f.pieces(grid, k, value=True)[: k + 1], full):
+            for got, want in zip(f.pieces(grid, k, 0)[: k + 1], full):
                 assert got.tobytes() == want.tobytes()
         assert f.pieces(grid, 3)[0] is None
 
@@ -555,6 +555,22 @@ class TestClosedFormPieces:
             if order > 2:
                 assert sf.tobytes() == self.laurent_map(fn).pieces(grid, 3)[3].tobytes()
 
+    @pytest.mark.parametrize("inner", sorted(INNERS))
+    @pytest.mark.parametrize("abcd", [(1, 0, 0, 1), (1.1, 0.2 + 0.1j, 0, 1), (1, 0.1j, 0.03 + 0.04j, 1)])
+    def test_first_leaves_out_the_pieces_before_it(self, rng, inner, abcd):
+        # pieces from ``first`` on are bitwise those of the full call, and
+        # the ones before it are None: z f' is built only where it is read
+        fn = uv.moebius_of(self.INNERS[inner], *abcd)
+        pts = self.points(rng)
+        grid = (pts, 1.0 / pts)
+        for order in (2, 3):
+            full = fn.pieces(grid, order, 0)
+            for first in (1, 2):
+                got = fn.pieces(grid, order, first)
+                assert got[:first] == (None,) * first
+                for piece, want in zip(got[first:], full[first:]):
+                    assert (piece is want is None) or piece.tobytes() == want.tobytes()
+
     def test_shared_reciprocal_is_bitwise_neutral(self, rng):
         # values, at z and 1.0 / z, is the value piece and reads the value
         # row of the kernel's full stack
@@ -562,7 +578,7 @@ class TestClosedFormPieces:
         grid = (pts, 1.0 / pts)
         for fn in [*self.INNERS.values(), uv.inverse_square(0.2 - 0.1j)]:
             values = fn.values(pts)
-            assert values.tobytes() == fn.pieces(grid, 3, value=True)[0].tobytes()
+            assert values.tobytes() == fn.pieces(grid, 3, 0)[0].tobytes()
             if not fn.levels:
                 assert values.tobytes() == fn.derivs(grid)[0].tobytes()
 
@@ -574,7 +590,7 @@ class TestClosedFormPieces:
         fn = uv.moebius_of(inner, 1, 0.5, 0, 1)
         pts = np.array([1e308, 2.0], dtype=np.complex128)
         grid = (pts, 1.0 / pts)
-        f0, *rest = fn.pieces(grid, 3, value=True)
+        f0, *rest = fn.pieces(grid, 3, 0)
         assert not np.isfinite(f0[0]) and np.isfinite(f0[1])
         assert np.isfinite(rest).all()
         assert np.array(rest).tobytes() == np.array(inner.pieces(grid, 3)[1:]).tobytes()
@@ -593,7 +609,7 @@ class TestClosedFormPieces:
     def test_pieces_at_vanishing_denominator_are_a_pole(self, spec, zeta):
         # the folded denominator c u + d vanishes: f, z f' and z f''/f' are
         # not finite, while z^2 S_f = z^2 S_u = 0 (u is z)
-        f0, f1, pf, sf = uv.make_sigma_function(spec).pieces((np.array([zeta]), np.array([1 / zeta])), 3, True)
+        f0, f1, pf, sf = uv.make_sigma_function(spec).pieces((np.array([zeta]), np.array([1 / zeta])), 3, 0)
         assert not np.isfinite(np.array([f0, f1, pf])).any()
         assert sf.tolist() == [0]
 
@@ -602,7 +618,7 @@ class TestClosedFormPieces:
         # whole map, whose folded denominator 2z - 2 is 2 there: f = 0,
         # f' = 0.5 and f'' = -1 at z = 2, and S_f = 0
         f = uv.make_sigma_function("moebius:0,1,1,1:moebius:1,0,1,-2:identity")
-        got = np.array(f.pieces((np.array([2.0]), np.array([0.5])), 3, True))[:, 0]
+        got = np.array(f.pieces((np.array([2.0]), np.array([0.5])), 3, 0))[:, 0]
         assert np.max(np.abs(got - [0, 1, -4, 0])) <= 1e-15
 
     @settings(max_examples=300, deadline=None)

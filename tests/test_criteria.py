@@ -325,15 +325,15 @@ class TestPresets:
     @pytest.mark.parametrize("gh", sorted(GH_CASES))
     @pytest.mark.parametrize("f", sorted(TestBlocks.F_CASES))
     def test_w_is_theorem1_on_the_chain(self, f, gh):
-        from univalence.loewner import _Z_SAMPLES, ChainSpec, _chain_slices
+        from univalence.loewner import _Z_SAMPLES, ChainSpec, _audit_samples
 
         g, h = self.GH_CASES[gh]
         spec = ChainSpec(f=TestBlocks.F_CASES[f], g=g, h=h, alpha=0.3 + 0.1j)
         ts = (0.0, 0.25, 1.0, 4.0)
         z = _Z_SAMPLES
-        rows, _, w_errors = _chain_slices(spec, [(z, t) for t in ts], grid=True)
+        (*_, w), (_, _, w_errors) = _audit_samples(spec, ts, z, z.size)
         assert w_errors == [None] * len(ts)
-        for t, got in zip(ts, rows[3].reshape(len(ts), -1)):
+        for t, got in zip(ts, w):
             want = closed_form_w(spec, z, t)
             assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
 
@@ -381,12 +381,15 @@ class TestRowRequests:
 
 class TestPiecesOnDemand:
     # Pieces left None: those a criterion neither reads nor builds on the
-    # way to one it reads (f''/f' comes with S_f, f' with any f stack).
+    # way to one it reads (f''/f' comes with S_f). z f' and z g', which
+    # theorem1 never reads, come only with no criterion, for _diagnose.
     NEVER = {
-        "alpha_zero": {"g1", "pg", "sf", "sg"},
-        "epstein": {"h0", "h1"},
-        "becker": {"g1", "h0", "h1", "sf", "pg", "sg"},
-        "nehari": {"g1", "h0", "h1", "pg", "sg"},
+        "theorem1": {"f1", "g1"},
+        "alpha_zero": {"f1", "g1", "pg", "sf", "sg"},
+        "miazga_wesolowski": {"f1", "g1"},
+        "epstein": {"f1", "g1", "h0", "h1"},
+        "becker": {"f1", "g1", "h0", "h1", "sf", "pg", "sg"},
+        "nehari": {"f1", "g1", "h0", "h1", "pg", "sg"},
     }
 
     @pytest.mark.parametrize("f", sorted(TestBlocks.F_CASES))

@@ -13,7 +13,6 @@ from univalence.errors import (
     CriticalPoint,
     InvalidPlan,
     InvalidSpec,
-    OutsideDomain,
 )
 from univalence.criteria import theorem1
 from univalence.loewner import (
@@ -25,8 +24,8 @@ from univalence.loewner import (
     DEFAULT_T_SAMPLES,
     LOEWNER_RESIDUAL_TOL,
     ChainSpec,
+    _NODES,
     _audit_samples,
-    _chain_slices,
     audit_pommerenke,
 )
 from univalence.sampling import circle_points
@@ -100,31 +99,39 @@ class TestSigma0Precondition:
             assert rep.errors[0] == sigma[0] and not rep.passed
 
 
+def chain_at(spec, ts, zs):
+    """L over the times ``ts`` by the points ``zs``, a row per time, and
+    its per-time errors, from ``_audit_samples`` with no point on the z
+    grid."""
+    (value, *_), (_, errors, _) = _audit_samples(spec, ts, np.asarray(zs, dtype=np.complex128), 0)
+    return value, errors
+
+
 class TestChainEval:
-    """L from the L pass of ``_chain_slices``, a row of values per slice."""
+    """L from ``_audit_samples``, a row of values per time."""
 
     def test_trivial_chain_is_exponential(self):
         spec = trivial_spec()
-        assert abs(_chain_slices(spec, [(0.5, LN2)])[0][0, 0] - 1.0) <= 1e-12
+        assert abs(chain_at(spec, (LN2,), [0.5])[0][0, 0] - 1.0) <= 1e-12
         zs = np.array([0.1, 0.5j, -0.8, 0.6 - 0.3j])
         ts = (0.0, 0.3, 1.0, 2.0)
-        rows, errors = _chain_slices(spec, [(zs, t) for t in ts])
+        rows, errors = chain_at(spec, ts, zs)
         assert errors == [None] * len(ts)
-        for t, values in zip(ts, rows[0].reshape(len(ts), -1)):
+        for t, values in zip(ts, rows):
             assert np.max(np.abs(values - np.exp(t) * zs)) <= 1e-12 * np.exp(t)
 
     def test_joukowski_example(self):
         spec = jouk_spec(0.5, alpha=0.7)
-        assert abs(_chain_slices(spec, [(1.0, LN2)])[0][0, 0] - 1 / 0.9375) <= 1e-12
+        assert abs(chain_at(spec, (LN2,), [1.0])[0][0, 0] - 1 / 0.9375) <= 1e-12
 
     def test_initial_value_inverts_f(self):
         spec = jouk_spec(0.5, alpha=0.25)
-        assert abs(_chain_slices(spec, [(0.5, 0.0)])[0][0, 0] - 1 / 2.25) <= 1e-12
+        assert abs(chain_at(spec, (0.0,), [0.5])[0][0, 0] - 1 / 2.25) <= 1e-12
 
     def test_initial_value_identity_all_specs(self):
         zs = np.concatenate([circle_points(0.5, 16), circle_points(0.9, 16)])
         for spec in CATALOG_SPECS:
-            rows, errors = _chain_slices(spec, [(zs, 0.0)])
+            rows, errors = chain_at(spec, (0.0,), zs)
             fvals = spec.f.values(1.0 / zs)
             assert errors == [None] and np.max(np.abs(rows[0] * fvals - 1.0)) <= 1e-10
 
@@ -148,7 +155,7 @@ class TestChainEval:
             dv = alpha * ratio ** (alpha - 1) * dratio
             ch = c * spec.h.values(zeta)
             want = (v + ch * dv) / (fd[0] * v + ch * (fd[1] * v + fd[0] * dv))
-            rows, errors = _chain_slices(spec, [(z, t)])
+            rows, errors = chain_at(spec, (t,), z)
             got = rows[0]
             assert errors == [None]
             # both sides are double quotients; near |L| ~ 100 at t = 2 the
@@ -156,33 +163,46 @@ class TestChainEval:
             assert np.max(np.abs(got - want) / np.maximum(np.abs(want), 1.0)) <= 1e-12
 
     def test_domain_checks(self):
-        with pytest.raises(OutsideDomain, match=r"^chain domain is 0 < \|z\| <= 1, got z = \(1.5\+0j\)$"):
-            _chain_slices(trivial_spec(), [(1.5, 0.5)])
+        # the audit's nodes are constants in the chain domain 0 < |z| <= 1;
+        # a negative time is refused before anything is evaluated
+        mods = np.abs(_NODES)
+        assert np.all((mods > 0) & (mods <= 1.0 + 1e-12))
         with pytest.raises(InvalidPlan, match="^chain time must be nonnegative, got -0.1$"):
-            _chain_slices(trivial_spec(), [(0.5, -0.1)])
+            chain_at(trivial_spec(), (0.5, -0.1), [0.5])
+        with pytest.raises(InvalidPlan, match="^chain time must be nonnegative, got -0.1$"):
+            _audit_samples(trivial_spec(), (-0.1, 1e300), _NODES, _Z_SAMPLES.size)
+
+
+def grid_at(spec, ts, zs):
+    """L, dL/dt, z dL/dz and w over the times ``ts`` by the points ``zs``,
+    each with a row per time, and the per-time errors of L and of w, from
+    ``_audit_samples`` with every point on the z grid."""
+    zs = np.asarray(zs, dtype=np.complex128)
+    rows, (errors, _, w_errors) = _audit_samples(spec, ts, zs, zs.size)
+    return rows, errors, w_errors
 
 
 class TestChainW:
-    """w, the last row of the grid pass of ``_chain_slices``."""
+    """w, the last of the rows ``_audit_samples`` gives on the z grid."""
 
     def test_w_vanishes_for_trivial_data(self):
         spec = jouk_spec(0.5, alpha=0.9)
-        assert _chain_slices(spec, [(0.5, 0.0)], grid=True)[0][3, 0] == 0.0
+        assert grid_at(spec, (0.0,), [0.5])[0][3][0, 0] == 0.0
 
     def test_w_at_zero_time_is_h_ratio(self):
         spec = ChainSpec(
             f=uv.joukowski(0.5), g=uv.identity(), h=uv.inverse_square(0.25), alpha=0.5
         )
-        assert abs(_chain_slices(spec, [(0.5, 0.0)], grid=True)[0][3, 0] - (-1 / 17)) <= 1e-12
+        assert abs(grid_at(spec, (0.0,), [0.5])[0][3][0, 0] - (-1 / 17)) <= 1e-12
         zs = circle_points(0.8, 32)
         for spec in CATALOG_SPECS:
-            rows, _, w_errors = _chain_slices(spec, [(zs, 0.0)], grid=True)
+            rows, _, w_errors = grid_at(spec, (0.0,), zs)
             hv = spec.h.values(1.0 / zs)
-            assert w_errors == [None] and np.max(np.abs(rows[3] - (1.0 - hv) / hv)) <= 1e-10
+            assert w_errors == [None] and np.max(np.abs(rows[3][0] - (1.0 - hv) / hv)) <= 1e-10
 
     def test_w_matches_becker_value(self):
         spec = jouk_spec(0.5)
-        assert abs(_chain_slices(spec, [(1.0, LN2)], grid=True)[0][3, 0] - (-6 / 7)) <= 1e-12
+        assert abs(grid_at(spec, (LN2,), [1.0])[0][3][0, 0] - (-6 / 7)) <= 1e-12
 
     def test_boundary_bridge(self):
         # |w(z,t)| on |z| = 1 equals the criterion LHS at zeta = e^t / z.
@@ -209,20 +229,25 @@ class TestChainW:
         ts = (0.25, LN2, 1.0)
         for spec in cases:
             p = uv.CriterionParams(f=spec.f, g=spec.g, h=spec.h, alpha=spec.alpha)
-            rows, _, w_errors = _chain_slices(spec, [(zs, t) for t in ts], grid=True)
+            rows, _, w_errors = grid_at(spec, ts, zs)
             assert w_errors == [None] * len(ts)
-            for t, wv in zip(ts, np.abs(rows[3]).reshape(len(ts), -1)):
+            for t, wv in zip(ts, np.abs(rows[3])):
                 lhs = uv.evaluate_lhs(p, np.exp(t) / zs)
                 assert np.max(np.abs(wv - lhs)) <= 1e-9
 
-    def test_grid_shape_is_read_flat(self):
-        # a slice's z of any shape is read as its points in C order
+    def test_grid_rows_do_not_depend_on_the_other_nodes(self):
+        # the z grid's rows are views of the one pass over every node: with
+        # other nodes after the grid, or with none, they are bitwise the same
         spec = CATALOG_SPECS[3]
         zs = circle_points(0.8, 32)
-        for grid in (False, True):
-            flat = _chain_slices(spec, [(zs, 0.5)], grid)
-            shaped = _chain_slices(spec, [(zs.reshape(4, 8), 0.5)], grid)
-            assert flat[0].shape == shaped[0].shape and np.array_equal(flat[0], shaped[0])
+        nodes = np.concatenate([zs, circle_points(0.5, 16)])
+        ts = (0.0, 0.5, 2.0)
+        alone, errors = _audit_samples(spec, ts, zs, zs.size)
+        within, within_errors = _audit_samples(spec, ts, nodes, zs.size)
+        assert errors == within_errors == ([None] * 3, [None] * 3, [None] * 3)
+        assert within[0].shape == (3, nodes.size) and np.array_equal(within[0][:, : zs.size], alone[0])
+        for got, want in zip(within[1:], alone[1:]):
+            assert got.shape == want.shape == (3, zs.size) and np.array_equal(got, want)
 
 
 class TestChainP:
@@ -232,7 +257,7 @@ class TestChainP:
         spec = jouk_spec(0.45, alpha=0.3, h=uv.inverse_square(0.2))
         zs = circle_points(0.9, 16)
         for t in (0.1, 0.8):
-            wv = _chain_slices(spec, [(zs, t)], grid=True)[0][3]
+            wv = grid_at(spec, (t,), zs)[0][3][0]
             pv = (1.0 - wv) / (1.0 + wv)
             lhs = np.abs(1.0 + wv) ** 2 * pv.real
             rhs = 1.0 - np.abs(wv) ** 2
@@ -282,12 +307,12 @@ class TestLoewnerEquation:
     ]
 
     def differences(self, spec, z, t):
-        """dL/dt and z dL/dz at the points z, from one L pass."""
+        """dL/dt and z dL/dz at the points z, from L alone."""
         step = self.STEP
-        slices = [(z, t + step), (z, t - step), (z * np.exp(step), t), (z * np.exp(-step), t)]
-        rows, errors = _chain_slices(spec, slices)
-        assert errors == [None] * len(slices)
-        later, earlier, outer, inner = rows[0].reshape(len(slices), -1)
+        (later, earlier), errors = chain_at(spec, (t + step, t - step), z)
+        (radial,), radial_errors = chain_at(spec, (t,), np.concatenate([z * np.exp(step), z * np.exp(-step)]))
+        assert errors == [None] * 2 and radial_errors == [None]
+        outer, inner = np.split(radial, 2)
         return (later - earlier) / (2 * step), (outer - inner) / (2 * step)
 
     def residual(self, spec, w, z, t):
@@ -300,21 +325,21 @@ class TestLoewnerEquation:
     def test_w_drives_the_chain(self, spec):
         z = circle_points(0.9, 16)
         for t in (0.25, 1.0, 2.0):
-            w = _chain_slices(spec, [(z, t)], grid=True)[0][3]
+            w = grid_at(spec, (t,), z)[0][3][0]
             assert self.residual(spec, w, z, t) <= self.BOUND
             # the check can fail: the unsquared alpha-term drives no chain
             assert self.residual(spec, unsquared_w(spec, z, t), z, t) > self.BOUND + 1e-3
 
     @pytest.mark.parametrize("spec", SPECS, ids=["laurent_f", "laurent_g", "alpha_one"])
     def test_closed_form_derivatives(self, spec):
-        # the rows the grid pass gives next to L, against the differences of
-        # the L pass; its L is bitwise the L pass's
+        # the rows given next to L on the z grid, against the differences of
+        # L; that L is bitwise L off the grid
         z = circle_points(0.9, 16)
         for t in (0.25, 1.0, 2.0):
-            rows, errors, _ = _chain_slices(spec, [(z, t)], grid=True)
-            value, dt, zdz = rows[:3]
+            rows, errors, _ = grid_at(spec, (t,), z)
+            value, dt, zdz = (row[0] for row in rows[:3])
             assert errors == [None]
-            assert np.array_equal(value, _chain_slices(spec, [(z, t)])[0][0])
+            assert np.array_equal(value, chain_at(spec, (t,), z)[0][0])
             for got, want in zip((dt, zdz), self.differences(spec, z, t)):
                 assert np.max(np.abs(got - want)) / np.max(np.abs(want)) <= self.BOUND
 
@@ -329,10 +354,10 @@ class TestLoewnerEquation:
             alpha=0.3 + 0.1j,
         )
         z = np.concatenate([circle_points(r, 100) for r in (0.3, 0.6, 0.9)])
-        batch = _chain_slices(spec, [(z, 0.7)], grid=True)[0][:3]
-        alone = [_chain_slices(spec, [(z[k : k + 1], 0.7)], grid=True)[0][:3, 0] for k in range(z.size)]
+        batch = np.stack(grid_at(spec, (0.7,), z)[0])[:, 0]
+        alone = [np.stack(grid_at(spec, (0.7,), z[k : k + 1])[0])[:, 0, 0] for k in range(z.size)]
         alone = np.stack(alone, axis=1)
-        assert [int(np.sum(a != b)) for a, b in zip(batch, alone)] == [0, 0, 0]
+        assert [int(np.sum(a != b)) for a, b in zip(batch, alone)] == [0, 0, 0, 0]
 
 
 def doubled_h_term(pc, alpha, aa, am1):
@@ -498,19 +523,16 @@ class TestAudit:
     def test_nan_does_not_hide_slice_maximum(self, monkeypatch):
         from univalence import loewner
 
-        exact = loewner._chain_slices
+        exact = loewner._audit_samples
 
-        def with_nan(spec, slices, grid=False):
-            rows, *errors = exact(spec, slices, grid)
-            start = 0
-            for z, t in slices:
-                if grid and t == 0.5:
-                    rows[3, start] = np.nan
-                    rows[3, start + 1] = 1.5
-                start += z.size
-            return (rows, *errors)
+        def with_nan(spec, ts, nodes, n_grid):
+            (value, dt, zdz, w), errors = exact(spec, ts, nodes, n_grid)
+            i = ts.index(0.5)
+            w[i, 0] = np.nan
+            w[i, 1] = 1.5
+            return (value, dt, zdz, w), errors
 
-        monkeypatch.setattr(loewner, "_chain_slices", with_nan)
+        monkeypatch.setattr(loewner, "_audit_samples", with_nan)
         z = loewner._Z_SAMPLES
         rep = audit_pommerenke(trivial_spec(), t_samples=(0.0, 0.5))
         assert rep.max_abs_w == 1.5
@@ -543,10 +565,10 @@ class TestAudit:
         # no root solve, since the coefficient bound of the precondition
         # rules out every root of both functions, and a fixed number of
         # kernel calls whatever the number of chain times: f, g and h
-        # stacks to order 3 for the grid pass over the z grid (6 x 192
-        # points at the default grids) and to order 2 for the L pass over
-        # the a1 contour (6 x 256 points); no winding call; no circle_points
-        # call, since the z grid and the contour are built once, read-only
+        # stacks to order 3, 3 and 1 in one pass over the times by the z
+        # grid and the a1 contour (6 x 448 points at the default grids); no
+        # winding call; no circle_points call, since the nodes are built
+        # once, read-only
         from univalence import _kernels, catalog, loewner
 
         roots, kernel, kernel_points, passes = Counter(), Counter(), Counter(), []
@@ -554,7 +576,7 @@ class TestAudit:
             catalog._derivative_roots,
             _kernels.laurent_derivs_scaled,
             _kernels.winding_sum,
-            loewner._chain_slices,
+            loewner._audit_samples,
         )
 
         def counted_roots(fn):
@@ -572,34 +594,37 @@ class TestAudit:
             kernel_points[points.size, order] += 1
             return derivs(points, inv, b, b0, tail, order, first)
 
-        def recorded_chain(spec, slices, grid=False):
-            passes.append((sum(np.size(z) for z, _ in slices), grid))
-            return chain(spec, slices, grid)
+        def recorded_chain(spec, ts, nodes, n_grid):
+            passes.append((len(ts), nodes.size, n_grid))
+            return chain(spec, ts, nodes, n_grid)
 
         monkeypatch.setattr(catalog, "_derivative_roots", counted_roots)
         monkeypatch.setattr(_kernels, "laurent_derivs_scaled", counted("derivs", recorded_derivs))
         monkeypatch.setattr(_kernels, "winding_sum", counted("winding", winding))
-        monkeypatch.setattr(loewner, "_chain_slices", recorded_chain)
+        monkeypatch.setattr(loewner, "_audit_samples", recorded_chain)
         monkeypatch.setattr(loewner, "circle_points", counted("circle_points", loewner.circle_points))
         f, g = uv.laurent(1, 0, [0.1, 0.02]), uv.joukowski(0.2)
         spec = ChainSpec(f=f, g=g, h=uv.inverse_square(0.1), alpha=0.4 + 0.1j)
         rep = audit_pommerenke(spec)
         assert rep.passed
         assert roots == Counter()
-        assert kernel["derivs"] == 6
-        # f and g (from g') to order 3 on the grid and 2 on the nodes, h to 1 and 0
-        assert kernel_points == Counter({(1152, 3): 2, (1152, 1): 1, (1536, 2): 2, (1536, 0): 1})
-        assert sum(size * count for (size, _), count in kernel_points.items()) == 8064
-        assert passes == [(1152, True), (1536, False)]
+        assert kernel["derivs"] == 3
+        # f and g (from g') to order 3 and h to order 1, each over 6 x 448 points
+        assert kernel_points == Counter({(2688, 3): 2, (2688, 1): 1})
+        assert passes == [(6, 448, 192)]
         assert kernel["winding"] == 0
         assert kernel["circle_points"] == 0
-        for nodes in (loewner._Z_SAMPLES, loewner._CONTOUR):
+        for nodes in (loewner._NODES, loewner._Z_SAMPLES, loewner._CONTOUR):
             with pytest.raises(ValueError, match="read-only"):
                 nodes[0] = nodes[0]
 
         kernel.clear()
+        kernel_points.clear()
+        passes.clear()
         audit_pommerenke(spec, t_samples=np.linspace(0.0, 4.0, 11))
-        assert kernel["derivs"] == 6
+        assert kernel["derivs"] == 3
+        assert kernel_points == Counter({(4928, 3): 2, (4928, 1): 1})
+        assert passes == [(11, 448, 192)]
         assert kernel["winding"] == 0
 
         # f = z - (1.5/16) z^-16, whose f' vanishes at |z| = 1.024, is beyond
@@ -611,31 +636,48 @@ class TestAudit:
         assert rep.errors[0].endswith(" in |z| >= 1 (and 16 more there)")
 
 
+def _rows_of(samples, i):
+    """The rows of time i of ``_audit_samples``' output with their errors:
+    L, dL/dt and z dL/dz on the z grid, L on the a1 contour, w."""
+    (value, dt, zdz, w), (grid_errors, contour_errors, w_errors) = samples
+    return [
+        (np.stack([value[i, : dt.shape[1]], dt[i], zdz[i]]), grid_errors[i]),
+        (value[i, dt.shape[1] :], contour_errors[i]),
+        (w[i], w_errors[i]),
+    ]
+
+
 def assert_samples_standalone(spec, ts):
-    """Every row of the audit's samples stacked over t, the w row of the
-    grid pass included, is what ``_chain_slices`` gives for its slice alone:
-    bitwise the same values, NaN positions included, and an error of the
-    same type and message, or none; the grid's L is the L pass's. Returns
-    the number of rows that are errors."""
-    (grid, on_contour, w), (grid_errors, contour_errors, w_errors) = _audit_samples(spec, ts)
-    assert grid.shape == (3, len(ts), _Z_SAMPLES.size) and w.shape == (len(ts), _Z_SAMPLES.size)
-    assert on_contour.shape == (len(ts), A1_NODE_COUNT)
-    rows = []
+    """Every row of the audit's samples, one per time, is that time audited
+    alone, and the same time over the z grid alone and over the a1 contour
+    alone: bitwise the same values, NaN positions included, and an error of
+    the same type and message, or none. L on the contour nodes that are z
+    grid nodes (every fourth) is bitwise L on the grid. Returns the number
+    of rows that are errors."""
+    grid = _Z_SAMPLES.size
+    samples = _audit_samples(spec, ts, _NODES, grid)
+    (value, dt, zdz, w), (grid_errors, contour_errors, _) = samples
+    assert value.shape == (len(ts), _NODES.size)
+    assert dt.shape == zdz.shape == w.shape == (len(ts), grid)
+    failed = 0
     for i, t in enumerate(ts):
-        alone, (grid_error,), (w_error,) = _chain_slices(spec, [(_Z_SAMPLES, t)], grid=True)
-        rows += [(grid[:, i], grid_errors[i], alone[:3], grid_error), (w[i], w_errors[i], alone[3], w_error)]
-        on_l_pass = [(grid[0, i], grid_errors[i], _Z_SAMPLES), (on_contour[i], contour_errors[i], _CONTOUR)]
-        for got, error, zs in on_l_pass:
-            alone, (want_error,) = _chain_slices(spec, [(zs, t)])
-            rows.append((got, error, alone[0], want_error))
-    for got, error, want, want_error in rows:
-        assert type(error) is type(want_error) and str(error) == str(want_error), (error, want_error)
-        assert np.array_equal(got, want, equal_nan=True), (got, want)
-    return sum(want_error is not None for *_, want_error in rows)
+        got = _rows_of(samples, i)
+        on_grid = _rows_of(_audit_samples(spec, (t,), _Z_SAMPLES, grid), 0)
+        on_contour = _rows_of(_audit_samples(spec, (t,), _CONTOUR, 0), 0)
+        apart = [on_grid[0], on_contour[1], on_grid[2]]
+        for want in (_rows_of(_audit_samples(spec, (t,), _NODES, grid), 0), apart):
+            for (row, error), (want_row, want_error) in zip(got, want):
+                assert type(error) is type(want_error) and str(error) == str(want_error), (error, want_error)
+                assert np.array_equal(row, want_row, equal_nan=True), (row, want_row)
+        failed += sum(error is not None for _, error in got)
+        if grid_errors[i] is None and contour_errors[i] is None:
+            shared = value[i, grid:][::4]
+            assert np.array_equal(shared, value[i, : shared.size], equal_nan=True), t
+    return failed
 
 
 # 1/z at the first node of the a1 contour off the z grid, at t = 0, as the
-# chain pass computes it: a pole of f there fails that contour alone.
+# chain's one pass computes it: a pole of f there fails that contour alone.
 _OFF_GRID_NODE_ZETA = complex((np.exp(np.zeros(1)) / _CONTOUR[1:2])[0])
 
 
@@ -665,7 +707,7 @@ class TestAuditSamples:
         ids=["alpha_zero", "g_is_f", "moebius_f"],
     )
     def test_w_is_the_bracket_of_separate_pieces(self, f, g, alpha):
-        # w from the grid pass's stacks, where the chain itself reads no g
+        # w from the audit's stacks, where the chain itself reads no g
         # (alpha = 0), reuses f's rows (g = f) or reads a quotient stack (a
         # Moebius level with c != 0), is bitwise theorem1 over pieces
         # evaluated apart at zeta = e^t/z, and fails where those pieces
@@ -677,10 +719,10 @@ class TestAuditSamples:
             alpha=alpha,
         )
         z = _Z_SAMPLES
-        samples, errors = _audit_samples(spec, DEFAULT_T_SAMPLES)
+        samples, errors = _audit_samples(spec, DEFAULT_T_SAMPLES, _NODES, z.size)
         assert errors[0] == [None] * len(DEFAULT_T_SAMPLES)
         critical = []
-        for t, w, error in zip(DEFAULT_T_SAMPLES, samples[2], errors[2]):
+        for t, w, error in zip(DEFAULT_T_SAMPLES, samples[3], errors[2]):
             t = np.full(z.size, t)
             pc = pieces(spec.f, spec.g, spec.h, (np.exp(t) / z, z * np.exp(-t)))
             if ((pc.f1 == 0) | (pc.g1 == 0)).any():

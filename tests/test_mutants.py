@@ -28,6 +28,7 @@ from univalence.loewner import ChainSpec, audit_pommerenke
 from univalence.oracle import winding_rows
 
 import test_reference
+from test_loewner import _OFF_GRID_NODE_ZETA
 
 
 def rebuilt(fn, old: str, new: str):
@@ -104,6 +105,27 @@ def check_fails_an_off_grid_pole():
     on the root precondition."""
     with contextlib.redirect_stdout(io.StringIO()):
         return cli.main(["check", "--f", "moebius:1,0,1,-2:identity"]) == 1
+
+
+def pole_at_an_off_grid_contour_node_fails_that_contour_alone():
+    """f = z/(z - zeta0) has its pole at the zeta0 = 1/z of the first a1
+    contour node off the z grid at t = 0: past its preconditions, the audit
+    at the times (0, 0.25) records one error, for the contour at t = 0, and
+    it names that node's zeta, not only a non-finite a1 mean."""
+    f = uv.make_sigma_function(f"moebius:1,0,1,{-_OFF_GRID_NODE_ZETA}:identity")
+    spec = ChainSpec(f=f, g=uv.make_sigma_function("laurent:1;0;0.1-0.05j,0.03j"), alpha=0.3)
+    errors = [e for e in audit_pommerenke(spec, t_samples=(0.0, 0.25)).errors if not e.startswith("precondition")]
+    return len(errors) == 1 and errors[0].startswith("a1 at t=0.0: ") and str(_OFF_GRID_NODE_ZETA) in errors[0]
+
+
+def median_spacing_is_the_median():
+    """On a 3 x 6 grid of random points, whose 30 neighbour gaps are an even
+    count, the oracle's median spacing is np.median of the same gaps."""
+    plan = uv.SamplingPlan(radial_count=3, angular_count=6)
+    grid = np.array([1.0, 1j]) @ np.random.default_rng(7).normal(size=(2, 18))
+    mesh = grid.reshape(3, 6)
+    gaps = np.r_[np.abs(mesh - np.roll(mesh, 1, axis=1)).ravel(), np.abs(mesh[1:] - mesh[:-1]).ravel()]
+    return gaps.size % 2 == 0 and oracle._median_neighbor_spacing(grid, plan) == np.median(gaps)
 
 
 # Maps whose u' vanishes in |z| >= rho = 1 - ROOT_BAND.
@@ -226,6 +248,16 @@ MUTANTS = [
            ("slack * (abs(b) + zeros)", "0.0"), bound_keeps("tie")),
     Mutant("root bound without the normal-range condition", (catalog,), "_bound_excludes_roots",
            (" or not slack * abs(b) >= np.finfo(np.float64).tiny", ""), bound_keeps("subnormal")),
+    Mutant("root bound decides a folded c != 0", (catalog,), "_bound_excludes_roots",
+           ("fn._folded[1, 0] or ", ""), check_fails_an_off_grid_pole),
+    Mutant("chain contour errors read from the z grid's columns", (loewner,), "_audit_samples",
+           ("_row_errors(chain, slice(n_grid, None),", "_row_errors(chain, slice(0, n_grid),"),
+           pole_at_an_off_grid_contour_node_fails_that_contour_alone),
+    Mutant("chain z grid errors read from the contour's columns", (loewner,), "_audit_samples",
+           ("_row_errors(chain, slice(0, n_grid),", "_row_errors(chain, slice(n_grid, None),"),
+           pole_at_an_off_grid_contour_node_fails_that_contour_alone),
+    Mutant("median spacing with the lower half's min for its max", (oracle,), "_median_neighbor_spacing",
+           ("gaps[:half].max()", "gaps[:half].min()"), median_spacing_is_the_median),
     Mutant("winding certificate 0", (_kernels,), "winding_sum",
            ("np.abs(x0) > 1e-12 *", "np.abs(x0) > 0.0 *"), probe_on_a_segment_has_no_winding_number),
     Mutant("cell search without the crowded-run search", (oracle,), "_cell_candidates",

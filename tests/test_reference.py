@@ -20,7 +20,7 @@ import pytest
 
 import univalence as uv
 from univalence.criteria import CRITERIA, CriterionParams, evaluate_lhs
-from univalence.loewner import ChainSpec, _chain_slices, audit_pommerenke
+from univalence.loewner import ChainSpec, _audit_samples, audit_pommerenke
 from univalence.region import estimate_sup
 
 from conftest import exterior_points
@@ -100,7 +100,7 @@ def closed_form_pieces(fn, points):
     """The rows f, z f', z f''/f' and z^2 S_f of ``fn.pieces`` at ``points``
     and 1.0 / points, as ``evaluate_lhs`` reads them."""
     points = np.asarray(points, dtype=np.complex128)
-    return np.array(fn.pieces((points, 1.0 / points), 3, value=True))
+    return np.array(fn.pieces((points, 1.0 / points), 3, 0))
 
 
 def mp_ratio(f, g, z):
@@ -317,7 +317,7 @@ def test_scaled_pieces_at_exact_polar_points(fn):
     plan = POLAR_PLAN
     radii, units = np.append(plan.radii(), 2.0 * plan.r_max), np.exp(1j * plan.angles())
     z, inv = radii[:, None] * units, (1.0 / radii)[:, None] * np.conj(units)
-    got = np.array(fn.pieces((z, inv), 3, value=True))
+    got = np.array(fn.pieces((z, inv), 3, 0))
     want = [
         [[complex(x) for x in mp_pieces(fn, z)] for z in
          (mp.mpf(r) * mp.expj(theta) for theta in plan.angles())]
@@ -348,13 +348,13 @@ def test_chain_values_and_w(pair):
             lt, zlz, w = (complex(x) for x in ref.derivs(z_mp, t_mp, base))
             derivs.append((lt, zlz))
             ws.append(w)
-        chain, errors = _chain_slices(spec, [(zs, t)])
-        rows, grid_errors, w_errors = _chain_slices(spec, [(zs, t)], grid=True)
+        (chain, *_), (_, errors, _) = _audit_samples(spec, (t,), zs, 0)
+        (value, dt, zdz, w), (grid_errors, _, w_errors) = _audit_samples(spec, (t,), zs, zs.size)
         assert errors == grid_errors == w_errors == [None]
-        for got in (chain[0], rows[0]):
+        for got in (chain[0], value[0]):
             assert rel_error(got, np.array(values)) <= CHAIN_TOL
-        assert rel_error(rows[1:3], np.transpose(derivs)) <= CHAIN_TOL
-        assert rel_error(rows[3], np.array(ws)) <= CHAIN_TOL
+        assert rel_error(np.stack([dt[0], zdz[0]]), np.transpose(derivs)) <= CHAIN_TOL
+        assert rel_error(w[0], np.array(ws)) <= CHAIN_TOL
 
 
 def test_boundary_bridge():
@@ -364,8 +364,8 @@ def test_boundary_bridge():
     zs = np.exp(1j * np.array([0.3, 2.0, -2.8]))
     for t in (0.25, 1.0):
         want = np.array([float(mp_lhs(params, np.exp(t) / z)) for z in zs])
-        rows, _, w_errors = _chain_slices(spec, [(zs, t)], grid=True)
-        assert w_errors == [None] and rel_error(np.abs(rows[3]), want) <= CHAIN_TOL
+        (*_, w), (_, _, w_errors) = _audit_samples(spec, (t,), zs, zs.size)
+        assert w_errors == [None] and rel_error(np.abs(w[0]), want) <= CHAIN_TOL
 
 
 @pytest.mark.parametrize("pair", [0, 3])
@@ -400,7 +400,7 @@ def test_chain_where_the_log_ratio_leaves_the_principal_branch():
         values.append(complex(ref.value(z_mp, t_mp, base)))
         derivs.append([complex(x) for x in ref.derivs(z_mp, t_mp, base)[:2]])
     assert sheets == [1, -1, 1, 0]
-    chain, errors = _chain_slices(spec, [(zs, t)])
+    (chain, *_), (_, errors, _) = _audit_samples(spec, (t,), zs, 0)
     assert errors == [None] and rel_error(chain[0], np.array(values)) <= CHAIN_TOL
-    rows, _, _ = _chain_slices(spec, [(zs, t)], grid=True)
-    assert rel_error(rows[1:3], np.transpose(derivs)) <= CHAIN_TOL
+    (_, dt, zdz, _), _ = _audit_samples(spec, (t,), zs, zs.size)
+    assert rel_error(np.stack([dt[0], zdz[0]]), np.transpose(derivs)) <= CHAIN_TOL
